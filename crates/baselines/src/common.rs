@@ -1,11 +1,8 @@
-//! Shared configuration and bookkeeping for baseline methods.
-
-use serde::{Deserialize, Serialize};
+//! Shared configuration and evaluation helpers for baseline methods.
 
 use ft_data::ClientData;
-use ft_fedsim::costs::CostMeter;
-use ft_fedsim::metrics::box_stats;
-use ft_fedsim::report::{RoundReport, RunReport};
+use ft_fedsim::device::DeviceTrace;
+use ft_fedsim::driver::{Method, Runner, SpineConfig};
 use ft_fedsim::trainer::LocalTrainConfig;
 use ft_fedsim::FaultConfig;
 use ft_model::CellModel;
@@ -71,83 +68,23 @@ impl Default for BaselineConfig {
     }
 }
 
-/// Run bookkeeping shared by all baselines: costs, round history,
-/// accuracy curve, and per-client round times. Serializable as a unit
-/// so every baseline's checkpoint carries it verbatim.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Accumulator {
-    /// Cost meter (MACs / bytes / rounds).
-    pub cost: CostMeter,
-    /// Per-round telemetry.
-    pub history: Vec<RoundReport>,
-    /// `(PMACs, accuracy)` checkpoints.
-    pub curve: Vec<(f64, f32)>,
-    /// Per-participant round completion times.
-    pub client_times: Vec<f32>,
-}
-
-impl Accumulator {
-    /// Records one participant's training and transfer. `elapsed_s` is
-    /// the client's wall-clock round time as reported by the
-    /// coordinator's training reply (compute + transfer, already scaled
-    /// by any straggler throttling); it is echoed back for convenience
-    /// so callers can fold it into the round maximum.
-    pub fn record_participant(
-        &mut self,
-        model_macs: u64,
-        param_count: usize,
-        samples: u64,
-        elapsed_s: f64,
-    ) -> f64 {
-        self.cost.record_local_training(model_macs, samples);
-        self.cost.record_model_transfer(param_count as u64);
-        self.client_times.push(elapsed_s as f32);
-        elapsed_s
-    }
-
-    /// Closes a round with its telemetry.
-    pub fn finish_round(
-        &mut self,
-        round: u32,
-        mean_loss: f32,
-        participants: usize,
-        num_models: usize,
-        round_time_s: f64,
-    ) {
-        self.cost.finish_round();
-        self.history.push(RoundReport {
-            round,
-            mean_loss,
-            participants,
-            num_models,
-            transformed: false,
-            cumulative_pmacs: self.cost.train_pmacs(),
-            round_time_s,
-        });
-    }
-
-    /// Builds the final report from per-client evaluation results.
-    pub fn into_report(
-        self,
-        per_client_accuracy: Vec<f32>,
-        per_client_model: Vec<usize>,
-        model_archs: Vec<String>,
-        model_macs: Vec<u64>,
-        storage_mb: f64,
-    ) -> RunReport {
-        RunReport {
-            final_accuracy: box_stats(&per_client_accuracy),
-            rounds: self.history,
-            per_client_accuracy,
-            per_client_model,
-            pmacs: self.cost.train_pmacs(),
-            network_mb: self.cost.network_mb(),
-            storage_mb,
-            model_archs,
-            model_macs,
-            accuracy_curve: self.curve,
-            client_times_s: self.client_times,
-        }
+impl BaselineConfig {
+    /// Puts `method` on the shared round runner, handing over the part
+    /// of this configuration the runner owns.
+    pub(crate) fn runner<M: Method>(
+        &self,
+        method: M,
+        data: M::Data,
+        devices: DeviceTrace,
+    ) -> Runner<M> {
+        let spine = SpineConfig {
+            seed: self.seed,
+            rng_seed: self.seed,
+            faults: self.faults,
+            clients_per_round: self.clients_per_round,
+            local: self.local,
+        };
+        Runner::new(method, data, devices, spine).with_eval_every(self.eval_every)
     }
 }
 
@@ -201,34 +138,6 @@ mod tests {
     use super::*;
     use ft_data::DatasetConfig;
     use rand::SeedableRng;
-
-    #[test]
-    fn accumulator_tracks_costs_and_history() {
-        let mut acc = Accumulator::default();
-        let t = acc.record_participant(1000, 500, 100, 2.5);
-        assert!((t - 2.5).abs() < 1e-12);
-        let slowed = acc.record_participant(1000, 500, 100, 4.0 * t);
-        assert!((slowed - 4.0 * t).abs() < 1e-9);
-        acc.finish_round(0, 1.5, 1, 1, t);
-        assert_eq!(acc.history.len(), 1);
-        assert!(acc.cost.train_macs() > 0);
-        let report = acc.into_report(vec![0.5], vec![0], vec!["m".into()], vec![1000], 0.1);
-        assert_eq!(report.rounds.len(), 1);
-        assert_eq!(report.final_accuracy.mean, 0.5);
-    }
-
-    #[test]
-    fn accumulator_serde_round_trips() {
-        let mut acc = Accumulator::default();
-        let t = acc.record_participant(2000, 700, 50, 1.25);
-        acc.finish_round(0, 0.75, 1, 1, t);
-        acc.curve.push((0.125, 0.5));
-        let json = serde_json::to_string(&acc).unwrap();
-        let back: Accumulator = serde_json::from_str(&json).unwrap();
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
-        assert_eq!(back.cost, acc.cost);
-        assert_eq!(back.client_times, acc.client_times);
-    }
 
     #[test]
     fn ensemble_of_one_matches_single() {

@@ -5,39 +5,35 @@
 //! weight replacement with an adaptive Yogi update on the aggregate
 //! delta (pass [`ServerOpt::Yogi`]).
 
-use rand::SeedableRng;
+use std::marker::PhantomData;
 
 use ft_data::{FederatedDataset, ShardSource};
-use ft_fedsim::coordinator::{Coordinator, RoundOptions};
 use ft_fedsim::device::DeviceTrace;
-use ft_fedsim::report::{RoundReport, RunReport};
-use ft_fedsim::select;
+use ft_fedsim::driver::{field, mean_loss, Fleet, Method, Round, RoundOutcome, Runner, Suite};
 use ft_fedsim::sink::RobustSink;
-use ft_fedsim::trainer::{client_seed, TrainTask};
-use ft_fedsim::Result;
+use ft_fedsim::trainer::TrainTask;
+use ft_fedsim::{Result, RobustAggregation, SimError};
 use ft_model::CellModel;
 use ft_nn::Yogi;
 
-use crate::common::{eval_on_client, Accumulator, BaselineConfig, ServerOpt};
+use crate::common::{eval_on_client, BaselineConfig, ServerOpt};
 
-/// The FedAvg family runner.
+/// The FedAvg family's server state.
 ///
-/// Generic over its population source so the same round loop serves
-/// both a materialized [`FederatedDataset`] and a procedurally derived
+/// Generic over its population source so the same round serves both a
+/// materialized [`FederatedDataset`] and a procedurally derived
 /// [`ft_data::SparseFederatedData`] — the representation the 1M-device
 /// bench leg uses, where materializing every shard up front would
 /// dwarf the aggregation memory the bench is measuring.
 pub struct FedAvg<D: ShardSource = FederatedDataset> {
-    cfg: BaselineConfig,
-    data: D,
-    devices: DeviceTrace,
-    coordinator: Coordinator,
+    name: &'static str,
     model: CellModel,
     server: ServerOpt,
     yogi: Yogi,
-    acc: Accumulator,
-    rng: rand::rngs::StdRng,
-    round: u32,
+    robust: RobustAggregation,
+    enforce_capacity: bool,
+    eval_clients: Option<usize>,
+    data: PhantomData<fn(&D)>,
 }
 
 impl<D: ShardSource> FedAvg<D> {
@@ -48,52 +44,48 @@ impl<D: ShardSource> FedAvg<D> {
         devices: DeviceTrace,
         model: CellModel,
         server: ServerOpt,
-    ) -> Self {
-        let yogi_lr = match server {
-            ServerOpt::Yogi { lr } => lr,
-            ServerOpt::Average => 0.0,
+    ) -> Runner<Self> {
+        let (name, yogi_lr) = match server {
+            ServerOpt::Yogi { lr } => ("fedyogi", lr),
+            ServerOpt::Average if cfg.local.prox_mu.is_some() => ("fedprox", 0.0),
+            ServerOpt::Average => ("fedavg", 0.0),
         };
-        let coordinator = Coordinator::new(cfg.seed, cfg.faults, devices.clone());
-        FedAvg {
-            rng: rand::rngs::StdRng::seed_from_u64(cfg.seed),
-            cfg,
-            data,
-            devices,
-            coordinator,
+        let method = FedAvg {
+            name,
             model,
             server,
             yogi: Yogi::new(yogi_lr),
-            acc: Accumulator::default(),
-            round: 0,
-        }
+            robust: cfg.robust,
+            enforce_capacity: cfg.enforce_capacity,
+            eval_clients: cfg.eval_clients,
+            data: PhantomData,
+        };
+        cfg.runner(method, data, devices)
     }
 
     /// The current global model.
     pub fn model(&self) -> &CellModel {
         &self.model
     }
+}
 
-    /// Runs one round.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training errors; a reply whose tensors disagree with
-    /// the global model's shapes surfaces as a protocol error from the
-    /// streaming fold.
-    pub fn step(&mut self) -> Result<RoundReport> {
-        let invited = select::uniform(
-            &mut self.rng,
-            self.data.num_clients(),
-            self.cfg.clients_per_round,
-        );
-        let participants = self.coordinator.begin_round(self.round, &invited)?;
-        let round_seed = self.cfg.seed.wrapping_add(self.round as u64);
-        let tasks: Vec<TrainTask> = participants
+impl<D: ShardSource> Method for FedAvg<D> {
+    type Data = D;
+
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// A reply whose tensors disagree with the global model's shapes
+    /// surfaces as a protocol error from the streaming fold.
+    fn round(&mut self, cx: &mut Round<'_, D>) -> Result<RoundOutcome> {
+        let tasks: Vec<TrainTask> = cx
+            .participants
             .iter()
             .map(|&c| TrainTask {
                 client: c,
                 model: 0,
-                seed: client_seed(round_seed, c),
+                seed: cx.client_seed(c),
             })
             .collect();
         // Stream every update into the configured aggregation fold as
@@ -101,24 +93,11 @@ impl<D: ShardSource> FedAvg<D> {
         // retain the cohort's updates until finish). The default spec
         // builds a plain FedAvgSink, so undefended runs fold the exact
         // op sequence they always did.
-        let mut sink = RobustSink::new(self.cfg.robust);
-        let replies = self.coordinator.train(
-            tasks,
-            std::slice::from_ref(&self.model),
-            &self.data,
-            &self.cfg.local,
-            &mut sink,
-        )?;
+        let mut sink = RobustSink::new(self.robust);
+        let replies = cx.train(tasks, std::slice::from_ref(&self.model), &mut sink)?;
 
-        let macs = self.model.macs_per_sample();
-        let params = self.model.param_count();
-        let mut round_time = 0.0f64;
-        for r in &replies {
-            let t = self
-                .acc
-                .record_participant(macs, params, r.samples, r.elapsed_s);
-            round_time = round_time.max(t);
-        }
+        let cost = (self.model.macs_per_sample(), self.model.param_count());
+        let round_time_s = cx.ledger.charge(&replies, |_| cost);
 
         // Sample-weighted average of local weights (None when the
         // round delivered no weighted updates).
@@ -147,148 +126,58 @@ impl<D: ShardSource> FedAvg<D> {
             }
         }
 
-        let losses: Vec<f32> = replies.iter().map(|r| r.avg_loss).collect();
-        let mean_loss = ft_fedsim::metrics::mean(&losses);
-        self.coordinator.finish_round()?;
-        self.acc
-            .finish_round(self.round, mean_loss, replies.len(), 1, round_time);
-        self.round += 1;
-
-        if self.cfg.eval_every > 0 && (self.round as usize).is_multiple_of(self.cfg.eval_every) {
-            let accs = self.evaluate();
-            let mean = ft_fedsim::metrics::mean(&accs);
-            self.acc.curve.push((self.acc.cost.train_pmacs(), mean));
-        }
-        // ft-lint: allow(P001) — `finish_round` above just pushed this entry.
-        Ok(self.acc.history.last().expect("just pushed").clone())
+        Ok(RoundOutcome {
+            participants: replies.len(),
+            mean_loss: mean_loss(&replies),
+            num_models: 1,
+            transformed: false,
+            round_time_s,
+        })
     }
 
     /// Per-client accuracy of the global model. With
     /// `enforce_capacity`, clients whose device cannot run the model
     /// score 0 — a one-size-fits-all model simply cannot serve them.
     /// `eval_clients` caps the sweep to the first `n` clients.
-    pub fn evaluate(&self) -> Vec<f32> {
+    fn evaluate(&self, fleet: Fleet<'_, D>) -> Result<(Vec<f32>, Vec<usize>)> {
         let macs = self.model.macs_per_sample();
-        let n = self
-            .cfg
-            .eval_clients
-            .map_or(self.data.num_clients(), |k| k.min(self.data.num_clients()));
-        ft_fedsim::eval::par_map_indexed(n, |c| {
-            if self.cfg.enforce_capacity && !self.devices.profile(c).is_compatible(macs) {
+        let population = fleet.data.num_clients();
+        let n = self.eval_clients.map_or(population, |k| k.min(population));
+        let accs = ft_fedsim::eval::par_map_indexed(n, |c| {
+            if self.enforce_capacity && !fleet.devices.profile(c).is_compatible(macs) {
                 0.0
             } else {
-                let shard = self.data.shard(c);
-                eval_on_client(&self.model, &shard)
+                eval_on_client(&self.model, &fleet.data.shard(c))
             }
-        })
+        });
+        Ok((accs, vec![0; n]))
     }
 
-    /// Produces the report for the rounds run so far (repeatable: the
-    /// run state is not consumed).
-    pub fn report(&mut self) -> RunReport {
-        let accs = self.evaluate();
-        let n = accs.len();
-        self.acc.clone().into_report(
-            accs,
-            vec![0; n],
-            vec![self.model.arch_string()],
-            vec![self.model.macs_per_sample()],
-            self.model.storage_bytes() as f64 / 1e6,
-        )
-    }
-
-    /// Installs the coordinator round options (thread budget, protocol
-    /// timing) used by subsequent rounds.
-    pub fn set_round_options(&mut self, opts: RoundOptions) {
-        self.coordinator.set_options(opts);
-    }
-
-    /// Installs the adversarial fleet model (byzantine clients,
-    /// availability churn, concept drift) used by subsequent rounds.
-    pub fn set_adversity(&mut self, adversity: ft_fedsim::AdversityConfig) {
-        self.coordinator.set_adversity(adversity);
-    }
-
-    /// The message-driven coordinator this runner rendezvouses and
-    /// trains through (for tests and protocol telemetry).
-    pub fn coordinator(&mut self) -> &mut Coordinator {
-        &mut self.coordinator
-    }
-}
-
-impl<D: ShardSource> ft_fedsim::Algorithm for FedAvg<D> {
-    fn name(&self) -> &'static str {
-        match self.server {
-            ServerOpt::Yogi { .. } => "fedyogi",
-            ServerOpt::Average => {
-                if self.cfg.local.prox_mu.is_some() {
-                    "fedprox"
-                } else {
-                    "fedavg"
-                }
-            }
+    fn suite(&self) -> Suite {
+        Suite {
+            archs: vec![self.model.arch_string()],
+            macs: vec![self.model.macs_per_sample()],
+            storage_mb: self.model.storage_bytes() as f64 / 1e6,
         }
-    }
-
-    fn round(&self) -> u32 {
-        self.round
-    }
-
-    fn step(&mut self) -> Result<RoundReport> {
-        FedAvg::step(self)
-    }
-
-    fn report(&mut self) -> Result<RunReport> {
-        Ok(FedAvg::report(self))
-    }
-
-    fn set_round_options(&mut self, opts: RoundOptions) {
-        FedAvg::set_round_options(self, opts);
-    }
-
-    fn set_adversity(&mut self, adversity: ft_fedsim::AdversityConfig) {
-        FedAvg::set_adversity(self, adversity);
     }
 
     fn checkpoint(&self) -> serde::Value {
         serde_json::json!({
-            "kind": "fedavg",
-            "round": self.round,
             "model": self.model,
             "yogi": self.yogi,
-            "acc": self.acc,
-            "rng": ft_fedsim::driver::rng_to_value(&self.rng),
-            "coordinator": self.coordinator.checkpoint_value(),
         })
     }
 
-    fn restore(&mut self, state: &serde::Value) -> Result<()> {
-        use ft_fedsim::driver::field;
-        let kind: String = field(state, "kind")?;
-        if kind != "fedavg" {
-            return Err(ft_fedsim::SimError::snapshot(format!(
-                "checkpoint is for `{kind}`, runner is `fedavg`"
-            )));
-        }
-        let model: CellModel = field(state, "model")?;
+    fn restore(&mut self, block: &serde::Value) -> Result<()> {
+        let model: CellModel = field(block, "model")?;
         if model.param_count() != self.model.param_count() {
-            return Err(ft_fedsim::SimError::snapshot(
-                "checkpointed model shape does not match this configuration",
+            return Err(SimError::snapshot(
+                "field `model`: checkpointed model shape does not match this configuration",
             ));
         }
+        let yogi = field(block, "yogi")?;
         self.model = model;
-        self.yogi = field(state, "yogi")?;
-        self.acc = field(state, "acc")?;
-        self.rng = ft_fedsim::driver::rng_from_value(
-            state
-                .get("rng")
-                .ok_or_else(|| ft_fedsim::SimError::snapshot("missing rng state"))?,
-        )?;
-        self.round = field(state, "round")?;
-        let coord = state
-            .get("coordinator")
-            .ok_or_else(|| ft_fedsim::SimError::snapshot("missing coordinator state"))?;
-        self.coordinator.restore_value(coord)?;
+        self.yogi = yogi;
         Ok(())
     }
 }
@@ -297,9 +186,10 @@ impl<D: ShardSource> ft_fedsim::Algorithm for FedAvg<D> {
 mod tests {
     use super::*;
     use ft_data::DatasetConfig;
-    use ft_fedsim::coordinator::drive;
     use ft_fedsim::device::DeviceTraceConfig;
     use ft_fedsim::trainer::LocalTrainConfig;
+    use ft_fedsim::Algorithm;
+    use rand::SeedableRng;
 
     fn setup() -> (BaselineConfig, FederatedDataset, DeviceTrace, CellModel) {
         let data = DatasetConfig::femnist_like()
@@ -337,7 +227,7 @@ mod tests {
         let (mut cfg, data, devices, model) = setup();
         cfg.local.prox_mu = Some(0.1);
         let mut runner = FedAvg::new(cfg, data, devices, model, ServerOpt::Average);
-        let report = drive(&mut runner, 3, &RoundOptions::default()).unwrap();
+        let report = runner.run_to(3).unwrap();
         assert_eq!(report.rounds.len(), 3);
     }
 
@@ -347,7 +237,7 @@ mod tests {
         let before = model.snapshot();
         let mut runner = FedAvg::new(cfg, data, devices, model, ServerOpt::Yogi { lr: 0.05 });
         runner.step().unwrap();
-        let after = runner.model().snapshot();
+        let after = runner.method().model().snapshot();
         assert_ne!(before[0], after[0]);
     }
 
@@ -355,7 +245,7 @@ mod tests {
     fn report_has_costs_and_accuracies() {
         let (cfg, data, devices, model) = setup();
         let mut runner = FedAvg::new(cfg, data, devices, model, ServerOpt::Average);
-        let report = drive(&mut runner, 2, &RoundOptions::default()).unwrap();
+        let report = runner.run_to(2).unwrap();
         assert!(report.pmacs > 0.0);
         assert!(report.network_mb > 0.0);
         assert_eq!(report.per_client_accuracy.len(), 8);
@@ -363,52 +253,11 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_resume_reproduces_uninterrupted_run_byte_identically() {
-        use ft_fedsim::Algorithm;
-        let (cfg, data, devices, model) = setup();
-
-        let mut full = FedAvg::new(
-            cfg,
-            data.clone(),
-            devices.clone(),
-            model.clone(),
-            ServerOpt::Yogi { lr: 0.05 },
-        );
-        let full_report = drive(&mut full, 8, &RoundOptions::default()).unwrap();
-
-        let mut first = FedAvg::new(
-            cfg,
-            data.clone(),
-            devices.clone(),
-            model.clone(),
-            ServerOpt::Yogi { lr: 0.05 },
-        );
-        for _ in 0..3 {
-            first.step().unwrap();
-        }
-        let json = serde_json::to_string(&Algorithm::checkpoint(&first)).unwrap();
-        drop(first);
-
-        let mut resumed = FedAvg::new(cfg, data, devices, model, ServerOpt::Yogi { lr: 0.05 });
-        let state = serde_json::parse_value(&json).unwrap();
-        Algorithm::restore(&mut resumed, &state).unwrap();
-        for _ in 0..5 {
-            resumed.step().unwrap();
-        }
-        let resumed_report = resumed.report();
-        assert_eq!(
-            serde_json::to_string(&resumed_report).unwrap(),
-            serde_json::to_string(&full_report).unwrap(),
-            "resumed FedYogi report must be byte-identical"
-        );
-    }
-
-    #[test]
     fn dropout_shrinks_participation() {
         let (mut cfg, data, devices, model) = setup();
         cfg.faults.dropout_prob = 0.5;
         let mut runner = FedAvg::new(cfg, data, devices, model, ServerOpt::Average);
-        let report = drive(&mut runner, 6, &RoundOptions::default()).unwrap();
+        let report = runner.run_to(6).unwrap();
         let trained: usize = report.rounds.iter().map(|r| r.participants).sum();
         assert!(
             trained < 24,
@@ -427,8 +276,8 @@ mod tests {
             ServerOpt::Average,
         );
         let mut b = FedAvg::new(cfg, data, devices, model, ServerOpt::Average);
-        let ra = drive(&mut a, 3, &RoundOptions::default()).unwrap();
-        let rb = drive(&mut b, 3, &RoundOptions::default()).unwrap();
+        let ra = a.run_to(3).unwrap();
+        let rb = b.run_to(3).unwrap();
         assert_eq!(ra.per_client_accuracy, rb.per_client_accuracy);
     }
 }

@@ -13,19 +13,15 @@
 
 use std::collections::BTreeMap;
 
-use rand::SeedableRng;
-
 use ft_data::FederatedDataset;
-use ft_fedsim::coordinator::{Coordinator, RoundOptions};
 use ft_fedsim::device::DeviceTrace;
-use ft_fedsim::report::{RoundReport, RunReport};
-use ft_fedsim::select;
-use ft_fedsim::trainer::{client_seed, TrainTask};
-use ft_fedsim::Result;
+use ft_fedsim::driver::{field, mean_loss, Fleet, Method, Round, RoundOutcome, Runner, Suite};
+use ft_fedsim::trainer::TrainTask;
+use ft_fedsim::{Result, SimError};
 use ft_model::{Cell, CellId, CellModel};
 use ft_tensor::Tensor;
 
-use crate::common::{eval_on_client, Accumulator, BaselineConfig};
+use crate::common::{eval_on_client, BaselineConfig};
 use crate::heterofl::DEFAULT_RATIOS;
 use crate::scatter_sink::ScatterSink;
 use crate::submodel::{extract, unit_count, KeepPlan};
@@ -33,19 +29,12 @@ use crate::submodel::{extract, unit_count, KeepPlan};
 /// EMA coefficient for neuron-update scores.
 const SCORE_EMA: f32 = 0.5;
 
-/// The FLuID runner.
+/// FLuID's server state: the global model and its neuron-update scores.
 pub struct Fluid {
-    cfg: BaselineConfig,
-    data: FederatedDataset,
-    devices: DeviceTrace,
-    coordinator: Coordinator,
     global: CellModel,
     ratios: Vec<f32>,
     /// Per-cell neuron-update scores (higher = more variant = kept).
     scores: BTreeMap<CellId, Vec<f32>>,
-    acc: Accumulator,
-    rng: rand::rngs::StdRng,
-    round: u32,
 }
 
 impl Fluid {
@@ -55,24 +44,21 @@ impl Fluid {
         data: FederatedDataset,
         devices: DeviceTrace,
         global: CellModel,
-    ) -> Self {
+    ) -> Runner<Self> {
+        cfg.runner(Self::around(global), data, devices)
+    }
+
+    /// The server state for `global` with all scores at zero.
+    fn around(global: CellModel) -> Self {
         let scores = global
             .cells()
             .iter()
             .map(|c| (c.id(), vec![0.0f32; unit_count(c)]))
             .collect();
-        let coordinator = Coordinator::new(cfg.seed, cfg.faults, devices.clone());
         Fluid {
-            rng: rand::rngs::StdRng::seed_from_u64(cfg.seed),
-            cfg,
-            data,
-            devices,
-            coordinator,
             global,
             ratios: DEFAULT_RATIOS.to_vec(),
             scores,
-            acc: Accumulator::default(),
-            round: 0,
         }
     }
 
@@ -176,31 +162,35 @@ impl Fluid {
         }
     }
 
-    /// Runs one round.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training errors.
-    ///
+    /// The current submodel of every width level.
+    fn level_submodels(&self) -> Vec<CellModel> {
+        self.ratios
+            .iter()
+            .map(|&r| extract(&self.global, &self.plan_for_ratio(r)))
+            .collect()
+    }
+}
+
+impl Method for Fluid {
+    type Data = FederatedDataset;
+
+    fn name(&self) -> &'static str {
+        "fluid"
+    }
+
     /// # Panics
     ///
     /// Panics if a client reply's tensors disagree with the global
     /// model's shapes — trained submodels must come from this round's
     /// global snapshot.
-    pub fn step(&mut self) -> Result<RoundReport> {
-        let invited = select::uniform(
-            &mut self.rng,
-            self.data.num_clients(),
-            self.cfg.clients_per_round,
-        );
-        let participants = self.coordinator.begin_round(self.round, &invited)?;
-        let round_seed = self.cfg.seed.wrapping_add(self.round as u64);
-        let mut plans = Vec::with_capacity(participants.len());
-        let mut submodels = Vec::with_capacity(participants.len());
-        let mut tasks = Vec::with_capacity(participants.len());
-        let mut sub_stats = Vec::with_capacity(participants.len());
-        for (i, &c) in participants.iter().enumerate() {
-            let lvl = self.level_for(self.devices.profile(c).capacity_macs);
+    fn round(&mut self, cx: &mut Round<'_, FederatedDataset>) -> Result<RoundOutcome> {
+        let n = cx.participants.len();
+        let mut plans = Vec::with_capacity(n);
+        let mut submodels = Vec::with_capacity(n);
+        let mut tasks = Vec::with_capacity(n);
+        let mut sub_stats = Vec::with_capacity(n);
+        for (i, &c) in cx.participants.iter().enumerate() {
+            let lvl = self.level_for(cx.fleet.devices.profile(c).capacity_macs);
             let plan = self.plan_for_ratio(self.ratios[lvl]);
             let sub = extract(&self.global, &plan);
             sub_stats.push((sub.macs_per_sample(), sub.param_count()));
@@ -211,7 +201,7 @@ impl Fluid {
             tasks.push(TrainTask {
                 client: c,
                 model: i,
-                seed: client_seed(round_seed, c),
+                seed: cx.client_seed(c),
             });
         }
         // Scatter aggregation streams through the sink, per
@@ -219,165 +209,66 @@ impl Fluid {
         let original = self.global.snapshot();
         let task_plans: Vec<&KeepPlan> = plans.iter().collect();
         let mut sink = ScatterSink::new(&self.global, task_plans);
-        let replies =
-            self.coordinator
-                .train(tasks, &submodels, &self.data, &self.cfg.local, &mut sink)?;
+        let replies = cx.train(tasks, &submodels, &mut sink)?;
 
-        let mut round_time = 0.0f64;
-        for r in &replies {
-            let (macs, params) = sub_stats[r.task];
-            let t = self
-                .acc
-                .record_participant(macs, params, r.samples, r.elapsed_s);
-            round_time = round_time.max(t);
-        }
+        let round_time_s = cx.ledger.charge(&replies, |r| sub_stats[r.task]);
 
         let agg = sink.take_aggregate();
         self.global.restore(&agg)?;
         let updated = self.global.snapshot();
         self.update_scores(&original, &updated);
 
-        let losses: Vec<f32> = replies.iter().map(|r| r.avg_loss).collect();
-        let mean_loss = ft_fedsim::metrics::mean(&losses);
-        self.coordinator.finish_round()?;
-        self.acc.finish_round(
-            self.round,
-            mean_loss,
-            replies.len(),
-            self.ratios.len(),
-            round_time,
-        );
-        self.round += 1;
-
-        if self.cfg.eval_every > 0 && (self.round as usize).is_multiple_of(self.cfg.eval_every) {
-            let (accs, _) = self.evaluate();
-            let mean = ft_fedsim::metrics::mean(&accs);
-            self.acc.curve.push((self.acc.cost.train_pmacs(), mean));
-        }
-        Ok(self.acc.history.last().expect("just pushed").clone())
+        Ok(RoundOutcome {
+            participants: replies.len(),
+            mean_loss: mean_loss(&replies),
+            num_models: self.ratios.len(),
+            transformed: false,
+            round_time_s,
+        })
     }
 
     /// Per-client accuracy on each client's invariant-dropout submodel.
-    pub fn evaluate(&self) -> (Vec<f32>, Vec<usize>) {
-        ft_fedsim::eval::par_map_indexed(self.data.num_clients(), |c| {
-            let lvl = self.level_for(self.devices.profile(c).capacity_macs);
-            let sub = extract(&self.global, &self.plan_for_ratio(self.ratios[lvl]));
-            (eval_on_client(&sub, self.data.client(c)), lvl)
-        })
-        .into_iter()
-        .unzip()
+    fn evaluate(&self, fleet: Fleet<'_, FederatedDataset>) -> Result<(Vec<f32>, Vec<usize>)> {
+        Ok(
+            ft_fedsim::eval::par_map_indexed(fleet.data.num_clients(), |c| {
+                let lvl = self.level_for(fleet.devices.profile(c).capacity_macs);
+                let sub = extract(&self.global, &self.plan_for_ratio(self.ratios[lvl]));
+                (eval_on_client(&sub, fleet.data.client(c)), lvl)
+            })
+            .into_iter()
+            .unzip(),
+        )
     }
 
-    /// Produces the report for the rounds run so far (repeatable).
-    pub fn report(&mut self) -> RunReport {
-        let (accs, lvls) = self.evaluate();
-        let archs: Vec<String> = self
-            .ratios
-            .iter()
-            .map(|&r| extract(&self.global, &self.plan_for_ratio(r)).arch_string())
-            .collect();
-        let macs: Vec<u64> = self
-            .ratios
-            .iter()
-            .map(|&r| extract(&self.global, &self.plan_for_ratio(r)).macs_per_sample())
-            .collect();
-        let storage = self.global.storage_bytes() as f64 / 1e6;
-        self.acc
-            .clone()
-            .into_report(accs, lvls, archs, macs, storage)
-    }
-
-    /// Installs the coordinator round options (thread budget, protocol
-    /// timing) used by subsequent rounds.
-    pub fn set_round_options(&mut self, opts: RoundOptions) {
-        self.coordinator.set_options(opts);
-    }
-
-    /// Installs the adversarial fleet model (byzantine clients,
-    /// availability churn, concept drift) used by subsequent rounds.
-    pub fn set_adversity(&mut self, adversity: ft_fedsim::AdversityConfig) {
-        self.coordinator.set_adversity(adversity);
-    }
-
-    /// The message-driven coordinator this runner rendezvouses and
-    /// trains through (for tests and protocol telemetry).
-    pub fn coordinator(&mut self) -> &mut Coordinator {
-        &mut self.coordinator
-    }
-}
-
-impl ft_fedsim::Algorithm for Fluid {
-    fn name(&self) -> &'static str {
-        "fluid"
-    }
-
-    fn round(&self) -> u32 {
-        self.round
-    }
-
-    fn step(&mut self) -> Result<RoundReport> {
-        Fluid::step(self)
-    }
-
-    fn report(&mut self) -> Result<RunReport> {
-        Ok(Fluid::report(self))
-    }
-
-    fn set_round_options(&mut self, opts: RoundOptions) {
-        Fluid::set_round_options(self, opts);
-    }
-
-    fn set_adversity(&mut self, adversity: ft_fedsim::AdversityConfig) {
-        Fluid::set_adversity(self, adversity);
+    fn suite(&self) -> Suite {
+        let levels = self.level_submodels();
+        Suite {
+            archs: levels.iter().map(CellModel::arch_string).collect(),
+            macs: levels.iter().map(CellModel::macs_per_sample).collect(),
+            storage_mb: self.global.storage_bytes() as f64 / 1e6,
+        }
     }
 
     fn checkpoint(&self) -> serde::Value {
         // Scores live in a BTreeMap keyed by CellId, so the encoding
         // is in id order by construction.
-        let scores: Vec<(u64, Vec<f32>)> = self
-            .scores
-            .iter()
-            .map(|(id, s)| (id.0, s.clone()))
-            .collect();
+        let scores: Vec<(u64, &Vec<f32>)> = self.scores.iter().map(|(id, s)| (id.0, s)).collect();
         serde_json::json!({
-            "kind": "fluid",
-            "round": self.round,
             "global": self.global,
             "scores": scores,
-            "acc": self.acc,
-            "rng": ft_fedsim::driver::rng_to_value(&self.rng),
-            "coordinator": self.coordinator.checkpoint_value(),
         })
     }
 
-    fn restore(&mut self, state: &serde::Value) -> Result<()> {
-        use ft_fedsim::driver::field;
-        let kind: String = field(state, "kind")?;
-        if kind != "fluid" {
-            return Err(ft_fedsim::SimError::snapshot(format!(
-                "checkpoint is for `{kind}`, runner is `fluid`"
-            )));
-        }
-        let global: CellModel = field(state, "global")?;
+    fn restore(&mut self, block: &serde::Value) -> Result<()> {
+        let global: CellModel = field(block, "global")?;
         if global.param_count() != self.global.param_count() {
-            return Err(ft_fedsim::SimError::snapshot(
-                "checkpointed global model shape does not match this configuration",
+            return Err(SimError::snapshot(
+                "field `global`: checkpointed model shape does not match this configuration",
             ));
         }
-        let scores: Vec<(u64, Vec<f32>)> = field(state, "scores")?;
+        let scores: Vec<(u64, Vec<f32>)> = field(block, "scores")?;
         self.global = global;
         self.scores = scores.into_iter().map(|(id, s)| (CellId(id), s)).collect();
-        self.acc = field(state, "acc")?;
-        self.rng = ft_fedsim::driver::rng_from_value(
-            state
-                .get("rng")
-                .ok_or_else(|| ft_fedsim::SimError::snapshot("missing rng state"))?,
-        )?;
-        self.round = field(state, "round")?;
-        let coord = state
-            .get("coordinator")
-            .ok_or_else(|| ft_fedsim::SimError::snapshot("missing coordinator state"))?;
-        self.coordinator.restore_value(coord)?;
         Ok(())
     }
 }
@@ -386,9 +277,10 @@ impl ft_fedsim::Algorithm for Fluid {
 mod tests {
     use super::*;
     use ft_data::DatasetConfig;
-    use ft_fedsim::coordinator::drive;
     use ft_fedsim::device::DeviceTraceConfig;
     use ft_fedsim::trainer::LocalTrainConfig;
+    use ft_fedsim::Algorithm;
+    use rand::SeedableRng;
 
     fn setup() -> (BaselineConfig, FederatedDataset, DeviceTrace, CellModel) {
         let data = DatasetConfig::femnist_like()
@@ -414,8 +306,8 @@ mod tests {
 
     #[test]
     fn initial_plan_is_corner_like() {
-        let (cfg, data, devices, model) = setup();
-        let f = Fluid::new(cfg, data, devices, model);
+        let (_, _, _, model) = setup();
+        let f = Fluid::around(model);
         // All scores zero -> ties keep lowest indices.
         let plan = f.plan_for_ratio(0.5);
         assert_eq!(plan.keep[0], (0..12).collect::<Vec<_>>());
@@ -423,8 +315,8 @@ mod tests {
 
     #[test]
     fn scores_move_plan_toward_active_neurons() {
-        let (cfg, data, devices, model) = setup();
-        let mut f = Fluid::new(cfg, data, devices, model);
+        let (_, _, _, model) = setup();
+        let mut f = Fluid::around(model);
         // Manually bump the score of neuron 20 in the first cell.
         let id = f.global.cells()[0].id();
         f.scores.get_mut(&id).unwrap()[20] = 100.0;
@@ -442,6 +334,7 @@ mod tests {
         let before = model.snapshot();
         let mut f = Fluid::new(cfg, data, devices, model);
         f.step().unwrap();
+        let f = f.method();
         assert_ne!(before[0], f.global().snapshot()[0]);
         let id = f.global.cells()[0].id();
         assert!(f.scores[&id].iter().any(|&s| s > 0.0));
@@ -451,7 +344,7 @@ mod tests {
     fn run_produces_report() {
         let (cfg, data, devices, model) = setup();
         let mut f = Fluid::new(cfg, data, devices, model);
-        let report = drive(&mut f, 3, &RoundOptions::default()).unwrap();
+        let report = f.run_to(3).unwrap();
         assert_eq!(report.per_client_accuracy.len(), 6);
         assert!(report.pmacs > 0.0);
         assert_eq!(report.model_archs.len(), DEFAULT_RATIOS.len());

@@ -7,38 +7,26 @@
 //! — the corner-overlap rule this repo expresses with
 //! [`crate::submodel::scatter_maps`].
 
-use rand::SeedableRng;
-
 use ft_data::FederatedDataset;
-use ft_fedsim::coordinator::{Coordinator, RoundOptions};
 use ft_fedsim::device::DeviceTrace;
-use ft_fedsim::report::{RoundReport, RunReport};
-use ft_fedsim::select;
-use ft_fedsim::trainer::{client_seed, TrainTask};
-use ft_fedsim::Result;
+use ft_fedsim::driver::{field, mean_loss, Fleet, Method, Round, RoundOutcome, Runner, Suite};
+use ft_fedsim::trainer::TrainTask;
+use ft_fedsim::{Result, SimError};
 use ft_model::CellModel;
 
-use crate::common::{eval_on_client, Accumulator, BaselineConfig};
+use crate::common::{eval_on_client, BaselineConfig};
 use crate::scatter_sink::ScatterSink;
 use crate::submodel::{extract, KeepPlan};
 
 /// The standard HeteroFL width levels (largest first).
 pub const DEFAULT_RATIOS: [f32; 5] = [1.0, 0.5, 0.25, 0.125, 0.0625];
 
-/// The HeteroFL runner.
+/// HeteroFL's server state: the global model and its width levels.
 pub struct HeteroFl {
-    cfg: BaselineConfig,
-    data: FederatedDataset,
-    devices: DeviceTrace,
-    coordinator: Coordinator,
     global: CellModel,
-    ratios: Vec<f32>,
     plans: Vec<KeepPlan>,
     level_macs: Vec<u64>,
     level_params: Vec<usize>,
-    acc: Accumulator,
-    rng: rand::rngs::StdRng,
-    round: u32,
 }
 
 impl HeteroFl {
@@ -48,7 +36,7 @@ impl HeteroFl {
         data: FederatedDataset,
         devices: DeviceTrace,
         global: CellModel,
-    ) -> Self {
+    ) -> Runner<Self> {
         Self::with_ratios(cfg, data, devices, global, &DEFAULT_RATIOS)
     }
 
@@ -59,29 +47,19 @@ impl HeteroFl {
         devices: DeviceTrace,
         global: CellModel,
         ratios: &[f32],
-    ) -> Self {
+    ) -> Runner<Self> {
         let plans: Vec<KeepPlan> = ratios
             .iter()
             .map(|&r| KeepPlan::corner(&global, r))
             .collect();
         let submodels: Vec<CellModel> = plans.iter().map(|p| extract(&global, p)).collect();
-        let level_macs = submodels.iter().map(CellModel::macs_per_sample).collect();
-        let level_params = submodels.iter().map(CellModel::param_count).collect();
-        let coordinator = Coordinator::new(cfg.seed, cfg.faults, devices.clone());
-        HeteroFl {
-            rng: rand::rngs::StdRng::seed_from_u64(cfg.seed),
-            cfg,
-            data,
-            devices,
-            coordinator,
+        let method = HeteroFl {
+            level_macs: submodels.iter().map(CellModel::macs_per_sample).collect(),
+            level_params: submodels.iter().map(CellModel::param_count).collect(),
             global,
-            ratios: ratios.to_vec(),
             plans,
-            level_macs,
-            level_params,
-            acc: Accumulator::default(),
-            round: 0,
-        }
+        };
+        cfg.runner(method, data, devices)
     }
 
     /// The global model.
@@ -100,37 +78,37 @@ impl HeteroFl {
         self.level_macs.len() - 1
     }
 
-    /// Runs one round.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training errors.
-    pub fn step(&mut self) -> Result<RoundReport> {
-        let invited = select::uniform(
-            &mut self.rng,
-            self.data.num_clients(),
-            self.cfg.clients_per_round,
-        );
-        let participants = self.coordinator.begin_round(self.round, &invited)?;
-        let round_seed = self.cfg.seed.wrapping_add(self.round as u64);
+    /// One submodel per width level, cut from the current global.
+    fn submodels(&self) -> Vec<CellModel> {
+        self.plans
+            .iter()
+            .map(|p| extract(&self.global, p))
+            .collect()
+    }
+}
+
+impl Method for HeteroFl {
+    type Data = FederatedDataset;
+
+    fn name(&self) -> &'static str {
+        "heterofl"
+    }
+
+    fn round(&mut self, cx: &mut Round<'_, FederatedDataset>) -> Result<RoundOutcome> {
         // The round's model table: one submodel per width level;
         // extraction is a pure function of (global, plan), so cutting
         // each level once and letting the engine clone per task is
         // bit-identical to the retired per-participant extraction.
-        let submodels: Vec<CellModel> = self
-            .plans
-            .iter()
-            .map(|p| extract(&self.global, p))
-            .collect();
-        let mut levels = Vec::with_capacity(participants.len());
-        let mut tasks = Vec::with_capacity(participants.len());
-        for &c in &participants {
-            let lvl = self.level_for(self.devices.profile(c).capacity_macs);
+        let submodels = self.submodels();
+        let mut levels = Vec::with_capacity(cx.participants.len());
+        let mut tasks = Vec::with_capacity(cx.participants.len());
+        for &c in cx.participants {
+            let lvl = self.level_for(cx.fleet.devices.profile(c).capacity_macs);
             levels.push(lvl);
             tasks.push(TrainTask {
                 client: c,
                 model: lvl,
-                seed: client_seed(round_seed, c),
+                seed: cx.client_seed(c),
             });
         }
         // Overlap aggregation streams through the scatter sink: each
@@ -138,154 +116,64 @@ impl HeteroFl {
         // moment it lands, then drops.
         let task_plans: Vec<&KeepPlan> = levels.iter().map(|&l| &self.plans[l]).collect();
         let mut sink = ScatterSink::new(&self.global, task_plans);
-        let replies =
-            self.coordinator
-                .train(tasks, &submodels, &self.data, &self.cfg.local, &mut sink)?;
+        let replies = cx.train(tasks, &submodels, &mut sink)?;
 
-        let mut round_time = 0.0f64;
-        for r in &replies {
+        let round_time_s = cx.ledger.charge(&replies, |r| {
             let lvl = levels[r.task];
-            let t = self.acc.record_participant(
-                self.level_macs[lvl],
-                self.level_params[lvl],
-                r.samples,
-                r.elapsed_s,
-            );
-            round_time = round_time.max(t);
-        }
+            (self.level_macs[lvl], self.level_params[lvl])
+        });
 
         let agg = sink.take_aggregate();
         self.global.restore(&agg)?;
 
-        let losses: Vec<f32> = replies.iter().map(|r| r.avg_loss).collect();
-        let mean_loss = ft_fedsim::metrics::mean(&losses);
-        self.coordinator.finish_round()?;
-        self.acc.finish_round(
-            self.round,
-            mean_loss,
-            replies.len(),
-            self.ratios.len(),
-            round_time,
-        );
-        self.round += 1;
-
-        if self.cfg.eval_every > 0 && (self.round as usize).is_multiple_of(self.cfg.eval_every) {
-            let (accs, _) = self.evaluate();
-            let mean = ft_fedsim::metrics::mean(&accs);
-            self.acc.curve.push((self.acc.cost.train_pmacs(), mean));
-        }
-        // ft-lint: allow(P001) — `finish_round` above just pushed this entry.
-        Ok(self.acc.history.last().expect("just pushed").clone())
+        Ok(RoundOutcome {
+            participants: replies.len(),
+            mean_loss: mean_loss(&replies),
+            num_models: self.plans.len(),
+            transformed: false,
+            round_time_s,
+        })
     }
 
     /// Per-client accuracy on each client's width-level submodel, plus
     /// the level used.
-    pub fn evaluate(&self) -> (Vec<f32>, Vec<usize>) {
-        ft_fedsim::eval::par_map_indexed(self.data.num_clients(), |c| {
-            let lvl = self.level_for(self.devices.profile(c).capacity_macs);
-            let sub = extract(&self.global, &self.plans[lvl]);
-            (eval_on_client(&sub, self.data.client(c)), lvl)
-        })
-        .into_iter()
-        .unzip()
+    fn evaluate(&self, fleet: Fleet<'_, FederatedDataset>) -> Result<(Vec<f32>, Vec<usize>)> {
+        Ok(
+            ft_fedsim::eval::par_map_indexed(fleet.data.num_clients(), |c| {
+                let lvl = self.level_for(fleet.devices.profile(c).capacity_macs);
+                let sub = extract(&self.global, &self.plans[lvl]);
+                (eval_on_client(&sub, fleet.data.client(c)), lvl)
+            })
+            .into_iter()
+            .unzip(),
+        )
     }
 
-    /// Produces the report for the rounds run so far (repeatable).
-    pub fn report(&mut self) -> RunReport {
-        let (accs, lvls) = self.evaluate();
-        let archs: Vec<String> = self
-            .plans
-            .iter()
-            .map(|p| extract(&self.global, p).arch_string())
-            .collect();
-        // HeteroFL stores one global superset model.
-        let storage = self.global.storage_bytes() as f64 / 1e6;
-        self.acc
-            .clone()
-            .into_report(accs, lvls, archs, self.level_macs.clone(), storage)
-    }
-
-    /// Installs the coordinator round options (thread budget, protocol
-    /// timing) used by subsequent rounds.
-    pub fn set_round_options(&mut self, opts: RoundOptions) {
-        self.coordinator.set_options(opts);
-    }
-
-    /// Installs the adversarial fleet model (byzantine clients,
-    /// availability churn, concept drift) used by subsequent rounds.
-    pub fn set_adversity(&mut self, adversity: ft_fedsim::AdversityConfig) {
-        self.coordinator.set_adversity(adversity);
-    }
-
-    /// The message-driven coordinator this runner rendezvouses and
-    /// trains through (for tests and protocol telemetry).
-    pub fn coordinator(&mut self) -> &mut Coordinator {
-        &mut self.coordinator
-    }
-}
-
-impl ft_fedsim::Algorithm for HeteroFl {
-    fn name(&self) -> &'static str {
-        "heterofl"
-    }
-
-    fn round(&self) -> u32 {
-        self.round
-    }
-
-    fn step(&mut self) -> Result<RoundReport> {
-        HeteroFl::step(self)
-    }
-
-    fn report(&mut self) -> Result<RunReport> {
-        Ok(HeteroFl::report(self))
-    }
-
-    fn set_round_options(&mut self, opts: RoundOptions) {
-        HeteroFl::set_round_options(self, opts);
-    }
-
-    fn set_adversity(&mut self, adversity: ft_fedsim::AdversityConfig) {
-        HeteroFl::set_adversity(self, adversity);
+    fn suite(&self) -> Suite {
+        Suite {
+            archs: self
+                .submodels()
+                .iter()
+                .map(CellModel::arch_string)
+                .collect(),
+            macs: self.level_macs.clone(),
+            // HeteroFL stores one global superset model.
+            storage_mb: self.global.storage_bytes() as f64 / 1e6,
+        }
     }
 
     fn checkpoint(&self) -> serde::Value {
-        serde_json::json!({
-            "kind": "heterofl",
-            "round": self.round,
-            "global": self.global,
-            "acc": self.acc,
-            "rng": ft_fedsim::driver::rng_to_value(&self.rng),
-            "coordinator": self.coordinator.checkpoint_value(),
-        })
+        serde_json::json!({ "global": self.global })
     }
 
-    fn restore(&mut self, state: &serde::Value) -> Result<()> {
-        use ft_fedsim::driver::field;
-        let kind: String = field(state, "kind")?;
-        if kind != "heterofl" {
-            return Err(ft_fedsim::SimError::snapshot(format!(
-                "checkpoint is for `{kind}`, runner is `heterofl`"
-            )));
-        }
-        let global: CellModel = field(state, "global")?;
+    fn restore(&mut self, block: &serde::Value) -> Result<()> {
+        let global: CellModel = field(block, "global")?;
         if global.param_count() != self.global.param_count() {
-            return Err(ft_fedsim::SimError::snapshot(
-                "checkpointed global model shape does not match this configuration",
+            return Err(SimError::snapshot(
+                "field `global`: checkpointed model shape does not match this configuration",
             ));
         }
         self.global = global;
-        self.acc = field(state, "acc")?;
-        self.rng = ft_fedsim::driver::rng_from_value(
-            state
-                .get("rng")
-                .ok_or_else(|| ft_fedsim::SimError::snapshot("missing rng state"))?,
-        )?;
-        self.round = field(state, "round")?;
-        let coord = state
-            .get("coordinator")
-            .ok_or_else(|| ft_fedsim::SimError::snapshot("missing coordinator state"))?;
-        self.coordinator.restore_value(coord)?;
         Ok(())
     }
 }
@@ -294,9 +182,10 @@ impl ft_fedsim::Algorithm for HeteroFl {
 mod tests {
     use super::*;
     use ft_data::DatasetConfig;
-    use ft_fedsim::coordinator::drive;
     use ft_fedsim::device::DeviceTraceConfig;
     use ft_fedsim::trainer::LocalTrainConfig;
+    use ft_fedsim::Algorithm;
+    use rand::SeedableRng;
 
     fn setup() -> (BaselineConfig, FederatedDataset, DeviceTrace, CellModel) {
         let data = DatasetConfig::femnist_like()
@@ -324,12 +213,12 @@ mod tests {
     fn levels_decrease_with_capacity() {
         let (cfg, data, devices, model) = setup();
         let h = HeteroFl::new(cfg, data, devices, model);
-        let big = h.level_for(u64::MAX);
-        let small = h.level_for(1);
+        let big = h.method().level_for(u64::MAX);
+        let small = h.method().level_for(1);
         assert_eq!(big, 0);
         assert_eq!(small, DEFAULT_RATIOS.len() - 1);
         // Level MACs are strictly decreasing.
-        assert!(h.level_macs.windows(2).all(|w| w[1] < w[0]));
+        assert!(h.method().level_macs.windows(2).all(|w| w[1] < w[0]));
     }
 
     #[test]
@@ -338,14 +227,14 @@ mod tests {
         let before = model.snapshot();
         let mut h = HeteroFl::new(cfg, data, devices, model);
         h.step().unwrap();
-        assert_ne!(before[0], h.global().snapshot()[0]);
+        assert_ne!(before[0], h.method().global().snapshot()[0]);
     }
 
     #[test]
     fn run_reports_per_level_archs() {
         let (cfg, data, devices, model) = setup();
         let mut h = HeteroFl::new(cfg, data, devices, model);
-        let report = drive(&mut h, 3, &RoundOptions::default()).unwrap();
+        let report = h.run_to(3).unwrap();
         assert_eq!(report.model_archs.len(), DEFAULT_RATIOS.len());
         assert_eq!(report.per_client_accuracy.len(), 8);
         assert!(report.pmacs > 0.0);
@@ -364,8 +253,9 @@ mod tests {
             .max_by_key(|&c| devices.profile(c).capacity_macs)
             .unwrap();
         assert!(
-            h.level_for(devices.profile(weakest).capacity_macs)
-                >= h.level_for(devices.profile(strongest).capacity_macs)
+            h.method().level_for(devices.profile(weakest).capacity_macs)
+                >= h.method()
+                    .level_for(devices.profile(strongest).capacity_macs)
         );
     }
 }

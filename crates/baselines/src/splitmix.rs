@@ -10,30 +10,21 @@
 use rand::SeedableRng;
 
 use ft_data::FederatedDataset;
-use ft_fedsim::coordinator::{Coordinator, RoundOptions};
 use ft_fedsim::device::DeviceTrace;
-use ft_fedsim::report::{RoundReport, RunReport};
-use ft_fedsim::select;
+use ft_fedsim::driver::{field, mean_loss, Fleet, Method, Round, RoundOutcome, Runner, Suite};
 use ft_fedsim::sink::FedAvgSink;
 use ft_fedsim::trainer::TrainTask;
-use ft_fedsim::Result;
+use ft_fedsim::{Result, SimError};
 use ft_model::CellModel;
 
-use crate::common::{eval_ensemble_on_client, Accumulator, BaselineConfig};
+use crate::common::{eval_ensemble_on_client, BaselineConfig};
 use crate::submodel::{extract, KeepPlan};
 
-/// The SplitMix runner.
+/// SplitMix's server state: the independent base models.
 pub struct SplitMix {
-    cfg: BaselineConfig,
-    data: FederatedDataset,
-    devices: DeviceTrace,
-    coordinator: Coordinator,
     bases: Vec<CellModel>,
     base_macs: u64,
     base_params: usize,
-    acc: Accumulator,
-    rng: rand::rngs::StdRng,
-    round: u32,
 }
 
 impl SplitMix {
@@ -49,7 +40,7 @@ impl SplitMix {
         devices: DeviceTrace,
         global: &CellModel,
         k: usize,
-    ) -> Self {
+    ) -> Runner<Self> {
         assert!(k > 0, "need at least one base model");
         let plan = KeepPlan::corner(global, 1.0 / k as f32);
         let template = extract(global, &plan);
@@ -61,21 +52,12 @@ impl SplitMix {
                 b
             })
             .collect();
-        let base_macs = template.macs_per_sample();
-        let base_params = template.param_count();
-        let coordinator = Coordinator::new(cfg.seed, cfg.faults, devices.clone());
-        SplitMix {
-            rng: rand::rngs::StdRng::seed_from_u64(cfg.seed),
-            cfg,
-            data,
-            devices,
-            coordinator,
+        let method = SplitMix {
             bases,
-            base_macs,
-            base_params,
-            acc: Accumulator::default(),
-            round: 0,
-        }
+            base_macs: template.macs_per_sample(),
+            base_params: template.param_count(),
+        };
+        cfg.runner(method, data, devices)
     }
 
     /// The base models.
@@ -94,42 +76,39 @@ impl SplitMix {
             .map(|j| (client + j) % self.bases.len())
             .collect()
     }
+}
 
-    /// Runs one round.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training errors; a reply whose base weights disagree
-    /// with the base models' shapes surfaces as a protocol error from
-    /// the streaming fold.
-    pub fn step(&mut self) -> Result<RoundReport> {
-        let invited = select::uniform(
-            &mut self.rng,
-            self.data.num_clients(),
-            self.cfg.clients_per_round,
-        );
-        let participants = self.coordinator.begin_round(self.round, &invited)?;
+impl Method for SplitMix {
+    type Data = FederatedDataset;
+
+    fn name(&self) -> &'static str {
+        "splitmix"
+    }
+
+    /// A reply whose base weights disagree with the base models' shapes
+    /// surfaces as a protocol error from the streaming fold.
+    fn round(&mut self, cx: &mut Round<'_, FederatedDataset>) -> Result<RoundOutcome> {
         // Each participant trains each of its bases: one coordinator
         // task per (client, base) pair, dispatched concurrently as
         // `StartTrainingRound` messages. The seed of each task is
         // derived statelessly from (run seed, round, client, base), so
         // execution and delivery order cannot leak into the weights.
-        let carried: Vec<(usize, Vec<usize>)> = participants
+        let carried: Vec<(usize, Vec<usize>)> = cx
+            .participants
             .iter()
             .map(|&c| {
-                let count = self.bases_for(self.devices.profile(c).capacity_macs);
+                let count = self.bases_for(cx.fleet.devices.profile(c).capacity_macs);
                 (c, self.base_set(c, count))
             })
             .collect();
-        let run_seed = self.cfg.seed;
-        let round = self.round;
         let mut tasks = Vec::new();
         // Task index -> (owner position in `carried`, base index).
         let mut task_meta: Vec<(usize, usize)> = Vec::new();
         for (pos, (c, set)) in carried.iter().enumerate() {
             for &b in set {
-                let seed = run_seed
-                    .wrapping_add(round as u64)
+                let seed = cx
+                    .seed
+                    .wrapping_add(cx.round as u64)
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     .wrapping_add((c * 131 + b) as u64);
                 tasks.push(TrainTask {
@@ -144,27 +123,24 @@ impl SplitMix {
         // base's weighted mean the moment it lands and is dropped.
         let group_of: Vec<usize> = task_meta.iter().map(|&(_, b)| b).collect();
         let mut sink = FedAvgSink::grouped(self.bases.len(), group_of);
-        let replies =
-            self.coordinator
-                .train(tasks, &self.bases, &self.data, &self.cfg.local, &mut sink)?;
+        let replies = cx.train(tasks, &self.bases, &mut sink)?;
 
         // Replies come back in task order — the same fixed
-        // (client, base) sequence as dispatch — so the f32 loss/time
-        // reductions below are order-identical to the pre-streaming
-        // loop, and so were the sink's per-base folds.
-        let mut losses = Vec::new();
+        // (client, base) sequence as dispatch — so the per-owner time
+        // sums below are order-identical to the pre-streaming loop,
+        // and so were the sink's per-base folds. A client's round time
+        // is the sum over the bases it trained.
         let mut client_time = vec![0.0f64; carried.len()];
-        for r in replies {
+        for r in &replies {
             let (owner, _) = task_meta[r.task];
-            client_time[owner] += self.acc.record_participant(
+            client_time[owner] += cx.ledger.record_participant(
                 self.base_macs,
                 self.base_params,
                 r.samples,
                 r.elapsed_s,
             );
-            losses.push(r.avg_loss);
         }
-        let round_time = client_time.iter().fold(0.0f64, |m, &t| m.max(t));
+        let round_time_s = client_time.iter().fold(0.0f64, |m, &t| m.max(t));
 
         // Install each base's streamed FedAvg (None: base saw no
         // weighted updates this round).
@@ -174,137 +150,57 @@ impl SplitMix {
             }
         }
 
-        let mean_loss = ft_fedsim::metrics::mean(&losses);
-        self.coordinator.finish_round()?;
-        self.acc.finish_round(
-            self.round,
-            mean_loss,
-            participants.len(),
-            self.bases.len(),
-            round_time,
-        );
-        self.round += 1;
-
-        if self.cfg.eval_every > 0 && (self.round as usize).is_multiple_of(self.cfg.eval_every) {
-            let (accs, _) = self.evaluate();
-            let mean = ft_fedsim::metrics::mean(&accs);
-            self.acc.curve.push((self.acc.cost.train_pmacs(), mean));
-        }
-        // ft-lint: allow(P001) — `finish_round` above just pushed this entry.
-        Ok(self.acc.history.last().expect("just pushed").clone())
+        Ok(RoundOutcome {
+            // Admitted clients, not (client, base) replies.
+            participants: cx.participants.len(),
+            mean_loss: mean_loss(&replies),
+            num_models: self.bases.len(),
+            transformed: false,
+            round_time_s,
+        })
     }
 
     /// Per-client ensemble accuracy plus ensemble size.
-    pub fn evaluate(&self) -> (Vec<f32>, Vec<usize>) {
-        ft_fedsim::eval::par_map_indexed(self.data.num_clients(), |c| {
-            let count = self.bases_for(self.devices.profile(c).capacity_macs);
-            let set = self.base_set(c, count);
-            let ensemble: Vec<CellModel> = set.iter().map(|&b| self.bases[b].clone()).collect();
-            (
-                eval_ensemble_on_client(&ensemble, self.data.client(c)),
-                count,
-            )
-        })
-        .into_iter()
-        .unzip()
+    fn evaluate(&self, fleet: Fleet<'_, FederatedDataset>) -> Result<(Vec<f32>, Vec<usize>)> {
+        Ok(
+            ft_fedsim::eval::par_map_indexed(fleet.data.num_clients(), |c| {
+                let count = self.bases_for(fleet.devices.profile(c).capacity_macs);
+                let set = self.base_set(c, count);
+                let ensemble: Vec<CellModel> = set.iter().map(|&b| self.bases[b].clone()).collect();
+                (
+                    eval_ensemble_on_client(&ensemble, fleet.data.client(c)),
+                    count,
+                )
+            })
+            .into_iter()
+            .unzip(),
+        )
     }
 
-    /// Produces the report for the rounds run so far (repeatable).
-    pub fn report(&mut self) -> RunReport {
-        let (accs, sizes) = self.evaluate();
-        let archs: Vec<String> = self.bases.iter().map(CellModel::arch_string).collect();
-        let macs: Vec<u64> = self.bases.iter().map(CellModel::macs_per_sample).collect();
-        let storage: f64 = self
-            .bases
-            .iter()
-            .map(|b| b.storage_bytes() as f64 / 1e6)
-            .sum();
-        self.acc
-            .clone()
-            .into_report(accs, sizes, archs, macs, storage)
-    }
-
-    /// Installs the coordinator round options (thread budget, protocol
-    /// timing) used by subsequent rounds.
-    pub fn set_round_options(&mut self, opts: RoundOptions) {
-        self.coordinator.set_options(opts);
-    }
-
-    /// Installs the adversarial fleet model (byzantine clients,
-    /// availability churn, concept drift) used by subsequent rounds.
-    pub fn set_adversity(&mut self, adversity: ft_fedsim::AdversityConfig) {
-        self.coordinator.set_adversity(adversity);
-    }
-
-    /// The message-driven coordinator this runner rendezvouses and
-    /// trains through (for tests and protocol telemetry).
-    pub fn coordinator(&mut self) -> &mut Coordinator {
-        &mut self.coordinator
-    }
-}
-
-impl ft_fedsim::Algorithm for SplitMix {
-    fn name(&self) -> &'static str {
-        "splitmix"
-    }
-
-    fn round(&self) -> u32 {
-        self.round
-    }
-
-    fn step(&mut self) -> Result<RoundReport> {
-        SplitMix::step(self)
-    }
-
-    fn report(&mut self) -> Result<RunReport> {
-        Ok(SplitMix::report(self))
-    }
-
-    fn set_round_options(&mut self, opts: RoundOptions) {
-        SplitMix::set_round_options(self, opts);
-    }
-
-    fn set_adversity(&mut self, adversity: ft_fedsim::AdversityConfig) {
-        SplitMix::set_adversity(self, adversity);
+    fn suite(&self) -> Suite {
+        Suite {
+            archs: self.bases.iter().map(CellModel::arch_string).collect(),
+            macs: self.bases.iter().map(CellModel::macs_per_sample).collect(),
+            storage_mb: self
+                .bases
+                .iter()
+                .map(|b| b.storage_bytes() as f64 / 1e6)
+                .sum(),
+        }
     }
 
     fn checkpoint(&self) -> serde::Value {
-        serde_json::json!({
-            "kind": "splitmix",
-            "round": self.round,
-            "bases": self.bases,
-            "acc": self.acc,
-            "rng": ft_fedsim::driver::rng_to_value(&self.rng),
-            "coordinator": self.coordinator.checkpoint_value(),
-        })
+        serde_json::json!({ "bases": self.bases })
     }
 
-    fn restore(&mut self, state: &serde::Value) -> Result<()> {
-        use ft_fedsim::driver::field;
-        let kind: String = field(state, "kind")?;
-        if kind != "splitmix" {
-            return Err(ft_fedsim::SimError::snapshot(format!(
-                "checkpoint is for `{kind}`, runner is `splitmix`"
-            )));
-        }
-        let bases: Vec<CellModel> = field(state, "bases")?;
+    fn restore(&mut self, block: &serde::Value) -> Result<()> {
+        let bases: Vec<CellModel> = field(block, "bases")?;
         if bases.len() != self.bases.len() {
-            return Err(ft_fedsim::SimError::snapshot(
-                "checkpointed base count does not match this configuration",
+            return Err(SimError::snapshot(
+                "field `bases`: checkpointed base count does not match this configuration",
             ));
         }
         self.bases = bases;
-        self.acc = field(state, "acc")?;
-        self.rng = ft_fedsim::driver::rng_from_value(
-            state
-                .get("rng")
-                .ok_or_else(|| ft_fedsim::SimError::snapshot("missing rng state"))?,
-        )?;
-        self.round = field(state, "round")?;
-        let coord = state
-            .get("coordinator")
-            .ok_or_else(|| ft_fedsim::SimError::snapshot("missing coordinator state"))?;
-        self.coordinator.restore_value(coord)?;
         Ok(())
     }
 }
@@ -313,9 +209,9 @@ impl ft_fedsim::Algorithm for SplitMix {
 mod tests {
     use super::*;
     use ft_data::DatasetConfig;
-    use ft_fedsim::coordinator::drive;
     use ft_fedsim::device::DeviceTraceConfig;
     use ft_fedsim::trainer::LocalTrainConfig;
+    use ft_fedsim::Algorithm;
 
     fn setup() -> (BaselineConfig, FederatedDataset, DeviceTrace, CellModel) {
         let data = DatasetConfig::femnist_like()
@@ -340,30 +236,33 @@ mod tests {
     fn bases_are_independent() {
         let (cfg, data, devices, model) = setup();
         let sm = SplitMix::new(cfg, data, devices, &model, 4);
-        assert_eq!(sm.bases().len(), 4);
-        assert_ne!(sm.bases()[0].snapshot()[0], sm.bases()[1].snapshot()[0]);
+        assert_eq!(sm.method().bases().len(), 4);
+        assert_ne!(
+            sm.method().bases()[0].snapshot()[0],
+            sm.method().bases()[1].snapshot()[0]
+        );
     }
 
     #[test]
     fn base_count_scales_with_capacity() {
         let (cfg, data, devices, model) = setup();
         let sm = SplitMix::new(cfg, data, devices, &model, 4);
-        assert_eq!(sm.bases_for(0), 1);
-        assert_eq!(sm.bases_for(u64::MAX), 4);
+        assert_eq!(sm.method().bases_for(0), 1);
+        assert_eq!(sm.method().bases_for(u64::MAX), 4);
     }
 
     #[test]
     fn base_set_is_round_robin() {
         let (cfg, data, devices, model) = setup();
         let sm = SplitMix::new(cfg, data, devices, &model, 4);
-        assert_eq!(sm.base_set(2, 3), vec![2, 3, 0]);
+        assert_eq!(sm.method().base_set(2, 3), vec![2, 3, 0]);
     }
 
     #[test]
     fn run_produces_report() {
         let (cfg, data, devices, model) = setup();
         let mut sm = SplitMix::new(cfg, data, devices, &model, 3);
-        let report = drive(&mut sm, 3, &RoundOptions::default()).unwrap();
+        let report = sm.run_to(3).unwrap();
         assert_eq!(report.model_archs.len(), 3);
         assert!(report.pmacs > 0.0);
         assert_eq!(report.per_client_accuracy.len(), 6);

@@ -16,9 +16,9 @@ use fedtrans::FedTransRuntime;
 use ft_baselines::{BaselineConfig, FedAvg, HeteroFl, ServerOpt};
 use ft_bench::{Scale, Setup, Workload};
 use ft_data::{DatasetConfig, SparseFederatedData};
-use ft_fedsim::coordinator::RoundOptions;
 use ft_fedsim::device::{DeviceTrace, DeviceTraceConfig};
 use ft_fedsim::trainer::LocalTrainConfig;
+use ft_fedsim::{Algorithm, RoundOptions, RunContext};
 use ft_model::CellModel;
 use rand::SeedableRng;
 
@@ -129,8 +129,11 @@ fn emit_round_1m_json() {
         eval_clients: Some(256),
         ..Default::default()
     };
-    let mut runner = FedAvg::new(cfg, data, devices, model, ServerOpt::Average);
-    runner.set_round_options(RoundOptions::new().max_in_flight(max_in_flight));
+    let mut runner =
+        FedAvg::new(cfg, data, devices, model, ServerOpt::Average).with_context(RunContext {
+            options: RoundOptions::new().max_in_flight(max_in_flight),
+            ..Default::default()
+        });
 
     let start = std::time::Instant::now();
     for _ in 0..rounds {

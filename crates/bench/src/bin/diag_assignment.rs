@@ -2,7 +2,7 @@
 use fedtrans::{ClientManager, FedTransRuntime};
 use ft_baselines::eval_on_client;
 use ft_bench::{Scale, Setup, Workload};
-use ft_fedsim::coordinator::{drive, RoundOptions};
+use ft_fedsim::Algorithm;
 
 fn main() {
     let scale = Scale::from_env();
@@ -14,14 +14,14 @@ fn main() {
         setup.seed.clone(),
     )
     .unwrap();
-    let report = drive(&mut rt, scale.rounds(), &RoundOptions::from_env()).unwrap();
+    let report = rt.run_to(scale.rounds()).unwrap();
     println!("suite: {:?}", report.model_archs);
     println!(
         "utility-assigned mean acc: {:.3}",
         report.final_accuracy.mean
     );
     // Oracle: best compatible model per client by TEST accuracy.
-    let macs = rt.model_macs();
+    let macs = rt.method().model_macs();
     let mut oracle = 0.0f32;
     let mut per_model_mean = vec![(0.0f32, 0usize); macs.len()];
     let nc = setup.data.num_clients();
@@ -30,7 +30,7 @@ fn main() {
         let compat = ClientManager::compatible_models(&macs, cap);
         let mut best = 0.0f32;
         for &k in &compat {
-            let acc = eval_on_client(&rt.models()[k], setup.data.client(c));
+            let acc = eval_on_client(&rt.method().models()[k], setup.data.client(c));
             per_model_mean[k].0 += acc;
             per_model_mean[k].1 += 1;
             best = best.max(acc);

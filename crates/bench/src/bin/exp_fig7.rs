@@ -8,7 +8,7 @@
 
 use fedtrans::FedTransRuntime;
 use ft_bench::{dump_json, Scale, Setup, Workload};
-use ft_fedsim::coordinator::{drive, RoundOptions};
+use ft_fedsim::Algorithm;
 
 fn main() {
     let scale = Scale::from_env();
@@ -32,10 +32,15 @@ fn main() {
             setup.devices.clone(),
             setup.seed.clone(),
         )
-        .expect("runtime");
-        rt.set_eval_every(eval_every);
-        let ft = drive(&mut rt, rounds, &RoundOptions::from_env()).expect("fedtrans");
-        let largest = rt.models().last().expect("suite non-empty").clone();
+        .expect("runtime")
+        .with_eval_every(eval_every);
+        let ft = rt.run_to(rounds).expect("fedtrans");
+        let largest = rt
+            .method()
+            .models()
+            .last()
+            .expect("suite non-empty")
+            .clone();
 
         let mut bl = setup.baseline_config();
         bl.eval_every = eval_every;

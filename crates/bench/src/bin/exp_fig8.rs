@@ -10,7 +10,7 @@
 use fedtrans::FedTransRuntime;
 use ft_baselines::ServerOpt;
 use ft_bench::{dump_json, print_header, print_row, Scale, Setup, Workload};
-use ft_fedsim::coordinator::{drive, RoundOptions};
+use ft_fedsim::Algorithm;
 
 fn main() {
     let scale = Scale::from_env();
@@ -32,9 +32,9 @@ fn main() {
         setup.seed.clone(),
     )
     .expect("runtime");
-    let ft_plain = drive(&mut rt, rounds, &RoundOptions::from_env()).expect("fedtrans");
+    let ft_plain = rt.run_to(rounds).expect("fedtrans");
     // Middle-sized generated model for the plain baselines.
-    let models = rt.models();
+    let models = rt.method().models();
     let middle = models[models.len() / 2].clone();
 
     // Run the plain arms with periodic checkpoints and report their

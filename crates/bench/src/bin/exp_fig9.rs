@@ -11,7 +11,7 @@
 
 use ft_baselines::ServerOpt;
 use ft_bench::{dump_json, print_header, print_row, Scale, Setup, Workload};
-use ft_fedsim::coordinator::{drive, RoundOptions};
+use ft_fedsim::Algorithm;
 
 use ft_model::CellModel;
 use rand::SeedableRng;
@@ -29,8 +29,8 @@ fn main() {
         setup.seed.clone(),
     )
     .expect("runtime");
-    drive(&mut rt, scale.rounds(), &RoundOptions::from_env()).expect("fedtrans growth run");
-    let suite: Vec<CellModel> = rt.models().to_vec();
+    rt.run_to(scale.rounds()).expect("fedtrans growth run");
+    let suite: Vec<CellModel> = rt.method().models().to_vec();
     let sampled: Vec<&CellModel> = if suite.len() <= 4 {
         suite.iter().collect()
     } else {

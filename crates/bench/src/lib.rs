@@ -12,11 +12,10 @@
 use fedtrans::{seed_model, FedTransConfig, FedTransRuntime};
 use ft_baselines::{BaselineConfig, FedAvg, Fluid, HeteroFl, ServerOpt, SplitMix};
 use ft_data::{DatasetConfig, FederatedDataset};
-use ft_fedsim::coordinator::{drive, RoundOptions};
 use ft_fedsim::device::{DeviceTrace, DeviceTraceConfig};
 use ft_fedsim::report::RunReport;
 use ft_fedsim::trainer::LocalTrainConfig;
-use ft_fedsim::{AdversityConfig, Result as SimResult};
+use ft_fedsim::{AdversityConfig, Algorithm, Result as SimResult, RoundOptions, RunContext};
 use ft_model::CellModel;
 use rand::SeedableRng;
 
@@ -252,20 +251,22 @@ impl Setup {
         }
     }
 
+    /// The context every run of this setup executes under: the
+    /// environment's round options and the setup's adversity model.
+    fn context(&self) -> RunContext {
+        RunContext {
+            options: RoundOptions::from_env(),
+            adversity: self.adversity.clone(),
+        }
+    }
+
     /// Runs FedTrans to completion.
     ///
     /// # Errors
     ///
     /// Propagates runtime errors.
     pub fn run_fedtrans(&self, cfg: FedTransConfig, rounds: usize) -> fedtrans::Result<RunReport> {
-        let mut rt = FedTransRuntime::with_seed_model(
-            cfg,
-            self.data.clone(),
-            self.devices.clone(),
-            self.seed.clone(),
-        )?;
-        rt.set_adversity(self.adversity.clone());
-        Ok(drive(&mut rt, rounds, &RoundOptions::from_env())?)
+        Ok(self.run_fedtrans_keep_largest(cfg, rounds)?.0)
     }
 
     /// Runs FedTrans and also returns its largest transformed model —
@@ -284,10 +285,11 @@ impl Setup {
             self.data.clone(),
             self.devices.clone(),
             self.seed.clone(),
-        )?;
-        rt.set_adversity(self.adversity.clone());
-        let report = drive(&mut rt, rounds, &RoundOptions::from_env())?;
+        )?
+        .with_context(self.context());
+        let report = rt.run_to(rounds)?;
         let largest = rt
+            .method()
             .models()
             .last()
             // ft-lint: allow(P001) — a runtime always holds ≥1 model (the seed).
@@ -308,9 +310,9 @@ impl Setup {
         server: ServerOpt,
         rounds: usize,
     ) -> SimResult<RunReport> {
-        let mut rt = FedAvg::new(cfg, self.data.clone(), self.devices.clone(), model, server);
-        rt.set_adversity(self.adversity.clone());
-        drive(&mut rt, rounds, &RoundOptions::from_env())
+        FedAvg::new(cfg, self.data.clone(), self.devices.clone(), model, server)
+            .with_context(self.context())
+            .run_to(rounds)
     }
 
     /// Runs HeteroFL around `global`.
@@ -324,9 +326,9 @@ impl Setup {
         global: CellModel,
         rounds: usize,
     ) -> SimResult<RunReport> {
-        let mut rt = HeteroFl::new(cfg, self.data.clone(), self.devices.clone(), global);
-        rt.set_adversity(self.adversity.clone());
-        drive(&mut rt, rounds, &RoundOptions::from_env())
+        HeteroFl::new(cfg, self.data.clone(), self.devices.clone(), global)
+            .with_context(self.context())
+            .run_to(rounds)
     }
 
     /// Runs SplitMix with `k` bases split from `global`.
@@ -341,9 +343,9 @@ impl Setup {
         k: usize,
         rounds: usize,
     ) -> SimResult<RunReport> {
-        let mut rt = SplitMix::new(cfg, self.data.clone(), self.devices.clone(), global, k);
-        rt.set_adversity(self.adversity.clone());
-        drive(&mut rt, rounds, &RoundOptions::from_env())
+        SplitMix::new(cfg, self.data.clone(), self.devices.clone(), global, k)
+            .with_context(self.context())
+            .run_to(rounds)
     }
 
     /// Runs FLuID around `global`.
@@ -357,9 +359,9 @@ impl Setup {
         global: CellModel,
         rounds: usize,
     ) -> SimResult<RunReport> {
-        let mut rt = Fluid::new(cfg, self.data.clone(), self.devices.clone(), global);
-        rt.set_adversity(self.adversity.clone());
-        drive(&mut rt, rounds, &RoundOptions::from_env())
+        Fluid::new(cfg, self.data.clone(), self.devices.clone(), global)
+            .with_context(self.context())
+            .run_to(rounds)
     }
 }
 

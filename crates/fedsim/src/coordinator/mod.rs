@@ -60,9 +60,7 @@ use ft_model::CellModel;
 
 use crate::attack::AdversityConfig;
 use crate::device::DeviceTrace;
-use crate::driver::Algorithm;
 use crate::faults::FaultConfig;
-use crate::report::RunReport;
 use crate::sink::{ClientUpdate, RoundManifest, TaskSpec, UpdateSink};
 use crate::trainer::{LocalTrainConfig, TrainTask};
 use crate::{Result, SimError};
@@ -305,6 +303,15 @@ pub struct CoordinatorStats {
     pub messages_up: u64,
     /// Total coordinator→participant messages sent.
     pub messages_down: u64,
+}
+
+/// Between-round coordinator state decoded from a checkpoint but not
+/// yet installed (see [`Coordinator::decode_checkpoint`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoordinatorCheckpoint {
+    phase: Phase,
+    round: u32,
+    stats: CoordinatorStats,
 }
 
 /// One collected training result, keyed by its task index (never by
@@ -974,50 +981,40 @@ impl Coordinator {
         })
     }
 
-    /// Restores state captured by [`Coordinator::checkpoint_value`].
+    /// Decodes state captured by [`Coordinator::checkpoint_value`]
+    /// without touching any coordinator, so a caller restoring several
+    /// components can validate all of them before committing one.
     ///
     /// # Errors
     ///
     /// [`SimError::Snapshot`] on a malformed checkpoint or one taken
     /// mid-round (which the runtime never produces).
-    pub fn restore_value(&mut self, state: &Value) -> Result<()> {
+    pub fn decode_checkpoint(state: &Value) -> Result<CoordinatorCheckpoint> {
         let phase: String = crate::driver::field(state, "phase")?;
-        self.phase = match phase.as_str() {
+        let phase = match phase.as_str() {
             "standby" => Phase::Standby,
             "finished" => Phase::Finished,
             other => {
                 return Err(SimError::snapshot(format!(
-                    "coordinator checkpoint taken mid-round (phase `{other}`)"
+                    "field `phase`: coordinator checkpoint taken mid-round (phase `{other}`)"
                 )))
             }
         };
-        self.round = crate::driver::field(state, "round")?;
-        self.stats = crate::driver::field(state, "stats")?;
+        Ok(CoordinatorCheckpoint {
+            phase,
+            round: crate::driver::field(state, "round")?,
+            stats: crate::driver::field(state, "stats")?,
+        })
+    }
+
+    /// Installs a decoded checkpoint: between-round state is restored
+    /// and any wire or clock residue cleared.
+    pub fn install_checkpoint(&mut self, checkpoint: CoordinatorCheckpoint) {
+        self.phase = checkpoint.phase;
+        self.round = checkpoint.round;
+        self.stats = checkpoint.stats;
         self.admitted.clear();
         self.transport.clear();
         self.clock.reset();
-        Ok(())
     }
-}
-
-/// Drives any [`Algorithm`] to `total_rounds` completed rounds under
-/// the given [`RoundOptions`], then produces its report — the one
-/// generic round loop that replaced the five per-method `run` loops.
-///
-/// `total_rounds` is absolute (like [`Algorithm::run_to`]): a restored
-/// algorithm continues from its checkpointed round.
-///
-/// # Errors
-///
-/// Propagates step and evaluation errors.
-pub fn drive<A: Algorithm + ?Sized>(
-    algo: &mut A,
-    total_rounds: usize,
-    opts: &RoundOptions,
-) -> Result<RunReport> {
-    algo.set_round_options(*opts);
-    while (algo.round() as usize) < total_rounds {
-        algo.step()?;
-    }
-    algo.report()
 }

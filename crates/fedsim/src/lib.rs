@@ -32,12 +32,13 @@
 //!   traces, mid-round departures, and the concept-drift schedule —
 //!   all stateless hashes like the fault model;
 //! * [`coordinator`] — the message-driven coordinator runtime: the
-//!   round state machine, the typed message protocol, the pluggable
-//!   [`coordinator::Transport`], and the generic [`coordinator::drive`]
-//!   round loop;
-//! * [`driver`] — the [`driver::Algorithm`] trait the scenario harness
-//!   drives every method (FedTrans and all baselines) through,
-//!   including checkpoint/resume.
+//!   round state machine, the typed message protocol and the pluggable
+//!   [`coordinator::Transport`];
+//! * [`driver`] — the one round spine: the generic [`driver::Runner`]
+//!   that owns the round loop, ledger and checkpoint envelope of every
+//!   method (FedTrans and all baselines plug in through
+//!   [`driver::Method`]), behind the [`driver::Algorithm`] interface
+//!   the scenario harness drives.
 //!
 //! # Example
 //!
@@ -71,8 +72,8 @@ pub mod trainer;
 mod error;
 
 pub use attack::{AdversityConfig, AttackConfig, AvailabilityConfig, Corruption};
-pub use coordinator::{drive, Coordinator, RoundOptions};
-pub use driver::Algorithm;
+pub use coordinator::{Coordinator, RoundOptions};
+pub use driver::{Algorithm, RunContext, Runner};
 pub use error::SimError;
 pub use faults::FaultConfig;
 pub use sink::{

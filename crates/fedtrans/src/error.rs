@@ -48,3 +48,15 @@ impl From<SimError> for FedTransError {
         FedTransError::Sim(e)
     }
 }
+
+/// Maps FedTrans errors onto the simulator error type the shared
+/// [`ft_fedsim::driver::Method`] hooks speak.
+impl From<FedTransError> for SimError {
+    fn from(e: FedTransError) -> Self {
+        match e {
+            FedTransError::Sim(e) => e,
+            FedTransError::Model(e) => SimError::Model(e),
+            FedTransError::BadConfig { detail } => SimError::BadConfig { detail },
+        }
+    }
+}

@@ -2,7 +2,8 @@
 //!
 //! This crate implements the paper's contribution (MLSys 2024) on top of
 //! the workspace substrates. Three components cooperate each round,
-//! orchestrated by [`FedTransRuntime`] (Algorithm 1):
+//! orchestrated by [`FedTransRuntime`] (Algorithm 1) on the shared
+//! [`ft_fedsim::driver::Runner`] round spine:
 //!
 //! * [`ModelTransformer`] (§4.1) — watches the degree of convergence
 //!   (Eq. 1) of the training loss; when it drops below `β`, it selects
@@ -28,15 +29,12 @@
 //! use fedtrans::{FedTransConfig, FedTransRuntime};
 //! use ft_data::DatasetConfig;
 //! use ft_fedsim::device::DeviceTraceConfig;
+//! use ft_fedsim::Algorithm;
 //!
 //! let data = DatasetConfig::femnist_like().with_num_clients(50).generate();
 //! let devices = DeviceTraceConfig::default().with_num_devices(50).generate();
 //! let mut runtime = FedTransRuntime::new(FedTransConfig::default(), data, devices)?;
-//! let report = ft_fedsim::coordinator::drive(
-//!     &mut runtime,
-//!     100,
-//!     &ft_fedsim::RoundOptions::from_env(),
-//! )?;
+//! let report = runtime.run_to(100)?;
 //! println!("mean accuracy {:.3}", report.final_accuracy.mean);
 //! # Ok::<(), fedtrans::FedTransError>(())
 //! ```

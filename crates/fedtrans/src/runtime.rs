@@ -1,24 +1,26 @@
-//! The FedTrans coordinator loop (Algorithm 1).
+//! The FedTrans round body (Algorithm 1).
 //!
-//! Each round: select participants, rendezvous with them through the
-//! message-driven [`ft_fedsim::coordinator`] runtime, assign each
-//! admitted client a compatible model via utility sampling, train
-//! locally (dispatched as `StartTrainingRound` messages and executed
-//! in parallel, each update folding into a grouped
-//! [`ft_fedsim::sink::FedAvgSink`] as it lands), account costs from
-//! the collected replies, update utilities, soft-aggregate the model
-//! suite from the streamed per-model averages, and — when the loss
-//! curve reaches its elbow — transform the newest model into a larger
-//! one. Client dropout and stragglers are *emergent* on this path: an
-//! offline device misses the rendezvous deadline, a throttled one
-//! replies late on the virtual clock.
+//! The shared [`ft_fedsim::driver::Runner`] selects participants,
+//! rendezvouses with them through the message-driven
+//! [`ft_fedsim::coordinator`] runtime, keeps the ledger and closes the
+//! round; [`FedTransRuntime`] is the [`Method`] it drives. Each round
+//! it assigns each admitted client a compatible model via utility
+//! sampling, trains locally (dispatched as `StartTrainingRound`
+//! messages and executed in parallel, each update folding into a
+//! grouped [`ft_fedsim::sink::FedAvgSink`] as it lands), charges costs
+//! from the collected replies, soft-aggregates the model suite from
+//! the streamed per-model averages, updates utilities, and — when the
+//! loss curve reaches its elbow — transforms the newest model into a
+//! larger one. Client dropout and stragglers are *emergent* on this
+//! path: an offline device misses the rendezvous deadline, a throttled
+//! one replies late on the virtual clock.
 //!
-//! Concurrency discipline: the runtime's own `StdRng` stream
-//! (selection, assignment, transformation) is consumed serially in a
-//! fixed program order, while the parallel section — local training
-//! via the `ft_fedsim::exec` engine — draws only from per-client
-//! streams derived statelessly from `(round seed, client)`
-//! ([`ft_fedsim::trainer::client_seed`]). Every reduction over
+//! Concurrency discipline: the runner's `StdRng` stream (selection,
+//! then assignment and transformation through [`Round::rng`]) is
+//! consumed serially in a fixed program order, while the parallel
+//! section — local training via the `ft_fedsim::exec` engine — draws
+//! only from per-client streams derived statelessly from `(round seed,
+//! client)` ([`ft_fedsim::trainer::client_seed`]). Every reduction over
 //! training replies (costs, round times, FedAvg, activeness
 //! recording) iterates in fixed task-/model-index order, never
 //! completion or delivery order, so reports are byte-identical at any
@@ -29,14 +31,14 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use ft_data::{FederatedDataset, InputSpec};
-use ft_fedsim::coordinator::{Coordinator, RoundOptions};
-use ft_fedsim::costs::{storage_mb, CostMeter};
+use ft_fedsim::costs::storage_mb;
 use ft_fedsim::device::DeviceTrace;
-use ft_fedsim::metrics::{box_stats, BoxStats};
-use ft_fedsim::report::{RoundReport, RunReport};
-use ft_fedsim::select;
+use ft_fedsim::driver::{
+    field, mean_loss, Fleet, Method, Round, RoundOutcome, Runner, SpineConfig, Suite,
+};
 use ft_fedsim::sink::FedAvgSink;
 use ft_fedsim::trainer::TrainTask;
+use ft_fedsim::SimError;
 use ft_model::{similarity::similarity_matrix, CellModel};
 
 use crate::{
@@ -89,12 +91,11 @@ pub fn seed_model(
     }
 }
 
-/// The FedTrans coordinator.
+/// The FedTrans server state (Algorithm 1's coordinator side): the
+/// model suite and the three components that grow, assign and blend
+/// it. The shared [`Runner`] drives it round by round.
 pub struct FedTransRuntime {
-    cfg: FedTransConfig,
-    data: FederatedDataset,
-    devices: DeviceTrace,
-    coordinator: Coordinator,
+    input_dim: usize,
     models: Vec<CellModel>,
     /// Round each model was created, for age-based sharing decay.
     model_birth: Vec<u32>,
@@ -102,24 +103,21 @@ pub struct FedTransRuntime {
     aggregator: ModelAggregator,
     transformer: ModelTransformer,
     activeness: ActivenessTracker,
-    cost: CostMeter,
     sims: Vec<Vec<f32>>,
-    rng: rand::rngs::StdRng,
-    round: u32,
-    history: Vec<RoundReport>,
-    curve: Vec<(f64, f32)>,
-    client_times: Vec<f32>,
-    eval_every: Option<usize>,
 }
 
 impl FedTransRuntime {
-    /// Creates a runtime with an automatically sized seed model.
+    /// Creates a runner with an automatically sized seed model.
     ///
     /// # Errors
     ///
     /// Returns [`FedTransError::BadConfig`] when the config is invalid
     /// or the device trace does not cover the client population.
-    pub fn new(cfg: FedTransConfig, data: FederatedDataset, devices: DeviceTrace) -> Result<Self> {
+    pub fn new(
+        cfg: FedTransConfig,
+        data: FederatedDataset,
+        devices: DeviceTrace,
+    ) -> Result<Runner<Self>> {
         cfg.validate()
             .map_err(|detail| FedTransError::BadConfig { detail })?;
         if devices.len() < data.num_clients() {
@@ -141,7 +139,7 @@ impl FedTransRuntime {
         Self::with_seed_model(cfg, data, devices, seed)
     }
 
-    /// Creates a runtime from an explicit seed model (used by the ViT
+    /// Creates a runner from an explicit seed model (used by the ViT
     /// experiment and tests).
     ///
     /// # Errors
@@ -152,7 +150,7 @@ impl FedTransRuntime {
         data: FederatedDataset,
         devices: DeviceTrace,
         seed: CellModel,
-    ) -> Result<Self> {
+    ) -> Result<Runner<Self>> {
         cfg.validate()
             .map_err(|detail| FedTransError::BadConfig { detail })?;
         if seed.input_width() != data.input_dim() {
@@ -164,39 +162,24 @@ impl FedTransRuntime {
                 ),
             });
         }
-        let rng = rand::rngs::StdRng::seed_from_u64(cfg.seed.wrapping_add(1));
-        let manager = ClientManager::new(data.num_clients());
-        let aggregator = ModelAggregator::new(&cfg);
-        let transformer = ModelTransformer::new(&cfg);
-        let activeness = ActivenessTracker::new(cfg.activeness_window);
-        let sims = vec![vec![1.0]];
-        let coordinator = Coordinator::new(cfg.seed, cfg.faults, devices.clone());
-        Ok(FedTransRuntime {
-            cfg,
-            data,
-            devices,
-            coordinator,
+        let method = FedTransRuntime {
+            input_dim: data.input_dim(),
             models: vec![seed],
             model_birth: vec![0],
-            manager,
-            aggregator,
-            transformer,
-            activeness,
-            cost: CostMeter::new(),
-            sims,
-            rng,
-            round: 0,
-            history: Vec::new(),
-            curve: Vec::new(),
-            client_times: Vec::new(),
-            eval_every: None,
-        })
-    }
-
-    /// Requests a `(cost, accuracy)` checkpoint every `rounds` rounds
-    /// (the Fig. 7 cost-to-accuracy series).
-    pub fn set_eval_every(&mut self, rounds: usize) {
-        self.eval_every = Some(rounds.max(1));
+            manager: ClientManager::new(data.num_clients()),
+            aggregator: ModelAggregator::new(&cfg),
+            transformer: ModelTransformer::new(&cfg),
+            activeness: ActivenessTracker::new(cfg.activeness_window),
+            sims: vec![vec![1.0]],
+        };
+        let spine = SpineConfig {
+            seed: cfg.seed,
+            rng_seed: cfg.seed.wrapping_add(1),
+            faults: cfg.faults,
+            clients_per_round: cfg.clients_per_round,
+            local: cfg.local,
+        };
+        Ok(Runner::new(method, data, devices, spine))
     }
 
     /// The current model suite.
@@ -204,63 +187,47 @@ impl FedTransRuntime {
         &self.models
     }
 
-    /// The dataset this runtime trains on.
-    pub fn data(&self) -> &FederatedDataset {
-        &self.data
-    }
-
     /// Forward MACs per sample for each model in the suite.
     pub fn model_macs(&self) -> Vec<u64> {
         self.models.iter().map(CellModel::macs_per_sample).collect()
     }
+}
 
-    /// Per-client device capacities.
-    fn capacities(&self) -> Vec<u64> {
-        (0..self.data.num_clients())
-            .map(|c| self.devices.profile(c).capacity_macs)
-            .collect()
+/// Per-client device capacities.
+fn capacities(fleet: &Fleet<'_, FederatedDataset>) -> Vec<u64> {
+    (0..fleet.data.num_clients())
+        .map(|c| fleet.devices.profile(c).capacity_macs)
+        .collect()
+}
+
+impl Method for FedTransRuntime {
+    type Data = FederatedDataset;
+
+    fn name(&self) -> &'static str {
+        "fedtrans"
     }
 
-    /// Runs one round (Algorithm 1 body). Returns the round report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training and surgery errors.
-    pub fn step(&mut self) -> Result<RoundReport> {
+    /// Algorithm 1's round body, from model assignment to
+    /// transformation.
+    fn round(&mut self, cx: &mut Round<'_, FederatedDataset>) -> ft_fedsim::Result<RoundOutcome> {
         let macs = self.model_macs();
-        let capacities = self.capacities();
+        let capacities = capacities(&cx.fleet);
 
-        // 1. Participant selection (consumes RNG), then rendezvous:
-        // the coordinator invites the selection and admits whoever
-        // answers before the deadline — offline devices never answer,
-        // so dropout emerges from the message exchange (which itself
-        // consumes no RNG).
-        let invited = select::uniform(
-            &mut self.rng,
-            self.data.num_clients(),
-            self.cfg.clients_per_round,
-        );
-        let participants = self
-            .coordinator
-            .begin_round(self.round, &invited)
-            .map_err(FedTransError::from)?;
-
-        // 2. Utility-based model assignment (§4.2).
-        let round_seed = self.cfg.seed.wrapping_add(self.round as u64);
-        let mut tasks: Vec<TrainTask> = Vec::with_capacity(participants.len());
-        let mut assigned_model: Vec<usize> = Vec::with_capacity(participants.len());
-        for &c in &participants {
+        // 1. Utility-based model assignment (§4.2).
+        let mut tasks: Vec<TrainTask> = Vec::with_capacity(cx.participants.len());
+        let mut assigned_model: Vec<usize> = Vec::with_capacity(cx.participants.len());
+        for &c in cx.participants {
             let compatible = ClientManager::compatible_models(&macs, capacities[c]);
-            let n = self.manager.assign(&mut self.rng, c, &compatible);
+            let n = self.manager.assign(cx.rng, c, &compatible);
             assigned_model.push(n);
             tasks.push(TrainTask {
                 client: c,
                 model: n,
-                seed: ft_fedsim::trainer::client_seed(round_seed, c),
+                seed: cx.client_seed(c),
             });
         }
 
-        // 3. Training phase: each update streams into a grouped
+        // 2. Training phase: each update streams into a grouped
         // FedAvg fold (one group per model in the suite) as its
         // `EndTrainingRound` lands, and is dropped right after — peak
         // memory is bounded by the in-flight window, not the cohort.
@@ -268,38 +235,31 @@ impl FedTransRuntime {
         // bit-identical to the retired materialize-then-average path.
         let mut sink =
             FedAvgSink::grouped(self.models.len(), assigned_model.clone()).with_delta_tracking();
-        let replies = self
-            .coordinator
-            .train(
-                tasks,
-                &self.models,
-                self.data.clients(),
-                &self.cfg.local,
-                &mut sink,
-            )
-            .map_err(FedTransError::from)?;
+        let replies = cx.train(tasks, &self.models, &mut sink)?;
 
-        // 4. Cost accounting and round time.
-        let mut times = Vec::with_capacity(replies.len());
+        // 3. Cost accounting and round time. The round maximum is
+        // taken over the f32 times the ledger records.
+        let mut slowest = 0.0f32;
         for reply in &replies {
             let n = assigned_model[reply.task];
-            self.cost.record_local_training(macs[n], reply.samples);
-            self.cost
-                .record_model_transfer(self.models[n].param_count() as u64);
-            self.cost.record_extra_bytes(4); // the scalar loss upload
-            times.push(reply.elapsed_s as f32);
+            cx.ledger.record_participant(
+                macs[n],
+                self.models[n].param_count(),
+                reply.samples,
+                reply.elapsed_s,
+            );
+            cx.ledger.cost.record_extra_bytes(4); // the scalar loss upload
+            slowest = slowest.max(reply.elapsed_s as f32);
         }
-        self.client_times.extend(&times);
-        let round_time = times.iter().copied().fold(0.0f32, f32::max) as f64;
 
-        // 5. Per-model FedAvg came out of the streaming fold; blend
+        // 4. Per-model FedAvg came out of the streaming fold; blend
         // the suite with soft aggregation (§4.3).
         let fedavg = sink.take_averages();
         let mean_deltas = sink.take_mean_deltas();
         let ages: Vec<u32> = self
             .model_birth
             .iter()
-            .map(|&b| self.round.saturating_sub(b))
+            .map(|&b| cx.round.saturating_sub(b))
             .collect();
         let new_weights = self
             .aggregator
@@ -308,7 +268,7 @@ impl FedTransRuntime {
             model.restore(weights)?;
         }
 
-        // 6. Activeness from aggregate deltas (never per-client grads).
+        // 5. Activeness from aggregate deltas (never per-client grads).
         // The sink maintained each model's mean delta in task order —
         // the same fixed order the pre-streaming loop used, because
         // models share inherited CellIds and the recording order of
@@ -320,7 +280,7 @@ impl FedTransRuntime {
             self.activeness.record_round(&self.models[n], mean_delta);
         }
 
-        // 7. Joint utility update (Eq. 4).
+        // 6. Joint utility update (Eq. 4).
         let participation: Vec<(usize, usize, f32)> = replies
             .iter()
             .map(|r| (r.client, assigned_model[r.task], r.avg_loss))
@@ -328,25 +288,24 @@ impl FedTransRuntime {
         self.manager
             .update(&participation, &self.sims, &macs, &capacities);
 
-        // 8. Transformation (§4.1), seeded from the newest model. A
+        // 7. Transformation (§4.1), seeded from the newest model. A
         // fully dropped-out round produced no loss reports; the
         // coordinator has nothing to record and cannot transform.
-        let losses: Vec<f32> = replies.iter().map(|r| r.avg_loss).collect();
-        let mean_loss = ft_fedsim::metrics::mean(&losses);
+        let loss = mean_loss(&replies);
         if !replies.is_empty() {
-            self.transformer.record_loss(mean_loss);
+            self.transformer.record_loss(loss);
         }
         let parent_index = self.models.len() - 1;
         let parent_acts = self.activeness.model_activeness(&self.models[parent_index]);
         let transformed = if let Some((child, _decision)) = self.transformer.maybe_transform(
             &self.models[parent_index],
             &parent_acts,
-            self.devices.max_capacity(),
+            cx.fleet.devices.max_capacity(),
             self.models.len(),
-            &mut self.rng,
+            cx.rng,
         )? {
             self.models.push(child);
-            self.model_birth.push(self.round + 1);
+            self.model_birth.push(cx.round + 1);
             self.manager.register_model(parent_index);
             let refs: Vec<&CellModel> = self.models.iter().collect();
             self.sims = similarity_matrix(&refs);
@@ -355,54 +314,34 @@ impl FedTransRuntime {
             false
         };
 
-        self.coordinator
-            .finish_round()
-            .map_err(FedTransError::from)?;
-        self.cost.finish_round();
-        let report = RoundReport {
-            round: self.round,
-            mean_loss,
+        Ok(RoundOutcome {
             participants: replies.len(),
+            mean_loss: loss,
             num_models: self.models.len(),
             transformed,
-            cumulative_pmacs: self.cost.train_pmacs(),
-            round_time_s: round_time,
-        };
-        self.round += 1;
-        self.history.push(report.clone());
-
-        if let Some(every) = self.eval_every {
-            if (self.round as usize).is_multiple_of(every) {
-                let (stats, _, _) = self.evaluate()?;
-                self.curve.push((self.cost.train_pmacs(), stats.mean));
-            }
-        }
-        Ok(report)
+            round_time_s: slowest as f64,
+        })
     }
 
     /// Evaluates every client on its best-utility compatible model
     /// (§5.1's protocol), fanning clients out over the shared worker
-    /// pool. Returns `(summary, per-client accuracy, per-client model
-    /// index)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn evaluate(&mut self) -> Result<(BoxStats, Vec<f32>, Vec<usize>)> {
+    /// pool.
+    fn evaluate(
+        &self,
+        fleet: Fleet<'_, FederatedDataset>,
+    ) -> ft_fedsim::Result<(Vec<f32>, Vec<usize>)> {
         let macs = self.model_macs();
-        let capacities = self.capacities();
-        let chosen: Vec<usize> = (0..self.data.num_clients())
+        let capacities = capacities(&fleet);
+        let chosen: Vec<usize> = (0..fleet.data.num_clients())
             .map(|c| {
                 let compatible = ClientManager::compatible_models(&macs, capacities[c]);
                 self.manager.best_model(c, &compatible)
             })
             .collect();
-        let models = &self.models;
-        let data = &self.data;
-        let accs: Vec<f32> = ft_fedsim::eval::par_map_indexed(data.num_clients(), |c| {
-            match data.client(c).test_all() {
+        let accs: Vec<f32> = ft_fedsim::eval::par_map_indexed(fleet.data.num_clients(), |c| {
+            match fleet.data.client(c).test_all() {
                 Some((x, y)) => {
-                    let mut m = models[chosen[c]].clone();
+                    let mut m = self.models[chosen[c]].clone();
                     m.evaluate(&x, &y).map(|(_, acc)| acc)
                 }
                 None => Ok(0.0),
@@ -410,67 +349,28 @@ impl FedTransRuntime {
         })
         .into_iter()
         .collect::<std::result::Result<_, _>>()?;
-        Ok((box_stats(&accs), accs, chosen))
+        Ok((accs, chosen))
     }
 
-    /// Installs the coordinator round options (thread budget, protocol
-    /// timing knobs) future rounds run under.
-    pub fn set_round_options(&mut self, opts: RoundOptions) {
-        self.coordinator.set_options(opts);
-    }
-
-    /// Installs the adversarial fleet model (byzantine clients,
-    /// availability churn, concept drift) used by subsequent rounds.
-    pub fn set_adversity(&mut self, adversity: ft_fedsim::AdversityConfig) {
-        self.coordinator.set_adversity(adversity);
-    }
-
-    /// The message-driven coordinator this runtime rounds through
-    /// (protocol telemetry, phase, cohort overrides for tests).
-    pub fn coordinator(&mut self) -> &mut Coordinator {
-        &mut self.coordinator
-    }
-
-    /// Produces the report for the rounds run so far.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn report(&mut self) -> Result<RunReport> {
-        let (final_accuracy, per_client_accuracy, per_client_model) = self.evaluate()?;
+    fn suite(&self) -> Suite {
         let param_counts: Vec<usize> = self.models.iter().map(CellModel::param_count).collect();
-        Ok(RunReport {
-            rounds: self.history.clone(),
-            final_accuracy,
-            per_client_accuracy,
-            per_client_model,
-            pmacs: self.cost.train_pmacs(),
-            network_mb: self.cost.network_mb(),
+        Suite {
+            archs: self.models.iter().map(CellModel::arch_string).collect(),
+            macs: self.model_macs(),
             storage_mb: storage_mb(&param_counts),
-            model_archs: self.models.iter().map(CellModel::arch_string).collect(),
-            model_macs: self.model_macs(),
-            accuracy_curve: self.curve.clone(),
-            client_times_s: self.client_times.clone(),
-        })
+        }
     }
 
-    /// Serializes every piece of mutable round state: the model suite
-    /// (weights and identities), trackers, cost meter, similarity
-    /// matrix, RNG stream, telemetry, and the process id counters.
-    /// Restoring this into a freshly built runtime of the same
-    /// configuration reproduces the uninterrupted run byte-for-byte.
-    ///
-    /// Per-client training RNG streams need no capture: they are
-    /// derived statelessly from the base seed, the round counter (both
-    /// serialized here), and the client index
-    /// ([`ft_fedsim::trainer::client_seed`]) — the engine property that
-    /// makes resume thread-count independent.
-    pub fn checkpoint_state(&self) -> serde::Value {
+    /// The model suite (weights and identities), trackers, similarity
+    /// matrix and the process id counters. Per-client training RNG
+    /// streams need no capture: they are derived statelessly from the
+    /// base seed, the round counter (both in the runner's envelope),
+    /// and the client index ([`ft_fedsim::trainer::client_seed`]) — the
+    /// engine property that makes resume thread-count independent.
+    fn checkpoint(&self) -> serde::Value {
         let (losses, widened, rounds_since) = self.transformer.export_state();
         let (next_model, next_cell) = ft_model::id_counters();
         serde_json::json!({
-            "kind": "fedtrans",
-            "round": self.round,
             "models": self.models,
             "model_birth": self.model_birth,
             "utilities": self.manager.utilities(),
@@ -478,126 +378,49 @@ impl FedTransRuntime {
             "transformer_widened": widened,
             "transformer_rounds_since": rounds_since,
             "activeness": self.activeness.export_history(),
-            "cost": self.cost,
             "sims": self.sims,
-            "rng": ft_fedsim::driver::rng_to_value(&self.rng),
-            "history": self.history,
-            "curve": self.curve,
-            "client_times": self.client_times,
             "next_model_id": next_model,
             "next_cell_id": next_cell,
-            "coordinator": self.coordinator.checkpoint_value(),
         })
     }
 
-    /// Restores state captured by [`FedTransRuntime::checkpoint_state`]
-    /// into this runtime, which must have been constructed from the
-    /// same configuration, dataset, and device trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns a snapshot error on malformed or mismatched state.
-    pub fn restore_state(&mut self, state: &serde::Value) -> Result<()> {
-        use ft_fedsim::driver::field;
-        let kind: String = field(state, "kind")?;
-        if kind != "fedtrans" {
-            return Err(ft_fedsim::SimError::snapshot(format!(
-                "checkpoint is for `{kind}`, runtime is `fedtrans`"
-            ))
-            .into());
-        }
-        let models: Vec<CellModel> = field(state, "models")?;
+    fn restore(&mut self, block: &serde::Value) -> ft_fedsim::Result<()> {
+        let models: Vec<CellModel> = field(block, "models")?;
         if models.is_empty() {
-            return Err(ft_fedsim::SimError::snapshot("checkpoint has no models").into());
+            return Err(SimError::snapshot(
+                "field `models`: checkpoint has no models",
+            ));
         }
         for m in &models {
-            if m.input_width() != self.data.input_dim() {
-                return Err(ft_fedsim::SimError::snapshot(format!(
-                    "checkpointed model expects {} inputs, dataset provides {}",
+            if m.input_width() != self.input_dim {
+                return Err(SimError::snapshot(format!(
+                    "field `models`: checkpointed model expects {} inputs, dataset provides {}",
                     m.input_width(),
-                    self.data.input_dim()
-                ))
-                .into());
+                    self.input_dim
+                )));
             }
         }
+        let model_birth = field(block, "model_birth")?;
+        let utilities = field(block, "utilities")?;
+        let losses = field(block, "transformer_losses")?;
+        let widened = field(block, "transformer_widened")?;
+        let rounds_since = field(block, "transformer_rounds_since")?;
+        let activeness = field(block, "activeness")?;
+        let sims = field(block, "sims")?;
+        let next_model_id = field(block, "next_model_id")?;
+        let next_cell_id = field(block, "next_cell_id")?;
+
         self.models = models;
-        self.model_birth = field(state, "model_birth")?;
-        self.manager.restore_utilities(field(state, "utilities")?);
-        self.transformer.import_state(
-            field(state, "transformer_losses")?,
-            field(state, "transformer_widened")?,
-            field(state, "transformer_rounds_since")?,
-        );
-        self.activeness.import_history(field(state, "activeness")?);
-        self.cost = field(state, "cost")?;
-        self.sims = field(state, "sims")?;
-        self.rng = ft_fedsim::driver::rng_from_value(
-            state
-                .get("rng")
-                .ok_or_else(|| ft_fedsim::SimError::snapshot("missing rng state"))?,
-        )?;
-        self.round = field(state, "round")?;
-        self.history = field(state, "history")?;
-        self.curve = field(state, "curve")?;
-        self.client_times = field(state, "client_times")?;
+        self.model_birth = model_birth;
+        self.manager.restore_utilities(utilities);
+        self.transformer.import_state(losses, widened, rounds_since);
+        self.activeness.import_history(activeness);
+        self.sims = sims;
         // Keep freshly allocated ids disjoint from every restored id:
         // a collision would silently merge activeness histories and
         // similarity entries of unrelated cells.
-        ft_model::ensure_id_counters(
-            field(state, "next_model_id")?,
-            field(state, "next_cell_id")?,
-        );
-        let coord = state
-            .get("coordinator")
-            .ok_or_else(|| ft_fedsim::SimError::snapshot("missing coordinator state"))?;
-        self.coordinator
-            .restore_value(coord)
-            .map_err(FedTransError::from)?;
+        ft_model::ensure_id_counters(next_model_id, next_cell_id);
         Ok(())
-    }
-}
-
-/// Maps FedTrans errors onto the simulator error type the
-/// [`ft_fedsim::Algorithm`] trait speaks.
-fn to_sim_error(e: FedTransError) -> ft_fedsim::SimError {
-    match e {
-        FedTransError::Sim(e) => e,
-        FedTransError::Model(e) => ft_fedsim::SimError::Model(e),
-        FedTransError::BadConfig { detail } => ft_fedsim::SimError::BadConfig { detail },
-    }
-}
-
-impl ft_fedsim::Algorithm for FedTransRuntime {
-    fn name(&self) -> &'static str {
-        "fedtrans"
-    }
-
-    fn round(&self) -> u32 {
-        self.round
-    }
-
-    fn step(&mut self) -> ft_fedsim::Result<RoundReport> {
-        FedTransRuntime::step(self).map_err(to_sim_error)
-    }
-
-    fn report(&mut self) -> ft_fedsim::Result<RunReport> {
-        FedTransRuntime::report(self).map_err(to_sim_error)
-    }
-
-    fn checkpoint(&self) -> serde::Value {
-        self.checkpoint_state()
-    }
-
-    fn restore(&mut self, state: &serde::Value) -> ft_fedsim::Result<()> {
-        self.restore_state(state).map_err(to_sim_error)
-    }
-
-    fn set_round_options(&mut self, opts: RoundOptions) {
-        FedTransRuntime::set_round_options(self, opts);
-    }
-
-    fn set_adversity(&mut self, adversity: ft_fedsim::AdversityConfig) {
-        FedTransRuntime::set_adversity(self, adversity);
     }
 }
 
@@ -605,9 +428,9 @@ impl ft_fedsim::Algorithm for FedTransRuntime {
 mod tests {
     use super::*;
     use ft_data::DatasetConfig;
-    use ft_fedsim::coordinator::drive;
     use ft_fedsim::device::DeviceTraceConfig;
     use ft_fedsim::trainer::LocalTrainConfig;
+    use ft_fedsim::Algorithm;
 
     fn small_setup() -> (FedTransConfig, FederatedDataset, DeviceTrace) {
         let data = DatasetConfig::femnist_like()
@@ -658,7 +481,7 @@ mod tests {
     fn short_run_completes_and_reports() {
         let (cfg, data, devices) = small_setup();
         let mut rt = FedTransRuntime::new(cfg, data, devices).unwrap();
-        let report = drive(&mut rt, 5, &RoundOptions::default()).unwrap();
+        let report = rt.run_to(5).unwrap();
         assert_eq!(report.rounds.len(), 5);
         assert!(report.pmacs > 0.0);
         assert!(report.network_mb > 0.0);
@@ -671,8 +494,8 @@ mod tests {
         let (cfg, data, devices) = small_setup();
         let mut a = FedTransRuntime::new(cfg.clone(), data.clone(), devices.clone()).unwrap();
         let mut b = FedTransRuntime::new(cfg, data, devices).unwrap();
-        let ra = drive(&mut a, 4, &RoundOptions::default()).unwrap();
-        let rb = drive(&mut b, 4, &RoundOptions::default()).unwrap();
+        let ra = a.run_to(4).unwrap();
+        let rb = b.run_to(4).unwrap();
         assert_eq!(ra.per_client_accuracy, rb.per_client_accuracy);
         assert_eq!(ra.pmacs, rb.pmacs);
     }
@@ -683,7 +506,7 @@ mod tests {
         cfg.transform_cooldown = 4;
         cfg.beta = 10.0; // trigger as soon as history allows
         let mut rt = FedTransRuntime::new(cfg, data, devices).unwrap();
-        let report = drive(&mut rt, 12, &RoundOptions::default()).unwrap();
+        let report = rt.run_to(12).unwrap();
         assert!(
             report.model_archs.len() > 1,
             "expected at least one transformation, archs: {:?}",
@@ -695,61 +518,13 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_resume_reproduces_uninterrupted_run_byte_identically() {
-        let (mut cfg, data, devices) = small_setup();
-        // Force a transformation after the resume point so the id
-        // counter sync and transformer state both get exercised.
-        cfg.transform_cooldown = 4;
-        cfg.beta = 10.0;
-
-        let mut full = FedTransRuntime::new(cfg.clone(), data.clone(), devices.clone()).unwrap();
-        let full_report = drive(&mut full, 12, &RoundOptions::default()).unwrap();
-        assert!(
-            full_report.model_archs.len() > 1,
-            "reference run must transform for the test to be meaningful"
-        );
-
-        let mut first = FedTransRuntime::new(cfg.clone(), data.clone(), devices.clone()).unwrap();
-        for _ in 0..5 {
-            first.step().unwrap();
-        }
-        // Serialize the checkpoint all the way to JSON text and back,
-        // exactly like the on-disk kill/restart path.
-        let json = serde_json::to_string(&first.checkpoint_state()).unwrap();
-        drop(first);
-
-        let mut resumed = FedTransRuntime::new(cfg, data, devices).unwrap();
-        let state = serde_json::parse_value(&json).unwrap();
-        resumed.restore_state(&state).unwrap();
-        assert_eq!(resumed.round, 5);
-        for _ in 0..7 {
-            resumed.step().unwrap();
-        }
-        let resumed_report = resumed.report().unwrap();
-        assert_eq!(
-            serde_json::to_string(&resumed_report).unwrap(),
-            serde_json::to_string(&full_report).unwrap(),
-            "resumed report must be byte-identical to the uninterrupted run"
-        );
-    }
-
-    #[test]
-    fn restore_rejects_wrong_kind_and_garbage() {
-        let (cfg, data, devices) = small_setup();
-        let mut rt = FedTransRuntime::new(cfg, data, devices).unwrap();
-        let bogus = serde_json::json!({"kind": "fedavg"});
-        assert!(rt.restore_state(&bogus).is_err());
-        assert!(rt.restore_state(&serde_json::json!({})).is_err());
-    }
-
-    #[test]
     fn dropout_reduces_participation_and_stays_deterministic() {
         let (mut cfg, data, devices) = small_setup();
         cfg.faults.dropout_prob = 0.5;
         let mut a = FedTransRuntime::new(cfg.clone(), data.clone(), devices.clone()).unwrap();
         let mut b = FedTransRuntime::new(cfg, data, devices).unwrap();
-        let ra = drive(&mut a, 6, &RoundOptions::default()).unwrap();
-        let rb = drive(&mut b, 6, &RoundOptions::default()).unwrap();
+        let ra = a.run_to(6).unwrap();
+        let rb = b.run_to(6).unwrap();
         assert_eq!(ra.per_client_accuracy, rb.per_client_accuracy);
         let trained: usize = ra.rounds.iter().map(|r| r.participants).sum();
         // 6 rounds x 6 selected, half dropped in expectation.
@@ -771,8 +546,8 @@ mod tests {
         cfg_slow.faults.straggler_prob = 1.0;
         cfg_slow.faults.straggler_slowdown = 8.0;
         let mut slow = FedTransRuntime::new(cfg_slow, data, devices).unwrap();
-        let rp = drive(&mut plain, 3, &RoundOptions::default()).unwrap();
-        let rs = drive(&mut slow, 3, &RoundOptions::default()).unwrap();
+        let rp = plain.run_to(3).unwrap();
+        let rs = slow.run_to(3).unwrap();
         for (p, s) in rp.rounds.iter().zip(&rs.rounds) {
             assert!(
                 s.round_time_s > p.round_time_s * 7.9,
@@ -787,10 +562,10 @@ mod tests {
     #[test]
     fn eval_curve_is_recorded() {
         let (cfg, data, devices) = small_setup();
-        let mut rt = FedTransRuntime::new(cfg, data, devices).unwrap();
-        rt.set_eval_every(2);
-        drive(&mut rt, 6, &RoundOptions::default()).unwrap();
-        let report = rt.report().unwrap();
+        let mut rt = FedTransRuntime::new(cfg, data, devices)
+            .unwrap()
+            .with_eval_every(2);
+        let report = rt.run_to(6).unwrap();
         assert_eq!(report.accuracy_curve.len(), 3);
         // Cost is monotone along the curve.
         assert!(report.accuracy_curve.windows(2).all(|w| w[1].0 >= w[0].0));

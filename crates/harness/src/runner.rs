@@ -22,14 +22,14 @@ use ft_fedsim::{Algorithm, SimError};
 
 use crate::Scenario;
 
-/// Checkpoint file format version. Version 3 is the streaming
-/// aggregation fold: replies carry scalars only and aggregates live in
-/// the round's `UpdateSink`, so the algorithm `state` written by this
-/// build is not interchangeable with the version-2 materialized-slice
+/// Checkpoint file format version. Version 4 is the shared round
+/// runner's envelope: `state` is `kind`/`round`/`rng`/`ledger`/
+/// `coordinator` plus the method's own block under `method`, where
+/// version 3 (the streaming aggregation fold) had one flat per-method
 /// layout. Version 2 added the coordinator protocol state; version 1
 /// had neither. Older checkpoints are rejected with an explicit error
-/// instead of resuming into silently different aggregation state.
-const CHECKPOINT_VERSION: u64 = 3;
+/// instead of resuming into a layout this build does not read.
+const CHECKPOINT_VERSION: u64 = 4;
 
 /// How a scenario run is executed.
 #[derive(Debug, Clone, Default)]
@@ -220,7 +220,7 @@ fn resume_from_file(
     if version != &Value::Number(CHECKPOINT_VERSION as f64) {
         return Err(SimError::snapshot(format!(
             "checkpoint format version {version:?} is not readable by this build, which writes \
-             version {CHECKPOINT_VERSION} (the streaming aggregation fold). Checkpoints from \
+             version {CHECKPOINT_VERSION} (the shared runner envelope). Checkpoints from \
              older builds cannot be resumed — delete {} and rerun from round 0",
             path.display()
         )));
@@ -334,11 +334,12 @@ mod tests {
         let scenario = registry::find("iid-small").unwrap();
         let path = tmp_path("old-version");
         let _ = std::fs::remove_file(&path);
-        // A syntactically valid version-2 envelope from a pre-streaming
-        // build; only the version gate should ever look at it.
+        // A syntactically valid version-3 envelope from a build with
+        // per-method checkpoint layouts; only the version gate should
+        // ever look at it.
         std::fs::write(
             &path,
-            r#"{"version":2,"scenario":"iid-small","quick":true,"target_rounds":4,"round":1,"state":{}}"#,
+            r#"{"version":3,"scenario":"iid-small","quick":true,"target_rounds":4,"round":1,"state":{}}"#,
         )
         .unwrap();
         let err = run_scenario(
@@ -350,10 +351,10 @@ mod tests {
             },
         );
         let msg = err
-            .expect_err("version-2 checkpoint must be rejected")
+            .expect_err("version-3 checkpoint must be rejected")
             .to_string();
         assert!(
-            msg.contains("version") && msg.contains('3'),
+            msg.contains("version") && msg.contains("3.0") && msg.contains('4'),
             "rejection must name the version gate, got: {msg}"
         );
         let _ = std::fs::remove_file(&path);

@@ -16,10 +16,11 @@ use ft_baselines::{BaselineConfig, FedAvg, Fluid, HeteroFl, ServerOpt, SplitMix}
 use ft_data::{DatasetConfig, DriftConfig, SparseFederatedData};
 use ft_fedsim::coordinator::RoundOptions;
 use ft_fedsim::device::{DeviceTier, DeviceTrace, DeviceTraceConfig};
+use ft_fedsim::driver::Method;
 use ft_fedsim::trainer::LocalTrainConfig;
 use ft_fedsim::{
     AdversityConfig, Algorithm, AttackConfig, AvailabilityConfig, Corruption, FaultConfig,
-    RobustAggregation, SimError,
+    RobustAggregation, RunContext, Runner, SimError,
 };
 
 /// The device population of a scenario.
@@ -428,27 +429,33 @@ impl Scenario {
     pub fn build(&self) -> ft_fedsim::Result<Box<dyn Algorithm>> {
         self.validate()
             .map_err(|detail| SimError::BadConfig { detail })?;
-        let mut driver = if self.sparse {
+        if self.sparse {
             // On-demand shards: construction cost is O(classes × dim),
             // independent of the population size.
             let data = SparseFederatedData::new(self.dataset.clone());
             let devices = self
                 .devices
                 .generate(ft_data::ShardSource::num_clients(&data));
-            self.build_sparse(data, devices)?
+            self.build_sparse(data, devices)
         } else {
             let data = self.dataset.generate();
             let devices = self.devices.generate(data.num_clients());
-            self.build_algorithm(data, devices)?
-        };
-        // Scenario timing first, then explicit FT_* env overrides on
-        // top, so operators can experiment without editing scenarios.
-        driver.set_round_options(self.timing.round_options().with_env_overrides());
-        // The adversity bundle is inert when no blocks are present, so
-        // installing it unconditionally leaves benign scenarios (and
-        // their golden digests) untouched.
-        driver.set_adversity(self.adversity());
-        Ok(driver)
+            self.build_algorithm(data, devices)
+        }
+    }
+
+    /// Installs this scenario's run context on a method's runner and
+    /// erases the method type.
+    fn wire<M: Method + 'static>(&self, runner: Runner<M>) -> Box<dyn Algorithm> {
+        Box::new(runner.with_context(RunContext {
+            // Scenario timing first, then explicit FT_* env overrides
+            // on top, so operators can experiment without editing
+            // scenarios.
+            options: self.timing.round_options().with_env_overrides(),
+            // Inert when no adversity blocks are present, so benign
+            // scenarios (and their golden digests) are untouched.
+            adversity: self.adversity(),
+        }))
     }
 
     /// Builds the FedAvg arm over an on-demand shard source (the only
@@ -476,7 +483,7 @@ impl Scenario {
             Some(lr) => ServerOpt::Yogi { lr },
             None => ServerOpt::Average,
         };
-        Ok(Box::new(FedAvg::new(cfg, data, devices, model, server)))
+        Ok(self.wire(FedAvg::new(cfg, data, devices, model, server)))
     }
 
     fn build_algorithm(
@@ -502,14 +509,11 @@ impl Scenario {
                     .with_seed(self.seed);
                 cfg.max_models = max_models;
                 cfg.transform_cooldown = transform_cooldown;
-                let mut rt =
+                let rt =
                     FedTransRuntime::new(cfg, data, devices).map_err(|e| SimError::BadConfig {
                         detail: e.to_string(),
                     })?;
-                if self.eval_every > 0 {
-                    rt.set_eval_every(self.eval_every);
-                }
-                Ok(Box::new(rt))
+                Ok(self.wire(rt.with_eval_every(self.eval_every)))
             }
             AlgorithmSpec::FedAvg { yogi_lr, prox_mu } => {
                 let mut cfg = self.baseline_config();
@@ -527,35 +531,22 @@ impl Scenario {
                     Some(lr) => ServerOpt::Yogi { lr },
                     None => ServerOpt::Average,
                 };
-                Ok(Box::new(FedAvg::new(cfg, data, devices, model, server)))
+                Ok(self.wire(FedAvg::new(cfg, data, devices, model, server)))
             }
             AlgorithmSpec::HeteroFl => {
                 let global = self.global_model(&data, &devices);
-                Ok(Box::new(HeteroFl::new(
-                    self.baseline_config(),
-                    data,
-                    devices,
-                    global,
-                )))
+                let cfg = self.baseline_config();
+                Ok(self.wire(HeteroFl::new(cfg, data, devices, global)))
             }
             AlgorithmSpec::SplitMix { bases } => {
                 let global = self.global_model(&data, &devices);
-                Ok(Box::new(SplitMix::new(
-                    self.baseline_config(),
-                    data,
-                    devices,
-                    &global,
-                    bases,
-                )))
+                let cfg = self.baseline_config();
+                Ok(self.wire(SplitMix::new(cfg, data, devices, &global, bases)))
             }
             AlgorithmSpec::Fluid => {
                 let global = self.global_model(&data, &devices);
-                Ok(Box::new(Fluid::new(
-                    self.baseline_config(),
-                    data,
-                    devices,
-                    global,
-                )))
+                let cfg = self.baseline_config();
+                Ok(self.wire(Fluid::new(cfg, data, devices, global)))
             }
         }
     }

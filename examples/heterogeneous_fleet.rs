@@ -10,9 +10,9 @@
 
 use fedtrans::{ClientManager, FedTransConfig, FedTransRuntime};
 use ft_data::DatasetConfig;
-use ft_fedsim::coordinator::{drive, RoundOptions};
 use ft_fedsim::device::DeviceTraceConfig;
 use ft_fedsim::metrics::box_stats;
+use ft_fedsim::Algorithm;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = DatasetConfig::cifar_like().with_num_clients(50).generate();
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_gamma(4)
         .with_delta(4);
     let mut runtime = FedTransRuntime::new(cfg, data, devices.clone())?;
-    let report = drive(&mut runtime, 60, &RoundOptions::from_env())?;
+    let report = runtime.run_to(60)?;
 
     // (3) Capacity tiers vs assigned models.
     println!("\nFedTrans model suite:");

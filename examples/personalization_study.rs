@@ -12,8 +12,8 @@
 use fedtrans::{ClientManager, FedTransConfig, FedTransRuntime};
 use ft_baselines::eval_on_client;
 use ft_data::DatasetConfig;
-use ft_fedsim::coordinator::{drive, RoundOptions};
 use ft_fedsim::device::DeviceTraceConfig;
+use ft_fedsim::Algorithm;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = DatasetConfig::femnist_like()
@@ -31,8 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_gamma(4)
         .with_delta(4);
     let mut runtime = FedTransRuntime::new(cfg, data.clone(), devices.clone())?;
-    let report = drive(&mut runtime, 60, &RoundOptions::from_env())?;
-    let models = runtime.models();
+    let report = runtime.run_to(60)?;
+    let models = runtime.method().models();
     println!("grew {} models: {:?}\n", models.len(), report.model_archs);
 
     // Cross-evaluate: per client, accuracy on every model.

@@ -8,8 +8,8 @@
 
 use fedtrans::{FedTransConfig, FedTransRuntime};
 use ft_data::DatasetConfig;
-use ft_fedsim::coordinator::{drive, RoundOptions};
 use ft_fedsim::device::DeviceTraceConfig;
+use ft_fedsim::Algorithm;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A FEMNIST-like federated dataset: 60 clients, Dirichlet label
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_gamma(4)
         .with_delta(4);
     let mut runtime = FedTransRuntime::new(cfg, data, devices)?;
-    let report = drive(&mut runtime, 50, &RoundOptions::from_env())?;
+    let report = runtime.run_to(50)?;
 
     println!("\nmodel suite after 50 rounds:");
     for (arch, macs) in report.model_archs.iter().zip(&report.model_macs) {

@@ -8,8 +8,8 @@
 
 use fedtrans::{FedTransConfig, FedTransRuntime};
 use ft_data::DatasetConfig;
-use ft_fedsim::coordinator::{drive, RoundOptions};
 use ft_fedsim::device::DeviceTraceConfig;
+use ft_fedsim::Algorithm;
 use ft_model::{deepen_cell, widen_cell, CellModel};
 use rand::SeedableRng;
 
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_gamma(3)
         .with_delta(3);
     let mut runtime = FedTransRuntime::new(cfg, data, devices)?;
-    let report = drive(&mut runtime, 30, &RoundOptions::from_env())?;
+    let report = runtime.run_to(30)?;
     println!("\nfederated ViT after 30 rounds:");
     for arch in &report.model_archs {
         println!("  {arch}");

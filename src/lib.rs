@@ -2,10 +2,10 @@
 //!
 //! Re-exports the crates a downstream user is expected to touch:
 //! [`fedtrans`] (the method), [`ft_fedsim`] (the simulator substrate:
-//! the [`ft_fedsim::Algorithm`] trait plus the message-driven
-//! [`ft_fedsim::coordinator`] whose [`ft_fedsim::coordinator::drive`]
-//! loop runs every method), and [`ft_harness`] (the config-driven
-//! scenario system behind the `ft-run` CLI). The streaming
+//! the message-driven [`ft_fedsim::coordinator`] plus the one round
+//! spine, [`ft_fedsim::Runner`], that runs every method behind the
+//! [`ft_fedsim::Algorithm`] interface), and [`ft_harness`] (the
+//! config-driven scenario system behind the `ft-run` CLI). The streaming
 //! aggregation surface — [`UpdateSink`] and the [`FedAvgSink`] fold
 //! it ships with — is re-exported at this root because it is the one
 //! extension point every aggregation strategy implements. The

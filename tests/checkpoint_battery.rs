@@ -1,0 +1,354 @@
+//! One table-driven checkpoint battery over every method.
+//!
+//! FedTrans, FedAvg, FedProx, FedYogi, HeteroFL, SplitMix and FLuID all
+//! checkpoint through the shared runner's envelope, so one table
+//! checks, per method on a 12-client fleet:
+//!
+//! * kill/resume through JSON text at *every* round boundary
+//!   reproduces the uninterrupted report byte for byte, also when the
+//!   client-thread budget is flipped at resume;
+//! * a rejected checkpoint (mid-round coordinator phase, truncated
+//!   method block) leaves the driver exactly as it was;
+//! * every method rejects every other method's checkpoint and a
+//!   version-3 file, naming the mismatch.
+//!
+//! This file is its own process, so it pins the tensor pool to 4
+//! threads before first pool use — on a single-core runner the engine
+//! would otherwise fall back to the serial path and the thread flip
+//! would be vacuous.
+
+use std::sync::{Mutex, MutexGuard, Once};
+
+use fedtrans::{FedTransConfig, FedTransRuntime};
+use ft_baselines::{BaselineConfig, FedAvg, Fluid, HeteroFl, ServerOpt, SplitMix};
+use ft_data::{DatasetConfig, FederatedDataset};
+use ft_fedsim::device::{DeviceTrace, DeviceTraceConfig};
+use ft_fedsim::trainer::LocalTrainConfig;
+use ft_fedsim::{Algorithm, RoundOptions, RunContext, SimError};
+use ft_harness::{registry, run_scenario, RunOptions};
+use ft_model::CellModel;
+use rand::SeedableRng;
+use serde_json::Value;
+
+/// FedTrans checkpoints carry the process-wide model/cell id counters,
+/// which every model built anywhere in this process advances; a test
+/// that compares checkpoint bytes must not overlap with another test.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    static PIN: Once = Once::new();
+    PIN.call_once(|| {
+        std::env::set_var("FT_TENSOR_THREADS", "4");
+        assert_eq!(ft_tensor::pool::max_parallelism(), 4);
+    });
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn fleet() -> (FederatedDataset, DeviceTrace, CellModel) {
+    let data = DatasetConfig::femnist_like()
+        .with_num_clients(12)
+        .with_mean_samples(25)
+        .generate();
+    let devices = DeviceTraceConfig::default()
+        .with_num_devices(12)
+        .with_base_capacity(1_500)
+        .generate();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let global = CellModel::dense(&mut rng, data.input_dim(), &[24, 24], data.num_classes());
+    (data, devices, global)
+}
+
+fn local() -> LocalTrainConfig {
+    LocalTrainConfig {
+        local_steps: 5,
+        ..Default::default()
+    }
+}
+
+fn baseline(prox_mu: Option<f32>) -> BaselineConfig {
+    BaselineConfig {
+        clients_per_round: 6,
+        local: LocalTrainConfig { prox_mu, ..local() },
+        eval_every: 3,
+        ..Default::default()
+    }
+}
+
+struct Case {
+    name: &'static str,
+    rounds: usize,
+    build: fn(RunContext) -> Box<dyn Algorithm>,
+}
+
+fn fedavg_family(
+    context: RunContext,
+    prox_mu: Option<f32>,
+    server: ServerOpt,
+) -> Box<dyn Algorithm> {
+    let (data, devices, global) = fleet();
+    Box::new(FedAvg::new(baseline(prox_mu), data, devices, global, server).with_context(context))
+}
+
+const CASES: [Case; 7] = [
+    Case {
+        name: "fedtrans",
+        rounds: 12,
+        build: |context| {
+            let (data, _, _) = fleet();
+            let devices = DeviceTraceConfig::default()
+                .with_num_devices(12)
+                .with_base_capacity(20_000)
+                .generate();
+            let mut cfg = FedTransConfig::default()
+                .with_clients_per_round(6)
+                .with_gamma(2)
+                .with_delta(2)
+                .with_local(local());
+            // Trigger as soon as the loss history allows, so the suite
+            // grows after most resume points: the id-counter sync and
+            // the transformer state both get exercised.
+            cfg.transform_cooldown = 4;
+            cfg.beta = 10.0;
+            let runner = FedTransRuntime::new(cfg, data, devices).expect("valid config");
+            Box::new(runner.with_eval_every(3).with_context(context))
+        },
+    },
+    Case {
+        name: "fedavg",
+        rounds: 8,
+        build: |context| fedavg_family(context, None, ServerOpt::Average),
+    },
+    Case {
+        name: "fedprox",
+        rounds: 8,
+        build: |context| fedavg_family(context, Some(0.1), ServerOpt::Average),
+    },
+    Case {
+        name: "fedyogi",
+        rounds: 8,
+        build: |context| fedavg_family(context, None, ServerOpt::Yogi { lr: 0.05 }),
+    },
+    Case {
+        name: "heterofl",
+        rounds: 8,
+        build: |context| {
+            let (data, devices, global) = fleet();
+            Box::new(HeteroFl::new(baseline(None), data, devices, global).with_context(context))
+        },
+    },
+    Case {
+        name: "splitmix",
+        rounds: 8,
+        build: |context| {
+            let (data, devices, global) = fleet();
+            Box::new(SplitMix::new(baseline(None), data, devices, &global, 3).with_context(context))
+        },
+    },
+    Case {
+        name: "fluid",
+        rounds: 8,
+        build: |context| {
+            let (data, devices, global) = fleet();
+            Box::new(Fluid::new(baseline(None), data, devices, global).with_context(context))
+        },
+    },
+];
+
+fn threads(n: usize) -> RunContext {
+    RunContext {
+        options: RoundOptions::new().threads(n),
+        ..Default::default()
+    }
+}
+
+/// Compact JSON text of any serializable value.
+macro_rules! json {
+    ($value:expr) => {
+        serde_json::to_string($value).unwrap()
+    };
+}
+
+/// The entry `key` of a JSON object, mutably.
+fn entry<'a>(object: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Object(entries) = object else {
+        panic!("expected an object holding `{key}`");
+    };
+    let (_, value) = entries
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("no entry `{key}`"));
+    value
+}
+
+fn snapshot_error(result: ft_fedsim::Result<()>) -> String {
+    match result {
+        Err(SimError::Snapshot { detail }) => detail,
+        other => panic!("expected a snapshot error, got {other:?}"),
+    }
+}
+
+#[test]
+fn kill_resume_at_every_round_boundary_reproduces_the_uninterrupted_report() {
+    let _guard = serial();
+    for case in &CASES {
+        let name = case.name;
+        let reference = (case.build)(threads(1)).run_to(case.rounds).unwrap();
+        if name == "fedtrans" {
+            assert!(
+                reference
+                    .rounds
+                    .iter()
+                    .any(|r| r.transformed && r.round > 4),
+                "the reference run must transform after a resume point"
+            );
+        }
+        let reference = json!(&reference);
+
+        // One interrupted run leaves a checkpoint, as JSON text, at
+        // every boundary including the fresh and the finished driver.
+        let mut first = (case.build)(threads(1));
+        assert_eq!(first.name(), name);
+        let mut texts = vec![json!(&first.checkpoint())];
+        for _ in 0..case.rounds {
+            first.step().unwrap();
+            texts.push(json!(&first.checkpoint()));
+        }
+        drop(first);
+
+        for (boundary, text) in texts.iter().enumerate() {
+            for width in [1, 4] {
+                let mut resumed = (case.build)(threads(width));
+                let state = serde_json::parse_value(text).unwrap();
+                resumed.restore(&state).unwrap();
+                assert_eq!(resumed.round() as usize, boundary);
+                assert!(
+                    json!(&resumed.run_to(case.rounds).unwrap()) == reference,
+                    "{name}: resume at round {boundary} on {width} client threads diverged"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_rejected_checkpoint_leaves_the_driver_untouched() {
+    let _guard = serial();
+    for case in &CASES {
+        let name = case.name;
+        let reference = json!(&(case.build)(threads(1)).run_to(case.rounds).unwrap());
+
+        // The donor is further along than the victim, so any field a
+        // failed restore let through would show in the victim's bytes.
+        let mut donor = (case.build)(threads(1));
+        donor.run_to(4).unwrap();
+        let donor = donor.checkpoint();
+
+        let mut victim = (case.build)(threads(1));
+        victim.run_to(2).unwrap();
+        let before = json!(&victim.checkpoint());
+
+        let mut mid_round = donor.clone();
+        *entry(entry(&mut mid_round, "coordinator"), "phase") =
+            Value::String("round/training".to_owned());
+        let detail = snapshot_error(victim.restore(&mid_round));
+        assert!(
+            detail.contains("`coordinator`") && detail.contains("`phase`"),
+            "{name}: {detail}"
+        );
+        assert!(
+            json!(&victim.checkpoint()) == before,
+            "{name}: mid-round phase"
+        );
+
+        let mut truncated = donor.clone();
+        let Value::Object(block) = entry(&mut truncated, "method") else {
+            panic!("{name}: the method block is an object");
+        };
+        let (dropped, _) = block.pop().expect("non-empty method block");
+        let detail = snapshot_error(victim.restore(&truncated));
+        assert!(
+            detail.contains("`method`") && detail.contains(&format!("`{dropped}`")),
+            "{name}: {detail}"
+        );
+        assert!(
+            json!(&victim.checkpoint()) == before,
+            "{name}: truncated block"
+        );
+
+        assert!(
+            json!(&victim.run_to(case.rounds).unwrap()) == reference,
+            "{name}: the victim must carry on as if nothing was offered"
+        );
+    }
+}
+
+#[test]
+fn every_method_rejects_every_other_methods_checkpoint() {
+    let _guard = serial();
+    let checkpoints: Vec<Value> = CASES
+        .iter()
+        .map(|case| {
+            let mut driver = (case.build)(threads(1));
+            driver.step().unwrap();
+            driver.checkpoint()
+        })
+        .collect();
+    for (case, own) in CASES.iter().zip(&checkpoints) {
+        let mut driver = (case.build)(threads(1));
+        let fresh = json!(&driver.checkpoint());
+        for (other, foreign) in CASES.iter().zip(&checkpoints) {
+            if other.name == case.name {
+                continue;
+            }
+            let detail = snapshot_error(driver.restore(foreign));
+            assert!(
+                detail.contains("`kind`")
+                    && detail.contains(&format!("`{}`", other.name))
+                    && detail.contains(&format!("`{}`", case.name)),
+                "{} offered a {} checkpoint: {detail}",
+                case.name,
+                other.name
+            );
+            assert!(json!(&driver.checkpoint()) == fresh, "{}", case.name);
+        }
+        driver.restore(own).unwrap();
+        assert_eq!(driver.round(), 1);
+    }
+}
+
+#[test]
+fn every_canned_scenario_rejects_a_version_3_file() {
+    let _guard = serial();
+    for scenario in registry::canned() {
+        let path = std::env::temp_dir().join(format!(
+            "ft-battery-v3-{}-{}.json",
+            scenario.name,
+            std::process::id()
+        ));
+        let stale = serde_json::json!({
+            "version": 3,
+            "scenario": scenario.name,
+            "quick": true,
+            "target_rounds": scenario.quick_rounds,
+            "round": 1,
+            "state": {"kind": "fedavg", "round": 1},
+        });
+        std::fs::write(&path, json!(&stale)).unwrap();
+        let result = run_scenario(
+            &scenario,
+            &RunOptions {
+                quick: true,
+                checkpoint_path: Some(path.clone()),
+                ..Default::default()
+            },
+        );
+        let _ = std::fs::remove_file(&path);
+        let message = result
+            .expect_err("a version-3 file must not resume")
+            .to_string();
+        assert!(
+            message.contains("version") && message.contains("3.0") && message.contains('4'),
+            "{}: {message}",
+            scenario.name
+        );
+    }
+}

@@ -4,7 +4,6 @@
 use fedtrans::{ClientManager, FedTransConfig, FedTransRuntime};
 use ft_baselines::{BaselineConfig, FedAvg, Fluid, HeteroFl, ServerOpt, SplitMix};
 use ft_data::{DatasetConfig, FederatedDataset};
-use ft_fedsim::coordinator::{drive, RoundOptions};
 use ft_fedsim::device::{DeviceTrace, DeviceTraceConfig};
 use ft_fedsim::report::RunReport;
 use ft_fedsim::trainer::LocalTrainConfig;
@@ -29,7 +28,7 @@ fn env() -> (FederatedDataset, DeviceTrace, CellModel) {
 /// Drives any method `rounds` rounds through the message-driven
 /// coordinator round loop.
 fn run_n(mut algo: impl Algorithm, rounds: usize) -> RunReport {
-    drive(&mut algo, rounds, &RoundOptions::default()).unwrap()
+    algo.run_to(rounds).unwrap()
 }
 
 fn bl() -> BaselineConfig {
@@ -151,7 +150,7 @@ fn fedtrans_assignments_respect_capacity() {
             ..Default::default()
         });
     let mut rt = FedTransRuntime::new(cfg, data.clone(), devices.clone()).unwrap();
-    let report = drive(&mut rt, 15, &RoundOptions::default()).unwrap();
+    let report = rt.run_to(15).unwrap();
     for c in 0..data.num_clients() {
         let cap = devices.profile(c).capacity_macs;
         let assigned = report.per_client_model[c];
@@ -192,6 +191,6 @@ fn heterofl_weak_clients_get_cheap_models() {
     let weakest = (0..12)
         .min_by_key(|&c| devices.profile(c).capacity_macs)
         .unwrap();
-    let lvl = h.level_for(devices.profile(weakest).capacity_macs);
+    let lvl = h.method().level_for(devices.profile(weakest).capacity_macs);
     assert!(lvl >= 1, "weakest client should not get the full model");
 }

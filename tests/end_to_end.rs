@@ -3,9 +3,9 @@
 
 use fedtrans::{FedTransConfig, FedTransRuntime};
 use ft_data::DatasetConfig;
-use ft_fedsim::coordinator::{drive, RoundOptions};
 use ft_fedsim::device::DeviceTraceConfig;
 use ft_fedsim::trainer::LocalTrainConfig;
+use ft_fedsim::Algorithm;
 
 fn short_cfg(clients_per_round: usize) -> FedTransConfig {
     FedTransConfig::default()
@@ -34,7 +34,7 @@ fn dense_family_end_to_end() {
         .generate();
     let devices = devices_for(15, 1_000);
     let mut rt = FedTransRuntime::new(short_cfg(6), data, devices).unwrap();
-    let report = drive(&mut rt, 25, &RoundOptions::default()).unwrap();
+    let report = rt.run_to(25).unwrap();
     assert_eq!(report.rounds.len(), 25);
     // Better than chance (1/16).
     assert!(
@@ -53,7 +53,7 @@ fn conv_family_end_to_end() {
         .generate();
     let devices = devices_for(10, 50_000);
     let mut rt = FedTransRuntime::new(short_cfg(5), data, devices).unwrap();
-    let report = drive(&mut rt, 15, &RoundOptions::default()).unwrap();
+    let report = rt.run_to(15).unwrap();
     // Better than chance (1/10).
     assert!(
         report.final_accuracy.mean > 0.15,
@@ -70,7 +70,7 @@ fn attention_family_end_to_end() {
         .generate();
     let devices = devices_for(10, 60_000);
     let mut rt = FedTransRuntime::new(short_cfg(5), data, devices).unwrap();
-    let report = drive(&mut rt, 15, &RoundOptions::default()).unwrap();
+    let report = rt.run_to(15).unwrap();
     assert!(
         report.final_accuracy.mean > 0.1,
         "{}",
@@ -88,8 +88,8 @@ fn full_run_is_deterministic() {
         let devices = devices_for(12, 1_000);
         FedTransRuntime::new(short_cfg(6), data, devices).unwrap()
     };
-    let a = drive(&mut make(), 12, &RoundOptions::default()).unwrap();
-    let b = drive(&mut make(), 12, &RoundOptions::default()).unwrap();
+    let a = make().run_to(12).unwrap();
+    let b = make().run_to(12).unwrap();
     assert_eq!(a.per_client_accuracy, b.per_client_accuracy);
     assert_eq!(a.model_archs, b.model_archs);
     assert_eq!(a.pmacs, b.pmacs);
@@ -107,7 +107,7 @@ fn transformation_grows_suite_and_costs_track() {
     cfg.beta = 5.0; // transform as soon as history allows
     cfg.transform_cooldown = 4;
     let mut rt = FedTransRuntime::new(cfg, data, devices).unwrap();
-    let report = drive(&mut rt, 25, &RoundOptions::default()).unwrap();
+    let report = rt.run_to(25).unwrap();
     assert!(report.model_archs.len() >= 2, "no transformation fired");
     // Model MACs non-decreasing along the growth chain.
     assert!(report.model_macs.windows(2).all(|w| w[1] >= w[0]));
@@ -118,6 +118,7 @@ fn transformation_grows_suite_and_costs_track() {
         .all(|w| w[1].cumulative_pmacs > w[0].cumulative_pmacs));
     // The largest model must fit the most capable device.
     let max_cap = rt
+        .method()
         .models()
         .iter()
         .map(|m| m.macs_per_sample())
@@ -134,7 +135,7 @@ fn loss_decreases_over_training() {
         .generate();
     let devices = devices_for(12, 1_000);
     let mut rt = FedTransRuntime::new(short_cfg(8), data, devices).unwrap();
-    let report = drive(&mut rt, 30, &RoundOptions::default()).unwrap();
+    let report = rt.run_to(30).unwrap();
     let early: f32 = report.rounds[..5].iter().map(|r| r.mean_loss).sum::<f32>() / 5.0;
     let late: f32 = report.rounds[25..].iter().map(|r| r.mean_loss).sum::<f32>() / 5.0;
     assert!(late < early, "loss did not decrease: {early} -> {late}");

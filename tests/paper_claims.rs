@@ -5,10 +5,10 @@
 
 use fedtrans::{DocTracker, FedTransConfig, FedTransRuntime};
 use ft_data::DatasetConfig;
-use ft_fedsim::coordinator::{drive, RoundOptions};
 use ft_fedsim::device::DeviceTraceConfig;
 use ft_fedsim::metrics::{mean, std_dev};
 use ft_fedsim::trainer::LocalTrainConfig;
+use ft_fedsim::Algorithm;
 
 fn cfg() -> FedTransConfig {
     FedTransConfig::default()
@@ -37,7 +37,7 @@ fn warmup_preserves_training_progress() {
     c.beta = 10.0;
     c.transform_cooldown = 6;
     let mut rt = FedTransRuntime::new(c, data, devices).unwrap();
-    let report = drive(&mut rt, 20, &RoundOptions::default()).unwrap();
+    let report = rt.run_to(20).unwrap();
     assert!(report.model_archs.len() >= 2, "needs a transformation");
     // Find the transform round; the next round's loss must not blow up
     // past the initial (cold-start) loss.
@@ -70,8 +70,8 @@ fn fedtrans_round_times_beat_one_size_fits_all() {
     c.beta = 10.0;
     c.transform_cooldown = 4;
     let mut rt = FedTransRuntime::new(c, data.clone(), devices.clone()).unwrap();
-    let ft = drive(&mut rt, 20, &RoundOptions::default()).unwrap();
-    let largest = rt.models().last().unwrap().clone();
+    let ft = rt.run_to(20).unwrap();
+    let largest = rt.method().models().last().unwrap().clone();
 
     let bl = ft_baselines::BaselineConfig {
         clients_per_round: 8,
@@ -86,7 +86,7 @@ fn fedtrans_round_times_beat_one_size_fits_all() {
     };
     let mut fedavg_rt =
         ft_baselines::FedAvg::new(bl, data, devices, largest, ft_baselines::ServerOpt::Average);
-    let fedavg = drive(&mut fedavg_rt, 20, &RoundOptions::default()).unwrap();
+    let fedavg = fedavg_rt.run_to(20).unwrap();
     assert!(
         mean(&ft.client_times_s) < mean(&fedavg.client_times_s),
         "FedTrans should have lower mean round time"
@@ -129,7 +129,7 @@ fn multi_model_suite_covers_capacity_spectrum() {
     c.beta = 10.0;
     c.transform_cooldown = 4;
     let mut rt = FedTransRuntime::new(c, data, devices.clone()).unwrap();
-    let report = drive(&mut rt, 30, &RoundOptions::default()).unwrap();
+    let report = rt.run_to(30).unwrap();
     let min_macs = *report.model_macs.first().unwrap();
     let max_macs = *report.model_macs.last().unwrap();
     assert!(
@@ -161,8 +161,8 @@ fn ablations_change_behaviour() {
     base.beta = 10.0;
     base.transform_cooldown = 4;
     let mut full_rt = FedTransRuntime::new(base.clone(), data.clone(), devices.clone()).unwrap();
-    let full = drive(&mut full_rt, 16, &RoundOptions::default()).unwrap();
+    let full = full_rt.run_to(16).unwrap();
     let mut no_warm_rt = FedTransRuntime::new(base.ablate_warmup(), data, devices).unwrap();
-    let no_warm = drive(&mut no_warm_rt, 16, &RoundOptions::default()).unwrap();
+    let no_warm = no_warm_rt.run_to(16).unwrap();
     assert_ne!(full.per_client_accuracy, no_warm.per_client_accuracy);
 }
