@@ -1,14 +1,17 @@
-//! Benchmarks of the aggregation paths: per-model FedAvg, FedTrans's
-//! soft aggregation across a heterogeneous suite, and the
-//! HeteroFL-style scatter aggregation.
+//! Benchmarks of the aggregation paths: per-model FedAvg, the buffering
+//! robust sinks' order-statistics kernel, and FedTrans's soft
+//! aggregation across a heterogeneous suite.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fedtrans::{FedTransConfig, ModelAggregator};
-use ft_fedsim::sink::{ClientUpdate, FedAvgSink, RoundManifest, TaskSpec, UpdateSink};
+use fedtrans::{seed_model, FedTransConfig, ModelAggregator};
+use ft_data::InputSpec;
+use ft_fedsim::sink::{
+    ClientUpdate, FedAvgSink, RobustAggregation, RobustSink, RoundManifest, TaskSpec, UpdateSink,
+};
 use ft_model::similarity::similarity_matrix;
 use ft_model::{deepen_cell, widen_cell, CellModel};
 use ft_tensor::Tensor;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn suite() -> Vec<CellModel> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
@@ -53,6 +56,71 @@ fn bench_fedavg(c: &mut Criterion) {
     });
 }
 
+/// `finish` of a buffering sink at the `robust-trimmed` benchmark
+/// workload's shape: 200 updates of the seed dense model for 48 inputs
+/// and 16 classes, every update's values distinct. Absorbs (a move per
+/// update) run in the untimed setup.
+fn bench_robust_finish(c: &mut Criterion) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    let seed = seed_model(&mut rng, InputSpec::Flat { dim: 48 }, 16, u64::MAX);
+    let specs: Vec<TaskSpec> = (0..200)
+        .map(|i| TaskSpec {
+            task: i,
+            client: i,
+            samples: 20,
+        })
+        .collect();
+    let updates: Vec<Vec<Tensor>> = specs
+        .iter()
+        .map(|_| {
+            let mut weights = seed.snapshot();
+            for v in weights.iter_mut().flat_map(|t| t.data_mut()) {
+                *v += rng.gen_range(-0.05f32..0.05);
+            }
+            weights
+        })
+        .collect();
+    for (name, rule) in [
+        (
+            "trimmed_mean_finish",
+            RobustAggregation::TrimmedMean { trim: 0.3 },
+        ),
+        (
+            "coordinate_median_finish",
+            RobustAggregation::CoordinateMedian,
+        ),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    let mut sink = RobustSink::new(rule);
+                    sink.begin_round(&RoundManifest {
+                        round: 0,
+                        tasks: &specs,
+                    })
+                    .unwrap();
+                    for (spec, weights) in specs.iter().zip(&updates) {
+                        sink.absorb(ClientUpdate {
+                            task: spec.task,
+                            client: spec.client,
+                            samples: spec.samples,
+                            weights: weights.clone(),
+                            delta: Vec::new(),
+                        })
+                        .unwrap();
+                    }
+                    sink
+                },
+                |mut sink| {
+                    sink.finish().unwrap();
+                    sink.take_average().unwrap()
+                },
+                criterion::BatchSize::LargeInput,
+            );
+        });
+    }
+}
+
 fn bench_soft_aggregate(c: &mut Criterion) {
     let models = suite();
     let refs: Vec<&CellModel> = models.iter().collect();
@@ -76,6 +144,7 @@ fn bench_similarity_matrix(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_fedavg,
+    bench_robust_finish,
     bench_soft_aggregate,
     bench_similarity_matrix
 );

@@ -74,11 +74,14 @@
 //!   memory bound — peak memory is O(cohort), the price of trimming.
 //!
 //! The buffering sinks keep the determinism contract anyway: updates
-//! arrive in task order (the coordinator guarantees it), per-coordinate
-//! sorts use `total_cmp` with the buffer position as tie-break, and the
-//! surviving values fold in task order — so the result is bit-identical
-//! under any completion-order permutation, any `max_in_flight`, and any
-//! thread count, and both sinks checkpoint/restore mid-fold.
+//! arrive in task order (the coordinator guarantees it), the one
+//! selection kernel both share orders a coordinate's values by
+//! `total_cmp` with the buffer position as tie-break, and the surviving
+//! values fold in task order — so the result is bit-identical under any
+//! completion-order permutation, any `max_in_flight`, and any thread
+//! count (the kernel fans 64-coordinate tiles out over the shared
+//! pool), and both sinks checkpoint/restore mid-fold. Non-finite
+//! uploads sort to the ends and are the first to be trimmed.
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -642,12 +645,10 @@ impl BufferedRound {
             )));
         }
         if let Some(first) = self.buffer.first() {
-            if first.weights.len() != update.weights.len() {
+            if let Some(why) = layout_mismatch(&first.weights, &update.weights) {
                 return Err(SimError::protocol(format!(
-                    "update for task {} has {} weight tensors, the round's first had {}",
-                    update.task,
-                    update.weights.len(),
-                    first.weights.len()
+                    "update for task {} {why}",
+                    update.task
                 )));
             }
         }
@@ -672,19 +673,163 @@ impl BufferedRound {
     }
 }
 
-/// Per-coordinate sorted order of the buffer: ascending by value
-/// (`total_cmp`, so NaNs and signed zeros order deterministically),
-/// ties broken by buffer position — i.e. task order. The buffer is in
-/// task order by construction (absorbs arrive in manifest order), so
-/// this is completion-order invariant.
-fn coordinate_order(buffer: &[BufferedUpdate], tensor: usize, coord: usize, out: &mut Vec<usize>) {
-    out.clear();
-    out.extend(0..buffer.len());
-    out.sort_by(|&a, &b| {
-        buffer[a].weights[tensor].data()[coord]
-            .total_cmp(&buffer[b].weights[tensor].data()[coord])
-            .then(a.cmp(&b))
-    });
+/// How `got` departs from the tensor layout of the round's first
+/// update (`None` when it matches): the per-coordinate reducers index
+/// every buffered update by the first one's lengths.
+fn layout_mismatch(first: &[Tensor], got: &[Tensor]) -> Option<String> {
+    if first.len() != got.len() {
+        return Some(format!(
+            "has {} weight tensors, the round's first had {}",
+            got.len(),
+            first.len()
+        ));
+    }
+    first.iter().zip(got).enumerate().find_map(|(ti, (f, g))| {
+        (f.data().len() != g.data().len()).then(|| {
+            format!(
+                "has {} values in weight tensor {ti}, the round's first had {}",
+                g.data().len(),
+                f.data().len()
+            )
+        })
+    })
+}
+
+/// Coordinates per tile of [`order_statistics`]: 64 rows of a
+/// 200-client cohort are 51 KB of `f32`, L2-resident on every host
+/// the pool runs on, while each update is still read in 256-byte runs.
+const TILE_COORDS: usize = 64;
+
+/// What [`order_statistics`] makes of a coordinate's survivors.
+#[derive(Clone, Copy)]
+enum Survivors {
+    /// Sample-weighted mean, folded in task order.
+    WeightedMean,
+    /// The central value, or the midpoint of the two central values.
+    Midpoint,
+}
+
+/// `v`'s rank under `f32::total_cmp` as an unsigned integer: negatives
+/// have all bits flipped, everything else only the sign bit, so `-NaN <
+/// -Inf < … < -0.0 < +0.0 < … < +Inf < +NaN` compares as plain `u32`s.
+fn total_order_key(v: f32) -> u32 {
+    let bits = v.to_bits();
+    bits ^ ((((bits as i32) >> 31) as u32) | 0x8000_0000)
+}
+
+/// The shared kernel of the buffering sinks: per coordinate, drops the
+/// `g` smallest and `g` largest of the cohort's values and reduces the
+/// `k − 2g ≥ 1` survivors as `rule` says.
+///
+/// Values order by `total_cmp` with the buffer position — task order —
+/// as tie-break; packing `(total_order_key << 32) | position` into a
+/// `u64` (a buffered cohort is memory-bound far below 2^32 updates)
+/// makes that one strict total order, so two
+/// `select_nth_unstable` partitions (O(k), no sort) cut out exactly
+/// the survivor set a full sort would. The weighted mean then folds
+/// the survivors in task order, never sorted order, so which partition
+/// the selection happened to produce is unobservable.
+///
+/// Work is tiled: [`TILE_COORDS`] coordinates at a time are gathered
+/// from every update (one sequential read of each update's slice) into
+/// a contiguous `[coordinate][client]` tile, and the tiles fan out over
+/// the shared pool. Each output coordinate is written once from its own
+/// tile, so the result is independent of the thread count; scratch is
+/// `TILE_COORDS × k × 4 B` for the tile plus `17 B × k` of keys, trim
+/// marks and survivor positions per worker.
+fn order_statistics(buffer: &[BufferedUpdate], g: usize, rule: Survivors) -> Result<Vec<Tensor>> {
+    let k = buffer.len();
+    let first = &buffer[0].weights;
+    // Absorb rejects ragged updates already; a restored checkpoint has
+    // not been through absorb.
+    for (p, update) in buffer.iter().enumerate().skip(1) {
+        if let Some(why) = layout_mismatch(first, &update.weights) {
+            return Err(SimError::protocol(format!("buffered update {p} {why}")));
+        }
+    }
+    let samples: Vec<u64> = buffer.iter().map(|u| u.samples).collect();
+    let tiles: Vec<(usize, usize)> = first
+        .iter()
+        .enumerate()
+        .flat_map(|(ti, t)| {
+            (0..t.data().len())
+                .step_by(TILE_COORDS)
+                .map(move |start| (ti, start))
+        })
+        .collect();
+    let reduce_tile = |tile_index: usize| -> Vec<f32> {
+        let (ti, start) = tiles[tile_index];
+        let len = TILE_COORDS.min(first[ti].data().len() - start);
+        let mut tile = ft_tensor::scratch::ScratchVec::take(len * k);
+        for (p, update) in buffer.iter().enumerate() {
+            let src = &update.weights[ti].data()[start..start + len];
+            for (row, &v) in tile.chunks_exact_mut(k).zip(src) {
+                row[p] = v;
+            }
+        }
+        let mut keys = vec![0u64; k];
+        let mut trimmed = vec![false; k];
+        let mut kept = vec![0usize; k];
+        let position = |key: u64| key as u32 as usize;
+        tile.chunks_exact(k)
+            .map(|row| {
+                for (p, (key, &v)) in keys.iter_mut().zip(row).enumerate() {
+                    *key = (u64::from(total_order_key(v)) << 32) | p as u64;
+                }
+                if g > 0 {
+                    keys.select_nth_unstable(g);
+                    keys[g..].select_nth_unstable(k - 2 * g);
+                }
+                match rule {
+                    Survivors::WeightedMean => {
+                        trimmed.fill(false);
+                        for &key in keys[..g].iter().chain(&keys[k - g..]) {
+                            trimmed[position(key)] = true;
+                        }
+                        // Branch-free compaction: which clients survive is
+                        // close to a coin flip per position.
+                        let mut n = 0;
+                        for (p, &cut) in trimmed.iter().enumerate() {
+                            kept[n] = p;
+                            n += usize::from(!cut);
+                        }
+                        let kept = &kept[..n];
+                        let total: u64 = kept.iter().map(|&p| samples[p]).sum();
+                        let mut acc = 0.0f32;
+                        if total > 0 {
+                            for &p in kept {
+                                acc += (samples[p] as f32 / total as f32) * row[p];
+                            }
+                        } else {
+                            let inv = 1.0 / kept.len() as f32;
+                            for &p in kept {
+                                acc += inv * row[p];
+                            }
+                        }
+                        acc
+                    }
+                    Survivors::Midpoint => {
+                        let (a, b) = (keys[g], keys[k - g - 1]);
+                        if a == b {
+                            row[position(a)]
+                        } else {
+                            (row[position(a.min(b))] + row[position(a.max(b))]) * 0.5
+                        }
+                    }
+                }
+            })
+            .collect()
+    };
+    let reduced =
+        crate::exec::par_map_indexed(tiles.len(), ft_tensor::pool::max_parallelism(), reduce_tile);
+    let mut out: Vec<Tensor> = first
+        .iter()
+        .map(|t| Tensor::zeros(t.shape().dims()))
+        .collect();
+    for (&(ti, start), values) in tiles.iter().zip(&reduced) {
+        out[ti].data_mut()[start..start + values.len()].copy_from_slice(values);
+    }
+    Ok(out)
 }
 
 /// The coordinate-wise trimmed weighted mean: a **buffering** robust
@@ -803,38 +948,11 @@ impl UpdateSink for TrimmedMeanSink {
             self.result = fedavg.take_average();
             return Ok(());
         }
-        let buffer = &self.state.buffer;
-        let mut out: Vec<Tensor> = buffer[0]
-            .weights
-            .iter()
-            .map(|t| Tensor::zeros(t.shape().dims()))
-            .collect();
-        let mut order: Vec<usize> = Vec::with_capacity(k);
-        for (ti, o) in out.iter_mut().enumerate() {
-            let len = o.data().len();
-            let dst = o.data_mut();
-            for j in 0..len {
-                coordinate_order(buffer, ti, j, &mut order);
-                let survivors = &mut order[g..k - g];
-                // Fold survivors in task order, never sorted order.
-                survivors.sort_unstable();
-                let total: u64 = survivors.iter().map(|&p| buffer[p].samples).sum();
-                let mut acc = 0.0f32;
-                if total > 0 {
-                    for &p in survivors.iter() {
-                        acc += (buffer[p].samples as f32 / total as f32)
-                            * buffer[p].weights[ti].data()[j];
-                    }
-                } else {
-                    let inv = 1.0 / survivors.len() as f32;
-                    for &p in survivors.iter() {
-                        acc += inv * buffer[p].weights[ti].data()[j];
-                    }
-                }
-                dst[j] = acc;
-            }
-        }
-        self.result = Some(out);
+        self.result = Some(order_statistics(
+            &self.state.buffer,
+            g,
+            Survivors::WeightedMean,
+        )?);
         Ok(())
     }
 }
@@ -918,28 +1036,13 @@ impl UpdateSink for CoordinateMedianSink {
             self.result = None;
             return Ok(());
         }
-        let buffer = &self.state.buffer;
-        let mut out: Vec<Tensor> = buffer[0]
-            .weights
-            .iter()
-            .map(|t| Tensor::zeros(t.shape().dims()))
-            .collect();
-        let mut order: Vec<usize> = Vec::with_capacity(k);
-        for (ti, o) in out.iter_mut().enumerate() {
-            let len = o.data().len();
-            let dst = o.data_mut();
-            for j in 0..len {
-                coordinate_order(buffer, ti, j, &mut order);
-                let hi = buffer[order[k / 2]].weights[ti].data()[j];
-                dst[j] = if k % 2 == 1 {
-                    hi
-                } else {
-                    let lo = buffer[order[k / 2 - 1]].weights[ti].data()[j];
-                    (lo + hi) * 0.5
-                };
-            }
-        }
-        self.result = Some(out);
+        // The median is the trim that leaves one survivor (odd cohorts)
+        // or two (even cohorts).
+        self.result = Some(order_statistics(
+            &self.state.buffer,
+            (k - 1) / 2,
+            Survivors::Midpoint,
+        )?);
         Ok(())
     }
 }
@@ -1579,6 +1682,87 @@ mod tests {
         median.begin_round(&manifest(&specs)).unwrap();
         median.absorb(update(0, 10, &[1.0])).unwrap();
         assert!(median.finish().is_err(), "finish before all absorbs");
+    }
+
+    #[test]
+    fn buffering_sinks_reject_ragged_updates_without_buffering_them() {
+        let specs = specs(&[10, 10, 10]);
+        for spec in [
+            RobustAggregation::TrimmedMean { trim: 0.4 },
+            RobustAggregation::CoordinateMedian,
+        ] {
+            // Right tensor count, one tensor too short / too long.
+            for ragged in [&[9.0f32][..], &[9.0, 9.0, 9.0]] {
+                let mut sink = RobustSink::new(spec);
+                sink.begin_round(&manifest(&specs)).unwrap();
+                sink.absorb(update(0, 10, &[1.0, 2.0])).unwrap();
+                let err = sink.absorb(update(1, 10, ragged)).unwrap_err();
+                assert!(matches!(err, SimError::Protocol { .. }), "{err}");
+                let expected = format!(
+                    "update for task 1 has {} values in weight tensor 0, the round's first had 2",
+                    ragged.len()
+                );
+                assert!(err.to_string().contains(&expected), "{err}");
+                let state = match &sink {
+                    RobustSink::TrimmedMean(s) => &s.state,
+                    RobustSink::CoordinateMedian(s) => &s.state,
+                    _ => unreachable!("only buffering rules are swept"),
+                };
+                assert_eq!((state.absorbed, state.buffer.len()), (1, 1), "{spec:?}");
+                // The rejected upload cost the round nothing.
+                sink.absorb(update(1, 10, &[3.0, 4.0])).unwrap();
+                sink.absorb(update(2, 10, &[5.0, 6.0])).unwrap();
+                sink.finish().unwrap();
+                assert_eq!(sink.take_average().unwrap()[0].data(), &[3.0, 4.0]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_ragged_restored_buffer_fails_finish_instead_of_panicking() {
+        let specs = specs(&[10, 10, 10]);
+        let mut sink = TrimmedMeanSink::new(0.4);
+        sink.begin_round(&manifest(&specs)).unwrap();
+        for task in 0..3 {
+            sink.absorb(update(task, 10, &[1.0, 2.0])).unwrap();
+        }
+        // What a hand-edited checkpoint can hold and absorb never lets in.
+        sink.state.buffer[2].weights = vec![tensor(&[1.0])];
+        let err = sink.finish().unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("buffered update 2 has 1 values in weight tensor 0"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn total_order_key_orders_like_total_cmp() {
+        let specials = [
+            -f32::NAN,
+            f32::NEG_INFINITY,
+            f32::MIN,
+            -1.0,
+            -f32::MIN_POSITIVE,
+            -1e-45, // negative subnormal
+            -0.0,
+            0.0,
+            1e-45,
+            f32::MIN_POSITIVE,
+            1.0,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        for a in specials {
+            for b in specials {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! any `max_in_flight` window, the aggregate is 0-ULP identical to a
 //! straight task-order fold — and `TrimmedMean { trim: 0 }` replays
 //! the plain [`FedAvgSink`] exactly, bit for bit.
+//!
+//! Those compare the sinks with themselves. The second half holds the
+//! buffering sinks to an independent reference: the naive
+//! sort-everything rule the blocked selection kernel replaced, kept
+//! here as the oracle, over cohorts, tensor lengths and values chosen
+//! to hit tile edges, ties, signed zeros and non-finite uploads.
 
 use std::collections::BTreeMap;
 
@@ -272,4 +278,249 @@ fn unanimous_byzantine_cohort_is_deterministic_not_magical() {
         let streamed = stream_through(&mut sink, &updates, &reversed, 5).expect("non-empty");
         assert_eq!(bits(&streamed), bits(&out));
     }
+}
+
+// ---------------------------------------------------------------------
+// Independent oracle for the buffering sinks
+// ---------------------------------------------------------------------
+
+/// Per-coordinate order of a cohort's values: ascending by `total_cmp`,
+/// ties by task position. A full sort of indices — the rule the
+/// sinks' selection kernel must be indistinguishable from.
+fn naive_order(column: &[f32]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..column.len()).collect();
+    order.sort_by(|&a, &b| column[a].total_cmp(&column[b]).then(a.cmp(&b)));
+    order
+}
+
+fn naive_trimmed_mean(column: &[f32], samples: &[u64], g: usize) -> f32 {
+    let order = naive_order(column);
+    let mut survivors = order[g..column.len() - g].to_vec();
+    // Survivors fold in task order, never sorted order.
+    survivors.sort_unstable();
+    let total: u64 = survivors.iter().map(|&p| samples[p]).sum();
+    let mut acc = 0.0f32;
+    if total > 0 {
+        for &p in &survivors {
+            acc += (samples[p] as f32 / total as f32) * column[p];
+        }
+    } else {
+        let inv = 1.0 / survivors.len() as f32;
+        for &p in &survivors {
+            acc += inv * column[p];
+        }
+    }
+    acc
+}
+
+fn naive_median(column: &[f32]) -> f32 {
+    let order = naive_order(column);
+    let k = column.len();
+    let hi = column[order[k / 2]];
+    if k % 2 == 1 {
+        hi
+    } else {
+        (column[order[k / 2 - 1]] + hi) * 0.5
+    }
+}
+
+fn trim_count(trim: f64, k: usize) -> usize {
+    ((trim * k as f64).floor() as usize).min((k - 1) / 2)
+}
+
+/// The reference aggregate of a buffering rule, coordinate by
+/// coordinate. `None` where the sinks owe none: the empty round, and
+/// the untrimmed zero-weight round (the FedAvg contract `trim = 0`
+/// replays).
+fn oracle(spec: RobustAggregation, updates: &Cohort) -> Option<Vec<Tensor>> {
+    let (first, _) = updates.first()?;
+    let k = updates.len();
+    let samples: Vec<u64> = updates.iter().map(|(_, n)| *n).collect();
+    let g = match spec {
+        RobustAggregation::TrimmedMean { trim } => trim_count(trim, k),
+        _ => 0,
+    };
+    if matches!(spec, RobustAggregation::TrimmedMean { .. })
+        && g == 0
+        && samples.iter().sum::<u64>() == 0
+    {
+        return None;
+    }
+    let reduced = first.iter().enumerate().map(|(ti, t)| {
+        let data: Vec<f32> = (0..t.len())
+            .map(|j| {
+                let column: Vec<f32> = updates.iter().map(|(w, _)| w[ti].data()[j]).collect();
+                match spec {
+                    RobustAggregation::TrimmedMean { .. } => {
+                        naive_trimmed_mean(&column, &samples, g)
+                    }
+                    RobustAggregation::CoordinateMedian => naive_median(&column),
+                    other => panic!("{other:?} is not a buffering rule"),
+                }
+            })
+            .collect();
+        Tensor::from_vec(data, t.shape().dims()).unwrap()
+    });
+    Some(reduced.collect())
+}
+
+/// Bit patterns with every NaN collapsed to one: Rust leaves the sign
+/// and payload of a NaN *produced by arithmetic* unspecified (the
+/// compiler may commute `a + b`), so two correct folds may differ
+/// there and nowhere else.
+fn bits_nan_canonical(tensors: &[Tensor]) -> Vec<u32> {
+    bits(tensors)
+        .into_iter()
+        .map(|b| {
+            if f32::from_bits(b).is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                b
+            }
+        })
+        .collect()
+}
+
+fn assert_matches_oracle(spec: RobustAggregation, updates: &Cohort) -> Option<Vec<Tensor>> {
+    let got = task_order_fold(spec, updates);
+    let want = oracle(spec, updates);
+    match (&got, &want) {
+        (None, None) => {}
+        (Some(g), Some(w)) => assert_eq!(
+            bits_nan_canonical(g),
+            bits_nan_canonical(w),
+            "{spec:?} over {} updates",
+            updates.len()
+        ),
+        _ => panic!(
+            "{spec:?}: sink aggregate present = {}, oracle present = {}",
+            got.is_some(),
+            want.is_some()
+        ),
+    }
+    got
+}
+
+/// Tensor lengths straddling the kernel's 64-coordinate tile: a lone
+/// coordinate, one short of a tile, exactly one, one over, two and a
+/// remainder.
+const ORACLE_LENS: [usize; 5] = [1, 63, 64, 65, 129];
+
+const NEG_NAN: f32 = f32::from_bits(0xffc0_0000);
+const SPECIALS: [f32; 6] = [
+    0.0,
+    -0.0,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::NAN,
+    NEG_NAN,
+];
+
+/// One uploaded value. `mode` picks the case's flavour: 0 = finite
+/// eighth-steps, 1 = five distinct values and signed zeros (heavy
+/// ties), 2 = eighth-steps with a sprinkle of specials (a non-finite
+/// minority), 3 = ties with a third specials (non-finite survivors).
+fn oracle_value(mode: u32, pick: u32, raw: i32) -> f32 {
+    let eighths = raw as f32 * 0.125;
+    let tied = (raw.rem_euclid(5) - 2) as f32 * 0.5;
+    let special = SPECIALS[raw.rem_euclid(6) as usize];
+    match mode {
+        0 => eighths,
+        1 if pick < 12 => SPECIALS[(pick % 2) as usize],
+        1 => tied,
+        2 if pick < 3 => special,
+        2 => eighths,
+        _ if pick < 16 => special,
+        _ => tied,
+    }
+}
+
+/// Cohorts of 1..=48 updates of five tensors each ([`ORACLE_LENS`]),
+/// with sample counts all zero, mixed zero/non-zero, or all non-zero.
+fn oracle_cohort() -> impl Strategy<Value = Cohort> {
+    let coords: usize = ORACLE_LENS.iter().sum();
+    (1usize..=48, 0u32..4, 0u32..3).prop_flat_map(move |(n, value_mode, sample_mode)| {
+        let one_update = (
+            proptest::collection::vec((0u32..48, -1000i32..1000), coords),
+            0u32..2,
+            1u64..500,
+        )
+            .prop_map(move |(draws, coin, count)| {
+                let mut values = draws
+                    .iter()
+                    .map(|&(pick, raw)| oracle_value(value_mode, pick, raw));
+                let tensors = ORACLE_LENS
+                    .iter()
+                    .map(|&len| {
+                        Tensor::from_vec(values.by_ref().take(len).collect(), &[len]).unwrap()
+                    })
+                    .collect();
+                let samples = match sample_mode {
+                    0 => 0,
+                    1 => count * u64::from(coin),
+                    _ => count,
+                };
+                (tensors, samples)
+            });
+        proptest::collection::vec(one_update, n)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The selection kernel is the naive rule, to the bit, for every
+    /// trim fraction and for the median.
+    #[test]
+    fn buffering_sinks_match_the_naive_oracle(
+        updates in oracle_cohort(),
+        trim_pct in 0u32..50,
+    ) {
+        let trim = f64::from(trim_pct) / 100.0;
+        assert_matches_oracle(RobustAggregation::TrimmedMean { trim }, &updates);
+        assert_matches_oracle(RobustAggregation::CoordinateMedian, &updates);
+    }
+}
+
+/// Ten clients, one coordinate, 10 samples each; `trim = 0.2` drops
+/// two values per end.
+fn ten_clients(values: [f32; 10]) -> Cohort {
+    values
+        .iter()
+        .map(|&v| (vec![Tensor::from_vec(vec![v], &[1]).unwrap()], 10))
+        .collect()
+}
+
+#[test]
+fn a_non_finite_minority_is_trimmed_and_a_surviving_one_propagates() {
+    let trimmed = RobustAggregation::TrimmedMean { trim: 0.2 };
+    let scalar = |spec, values| {
+        let out = assert_matches_oracle(spec, &ten_clients(values)).expect("non-empty round");
+        out[0].data()[0]
+    };
+    const INF: f32 = f32::INFINITY;
+    const NAN: f32 = f32::NAN;
+    // Non-finite uploads sort to the ends under `total_cmp` (-NaN and
+    // -Inf lowest, +Inf and +NaN highest) and are the first to go: up
+    // to g = 2 per end leave the mean finite.
+    for minority in [
+        [1.0, NAN, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0], // fewer than g
+        [1.0, NAN, 2.0, 3.0, INF, 5.0, 6.0, 7.0, 8.0, 9.0], // g, one end
+        [NEG_NAN, -INF, 2.0, 3.0, INF, NAN, 6.0, 7.0, 8.0, 9.0], // g at each end
+    ] {
+        let mean = scalar(trimmed, minority);
+        assert!(mean.is_finite(), "{minority:?} -> {mean}");
+    }
+    // One more than g at one end: the innermost survives the trim and
+    // the mean is whatever IEEE makes of it — still the oracle's value.
+    let poisoned = [1.0, INF, 2.0, NAN, INF, 5.0, 6.0, 7.0, 8.0, 9.0];
+    assert_eq!(scalar(trimmed, poisoned), INF);
+    let poisoned = [1.0, NAN, 2.0, NAN, NAN, 5.0, 6.0, 7.0, 8.0, 9.0];
+    assert!(scalar(trimmed, poisoned).is_nan());
+    // The median is the g = (k - 1) / 2 case: four non-finite uploads
+    // on one side cannot reach the two central values, five can.
+    let minority = [INF, NAN, 2.0, 3.0, INF, 5.0, 6.0, 7.0, NAN, 9.0];
+    assert_eq!(scalar(RobustAggregation::CoordinateMedian, minority), 8.0);
+    let half = [INF, NAN, 2.0, 3.0, INF, 5.0, INF, 7.0, NAN, 9.0];
+    assert_eq!(scalar(RobustAggregation::CoordinateMedian, half), INF);
 }

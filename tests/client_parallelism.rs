@@ -2,11 +2,13 @@
 //!
 //! The engine's contract (`ft_fedsim::exec`) is that `FT_CLIENT_THREADS`
 //! changes wall-clock only, never a single report byte. These tests run
-//! real canned scenarios — one skew-heavy, one fault-heavy — at thread
-//! widths 1 and 4 and require identical digests, with and without a
-//! kill/resume in the middle of the round sequence, and additionally
-//! pin the digests to the committed goldens so a rescheduling bug
-//! cannot hide behind "identical but both wrong".
+//! real canned scenarios — one skew-heavy, one fault-heavy, and the
+//! byzantine pair behind a streaming sink and behind the buffering
+//! trimmed mean, whose order-statistics kernel fans out over the same
+//! pool — at thread widths 1 and 4 and require identical digests, with
+//! and without a kill/resume in the middle of the round sequence, and
+//! additionally pin the digests to the committed goldens so a
+//! rescheduling bug cannot hide behind "identical but both wrong".
 //!
 //! This file is its own process, so it pins the tensor pool to 4
 //! threads (`FT_TENSOR_THREADS`) before first pool use — on a
@@ -42,6 +44,13 @@ fn digest_with_threads(scenario: &str, threads: &str, opts: &RunOptions) -> Opti
     outcome.digest
 }
 
+const SCENARIOS: [&str; 4] = [
+    "dirichlet-skew",
+    "high-dropout",
+    "byzantine-signflip",
+    "byzantine-trimmed-mean",
+];
+
 fn quick() -> RunOptions {
     RunOptions {
         quick: true,
@@ -53,7 +62,7 @@ fn quick() -> RunOptions {
 fn digests_identical_across_client_thread_counts() {
     let _guard = env_lock().lock().unwrap();
     let goldens = registry::load_goldens().expect("goldens.json is committed");
-    for scenario in ["dirichlet-skew", "high-dropout"] {
+    for scenario in SCENARIOS {
         let serial = digest_with_threads(scenario, "1", &quick()).expect("finished");
         let parallel = digest_with_threads(scenario, "4", &quick()).expect("finished");
         assert_eq!(
@@ -72,7 +81,7 @@ fn digests_identical_across_client_thread_counts() {
 fn kill_resume_mid_sequence_is_thread_count_independent() {
     let _guard = env_lock().lock().unwrap();
     let goldens = registry::load_goldens().expect("goldens.json is committed");
-    for scenario in ["dirichlet-skew", "high-dropout"] {
+    for scenario in SCENARIOS {
         let path: PathBuf = std::env::temp_dir().join(format!(
             "ft-client-par-{scenario}-{}.json",
             std::process::id()
