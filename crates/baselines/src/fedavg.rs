@@ -88,10 +88,10 @@ impl<D: ShardSource> Method for FedAvg<D> {
                 seed: cx.client_seed(c),
             })
             .collect();
-        // Stream every update into the configured aggregation fold as
-        // it lands (plain FedAvg by default; buffering robust sinks
-        // retain the cohort's updates until finish). The default spec
-        // builds a plain FedAvgSink, so undefended runs fold the exact
+        // Stream every update into the configured aggregation rule as
+        // it lands (plain FedAvg by default; the buffering rules retain
+        // the cohort's updates until finish). The rule is a field of
+        // the one aggregation core, so undefended runs fold the exact
         // op sequence they always did.
         let mut sink = RobustSink::new(self.robust);
         let replies = cx.train(tasks, std::slice::from_ref(&self.model), &mut sink)?;

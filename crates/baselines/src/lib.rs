@@ -23,9 +23,11 @@
 //! client engine (`ft_fedsim::exec`, gated by `FT_CLIENT_THREADS`):
 //! FedAvg/HeteroFL/FLuID fan out one task per participant, SplitMix
 //! one task per `(participant, base)` pair. Each update streams into
-//! an [`ft_fedsim::sink::UpdateSink`] the moment it lands — a
-//! [`ft_fedsim::sink::FedAvgSink`] for the weighted-mean family, a
-//! [`ScatterSink`] for the submodel-overlap family — and is dropped
+//! an [`ft_fedsim::sink::UpdateSink`] the moment it lands — the one
+//! [`ft_fedsim::sink::Aggregator`] (as `RobustSink::new(rule)` or
+//! `FedAvgSink::grouped(..)`) for the weighted-mean family, a
+//! [`ScatterSink`] for the submodel-overlap family, both behind the
+//! same manifest-order [`ft_fedsim::sink::Cursor`] — and is dropped
 //! right after, so peak memory is bounded by the in-flight window.
 //! Folds always run in fixed task order, never completion order, so
 //! baseline reports — like FedTrans's — are byte-identical at any

@@ -9,18 +9,23 @@
 //! task order, so the scatter op sequence — and therefore the digest —
 //! is identical to the retired batch loop at any in-flight window.
 
-use ft_fedsim::sink::{ClientUpdate, RoundManifest, UpdateSink};
+use ft_fedsim::sink::{all_finite, ClientUpdate, Cursor, RoundManifest, UpdateSink};
 use ft_fedsim::{Result, SimError};
 use ft_model::crop::finalize_overlap;
 use ft_model::CellModel;
 use ft_tensor::Tensor;
 
-use crate::submodel::{scatter_maps, KeepPlan};
+use crate::submodel::{scatter_maps, KeepPlan, TensorMap};
 use crate::tensor_select::{scatter_add1, scatter_add2};
 
 /// The [`UpdateSink`] form of corner/invariant-dropout overlap
 /// aggregation: one global-shaped accumulator plus per-element counts,
 /// scatter-added into by each update's keep plan.
+///
+/// The reducer is its own (per-element counts, not one weight per
+/// update); the manifest-order protocol is the shared [`Cursor`]. An
+/// update holding a non-finite value is consumed but not scattered — it
+/// adds to no element's count, so the overlap average needs no rescale.
 pub struct ScatterSink<'a> {
     global: &'a CellModel,
     /// Per *task index*: the plan that cut that task's submodel.
@@ -28,33 +33,33 @@ pub struct ScatterSink<'a> {
     original: Vec<Tensor>,
     agg: Vec<Tensor>,
     counts: Vec<Tensor>,
-    expected: usize,
-    absorbed: usize,
-    finished: bool,
+    cursor: Cursor,
+    rejected: u64,
+}
+
+/// The dims of the submodel tensor `map` scatters into a global tensor
+/// of dims `global`: the kept indices per axis, the full axis where the
+/// map is the identity.
+fn submodel_dims<'m>(map: &'m TensorMap, global: &'m [usize]) -> impl Iterator<Item = usize> + 'm {
+    [&map.rows, &map.cols]
+        .into_iter()
+        .take(if map.rank1 { 1 } else { 2 })
+        .zip(global)
+        .map(|(kept, &full)| kept.as_ref().map_or(full, Vec::len))
 }
 
 impl<'a> ScatterSink<'a> {
     /// Builds the sink for one round: `plans[t]` is the keep plan task
     /// `t`'s submodel was extracted with from `global`.
     pub fn new(global: &'a CellModel, plans: Vec<&'a KeepPlan>) -> Self {
-        let original = global.snapshot();
-        let agg: Vec<Tensor> = original
-            .iter()
-            .map(|t| Tensor::zeros(t.shape().dims()))
-            .collect();
-        let counts: Vec<Tensor> = original
-            .iter()
-            .map(|t| Tensor::zeros(t.shape().dims()))
-            .collect();
         ScatterSink {
             global,
             plans,
-            original,
-            agg,
-            counts,
-            expected: 0,
-            absorbed: 0,
-            finished: false,
+            original: global.snapshot(),
+            agg: Vec::new(),
+            counts: Vec::new(),
+            cursor: Cursor::default(),
+            rejected: 0,
         }
     }
 
@@ -66,11 +71,14 @@ impl<'a> ScatterSink<'a> {
     /// Panics when called before [`UpdateSink::finish`] — extracting a
     /// half-folded aggregate is always a bug.
     pub fn take_aggregate(&mut self) -> Vec<Tensor> {
-        assert!(
-            self.finished,
-            "take_aggregate before finish(): the fold is incomplete"
-        );
+        self.cursor.assert_finished("take_aggregate");
         std::mem::take(&mut self.agg)
+    }
+
+    /// Updates this round consumed but did not scatter because they
+    /// held a non-finite value.
+    pub fn rejected_updates(&self) -> u64 {
+        self.rejected
     }
 }
 
@@ -85,21 +93,49 @@ impl UpdateSink for ScatterSink<'_> {
                 )));
             }
         }
-        self.expected = manifest.tasks.len();
-        self.absorbed = 0;
-        self.finished = false;
+        let zeros = || -> Vec<Tensor> {
+            self.original
+                .iter()
+                .map(|t| Tensor::zeros(t.shape().dims()))
+                .collect()
+        };
+        self.agg = zeros();
+        self.counts = zeros();
+        self.rejected = 0;
+        self.cursor.begin(manifest);
         Ok(())
     }
 
     fn absorb(&mut self, update: ClientUpdate) -> Result<()> {
-        let plan = self.plans.get(update.task).ok_or_else(|| {
-            SimError::protocol(format!(
-                "absorb of task {} outside the sink's {} keep plans",
+        self.cursor.admit(&update)?;
+        // An admitted task is a manifest task, and `begin_round` found a
+        // plan for each of those.
+        let maps = scatter_maps(self.global, self.plans[update.task]);
+        if maps.len() != update.weights.len() {
+            return Err(SimError::protocol(format!(
+                "update for task {} has {} tensors, its keep plan cuts {}",
                 update.task,
-                self.plans.len()
-            ))
-        })?;
-        let maps = scatter_maps(self.global, plan);
+                update.weights.len(),
+                maps.len()
+            )));
+        }
+        for (ti, ((map, src), full)) in maps.iter().zip(&update.weights).zip(&self.agg).enumerate()
+        {
+            let cut = || submodel_dims(map, full.shape().dims());
+            if !src.shape().dims().iter().copied().eq(cut()) {
+                return Err(SimError::protocol(format!(
+                    "update for task {} has dims {:?} in tensor {ti}, its keep plan cuts {:?}",
+                    update.task,
+                    src.shape().dims(),
+                    cut().collect::<Vec<_>>()
+                )));
+            }
+        }
+        self.cursor.advance();
+        if !all_finite(&update.weights) {
+            self.rejected += 1;
+            return Ok(());
+        }
         for ((map, src), (a, c)) in maps
             .iter()
             .zip(&update.weights)
@@ -117,22 +153,15 @@ impl UpdateSink for ScatterSink<'_> {
                 scatter_add2(a, c, src, map.rows.as_deref(), map.cols.as_deref(), 1.0);
             }
         }
-        self.absorbed += 1;
         // `update` drops here: nothing per-client is retained.
         Ok(())
     }
 
     fn finish(&mut self) -> Result<()> {
-        if self.absorbed != self.expected {
-            return Err(SimError::protocol(format!(
-                "finish after {} of {} manifest tasks were absorbed",
-                self.absorbed, self.expected
-            )));
-        }
+        self.cursor.finish()?;
         for ((a, c), orig) in self.agg.iter_mut().zip(&self.counts).zip(&self.original) {
             finalize_overlap(a, c, orig);
         }
-        self.finished = true;
         Ok(())
     }
 }
@@ -224,38 +253,5 @@ mod tests {
         }
         sink.finish().unwrap();
         assert_eq!(sink.take_aggregate(), agg);
-    }
-
-    #[test]
-    fn finish_requires_all_absorbs() {
-        let g = global();
-        let plan = KeepPlan::corner(&g, 0.5);
-        let mut sink = ScatterSink::new(&g, vec![&plan]);
-        sink.begin_round(&RoundManifest {
-            round: 0,
-            tasks: &[TaskSpec {
-                task: 0,
-                client: 0,
-                samples: 5,
-            }],
-        })
-        .unwrap();
-        assert!(sink.finish().is_err());
-    }
-
-    #[test]
-    fn manifest_task_outside_plans_is_rejected() {
-        let g = global();
-        let plan = KeepPlan::corner(&g, 0.5);
-        let mut sink = ScatterSink::new(&g, vec![&plan]);
-        let err = sink.begin_round(&RoundManifest {
-            round: 0,
-            tasks: &[TaskSpec {
-                task: 3,
-                client: 0,
-                samples: 5,
-            }],
-        });
-        assert!(err.is_err());
     }
 }

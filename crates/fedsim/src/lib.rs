@@ -77,8 +77,8 @@ pub use driver::{Algorithm, RunContext, Runner};
 pub use error::SimError;
 pub use faults::FaultConfig;
 pub use sink::{
-    ClientUpdate, CoordinateMedianSink, FedAvgSink, NormClipSink, RobustAggregation, RobustSink,
-    RoundManifest, TaskSpec, TrimmedMeanSink, UpdateSink,
+    Aggregator, ClientUpdate, FedAvgSink, RobustAggregation, RobustSink, RoundManifest, TaskSpec,
+    UpdateSink,
 };
 
 /// Convenience alias for results produced by the simulator.

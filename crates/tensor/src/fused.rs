@@ -267,38 +267,6 @@ pub fn dequant_scale(dst: &mut [f32], q: &[i8], scale: f32) {
     });
 }
 
-/// `acc[i] += alpha * (q[i] as f32 * scale)` — fused int8
-/// dequant-accumulate: folds a quantized client update straight into
-/// the running aggregate with no intermediate f32 buffer. The
-/// dequantized term is materialized per element (`mul`, `mul`, `add`
-/// — no contraction), bit-identical to dequantize-then-[`axpy`].
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn dequant_axpy(acc: &mut [f32], alpha: f32, q: &[i8], scale: f32) {
-    assert_eq!(acc.len(), q.len(), "fused dequant_axpy length mismatch");
-    let kern = simd::active();
-    let (pa, pq) = (MutPtr(acc.as_mut_ptr()), ConstPtrI8(q.as_ptr()));
-    dispatch(acc.len(), &|s, e| {
-        // SAFETY: ranges are disjoint and in-bounds (dispatch contract).
-        let (acc, q) = unsafe { (sub_mut(&pa, s, e), sub_ref_i8(&pq, s, e)) };
-        match kern {
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx2Fma => {
-                // SAFETY: `simd::active` only returns supported tiers.
-                unsafe { simd::x86::dequant_axpy_avx2(acc, alpha, q, scale) }
-            }
-            _ => {
-                for (x, &qv) in acc.iter_mut().zip(q) {
-                    let t = qv as f32 * scale;
-                    *x += alpha * t;
-                }
-            }
-        }
-    });
-}
-
 /// Fused SGD-with-momentum update, one pass over `p`/`v`/`g`:
 ///
 /// ```text

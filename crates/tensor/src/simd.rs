@@ -614,39 +614,6 @@ pub(crate) mod x86 {
             *x = qv as f32 * scale;
         }
     }
-
-    /// `acc[i] += alpha * (q[i] as f32 * scale)` — fused int8
-    /// dequant-accumulate (dequantize then `axpy`, no intermediate
-    /// buffer; `mul`/`mul`/`add`, no FMA).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support; slices must be equal
-    /// length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dequant_axpy_avx2(acc: &mut [f32], alpha: f32, q: &[i8], scale: f32) {
-        debug_assert_eq!(acc.len(), q.len());
-        let n = acc.len();
-        let (pa, pq) = (acc.as_mut_ptr(), q.as_ptr());
-        let (vscale, valpha) = (_mm256_set1_ps(scale), _mm256_set1_ps(alpha));
-        let mut i = 0;
-        while i + LANES <= n {
-            // SAFETY: i + 8 ≤ n, so 8 bytes of q and 8 f32s of acc are
-            // in bounds.
-            unsafe {
-                let qi = _mm_loadl_epi64(pq.add(i) as *const __m128i);
-                let qf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qi));
-                let t = _mm256_mul_ps(qf, vscale);
-                let va = _mm256_loadu_ps(pa.add(i));
-                _mm256_storeu_ps(pa.add(i), _mm256_add_ps(va, _mm256_mul_ps(valpha, t)));
-            }
-            i += LANES;
-        }
-        for (x, &qv) in acc[i..].iter_mut().zip(&q[i..]) {
-            let t = qv as f32 * scale;
-            *x += alpha * t;
-        }
-    }
 }
 
 #[cfg(test)]

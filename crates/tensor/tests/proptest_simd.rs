@@ -8,7 +8,7 @@
 //! not an epsilon band: GEMM across remainder tiles (`m % MR ≠ 0`,
 //! `n % NR ≠ 0`, `k` below and above one k-block), every fused
 //! element-wise kernel (including NaN/signed-zero edges through
-//! Yogi's `signum`), the int8 dequant kernels, and a sweep of
+//! Yogi's `signum`), the int8 dequant kernel, and a sweep of
 //! autotune `(mc, kc)` choices. The opt-in FMA tier contracts
 //! mul+add in the GEMM micro-kernel, so it is checked against a
 //! relative band instead — and excluded from every golden digest.
@@ -322,11 +322,8 @@ proptest! {
     fn dequant_tiers_agree(
         q in proptest::collection::vec(-127i8..=127, 1..600),
         scale in 0.0f32..0.5,
-        alpha in -10.0f32..10.0,
-        seed in 0u64..1000,
     ) {
         let _guard = lock();
-        let acc = seeded_vec(q.len(), seed);
         assert_all_tiers_bit_equal(
             || {
                 let mut dst = vec![0.0f32; q.len()];
@@ -335,28 +332,6 @@ proptest! {
             },
             "dequant_scale",
         );
-        assert_all_tiers_bit_equal(
-            || {
-                let mut x = acc.clone();
-                fused::dequant_axpy(&mut x, alpha, &q, scale);
-                x
-            },
-            "dequant_axpy",
-        );
-        // The fused fold must equal dequantize-then-axpy exactly, on
-        // every tier.
-        for k in simd::available() {
-            let (fused_out, two_step) = under(k, || {
-                let mut f = acc.clone();
-                fused::dequant_axpy(&mut f, alpha, &q, scale);
-                let mut dst = vec![0.0f32; q.len()];
-                fused::dequant_scale(&mut dst, &q, scale);
-                let mut t = acc.clone();
-                fused::axpy(&mut t, alpha, &dst);
-                (f, t)
-            });
-            prop_assert_eq!(bits(&fused_out), bits(&two_step));
-        }
     }
 }
 

@@ -6,9 +6,10 @@
 //! spine, [`ft_fedsim::Runner`], that runs every method behind the
 //! [`ft_fedsim::Algorithm`] interface), and [`ft_harness`] (the
 //! config-driven scenario system behind the `ft-run` CLI). The streaming
-//! aggregation surface — [`UpdateSink`] and the [`FedAvgSink`] fold
-//! it ships with — is re-exported at this root because it is the one
-//! extension point every aggregation strategy implements. The
+//! aggregation surface — [`UpdateSink`] and the one aggregation core it
+//! ships with, [`FedAvgSink`] (an alias of `ft_fedsim::sink::Aggregator`)
+//! — is re-exported at this root because it is the one extension point
+//! every aggregation strategy implements. The
 //! remaining crates are implementation layers; see
 //! `docs/ARCHITECTURE.md` for the full crate map, the coordinator
 //! state machine, the dataflow of one round, and the determinism
