@@ -100,6 +100,47 @@ pub(crate) fn sample_prototypes(
     }
 }
 
+/// What a client's RNG stream decides before any sample is drawn: its
+/// label distribution and how many samples it holds.
+pub(crate) struct ShardPlan {
+    /// The client's Dirichlet label distribution.
+    pub label_dist: Vec<f32>,
+    /// Training samples in the shard.
+    pub n_train: usize,
+    /// Held-out samples in the shard.
+    pub n_test: usize,
+}
+
+/// Draws the head of a client's RNG stream: the Dirichlet label
+/// distribution, then the log-normal sample count, split into train
+/// and test. [`generate_client`] starts with this call and
+/// [`crate::SparseFederatedData`] prices a shard's length with it alone,
+/// so the length a round is priced at and the length the generated
+/// shard has come from the same draws, in the same order, through the
+/// same clamps.
+///
+/// # Panics
+///
+/// Panics when `config.sample_spread` is not finite, or when
+/// `config.mean_samples` is below 2 (the count clamp needs
+/// `8 <= 6 * mean_samples`).
+pub(crate) fn plan_client(config: &DatasetConfig, rng: &mut rand::rngs::StdRng) -> ShardPlan {
+    let count_dist = LogNormal::new(
+        (config.mean_samples.max(2) as f32).ln() as f64,
+        config.sample_spread as f64,
+    )
+    .expect("spread finite");
+    let label_dist = sample_dirichlet(rng, config.num_classes, config.dirichlet_alpha);
+    let n_total = (count_dist.sample(rng).round() as usize).clamp(8, config.mean_samples * 6);
+    let n_test = ((n_total as f32 * config.test_fraction).round() as usize).max(2);
+    let n_train = (n_total - n_test.min(n_total)).max(4);
+    ShardPlan {
+        label_dist,
+        n_train,
+        n_test,
+    }
+}
+
 /// Generates one client's shard from the shared prototypes. Draws from
 /// `rng` in a fixed order, so the same RNG state always yields the
 /// same shard — `generate` threads one sequential RNG through every
@@ -122,16 +163,12 @@ pub(crate) fn generate_client(
     let directions = &protos.directions;
     let noise = Normal::new(0.0f32, config.noise_std).expect("noise_std finite");
     let shift = Normal::new(0.0f32, config.shift_std).expect("shift_std finite");
-    let count_dist = LogNormal::new(
-        (config.mean_samples.max(2) as f32).ln() as f64,
-        config.sample_spread as f64,
-    )
-    .expect("spread finite");
 
-    let label_dist = sample_dirichlet(rng, config.num_classes, config.dirichlet_alpha);
-    let n_total = (count_dist.sample(rng).round() as usize).clamp(8, config.mean_samples * 6);
-    let n_test = ((n_total as f32 * config.test_fraction).round() as usize).max(2);
-    let n_train = (n_total - n_test.min(n_total)).max(4);
+    let ShardPlan {
+        label_dist,
+        n_train,
+        n_test,
+    } = plan_client(config, rng);
     // Difficulty spread: deterministic ramp + jitter keeps the
     // population covering the full range at any client count.
     let ramp = client_idx as f32 / config.num_clients.max(1) as f32;

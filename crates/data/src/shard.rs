@@ -14,7 +14,7 @@ use std::borrow::Cow;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::generator::{generate_client, sample_prototypes, Prototypes};
+use crate::generator::{generate_client, plan_client, sample_prototypes, Prototypes};
 use crate::{ClientData, DatasetConfig, FederatedDataset, InputSpec};
 
 /// A source of per-client training shards.
@@ -30,11 +30,15 @@ pub trait ShardSource: Sync {
     fn shard(&self, client: usize) -> Cow<'_, ClientData>;
 
     /// Number of training samples in `client`'s shard. The coordinator
-    /// uses this to price a round's compute before any training runs;
-    /// the default derives it from [`ShardSource::shard`].
-    fn train_len(&self, client: usize) -> usize {
-        self.shard(client).train_len()
-    }
+    /// calls this once per task, serially, to price a round's compute
+    /// before any training runs.
+    ///
+    /// There is deliberately no default. `self.shard(client).train_len()`
+    /// is free for a source that borrows and a trap for one that
+    /// derives shards on demand: it builds every selected client's
+    /// whole shard just to read its length, and training then builds it
+    /// again. An implementation must cost less than the shard.
+    fn train_len(&self, client: usize) -> usize;
 }
 
 impl ShardSource for [ClientData] {
@@ -139,30 +143,52 @@ impl SparseFederatedData {
     }
 }
 
+impl SparseFederatedData {
+    /// The stateless per-client RNG stream every derivation starts
+    /// from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `client` is outside the population.
+    fn client_rng(&self, client: usize) -> rand::rngs::StdRng {
+        assert!(
+            client < self.config.num_clients,
+            "client index {client} out of range for population of {}",
+            self.config.num_clients
+        );
+        rand::rngs::StdRng::seed_from_u64(shard_seed(self.config.seed, client))
+    }
+}
+
 impl ShardSource for SparseFederatedData {
     fn num_clients(&self) -> usize {
         self.config.num_clients
     }
 
     fn shard(&self, client: usize) -> Cow<'_, ClientData> {
-        assert!(
-            client < self.config.num_clients,
-            "client index {client} out of range for population of {}",
-            self.config.num_clients
-        );
-        let mut rng = rand::rngs::StdRng::seed_from_u64(shard_seed(self.config.seed, client));
         Cow::Owned(generate_client(
             &self.config,
             self.protos(),
             client,
-            &mut rng,
+            &mut self.client_rng(client),
         ))
+    }
+
+    /// Replays only the head of the client's RNG stream — the draws
+    /// that decide its sample counts — through the same
+    /// `generator::plan_client` that `shard` starts with. No sample is
+    /// generated.
+    fn train_len(&self, client: usize) -> usize {
+        plan_client(&self.config, &mut self.client_rng(client)).n_train
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::{DriftConfig, DriftedShards};
 
     fn sparse(clients: usize) -> SparseFederatedData {
         SparseFederatedData::new(
@@ -197,12 +223,39 @@ mod tests {
         assert_ne!(xa, xc);
     }
 
-    #[test]
-    fn train_len_matches_generated_shard() {
-        let data = sparse(50);
-        for c in [0usize, 7, 49] {
-            assert_eq!(data.train_len(c), data.shard(c).train_len());
-            assert!(data.train_len(c) >= 4);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The length a round is priced at is the length the shard
+        /// trains on — for any volume skew, split, class count, seed
+        /// and client, with or without a drift view on top.
+        #[test]
+        fn sparse_train_len_matches_the_generated_shard(
+            mean_samples in 2usize..=120,
+            sample_spread in 0.0f32..2.5,
+            test_fraction in 0.0f32..1.0,
+            num_classes in 1usize..=24,
+            seed in 0u64..u64::MAX,
+            client in 0usize..1_000_000,
+            round in 0u32..40,
+        ) {
+            let mut config = DatasetConfig::femnist_like()
+                .with_num_clients(1_000_000)
+                .with_mean_samples(mean_samples)
+                .with_seed(seed);
+            config.sample_spread = sample_spread;
+            config.test_fraction = test_fraction;
+            config.num_classes = num_classes;
+            config.input = InputSpec::Flat { dim: 3 };
+            let data = SparseFederatedData::new(config);
+            let generated = data.shard(client).train_len();
+            prop_assert!(generated >= 4);
+            prop_assert_eq!(data.train_len(client), generated);
+
+            let drift = DriftConfig { period: 3, rotation: 5 };
+            let drifted = DriftedShards::new(&data, drift, round);
+            prop_assert_eq!(drifted.train_len(client), generated);
+            prop_assert_eq!(drifted.shard(client).train_len(), generated);
         }
     }
 

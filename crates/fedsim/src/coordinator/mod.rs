@@ -27,8 +27,9 @@
 //!    reaped.
 //! 3. **Aggregating** — delivered updates are *folded as they land*
 //!    into the round's [`crate::sink::UpdateSink`] (in task order,
-//!    bounded by [`RoundOptions::max_in_flight`] concurrent clients,
-//!    each update dropped after its absorb), then
+//!    while later clients are still training, at most
+//!    [`RoundOptions::max_in_flight`] updates alive at once, each
+//!    dropped after its absorb), then
 //!    [`Coordinator::finish_round`] notifies the cohort
 //!    ([`CoordinatorMessage::EndRound`]) and returns to standby.
 //!
@@ -51,7 +52,7 @@ pub mod message;
 pub mod participant;
 pub mod transport;
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -147,11 +148,15 @@ pub struct RoundOptions {
     /// How long a training device may stay silent before the
     /// coordinator declares it dropped.
     pub heartbeat_deadline_s: f64,
-    /// Cap on client updates in flight during the streaming fold (each
-    /// pins a model clone plus an uploaded weight set); `None` defers
-    /// to the executor thread budget. Peak round memory is
-    /// O(`max_in_flight`), never O(cohort), and the folded result is
-    /// bit-identical at any value.
+    /// Cap on client updates in flight during the streaming fold —
+    /// training, finished and waiting their turn, or being absorbed;
+    /// each pins a model clone or an uploaded weight set. A task starts
+    /// only while fewer than this many tasks before it are unabsorbed
+    /// (see [`crate::exec::try_stream_map`]). `None` means twice the
+    /// executor thread budget: one update training and one buffered per
+    /// lane. Peak round memory is O(`max_in_flight`), never O(cohort),
+    /// and the folded result is bit-identical at any value; `1` runs
+    /// the fold serially.
     pub max_in_flight: Option<usize>,
     /// Simulate int8-quantized uplinks: each update's weights and
     /// delta take a lossy int8 round trip (per-tensor scale) before
@@ -551,13 +556,16 @@ impl Coordinator {
     /// [`crate::trainer::expected_samples`]) — so the delivered set and
     /// all telemetry are decided before any weights exist.
     ///
-    /// Then the fold: delivered tasks execute in windows of at most
-    /// [`RoundOptions::max_in_flight`] concurrent clients, and each
-    /// update is absorbed into `sink` **in task order** (never arrival
-    /// order) and dropped immediately. Peak memory is O(in-flight),
-    /// not O(cohort), and the fold is bit-identical to materializing
-    /// every update first — at any thread count, any window, and any
-    /// within-tick delivery permutation. With
+    /// Then the fold, as one pipelined pool job
+    /// ([`crate::exec::try_stream_map`]): worker lanes train delivered
+    /// tasks while at most [`RoundOptions::max_in_flight`] of them are
+    /// unabsorbed, and whichever lane completes the next task in line
+    /// absorbs it into `sink` — **in task order** (never completion
+    /// order), overlapping the training of later tasks — and drops it.
+    /// Peak memory is O(in-flight), not O(cohort), and the fold is
+    /// bit-identical to materializing every update first — at any
+    /// thread count, any in-flight cap, and any within-tick delivery
+    /// permutation. With
     /// [`RoundOptions::quantize_updates`] set, each update's tensors
     /// take a lossy int8 round trip before absorption.
     ///
@@ -661,26 +669,30 @@ impl Coordinator {
             }
         }
 
+        // Per-device state lives in flat arrays indexed by *slot*: the
+        // rank of the device among this round's distinct task clients.
+        // Slots ascend with the client index, so every scan below walks
+        // devices in ascending client order.
+        let mut clients: Vec<usize> = task_meta.iter().map(|meta| meta.0).collect();
+        clients.sort_unstable();
+        clients.dedup();
+        let task_slot: Vec<usize> = task_meta
+            .iter()
+            .map(|meta| clients.partition_point(|&c| c < meta.0))
+            .collect();
+
         // Price every executing task from the manifest alone: the
         // sample count is a pure function of config and shard size, so
         // the full virtual-clock timeline exists before any training.
         let start = self.clock.now();
         let hb_ticks = ticks_for_seconds(self.opts.heartbeat_interval_s);
         let deadline_ticks = self.opts.heartbeat_deadline_ticks();
-        // BTreeMaps so the deadline/silence scans below walk clients in
-        // ascending order — reap order is part of the digested trace.
-        let mut last_signal: BTreeMap<usize, u64> = BTreeMap::new();
-        let mut open_tasks: BTreeMap<usize, Vec<usize>> = BTreeMap::new(); // client -> task idxs
-        for (client, ..) in &task_meta {
-            last_signal.insert(*client, start);
-        }
-        for i in 0..n {
-            let client = task_meta[i].0;
-            open_tasks.entry(client).or_default().push(i);
-        }
         let mut task_samples = vec![0u64; n];
-        let mut task_timing = vec![(0.0f64, 0u64); n]; // (elapsed_s, end tick)
-        let mut client_span: BTreeMap<usize, f64> = BTreeMap::new();
+        // (elapsed_s, end tick)
+        let mut task_timing = vec![(0.0f64, 0u64); n];
+        // A device's span is its slowest executing task; `None` for a
+        // device none of whose tasks execute.
+        let mut span_s: Vec<Option<f64>> = vec![None; clients.len()];
         for i in 0..n {
             if !executed[i] {
                 continue;
@@ -690,7 +702,7 @@ impl Coordinator {
             task_samples[i] = samples;
             let elapsed_s = self.cohort.round_time(round, client, macs, params, samples);
             task_timing[i] = (elapsed_s, start + ticks_for_seconds(elapsed_s));
-            let span = client_span.entry(client).or_insert(0.0);
+            let span = span_s[task_slot[i]].get_or_insert(0.0);
             if elapsed_s > *span {
                 *span = elapsed_s;
             }
@@ -701,19 +713,21 @@ impl Coordinator {
         // while slow ones go silent and the heartbeat deadline reaps
         // them. The default (no departure model) cutoff is ∞, which
         // keeps the schedule below bit-identical to the pre-churn one.
-        let mut cutoff: BTreeMap<usize, u64> = BTreeMap::new();
-        for (&client, &span_s) in &client_span {
-            if let Some(dep_s) = self.cohort.departure_s(round, client, span_s) {
-                cutoff.insert(client, start + ticks_for_seconds(dep_s));
-            }
-        }
+        let cutoff: Vec<u64> = clients
+            .iter()
+            .zip(&span_s)
+            .map(|(&client, span)| {
+                span.and_then(|span_s| self.cohort.departure_s(round, client, span_s))
+                    .map_or(u64::MAX, |dep_s| start + ticks_for_seconds(dep_s))
+            })
+            .collect();
         for i in 0..n {
             if !executed[i] {
                 continue;
             }
             let client = task_meta[i].0;
             let (elapsed_s, end) = task_timing[i];
-            let cut = cutoff.get(&client).copied().unwrap_or(u64::MAX);
+            let cut = cutoff[task_slot[i]];
             // Liveness beats every interval until the result lands. For
             // degenerate spans (a tiny interval against a huge round
             // time) the stride widens so no device ever schedules more
@@ -743,17 +757,21 @@ impl Coordinator {
         }
 
         // Collect: jump the clock from event to event; reap devices
-        // whose signals go silent past the deadline.
+        // whose signals go silent past the deadline. A device is live
+        // while it has open tasks — dispatched, no result yet, not
+        // reaped — so a reaped device (open tasks zeroed) drops out of
+        // both scans by itself.
+        let mut last_signal = vec![start; clients.len()];
+        let mut open_tasks = vec![0usize; clients.len()];
+        for &slot in &task_slot {
+            open_tasks[slot] += 1;
+        }
         let mut replies: Vec<Option<TrainReply>> = (0..n).map(|_| None).collect();
         let mut unresolved: usize = n;
-        let mut reaped: HashSet<usize> = HashSet::new();
         while unresolved > 0 {
-            let next_deadline = last_signal
-                .iter()
-                .filter(|(c, _)| {
-                    !reaped.contains(c) && open_tasks.get(c).is_some_and(|t| !t.is_empty())
-                })
-                .map(|(_, &t)| t + deadline_ticks)
+            let next_deadline = (0..clients.len())
+                .filter(|&slot| open_tasks[slot] > 0)
+                .map(|slot| last_signal[slot] + deadline_ticks)
                 .min();
             let target = match (self.transport.next_delivery(), next_deadline) {
                 (Some(a), Some(b)) => a.min(b),
@@ -767,7 +785,9 @@ impl Coordinator {
                 self.stats.messages_up += 1;
                 match msg {
                     ClientMessage::Heartbeat { .. } => {
-                        last_signal.insert(client, now);
+                        if let Ok(slot) = clients.binary_search(&client) {
+                            last_signal[slot] = now;
+                        }
                         self.stats.heartbeats += 1;
                     }
                     ClientMessage::EndTrainingRound {
@@ -776,12 +796,12 @@ impl Coordinator {
                         elapsed_s,
                         ..
                     } => {
-                        last_signal.insert(client, now);
-                        if let Some(open) = open_tasks.get_mut(&client) {
-                            open.retain(|&t| t != task);
-                        }
+                        let slot = task_slot[task];
+                        last_signal[slot] = now;
                         if replies[task].is_none() {
                             unresolved -= 1;
+                            // Already zero if the device was reaped.
+                            open_tasks[slot] = open_tasks[slot].saturating_sub(1);
                         }
                         replies[task] = Some(TrainReply {
                             task,
@@ -811,26 +831,16 @@ impl Coordinator {
             for (client, msg) in self.transport.recv_down(now) {
                 self.cohort.handle(client, &msg, now, &mut *self.transport);
             }
-            let silent: Vec<usize> = last_signal
-                .iter()
-                .filter(|(c, &seen)| {
-                    !reaped.contains(c)
-                        && open_tasks.get(c).is_some_and(|t| !t.is_empty())
-                        && now >= seen + deadline_ticks
-                })
-                .map(|(&c, _)| c)
-                .collect();
-            for client in silent {
-                reaped.insert(client);
-                self.stats.heartbeat_dropouts += 1;
-                if let Some(open) = open_tasks.get_mut(&client) {
-                    unresolved -= open.len();
-                    open.clear();
+            for slot in 0..clients.len() {
+                if open_tasks[slot] > 0 && now >= last_signal[slot] + deadline_ticks {
+                    self.stats.heartbeat_dropouts += 1;
+                    unresolved -= open_tasks[slot];
+                    open_tasks[slot] = 0;
                 }
             }
         }
 
-        // The fold: stream delivered tasks through the sink in task
+        // The fold: pipeline delivered tasks through the sink in task
         // order, at most `max_in_flight` updates alive at once.
         let delivered: Vec<usize> = (0..n).filter(|&i| replies[i].is_some()).collect();
         let specs: Vec<TaskSpec> = delivered
@@ -849,7 +859,14 @@ impl Coordinator {
             .opts
             .threads
             .unwrap_or_else(crate::exec::client_threads);
-        let window = self.opts.max_in_flight.unwrap_or(threads).max(1);
+        // Two slots per lane: one result training, one finished and
+        // waiting its turn, so a lane that runs ahead of the head does
+        // not stall on it (ARCHITECTURE.md, "Verdicts").
+        let window = self
+            .opts
+            .max_in_flight
+            .unwrap_or(threads.saturating_mul(2))
+            .max(1);
         let quantize = self.opts.quantize_updates;
         let run_seed = self.seed;
         let attack = self.adversity.attack;

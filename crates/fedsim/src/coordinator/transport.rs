@@ -20,6 +20,9 @@
 //! [`DeliveryOrder::Fifo`] and [`DeliveryOrder::Lifo`] policies exist
 //! for tests that want to drive the two extreme orders explicitly.
 
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use super::message::{ClientMessage, CoordinatorMessage};
 
 /// Within-tick delivery-order policy for [`InMemoryTransport`].
@@ -95,6 +98,9 @@ pub trait Transport: Send + Sync {
     fn clear(&mut self);
 }
 
+/// One in-flight message. Ordered by `(deliver_at, key)` alone — keys
+/// are unique per transport, so the order is total — and *reversed*, so
+/// the earliest message is the maximum of a [`BinaryHeap`].
 struct Queued<M> {
     peer: usize,
     deliver_at: u64,
@@ -102,13 +108,41 @@ struct Queued<M> {
     msg: M,
 }
 
-/// The deterministic in-memory [`Transport`]: a pair of queues ordered
-/// by `(deliver_at, order_key)` under a lock-step virtual clock.
+impl<M> Queued<M> {
+    fn rank(&self) -> (u64, (u64, u64)) {
+        (self.deliver_at, self.key)
+    }
+}
+
+impl<M> PartialEq for Queued<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.rank() == other.rank()
+    }
+}
+
+impl<M> Eq for Queued<M> {}
+
+impl<M> PartialOrd for Queued<M> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<M> Ord for Queued<M> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.rank().cmp(&self.rank())
+    }
+}
+
+/// The deterministic in-memory [`Transport`]: one priority queue per
+/// direction, ordered by `(deliver_at, order_key)`, under a lock-step
+/// virtual clock. The next delivery tick is the head of a queue, and a
+/// receive pops only what is due.
 pub struct InMemoryTransport {
     order: DeliveryOrder,
     seq: u64,
-    up: Vec<Queued<ClientMessage>>,
-    down: Vec<Queued<CoordinatorMessage>>,
+    up: BinaryHeap<Queued<ClientMessage>>,
+    down: BinaryHeap<Queued<CoordinatorMessage>>,
 }
 
 impl InMemoryTransport {
@@ -122,8 +156,8 @@ impl InMemoryTransport {
         InMemoryTransport {
             order,
             seq: 0,
-            up: Vec::new(),
-            down: Vec::new(),
+            up: BinaryHeap::new(),
+            down: BinaryHeap::new(),
         }
     }
 
@@ -134,19 +168,18 @@ impl InMemoryTransport {
     }
 }
 
-fn drain_due<M>(queue: &mut Vec<Queued<M>>, now: u64) -> Vec<(usize, M)> {
-    let mut due: Vec<Queued<M>> = Vec::new();
-    let mut rest: Vec<Queued<M>> = Vec::new();
-    for q in queue.drain(..) {
-        if q.deliver_at <= now {
-            due.push(q);
-        } else {
-            rest.push(q);
+/// Pops every message due at or before `now`, earliest tick first and
+/// in key order within a tick.
+fn drain_due<M>(queue: &mut BinaryHeap<Queued<M>>, now: u64) -> Vec<(usize, M)> {
+    let mut due = Vec::new();
+    while let Some(head) = queue.peek_mut() {
+        if head.deliver_at > now {
+            break;
         }
+        let q = PeekMut::pop(head);
+        due.push((q.peer, q.msg));
     }
-    *queue = rest;
-    due.sort_by_key(|q| (q.deliver_at, q.key));
-    due.into_iter().map(|q| (q.peer, q.msg)).collect()
+    due
 }
 
 impl Transport for InMemoryTransport {
@@ -179,14 +212,9 @@ impl Transport for InMemoryTransport {
     }
 
     fn next_delivery(&self) -> Option<u64> {
-        let up = self.up.iter().map(|q| q.deliver_at).min();
-        let down = self.down.iter().map(|q| q.deliver_at).min();
-        match (up, down) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        }
+        let up = self.up.peek().map(|q| q.deliver_at);
+        let down = self.down.peek().map(|q| q.deliver_at);
+        up.into_iter().chain(down).min()
     }
 
     fn pending(&self) -> usize {
@@ -265,6 +293,82 @@ mod tests {
         t.send_up(1, 2, hb(0));
         let order: Vec<usize> = t.recv_up(2).into_iter().map(|(c, _)| c).collect();
         assert_eq!(order, vec![0, 1], "earlier tick delivers first");
+    }
+
+    /// The wire as it was before the queues were ordered: one unsorted
+    /// list per direction sharing one key sequence, partitioned and
+    /// sorted by `(deliver_at, key)` on every receive. Kept here as the
+    /// reference the heaps must reproduce.
+    struct SortedOnReceive {
+        order: DeliveryOrder,
+        seq: u64,
+        /// `[up, down]`.
+        wire: [Vec<Sent>; 2],
+    }
+
+    /// `(deliver_at, key, peer)`.
+    type Sent = (u64, (u64, u64), usize);
+
+    impl SortedOnReceive {
+        fn send(&mut self, down: bool, peer: usize, deliver_at: u64) {
+            self.wire[usize::from(down)].push((deliver_at, self.order.key(self.seq), peer));
+            self.seq += 1;
+        }
+
+        fn recv(&mut self, down: bool, now: u64) -> Vec<usize> {
+            let wire = &mut self.wire[usize::from(down)];
+            let (mut due, rest): (Vec<_>, Vec<_>) = wire.drain(..).partition(|&(at, ..)| at <= now);
+            *wire = rest;
+            due.sort_by_key(|&(at, key, _)| (at, key));
+            due.into_iter().map(|(.., peer)| peer).collect()
+        }
+    }
+
+    #[test]
+    fn interleaved_sends_and_receives_deliver_in_the_sorted_wire_order() {
+        for order in [
+            DeliveryOrder::Seeded(0xFEED),
+            DeliveryOrder::Fifo,
+            DeliveryOrder::Lifo,
+        ] {
+            let mut heap = InMemoryTransport::with_order(order);
+            let mut reference = SortedOnReceive {
+                order,
+                seq: 0,
+                wire: [Vec::new(), Vec::new()],
+            };
+            // A fixed script of bursts: both directions draw keys from
+            // the one sequence, sends land at, before and after the
+            // tick of the receive that follows, receives skip ticks,
+            // and some messages are sent already overdue.
+            let mut now = 0u64;
+            let mut step = 0x9E37_79B9_7F4A_7C15u64;
+            for burst in 0..200usize {
+                for k in 0..(burst % 7) {
+                    step = mix(step);
+                    let deliver_at = (now + step % 6).saturating_sub(2);
+                    let (down, peer) = (step & 64 != 0, burst * 8 + k);
+                    if down {
+                        heap.send_down(peer, deliver_at, CoordinatorMessage::EndRound { round: 0 });
+                    } else {
+                        heap.send_up(peer, deliver_at, hb(0));
+                    }
+                    reference.send(down, peer, deliver_at);
+                }
+                let earliest = reference.wire.iter().flatten().map(|&(at, ..)| at).min();
+                assert_eq!(heap.next_delivery(), earliest, "{order:?} burst {burst}");
+                now += mix(step) % 3;
+                let up: Vec<usize> = heap.recv_up(now).into_iter().map(|(c, _)| c).collect();
+                let down: Vec<usize> = heap.recv_down(now).into_iter().map(|(c, _)| c).collect();
+                let at = format!("{order:?} burst {burst} tick {now}");
+                assert_eq!(up, reference.recv(false, now), "up, {at}");
+                assert_eq!(down, reference.recv(true, now), "down, {at}");
+                assert_eq!(
+                    heap.pending(),
+                    reference.wire.iter().map(Vec::len).sum::<usize>()
+                );
+            }
+        }
     }
 
     #[test]

@@ -151,7 +151,12 @@ pub struct ClientUpdate {
 /// …); after `finish` the algorithm extracts the aggregate through the
 /// sink's own accessors. See the [module docs](self) for a worked
 /// example and the determinism argument.
-pub trait UpdateSink {
+///
+/// `Send` is a supertrait because the streaming executor
+/// ([`crate::exec::try_stream_map`]) calls `absorb` from whichever
+/// worker lane completes the next update in task order — one call at a
+/// time, but not always from the same thread.
+pub trait UpdateSink: Send {
     /// Announces the round's delivered-task manifest. Called exactly
     /// once per round, before the first [`UpdateSink::absorb`].
     ///

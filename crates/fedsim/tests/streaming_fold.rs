@@ -5,10 +5,11 @@
 //! a `&[(Vec<Tensor>, u64)]` slice and folded the slice in one pass.
 //! The streaming [`FedAvgSink`] folds each update the moment it lands
 //! and drops it. Both must produce bitwise-equal averages — for any
-//! cohort, any completion-order permutation of the uploads, and any
-//! in-flight window size — because the sink replays the exact same
-//! `axpy(samples/total)` sequence in task order, no matter when each
-//! upload physically arrived.
+//! cohort, any in-flight window, and any schedule the pipelined
+//! executor (`ft_fedsim::exec::try_stream_map`) admits under its claim
+//! rule `index < consumed + window` — because the sink replays the
+//! exact same `axpy(samples/total)` sequence in task order, no matter
+//! when each upload physically arrived.
 
 use std::collections::BTreeMap;
 
@@ -39,15 +40,18 @@ fn batch_fedavg(updates: &[(Vec<Tensor>, u64)]) -> Option<Vec<Tensor>> {
 }
 
 /// Streams the same cohort through a [`FedAvgSink`], replaying the
-/// engine's dispatch discipline: tasks run in windows of
-/// `max_in_flight`; within a window, uploads *complete* in the given
-/// permutation order and sit in a reorder buffer until the contiguous
-/// task-order prefix can be absorbed (the sink rejects anything else).
+/// executor's discipline: a task may *start* only while
+/// `task < consumed + window`; started tasks *complete* in any order
+/// and sit in a reorder buffer until the contiguous task-order prefix
+/// can be absorbed (the sink rejects anything else). Each entry of
+/// `schedule` picks the next event among those the rule admits —
+/// complete one of the running tasks, or start the next one.
 fn stream_fedavg(
     updates: &[(Vec<Tensor>, u64)],
-    completion: &[usize],
-    max_in_flight: usize,
+    schedule: &[u64],
+    window: usize,
 ) -> Option<Vec<Tensor>> {
+    let n = updates.len();
     let specs: Vec<TaskSpec> = updates
         .iter()
         .enumerate()
@@ -64,28 +68,35 @@ fn stream_fedavg(
     })
     .unwrap();
 
+    let mut running: Vec<usize> = Vec::new();
     let mut buffered: BTreeMap<usize, ClientUpdate> = BTreeMap::new();
-    let mut cursor = 0usize;
-    let window_of = |task: usize| task / max_in_flight;
-    for wnd in 0..updates.len().div_ceil(max_in_flight) {
-        for &task in completion.iter().filter(|&&t| window_of(t) == wnd) {
-            buffered.insert(
+    let (mut next, mut consumed) = (0usize, 0usize);
+    for &pick in schedule {
+        let may_start = next < n && next < consumed + window;
+        let pick = pick as usize % (running.len() + usize::from(may_start));
+        if pick == running.len() {
+            running.push(next);
+            next += 1;
+            continue;
+        }
+        let task = running.swap_remove(pick);
+        buffered.insert(
+            task,
+            ClientUpdate {
                 task,
-                ClientUpdate {
-                    task,
-                    client: task,
-                    samples: updates[task].1,
-                    weights: updates[task].0.clone(),
-                    delta: Vec::new(),
-                },
-            );
-            while let Some(u) = buffered.remove(&cursor) {
-                sink.absorb(u).unwrap();
-                cursor += 1;
-            }
+                client: task,
+                samples: updates[task].1,
+                weights: updates[task].0.clone(),
+                delta: Vec::new(),
+            },
+        );
+        assert!(running.len() + buffered.len() <= window);
+        while let Some(u) = buffered.remove(&consumed) {
+            sink.absorb(u).unwrap();
+            consumed += 1;
         }
     }
-    assert!(buffered.is_empty(), "every upload must have been absorbed");
+    assert_eq!(consumed, n, "one start and one completion per task");
     sink.finish().unwrap();
     sink.take_average()
 }
@@ -93,9 +104,9 @@ fn stream_fedavg(
 /// Per-task weights + sample counts.
 type Cohort = Vec<(Vec<Tensor>, u64)>;
 
-/// A cohort, a completion-order permutation of it, and an in-flight
-/// cap.
-fn cohort() -> impl Strategy<Value = (Cohort, Vec<usize>, usize)> {
+/// A cohort, a schedule of `2n` event picks (every task starts once
+/// and completes once), and an in-flight window.
+fn cohort() -> impl Strategy<Value = (Cohort, Vec<u64>, usize)> {
     (1usize..=10).prop_flat_map(|n| {
         let one_update = (proptest::collection::vec(-1000i32..1000, 3 + 4), 0u64..500).prop_map(
             |(vals, samples)| {
@@ -109,16 +120,9 @@ fn cohort() -> impl Strategy<Value = (Cohort, Vec<usize>, usize)> {
         );
         (
             proptest::collection::vec(one_update, n),
-            proptest::collection::vec(0u64..u64::MAX, n),
+            proptest::collection::vec(0u64..u64::MAX, 2 * n),
             1usize..=n + 2,
         )
-            .prop_map(|(updates, keys, max_in_flight)| {
-                // Argsort of random keys: a uniform completion-order
-                // permutation (the vendored proptest has no shuffle).
-                let mut perm: Vec<usize> = (0..keys.len()).collect();
-                perm.sort_by_key(|&i| (keys[i], i));
-                (updates, perm, max_in_flight)
-            })
     })
 }
 
@@ -134,10 +138,10 @@ proptest! {
 
     #[test]
     fn streaming_fold_is_bit_identical_to_batch_fedavg(
-        (updates, completion, max_in_flight) in cohort()
+        (updates, schedule, window) in cohort()
     ) {
         let reference = batch_fedavg(&updates);
-        let streamed = stream_fedavg(&updates, &completion, max_in_flight);
+        let streamed = stream_fedavg(&updates, &schedule, window);
         match (reference, streamed) {
             (None, None) => {}
             (Some(r), Some(s)) => {
