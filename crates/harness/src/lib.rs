@@ -9,7 +9,7 @@
 //! [`runner`] executes any scenario deterministically, streams
 //! per-round metrics into the shared [`ft_fedsim::report::RunReport`],
 //! and supports kill/restart checkpoint-resume with byte-identical
-//! final reports. The [`registry`] ships 13 canned scenarios, each
+//! final reports. The [`registry`] ships 14 canned scenarios, each
 //! pinned by a committed quick-mode golden digest that CI re-checks on
 //! every push.
 //!

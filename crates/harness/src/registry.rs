@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use ft_data::{DatasetConfig, DriftConfig};
+use ft_data::{DatasetConfig, DriftConfig, InputSpec};
 use ft_fedsim::device::DeviceTier;
 use ft_fedsim::trainer::LocalTrainConfig;
 use ft_fedsim::{AvailabilityConfig, Corruption, FaultConfig, RobustAggregation};
@@ -242,6 +242,29 @@ pub fn canned() -> Vec<Scenario> {
     });
     label_drift.seed = 113;
 
+    let mut conv_small = base(
+        "conv-small",
+        "FedTrans on 12x12 RGB images (conv GEMMs wide enough for the pool-parallel kernel)",
+    );
+    conv_small.dataset = DatasetConfig::openimage_like()
+        .with_num_clients(16)
+        .with_mean_samples(30)
+        .with_seed(34);
+    conv_small.dataset.input = InputSpec::Image {
+        channels: 3,
+        height: 12,
+        width: 12,
+    };
+    // Fits the 16-channel seed model on the weakest device, so the
+    // second conv layer's GEMMs (16x144 by 144x1440 at batch 10) cross
+    // the pool-parallel work threshold from round 0.
+    conv_small.devices.base_capacity_macs = 480_000;
+    conv_small.clients_per_round = 4;
+    conv_small.rounds = 24;
+    conv_small.quick_rounds = 8;
+    conv_small.local.local_steps = 3;
+    conv_small.seed = 114;
+
     vec![
         iid_small,
         dirichlet_skew,
@@ -256,6 +279,7 @@ pub fn canned() -> Vec<Scenario> {
         byzantine_trimmed,
         diurnal_churn,
         label_drift,
+        conv_small,
     ]
 }
 
