@@ -14,7 +14,11 @@
 //!    a `round` entry timing one simulated round of parallel client
 //!    local training (the `ft_fedsim::exec` engine at full width)
 //!    against the serial client loop, so the bench regression gate
-//!    covers round wall-clock too.
+//!    covers round wall-clock too, and an ungated `nested` leg: the
+//!    three GEMMs of one `fedtrans-conv` layer issued from the main
+//!    thread (where they may fan out) versus from inside
+//!    `exec::par_map_indexed` lanes (where each must run as one
+//!    panel), in GFLOP/s summed over the lanes.
 //!
 //! `FT_BENCH_QUICK=1` trims sizes and repetitions to CI scale.
 //! `FT_TENSOR_THREADS` controls the worker pool as usual;
@@ -238,6 +242,56 @@ fn bench_round(reps: usize) -> serde_json::Value {
     })
 }
 
+/// The `nested` leg: one `fedtrans-conv` layer's GEMMs (16 → 16
+/// channels, 3×3, batch 10 of 16×16) from the main thread and from
+/// `lanes` concurrent `exec::par_map_indexed` lanes — the call context
+/// of every client's training and evaluation. Each timed call runs the
+/// product `BURST` times (a lane's local steps issue them back to back;
+/// one product would mostly time the pool's wake-up). A developer
+/// number, not gated: lanes that each deliver the main-thread
+/// single-panel rate mean a nested GEMM neither re-packs its operands
+/// nor fights the other lanes.
+fn nested_leg(reps: usize) -> serde_json::Value {
+    const BURST: usize = 16;
+    let (oc, ckk, cols) = (16usize, 144usize, 2560usize);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+    let w = ft_tensor::uniform(&mut rng, &[oc, ckk], -1.0, 1.0);
+    let x = ft_tensor::uniform(&mut rng, &[ckk, cols], -1.0, 1.0);
+    let dy = ft_tensor::uniform(&mut rng, &[oc, cols], -1.0, 1.0);
+    let lanes = ft_tensor::pool::max_parallelism();
+    let flop = (BURST * 2 * oc * ckk * cols) as f64;
+    let products: [(&str, &(dyn Fn() + Sync)); 3] = [
+        ("matmul", &|| drop(black_box(w.matmul(&x).unwrap()))),
+        ("matmul_t", &|| drop(black_box(dy.matmul_t(&x).unwrap()))),
+        ("t_matmul", &|| drop(black_box(w.t_matmul(&dy).unwrap()))),
+    ];
+    let mut legs = vec![("lanes".to_owned(), serde_json::json!(lanes))];
+    for (name, product) in products {
+        let burst = || (0..BURST).for_each(|_| product());
+        let main_s = time_median(burst, reps);
+        let nested_s = time_median(
+            || drop(ft_fedsim::exec::par_map_indexed(lanes, lanes, |_| burst())),
+            reps,
+        );
+        let (main_gflops, nested_gflops) =
+            (flop / main_s / 1e9, lanes as f64 * flop / nested_s / 1e9);
+        println!(
+            "conv {name} {oc}x{ckk}x{cols}: main thread {main_gflops:.1} GFLOP/s, \
+             {lanes} nested lanes {nested_gflops:.1} GFLOP/s in total"
+        );
+        legs.push((
+            name.to_owned(),
+            serde_json::json!({
+                "main_s": main_s,
+                "main_gflops": main_gflops,
+                "nested_s": nested_s,
+                "nested_total_gflops": nested_gflops,
+            }),
+        ));
+    }
+    serde_json::Value::Object(legs)
+}
+
 /// Emits `bench_results/matmul.json`: per-size scalar vs tiled timings
 /// for `matmul` and `matmul_t`, with speedups, so CI keeps a perf
 /// trajectory across PRs.
@@ -297,6 +351,7 @@ fn emit_json() {
         },
         "results": results,
         "round": bench_round(reps),
+        "nested": nested_leg(reps),
     });
     // `cargo bench` runs with the package as cwd; the shared artifact
     // helper anchors the path at the workspace root so local runs and

@@ -275,7 +275,9 @@ impl CellModel {
         let logits = self.forward(x)?;
         let acc = accuracy(&logits, labels)?;
         let (loss, _) = softmax_cross_entropy(&logits, labels)?;
-        // Forward caching is harmless here; clear it by zeroing nothing.
+        // The training forward caches activations for a backward that
+        // never runs; they are overwritten by the next forward, and no
+        // gradient is touched.
         Ok((loss, acc))
     }
 

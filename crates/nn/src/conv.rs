@@ -216,27 +216,26 @@ impl Conv2d {
     /// `[C·k·k, ld]` patch matrix (`ld` = batch·H·W for whole-batch
     /// lowering). `out` must be zero where no patch value lands (the
     /// same-padding border).
+    ///
+    /// Per kernel tap the in-image output rows and columns are one
+    /// range each ([`tap_range`]), so every patch row is a run of
+    /// straight slice copies with no per-element border test.
     fn im2col_into(&self, sample: &[f32], out: &mut [f32], off: usize, ld: usize) {
         let (h, w, k, c) = (self.height, self.width, self.kernel, self.in_channels);
-        let pad = k / 2;
         for ic in 0..c {
             let plane = &sample[ic * h * w..(ic + 1) * h * w];
             for ki in 0..k {
+                let (rows, ii0) = tap_range(ki, k, h);
                 for kj in 0..k {
-                    let row = ic * k * k + ki * k + kj;
-                    let base = row * ld + off;
-                    for oi in 0..h {
-                        let ii = oi as isize + ki as isize - pad as isize;
-                        if ii < 0 || ii >= h as isize {
-                            continue;
-                        }
-                        for oj in 0..w {
-                            let jj = oj as isize + kj as isize - pad as isize;
-                            if jj < 0 || jj >= w as isize {
-                                continue;
-                            }
-                            out[base + oi * w + oj] = plane[ii as usize * w + jj as usize];
-                        }
+                    let (cols, jj0) = tap_range(kj, k, w);
+                    if cols.is_empty() {
+                        continue;
+                    }
+                    let base = (ic * k * k + ki * k + kj) * ld + off;
+                    for (r, oi) in rows.clone().enumerate() {
+                        let dst = base + oi * w + cols.start;
+                        let src = (ii0 + r) * w + jj0;
+                        out[dst..dst + cols.len()].copy_from_slice(&plane[src..src + cols.len()]);
                     }
                 }
             }
@@ -245,26 +244,28 @@ impl Conv2d {
 
     /// Scatters columns `[off, off + H·W)` of a `[C·k·k, ld]` gradient
     /// matrix back onto one sample's `[C·H·W]` image gradient.
+    ///
+    /// `(ic, ki, kj)` stay the outer loops and a tap touches each image
+    /// element at most once, so every `dx` element still accumulates
+    /// its taps in ascending `(ki, kj)` order.
     fn col2im_from(&self, d: &[f32], off: usize, ld: usize, out: &mut [f32]) {
         let (h, w, k, c) = (self.height, self.width, self.kernel, self.in_channels);
-        let pad = k / 2;
         for ic in 0..c {
+            let plane = &mut out[ic * h * w..(ic + 1) * h * w];
             for ki in 0..k {
+                let (rows, ii0) = tap_range(ki, k, h);
                 for kj in 0..k {
-                    let row = ic * k * k + ki * k + kj;
-                    let base = row * ld + off;
-                    for oi in 0..h {
-                        let ii = oi as isize + ki as isize - pad as isize;
-                        if ii < 0 || ii >= h as isize {
-                            continue;
-                        }
-                        for oj in 0..w {
-                            let jj = oj as isize + kj as isize - pad as isize;
-                            if jj < 0 || jj >= w as isize {
-                                continue;
-                            }
-                            out[ic * h * w + ii as usize * w + jj as usize] +=
-                                d[base + oi * w + oj];
+                    let (cols, jj0) = tap_range(kj, k, w);
+                    if cols.is_empty() {
+                        continue;
+                    }
+                    let base = (ic * k * k + ki * k + kj) * ld + off;
+                    for (r, oi) in rows.clone().enumerate() {
+                        let src = base + oi * w + cols.start;
+                        let dst = (ii0 + r) * w + jj0;
+                        let grad = &d[src..src + cols.len()];
+                        for (o, &g) in plane[dst..dst + cols.len()].iter_mut().zip(grad) {
+                            *o += g;
                         }
                     }
                 }
@@ -395,10 +396,129 @@ impl Conv2d {
     }
 }
 
+/// For kernel tap `t` of a same-padded size-`k` kernel over an axis of
+/// `len` pixels: the output positions `o` whose input position
+/// `o + t - k/2` lies inside the image, and the input position the
+/// first of them reads (the rest follow one by one). The range is empty
+/// when the tap only ever sees padding (`len` shorter than the kernel's
+/// reach).
+fn tap_range(t: usize, k: usize, len: usize) -> (std::ops::Range<usize>, usize) {
+    let pad = k / 2;
+    let lo = pad.saturating_sub(t).min(len);
+    let hi = (len + pad).saturating_sub(t).min(len).max(lo);
+    (lo..hi, t.saturating_sub(pad))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    impl Conv2d {
+        /// The per-element lowering the slice version replaced, kept as
+        /// the oracle: every patch element tests its own border.
+        fn im2col_oracle(&self, sample: &[f32], out: &mut [f32], off: usize, ld: usize) {
+            let (h, w, k, c) = (self.height, self.width, self.kernel, self.in_channels);
+            let pad = k / 2;
+            for ic in 0..c {
+                let plane = &sample[ic * h * w..(ic + 1) * h * w];
+                for ki in 0..k {
+                    for kj in 0..k {
+                        let row = ic * k * k + ki * k + kj;
+                        let base = row * ld + off;
+                        for oi in 0..h {
+                            let ii = oi as isize + ki as isize - pad as isize;
+                            if ii < 0 || ii >= h as isize {
+                                continue;
+                            }
+                            for oj in 0..w {
+                                let jj = oj as isize + kj as isize - pad as isize;
+                                if jj < 0 || jj >= w as isize {
+                                    continue;
+                                }
+                                out[base + oi * w + oj] = plane[ii as usize * w + jj as usize];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Per-element scatter oracle for [`Conv2d::col2im_from`].
+        fn col2im_oracle(&self, d: &[f32], off: usize, ld: usize, out: &mut [f32]) {
+            let (h, w, k, c) = (self.height, self.width, self.kernel, self.in_channels);
+            let pad = k / 2;
+            for ic in 0..c {
+                for ki in 0..k {
+                    for kj in 0..k {
+                        let row = ic * k * k + ki * k + kj;
+                        let base = row * ld + off;
+                        for oi in 0..h {
+                            let ii = oi as isize + ki as isize - pad as isize;
+                            if ii < 0 || ii >= h as isize {
+                                continue;
+                            }
+                            for oj in 0..w {
+                                let jj = oj as isize + kj as isize - pad as isize;
+                                if jj < 0 || jj >= w as isize {
+                                    continue;
+                                }
+                                out[ic * h * w + ii as usize * w + jj as usize] +=
+                                    d[base + oi * w + oj];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// Slice-wise lowering and scatter against the per-element
+        /// oracles, bit for bit, at every sample's (non-zero) column
+        /// offset — including images shorter or narrower than the
+        /// kernel, where whole taps fall in the padding.
+        #[test]
+        fn slice_im2col_and_col2im_match_the_per_element_oracles(
+            kernel_idx in 0usize..3,
+            h in 1usize..=9,
+            w in 1usize..=9,
+            channels in 1usize..=4,
+            batch in 1usize..=3,
+            seed in 0u64..1 << 20,
+        ) {
+            let kernel = [1, 3, 5][kernel_idx];
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let conv = Conv2d::new(&mut rng, channels, 2, kernel, h, w);
+            let (hw, per_sample) = (h * w, channels * h * w);
+            let ld = batch * hw;
+            let patch_rows = channels * kernel * kernel;
+            let x = ft_tensor::uniform(&mut rng, &[batch, per_sample], -2.0, 2.0);
+            let d = ft_tensor::uniform(&mut rng, &[patch_rows, ld], -2.0, 2.0);
+
+            let mut cols = vec![0.0f32; patch_rows * ld];
+            let mut cols_oracle = cols.clone();
+            // Accumulate onto a non-zero image so a dropped or doubled
+            // tap cannot hide behind a zero.
+            let mut dx = x.data().to_vec();
+            let mut dx_oracle = dx.clone();
+            for s in 0..batch {
+                let sample = &x.data()[s * per_sample..(s + 1) * per_sample];
+                conv.im2col_into(sample, &mut cols, s * hw, ld);
+                conv.im2col_oracle(sample, &mut cols_oracle, s * hw, ld);
+                let image = s * per_sample..(s + 1) * per_sample;
+                conv.col2im_from(d.data(), s * hw, ld, &mut dx[image.clone()]);
+                conv.col2im_oracle(d.data(), s * hw, ld, &mut dx_oracle[image]);
+            }
+            prop_assert_eq!(bits(&cols), bits(&cols_oracle));
+            prop_assert_eq!(bits(&dx), bits(&dx_oracle));
+        }
+    }
 
     #[test]
     fn identity_conv_preserves_input() {

@@ -15,21 +15,24 @@
 //!    each index is executed exactly once. Results cannot depend on
 //!    thread count or scheduling.
 //! 2. **No deadlocks from nesting.** A task running on a pool worker
-//!    that calls [`parallel_for`] again executes its sub-tasks inline
-//!    (the GEMM kernels hit this when a parallel evaluation pass calls
-//!    a parallel matmul). Likewise, if another thread currently owns
-//!    the pool, the caller runs its tasks itself rather than queueing.
+//!    that calls [`parallel_for`] again executes its sub-tasks inline.
+//!    Likewise, if another thread currently owns the pool, the caller
+//!    runs its tasks itself rather than queueing. A caller that would
+//!    rather not split its work at all than run the pieces back to
+//!    back asks with [`try_parallel_for`], which runs nothing in
+//!    exactly those cases (the GEMM kernels do, when a parallel client
+//!    or evaluation pass calls a large matmul).
 //! 3. **Low dispatch overhead.** Workers are parked on a condvar
 //!    between jobs; a dispatch is one mutex lock plus a wake, so even
 //!    millisecond-scale GEMMs amortize it.
 //!
 //! Two fan-out granularities share this one pool: kernel tiles (GEMM
-//! row panels) and whole clients (the round-level engine in
+//! panels) and whole clients (the round-level engine in
 //! `ft_fedsim::exec`). [`parallel_for_budgeted`] lets the outer,
 //! memory-heavy client fan-out cap its thread budget, and the
 //! nested-dispatch guard keeps per-client GEMM fan-out from
 //! oversubscribing the host while client fan-out is active: a GEMM
-//! issued from inside a pool task runs inline on that worker.
+//! issued from inside a pool task runs as one panel on that worker.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -245,6 +248,28 @@ pub fn parallel_for(tasks: usize, task: &(dyn Fn(usize) + Sync)) {
     parallel_for_budgeted(tasks, usize::MAX, task);
 }
 
+/// [`parallel_for`] for callers that would rather not split their work
+/// at all than run the pieces one after another: fans `task(0..tasks)`
+/// out and returns `true`, or returns `false` **having run nothing**
+/// when the dispatch would be an inline loop — the caller is a pool
+/// worker, another submitter owns the pool, the pool has no workers, or
+/// there are fewer than two tasks. The ownership check and the claim
+/// are one critical section, so `false` is never a stale answer about a
+/// dispatch that then happens anyway.
+///
+/// The GEMM kernel is the caller this exists for: a product issued from
+/// inside a client lane computes one panel that packs each operand
+/// once, instead of a row of "parallel" panels that each re-pack the
+/// shared operand and then run back to back.
+///
+/// # Panics
+///
+/// As [`parallel_for_budgeted`].
+#[must_use]
+pub fn try_parallel_for(tasks: usize, task: &(dyn Fn(usize) + Sync)) -> bool {
+    dispatch(tasks, usize::MAX, task)
+}
+
 /// [`parallel_for`] with a cap on how many threads (submitter
 /// included) may execute tasks concurrently.
 ///
@@ -266,55 +291,60 @@ pub fn parallel_for(tasks: usize, task: &(dyn Fn(usize) + Sync)) {
 /// once every index has run. Pool-mutex poisoning (unreachable via
 /// task panics) also panics.
 pub fn parallel_for_budgeted(tasks: usize, max_threads: usize, task: &(dyn Fn(usize) + Sync)) {
-    if tasks == 0 {
-        return;
-    }
-    let pool = pool();
-    let serial =
-        tasks == 1 || max_threads <= 1 || pool.workers == 0 || IN_POOL_WORKER.with(Cell::get);
-    if serial {
+    if !dispatch(tasks, max_threads, task) {
         for i in 0..tasks {
             task(i);
         }
-        return;
+    }
+}
+
+/// Hands `task(0..tasks)` to the pool and blocks until every index has
+/// run, or returns `false` without running any when the job would not
+/// leave the calling thread (see [`try_parallel_for`]).
+///
+/// # Panics
+///
+/// Re-raises the first task panic once every index has run; panics if
+/// the pool mutex is poisoned (task panics never poison it; see
+/// [`Pool::run_tasks`]).
+fn dispatch(tasks: usize, max_threads: usize, task: &(dyn Fn(usize) + Sync)) -> bool {
+    if tasks <= 1 || max_threads <= 1 || IN_POOL_WORKER.with(Cell::get) {
+        return false;
+    }
+    let pool = pool();
+    if pool.workers == 0 {
+        return false;
     }
     // SAFETY: erasing the closure's lifetime is sound because this
     // function does not return until `finished == total`, after which
     // no worker dereferences `task` again (workers only touch the
     // closure between a successful index claim and the matching
-    // `finished` increment).
+    // `finished` increment). On the early `busy` return the pointer was
+    // never published.
     let task: *const (dyn Fn(usize) + Sync + 'static) =
         unsafe { std::mem::transmute(task as *const (dyn Fn(usize) + Sync)) };
-    let job = Arc::new(Job {
-        task,
-        next: AtomicUsize::new(0),
-        total: tasks,
-        finished: AtomicUsize::new(0),
-        max_claimants: max_threads,
-        claimants: AtomicUsize::new(1),
-        panic: Mutex::new(None),
-    });
-    {
+    let job = {
         let mut st = pool.state.lock().expect("pool mutex poisoned");
         if st.busy {
-            // Another submitter owns the pool; run inline instead of
-            // queueing behind it (avoids lock convoys and keeps
-            // worst-case latency bounded).
-            drop(st);
-            // SAFETY: `job.task` points at the caller's closure, which
-            // outlives this call; no worker ever saw this job (it was
-            // never installed in pool state), so the reference is
-            // unique to this inline loop.
-            let task = unsafe { &*job.task };
-            for i in 0..tasks {
-                task(i);
-            }
-            return;
+            // Another submitter owns the pool; the caller runs its work
+            // itself instead of queueing behind it (avoids lock convoys
+            // and keeps worst-case latency bounded).
+            return false;
         }
+        let job = Arc::new(Job {
+            task,
+            next: AtomicUsize::new(0),
+            total: tasks,
+            finished: AtomicUsize::new(0),
+            max_claimants: max_threads,
+            claimants: AtomicUsize::new(1),
+            panic: Mutex::new(None),
+        });
         st.busy = true;
         st.job = Some(Arc::clone(&job));
         st.epoch = st.epoch.wrapping_add(1);
-    }
+        job
+    };
     pool.work_cv.notify_all();
     // The submitter participates instead of idling.
     pool.run_tasks(&job);
@@ -334,6 +364,7 @@ pub fn parallel_for_budgeted(tasks: usize, max_threads: usize, task: &(dyn Fn(us
     if let Some(payload) = payload {
         resume_unwind(payload);
     }
+    true
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Multi-worker tests for the budgeted pool dispatch.
+//! Multi-worker tests for the budgeted pool dispatch and for
+//! `try_parallel_for`, the dispatch that refuses to run inline.
 //!
 //! This file is its own test binary, so it can pin the pool size with
 //! `FT_TENSOR_THREADS` *before* the pool is first touched — the in-crate
@@ -6,25 +7,56 @@
 //! core), which would leave the budget path untested on small CI
 //! runners.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Once;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Mutex, MutexGuard, Once};
 
-use ft_tensor::pool::{max_parallelism, parallel_for, parallel_for_budgeted};
+use ft_tensor::pool::{max_parallelism, parallel_for, parallel_for_budgeted, try_parallel_for};
 
 /// Forces a 7-worker pool (8 threads of parallelism) regardless of the
 /// host's core count. Must run before any other pool use in this
-/// process; every test funnels through it.
-fn pinned_pool() {
+/// process; every test funnels through it and holds the returned guard,
+/// because a pool has one owner at a time: a test that found it owned
+/// by a sibling would silently take the inline path instead of the one
+/// it means to exercise.
+fn pinned_pool() -> MutexGuard<'static, ()> {
     static PIN: Once = Once::new();
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    // A poisoned lock only means another test failed.
+    let guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     PIN.call_once(|| {
         std::env::set_var("FT_TENSOR_THREADS", "8");
         assert_eq!(max_parallelism(), 8);
+    });
+    guard
+}
+
+/// Runs `body` while another thread owns the pool: that thread's job
+/// has started (every task reported in) and cannot finish before `body`
+/// returns.
+fn while_another_submitter_owns_the_pool(body: impl FnOnce()) {
+    let release = AtomicBool::new(false);
+    let (started, running) = mpsc::channel::<()>();
+    let started = Mutex::new(started);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            parallel_for(2, &|_| {
+                started.lock().unwrap().send(()).unwrap();
+                while !release.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            });
+        });
+        // Both tasks are running, so the job is installed and live.
+        running.recv().unwrap();
+        running.recv().unwrap();
+        body();
+        release.store(true, Ordering::Release);
     });
 }
 
 #[test]
 fn budget_caps_concurrency_with_real_workers() {
-    pinned_pool();
+    let _pool = pinned_pool();
     for budget in [1usize, 2, 3] {
         let running = AtomicU64::new(0);
         let peak = AtomicU64::new(0);
@@ -45,7 +77,7 @@ fn budget_caps_concurrency_with_real_workers() {
 
 #[test]
 fn unbudgeted_dispatch_uses_multiple_threads() {
-    pinned_pool();
+    let _pool = pinned_pool();
     let running = AtomicU64::new(0);
     let peak = AtomicU64::new(0);
     parallel_for(64, &|_| {
@@ -62,7 +94,7 @@ fn unbudgeted_dispatch_uses_multiple_threads() {
 
 #[test]
 fn budgeted_results_match_serial_reference() {
-    pinned_pool();
+    let _pool = pinned_pool();
     let n = 257usize;
     let reference: Vec<u64> = (0..n).map(|i| (i as u64).wrapping_mul(0x9E37)).collect();
     for budget in [1usize, 3, usize::MAX] {
@@ -77,7 +109,7 @@ fn budgeted_results_match_serial_reference() {
 
 #[test]
 fn budgeted_task_panic_propagates_and_pool_survives() {
-    pinned_pool();
+    let _pool = pinned_pool();
     let result = std::panic::catch_unwind(|| {
         parallel_for_budgeted(16, 2, &|i| {
             assert!(i != 3, "task 3 died");
@@ -88,5 +120,82 @@ fn budgeted_task_panic_propagates_and_pool_survives() {
     parallel_for_budgeted(16, 2, &|_| {
         n.fetch_add(1, Ordering::Relaxed);
     });
+    assert_eq!(n.load(Ordering::Relaxed), 16);
+}
+
+#[test]
+fn try_dispatch_from_a_free_pool_runs_every_index_exactly_once() {
+    let _pool = pinned_pool();
+    let hits: Vec<AtomicU64> = (0..97).map(|_| AtomicU64::new(0)).collect();
+    assert!(try_parallel_for(hits.len(), &|i| {
+        hits[i].fetch_add(1, Ordering::Relaxed);
+    }));
+    assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+}
+
+#[test]
+fn try_dispatch_from_inside_a_pool_task_runs_nothing() {
+    let _pool = pinned_pool();
+    let outer = AtomicU64::new(0);
+    let inner = AtomicU64::new(0);
+    let refused = AtomicU64::new(0);
+    // Whichever thread runs an outer task — a worker, or this thread
+    // while it owns the pool — a dispatch from inside it would be an
+    // inline loop.
+    assert!(try_parallel_for(16, &|_| {
+        outer.fetch_add(1, Ordering::Relaxed);
+        let dispatched = try_parallel_for(8, &|_| {
+            inner.fetch_add(1, Ordering::Relaxed);
+        });
+        if !dispatched {
+            refused.fetch_add(1, Ordering::Relaxed);
+        }
+    }));
+    assert_eq!(outer.load(Ordering::Relaxed), 16);
+    assert_eq!(refused.load(Ordering::Relaxed), 16);
+    assert_eq!(inner.load(Ordering::Relaxed), 0, "a refused dispatch ran");
+}
+
+#[test]
+fn try_dispatch_while_another_submitter_owns_the_pool_runs_nothing() {
+    let _pool = pinned_pool();
+    while_another_submitter_owns_the_pool(|| {
+        let ran = AtomicU64::new(0);
+        let dispatched = try_parallel_for(8, &|_| {
+            ran.fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(!dispatched);
+        assert_eq!(ran.load(Ordering::Relaxed), 0, "a refused dispatch ran");
+        // The blocking form still completes, inline.
+        parallel_for(8, &|_| {
+            ran.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 8);
+    });
+    // Released: the pool dispatches again.
+    assert!(try_parallel_for(8, &|_| {}));
+}
+
+#[test]
+fn try_dispatch_refuses_fewer_than_two_tasks() {
+    let _pool = pinned_pool();
+    assert!(!try_parallel_for(0, &|_| panic!("no task to run")));
+    assert!(!try_parallel_for(1, &|_| panic!("a refused dispatch ran")));
+}
+
+#[test]
+fn try_dispatch_task_panic_reraises_on_the_submitter() {
+    let _pool = pinned_pool();
+    let result = std::panic::catch_unwind(|| {
+        try_parallel_for(16, &|i| {
+            assert!(i != 5, "task 5 died");
+        })
+    });
+    assert!(result.is_err(), "task panic must reach the submitter");
+    // No dead workers, no stuck job.
+    let n = AtomicU64::new(0);
+    assert!(try_parallel_for(16, &|_| {
+        n.fetch_add(1, Ordering::Relaxed);
+    }));
     assert_eq!(n.load(Ordering::Relaxed), 16);
 }

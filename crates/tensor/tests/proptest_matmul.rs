@@ -10,22 +10,16 @@
 use ft_tensor::Tensor;
 use proptest::prelude::*;
 
-/// Naive reference `A[m×k] @ B[k×n]`: ascending-`k`, one accumulator
-/// per element — the accumulation order the tiled kernels guarantee.
+mod common;
+use common::{conv_workload_products, products_of};
+
+/// The naive reference of `common` (ascending-`k`, one accumulator per
+/// element — the accumulation order the tiled kernels guarantee), on
+/// tensors.
 fn reference_gemm(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.rows().unwrap(), a.cols().unwrap());
     let n = b.cols().unwrap();
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for p in 0..k {
-                acc += a.at(i, p) * b.at(p, j);
-            }
-            out[i * n + j] = acc;
-        }
-    }
-    Tensor::from_vec(out, &[m, n]).unwrap()
+    Tensor::from_vec(common::reference(a.data(), b.data(), m, k, n), &[m, n]).unwrap()
 }
 
 fn tensor_of(m: usize, n: usize) -> impl Strategy<Value = Tensor> {
@@ -85,6 +79,35 @@ proptest! {
             col.matmul(&row).unwrap().data(),
             reference_gemm(&col, &row).data()
         );
+    }
+}
+
+proptest! {
+    // Shapes the conv workload does not hit: m and n off the MR / NR
+    // grid, k across one or more `kc` blocks, work on both sides of the
+    // fan-out threshold — from every call context.
+    #[test]
+    fn remainder_shapes_match_reference_from_every_call_context(
+        m in 1usize..=45,
+        k in 150usize..=700,
+        n in 1usize..=330,
+        seed in 0u64..1 << 20,
+    ) {
+        for case in products_of(m, k, n, seed) {
+            prop_assert_eq!(case.check(), Ok(()));
+        }
+    }
+}
+
+/// The GEMMs `fedtrans-conv` actually issues (and the widened model's),
+/// plus 8/9/16/17-row products wide enough to fan out — the rows the
+/// old split rule chopped into single micro-tiles. Bit-for-bit against
+/// the naive reference from the main thread, from inside a pool task
+/// and while another submitter owns the pool.
+#[test]
+fn conv_workload_shapes_match_reference_from_every_call_context() {
+    for case in conv_workload_products() {
+        assert_eq!(case.check(), Ok(()));
     }
 }
 

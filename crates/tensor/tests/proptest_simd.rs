@@ -21,6 +21,8 @@ use ft_tensor::{fused, tune, Tensor};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
+mod common;
+
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -151,6 +153,20 @@ fn gemm_tiers_agree_on_dispatch_edge_shapes() {
     ] {
         check_gemm_shape(m, k, n);
     }
+}
+
+/// The `fedtrans-conv` shapes on the portable micro-kernel, from every
+/// call context (`proptest_matmul.rs` runs the same set on the
+/// dispatched tier): `FT_TENSOR_SIMD=0` must reach the same goldens
+/// through the single-panel, nested and fanned-out paths alike.
+#[test]
+fn conv_workload_shapes_match_reference_on_the_portable_kernel() {
+    let _guard = lock();
+    under(Kernel::Portable, || {
+        for case in common::conv_workload_products() {
+            assert_eq!(case.check(), Ok(()), "on the portable kernel");
+        }
+    });
 }
 
 /// Any autotune `(mc, kc)` choice must produce bit-identical results
