@@ -1,38 +1,17 @@
-//! `bench_train_step`: the zero-allocation fused train step versus a
-//! pre-scratch-era reference implementation, plus a small round.
+//! `bench_train_step`: criterion timings of one client SGD step through
+//! the fused [`ft_fedsim::trainer::LocalStepper`] path — an ungated
+//! developer tool (the gated number is `fedsim.trainer.step_us` in
+//! `benchmark/`).
 //!
-//! Two outputs:
-//!
-//! 1. A criterion group (`bench_train_step/...`) timing one client SGD
-//!    step through the fused [`ft_fedsim::trainer::LocalStepper`] path
-//!    and through the reference path.
-//! 2. A JSON artifact, `bench_results/train_step.json`, recording
-//!    seconds per step / per round and the fused-over-reference
-//!    speedups, plus a `simd` leg (the fused step under the
-//!    runtime-dispatched intrinsics kernels versus the portable
-//!    fallback, forced via `ft_tensor::simd::force`) and a `kernel`
-//!    object naming the dispatched variant. Like `matmul.json`, the
-//!    gated metrics are *speedups* measured against a same-run,
-//!    same-machine reference, so they are comparable across hosts;
-//!    `bench_gate` fails CI when they regress against the committed
-//!    baseline.
-//!
-//! The reference step reproduces the pre-optimization hot path:
-//! buffer pooling disabled (`ft_tensor::scratch::set_enabled(false)`),
-//! gradients cloned into a fresh vector each step, parameters updated
-//! by the old scalar index loop with per-element bounds checks. It is
-//! kept verbatim here as the speedup baseline the acceptance numbers
-//! are measured against.
+//! `fused_portable` is the same stepper pinned to the portable kernels
+//! via `ft_tensor::simd::force`, so what the intrinsics buy the
+//! training hot path (GEMM + fused SGD-momentum) reads off two rows.
 //!
 //! `FT_BENCH_QUICK=1` trims repetitions to CI scale.
 
-use std::time::Instant;
-
-use criterion::{black_box, criterion_group, Criterion};
-use ft_fedsim::coordinator::RoundOptions;
-use ft_fedsim::trainer::{train_round, LocalStepper, LocalTrainConfig};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use ft_fedsim::trainer::{LocalStepper, LocalTrainConfig};
 use ft_model::CellModel;
-use ft_tensor::Tensor;
 use rand::SeedableRng;
 
 fn quick() -> bool {
@@ -55,43 +34,6 @@ fn workload() -> (ft_data::FederatedDataset, CellModel, LocalTrainConfig) {
     (data, model, cfg)
 }
 
-/// One pre-optimization train step: allocating batch sampling, cloned
-/// gradient snapshot, reference vectors, and the former scalar
-/// index-loop SGD update (two extra passes over the parameter data,
-/// bounds-checked per element).
-fn reference_step(
-    model: &mut CellModel,
-    shard: &ft_data::ClientData,
-    rng: &mut rand::rngs::StdRng,
-    velocity: &mut Vec<Tensor>,
-    cfg: &LocalTrainConfig,
-) {
-    let (x, labels) = shard.sample_batch(rng, cfg.batch_size);
-    model.zero_grad();
-    model
-        .loss_and_grad(&x, &labels)
-        .expect("reference step trains");
-    let grads: Vec<Tensor> = model.grad_tensors().into_iter().cloned().collect();
-    let mut params = model.param_tensors_mut();
-    if velocity.is_empty() {
-        *velocity = params
-            .iter()
-            .map(|p| Tensor::zeros(p.shape().dims()))
-            .collect();
-    }
-    // Weight decay was always part of the old loop's arithmetic (the
-    // trainer just ran it at 0.0); keep the multiply for fidelity.
-    let weight_decay = 0.0f32;
-    for ((p, g), v) in params.iter_mut().zip(&grads).zip(velocity) {
-        for i in 0..p.len() {
-            let grad = g.data()[i] + weight_decay * p.data()[i];
-            let vel = cfg.momentum * v.data()[i] + grad;
-            v.data_mut()[i] = vel;
-            p.data_mut()[i] -= cfg.lr * vel;
-        }
-    }
-}
-
 fn bench_train_step(c: &mut Criterion) {
     let (data, model, cfg) = workload();
     let mut group = c.benchmark_group("bench_train_step");
@@ -101,253 +43,19 @@ fn bench_train_step(c: &mut Criterion) {
 
     let mut fused_model = model.clone();
     let mut stepper = LocalStepper::new(&fused_model, data.client(0), &cfg, 7);
-    group.bench_function("fused_pooled", |bench| {
+    group.bench_function("fused", |bench| {
         bench.iter(|| black_box(stepper.step(&mut fused_model).expect("step trains")));
     });
 
-    let mut ref_model = model.clone();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let mut velocity: Vec<Tensor> = Vec::new();
-    group.bench_function("reference_unpooled", |bench| {
-        ft_tensor::scratch::set_enabled(false);
-        bench.iter(|| {
-            reference_step(
-                &mut ref_model,
-                data.client(0),
-                &mut rng,
-                &mut velocity,
-                &cfg,
-            );
-        });
-        ft_tensor::scratch::set_enabled(true);
+    let mut portable_model = model.clone();
+    let mut stepper = LocalStepper::new(&portable_model, data.client(0), &cfg, 7);
+    group.bench_function("fused_portable", |bench| {
+        ft_tensor::simd::force(Some(ft_tensor::simd::Kernel::Portable));
+        bench.iter(|| black_box(stepper.step(&mut portable_model).expect("step trains")));
+        ft_tensor::simd::force(None);
     });
     group.finish();
 }
 
 criterion_group!(benches, bench_train_step);
-
-/// Medians of two alternately sampled routines, `(a_s, b_s)`.
-///
-/// Interleaving A/B/A/B (after warming both) cancels drift — CPU
-/// frequency ramps or a noisy co-tenant hit both routines equally
-/// instead of whichever happened to be measured second.
-fn time_median_pair<A: FnMut(), B: FnMut()>(mut a: A, mut b: B, reps: usize) -> (f64, f64) {
-    // Two untimed warm-up rounds: page in both code paths and give
-    // frequency scaling time to settle before anything is recorded.
-    for _ in 0..2 {
-        a();
-        b();
-    }
-    let mut sa = Vec::with_capacity(reps);
-    let mut sb = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        a();
-        sa.push(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        b();
-        sb.push(start.elapsed().as_secs_f64());
-    }
-    sa.sort_by(f64::total_cmp);
-    sb.sort_by(f64::total_cmp);
-    (sa[sa.len() / 2], sb[sb.len() / 2])
-}
-
-/// Times the single-client train step through both paths. Each timed
-/// call runs a burst of steps so the per-step cost dominates timer
-/// overhead, and the two paths are sampled alternately.
-fn bench_step(reps: usize) -> serde_json::Value {
-    let (data, model, cfg) = workload();
-    let burst = if quick() { 20 } else { 40 };
-    // Step bursts are an order of magnitude shorter than the round
-    // measurement, so spend proportionally more samples on them.
-    let reps = reps * 3;
-
-    let mut fused_model = model.clone();
-    let mut stepper = LocalStepper::new(&fused_model, data.client(0), &cfg, 7);
-    let mut ref_model = model.clone();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let mut velocity: Vec<Tensor> = Vec::new();
-    let (reference_s, fused_s) = time_median_pair(
-        || {
-            // The reference ran before buffer pooling existed.
-            ft_tensor::scratch::set_enabled(false);
-            for _ in 0..burst {
-                reference_step(
-                    &mut ref_model,
-                    data.client(0),
-                    &mut rng,
-                    &mut velocity,
-                    &cfg,
-                );
-            }
-            ft_tensor::scratch::set_enabled(true);
-        },
-        || {
-            for _ in 0..burst {
-                stepper.step(&mut fused_model).expect("step trains");
-            }
-        },
-        reps,
-    );
-    let (reference_s, fused_s) = (reference_s / burst as f64, fused_s / burst as f64);
-
-    println!(
-        "train_step: reference {reference_s:.2e}s fused {fused_s:.2e}s ({:.2}x)",
-        reference_s / fused_s
-    );
-    serde_json::json!({
-        "reference_s": reference_s,
-        "fused_s": fused_s,
-        "speedup": reference_s / fused_s,
-    })
-}
-
-/// The intrinsics-vs-fallback A/B leg: the *same* fused stepper code,
-/// once pinned to the portable kernels and once runtime-dispatched,
-/// alternately sampled via [`time_median_pair`]. This isolates what
-/// the explicit SIMD micro-kernels buy the training hot path (GEMM +
-/// fused SGD-momentum) on this host. Returns `null` when dispatch
-/// already resolves to portable (no intrinsics, or
-/// `FT_TENSOR_SIMD=0`).
-fn bench_simd(reps: usize) -> serde_json::Value {
-    use ft_tensor::simd::{self, Kernel};
-    if simd::active() == Kernel::Portable {
-        return serde_json::json!(null);
-    }
-    let (data, model, cfg) = workload();
-    let burst = if quick() { 20 } else { 40 };
-    let reps = reps * 3;
-
-    let mut portable_model = model.clone();
-    let mut portable_stepper = LocalStepper::new(&portable_model, data.client(0), &cfg, 7);
-    let mut simd_model = model.clone();
-    let mut simd_stepper = LocalStepper::new(&simd_model, data.client(0), &cfg, 7);
-    let (fallback_s, simd_s) = time_median_pair(
-        || {
-            simd::force(Some(Kernel::Portable));
-            for _ in 0..burst {
-                portable_stepper
-                    .step(&mut portable_model)
-                    .expect("step trains");
-            }
-            simd::force(None);
-        },
-        || {
-            for _ in 0..burst {
-                simd_stepper.step(&mut simd_model).expect("step trains");
-            }
-        },
-        reps,
-    );
-    let (fallback_s, simd_s) = (fallback_s / burst as f64, simd_s / burst as f64);
-    println!(
-        "train_step simd-vs-fallback: portable {fallback_s:.2e}s simd {simd_s:.2e}s ({:.2}x)",
-        fallback_s / simd_s
-    );
-    serde_json::json!({
-        "fallback_s": fallback_s,
-        "simd_s": simd_s,
-        "speedup": fallback_s / simd_s,
-    })
-}
-
-/// The pre-optimization version of one client's full local round:
-/// snapshot, allocating reference steps, snapshot, out-of-place delta
-/// — mirroring what `train_local` did before the scratch/fused
-/// rewrite.
-fn reference_train_local(
-    model: &mut CellModel,
-    shard: &ft_data::ClientData,
-    cfg: &LocalTrainConfig,
-    seed: u64,
-) -> Vec<Tensor> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let global: Vec<Tensor> = model.snapshot();
-    let mut velocity: Vec<Tensor> = Vec::new();
-    for _ in 0..cfg.local_steps {
-        reference_step(model, shard, &mut rng, &mut velocity, cfg);
-    }
-    let weights = model.snapshot();
-    weights
-        .iter()
-        .zip(&global)
-        .map(|(w, g)| w.sub(g).expect("same shapes"))
-        .collect()
-}
-
-/// Times one small round (every client trains once; serial client
-/// loop so the measurement is stable on single-core runners) through
-/// the fused engine path and through the pre-optimization reference,
-/// normalized against the same machine in the same run.
-fn bench_round(reps: usize) -> serde_json::Value {
-    let (data, model, cfg) = workload();
-    let clients = data.num_clients();
-    let cfg = LocalTrainConfig {
-        local_steps: if quick() { 5 } else { 10 },
-        ..cfg
-    };
-    let assignments =
-        || -> Vec<(usize, CellModel)> { (0..clients).map(|c| (c, model.clone())).collect() };
-    let (reference_s, fused_s) = time_median_pair(
-        || {
-            ft_tensor::scratch::set_enabled(false);
-            for c in 0..clients {
-                let mut m = model.clone();
-                black_box(reference_train_local(
-                    &mut m,
-                    data.client(c),
-                    &cfg,
-                    77 + c as u64,
-                ));
-            }
-            ft_tensor::scratch::set_enabled(true);
-        },
-        || {
-            let opts = RoundOptions {
-                threads: Some(1),
-                ..Default::default()
-            };
-            train_round(assignments(), data.clients(), &cfg, 77, &opts).expect("round trains");
-        },
-        reps,
-    );
-    println!(
-        "round ({clients} clients): reference {reference_s:.2e}s fused {fused_s:.2e}s ({:.2}x)",
-        reference_s / fused_s
-    );
-    serde_json::json!({
-        "clients": clients,
-        "reference_s": reference_s,
-        "fused_s": fused_s,
-        "speedup": reference_s / fused_s,
-    })
-}
-
-/// Emits `bench_results/train_step.json` so CI keeps a hot-path perf
-/// trajectory across PRs and `bench_gate` can fail regressions.
-fn emit_json() {
-    let reps = if quick() { 7 } else { 9 };
-    let tune = ft_tensor::tune::active();
-    let report = serde_json::json!({
-        "bench": "bench_train_step",
-        "threads": ft_tensor::pool::max_parallelism(),
-        "quick": quick(),
-        "kernel": {
-            "variant": ft_tensor::simd::active().name(),
-            "mc": tune.mc,
-            "kc": tune.kc,
-            "tune_source": tune.source.name(),
-        },
-        "train_step": bench_step(reps),
-        "round": bench_round(reps),
-        "simd": bench_simd(reps),
-    });
-    let path = ft_fedsim::report::dump_json("train_step", &report).expect("writing bench artifact");
-    println!("wrote {}", path.display());
-}
-
-fn main() {
-    benches();
-    emit_json();
-}
+criterion_main!(benches);

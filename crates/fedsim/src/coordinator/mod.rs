@@ -119,8 +119,7 @@ impl std::fmt::Display for Phase {
 /// the same report (the effective heartbeat deadline is clamped to at
 /// least one heartbeat interval for exactly this reason). The
 /// streaming knobs bound *how* the round executes on the host —
-/// neither changes the report unless [`RoundOptions::quantize_updates`]
-/// is explicitly opted into.
+/// neither changes the report.
 ///
 /// Construct via the builder so new knobs never grow positional
 /// literals:
@@ -158,11 +157,6 @@ pub struct RoundOptions {
     /// and the folded result is bit-identical at any value; `1` runs
     /// the fold serially.
     pub max_in_flight: Option<usize>,
-    /// Simulate int8-quantized uplinks: each update's weights and
-    /// delta take a lossy int8 round trip (per-tensor scale) before
-    /// aggregation. Off by default — it changes the numbers, so it
-    /// stays off the golden digest path unless a scenario opts in.
-    pub quantize_updates: bool,
 }
 
 impl Default for RoundOptions {
@@ -173,30 +167,15 @@ impl Default for RoundOptions {
             heartbeat_interval_s: 30.0,
             heartbeat_deadline_s: 120.0,
             max_in_flight: None,
-            quantize_updates: false,
         }
     }
 }
 
-fn env_f64(name: &str) -> Option<f64> {
-    let v = std::env::var(name).ok()?;
-    let x: f64 = v.trim().parse().ok()?;
-    (x.is_finite() && x > 0.0).then_some(x)
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    let v = std::env::var(name).ok()?;
-    let x: usize = v.trim().parse().ok()?;
-    (x > 0).then_some(x)
-}
-
-fn env_bool(name: &str) -> Option<bool> {
-    let v = std::env::var(name).ok()?;
-    match v.trim() {
-        "1" | "true" | "yes" | "on" => Some(true),
-        "0" | "false" | "no" | "off" => Some(false),
-        _ => None,
-    }
+/// Parses an `FT_MAX_IN_FLIGHT` value: a positive integer. `None` is
+/// not a recognised form ([`RoundOptions::with_env_overrides`] then
+/// leaves the cap alone; `ft-run` refuses to start).
+pub fn parse_max_in_flight(value: &str) -> Option<usize> {
+    value.trim().parse().ok().filter(|&n: &usize| n > 0)
 }
 
 impl RoundOptions {
@@ -240,37 +219,18 @@ impl RoundOptions {
         self
     }
 
-    /// Toggles the simulated int8-quantized uplink.
-    #[must_use]
-    pub fn quantize_updates(mut self, on: bool) -> Self {
-        self.quantize_updates = on;
-        self
-    }
-
-    /// Defaults overlaid with the `FT_RENDEZVOUS_DEADLINE_S`,
-    /// `FT_HEARTBEAT_INTERVAL_S`, `FT_HEARTBEAT_DEADLINE_S`,
-    /// `FT_MAX_IN_FLIGHT`, and `FT_QUANTIZE_UPDATES` environment knobs
-    /// (invalid or non-positive values are ignored).
+    /// Defaults overlaid with `FT_MAX_IN_FLIGHT`, the one environment
+    /// knob (an invalid or non-positive value is ignored). Protocol
+    /// timing is set through the builder only.
     pub fn from_env() -> Self {
         RoundOptions::default().with_env_overrides()
     }
 
-    /// Overlays the environment knobs onto `self`.
+    /// Overlays `FT_MAX_IN_FLIGHT` onto `self`.
     pub fn with_env_overrides(mut self) -> Self {
-        if let Some(x) = env_f64("FT_RENDEZVOUS_DEADLINE_S") {
-            self.rendezvous_deadline_s = x;
-        }
-        if let Some(x) = env_f64("FT_HEARTBEAT_INTERVAL_S") {
-            self.heartbeat_interval_s = x;
-        }
-        if let Some(x) = env_f64("FT_HEARTBEAT_DEADLINE_S") {
-            self.heartbeat_deadline_s = x;
-        }
-        if let Some(x) = env_usize("FT_MAX_IN_FLIGHT") {
-            self.max_in_flight = Some(x);
-        }
-        if let Some(x) = env_bool("FT_QUANTIZE_UPDATES") {
-            self.quantize_updates = x;
+        let env = std::env::var("FT_MAX_IN_FLIGHT").ok();
+        if let Some(n) = env.as_deref().and_then(parse_max_in_flight) {
+            self.max_in_flight = Some(n);
         }
         self
     }
@@ -565,9 +525,7 @@ impl Coordinator {
     /// Peak memory is O(in-flight), not O(cohort), and the fold is
     /// bit-identical to materializing every update first — at any
     /// thread count, any in-flight cap, and any within-tick delivery
-    /// permutation. With
-    /// [`RoundOptions::quantize_updates`] set, each update's tensors
-    /// take a lossy int8 round trip before absorption.
+    /// permutation.
     ///
     /// Replies come back **in task order**; a reaped device's task is
     /// simply absent. The sink sees `begin_round → absorb × delivered
@@ -867,7 +825,6 @@ impl Coordinator {
             .max_in_flight
             .unwrap_or(threads.saturating_mul(2))
             .max(1);
-        let quantize = self.opts.quantize_updates;
         let run_seed = self.seed;
         let attack = self.adversity.attack;
         let drift = self.adversity.drift;
@@ -907,9 +864,9 @@ impl Coordinator {
                     reply.avg_loss = outcome.avg_loss;
                     reply.avg_acc = outcome.avg_acc;
                 }
-                // Byzantine corruption happens at the sink boundary —
-                // after training, before any uplink transform — so
-                // robust sinks see exactly what the attacker uploads.
+                // Byzantine corruption happens at the sink boundary,
+                // after training, so robust sinks see exactly what the
+                // attacker uploads.
                 if attack.is_byzantine(run_seed, round, outcome.client) {
                     attack.corrupt(
                         run_seed,
@@ -918,10 +875,6 @@ impl Coordinator {
                         &mut outcome.weights,
                         &mut outcome.delta,
                     )?;
-                }
-                if quantize {
-                    crate::sink::quantize_roundtrip(&mut outcome.weights);
-                    crate::sink::quantize_roundtrip(&mut outcome.delta);
                 }
                 sink.absorb(ClientUpdate {
                     task: i,

@@ -56,12 +56,11 @@ use crate::{Result, SimError};
 /// the shared pool's full parallelism. Values are clamped to at least
 /// 1; `1` means "serial, do not touch the pool".
 pub fn client_threads() -> usize {
-    if let Ok(v) = std::env::var("FT_CLIENT_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    ft_tensor::pool::max_parallelism()
+    std::env::var("FT_CLIENT_THREADS")
+        .ok()
+        .as_deref()
+        .and_then(ft_tensor::pool::parse_threads)
+        .unwrap_or_else(ft_tensor::pool::max_parallelism)
 }
 
 /// Maps `f` over `0..n` with at most `threads` concurrent tasks,

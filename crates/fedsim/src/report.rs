@@ -8,7 +8,7 @@
 //! # Artifact paths
 //!
 //! JSON artifacts are anchored at the **workspace root** (like
-//! `bench_results/matmul.json`), not the process working directory:
+//! `bench_results/table1.json`), not the process working directory:
 //! `cargo run -p <crate>` and `cargo test` set different CWDs, and
 //! CWD-relative output used to scatter reports across crate
 //! directories. [`artifact_dir`] resolves the root at compile time and

@@ -919,64 +919,6 @@ impl UpdateSink for DiscardSink {
     }
 }
 
-/// An int8-quantized tensor: per-tensor scale, symmetric around zero.
-///
-/// The optional compressed update form: `value ≈ scale × q` with
-/// `q ∈ [−127, 127]` and `scale = max|value| / 127`. Dequantization is
-/// *exact* (one f32 multiply per element), so accumulation after
-/// dequantizing stays in f32 with the usual op order; only the
-/// quantization rounding itself is lossy — which is why the round
-/// engine keeps it off the digest path unless a scenario opts in via
-/// [`crate::coordinator::RoundOptions::quantize_updates`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedTensor {
-    /// Per-tensor dequantization scale.
-    pub scale: f32,
-    /// Quantized values, row-major.
-    pub values: Vec<i8>,
-    /// Original tensor dimensions.
-    pub dims: Vec<usize>,
-}
-
-impl QuantizedTensor {
-    /// Quantizes a tensor to int8 with a symmetric per-tensor scale.
-    pub fn quantize(t: &Tensor) -> QuantizedTensor {
-        let max_abs = t.data().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 0.0 };
-        let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
-        let values = t
-            .data()
-            .iter()
-            .map(|&v| (v * inv).round().clamp(-127.0, 127.0) as i8)
-            .collect();
-        QuantizedTensor {
-            scale,
-            values,
-            dims: t.shape().dims().to_vec(),
-        }
-    }
-
-    /// Exact dequantization into a new tensor: the reference the
-    /// in-place [`quantize_roundtrip`] is tested against.
-    #[cfg(test)]
-    fn dequantize(&self) -> Tensor {
-        let mut data = ft_tensor::scratch::take(self.values.len());
-        ft_tensor::fused::dequant_scale(&mut data, &self.values, self.scale);
-        Tensor::from_vec(data, &self.dims).expect("dims stored at quantization time")
-    }
-}
-
-/// Lossy int8 round trip over a tensor list, in place: what an update
-/// looks like after crossing a quantized uplink. Dequantization writes
-/// straight back into each tensor's existing buffer through the
-/// SIMD-dispatched kernel — no reallocation, no intermediate copy.
-pub fn quantize_roundtrip(tensors: &mut [Tensor]) {
-    for t in tensors.iter_mut() {
-        let q = QuantizedTensor::quantize(t);
-        ft_tensor::fused::dequant_scale(t.data_mut(), &q.values, q.scale);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1116,40 +1058,6 @@ mod tests {
         // activeness tracking is independent of FedAvg weighting.
         let deltas = sink.take_mean_deltas();
         assert_eq!(deltas[0].as_ref().unwrap()[0].data(), &[3.0]);
-    }
-
-    #[test]
-    fn quantization_round_trips_within_scale() {
-        let t = tensor(&[0.5, -1.0, 0.25, 0.0]);
-        let q = QuantizedTensor::quantize(&t);
-        let back = q.dequantize();
-        let scale = 1.0 / 127.0;
-        for (a, b) in t.data().iter().zip(back.data()) {
-            assert!((a - b).abs() <= scale / 2.0 + f32::EPSILON, "{a} vs {b}");
-        }
-        // ±max round-trips exactly: q = ±127, scale × 127 = max.
-        assert_eq!(back.data()[1], -1.0);
-    }
-
-    #[test]
-    fn quantizing_zeros_is_exact() {
-        let t = tensor(&[0.0, 0.0]);
-        let q = QuantizedTensor::quantize(&t);
-        assert_eq!(q.scale, 0.0);
-        assert_eq!(q.dequantize().data(), t.data());
-    }
-
-    #[test]
-    fn in_place_roundtrip_matches_quantize_then_dequantize() {
-        // The fused in-place path must be bit-identical to the old
-        // materialize-a-new-tensor form, including a SIMD-width tail.
-        let vals: Vec<f32> = (0..37)
-            .map(|i| ((i * 7) % 23) as f32 * 0.37 - 4.0)
-            .collect();
-        let mut tensors = vec![tensor(&vals)];
-        let expect = QuantizedTensor::quantize(&tensors[0]).dequantize();
-        quantize_roundtrip(&mut tensors);
-        assert_eq!(tensors[0].data(), expect.data());
     }
 
     fn specs(samples: &[u64]) -> Vec<TaskSpec> {

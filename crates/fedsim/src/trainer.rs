@@ -6,13 +6,11 @@
 //! training loss — exactly the feedback FedTrans's coordinator consumes
 //! (Algorithm 1, line 10).
 //!
-//! [`train_round`] executes a whole round's participants concurrently
-//! through the [`crate::exec`] engine, and [`train_tasks`] is the
-//! underlying batch executor the message-driven coordinator dispatches
-//! through. Downstream accounting (cost meters, round times, loss
-//! means) iterates the returned outcomes in assignment order, which is
-//! what keeps every floating-point reduction order-fixed regardless of
-//! which client finished first.
+//! [`train_tasks`] executes a batch of participants concurrently
+//! through the [`crate::exec`] engine. Downstream accounting (cost
+//! meters, round times, loss means) iterates the returned outcomes in
+//! task order, which is what keeps every floating-point reduction
+//! order-fixed regardless of which client finished first.
 
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -296,46 +294,6 @@ pub fn train_tasks<S: ShardSource + ?Sized>(
     })
 }
 
-/// Trains one round's participants, deriving each client's seed from
-/// `round_seed` via [`client_seed`] and the fan-out width from
-/// `opts.threads` (falling back to `FT_CLIENT_THREADS`; see
-/// [`crate::exec::client_threads`]). This is the single round-training
-/// entry point that replaced the `train_participants` /
-/// `train_participants_with_threads` pair.
-///
-/// `assignments` pairs each participating client index with the model
-/// it downloads. Outcomes come back in assignment order, byte-identical
-/// at any thread count.
-///
-/// # Errors
-///
-/// Returns [`SimError::NoSuchClient`] for an out-of-range client index,
-/// the lowest-indexed training error, or [`SimError::WorkerPanicked`]
-/// if a training task dies.
-pub fn train_round<S: ShardSource + ?Sized>(
-    assignments: Vec<(usize, CellModel)>,
-    shards: &S,
-    cfg: &LocalTrainConfig,
-    round_seed: u64,
-    opts: &crate::coordinator::RoundOptions,
-) -> Result<Vec<LocalOutcome>> {
-    let mut models = Vec::with_capacity(assignments.len());
-    let tasks: Vec<TrainTask> = assignments
-        .into_iter()
-        .enumerate()
-        .map(|(i, (client, model))| {
-            models.push(model);
-            TrainTask {
-                client,
-                model: i,
-                seed: client_seed(round_seed, client),
-            }
-        })
-        .collect();
-    let threads = opts.threads.unwrap_or_else(crate::exec::client_threads);
-    train_tasks(&tasks, &models, shards, cfg, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,19 +365,27 @@ mod tests {
         assert!(drift(&o2.delta) < drift(&o1.delta));
     }
 
-    fn opts_with_threads(threads: usize) -> crate::coordinator::RoundOptions {
-        crate::coordinator::RoundOptions {
-            threads: Some(threads),
-            ..Default::default()
-        }
+    /// One task per client, all on entry 0 of a one-model table, seeded
+    /// like a round would seed them.
+    fn tasks_for(clients: impl IntoIterator<Item = usize>, round_seed: u64) -> Vec<TrainTask> {
+        clients
+            .into_iter()
+            .map(|client| TrainTask {
+                client,
+                model: 0,
+                seed: client_seed(round_seed, client),
+            })
+            .collect()
     }
 
     #[test]
     fn parallel_matches_serial() {
         let (data, model) = tiny();
         let cfg = LocalTrainConfig::default();
-        let assignments: Vec<(usize, CellModel)> = (0..3).map(|c| (c, model.clone())).collect();
-        let par = train_round(assignments, data.clients(), &cfg, 77, &Default::default()).unwrap();
+        let threads = crate::exec::client_threads();
+        let models = [model.clone()];
+        let par =
+            train_tasks(&tasks_for(0..3, 77), &models, data.clients(), &cfg, threads).unwrap();
         for (i, outcome) in par.iter().enumerate() {
             let mut m = model.clone();
             let serial = train_local(&mut m, i, data.client(i), &cfg, client_seed(77, i)).unwrap();
@@ -432,9 +398,10 @@ mod tests {
     }
 
     /// The engine's core determinism invariant: outcomes are
-    /// byte-identical and in assignment order at every thread budget.
-    /// Assignments are deliberately in descending client order so a
-    /// completion-order bug cannot hide behind sorted input.
+    /// byte-identical and in task order at every thread budget,
+    /// including the `FT_CLIENT_THREADS` default. Tasks are
+    /// deliberately in descending client order so a completion-order
+    /// bug cannot hide behind sorted input.
     #[test]
     fn outcomes_are_identical_and_ordered_across_thread_counts() {
         let (data, model) = tiny();
@@ -442,24 +409,16 @@ mod tests {
             local_steps: 6,
             ..Default::default()
         };
-        let make =
-            || -> Vec<(usize, CellModel)> { (0..4).rev().map(|c| (c, model.clone())).collect() };
-        let reference =
-            train_round(make(), data.clients(), &cfg, 123, &opts_with_threads(1)).unwrap();
+        let models = [model];
+        let tasks = tasks_for((0..4).rev(), 123);
+        let reference = train_tasks(&tasks, &models, data.clients(), &cfg, 1).unwrap();
         assert_eq!(
             reference.iter().map(|o| o.client).collect::<Vec<_>>(),
             vec![3, 2, 1, 0],
-            "outcome order must be assignment order"
+            "outcome order must be task order"
         );
-        for threads in [2usize, 4, 8] {
-            let par = train_round(
-                make(),
-                data.clients(),
-                &cfg,
-                123,
-                &opts_with_threads(threads),
-            )
-            .unwrap();
+        for threads in [2usize, 4, 8, crate::exec::client_threads()] {
+            let par = train_tasks(&tasks, &models, data.clients(), &cfg, threads).unwrap();
             assert_eq!(par.len(), reference.len());
             for (a, b) in par.iter().zip(&reference) {
                 assert_eq!(a.client, b.client, "threads {threads}");
@@ -475,38 +434,13 @@ mod tests {
     #[test]
     fn parallel_rejects_unknown_client() {
         let (data, model) = tiny();
-        let err = train_round(
-            vec![(99, model)],
+        let err = train_tasks(
+            &tasks_for([99], 0),
+            &[model],
             data.clients(),
             &LocalTrainConfig::default(),
-            0,
-            &Default::default(),
+            2,
         );
-        assert!(err.is_err());
-    }
-
-    /// One entry point, any fan-out width, identical outcomes: the
-    /// invariant the removed `train_participants` wrappers used to
-    /// witness now holds across `RoundOptions` thread settings.
-    #[test]
-    fn train_round_is_thread_count_invariant() {
-        let (data, model) = tiny();
-        let cfg = LocalTrainConfig {
-            local_steps: 4,
-            ..Default::default()
-        };
-        let make = || vec![(0usize, model.clone()), (2, model.clone())];
-        let merged = train_round(make(), data.clients(), &cfg, 9, &opts_with_threads(2)).unwrap();
-        let serial = train_round(make(), data.clients(), &cfg, 9, &opts_with_threads(1)).unwrap();
-        let default_opts =
-            train_round(make(), data.clients(), &cfg, 9, &Default::default()).unwrap();
-        for other in [&serial, &default_opts] {
-            assert_eq!(other.len(), merged.len());
-            for (a, b) in other.iter().zip(&merged) {
-                assert_eq!(a.client, b.client);
-                assert_eq!(a.weights, b.weights);
-                assert_eq!(a.samples_processed, b.samples_processed);
-            }
-        }
+        assert!(matches!(err, Err(SimError::NoSuchClient { index: 99, .. })));
     }
 }

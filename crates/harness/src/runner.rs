@@ -52,8 +52,94 @@ pub struct RunOptions {
 impl RunOptions {
     /// Whether quick mode is in effect (flag or environment).
     pub fn quick_mode(&self) -> bool {
-        self.quick || std::env::var("FT_SCENARIO_QUICK").as_deref() == Ok("1")
+        let env = std::env::var("FT_SCENARIO_QUICK").ok();
+        self.quick || env.as_deref().and_then(parse_quick).unwrap_or(false)
     }
+}
+
+/// Parses an `FT_SCENARIO_QUICK` value: `1` or `0`. `None` is not a
+/// recognised form ([`RunOptions::quick_mode`] then ignores it;
+/// [`check_env`] rejects it).
+fn parse_quick(value: &str) -> Option<bool> {
+    match value {
+        "1" => Some(true),
+        "0" => Some(false),
+        _ => None,
+    }
+}
+
+/// One `FT_*` variable: name, whether a value parses under the function
+/// its reader uses, and the accepted forms.
+type EnvRule = (&'static str, fn(&str) -> bool, &'static str);
+
+/// Every `FT_*` variable this workspace reads.
+/// README.md#environment-variables lists exactly these names.
+const ENV_VARS: [EnvRule; 8] = [
+    (
+        "FT_TENSOR_THREADS",
+        |v| ft_tensor::pool::parse_threads(v).is_some(),
+        "a thread count such as `4`",
+    ),
+    (
+        "FT_TENSOR_SIMD",
+        |v| ft_tensor::simd::parse_env(v).is_some(),
+        "`0`/`off`/`portable` or `1`/`on`/`auto`",
+    ),
+    (
+        "FT_TENSOR_TUNE",
+        |v| ft_tensor::tune::parse_env(v).is_some(),
+        "`mc,kc` such as `256,128`",
+    ),
+    (
+        "FT_CLIENT_THREADS",
+        |v| ft_tensor::pool::parse_threads(v).is_some(),
+        "a thread count such as `4`",
+    ),
+    (
+        "FT_MAX_IN_FLIGHT",
+        |v| ft_fedsim::coordinator::parse_max_in_flight(v).is_some(),
+        "a positive integer",
+    ),
+    (
+        "FT_SCENARIO_QUICK",
+        |v| parse_quick(v).is_some(),
+        "`1` or `0`",
+    ),
+    // Read verbatim: a path, and a switch that is on unless `0`.
+    ("FT_ARTIFACT_DIR", |_| true, "a directory path"),
+    ("FT_BENCH_QUICK", |_| true, "any value"),
+];
+
+/// Startup validation of the process environment, for the program's
+/// entry point (`ft-run` calls it before any work): every `FT_*`
+/// variable must be one this workspace reads and must parse under the
+/// same function its reader uses. The lazy readers inside the libraries
+/// keep their silent defaults; this is what turns a mistyped
+/// `FT_TENSOR_SIMD=protable` leg into an error instead of an AVX2 run.
+///
+/// # Errors
+///
+/// A message naming the first offending variable, its value, and the
+/// accepted forms (or the known names).
+pub fn check_env() -> Result<(), String> {
+    for (name, value) in std::env::vars_os() {
+        let (name, value) = (name.to_string_lossy(), value.to_string_lossy());
+        if !name.starts_with("FT_") {
+            continue;
+        }
+        return Err(match ENV_VARS.iter().find(|(known, ..)| *known == name) {
+            Some((_, parses, _)) if parses(&value) => continue,
+            Some((_, _, forms)) => format!("{name}=`{value}` is not valid: expected {forms}"),
+            None => {
+                let known: Vec<&str> = ENV_VARS.iter().map(|(known, ..)| *known).collect();
+                format!(
+                    "{name} is not a variable this program reads; known: {}",
+                    known.join(", ")
+                )
+            }
+        });
+    }
+    Ok(())
 }
 
 /// What a scenario run produced.

@@ -448,9 +448,8 @@ impl Scenario {
     /// erases the method type.
     fn wire<M: Method + 'static>(&self, runner: Runner<M>) -> Box<dyn Algorithm> {
         Box::new(runner.with_context(RunContext {
-            // Scenario timing first, then explicit FT_* env overrides
-            // on top, so operators can experiment without editing
-            // scenarios.
+            // Timing comes from the scenario alone; the environment
+            // only sets the in-flight cap (`FT_MAX_IN_FLIGHT`).
             options: self.timing.round_options().with_env_overrides(),
             // Inert when no adversity blocks are present, so benign
             // scenarios (and their golden digests) are untouched.

@@ -21,9 +21,8 @@
 //!
 //! Each per-range body dispatches on [`crate::simd::active`]: the AVX2
 //! tier performs exactly the portable loop's arithmetic eight lanes at
-//! a time (no FMA contraction — even under `FT_TENSOR_SIMD=fma`, which
-//! only affects the GEMM micro-kernel), so results stay bit-identical
-//! across tiers; `proptest_simd` pins the equivalence.
+//! a time (no FMA contraction), so results stay bit-identical across
+//! tiers; `proptest_simd` pins the equivalence.
 
 use crate::{pool, simd};
 #[cfg(target_arch = "x86_64")]
@@ -90,25 +89,6 @@ unsafe fn sub_ref<'a>(p: &ConstPtr, start: usize, end: usize) -> &'a [f32] {
     unsafe { std::slice::from_raw_parts(p.0.add(start), end - start) }
 }
 
-/// Shares a read-only `i8` pointer with pool tasks (the quantized
-/// update payload).
-struct ConstPtrI8(*const i8);
-// SAFETY: read-only access from multiple threads is always sound; the
-// submitter keeps the referent alive until `parallel_for` returns.
-unsafe impl Send for ConstPtrI8 {}
-unsafe impl Sync for ConstPtrI8 {}
-
-/// `i8` counterpart of [`sub_ref`].
-///
-/// # Safety
-///
-/// `start..end` must be in-bounds for the original allocation; shared
-/// reborrows may overlap, but no task may mutate the range.
-unsafe fn sub_ref_i8<'a>(p: &ConstPtrI8, start: usize, end: usize) -> &'a [i8] {
-    // SAFETY: in-bounds and unaliased by writers per this fn's contract.
-    unsafe { std::slice::from_raw_parts(p.0.add(start), end - start) }
-}
-
 /// `a[i] += b[i]`.
 ///
 /// # Panics
@@ -123,7 +103,7 @@ pub fn add_assign(a: &mut [f32], b: &[f32]) {
         let (a, b) = unsafe { (sub_mut(&pa, s, e), sub_ref(&pb, s, e)) };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx2Fma => {
+            Kernel::Avx2 => {
                 // SAFETY: `simd::active` only returns supported tiers.
                 unsafe { simd::x86::add_assign_avx2(a, b) }
             }
@@ -150,7 +130,7 @@ pub fn sub_assign(a: &mut [f32], b: &[f32]) {
         let (a, b) = unsafe { (sub_mut(&pa, s, e), sub_ref(&pb, s, e)) };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx2Fma => {
+            Kernel::Avx2 => {
                 // SAFETY: `simd::active` only returns supported tiers.
                 unsafe { simd::x86::sub_assign_avx2(a, b) }
             }
@@ -177,7 +157,7 @@ pub fn mul_assign(a: &mut [f32], b: &[f32]) {
         let (a, b) = unsafe { (sub_mut(&pa, s, e), sub_ref(&pb, s, e)) };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx2Fma => {
+            Kernel::Avx2 => {
                 // SAFETY: `simd::active` only returns supported tiers.
                 unsafe { simd::x86::mul_assign_avx2(a, b) }
             }
@@ -199,7 +179,7 @@ pub fn scale_assign(a: &mut [f32], alpha: f32) {
         let a = unsafe { sub_mut(&pa, s, e) };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx2Fma => {
+            Kernel::Avx2 => {
                 // SAFETY: `simd::active` only returns supported tiers.
                 unsafe { simd::x86::scale_assign_avx2(a, alpha) }
             }
@@ -226,41 +206,13 @@ pub fn axpy(a: &mut [f32], alpha: f32, b: &[f32]) {
         let (a, b) = unsafe { (sub_mut(&pa, s, e), sub_ref(&pb, s, e)) };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx2Fma => {
+            Kernel::Avx2 => {
                 // SAFETY: `simd::active` only returns supported tiers.
                 unsafe { simd::x86::axpy_avx2(a, alpha, b) }
             }
             _ => {
                 for (x, &y) in a.iter_mut().zip(b) {
                     *x += alpha * y;
-                }
-            }
-        }
-    });
-}
-
-/// `dst[i] = q[i] as f32 * scale` — int8 dequantization into a dense
-/// buffer (the wire-format decode for quantized client updates).
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn dequant_scale(dst: &mut [f32], q: &[i8], scale: f32) {
-    assert_eq!(dst.len(), q.len(), "fused dequant_scale length mismatch");
-    let kern = simd::active();
-    let (pd, pq) = (MutPtr(dst.as_mut_ptr()), ConstPtrI8(q.as_ptr()));
-    dispatch(dst.len(), &|s, e| {
-        // SAFETY: ranges are disjoint and in-bounds (dispatch contract).
-        let (dst, q) = unsafe { (sub_mut(&pd, s, e), sub_ref_i8(&pq, s, e)) };
-        match kern {
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx2Fma => {
-                // SAFETY: `simd::active` only returns supported tiers.
-                unsafe { simd::x86::dequant_scale_avx2(dst, q, scale) }
-            }
-            _ => {
-                for (x, &qv) in dst.iter_mut().zip(q) {
-                    *x = qv as f32 * scale;
                 }
             }
         }
@@ -303,7 +255,7 @@ pub fn sgd_momentum_update(
         let (p, v, g) = unsafe { (sub_mut(&pp, s, e), sub_mut(&pv, s, e), sub_ref(&pg, s, e)) };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx2Fma => {
+            Kernel::Avx2 => {
                 // SAFETY: `simd::active` only returns supported tiers.
                 unsafe { simd::x86::sgd_momentum_avx2(p, v, g, lr, momentum, weight_decay) }
             }
@@ -360,7 +312,7 @@ pub fn prox_sgd_momentum_update(
         };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx2Fma => {
+            Kernel::Avx2 => {
                 // SAFETY: `simd::active` only returns supported tiers.
                 unsafe {
                     simd::x86::prox_sgd_momentum_avx2(p, v, g, a, mu, lr, momentum, weight_decay)
@@ -419,7 +371,7 @@ pub fn yogi_update(
         };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx2Fma => {
+            Kernel::Avx2 => {
                 // SAFETY: `simd::active` only returns supported tiers.
                 unsafe { simd::x86::yogi_avx2(p, m, v, d, lr, beta1, beta2, eps) }
             }

@@ -482,9 +482,9 @@ fn gemm_panel(a: Operand, b: Operand, mut out: Window, k: usize) {
 /// `bpack` is `kc × NR`. Stores only the `rh × jw` live sub-tile.
 ///
 /// The k-loop dispatches on `kern`: the AVX2 tier executes the same
-/// mul-then-add per lane (bit-identical, see [`crate::simd`]), the
-/// opt-in FMA tier contracts them, and everything else runs the
-/// portable loop. Accumulator copy-in/out is shared by all tiers.
+/// mul-then-add per lane (bit-identical, see [`crate::simd`]) and
+/// everything else runs the portable loop. Accumulator copy-in/out is
+/// shared by both tiers.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn micro_tile(
@@ -508,11 +508,6 @@ fn micro_tile(
             // SAFETY: `simd::active` only returns tiers the CPU
             // supports; apack/bpack hold kc·MR / kc·NR elements.
             unsafe { simd::x86::gemm_micro_avx2(apack, bpack, &mut acc, kc) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        simd::Kernel::Avx2Fma => {
-            // SAFETY: as above (FMA support verified by `simd::active`).
-            unsafe { simd::x86::gemm_micro_fma(apack, bpack, &mut acc, kc) }
         }
         _ => {
             for p in 0..kc {

@@ -192,15 +192,24 @@ impl Pool {
     }
 }
 
+/// Parses a thread-count setting (`FT_TENSOR_THREADS`, and
+/// `FT_CLIENT_THREADS` in `ft_fedsim::exec`): a non-negative integer,
+/// clamped to at least 1. `None` is not a recognised form (the readers
+/// then use their defaults; `ft-run` refuses to start).
+pub fn parse_threads(value: &str) -> Option<usize> {
+    value.trim().parse::<usize>().ok().map(|n| n.max(1))
+}
+
 fn desired_threads() -> usize {
-    if let Ok(v) = std::env::var("FT_TENSOR_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    std::env::var("FT_TENSOR_THREADS")
+        .ok()
+        .as_deref()
+        .and_then(parse_threads)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
 }
 
 /// The process-wide pool, spawned on first use.

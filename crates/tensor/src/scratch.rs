@@ -35,16 +35,8 @@
 //! (`MAX_PER_CLASS` / `MAX_CLASS_BYTES`); anything beyond that (and
 //! any buffer larger than `MAX_POOLED_BYTES`) is released to the real
 //! allocator, so a transient spike cannot pin memory forever.
-//!
-//! # Disabling
-//!
-//! [`set_enabled`] turns the pool into a pass-through (fresh
-//! allocation on checkout, real free on return). The train-step
-//! benchmark uses this to measure the allocator's share of step time;
-//! it is not meant for production use.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Smallest pooled class, in elements (smaller requests round up).
 const MIN_CLASS_ELEMS: usize = 64;
@@ -54,23 +46,6 @@ const MAX_POOLED_BYTES: usize = 64 << 20;
 const MAX_PER_CLASS: usize = 16;
 /// Retained free bytes per class (caps the large classes harder).
 const MAX_CLASS_BYTES: usize = 64 << 20;
-
-/// Global pass-through switch (true = pooling active).
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables pooling process-wide. Intended for the
-/// train-step benchmark, which times the hot path with and without
-/// buffer reuse in one process. Safe at any time: a buffer checked
-/// out under one mode and returned under the other is simply freed
-/// or cached according to the mode at return time.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether pooling is currently active.
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// One thread's free lists, indexed by power-of-two class.
 struct ThreadPool {
@@ -120,23 +95,21 @@ pub fn take(len: usize) -> Vec<f32> {
     if len == 0 {
         return Vec::new();
     }
-    if is_enabled() {
-        let reused = POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            let class = class_of(len);
-            p.classes.get_mut(class).and_then(Vec::pop)
-        });
-        if let Some(mut v) = reused {
-            debug_assert!(v.capacity() >= len);
-            if v.len() >= len {
-                v.truncate(len);
-            } else {
-                // Within capacity by the class invariant: fills only
-                // the `v.len()..len` gap, never reallocates.
-                v.resize(len, 0.0);
-            }
-            return v;
+    let reused = POOL.with(|p| {
+        let mut p = p.borrow_mut();
+        let class = class_of(len);
+        p.classes.get_mut(class).and_then(Vec::pop)
+    });
+    if let Some(mut v) = reused {
+        debug_assert!(v.capacity() >= len);
+        if v.len() >= len {
+            v.truncate(len);
+        } else {
+            // Within capacity by the class invariant: fills only
+            // the `v.len()..len` gap, never reallocates.
+            v.resize(len, 0.0);
         }
+        return v;
     }
     let mut v = Vec::with_capacity(class_capacity(class_of(len)));
     v.resize(len, 0.0);
@@ -152,12 +125,12 @@ pub fn take_zeroed(len: usize) -> Vec<f32> {
 }
 
 /// Returns a buffer to the calling thread's pool (or frees it when
-/// pooling is disabled, the buffer is empty, oversized, or its class
-/// is full). Accepts any `Vec<f32>`, not just pool-born ones: a
-/// deserialized tensor's buffer enters the pool on first drop.
+/// the buffer is empty, oversized, or its class is full). Accepts any
+/// `Vec<f32>`, not just pool-born ones: a deserialized tensor's buffer
+/// enters the pool on first drop.
 pub fn recycle(v: Vec<f32>) {
     let cap = v.capacity();
-    if cap < MIN_CLASS_ELEMS || cap * 4 > MAX_POOLED_BYTES || !is_enabled() {
+    if cap < MIN_CLASS_ELEMS || cap * 4 > MAX_POOLED_BYTES {
         return; // dropped
     }
     // Classify by the largest class the capacity fully covers, so a
@@ -240,14 +213,12 @@ pub fn with_index_buf<R>(f: impl FnOnce(&mut Vec<usize>) -> R) -> R {
         .unwrap_or_default();
     buf.clear();
     let out = f(&mut buf);
-    if is_enabled() {
-        POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            if p.index_bufs.len() < 4 {
-                p.index_bufs.push(buf);
-            }
-        });
-    }
+    POOL.with(|p| {
+        let mut p = p.borrow_mut();
+        if p.index_bufs.len() < 4 {
+            p.index_bufs.push(buf);
+        }
+    });
     out
 }
 
@@ -327,21 +298,5 @@ mod tests {
     fn index_buf_is_cleared_between_uses() {
         with_index_buf(|b| b.extend(0..10));
         with_index_buf(|b| assert!(b.is_empty()));
-    }
-
-    #[test]
-    fn disabled_mode_is_pass_through() {
-        set_enabled(false);
-        let v = take(128);
-        let ptr = v.as_ptr();
-        recycle(v);
-        let v2 = take(128);
-        // With pooling off the second take is a fresh allocation —
-        // it *may* coincidentally reuse the address via the system
-        // allocator, so only assert behavior that must hold: correct
-        // length and no panic.
-        assert_eq!(v2.len(), 128);
-        let _ = ptr;
-        set_enabled(true);
     }
 }

@@ -1,19 +1,18 @@
-//! Runtime-dispatched SIMD micro-kernels for the GEMM core, the fused
-//! element-wise kernels, and the int8 dequantization path.
+//! Runtime-dispatched SIMD micro-kernels for the GEMM core and the
+//! fused element-wise kernels.
 //!
 //! # Dispatch
 //!
 //! The kernel tier is decided once per process by [`active`]:
 //!
-//! 1. `FT_TENSOR_SIMD=0` forces the portable fallback (the plain Rust
-//!    loops, exactly the pre-SIMD code path).
-//! 2. `FT_TENSOR_SIMD=fma` opts into the AVX2+FMA GEMM micro-kernel.
-//!    FMA contracts `mul`+`add` into one rounding, so its results are
-//!    **not** bit-identical to the portable path; it is excluded from
-//!    every golden-digest check and exists purely as an opt-in
-//!    throughput tier. Element-wise kernels never use FMA.
-//! 3. Otherwise, `is_x86_feature_detected!("avx2")` picks [`Kernel::Avx2`]
-//!    on capable x86-64 hosts and [`Kernel::Portable`] everywhere else.
+//! 1. `FT_TENSOR_SIMD=0` (or `off`, `portable`) forces the portable
+//!    fallback (the plain Rust loops, exactly the pre-SIMD code path).
+//! 2. Otherwise (unset, or `1`/`on`/`auto`),
+//!    `is_x86_feature_detected!("avx2")` picks [`Kernel::Avx2`] on
+//!    capable x86-64 hosts and [`Kernel::Portable`] everywhere else.
+//!
+//! There is no FMA tier: contracting `mul`+`add` into one rounding
+//! would move every digest.
 //!
 //! # Why AVX2 keeps results bit-identical
 //!
@@ -41,11 +40,6 @@ pub enum Kernel {
     Portable,
     /// Explicit AVX2 intrinsics, bit-identical to [`Kernel::Portable`].
     Avx2,
-    /// AVX2 with FMA contraction in the GEMM micro-kernel. Opt-in via
-    /// `FT_TENSOR_SIMD=fma`; **not** bit-identical (one rounding per
-    /// multiply-add instead of two), so it is excluded from golden
-    /// checks. Element-wise kernels fall back to the AVX2 forms.
-    Avx2Fma,
 }
 
 impl Kernel {
@@ -54,26 +48,29 @@ impl Kernel {
         match self {
             Kernel::Portable => "portable",
             Kernel::Avx2 => "avx2",
-            Kernel::Avx2Fma => "avx2+fma",
         }
+    }
+}
+
+/// Parses an `FT_TENSOR_SIMD` value: `Some(false)` forces the portable
+/// fallback, `Some(true)` asks for CPU auto-detection, `None` is not a
+/// recognised form ([`active`] then auto-detects; `ft-run` refuses to
+/// start).
+pub fn parse_env(value: &str) -> Option<bool> {
+    match value.trim() {
+        "0" | "off" | "portable" => Some(false),
+        "1" | "on" | "auto" => Some(true),
+        _ => None,
     }
 }
 
 /// Pure decision function behind [`active`], separated so the env/CPU
 /// matrix is unit-testable without touching process state.
-fn decide(env: Option<&str>, has_avx2: bool, has_fma: bool) -> Kernel {
-    match env.map(str::trim) {
-        Some("0") | Some("off") | Some("portable") => Kernel::Portable,
-        Some("fma") if has_avx2 && has_fma => Kernel::Avx2Fma,
-        // Any other value (including an unsatisfiable `fma` request)
-        // falls through to best-available auto-detection.
-        _ => {
-            if has_avx2 {
-                Kernel::Avx2
-            } else {
-                Kernel::Portable
-            }
-        }
+fn decide(env: Option<&str>, has_avx2: bool) -> Kernel {
+    if has_avx2 && env.and_then(parse_env).unwrap_or(true) {
+        Kernel::Avx2
+    } else {
+        Kernel::Portable
     }
 }
 
@@ -84,11 +81,6 @@ pub fn supported(k: Kernel) -> bool {
         Kernel::Portable => true,
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2Fma => {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        }
         #[cfg(not(target_arch = "x86_64"))]
         _ => false,
     }
@@ -98,7 +90,7 @@ pub fn supported(k: Kernel) -> bool {
 /// capability only — `FT_TENSOR_SIMD` does not narrow this list, so
 /// equivalence tests can always compare the tiers side by side.
 pub fn available() -> Vec<Kernel> {
-    [Kernel::Portable, Kernel::Avx2, Kernel::Avx2Fma]
+    [Kernel::Portable, Kernel::Avx2]
         .into_iter()
         .filter(|&k| supported(k))
         .collect()
@@ -109,14 +101,7 @@ fn detected() -> Kernel {
     static DETECTED: OnceLock<Kernel> = OnceLock::new();
     *DETECTED.get_or_init(|| {
         let env = std::env::var("FT_TENSOR_SIMD").ok();
-        #[cfg(target_arch = "x86_64")]
-        let (avx2, fma) = (
-            std::arch::is_x86_feature_detected!("avx2"),
-            std::arch::is_x86_feature_detected!("fma"),
-        );
-        #[cfg(not(target_arch = "x86_64"))]
-        let (avx2, fma) = (false, false);
-        decide(env.as_deref(), avx2, fma)
+        decide(env.as_deref(), supported(Kernel::Avx2))
     })
 }
 
@@ -124,10 +109,9 @@ fn detected() -> Kernel {
 static FORCED: AtomicU8 = AtomicU8::new(0);
 
 /// Overrides the kernel tier for subsequent calls (`None` restores
-/// the `FT_TENSOR_SIMD`/CPU auto-detection). A bench/test hook in the
-/// spirit of [`crate::scratch::set_enabled`]: production code never
-/// calls it, and callers must not flip it while kernels are running
-/// on other threads.
+/// the `FT_TENSOR_SIMD`/CPU auto-detection). A bench/test hook:
+/// production code never calls it, and callers must not flip it while
+/// kernels are running on other threads.
 ///
 /// # Panics
 ///
@@ -153,16 +137,15 @@ pub fn active() -> Kernel {
     match FORCED.load(Ordering::SeqCst) {
         1 => Kernel::Portable,
         2 => Kernel::Avx2,
-        3 => Kernel::Avx2Fma,
         _ => detected(),
     }
 }
 
-/// The explicit AVX2/FMA kernels. Each function is `unsafe` solely
+/// The explicit AVX2 kernels. Each function is `unsafe` solely
 /// because of the `target_feature` contract: the caller must have
-/// verified AVX2 (and FMA where noted) support, which every dispatch
-/// site does by construction ([`active`] only returns a tier
-/// [`supported`] reports true for).
+/// verified AVX2 support, which every dispatch site does by
+/// construction ([`active`] only returns a tier [`supported`] reports
+/// true for).
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use std::arch::x86_64::*;
@@ -211,58 +194,6 @@ pub(crate) mod x86 {
             v1 = _mm256_add_ps(v1, _mm256_mul_ps(a1, b));
             v2 = _mm256_add_ps(v2, _mm256_mul_ps(a2, b));
             v3 = _mm256_add_ps(v3, _mm256_mul_ps(a3, b));
-        }
-        // SAFETY: each acc row is NR = 8 contiguous f32s.
-        unsafe {
-            _mm256_storeu_ps(acc[0].as_mut_ptr(), v0);
-            _mm256_storeu_ps(acc[1].as_mut_ptr(), v1);
-            _mm256_storeu_ps(acc[2].as_mut_ptr(), v2);
-            _mm256_storeu_ps(acc[3].as_mut_ptr(), v3);
-        }
-    }
-
-    /// FMA variant of [`gemm_micro_avx2`]: one contracted rounding per
-    /// multiply-add. Faster, but **not** bit-identical to the portable
-    /// path — only reachable through the opt-in `FT_TENSOR_SIMD=fma`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 *and* FMA support, and
-    /// `apack`/`bpack` must hold at least `kc * MR` / `kc * NR`
-    /// elements.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gemm_micro_fma(
-        apack: &[f32],
-        bpack: &[f32],
-        acc: &mut [[f32; NR]; MR],
-        kc: usize,
-    ) {
-        debug_assert!(apack.len() >= kc * MR && bpack.len() >= kc * NR);
-        let (ap, bp) = (apack.as_ptr(), bpack.as_ptr());
-        // SAFETY: each acc row is NR = 8 contiguous f32s.
-        let mut v0 = unsafe { _mm256_loadu_ps(acc[0].as_ptr()) };
-        // SAFETY: as above.
-        let mut v1 = unsafe { _mm256_loadu_ps(acc[1].as_ptr()) };
-        // SAFETY: as above.
-        let mut v2 = unsafe { _mm256_loadu_ps(acc[2].as_ptr()) };
-        // SAFETY: as above.
-        let mut v3 = unsafe { _mm256_loadu_ps(acc[3].as_ptr()) };
-        for p in 0..kc {
-            // SAFETY: p < kc, so p·NR + NR ≤ kc·NR ≤ bpack.len().
-            let b = unsafe { _mm256_loadu_ps(bp.add(p * NR)) };
-            // SAFETY: p < kc, so p·MR + MR ≤ kc·MR ≤ apack.len().
-            let (a0, a1, a2, a3) = unsafe {
-                (
-                    _mm256_set1_ps(*ap.add(p * MR)),
-                    _mm256_set1_ps(*ap.add(p * MR + 1)),
-                    _mm256_set1_ps(*ap.add(p * MR + 2)),
-                    _mm256_set1_ps(*ap.add(p * MR + 3)),
-                )
-            };
-            v0 = _mm256_fmadd_ps(a0, b, v0);
-            v1 = _mm256_fmadd_ps(a1, b, v1);
-            v2 = _mm256_fmadd_ps(a2, b, v2);
-            v3 = _mm256_fmadd_ps(a3, b, v3);
         }
         // SAFETY: each acc row is NR = 8 contiguous f32s.
         unsafe {
@@ -585,35 +516,6 @@ pub(crate) mod x86 {
             *p += lr * mi / (vi.sqrt() + eps);
         }
     }
-
-    /// `dst[i] = q[i] as f32 * scale` — the int8 dequantization store
-    /// (sign-extend, exact int→float convert, one multiply).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support; slices must be equal
-    /// length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dequant_scale_avx2(dst: &mut [f32], q: &[i8], scale: f32) {
-        debug_assert_eq!(dst.len(), q.len());
-        let n = dst.len();
-        let (pd, pq) = (dst.as_mut_ptr(), q.as_ptr());
-        let vscale = _mm256_set1_ps(scale);
-        let mut i = 0;
-        while i + LANES <= n {
-            // SAFETY: i + 8 ≤ n, so 8 bytes of q and 8 f32s of dst are
-            // in bounds.
-            unsafe {
-                let qi = _mm_loadl_epi64(pq.add(i) as *const __m128i);
-                let qf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qi));
-                _mm256_storeu_ps(pd.add(i), _mm256_mul_ps(qf, vscale));
-            }
-            i += LANES;
-        }
-        for (x, &qv) in dst[i..].iter_mut().zip(&q[i..]) {
-            *x = qv as f32 * scale;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -622,29 +524,27 @@ mod tests {
 
     #[test]
     fn decide_honors_the_env_override() {
-        assert_eq!(decide(Some("0"), true, true), Kernel::Portable);
-        assert_eq!(decide(Some("off"), true, true), Kernel::Portable);
-        assert_eq!(decide(Some("portable"), true, true), Kernel::Portable);
-        assert_eq!(decide(Some(" 0 "), true, true), Kernel::Portable);
+        assert_eq!(decide(Some("0"), true), Kernel::Portable);
+        assert_eq!(decide(Some("off"), true), Kernel::Portable);
+        assert_eq!(decide(Some("portable"), true), Kernel::Portable);
+        assert_eq!(decide(Some(" 0 "), true), Kernel::Portable);
     }
 
     #[test]
     fn decide_auto_detects_from_cpu_features() {
-        assert_eq!(decide(None, true, true), Kernel::Avx2);
-        assert_eq!(decide(None, true, false), Kernel::Avx2);
-        assert_eq!(decide(None, false, false), Kernel::Portable);
-        assert_eq!(decide(Some("1"), true, false), Kernel::Avx2);
-        assert_eq!(decide(Some("1"), false, false), Kernel::Portable);
+        assert_eq!(decide(None, true), Kernel::Avx2);
+        assert_eq!(decide(None, false), Kernel::Portable);
+        assert_eq!(decide(Some("1"), true), Kernel::Avx2);
+        assert_eq!(decide(Some("auto"), false), Kernel::Portable);
     }
 
     #[test]
-    fn decide_fma_is_opt_in_and_requires_hardware() {
-        assert_eq!(decide(Some("fma"), true, true), Kernel::Avx2Fma);
-        // Unsatisfiable fma request falls back to best available.
-        assert_eq!(decide(Some("fma"), true, false), Kernel::Avx2);
-        assert_eq!(decide(Some("fma"), false, false), Kernel::Portable);
-        // fma is never chosen without the explicit opt-in.
-        assert_eq!(decide(None, true, true), Kernel::Avx2);
+    fn unrecognised_values_do_not_parse_and_auto_detect() {
+        for bad in ["fma", "protable", "", "2", "avx512"] {
+            assert_eq!(parse_env(bad), None, "{bad:?}");
+            assert_eq!(decide(Some(bad), true), Kernel::Avx2);
+            assert_eq!(decide(Some(bad), false), Kernel::Portable);
+        }
     }
 
     #[test]
@@ -669,6 +569,5 @@ mod tests {
     fn kernel_names_are_stable() {
         assert_eq!(Kernel::Portable.name(), "portable");
         assert_eq!(Kernel::Avx2.name(), "avx2");
-        assert_eq!(Kernel::Avx2Fma.name(), "avx2+fma");
     }
 }

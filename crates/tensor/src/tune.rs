@@ -134,8 +134,9 @@ fn probe_caches() -> (Option<usize>, Option<usize>) {
 /// Parses the `FT_TENSOR_TUNE=mc,kc` override. Values are clamped to
 /// the same bounds the probe respects — in particular `kc` can never
 /// exceed [`KC_MAX`], because the B slab's stack extent is fixed at
-/// compile time.
-fn parse_env(spec: &str) -> Option<TuneConfig> {
+/// compile time. `None` is not a recognised form ([`config`] then
+/// probes the caches; `ft-run` refuses to start).
+pub fn parse_env(spec: &str) -> Option<TuneConfig> {
     let mut it = spec.split(',');
     let mc = it.next()?.trim().parse::<usize>().ok()?;
     let kc = it.next()?.trim().parse::<usize>().ok()?;

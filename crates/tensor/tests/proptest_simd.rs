@@ -8,10 +8,7 @@
 //! not an epsilon band: GEMM across remainder tiles (`m % MR ≠ 0`,
 //! `n % NR ≠ 0`, `k` below and above one k-block), every fused
 //! element-wise kernel (including NaN/signed-zero edges through
-//! Yogi's `signum`), the int8 dequant kernel, and a sweep of
-//! autotune `(mc, kc)` choices. The opt-in FMA tier contracts
-//! mul+add in the GEMM micro-kernel, so it is checked against a
-//! relative band instead — and excluded from every golden digest.
+//! Yogi's `signum`), and a sweep of autotune `(mc, kc)` choices.
 //!
 //! All tests serialize on one mutex: `simd::force` / `tune::force`
 //! are process-global hooks.
@@ -44,8 +41,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Asserts every available tier reproduces the portable run exactly
-/// (FMA too: `f` must not route through the GEMM micro-kernel).
+/// Asserts every available tier reproduces the portable run exactly.
 fn assert_all_tiers_bit_equal(f: impl Fn() -> Vec<f32>, what: &str) {
     let reference = under(Kernel::Portable, &f);
     for k in simd::available() {
@@ -73,30 +69,14 @@ fn seeded_vec(n: usize, seed: u64) -> Vec<f32> {
 
 // ---------------------------------------------------------------- GEMM
 
-/// AVX2 GEMM must be bit-identical to portable; the FMA tier stays
-/// within a relative band (one rounding fewer per multiply-add).
+/// AVX2 GEMM must be bit-identical to portable.
 fn check_gemm_shape(m: usize, k: usize, n: usize) {
     let a = seeded_tensor(&[m, k], (m * 31 + k) as u64);
     let b = seeded_tensor(&[k, n], (n * 17 + k) as u64);
-    let run = || a.matmul(&b).unwrap().data().to_vec();
-    let reference = under(Kernel::Portable, run);
-    for kern in simd::available() {
-        let got = under(kern, run);
-        match kern {
-            Kernel::Avx2Fma => {
-                for (i, (&x, &y)) in got.iter().zip(&reference).enumerate() {
-                    let tol = 1e-4f32.max(y.abs() * 1e-4);
-                    assert!((x - y).abs() <= tol, "fma {m}x{k}x{n} elem {i}: {x} vs {y}");
-                }
-            }
-            _ => assert_eq!(
-                bits(&got),
-                bits(&reference),
-                "{:?} {m}x{k}x{n} diverged from portable",
-                kern
-            ),
-        }
-    }
+    assert_all_tiers_bit_equal(
+        || a.matmul(&b).unwrap().data().to_vec(),
+        &format!("{m}x{k}x{n}"),
+    );
 }
 
 proptest! {
@@ -327,26 +307,6 @@ fn lane_tails_and_parallel_threshold_are_invisible() {
                 x
             },
             &format!("axpy n={n}"),
-        );
-    }
-}
-
-// ------------------------------------------------------ int8 dequant
-
-proptest! {
-    #[test]
-    fn dequant_tiers_agree(
-        q in proptest::collection::vec(-127i8..=127, 1..600),
-        scale in 0.0f32..0.5,
-    ) {
-        let _guard = lock();
-        assert_all_tiers_bit_equal(
-            || {
-                let mut dst = vec![0.0f32; q.len()];
-                fused::dequant_scale(&mut dst, &q, scale);
-                dst
-            },
-            "dequant_scale",
         );
     }
 }

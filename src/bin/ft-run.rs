@@ -59,12 +59,11 @@ OPTIONS:
     --help                  print this help
 
 ENVIRONMENT:
-    FT_CLIENT_THREADS / FT_TENSOR_THREADS control parallelism and never
-    change a report byte; FT_ARTIFACT_DIR overrides the report
-    directory. FT_RENDEZVOUS_DEADLINE_S / FT_HEARTBEAT_INTERVAL_S /
-    FT_HEARTBEAT_DEADLINE_S tune the coordinator protocol's timing (a
-    healthy fleet's report is invariant to them). Full table:
-    README.md#environment-variables";
+    FT_CLIENT_THREADS / FT_TENSOR_THREADS / FT_MAX_IN_FLIGHT control
+    parallelism and never change a report byte; FT_ARTIFACT_DIR
+    overrides the report directory. Protocol timing is set in the
+    scenario file's `timing` block. An unknown or malformed FT_*
+    variable is an error. Full table: README.md#environment-variables";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -255,6 +254,10 @@ fn run(args: &Args) -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
+    if let Err(e) = ft_harness::runner::check_env() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests for the scenario harness: canned
 //! registry execution, checkpoint/resume byte-identity for FedTrans
-//! and a baseline, and golden-digest agreement.
+//! and a baseline, golden-digest agreement, and `ft-run`'s startup
+//! check of the `FT_*` environment.
 
 use std::path::PathBuf;
 
@@ -154,4 +155,75 @@ fn scenario_json_config_round_trips_through_the_runner() {
     )
     .unwrap();
     assert_eq!(a.digest, b.digest);
+}
+
+/// `ft-run` with every inherited `FT_*` variable scrubbed, then `vars`
+/// set.
+fn ft_run(vars: &[(&str, &str)], args: &[&str]) -> std::process::Output {
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_ft-run"));
+    for (name, _) in std::env::vars_os() {
+        if name.to_string_lossy().starts_with("FT_") {
+            cmd.env_remove(name);
+        }
+    }
+    cmd.envs(vars.iter().copied())
+        .args(args)
+        .output()
+        .expect("ft-run starts")
+}
+
+#[test]
+fn ft_run_refuses_unknown_or_malformed_ft_variables() {
+    // Each of these used to fall back to a default without a word
+    // (`protable` selected AVX2); `fma` named a tier that is gone.
+    for (name, value) in [
+        ("FT_TENSOR_SIMD", "protable"),
+        ("FT_TENSOR_SIMD", "fma"),
+        ("FT_CLIENT_THREADS", "two"),
+        ("FT_TENSOR_THREADS", ""),
+        ("FT_MAX_IN_FLIGHT", "0"),
+        ("FT_TENSOR_TUNE", "banana"),
+        ("FT_SCENARIO_QUICK", "yes"),
+        ("FT_TYPO", "1"),
+        ("FT_HEARTBEAT_DEADLINE_S", "60"),
+    ] {
+        let out = ft_run(&[(name, value)], &["--scenario", "iid-small", "--quick"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{name}={value:?} was accepted");
+        assert!(stderr.contains(name), "{name}={value:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{name}={value:?} must fail before any work"
+        );
+    }
+}
+
+#[test]
+fn ft_run_accepts_a_clean_environment_and_every_surviving_variable() {
+    let clean = ft_run(&[], &["--list"]);
+    assert!(clean.status.success());
+
+    let artifacts = std::env::temp_dir().join(format!("ft-env-check-{}", std::process::id()));
+    let out = ft_run(
+        &[
+            ("FT_TENSOR_THREADS", "2"),
+            ("FT_TENSOR_SIMD", "portable"),
+            ("FT_TENSOR_TUNE", "256,128"),
+            ("FT_CLIENT_THREADS", "2"),
+            ("FT_MAX_IN_FLIGHT", "3"),
+            ("FT_SCENARIO_QUICK", "1"),
+            ("FT_BENCH_QUICK", "1"),
+            (
+                "FT_ARTIFACT_DIR",
+                artifacts.to_str().expect("utf-8 temp dir"),
+            ),
+        ],
+        &["--scenario", "iid-small", "--check-golden"],
+    );
+    let _ = std::fs::remove_dir_all(&artifacts);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
