@@ -9,7 +9,8 @@
 //! We track an exponential moving average of per-neuron update
 //! magnitude from the aggregated global delta each round (the
 //! coordinator-visible signal), and rebuild each capacity level's
-//! [`KeepPlan`] from the freshest scores at assignment time.
+//! [`KeepPlan`] from the freshest scores once per round and once per
+//! evaluation sweep.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +23,7 @@ use ft_model::{Cell, CellId, CellModel};
 use ft_tensor::Tensor;
 
 use crate::common::{eval_on_client, BaselineConfig};
-use crate::heterofl::DEFAULT_RATIOS;
+use crate::heterofl::{level_for, DEFAULT_RATIOS};
 use crate::scatter_sink::ScatterSink;
 use crate::submodel::{extract, unit_count, KeepPlan};
 
@@ -35,6 +36,11 @@ pub struct Fluid {
     ratios: Vec<f32>,
     /// Per-cell neuron-update scores (higher = more variant = kept).
     scores: BTreeMap<CellId, Vec<f32>>,
+    /// MACs and parameters of each width level. A level keeps
+    /// `ceil(r·n)` units of every cell whatever the scores say, so
+    /// these are fixed at construction; only *which* units move.
+    level_macs: Vec<u64>,
+    level_params: Vec<usize>,
 }
 
 impl Fluid {
@@ -55,11 +61,17 @@ impl Fluid {
             .iter()
             .map(|c| (c.id(), vec![0.0f32; unit_count(c)]))
             .collect();
-        Fluid {
+        let mut fluid = Fluid {
             global,
             ratios: DEFAULT_RATIOS.to_vec(),
             scores,
-        }
+            level_macs: Vec::new(),
+            level_params: Vec::new(),
+        };
+        let (_, levels) = fluid.levels();
+        fluid.level_macs = levels.iter().map(CellModel::macs_per_sample).collect();
+        fluid.level_params = levels.iter().map(CellModel::param_count).collect();
+        fluid
     }
 
     /// The global model.
@@ -94,17 +106,6 @@ impl Fluid {
         KeepPlan { keep }
     }
 
-    /// The width level for a capacity (largest level that fits).
-    fn level_for(&self, capacity: u64) -> usize {
-        for (i, &r) in self.ratios.iter().enumerate() {
-            let sub = extract(&self.global, &self.plan_for_ratio(r));
-            if sub.macs_per_sample() <= capacity {
-                return i;
-            }
-        }
-        self.ratios.len() - 1
-    }
-
     /// Folds the aggregate delta into the per-neuron update scores.
     ///
     /// # Panics
@@ -119,55 +120,37 @@ impl Fluid {
                 .scores
                 .get_mut(id)
                 .expect("cell registered at construction");
-            let n = scores.len();
             // Per-unit magnitude from the cell's primary weight tensor:
-            // dense columns, conv rows, attention W1 columns.
-            match cell {
-                Cell::Dense { .. } => {
-                    let dw = new[*start].sub(&old[*start]).expect("same shapes");
-                    let cols = dw.shape().dims()[1];
-                    for j in 0..n.min(cols) {
-                        let mut mag = 0.0f32;
-                        for r in 0..dw.shape().dims()[0] {
-                            mag += dw.at(r, j).abs();
-                        }
-                        scores[j] = SCORE_EMA * scores[j] + (1.0 - SCORE_EMA) * mag;
-                    }
+            // dense columns, conv rows, attention W1 columns (W1 is the
+            // 5th tensor of the attention cell).
+            let (tensor, by_row) = match cell {
+                Cell::Dense { .. } => (*start, false),
+                Cell::Conv { .. } => (*start, true),
+                Cell::Attention { .. } => (start + 4, false),
+            };
+            let dw = new[tensor].sub(&old[tensor]).expect("same shapes");
+            let (rows, cols) = (dw.shape().dims()[0], dw.shape().dims()[1]);
+            let (units, span) = if by_row { (rows, cols) } else { (cols, rows) };
+            for (j, score) in scores.iter_mut().enumerate().take(units) {
+                let mut mag = 0.0f32;
+                for i in 0..span {
+                    mag += if by_row { dw.at(j, i) } else { dw.at(i, j) }.abs();
                 }
-                Cell::Conv { .. } => {
-                    let dw = new[*start].sub(&old[*start]).expect("same shapes");
-                    let cols = dw.shape().dims()[1];
-                    for (j, score) in scores.iter_mut().enumerate().take(dw.shape().dims()[0]) {
-                        let mut mag = 0.0f32;
-                        for c in 0..cols {
-                            mag += dw.at(j, c).abs();
-                        }
-                        *score = SCORE_EMA * *score + (1.0 - SCORE_EMA) * mag;
-                    }
-                }
-                Cell::Attention { .. } => {
-                    // W1 is the 5th tensor of the attention cell.
-                    let w1_idx = start + 4;
-                    let dw = new[w1_idx].sub(&old[w1_idx]).expect("same shapes");
-                    let cols = dw.shape().dims()[1];
-                    for j in 0..n.min(cols) {
-                        let mut mag = 0.0f32;
-                        for r in 0..dw.shape().dims()[0] {
-                            mag += dw.at(r, j).abs();
-                        }
-                        scores[j] = SCORE_EMA * scores[j] + (1.0 - SCORE_EMA) * mag;
-                    }
-                }
+                *score = SCORE_EMA * *score + (1.0 - SCORE_EMA) * mag;
             }
         }
     }
 
-    /// The current submodel of every width level.
-    fn level_submodels(&self) -> Vec<CellModel> {
-        self.ratios
+    /// Every width level's plan under the current scores, and the
+    /// submodel it cuts from the current global.
+    fn levels(&self) -> (Vec<KeepPlan>, Vec<CellModel>) {
+        let plans: Vec<KeepPlan> = self
+            .ratios
             .iter()
-            .map(|&r| extract(&self.global, &self.plan_for_ratio(r)))
-            .collect()
+            .map(|&r| self.plan_for_ratio(r))
+            .collect();
+        let submodels = plans.iter().map(|p| extract(&self.global, p)).collect();
+        (plans, submodels)
     }
 }
 
@@ -184,34 +167,34 @@ impl Method for Fluid {
     /// model's shapes — trained submodels must come from this round's
     /// global snapshot.
     fn round(&mut self, cx: &mut Round<'_, FederatedDataset>) -> Result<RoundOutcome> {
-        let n = cx.participants.len();
-        let mut plans = Vec::with_capacity(n);
-        let mut submodels = Vec::with_capacity(n);
-        let mut tasks = Vec::with_capacity(n);
-        let mut sub_stats = Vec::with_capacity(n);
-        for (i, &c) in cx.participants.iter().enumerate() {
-            let lvl = self.level_for(cx.fleet.devices.profile(c).capacity_macs);
-            let plan = self.plan_for_ratio(self.ratios[lvl]);
-            let sub = extract(&self.global, &plan);
-            sub_stats.push((sub.macs_per_sample(), sub.param_count()));
-            plans.push(plan);
-            // Plans are score-dependent and per-participant, so the
-            // round's model table holds one submodel per task.
-            submodels.push(sub);
+        // Scores only move at the end of a round, so the round's model
+        // table is one plan and one submodel per width level;
+        // extraction is a pure function of (global, plan), so cutting
+        // each level once and letting the engine clone per task is
+        // bit-identical to the retired per-participant extraction.
+        let (plans, submodels) = self.levels();
+        let mut levels = Vec::with_capacity(cx.participants.len());
+        let mut tasks = Vec::with_capacity(cx.participants.len());
+        for &c in cx.participants {
+            let lvl = level_for(&self.level_macs, cx.fleet.devices.profile(c).capacity_macs);
+            levels.push(lvl);
             tasks.push(TrainTask {
                 client: c,
-                model: i,
+                model: lvl,
                 seed: cx.client_seed(c),
             });
         }
         // Scatter aggregation streams through the sink, per
         // participant plan; updates drop as soon as they fold.
         let original = self.global.snapshot();
-        let task_plans: Vec<&KeepPlan> = plans.iter().collect();
+        let task_plans: Vec<&KeepPlan> = levels.iter().map(|&l| &plans[l]).collect();
         let mut sink = ScatterSink::new(&self.global, task_plans);
         let replies = cx.train(tasks, &submodels, &mut sink)?;
 
-        let round_time_s = cx.ledger.charge(&replies, |r| sub_stats[r.task]);
+        let round_time_s = cx.ledger.charge(&replies, |r| {
+            let lvl = levels[r.task];
+            (self.level_macs[lvl], self.level_params[lvl])
+        });
 
         let agg = sink.take_aggregate();
         self.global.restore(&agg)?;
@@ -229,11 +212,11 @@ impl Method for Fluid {
 
     /// Per-client accuracy on each client's invariant-dropout submodel.
     fn evaluate(&self, fleet: Fleet<'_, FederatedDataset>) -> Result<(Vec<f32>, Vec<usize>)> {
+        let (_, submodels) = self.levels();
         Ok(
             ft_fedsim::eval::par_map_indexed(fleet.data.num_clients(), |c| {
-                let lvl = self.level_for(fleet.devices.profile(c).capacity_macs);
-                let sub = extract(&self.global, &self.plan_for_ratio(self.ratios[lvl]));
-                (eval_on_client(&sub, fleet.data.client(c)), lvl)
+                let lvl = level_for(&self.level_macs, fleet.devices.profile(c).capacity_macs);
+                (eval_on_client(&submodels[lvl], fleet.data.client(c)), lvl)
             })
             .into_iter()
             .unzip(),
@@ -241,10 +224,10 @@ impl Method for Fluid {
     }
 
     fn suite(&self) -> Suite {
-        let levels = self.level_submodels();
+        let (_, levels) = self.levels();
         Suite {
             archs: levels.iter().map(CellModel::arch_string).collect(),
-            macs: levels.iter().map(CellModel::macs_per_sample).collect(),
+            macs: self.level_macs.clone(),
             storage_mb: self.global.storage_bytes() as f64 / 1e6,
         }
     }
@@ -317,15 +300,19 @@ mod tests {
     fn scores_move_plan_toward_active_neurons() {
         let (_, _, _, model) = setup();
         let mut f = Fluid::around(model);
-        // Manually bump the score of neuron 20 in the first cell.
-        let id = f.global.cells()[0].id();
-        f.scores.get_mut(&id).unwrap()[20] = 100.0;
-        let plan = f.plan_for_ratio(0.25);
-        assert!(
-            plan.keep[0].contains(&20),
-            "active neuron must be kept: {:?}",
-            plan.keep[0]
-        );
+        // One weight of neuron 20 in the first cell moves: it alone
+        // scores above zero.
+        let old = f.global.snapshot();
+        let mut new = old.clone();
+        *new[0].at_mut(0, 20) += 1.0;
+        f.update_scores(&old, &new);
+        let (plans, levels) = f.levels();
+        let kept = &plans[2].keep[0];
+        assert!(kept.contains(&20), "active neuron must be kept: {kept:?}");
+        // Which units a level keeps moved; how many, and so its MACs,
+        // did not.
+        let macs: Vec<u64> = levels.iter().map(CellModel::macs_per_sample).collect();
+        assert_eq!(macs, f.level_macs);
     }
 
     #[test]

@@ -21,6 +21,15 @@ use crate::submodel::{extract, KeepPlan};
 /// The standard HeteroFL width levels (largest first).
 pub const DEFAULT_RATIOS: [f32; 5] = [1.0, 0.5, 0.25, 0.125, 0.0625];
 
+/// The first level of `level_macs` (largest first) within `capacity`,
+/// else the last — shared with FLuID, which cuts the same levels.
+pub(crate) fn level_for(level_macs: &[u64], capacity: u64) -> usize {
+    level_macs
+        .iter()
+        .position(|&m| m <= capacity)
+        .unwrap_or(level_macs.len() - 1)
+}
+
 /// HeteroFL's server state: the global model and its width levels.
 pub struct HeteroFl {
     global: CellModel,
@@ -70,12 +79,7 @@ impl HeteroFl {
     /// The width level (index into ratios) for a client's capacity: the
     /// largest level that fits, else the smallest level.
     pub fn level_for(&self, capacity: u64) -> usize {
-        for (i, &m) in self.level_macs.iter().enumerate() {
-            if m <= capacity {
-                return i;
-            }
-        }
-        self.level_macs.len() - 1
+        level_for(&self.level_macs, capacity)
     }
 
     /// One submodel per width level, cut from the current global.

@@ -4,7 +4,6 @@
 //! bound is `tests/rss_bound.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fedtrans::FedTransRuntime;
 use ft_baselines::{FedAvg, HeteroFl, ServerOpt};
 use ft_bench::{Scale, Setup, Workload};
 use ft_fedsim::Algorithm;
@@ -13,15 +12,7 @@ fn bench_fedtrans_round(c: &mut Criterion) {
     let setup = Setup::new(Workload::Femnist, Scale::Ci);
     c.bench_function("fedtrans_one_round", |b| {
         b.iter_batched(
-            || {
-                FedTransRuntime::with_seed_model(
-                    setup.fedtrans_config(),
-                    setup.data.clone(),
-                    setup.devices.clone(),
-                    setup.seed.clone(),
-                )
-                .unwrap()
-            },
+            || setup.fedtrans(setup.fedtrans_config()).unwrap(),
             |mut rt| rt.step().unwrap(),
             criterion::BatchSize::LargeInput,
         );

@@ -1,23 +1,29 @@
-//! Experiment harness shared by every table/figure binary.
+//! Experiment harness behind the one `ft-exp <name>` binary.
 //!
-//! Each `exp_*` binary in `src/bin/` regenerates one artifact of the
-//! paper (see DESIGN.md's experiment index). This library provides the
-//! common setup: workload presets wired to matching device traces and
-//! seed models, method runners, scale control, and table printing.
+//! [`experiments::EXPERIMENTS`] is the table of paper artifacts; each
+//! row's function regenerates one of them. This module is what they
+//! share: workload presets wired to matching device traces and seed
+//! models ([`Setup`]), method runners, the Appendix-A.1 comparison,
+//! scale control, and the table that prints a row and collects it for
+//! the JSON artifact from the same values.
 //!
 //! Scale is controlled by the `FEDTRANS_SCALE` environment variable:
 //! `ci` (default, seconds per experiment), `medium`, or `full` (closest
 //! to the paper's scale this substrate supports).
 
+pub mod experiments;
+
 use fedtrans::{seed_model, FedTransConfig, FedTransRuntime};
 use ft_baselines::{BaselineConfig, FedAvg, Fluid, HeteroFl, ServerOpt, SplitMix};
 use ft_data::{DatasetConfig, FederatedDataset};
 use ft_fedsim::device::{DeviceTrace, DeviceTraceConfig};
-use ft_fedsim::report::RunReport;
+use ft_fedsim::driver::{Method, Runner};
+use ft_fedsim::report::{dump_json, RunReport};
 use ft_fedsim::trainer::LocalTrainConfig;
 use ft_fedsim::{AdversityConfig, Algorithm, Result as SimResult, RoundOptions, RunContext};
 use ft_model::CellModel;
 use rand::SeedableRng;
+use serde::{Serialize, Value};
 
 /// Experiment scale, from the `FEDTRANS_SCALE` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,13 +37,33 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the environment.
-    pub fn from_env() -> Self {
-        match std::env::var("FEDTRANS_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            Ok("medium") => Scale::Medium,
-            _ => Scale::Ci,
+    /// Parses a `FEDTRANS_SCALE` value: `ci`, `medium` or `full`.
+    pub fn parse(value: &str) -> Option<Scale> {
+        match value {
+            "ci" => Some(Scale::Ci),
+            "medium" => Some(Scale::Medium),
+            "full" => Some(Scale::Full),
+            _ => None,
         }
+    }
+
+    /// Reads the scale from the environment; unset means `ci`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming `FEDTRANS_SCALE`, its value and the accepted
+    /// forms when the variable is set to anything else.
+    pub fn from_env() -> Result<Scale, String> {
+        let Some(value) = std::env::var_os("FEDTRANS_SCALE") else {
+            return Ok(Scale::Ci);
+        };
+        let value = value.to_string_lossy();
+        Scale::parse(&value).ok_or_else(|| {
+            format!(
+                "FEDTRANS_SCALE=`{value}` is not valid: expected `ci`, `medium` or `full` \
+                 (unset = `ci`)"
+            )
+        })
     }
 
     /// Number of federated clients at this scale.
@@ -146,7 +172,7 @@ pub struct Setup {
 impl Setup {
     /// Builds the environment for a workload at a scale.
     pub fn new(workload: Workload, scale: Scale) -> Self {
-        Self::with_seed_override(workload, scale, None)
+        Self::with_config(workload, scale, |cfg| cfg)
     }
 
     /// Builds the environment with a custom dataset config tweak.
@@ -155,17 +181,7 @@ impl Setup {
         scale: Scale,
         tweak: impl FnOnce(DatasetConfig) -> DatasetConfig,
     ) -> Self {
-        let cfg = tweak(workload.dataset_config(scale));
-        Self::build(workload, scale, cfg)
-    }
-
-    fn with_seed_override(workload: Workload, scale: Scale, _seed: Option<CellModel>) -> Self {
-        let cfg = workload.dataset_config(scale);
-        Self::build(workload, scale, cfg)
-    }
-
-    fn build(workload: Workload, scale: Scale, cfg: DatasetConfig) -> Self {
-        let data = cfg.generate();
+        let data = tweak(workload.dataset_config(scale)).generate();
         // Anchor the device trace at a budget that admits a small seed
         // model of the matching family, leaving ~30x headroom above.
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
@@ -260,13 +276,32 @@ impl Setup {
         }
     }
 
+    /// A FedTrans runner over this setup's data, devices and seed model,
+    /// under its run context (the environment's round options, the
+    /// setup's adversity). Every experiment builds its runner here, so
+    /// `FT_MAX_IN_FLIGHT` and the adversity reach the ones that need the
+    /// runner's models as they reach the rest.
+    ///
+    /// # Errors
+    ///
+    /// Propagates configuration errors.
+    pub fn fedtrans(&self, cfg: FedTransConfig) -> fedtrans::Result<Runner<FedTransRuntime>> {
+        let runner = FedTransRuntime::with_seed_model(
+            cfg,
+            self.data.clone(),
+            self.devices.clone(),
+            self.seed.clone(),
+        )?;
+        Ok(runner.with_context(self.context()))
+    }
+
     /// Runs FedTrans to completion.
     ///
     /// # Errors
     ///
     /// Propagates runtime errors.
     pub fn run_fedtrans(&self, cfg: FedTransConfig, rounds: usize) -> fedtrans::Result<RunReport> {
-        Ok(self.run_fedtrans_keep_largest(cfg, rounds)?.0)
+        Ok(self.fedtrans(cfg)?.run_to(rounds)?)
     }
 
     /// Runs FedTrans and also returns its largest transformed model —
@@ -280,22 +315,42 @@ impl Setup {
         cfg: FedTransConfig,
         rounds: usize,
     ) -> fedtrans::Result<(RunReport, CellModel)> {
-        let mut rt = FedTransRuntime::with_seed_model(
-            cfg,
-            self.data.clone(),
-            self.devices.clone(),
-            self.seed.clone(),
-        )?
-        .with_context(self.context());
+        let mut rt = self.fedtrans(cfg)?;
         let report = rt.run_to(rounds)?;
-        let largest = rt
-            .method()
-            .models()
-            .last()
-            // ft-lint: allow(P001) — a runtime always holds ≥1 model (the seed).
-            .expect("suite always has the seed model")
-            .clone();
-        Ok((report, largest))
+        Ok((report, largest_model(&rt)))
+    }
+
+    /// The Appendix A.1 comparison: FedTrans under this setup's default
+    /// configuration, then FLuID, HeteroFL and SplitMix (4 bases)
+    /// around `global` — `None` is the paper's protocol, the largest
+    /// model that FedTrans run produced. `eval_every` applies to all
+    /// four runs (0: no accuracy curve).
+    ///
+    /// # Errors
+    ///
+    /// Propagates runtime errors.
+    pub fn compare(
+        &self,
+        rounds: usize,
+        eval_every: usize,
+        global: Option<&CellModel>,
+    ) -> fedtrans::Result<Comparison> {
+        let mut rt = self
+            .fedtrans(self.fedtrans_config())?
+            .with_eval_every(eval_every);
+        let fedtrans = rt.run_to(rounds)?;
+        let largest = global.cloned().unwrap_or_else(|| largest_model(&rt));
+        let bl = BaselineConfig {
+            eval_every,
+            ..self.baseline_config()
+        };
+        Ok(Comparison {
+            fedtrans,
+            fluid: self.run_baseline(|d, t| Fluid::new(bl, d, t, largest.clone()), rounds)?,
+            heterofl: self.run_baseline(|d, t| HeteroFl::new(bl, d, t, largest.clone()), rounds)?,
+            splitmix: self.run_baseline(|d, t| SplitMix::new(bl, d, t, &largest, 4), rounds)?,
+            largest,
+        })
     }
 
     /// Runs FedAvg (or FedProx via `prox_mu`, FedYogi via `server`).
@@ -310,63 +365,62 @@ impl Setup {
         server: ServerOpt,
         rounds: usize,
     ) -> SimResult<RunReport> {
-        FedAvg::new(cfg, self.data.clone(), self.devices.clone(), model, server)
-            .with_context(self.context())
-            .run_to(rounds)
+        self.run_baseline(|d, t| FedAvg::new(cfg, d, t, model, server), rounds)
     }
 
-    /// Runs HeteroFL around `global`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training errors.
-    pub fn run_heterofl(
+    /// Runs the baseline `build` wires to this setup's data and devices,
+    /// under the same run context.
+    fn run_baseline<M: Method<Data = FederatedDataset>>(
         &self,
-        cfg: BaselineConfig,
-        global: CellModel,
+        build: impl FnOnce(FederatedDataset, DeviceTrace) -> Runner<M>,
         rounds: usize,
     ) -> SimResult<RunReport> {
-        HeteroFl::new(cfg, self.data.clone(), self.devices.clone(), global)
-            .with_context(self.context())
-            .run_to(rounds)
-    }
-
-    /// Runs SplitMix with `k` bases split from `global`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training errors.
-    pub fn run_splitmix(
-        &self,
-        cfg: BaselineConfig,
-        global: &CellModel,
-        k: usize,
-        rounds: usize,
-    ) -> SimResult<RunReport> {
-        SplitMix::new(cfg, self.data.clone(), self.devices.clone(), global, k)
-            .with_context(self.context())
-            .run_to(rounds)
-    }
-
-    /// Runs FLuID around `global`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training errors.
-    pub fn run_fluid(
-        &self,
-        cfg: BaselineConfig,
-        global: CellModel,
-        rounds: usize,
-    ) -> SimResult<RunReport> {
-        Fluid::new(cfg, self.data.clone(), self.devices.clone(), global)
+        build(self.data.clone(), self.devices.clone())
             .with_context(self.context())
             .run_to(rounds)
     }
 }
 
+/// The largest model of a FedTrans suite (transformations append, so
+/// it is the last).
+fn largest_model(rt: &Runner<FedTransRuntime>) -> CellModel {
+    let models = rt.method().models();
+    // ft-lint: allow(P001) — a runtime always holds ≥1 model (the seed).
+    let largest = models.last().expect("suite always has the seed model");
+    largest.clone()
+}
+
+/// What [`Setup::compare`] ran: FedTrans and the three shrink-based
+/// baselines around one global model.
+pub struct Comparison {
+    /// The FedTrans run.
+    pub fedtrans: RunReport,
+    /// The global model the baselines received.
+    pub largest: CellModel,
+    /// FLuID around `largest`.
+    pub fluid: RunReport,
+    /// HeteroFL around `largest`.
+    pub heterofl: RunReport,
+    /// SplitMix with 4 bases split from `largest`.
+    pub splitmix: RunReport,
+}
+
+impl Comparison {
+    /// The four reports under the names the paper's tables print, in
+    /// Table 2's row order.
+    pub fn methods(&self) -> [(&'static str, &RunReport); 4] {
+        [
+            ("FedTrans", &self.fedtrans),
+            ("FLuID", &self.fluid),
+            ("HeteroFL", &self.heterofl),
+            ("SplitMix", &self.splitmix),
+        ]
+    }
+}
+
 /// Prints a markdown-style table row.
-pub fn print_row(cols: &[String]) {
+pub fn print_row<S: AsRef<str>>(cols: &[S]) {
+    let cols: Vec<&str> = cols.iter().map(AsRef::as_ref).collect();
     println!("| {} |", cols.join(" | "));
 }
 
@@ -385,21 +439,81 @@ pub fn table2_columns(method: &str, r: &RunReport) -> Vec<String> {
         method.to_owned(),
         format!("{:.2}", r.final_accuracy.mean * 100.0),
         format!("{:.2}", r.final_accuracy.iqr() * 100.0),
-        format!("{:.3e}", r.pmacs * 1e15), // raw MACs; scale-independent
+        format_macs(r.pmacs),
         format!("{:.3}", r.storage_mb),
         format!("{:.2}", r.network_mb),
     ]
 }
 
-/// Writes a JSON result artifact under the workspace-root
-/// `bench_results/` directory.
-///
-/// Delegates to [`ft_fedsim::report::dump_json`], which anchors the
-/// path at the workspace root (honouring `FT_ARTIFACT_DIR`). The old
-/// CWD-relative behaviour scattered artifacts across crate directories
-/// depending on where the binary was invoked from.
-pub fn dump_json(name: &str, value: &impl serde::Serialize) {
-    ft_fedsim::report::dump_json(name, value);
+/// A training cost as the tables print it: raw MACs, which unlike the
+/// report's PMACs read the same at every scale.
+pub fn format_macs(pmacs: f64) -> String {
+    format!("{:.3e}", pmacs * 1e15)
+}
+
+/// One table cell: a value, and how its markdown row prints it. The
+/// JSON artifact keeps the value itself.
+pub enum Cell<'a> {
+    /// A label.
+    Text(&'a str),
+    /// A number printed with this many decimal places.
+    Fixed(f32, usize),
+    /// A fraction printed as a percentage with this many places.
+    Percent(f32, usize),
+    /// A training cost in PMACs, printed by [`format_macs`].
+    Macs(f64),
+}
+
+impl Cell<'_> {
+    fn text(&self) -> String {
+        match *self {
+            Cell::Text(label) => label.to_owned(),
+            Cell::Fixed(v, decimals) => format!("{v:.decimals$}"),
+            Cell::Percent(fraction, decimals) => format!("{:.decimals$}", fraction * 100.0),
+            Cell::Macs(pmacs) => format_macs(pmacs),
+        }
+    }
+
+    fn value(&self) -> Value {
+        match *self {
+            Cell::Text(label) => label.to_value(),
+            Cell::Fixed(v, _) | Cell::Percent(v, _) => v.to_value(),
+            Cell::Macs(pmacs) => pmacs.to_value(),
+        }
+    }
+}
+
+/// A markdown table printed row by row, each row also collected as one
+/// JSON object — the artifact holds the values the table showed, not a
+/// second formatting of them.
+pub struct Table {
+    keys: Vec<&'static str>,
+    rows: Vec<Value>,
+}
+
+impl Table {
+    /// Prints the header and starts collecting. A column is its printed
+    /// heading and its key in the artifact's row objects.
+    pub fn new(columns: &[(&str, &'static str)]) -> Table {
+        let (headings, keys): (Vec<&str>, Vec<&'static str>) = columns.iter().copied().unzip();
+        print_header(&headings);
+        let rows = Vec::new();
+        Table { keys, rows }
+    }
+
+    /// Prints one row and collects it.
+    pub fn row(&mut self, cells: &[Cell]) {
+        debug_assert_eq!(cells.len(), self.keys.len(), "one cell per column");
+        print_row(&cells.iter().map(Cell::text).collect::<Vec<_>>());
+        let entries = self.keys.iter().zip(cells);
+        let entries = entries.map(|(key, cell)| ((*key).to_owned(), cell.value()));
+        self.rows.push(Value::Object(entries.collect()));
+    }
+
+    /// Writes the collected rows as `<artifact dir>/<name>.json`.
+    pub fn dump(&self, name: &str) {
+        dump_json(name, &self.rows);
+    }
 }
 
 #[cfg(test)]
@@ -407,9 +521,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_parses_env_values() {
-        // Note: from_env reads the process env; just check the default.
-        assert_eq!(Scale::Ci.clients(), 40);
+    fn scale_parses_its_three_forms_and_nothing_else() {
+        assert_eq!(Scale::parse("ci"), Some(Scale::Ci));
+        assert_eq!(Scale::parse("medium"), Some(Scale::Medium));
+        assert_eq!(Scale::parse("full"), Some(Scale::Full));
+        for bad in ["", "cii", "CI", "Full", " ci", "1"] {
+            assert_eq!(Scale::parse(bad), None, "{bad:?}");
+        }
         assert!(Scale::Full.rounds() > Scale::Ci.rounds());
     }
 

@@ -111,9 +111,9 @@ const ENV_VARS: [EnvRule; 8] = [
 ];
 
 /// Startup validation of the process environment, for the program's
-/// entry point (`ft-run` calls it before any work): every `FT_*`
-/// variable must be one this workspace reads and must parse under the
-/// same function its reader uses. The lazy readers inside the libraries
+/// entry points (`ft-run` and `ft-exp` call it before any work): every
+/// `FT_*` variable must be one this workspace reads and must parse under
+/// the same function its reader uses. The lazy readers inside the libraries
 /// keep their silent defaults; this is what turns a mistyped
 /// `FT_TENSOR_SIMD=protable` leg into an error instead of an AVX2 run.
 ///
