@@ -113,8 +113,8 @@ impl<D: ShardSource> Method for FedAvg<D> {
                     // copies per round; bit-identical to `a.sub(c)`.
                     let mut deltas = avg;
                     for (a, c) in deltas.iter_mut().zip(&current) {
-                        // ft-lint: allow(P001) — average and snapshot
-                        // come from the same model, shapes match.
+                        // Average and snapshot come from the same
+                        // model, so the shapes match.
                         a.sub_assign(c).expect("same shapes");
                     }
                     let delta_refs: Vec<&ft_tensor::Tensor> = deltas.iter().collect();

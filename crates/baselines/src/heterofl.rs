@@ -142,11 +142,11 @@ impl Method for HeteroFl {
     /// Per-client accuracy on each client's width-level submodel, plus
     /// the level used.
     fn evaluate(&self, fleet: Fleet<'_, FederatedDataset>) -> Result<(Vec<f32>, Vec<usize>)> {
+        let submodels = self.submodels();
         Ok(
             ft_fedsim::eval::par_map_indexed(fleet.data.num_clients(), |c| {
                 let lvl = self.level_for(fleet.devices.profile(c).capacity_macs);
-                let sub = extract(&self.global, &self.plans[lvl]);
-                (eval_on_client(&sub, fleet.data.client(c)), lvl)
+                (eval_on_client(&submodels[lvl], fleet.data.client(c)), lvl)
             })
             .into_iter()
             .unzip(),

@@ -33,8 +33,9 @@
 //! baseline reports — like FedTrans's — are byte-identical at any
 //! thread count and any `FT_MAX_IN_FLIGHT`.
 
-// Enforced in depth by ft-lint (S001); the compiler backstops it here.
+// Every `unsafe` in the workspace lives in `ft_tensor` (docs/LINTS.md).
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::missing_panics_doc))]
 
 pub mod common;
 mod fedavg;

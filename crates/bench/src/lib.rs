@@ -10,6 +10,7 @@
 //! Scale is controlled by the `FEDTRANS_SCALE` environment variable:
 //! `ci` (default, seconds per experiment), `medium`, or `full` (closest
 //! to the paper's scale this substrate supports).
+#![cfg_attr(not(test), warn(clippy::missing_panics_doc))]
 
 pub mod experiments;
 
@@ -383,9 +384,12 @@ impl Setup {
 
 /// The largest model of a FedTrans suite (transformations append, so
 /// it is the last).
+#[expect(
+    clippy::missing_panics_doc,
+    reason = "a runtime always holds at least one model, the seed"
+)]
 fn largest_model(rt: &Runner<FedTransRuntime>) -> CellModel {
     let models = rt.method().models();
-    // ft-lint: allow(P001) — a runtime always holds ≥1 model (the seed).
     let largest = models.last().expect("suite always has the seed model");
     largest.clone()
 }

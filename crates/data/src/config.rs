@@ -201,12 +201,6 @@ impl DatasetConfig {
         self
     }
 
-    /// Sets the per-client difficulty ceiling.
-    pub fn with_max_difficulty(mut self, d: f32) -> Self {
-        self.max_difficulty = d;
-        self
-    }
-
     /// Generates the dataset described by this configuration.
     pub fn generate(&self) -> FederatedDataset {
         generator::generate(self)

@@ -131,6 +131,10 @@ impl ClientData {
         self
     }
 
+    #[expect(
+        clippy::missing_panics_doc,
+        reason = "`dim` floats are appended per index, so the shape always fits"
+    )]
     fn gather_train(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
         let dim = self.train_x[0].len();
         let mut data = Vec::with_capacity(indices.len() * dim);
@@ -139,7 +143,6 @@ impl ClientData {
             data.extend_from_slice(&self.train_x[i]);
             labels.push(self.train_y[i]);
         }
-        // ft-lint: allow(P001) — `dim` floats appended per index above.
         let x = Tensor::from_vec(data, &[indices.len(), dim]).expect("dims consistent");
         (x, labels)
     }
@@ -153,6 +156,10 @@ impl ClientData {
     /// The full evaluation set as one batch.
     ///
     /// Returns `None` when the client has no held-out samples.
+    #[expect(
+        clippy::missing_panics_doc,
+        reason = "every test row has `dim` floats by construction"
+    )]
     pub fn test_all(&self) -> Option<(Tensor, Vec<usize>)> {
         if self.test_x.is_empty() {
             return None;
@@ -162,7 +169,6 @@ impl ClientData {
         for x in &self.test_x {
             data.extend_from_slice(x);
         }
-        // ft-lint: allow(P001) — every test row has `dim` floats by construction.
         let x = Tensor::from_vec(data, &[self.test_x.len(), dim]).expect("dims consistent");
         Some((x, self.test_y.clone()))
     }
@@ -227,6 +233,10 @@ impl FederatedDataset {
 
     /// Pools every client's training data into one centralized batch —
     /// the paper's hypothetical "cloud ML" upper bound in Fig. 2.
+    #[expect(
+        clippy::missing_panics_doc,
+        reason = "every pooled row carries `dim` floats and one label"
+    )]
     pub fn centralized_train(&self) -> (Tensor, Vec<usize>) {
         let dim = self.input_dim();
         let mut data = Vec::new();
@@ -238,7 +248,6 @@ impl FederatedDataset {
         }
         let n = labels.len();
         (
-            // ft-lint: allow(P001) — every pooled row carries `dim` floats and one label.
             Tensor::from_vec(data, &[n, dim]).expect("dims consistent"),
             labels,
         )

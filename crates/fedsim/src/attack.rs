@@ -99,6 +99,11 @@ impl AttackConfig {
     ///
     /// Propagates tensor shape mismatches (impossible for updates
     /// produced by the trainer).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a `Noise` corruption carries an infinite `std`; the
+    /// scenario schema rejects such a value before a run starts.
     pub fn corrupt(
         &self,
         seed: u64,
@@ -113,7 +118,6 @@ impl AttackConfig {
             Corruption::Noise { std } => {
                 let h = mix(seed ^ mix(u64::from(round) ^ mix(client as u64 ^ NOISE_SALT)));
                 let mut rng = rand::rngs::StdRng::seed_from_u64(h);
-                // ft-lint: allow(P001) — std is validated finite and >= 0 by the scenario schema.
                 let dist = Normal::new(0.0f64, std.max(0.0)).expect("finite std");
                 if delta.is_empty() {
                     for w in weights.iter_mut() {

@@ -52,8 +52,6 @@ pub mod message;
 pub mod participant;
 pub mod transport;
 
-use std::collections::{HashMap, HashSet};
-
 use serde::{Deserialize, Serialize, Value};
 
 use ft_data::ShardSource;
@@ -420,7 +418,6 @@ impl Coordinator {
     /// [`SimError::Protocol`] when not in standby or when `round` is
     /// not the coordinator's next round.
     pub fn begin_round(&mut self, round: u32, invited: &[usize]) -> Result<Vec<usize>> {
-        // ft-lint: allow(P001) — phase guard returning Result, not Option::expect.
         self.expect(Phase::Standby, "begin_round")?;
         if round != self.round {
             return Err(SimError::protocol(format!(
@@ -442,7 +439,11 @@ impl Coordinator {
         }
 
         let deadline = 1 + ticks_for_seconds(self.opts.rendezvous_deadline_s);
-        let position: HashMap<usize, usize> =
+        #[expect(
+            clippy::disallowed_types,
+            reason = "point lookups only, never iterated"
+        )]
+        let position: std::collections::HashMap<usize, usize> =
             invited.iter().enumerate().map(|(i, &c)| (c, i)).collect();
         let mut admitted_flag = vec![false; invited.len()];
 
@@ -547,9 +548,12 @@ impl Coordinator {
         cfg: &LocalTrainConfig,
         sink: &mut dyn UpdateSink,
     ) -> Result<Vec<TrainReply>> {
-        // ft-lint: allow(P001) — phase guard returning Result, not Option::expect.
         self.expect(Phase::Round(RoundStage::Selecting), "train")?;
-        let cohort_set: HashSet<usize> = self.admitted.iter().copied().collect();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "point lookups only, never iterated"
+        )]
+        let cohort_set: std::collections::HashSet<usize> = self.admitted.iter().copied().collect();
         for t in &tasks {
             if t.client >= shards.num_clients() {
                 return Err(SimError::NoSuchClient {
@@ -901,7 +905,6 @@ impl Coordinator {
     ///
     /// [`SimError::Protocol`] when not in the aggregating stage.
     pub fn finish_round(&mut self) -> Result<()> {
-        // ft-lint: allow(P001) — phase guard returning Result, not Option::expect.
         self.expect(Phase::Round(RoundStage::Aggregating), "finish_round")?;
         let round = self.round;
         let notify_at = self.clock.now() + 1;
@@ -932,7 +935,6 @@ impl Coordinator {
     /// [`SimError::Protocol`] when a round is in progress (or the
     /// coordinator is already finished).
     pub fn shutdown(&mut self) -> Result<()> {
-        // ft-lint: allow(P001) — phase guard returning Result, not Option::expect.
         self.expect(Phase::Standby, "shutdown")?;
         self.phase = Phase::Finished;
         Ok(())

@@ -449,7 +449,7 @@ impl<M: Method> Algorithm for Runner<M> {
                 .curve
                 .push((self.ledger.cost.train_pmacs(), mean(&accs)));
         }
-        // ft-lint: allow(P001) — `finish_round` above just pushed this entry.
+        // `finish_round` above just pushed this entry.
         Ok(self.ledger.history.last().expect("just pushed").clone())
     }
 

@@ -66,6 +66,10 @@ pub fn client_threads() -> usize {
 /// Maps `f` over `0..n` with at most `threads` concurrent tasks,
 /// returning results in index order. Infallible twin of
 /// [`try_par_map`]; see the module docs for the determinism contract.
+#[expect(
+    clippy::missing_panics_doc,
+    reason = "the pool runs every index exactly once, so every slot is filled"
+)]
 pub fn par_map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -82,7 +86,6 @@ where
     slots
         .into_inner()
         .into_iter()
-        // ft-lint: allow(P001) — parallel_for runs every index exactly once.
         .map(|slot| slot.expect("parallel_for runs every index exactly once"))
         .collect()
 }
@@ -321,6 +324,10 @@ where
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "lane tests drive `Pipeline` on scoped threads, not the pool, and bound their spin-waits by the wall clock"
+)]
 mod tests {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 

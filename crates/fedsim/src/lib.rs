@@ -51,8 +51,9 @@
 //! assert!(disparity >= 20.0);
 //! ```
 
-// Enforced in depth by ft-lint (S001); the compiler backstops it here.
+// Every `unsafe` in the workspace lives in `ft_tensor` (docs/LINTS.md).
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::missing_panics_doc))]
 
 pub mod attack;
 pub mod coordinator;

@@ -4,8 +4,6 @@
 //! round (`Select(C, N)` in Algorithm 1). A deterministic round-robin
 //! selector is also provided for tests that need full coverage.
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
 /// Selects `n` distinct client indices uniformly at random from
@@ -24,7 +22,11 @@ pub fn uniform(rng: &mut impl Rng, population: usize, n: usize) -> Vec<usize> {
     let n = n.min(population);
     // `displaced[i]` is the value the virtual array holds at slot `i`
     // wherever that differs from the identity.
-    let mut displaced: HashMap<usize, usize> = HashMap::with_capacity(2 * n);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "point lookups only, never iterated"
+    )]
+    let mut displaced = std::collections::HashMap::<usize, usize>::with_capacity(2 * n);
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
         let j = rng.gen_range(i..population);

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use ft_data::{ClientData, ShardSource};
 use ft_model::CellModel;
-use ft_nn::{ProxSgd, Sgd};
+use ft_nn::{NnError, Sgd};
 use ft_tensor::Tensor;
 
 use crate::{Result, SimError};
@@ -80,7 +80,9 @@ pub struct LocalStepper<'a> {
     cfg: LocalTrainConfig,
     rng: rand::rngs::StdRng,
     sgd: Sgd,
-    prox: Option<ProxSgd>,
+    /// FedProx: the proximal coefficient and the round-start weights
+    /// it pulls toward.
+    prox: Option<(f32, Vec<Tensor>)>,
     x: Tensor,
     labels: Vec<usize>,
 }
@@ -100,9 +102,7 @@ impl<'a> LocalStepper<'a> {
             cfg: *cfg,
             rng: rand::rngs::StdRng::seed_from_u64(seed),
             sgd: Sgd::new(cfg.lr).with_momentum(cfg.momentum),
-            prox: cfg
-                .prox_mu
-                .map(|mu| ProxSgd::new(cfg.lr, mu, model.snapshot())),
+            prox: cfg.prox_mu.map(|mu| (mu, model.snapshot())),
             x: Tensor::default(),
             labels: Vec::new(),
         }
@@ -126,18 +126,30 @@ impl<'a> LocalStepper<'a> {
         );
         model.zero_grad();
         let (loss, acc) = model.loss_and_grad(&self.x, &self.labels)?;
-        match &mut self.prox {
-            Some(p) => {
-                let mut cur = p.begin_step();
-                model.for_each_param_and_grad(&mut |pt, g| cur.apply(pt, g));
-                cur.finish().map_err(ft_model::ModelError::from)?;
+        let mut cur = self.sgd.begin_step();
+        match &self.prox {
+            Some((mu, anchor)) => {
+                // A walk that disagrees with the round-start snapshot
+                // is the stale-state error, not a silent plain step.
+                let mut pairs = 0;
+                model.for_each_param_and_grad(&mut |pt, g| {
+                    match anchor.get(pairs) {
+                        Some(a) => cur.apply_prox(pt, g, a, *mu),
+                        None => cur.apply(pt, g),
+                    }
+                    pairs += 1;
+                });
+                if pairs != anchor.len() {
+                    let stale = NnError::OptimizerStateMismatch {
+                        expected: anchor.len(),
+                        actual: pairs,
+                    };
+                    return Err(ft_model::ModelError::from(stale).into());
+                }
             }
-            None => {
-                let mut cur = self.sgd.begin_step();
-                model.for_each_param_and_grad(&mut |pt, g| cur.apply(pt, g));
-                cur.finish().map_err(ft_model::ModelError::from)?;
-            }
+            None => model.for_each_param_and_grad(&mut |pt, g| cur.apply(pt, g)),
         }
+        cur.finish().map_err(ft_model::ModelError::from)?;
         Ok((loss, acc, self.labels.len() as u64))
     }
 }
@@ -148,6 +160,10 @@ impl<'a> LocalStepper<'a> {
 /// # Errors
 ///
 /// Propagates model/layer errors (geometry mismatches).
+#[expect(
+    clippy::missing_panics_doc,
+    reason = "trained weights mirror the snapshot they came from"
+)]
 pub fn train_local(
     model: &mut CellModel,
     client_index: usize,
@@ -172,7 +188,6 @@ pub fn train_local(
     let delta: Vec<Tensor> = weights
         .iter()
         .zip(&global)
-        // ft-lint: allow(P001) — trained weights mirror the snapshot they came from.
         .map(|(w, g)| w.sub(g).expect("same shapes by construction"))
         .collect();
     let steps = cfg.local_steps.max(1) as f32;
@@ -363,6 +378,20 @@ mod tests {
         let o2 = train_local(&mut proxed, 0, data.client(0), &prox_cfg, 3).unwrap();
         let drift = |delta: &[Tensor]| delta.iter().map(|t| t.norm()).sum::<f32>();
         assert!(drift(&o2.delta) < drift(&o1.delta));
+    }
+
+    #[test]
+    fn prox_keeps_the_configured_momentum() {
+        let (data, model) = tiny();
+        let train = |momentum: f32| {
+            let cfg = LocalTrainConfig {
+                prox_mu: Some(0.1),
+                momentum,
+                ..Default::default()
+            };
+            train_local(&mut model.clone(), 0, data.client(0), &cfg, 3).unwrap()
+        };
+        assert_ne!(train(0.9).weights, train(0.0).weights);
     }
 
     /// One task per client, all on entry 0 of a one-model table, seeded

@@ -32,6 +32,10 @@ impl ActivenessTracker {
     /// `aggregate_delta` must be aligned with `model.snapshot()` (one
     /// tensor per parameter tensor). Per cell, activeness is the norm of
     /// the cell's delta tensors over the norm of its weights.
+    #[expect(
+        clippy::missing_panics_doc,
+        reason = "`param_layout` only yields this model's cell ids"
+    )]
     pub fn record_round(&mut self, model: &CellModel, aggregate_delta: &[Tensor]) {
         for (cell_id, start, len) in model.param_layout() {
             let Some(id) = cell_id else { continue };
@@ -49,7 +53,6 @@ impl ActivenessTracker {
                 .cells()
                 .iter()
                 .find(|c| c.id() == id)
-                // ft-lint: allow(P001) — `param_layout` only yields this model's cell ids.
                 .expect("layout ids come from this model");
             let w = cell.weight_norm();
             let act = if w <= f32::EPSILON {

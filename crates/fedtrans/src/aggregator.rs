@@ -87,7 +87,7 @@ impl ModelAggregator {
             models.iter().map(CellModel::param_layout).collect();
         // `BTreeMap` rather than `HashMap`: the pair loop below looks
         // cells up by id, and every digest-relevant iteration in this
-        // workspace must be over a deterministic order (ft-lint D001).
+        // workspace must be over a deterministic order (docs/LINTS.md).
         let layout_maps: Vec<BTreeMap<Option<CellId>, (usize, usize)>> = layouts
             .iter()
             .map(|layout| {

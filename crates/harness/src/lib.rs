@@ -35,8 +35,9 @@
 //! # Ok::<(), ft_fedsim::SimError>(())
 //! ```
 
-// Enforced in depth by ft-lint (S001); the compiler backstops it here.
+// Every `unsafe` in the workspace lives in `ft_tensor` (docs/LINTS.md).
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::missing_panics_doc))]
 
 pub mod registry;
 pub mod runner;

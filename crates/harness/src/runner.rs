@@ -174,6 +174,10 @@ impl RunOutcome {
 ///
 /// Propagates scenario validation, training, and checkpoint I/O
 /// errors.
+#[expect(
+    clippy::missing_panics_doc,
+    reason = "`stop_after` without a checkpoint path is rejected before the loop"
+)]
 pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> ft_fedsim::Result<RunOutcome> {
     let quick = opts.quick_mode();
     let target = opts
@@ -202,7 +206,6 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> ft_fedsim::Result
                 let path = opts
                     .checkpoint_path
                     .as_ref()
-                    // ft-lint: allow(P001) — stop_after implies a path, validated before the loop.
                     .expect("checked before the loop");
                 write_checkpoint(path, scenario, quick, target, driver.as_ref())?;
                 return Ok(RunOutcome {

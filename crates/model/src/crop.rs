@@ -24,11 +24,14 @@ use ft_tensor::Tensor;
 /// let small = crop_to(&big, &[2, 2]);
 /// assert_eq!(small.data(), &[0.0, 1.0, 3.0, 4.0]);
 /// ```
+#[expect(
+    clippy::missing_panics_doc,
+    reason = "each arm builds exactly as many elements as the shape it names"
+)]
 pub fn crop_to(src: &Tensor, dims: &[usize]) -> Tensor {
     match (src.shape().rank(), dims.len()) {
         (1, 1) => {
             let n = dims[0].min(src.len());
-            // ft-lint: allow(P001) — `n` elements copied for an `[n]` shape.
             Tensor::from_vec(src.data()[..n].to_vec(), &[n]).expect("length matches")
         }
         (2, 2) => {
@@ -40,7 +43,6 @@ pub fn crop_to(src: &Tensor, dims: &[usize]) -> Tensor {
             for r in 0..rows {
                 out.extend_from_slice(&src.data()[r * src_cols..r * src_cols + cols]);
             }
-            // ft-lint: allow(P001) — `rows * cols` elements pushed in the loop above.
             Tensor::from_vec(out, &[rows, cols]).expect("length matches")
         }
         _ => src.clone(),

@@ -31,8 +31,9 @@
 //! assert!(model.macs_per_sample() > 0);
 //! ```
 
-// Enforced in depth by ft-lint (S001); the compiler backstops it here.
+// Every `unsafe` in the workspace lives in `ft_tensor` (docs/LINTS.md).
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::missing_panics_doc))]
 
 mod cell;
 pub mod crop;

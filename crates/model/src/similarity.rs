@@ -17,8 +17,6 @@
 //! cells private to one model contribute zero. The cumulative score is
 //! normalized by the larger cell count to land in `[0, 1]`.
 
-use std::collections::HashMap;
-
 use crate::{Cell, CellId, CellModel};
 
 /// Matching degree between two cells that share a [`CellId`].
@@ -49,7 +47,12 @@ pub fn cell_match(a: &Cell, b: &Cell) -> f32 {
 /// assert_eq!(model_similarity(&m, &m), 1.0);
 /// ```
 pub fn model_similarity(a: &CellModel, b: &CellModel) -> f32 {
-    let index_b: HashMap<CellId, &Cell> = b.cells().iter().map(|c| (c.id(), c)).collect();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "point lookups only, never iterated"
+    )]
+    let index_b: std::collections::HashMap<CellId, &Cell> =
+        b.cells().iter().map(|c| (c.id(), c)).collect();
     let mut score = 0.0f32;
     for cell_a in a.cells() {
         if let Some(cell_b) = index_b.get(&cell_a.id()) {

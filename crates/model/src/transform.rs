@@ -106,9 +106,12 @@ fn widen_rows_scaled(w: &Tensor, mapping: &[usize], multiplicity: &[usize]) -> T
 }
 
 /// Widens a vector (bias) according to `mapping`.
+#[expect(
+    clippy::missing_panics_doc,
+    reason = "one element is gathered per mapping slot"
+)]
 fn widen_vector(v: &Tensor, mapping: &[usize]) -> Tensor {
     let data: Vec<f32> = mapping.iter().map(|&src| v.data()[src]).collect();
-    // ft-lint: allow(P001) — one element gathered per mapping slot.
     Tensor::from_vec(data, &[mapping.len()]).expect("length matches mapping")
 }
 

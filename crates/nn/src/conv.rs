@@ -157,11 +157,6 @@ impl Conv2d {
         &self.bias
     }
 
-    /// Mutable bias vector.
-    pub fn bias_mut(&mut self) -> &mut Tensor {
-        &mut self.bias
-    }
-
     /// Accumulated weight gradient.
     pub fn grad_weight(&self) -> &Tensor {
         &self.grad_weight

@@ -3,8 +3,8 @@
 //! Provides the layers FedTrans cells are built from ([`Linear`],
 //! [`Conv2d`], [`Relu`], [`GlobalAvgPool`], attention primitives), the
 //! softmax cross-entropy loss, and the optimizers used in the paper's
-//! evaluation (plain SGD for clients, [`ProxSgd`] for FedProx, [`Yogi`]
-//! for FedYogi server updates).
+//! evaluation ([`Sgd`] for clients, with a proximal step for FedProx;
+//! [`Yogi`] for FedYogi server updates).
 //!
 //! Every layer performs explicit forward/backward passes with owned
 //! caches — no tape autodiff — because FedTrans needs direct access to
@@ -27,8 +27,9 @@
 //! # Ok::<(), ft_nn::NnError>(())
 //! ```
 
-// Enforced in depth by ft-lint (S001); the compiler backstops it here.
+// Every `unsafe` in the workspace lives in `ft_tensor` (docs/LINTS.md).
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::missing_panics_doc))]
 
 mod activation;
 mod attention;
@@ -45,7 +46,7 @@ pub use conv::Conv2d;
 pub use error::NnError;
 pub use linear::Linear;
 pub use loss::{accuracy, softmax, softmax_cross_entropy};
-pub use optim::{ProxSgd, ProxStep, Sgd, SgdStep, Yogi};
+pub use optim::{Sgd, SgdStep, Yogi};
 pub use pool::GlobalAvgPool;
 
 /// Convenience alias for results produced by NN operations.

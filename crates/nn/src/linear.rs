@@ -81,11 +81,6 @@ impl Linear {
         &self.bias
     }
 
-    /// Mutable bias vector.
-    pub fn bias_mut(&mut self) -> &mut Tensor {
-        &mut self.bias
-    }
-
     /// Accumulated weight gradient.
     pub fn grad_weight(&self) -> &Tensor {
         &self.grad_weight

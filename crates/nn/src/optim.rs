@@ -1,17 +1,18 @@
 //! Optimizers used in the FedTrans evaluation.
 //!
-//! Clients run plain [`Sgd`] (optionally wrapped by [`ProxSgd`] to
-//! reproduce the FedProx experiments of Fig. 8); the server-side adaptive
-//! [`Yogi`] optimizer reproduces the FedYogi arm.
+//! Clients run [`Sgd`] (whose step cursor takes a proximal anchor,
+//! [`SgdStep::apply_prox`], to reproduce the FedProx experiments of
+//! Fig. 8); the server-side adaptive [`Yogi`] optimizer reproduces the
+//! FedYogi arm.
 //!
-//! All three optimizers apply their updates through the fused one-pass
+//! Both optimizers apply their updates through the fused one-pass
 //! kernels in [`ft_tensor::fused`]: one zipped traversal per tensor,
 //! no per-element bounds checks, no materialized intermediate
 //! gradients. The slice-based `step` APIs are unchanged; the
-//! [`Sgd::begin_step`] / [`ProxSgd::begin_step`] cursors additionally
-//! let callers stream `(parameter, gradient)` pairs straight off a
-//! model without collecting reference vectors — the allocation-free
-//! path the client trainer uses.
+//! [`Sgd::begin_step`] cursor additionally lets callers stream
+//! `(parameter, gradient)` pairs straight off a model without
+//! collecting reference vectors — the allocation-free path the client
+//! trainer uses.
 
 use serde::{Deserialize, Serialize};
 
@@ -57,11 +58,6 @@ impl Sgd {
     /// Current learning rate.
     pub fn lr(&self) -> f32 {
         self.lr
-    }
-
-    /// Updates the learning rate (used by decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
     }
 
     /// Begins one optimization step applied pair-by-pair.
@@ -145,9 +141,12 @@ impl SgdStep<'_> {
         self.idx += 1;
     }
 
-    /// Fused FedProx variant: folds `g + mu * (p - anchor)` into the
-    /// same single pass. Behaviorally identical to adjusting the
-    /// gradient out of place and then applying [`SgdStep::apply`].
+    /// Fused FedProx variant: SGD plus a proximal pull toward `anchor`
+    /// (the global weights at round start), folding
+    /// `g + mu * (p - anchor)` into the same single pass. Behaviorally
+    /// identical to adjusting the gradient out of place and then
+    /// applying [`SgdStep::apply`]; momentum and weight decay act on the
+    /// adjusted gradient.
     pub fn apply_prox(&mut self, p: &mut Tensor, g: &Tensor, anchor: &Tensor, mu: f32) {
         if anchor.shape() != p.shape() {
             // Anchor from before a resize: the proximal term is
@@ -190,109 +189,6 @@ impl SgdStep<'_> {
             });
         }
         Ok(())
-    }
-}
-
-/// FedProx client optimizer: SGD plus a proximal pull toward the global
-/// weights, `g += mu * (w - w_global)`.
-#[derive(Debug, Clone)]
-pub struct ProxSgd {
-    inner: Sgd,
-    mu: f32,
-    anchor: Vec<Tensor>,
-}
-
-impl ProxSgd {
-    /// Creates a proximal SGD around `anchor` (the global model weights
-    /// at round start) with proximal coefficient `mu`.
-    pub fn new(lr: f32, mu: f32, anchor: Vec<Tensor>) -> Self {
-        ProxSgd {
-            inner: Sgd::new(lr),
-            mu,
-            anchor,
-        }
-    }
-
-    /// Proximal coefficient.
-    pub fn mu(&self) -> f32 {
-        self.mu
-    }
-
-    /// Begins one streaming proximal step; pairs must arrive in the
-    /// same stable order as the anchor snapshot. [`ProxStep::finish`]
-    /// validates the pair count against the anchor.
-    pub fn begin_step(&mut self) -> ProxStep<'_> {
-        ProxStep {
-            inner: self.inner.begin_step(),
-            anchor: &self.anchor,
-            mu: self.mu,
-            idx: 0,
-        }
-    }
-
-    /// Applies one proximal step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::OptimizerStateMismatch`] when the anchor list
-    /// does not match the parameter list.
-    pub fn step(&mut self, params: &mut [&mut Tensor], grads: &[&Tensor]) -> Result<()> {
-        if params.len() != self.anchor.len() {
-            return Err(NnError::OptimizerStateMismatch {
-                expected: self.anchor.len(),
-                actual: params.len(),
-            });
-        }
-        if params.len() != grads.len() {
-            return Err(NnError::OptimizerStateMismatch {
-                expected: params.len(),
-                actual: grads.len(),
-            });
-        }
-        let mut step = self.begin_step();
-        for (p, g) in params.iter_mut().zip(grads) {
-            step.apply(p, g);
-        }
-        step.finish()
-    }
-}
-
-/// An in-flight [`ProxSgd`] step; see [`ProxSgd::begin_step`].
-pub struct ProxStep<'a> {
-    inner: SgdStep<'a>,
-    anchor: &'a [Tensor],
-    mu: f32,
-    idx: usize,
-}
-
-impl ProxStep<'_> {
-    /// Applies the fused proximal update to the next parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics when more pairs arrive than the anchor holds (the
-    /// caller's parameter walk disagrees with the round-start
-    /// snapshot, which the slice API rejects up front).
-    pub fn apply(&mut self, p: &mut Tensor, g: &Tensor) {
-        let anchor = &self.anchor[self.idx];
-        self.inner.apply_prox(p, g, anchor, self.mu);
-        self.idx += 1;
-    }
-
-    /// Ends the step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::OptimizerStateMismatch`] when the pair count
-    /// differs from the anchor length.
-    pub fn finish(self) -> Result<()> {
-        if self.idx != self.anchor.len() {
-            return Err(NnError::OptimizerStateMismatch {
-                expected: self.anchor.len(),
-                actual: self.idx,
-            });
-        }
-        self.inner.finish()
     }
 }
 
@@ -414,11 +310,13 @@ mod tests {
 
     #[test]
     fn prox_pulls_toward_anchor() {
-        let anchor = vec![Tensor::zeros(&[1])];
+        let anchor = Tensor::zeros(&[1]);
         let mut p = Tensor::from_vec(vec![1.0], &[1]).unwrap();
         let g = Tensor::zeros(&[1]);
-        let mut opt = ProxSgd::new(0.1, 1.0, anchor);
-        opt.step(&mut [&mut p], &[&g]).unwrap();
+        let mut opt = Sgd::new(0.1);
+        let mut cur = opt.begin_step();
+        cur.apply_prox(&mut p, &g, &anchor, 1.0);
+        cur.finish().unwrap();
         assert!(p.data()[0] < 1.0, "proximal term should pull toward 0");
     }
 
@@ -480,19 +378,37 @@ mod tests {
     }
 
     #[test]
-    fn prox_cursor_matches_slice_step() {
-        let anchor = vec![Tensor::from_vec(vec![0.5, 0.5], &[2]).unwrap()];
+    fn prox_step_matches_adjusting_the_gradient_first() {
+        let anchor = Tensor::from_vec(vec![0.5, 0.5], &[2]).unwrap();
         let g = Tensor::from_vec(vec![0.1, -0.2], &[2]).unwrap();
         let mut pa = Tensor::from_vec(vec![1.0, -1.0], &[2]).unwrap();
         let mut pb = pa.clone();
-        let mut oa = ProxSgd::new(0.05, 0.7, anchor.clone());
-        let mut ob = ProxSgd::new(0.05, 0.7, anchor);
+        let mut oa = Sgd::new(0.05).with_momentum(0.9);
+        let mut ob = oa.clone();
         for _ in 0..3 {
-            oa.step(&mut [&mut pa], &[&g]).unwrap();
-            let mut cur = ob.begin_step();
-            cur.apply(&mut pb, &g);
+            let mut cur = oa.begin_step();
+            cur.apply_prox(&mut pa, &g, &anchor, 0.7);
             cur.finish().unwrap();
+            let mut adjusted = g.clone();
+            adjusted.axpy(0.7, &pb.sub(&anchor).unwrap()).unwrap();
+            ob.step(&mut [&mut pb], &[&adjusted]).unwrap();
         }
+        assert_eq!(pa, pb);
+    }
+
+    #[test]
+    fn prox_step_with_a_stale_anchor_is_a_plain_step() {
+        // An anchor from before model surgery has the wrong shape.
+        let anchor = Tensor::zeros(&[3]);
+        let g = Tensor::ones(&[2]);
+        let mut pa = Tensor::ones(&[2]);
+        let mut pb = pa.clone();
+        let mut oa = Sgd::new(0.1);
+        let mut ob = oa.clone();
+        let mut cur = oa.begin_step();
+        cur.apply_prox(&mut pa, &g, &anchor, 1.0);
+        cur.finish().unwrap();
+        ob.step(&mut [&mut pb], &[&g]).unwrap();
         assert_eq!(pa, pb);
     }
 }

@@ -39,6 +39,8 @@ struct MutPtr(*mut f32);
 // SAFETY: tasks operate on strictly disjoint ranges (enforced by the
 // chunking arithmetic in `dispatch`), so concurrent writes never alias.
 unsafe impl Send for MutPtr {}
+// SAFETY: as for `Send` — a shared `&MutPtr` only hands each task the
+// base pointer; every write goes to that task's own disjoint range.
 unsafe impl Sync for MutPtr {}
 
 /// Shares a read-only element pointer with pool tasks.
@@ -46,6 +48,8 @@ struct ConstPtr(*const f32);
 // SAFETY: read-only access from multiple threads is always sound; the
 // submitter keeps the referent alive until `parallel_for` returns.
 unsafe impl Send for ConstPtr {}
+// SAFETY: as for `Send` — nothing is ever written through the pointer,
+// and the referent outlives every task that holds a `&ConstPtr`.
 unsafe impl Sync for ConstPtr {}
 
 /// Runs `body(start, end)` over `[0, len)`, split into disjoint ranges
@@ -279,7 +283,6 @@ pub fn sgd_momentum_update(
 /// # Panics
 ///
 /// Panics if slice lengths differ.
-#[allow(clippy::too_many_arguments)]
 pub fn prox_sgd_momentum_update(
     p: &mut [f32],
     v: &mut [f32],
@@ -338,7 +341,6 @@ pub fn prox_sgd_momentum_update(
 /// # Panics
 ///
 /// Panics if slice lengths differ.
-#[allow(clippy::too_many_arguments)]
 pub fn yogi_update(
     p: &mut [f32],
     m: &mut [f32],

@@ -21,9 +21,12 @@ pub fn xavier_uniform(rng: &mut impl Rng, dims: &[usize], fan_in: usize, fan_out
 /// He/Kaiming normal initialization with std `sqrt(2 / fan_in)`.
 ///
 /// Appropriate for ReLU networks, which is what all FedTrans cells use.
+#[expect(
+    clippy::missing_panics_doc,
+    reason = "std derives from `fan_in.max(1)`, so it is finite and positive"
+)]
 pub fn he_normal(rng: &mut impl Rng, dims: &[usize], fan_in: usize) -> Tensor {
     let std = (2.0 / fan_in.max(1) as f32).sqrt();
-    // ft-lint: allow(P001) — std derives from `fan_in.max(1)`, always finite and positive.
     let dist = Normal::new(0.0, std).expect("std is finite and positive");
     sample(rng, dims, dist)
 }
@@ -34,10 +37,13 @@ pub fn uniform(rng: &mut impl Rng, dims: &[usize], lo: f32, hi: f32) -> Tensor {
     sample(rng, dims, dist)
 }
 
+#[expect(
+    clippy::missing_panics_doc,
+    reason = "exactly `dims.iter().product()` samples are drawn"
+)]
 fn sample<D: Distribution<f32>>(rng: &mut impl Rng, dims: &[usize], dist: D) -> Tensor {
     let volume: usize = dims.iter().product();
     let data: Vec<f32> = (0..volume).map(|_| dist.sample(rng)).collect();
-    // ft-lint: allow(P001) — exactly `dims.iter().product()` samples drawn above.
     Tensor::from_vec(data, dims).expect("volume matches by construction")
 }
 

@@ -19,10 +19,11 @@
 //! ```
 
 // The raw-pointer kernels must spell out every unsafe operation; docs
-// are part of the public contract (ft-lint S001 enforces the SAFETY
-// comments themselves).
+// are part of the public contract (clippy's `undocumented_unsafe_blocks`
+// enforces the SAFETY comments themselves).
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::missing_panics_doc))]
 
 mod error;
 pub mod fused;

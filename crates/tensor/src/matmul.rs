@@ -486,7 +486,6 @@ fn gemm_panel(a: Operand, b: Operand, mut out: Window, k: usize) {
 /// everything else runs the portable loop. Accumulator copy-in/out is
 /// shared by both tiers.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn micro_tile(
     kern: simd::Kernel,
     apack: &[f32],

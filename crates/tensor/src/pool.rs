@@ -97,6 +97,9 @@ impl Job {
 // threads is sound; the submitter keeps the referent alive until every
 // task index has finished (see `parallel_for`).
 unsafe impl Send for Job {}
+// SAFETY: as for `Send` — workers reach the job through `&Job` (an
+// `Arc`) and only call the `Sync` closure behind `task`; every other
+// field is an atomic, a `Mutex`, or never written after construction.
 unsafe impl Sync for Job {}
 
 struct PoolState {
@@ -232,6 +235,10 @@ fn pool() -> &'static Pool {
             workers,
         }));
         for i in 0..workers {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the one sanctioned spawn site: the persistent workers every fan-out shares"
+            )]
             std::thread::Builder::new()
                 .name(format!("ft-tensor-worker-{i}"))
                 .spawn(move || pool.worker_loop())
@@ -377,6 +384,10 @@ fn dispatch(tasks: usize, max_threads: usize, task: &(dyn Fn(usize) + Sync)) -> 
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a second submitter has to come from outside the pool under test"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;

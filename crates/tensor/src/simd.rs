@@ -390,7 +390,6 @@ pub(crate) mod x86 {
     ///
     /// Caller must have verified AVX2 support; slices must be equal
     /// length.
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub unsafe fn prox_sgd_momentum_avx2(
         p: &mut [f32],
@@ -444,6 +443,11 @@ pub(crate) mod x86 {
     /// `signum` over a vector, matching `f32::signum` lane for lane:
     /// ±1 with the operand's sign bit for finite and infinite values
     /// (including ±0), the canonical `f32::NAN` for NaN lanes.
+    ///
+    /// # Safety
+    ///
+    /// Safe to call only from the AVX2-featured kernels of this module;
+    /// any other caller must have verified AVX2 support.
     #[target_feature(enable = "avx2")]
     fn signum_ps(x: __m256) -> __m256 {
         let signed_one = _mm256_or_ps(_mm256_set1_ps(1.0), _mm256_and_ps(x, _mm256_set1_ps(-0.0)));
@@ -460,7 +464,6 @@ pub(crate) mod x86 {
     ///
     /// Caller must have verified AVX2 support; slices must be equal
     /// length.
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub unsafe fn yogi_avx2(
         p: &mut [f32],

@@ -117,6 +117,10 @@ pub fn conv_workload_products() -> Vec<Case> {
 /// paths inside the kernel: the main thread (may fan out), inside a
 /// pool task (must not), and while another submitter owns the pool
 /// (must not either). Results are labelled for the failure message.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a second submitter has to come from outside the pool under test"
+)]
 fn from_every_call_context(
     product: &(dyn Fn() -> Vec<f32> + Sync),
 ) -> Vec<(&'static str, Vec<f32>)> {

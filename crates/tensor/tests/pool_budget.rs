@@ -33,6 +33,10 @@ fn pinned_pool() -> MutexGuard<'static, ()> {
 /// Runs `body` while another thread owns the pool: that thread's job
 /// has started (every task reported in) and cannot finish before `body`
 /// returns.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a second submitter has to come from outside the pool under test"
+)]
 fn while_another_submitter_owns_the_pool(body: impl FnOnce()) {
     let release = AtomicBool::new(false);
     let (started, running) = mpsc::channel::<()>();

@@ -18,7 +18,7 @@
 //! This package also hosts the cross-crate integration tests
 //! (`tests/`), the runnable examples (`examples/`), and the `ft-run`
 //! binary (`src/bin/ft-run.rs`).
-#![allow(unused_imports)]
+#![cfg_attr(not(test), warn(clippy::missing_panics_doc))]
 pub use fedtrans;
 pub use ft_fedsim;
 pub use ft_fedsim::{ClientUpdate, FedAvgSink, RoundManifest, TaskSpec, UpdateSink};
