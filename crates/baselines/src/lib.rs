@@ -31,7 +31,7 @@
 //! right after, so peak memory is bounded by the in-flight window.
 //! Folds always run in fixed task order, never completion order, so
 //! baseline reports — like FedTrans's — are byte-identical at any
-//! thread count and any `FT_MAX_IN_FLIGHT`.
+//! thread count.
 
 // Every `unsafe` in the workspace lives in `ft_tensor` (docs/LINTS.md).
 #![forbid(unsafe_code)]

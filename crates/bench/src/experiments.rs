@@ -83,13 +83,14 @@ fn dump_by_method(
     workload: Workload,
     cmp: &Comparison,
     field: fn(&RunReport) -> Value,
-) {
+) -> std::io::Result<()> {
     let dataset = workload.name().to_lowercase().replace('-', "_");
     let entries = cmp.methods().map(|(m, r)| (m.to_lowercase(), field(r)));
     dump_json(
         &format!("{prefix}_{dataset}"),
         &Value::Object(entries.into()),
-    );
+    )
+    .map(drop)
 }
 
 /// Table 1: accuracy with and without large-to-small weight sharing.
@@ -116,7 +117,7 @@ fn table1(scale: Scale, _arg: Option<&str>) -> Outcome {
             "fedtrans_l2s": l2s.final_accuracy.mean,
         }));
     }
-    dump_json("table1", &results);
+    dump_json("table1", &results)?;
     Ok(())
 }
 
@@ -164,7 +165,7 @@ fn table2(scale: Scale, filter: Option<&str>) -> Outcome {
             let five = [b.min, b.q1, b.median, b.q3, b.max].map(|v| format!("{v:.3}"));
             print_row(&[method, &five[0], &five[1], &five[2], &five[3], &five[4]]);
         }
-        dump_by_method("table2", workload, &cmp, RunReport::to_value);
+        dump_by_method("table2", workload, &cmp, RunReport::to_value)?;
     }
     Ok(())
 }
@@ -207,7 +208,7 @@ fn table3(scale: Scale, _arg: Option<&str>) -> Outcome {
             Macs(report.pmacs),
         ]);
     }
-    table.dump("table3");
+    table.dump("table3")?;
     Ok(())
 }
 
@@ -250,7 +251,7 @@ fn table4(scale: Scale, _arg: Option<&str>) -> Outcome {
         let point = json!({"accuracy": accuracy, "macs": report.pmacs * 1e15});
         results.push((key.to_owned(), point));
     }
-    dump_json("table4", &Value::Object(results));
+    dump_json("table4", &Value::Object(results))?;
     Ok(())
 }
 
@@ -304,7 +305,7 @@ fn table5(scale: Scale, _arg: Option<&str>) -> Outcome {
             "coordinator_utility_ops": utility_ops,
             "train_macs": report.pmacs * 1e15,
         }),
-    );
+    )?;
     Ok(())
 }
 
@@ -334,7 +335,7 @@ fn table6(scale: Scale, _arg: Option<&str>) -> Outcome {
     ] {
         table.row(&[Text(name), Fixed(mean(times), 2), Fixed(std_dev(times), 2)]);
     }
-    table.dump("table6");
+    table.dump("table6")?;
     Ok(())
 }
 
@@ -482,7 +483,7 @@ fn fig1(scale: Scale, _arg: Option<&str>) -> Outcome {
             "best_share_percent": rows,
             "latency_ranges": overlap_check,
         }),
-    );
+    )?;
     Ok(())
 }
 
@@ -564,7 +565,7 @@ fn fig2(scale: Scale, _arg: Option<&str>) -> Outcome {
         point(name, report.pmacs, report.final_accuracy.mean);
     }
     point("Cloud ML (upper bound)", cloud_pmacs, cloud_acc);
-    table.dump("fig2");
+    table.dump("fig2")?;
     Ok(())
 }
 
@@ -586,7 +587,7 @@ fn fig7(scale: Scale, filter: Option<&str>) -> Outcome {
                 println!("  cost {} MACs -> acc {acc:.3}", format_macs(*pmacs));
             }
         }
-        dump_by_method("fig7", workload, &cmp, |r| r.accuracy_curve.to_value());
+        dump_by_method("fig7", workload, &cmp, |r| r.accuracy_curve.to_value())?;
     }
     Ok(())
 }
@@ -664,7 +665,7 @@ fn fig8(scale: Scale, _arg: Option<&str>) -> Outcome {
         print_row(&[name, &format!("{acc:.3}"), &format_macs(cost)]);
         results.push((key.to_owned(), acc.to_value()));
     }
-    dump_json("fig8", &Value::Object(results));
+    dump_json("fig8", &Value::Object(results))?;
     Ok(())
 }
 
@@ -735,7 +736,7 @@ fn fig9(scale: Scale, _arg: Option<&str>) -> Outcome {
             "accuracy": accuracy,
         }));
     }
-    dump_json("fig9", &points);
+    dump_json("fig9", &points)?;
     Ok(())
 }
 
@@ -766,7 +767,7 @@ fn run_sweep<T: Display + Copy>(
         let accuracy = report.final_accuracy.mean;
         table.row(&[Text(&v.to_string()), Fixed(accuracy, 3), Macs(report.pmacs)]);
     }
-    table.dump(json_name);
+    table.dump(json_name)?;
     Ok(())
 }
 
@@ -924,7 +925,7 @@ fn robustness(scale: Scale, _arg: Option<&str>) -> Outcome {
         row(method, "clean", clean_run);
         row(method, "byzantine", attacked_run);
     }
-    table.dump("robustness");
+    table.dump("robustness")?;
     Ok(())
 }
 

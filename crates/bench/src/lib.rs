@@ -268,20 +268,19 @@ impl Setup {
         }
     }
 
-    /// The context every run of this setup executes under: the
-    /// environment's round options and the setup's adversity model.
+    /// The context every run of this setup executes under: the default
+    /// round options and the setup's adversity model.
     fn context(&self) -> RunContext {
         RunContext {
-            options: RoundOptions::from_env(),
+            options: RoundOptions::default(),
             adversity: self.adversity.clone(),
         }
     }
 
     /// A FedTrans runner over this setup's data, devices and seed model,
-    /// under its run context (the environment's round options, the
-    /// setup's adversity). Every experiment builds its runner here, so
-    /// `FT_MAX_IN_FLIGHT` and the adversity reach the ones that need the
-    /// runner's models as they reach the rest.
+    /// under its run context (the setup's adversity). Every experiment
+    /// builds its runner here, so the adversity reaches the ones that
+    /// need the runner's models as it reaches the rest.
     ///
     /// # Errors
     ///
@@ -515,8 +514,12 @@ impl Table {
     }
 
     /// Writes the collected rows as `<artifact dir>/<name>.json`.
-    pub fn dump(&self, name: &str) {
-        dump_json(name, &self.rows);
+    ///
+    /// # Errors
+    ///
+    /// When the artifact cannot be written; the message names the path.
+    pub fn dump(&self, name: &str) -> std::io::Result<()> {
+        dump_json(name, &self.rows).map(drop)
     }
 }
 

@@ -27,10 +27,9 @@
 //!    reaped.
 //! 3. **Aggregating** — delivered updates are *folded as they land*
 //!    into the round's [`crate::sink::UpdateSink`] (in task order,
-//!    while later clients are still training, at most
-//!    [`RoundOptions::max_in_flight`] updates alive at once, each
-//!    dropped after its absorb), then
-//!    [`Coordinator::finish_round`] notifies the cohort
+//!    while later clients are still training, at most twice the lane
+//!    count of updates alive at once, each dropped after its absorb),
+//!    then [`Coordinator::finish_round`] notifies the cohort
 //!    ([`CoordinatorMessage::EndRound`]) and returns to standby.
 //!
 //! # Determinism contract under transport
@@ -108,16 +107,15 @@ impl std::fmt::Display for Phase {
 }
 
 /// Options governing how the coordinator runs a round: executor thread
-/// budget, the protocol's timing knobs (simulated seconds), and the
-/// streaming-aggregation knobs.
+/// budget and the protocol's timing knobs (simulated seconds).
 ///
 /// Timing knobs shape *when* protocol events fire on the virtual
 /// clock; they never change what a healthy device computes, so any
 /// setting that keeps healthy devices inside their deadlines yields
 /// the same report (the effective heartbeat deadline is clamped to at
-/// least one heartbeat interval for exactly this reason). The
-/// streaming knobs bound *how* the round executes on the host —
-/// neither changes the report.
+/// least one heartbeat interval for exactly this reason). The thread
+/// budget bounds *how* the round executes on the host and never
+/// changes the report.
 ///
 /// Construct via the builder so new knobs never grow positional
 /// literals:
@@ -125,12 +123,9 @@ impl std::fmt::Display for Phase {
 /// ```
 /// use ft_fedsim::coordinator::RoundOptions;
 ///
-/// let opts = RoundOptions::new()
-///     .threads(4)
-///     .rendezvous_deadline_s(10.0)
-///     .max_in_flight(64);
+/// let opts = RoundOptions::new().threads(4).rendezvous_deadline_s(10.0);
 /// assert_eq!(opts.threads, Some(4));
-/// assert_eq!(opts.max_in_flight, Some(64));
+/// assert_eq!(opts.rendezvous_deadline_s, 10.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundOptions {
@@ -145,16 +140,6 @@ pub struct RoundOptions {
     /// How long a training device may stay silent before the
     /// coordinator declares it dropped.
     pub heartbeat_deadline_s: f64,
-    /// Cap on client updates in flight during the streaming fold —
-    /// training, finished and waiting their turn, or being absorbed;
-    /// each pins a model clone or an uploaded weight set. A task starts
-    /// only while fewer than this many tasks before it are unabsorbed
-    /// (see [`crate::exec::try_stream_map`]). `None` means twice the
-    /// executor thread budget: one update training and one buffered per
-    /// lane. Peak round memory is O(`max_in_flight`), never O(cohort),
-    /// and the folded result is bit-identical at any value; `1` runs
-    /// the fold serially.
-    pub max_in_flight: Option<usize>,
 }
 
 impl Default for RoundOptions {
@@ -164,16 +149,8 @@ impl Default for RoundOptions {
             rendezvous_deadline_s: 5.0,
             heartbeat_interval_s: 30.0,
             heartbeat_deadline_s: 120.0,
-            max_in_flight: None,
         }
     }
-}
-
-/// Parses an `FT_MAX_IN_FLIGHT` value: a positive integer. `None` is
-/// not a recognised form ([`RoundOptions::with_env_overrides`] then
-/// leaves the cap alone; `ft-run` refuses to start).
-pub fn parse_max_in_flight(value: &str) -> Option<usize> {
-    value.trim().parse().ok().filter(|&n: &usize| n > 0)
 }
 
 impl RoundOptions {
@@ -207,29 +184,6 @@ impl RoundOptions {
     #[must_use]
     pub fn heartbeat_deadline_s(mut self, s: f64) -> Self {
         self.heartbeat_deadline_s = s;
-        self
-    }
-
-    /// Caps the streaming fold's in-flight client updates.
-    #[must_use]
-    pub fn max_in_flight(mut self, n: usize) -> Self {
-        self.max_in_flight = Some(n);
-        self
-    }
-
-    /// Defaults overlaid with `FT_MAX_IN_FLIGHT`, the one environment
-    /// knob (an invalid or non-positive value is ignored). Protocol
-    /// timing is set through the builder only.
-    pub fn from_env() -> Self {
-        RoundOptions::default().with_env_overrides()
-    }
-
-    /// Overlays `FT_MAX_IN_FLIGHT` onto `self`.
-    pub fn with_env_overrides(mut self) -> Self {
-        let env = std::env::var("FT_MAX_IN_FLIGHT").ok();
-        if let Some(n) = env.as_deref().and_then(parse_max_in_flight) {
-            self.max_in_flight = Some(n);
-        }
         self
     }
 
@@ -319,7 +273,7 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// Builds a coordinator for a fleet, with the default seeded
-    /// in-memory transport and the environment-derived [`RoundOptions`].
+    /// in-memory transport and the default [`RoundOptions`].
     pub fn new(seed: u64, faults: FaultConfig, devices: DeviceTrace) -> Self {
         Coordinator::with_transport(
             seed,
@@ -341,7 +295,7 @@ impl Coordinator {
             clock: VirtualClock::new(),
             transport,
             cohort: Cohort::new(seed, faults, devices),
-            opts: RoundOptions::from_env(),
+            opts: RoundOptions::default(),
             adversity: AdversityConfig::default(),
             seed,
             phase: Phase::Standby,
@@ -519,14 +473,13 @@ impl Coordinator {
     ///
     /// Then the fold, as one pipelined pool job
     /// ([`crate::exec::try_stream_map`]): worker lanes train delivered
-    /// tasks while at most [`RoundOptions::max_in_flight`] of them are
-    /// unabsorbed, and whichever lane completes the next task in line
-    /// absorbs it into `sink` — **in task order** (never completion
-    /// order), overlapping the training of later tasks — and drops it.
+    /// tasks while at most twice the lane count of them are unabsorbed,
+    /// and whichever lane completes the next task in line absorbs it
+    /// into `sink` — **in task order** (never completion order),
+    /// overlapping the training of later tasks — and drops it.
     /// Peak memory is O(in-flight), not O(cohort), and the fold is
     /// bit-identical to materializing every update first — at any
-    /// thread count, any in-flight cap, and any within-tick delivery
-    /// permutation.
+    /// thread count and any within-tick delivery permutation.
     ///
     /// Replies come back **in task order**; a reaped device's task is
     /// simply absent. The sink sees `begin_round → absorb × delivered
@@ -803,7 +756,7 @@ impl Coordinator {
         }
 
         // The fold: pipeline delivered tasks through the sink in task
-        // order, at most `max_in_flight` updates alive at once.
+        // order, at most `window` updates alive at once.
         let delivered: Vec<usize> = (0..n).filter(|&i| replies[i].is_some()).collect();
         let specs: Vec<TaskSpec> = delivered
             .iter()
@@ -824,11 +777,7 @@ impl Coordinator {
         // Two slots per lane: one result training, one finished and
         // waiting its turn, so a lane that runs ahead of the head does
         // not stall on it (ARCHITECTURE.md, "Verdicts").
-        let window = self
-            .opts
-            .max_in_flight
-            .unwrap_or(threads.saturating_mul(2))
-            .max(1);
+        let window = threads.saturating_mul(2).max(1);
         let run_seed = self.seed;
         let attack = self.adversity.attack;
         let drift = self.adversity.drift;

@@ -101,10 +101,9 @@ pub trait Algorithm {
 }
 
 /// How a run executes, fixed when the runner is built: the coordinator
-/// round options (thread budget, protocol timing, streaming window)
-/// and the adversarial fleet model (byzantine clients, availability
-/// churn, concept drift). The default is the inert fleet under the
-/// built-in timing.
+/// round options (thread budget, protocol timing) and the adversarial
+/// fleet model (byzantine clients, availability churn, concept drift).
+/// The default is the inert fleet under the built-in timing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunContext {
     /// Coordinator round options.
@@ -362,8 +361,8 @@ pub struct Runner<M: Method> {
 }
 
 impl<M: Method> Runner<M> {
-    /// Wires `method` to its fleet under the environment-derived
-    /// [`RoundOptions`] and the inert adversity model.
+    /// Wires `method` to its fleet under the default [`RoundOptions`]
+    /// and the inert adversity model.
     pub fn new(method: M, data: M::Data, devices: DeviceTrace, cfg: SpineConfig) -> Self {
         Runner {
             method,

@@ -68,30 +68,45 @@ pub struct RunReport {
     pub client_times_s: Vec<f32>,
 }
 
+/// Parses an `FT_ARTIFACT_DIR` value: any non-empty path. `None` (the
+/// empty value) is not a recognised form ([`artifact_dir`] then uses
+/// the default; `ft-run` and `ft-exp` refuse to start).
+pub fn parse_artifact_dir(value: &str) -> Option<PathBuf> {
+    (!value.is_empty()).then(|| PathBuf::from(value))
+}
+
 /// The directory JSON artifacts are written to: `FT_ARTIFACT_DIR` if
 /// set, otherwise `<workspace root>/bench_results`.
 pub fn artifact_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("FT_ARTIFACT_DIR") {
-        if !dir.is_empty() {
-            return PathBuf::from(dir);
-        }
-    }
-    // crates/fedsim/../.. is the workspace root at compile time; the
-    // sources do not move between compile and run in this repo's
-    // workflows (CI runs from a checkout, local runs from the tree).
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results")
+    let env = std::env::var("FT_ARTIFACT_DIR").ok();
+    env.as_deref()
+        .and_then(parse_artifact_dir)
+        .unwrap_or_else(|| {
+            // crates/fedsim/../.. is the workspace root at compile time; the
+            // sources do not move between compile and run in this repo's
+            // workflows (CI runs from a checkout, local runs from the tree).
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results")
+        })
 }
 
 /// Writes a pretty-printed JSON artifact as `<artifact_dir>/<name>.json`
-/// and returns the path written, or `None` when the directory could not
-/// be created or written.
-pub fn dump_json(name: &str, value: &impl Serialize) -> Option<PathBuf> {
-    let dir = artifact_dir();
-    std::fs::create_dir_all(&dir).ok()?;
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).ok()?;
-    std::fs::write(&path, json).ok()?;
-    Some(path)
+/// and returns the path written.
+///
+/// # Errors
+///
+/// When the directory cannot be created or the file written (or the
+/// value does not serialize); the message names the path.
+pub fn dump_json(name: &str, value: &impl Serialize) -> std::io::Result<PathBuf> {
+    let path = artifact_dir().join(format!("{name}.json"));
+    let named = |e: &dyn std::fmt::Display| {
+        std::io::Error::other(format!("writing {}: {e}", path.display()))
+    };
+    let json = serde_json::to_string_pretty(value).map_err(|e| named(&e))?;
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).map_err(|e| named(&e))?;
+    }
+    std::fs::write(&path, json).map_err(|e| named(&e))?;
+    Ok(path)
 }
 
 /// FNV-1a 64-bit hash of a byte string, rendered as 16 hex digits.

@@ -7,8 +7,7 @@
 //! `begin_round → absorb × k → finish`, handing each update over as
 //! soon as its `EndTrainingRound` lands on the exec engine and
 //! dropping it immediately after. Peak memory is O(clients in flight
-//! — bounded by [`crate::coordinator::RoundOptions::max_in_flight`]),
-//! not O(cohort).
+//! — at most twice the fold's lane count), not O(cohort).
 //!
 //! # Determinism
 //!
@@ -21,7 +20,7 @@
 //! timeline, which needs no weights. Updates are then absorbed in
 //! **task order** (never arrival order), so the floating-point op
 //! sequence of the fold is byte-identical to the retired batch
-//! aggregation — at any thread count, any `max_in_flight`, and any
+//! aggregation — at any thread count, any in-flight window, and any
 //! within-tick delivery permutation.
 //!
 //! # Worked example
@@ -80,7 +79,7 @@
 //! one selection kernel both share orders a coordinate's values by
 //! `total_cmp` with the buffer position as tie-break, and the surviving
 //! values fold in task order — so the result is bit-identical under any
-//! completion-order permutation, any `max_in_flight`, and any thread
+//! completion-order permutation, any in-flight window, and any thread
 //! count (the kernel fans 64-coordinate tiles out over the shared
 //! pool). All four rules checkpoint/restore mid-fold through one
 //! envelope.

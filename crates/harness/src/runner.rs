@@ -34,8 +34,7 @@ const CHECKPOINT_VERSION: u64 = 4;
 /// How a scenario run is executed.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Quick (CI) mode: use [`Scenario::quick_rounds`]. Also enabled
-    /// by the `FT_SCENARIO_QUICK=1` environment variable.
+    /// Quick (CI) mode: use [`Scenario::quick_rounds`].
     pub quick: bool,
     /// Overrides the scenario's round budget when set.
     pub rounds_override: Option<usize>,
@@ -49,32 +48,13 @@ pub struct RunOptions {
     pub stop_after: Option<usize>,
 }
 
-impl RunOptions {
-    /// Whether quick mode is in effect (flag or environment).
-    pub fn quick_mode(&self) -> bool {
-        let env = std::env::var("FT_SCENARIO_QUICK").ok();
-        self.quick || env.as_deref().and_then(parse_quick).unwrap_or(false)
-    }
-}
-
-/// Parses an `FT_SCENARIO_QUICK` value: `1` or `0`. `None` is not a
-/// recognised form ([`RunOptions::quick_mode`] then ignores it;
-/// [`check_env`] rejects it).
-fn parse_quick(value: &str) -> Option<bool> {
-    match value {
-        "1" => Some(true),
-        "0" => Some(false),
-        _ => None,
-    }
-}
-
 /// One `FT_*` variable: name, whether a value parses under the function
 /// its reader uses, and the accepted forms.
 type EnvRule = (&'static str, fn(&str) -> bool, &'static str);
 
 /// Every `FT_*` variable this workspace reads.
 /// README.md#environment-variables lists exactly these names.
-const ENV_VARS: [EnvRule; 8] = [
+const ENV_VARS: [EnvRule; 4] = [
     (
         "FT_TENSOR_THREADS",
         |v| ft_tensor::pool::parse_threads(v).is_some(),
@@ -86,28 +66,15 @@ const ENV_VARS: [EnvRule; 8] = [
         "`0`/`off`/`portable` or `1`/`on`/`auto`",
     ),
     (
-        "FT_TENSOR_TUNE",
-        |v| ft_tensor::tune::parse_env(v).is_some(),
-        "`mc,kc` such as `256,128`",
-    ),
-    (
         "FT_CLIENT_THREADS",
         |v| ft_tensor::pool::parse_threads(v).is_some(),
         "a thread count such as `4`",
     ),
     (
-        "FT_MAX_IN_FLIGHT",
-        |v| ft_fedsim::coordinator::parse_max_in_flight(v).is_some(),
-        "a positive integer",
+        "FT_ARTIFACT_DIR",
+        |v| ft_fedsim::report::parse_artifact_dir(v).is_some(),
+        "a non-empty directory path",
     ),
-    (
-        "FT_SCENARIO_QUICK",
-        |v| parse_quick(v).is_some(),
-        "`1` or `0`",
-    ),
-    // Read verbatim: a path, and a switch that is on unless `0`.
-    ("FT_ARTIFACT_DIR", |_| true, "a directory path"),
-    ("FT_BENCH_QUICK", |_| true, "any value"),
 ];
 
 /// Startup validation of the process environment, for the program's
@@ -179,7 +146,7 @@ impl RunOutcome {
     reason = "`stop_after` without a checkpoint path is rejected before the loop"
 )]
 pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> ft_fedsim::Result<RunOutcome> {
-    let quick = opts.quick_mode();
+    let quick = opts.quick;
     let target = opts
         .rounds_override
         .unwrap_or_else(|| scenario.rounds_for(quick));

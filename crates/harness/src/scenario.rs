@@ -448,9 +448,7 @@ impl Scenario {
     /// erases the method type.
     fn wire<M: Method + 'static>(&self, runner: Runner<M>) -> Box<dyn Algorithm> {
         Box::new(runner.with_context(RunContext {
-            // Timing comes from the scenario alone; the environment
-            // only sets the in-flight cap (`FT_MAX_IN_FLIGHT`).
-            options: self.timing.round_options().with_env_overrides(),
+            options: self.timing.round_options(),
             // Inert when no adversity blocks are present, so benign
             // scenarios (and their golden digests) are untouched.
             adversity: self.adversity(),

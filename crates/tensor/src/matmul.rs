@@ -365,7 +365,7 @@ fn fan_out(a: Operand, b: Operand, out: &mut [f32], m: usize, k: usize, n: usize
 /// Tiled core: accumulates `out += A[rows, :] @ B[:, cols]` for the
 /// rows and columns of the product that `out` covers.
 ///
-/// Blocking is `pc` (k, autotuned `kc`) → `ic` (rows, autotuned `mc`)
+/// Blocking is `pc` (k, [`tune::KC`]) → `ic` (rows, [`tune::MC`])
 /// → `j0` (columns, `NR`): per k-block, each `mc`-row slice of A is
 /// packed into `MR`-interleaved micro-panels that stay L2-resident
 /// while every column window streams past, and each B block into a
@@ -373,7 +373,7 @@ fn fan_out(a: Operand, b: Operand, out: &mut [f32], m: usize, k: usize, n: usize
 /// streams (BLIS-style). Both pack loops read the operand in whichever
 /// layout the caller stores it ([`Operand`]): packing moves values, it
 /// never combines them, so the layout cannot change a result. Block
-/// sizes come from [`tune::config`] and cannot change results either:
+/// sizes come from [`tune::active`] and cannot change results either:
 /// every output element accumulates k-blocks in ascending `pc` order
 /// regardless of how `ic`/`j0` interleave, and a block boundary just
 /// round-trips the accumulator through an exact `f32` store. Edge tiles

@@ -8,7 +8,7 @@
 //! not an epsilon band: GEMM across remainder tiles (`m % MR ≠ 0`,
 //! `n % NR ≠ 0`, `k` below and above one k-block), every fused
 //! element-wise kernel (including NaN/signed-zero edges through
-//! Yogi's `signum`), and a sweep of autotune `(mc, kc)` choices.
+//! Yogi's `signum`), and a sweep of `(mc, kc)` block sizes.
 //!
 //! All tests serialize on one mutex: `simd::force` / `tune::force`
 //! are process-global hooks.
@@ -129,7 +129,7 @@ fn gemm_tiers_agree_on_dispatch_edge_shapes() {
         (128, 128, 128), // row-split parallel threshold
         (4, 600, 600),   // column-split short-and-wide
         (160, 96, 144),  // multi-panel row split
-        (5, 513, 9),     // k % KC_MAX ≠ 0 at the tune ceiling
+        (5, 513, 9),     // k % KC_MAX ≠ 0 at the block-size ceiling
     ] {
         check_gemm_shape(m, k, n);
     }
@@ -149,10 +149,10 @@ fn conv_workload_shapes_match_reference_on_the_portable_kernel() {
     });
 }
 
-/// Any autotune `(mc, kc)` choice must produce bit-identical results
-/// under every kernel tier: blocking changes scheduling, never the
+/// Any `(mc, kc)` choice must produce bit-identical results under
+/// every kernel tier: blocking changes scheduling, never the
 /// per-element accumulation order. This is the digest-neutrality
-/// argument for a host-varying tune, verified.
+/// argument for the block-size constants, verified.
 #[test]
 fn tile_size_sweep_is_bit_neutral() {
     let _guard = lock();

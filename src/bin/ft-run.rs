@@ -47,7 +47,7 @@ OPTIONS:
     --list                  list canned scenarios and exit
     --scenario <name>       run a canned scenario by name
     --config <file>         run a scenario described by a JSON file
-    --quick                 quick (CI) round budget; also FT_SCENARIO_QUICK=1
+    --quick                 quick (CI) round budget
     --rounds <n>            override the round budget
     --checkpoint <file>     resume from <file> if present; checkpoint there
     --checkpoint-every <n>  write a checkpoint every n rounds (default 0)
@@ -59,9 +59,10 @@ OPTIONS:
     --help                  print this help
 
 ENVIRONMENT:
-    FT_CLIENT_THREADS / FT_TENSOR_THREADS / FT_MAX_IN_FLIGHT control
-    parallelism and never change a report byte; FT_ARTIFACT_DIR
-    overrides the report directory. Protocol timing is set in the
+    FT_CLIENT_THREADS / FT_TENSOR_THREADS / FT_TENSOR_SIMD control
+    parallelism and kernels and never change a report byte;
+    FT_ARTIFACT_DIR overrides the report directory (a report that
+    cannot be written is an error). Protocol timing is set in the
     scenario file's `timing` block. An unknown or malformed FT_*
     variable is an error. Full table: README.md#environment-variables";
 
@@ -190,7 +191,7 @@ fn run(args: &Args) -> Result<bool, String> {
         checkpoint_every: args.checkpoint_every,
         stop_after: args.stop_after,
     };
-    let quick = opts.quick_mode();
+    let quick = opts.quick;
     let outcome = run_scenario(&scenario, &opts).map_err(|e| e.to_string())?;
 
     if let Some(from) = outcome.resumed_from {
@@ -210,7 +211,7 @@ fn run(args: &Args) -> Result<bool, String> {
         .out
         .clone()
         .unwrap_or_else(|| format!("scenario-{}", outcome.scenario));
-    let path = ft_fedsim::report::dump_json(&artifact, report);
+    let path = ft_fedsim::report::dump_json(&artifact, report).map_err(|e| e.to_string())?;
     println!(
         "scenario   {} ({} mode)\nmethod     {}\nrounds     {}\nmean acc   {:.4}\npmacs      {:.3e}\nnetwork    {:.2} MB\ndigest     {digest}",
         outcome.scenario,
@@ -221,9 +222,7 @@ fn run(args: &Args) -> Result<bool, String> {
         report.pmacs,
         report.network_mb,
     );
-    if let Some(p) = path {
-        println!("report     {}", p.display());
-    }
+    println!("report     {}", path.display());
 
     if args.check_golden {
         if !quick || args.rounds.is_some() {

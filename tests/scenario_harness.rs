@@ -175,15 +175,14 @@ fn ft_run(vars: &[(&str, &str)], args: &[&str]) -> std::process::Output {
 #[test]
 fn ft_run_refuses_unknown_or_malformed_ft_variables() {
     // Each of these used to fall back to a default without a word
-    // (`protable` selected AVX2); `fma` named a tier that is gone.
+    // (`protable` selected AVX2, an empty artifact dir meant the
+    // default); `fma` named a tier that is gone.
     for (name, value) in [
         ("FT_TENSOR_SIMD", "protable"),
         ("FT_TENSOR_SIMD", "fma"),
         ("FT_CLIENT_THREADS", "two"),
         ("FT_TENSOR_THREADS", ""),
-        ("FT_MAX_IN_FLIGHT", "0"),
-        ("FT_TENSOR_TUNE", "banana"),
-        ("FT_SCENARIO_QUICK", "yes"),
+        ("FT_ARTIFACT_DIR", ""),
         ("FT_TYPO", "1"),
         ("FT_HEARTBEAT_DEADLINE_S", "60"),
     ] {
@@ -195,6 +194,23 @@ fn ft_run_refuses_unknown_or_malformed_ft_variables() {
             out.stdout.is_empty(),
             "{name}={value:?} must fail before any work"
         );
+    }
+    // Knobs this program read until they were retired: a leftover one
+    // in someone's shell is refused like any unknown name.
+    for name in [
+        "FT_TENSOR_TUNE",
+        "FT_SCENARIO_QUICK",
+        "FT_MAX_IN_FLIGHT",
+        "FT_BENCH_QUICK",
+    ] {
+        let out = ft_run(&[(name, "1")], &["--scenario", "iid-small", "--quick"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{name} was accepted");
+        assert!(
+            stderr.contains(&format!("{name} is not a variable this program reads")),
+            "{name}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{name} must fail before any work");
     }
 }
 
@@ -208,22 +224,38 @@ fn ft_run_accepts_a_clean_environment_and_every_surviving_variable() {
         &[
             ("FT_TENSOR_THREADS", "2"),
             ("FT_TENSOR_SIMD", "portable"),
-            ("FT_TENSOR_TUNE", "256,128"),
             ("FT_CLIENT_THREADS", "2"),
-            ("FT_MAX_IN_FLIGHT", "3"),
-            ("FT_SCENARIO_QUICK", "1"),
-            ("FT_BENCH_QUICK", "1"),
             (
                 "FT_ARTIFACT_DIR",
                 artifacts.to_str().expect("utf-8 temp dir"),
             ),
         ],
-        &["--scenario", "iid-small", "--check-golden"],
+        &["--scenario", "iid-small", "--quick", "--check-golden"],
     );
+    let written = artifacts.join("scenario-iid-small.json").exists();
     let _ = std::fs::remove_dir_all(&artifacts);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    assert!(written, "the report lands in FT_ARTIFACT_DIR");
+}
+
+#[test]
+fn ft_run_fails_naming_the_path_when_the_report_cannot_be_written() {
+    // A regular file where the artifact directory should be: the report
+    // write fails, and that used to leave only a missing `report` line.
+    let blocker = std::env::temp_dir().join(format!("ft-artifact-blocker-{}", std::process::id()));
+    std::fs::write(&blocker, "not a directory").expect("temp file");
+    let dir = blocker.join("reports");
+    let dir = dir.to_str().expect("utf-8 temp dir");
+    let out = ft_run(
+        &[("FT_ARTIFACT_DIR", dir)],
+        &["--scenario", "iid-small", "--quick"],
+    );
+    let _ = std::fs::remove_file(&blocker);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "an unwritten report exited 0");
+    assert!(stderr.contains(dir), "{stderr}");
 }
