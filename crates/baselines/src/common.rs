@@ -1,13 +1,9 @@
-//! Shared configuration and evaluation helpers for baseline methods.
+//! Shared configuration for baseline methods.
 
-use ft_data::ClientData;
 use ft_fedsim::device::DeviceTrace;
 use ft_fedsim::driver::{Method, Runner, SpineConfig};
 use ft_fedsim::trainer::LocalTrainConfig;
 use ft_fedsim::FaultConfig;
-use ft_model::CellModel;
-use ft_nn::softmax;
-use ft_tensor::Tensor;
 
 /// Server-side optimizer choice for the FedAvg family.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,67 +81,5 @@ impl BaselineConfig {
             local: self.local,
         };
         Runner::new(method, data, devices, spine).with_eval_every(self.eval_every)
-    }
-}
-
-/// Accuracy of one model on a client's held-out shard (0 when the shard
-/// has no test data).
-pub fn eval_on_client(model: &CellModel, shard: &ClientData) -> f32 {
-    match shard.test_all() {
-        Some((x, y)) => {
-            let mut m = model.clone();
-            m.evaluate(&x, &y).map(|(_, acc)| acc).unwrap_or(0.0)
-        }
-        None => 0.0,
-    }
-}
-
-/// Accuracy of a softmax-averaged ensemble on a client's shard
-/// (SplitMix's inference rule).
-///
-/// # Panics
-///
-/// Panics if the ensemble's models disagree on logits shape.
-pub fn eval_ensemble_on_client(models: &[CellModel], shard: &ClientData) -> f32 {
-    let Some((x, y)) = shard.test_all() else {
-        return 0.0;
-    };
-    if models.is_empty() {
-        return 0.0;
-    }
-    let mut avg: Option<Tensor> = None;
-    for model in models {
-        let mut m = model.clone();
-        let Ok(logits) = m.forward(&x) else {
-            return 0.0;
-        };
-        let Ok(probs) = softmax(&logits) else {
-            return 0.0;
-        };
-        // Fused in-place accumulate; bit-identical to `a.add(&probs)`.
-        match &mut avg {
-            None => avg = Some(probs),
-            Some(a) => a.add_assign(&probs).expect("same shapes"),
-        }
-    }
-    let avg = avg.expect("non-empty ensemble");
-    // Allocation-free argmax-vs-label comparison.
-    avg.argmax_accuracy(&y).expect("matrix logits")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ft_data::DatasetConfig;
-    use rand::SeedableRng;
-
-    #[test]
-    fn ensemble_of_one_matches_single() {
-        let data = DatasetConfig::femnist_like().with_num_clients(2).generate();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let m = CellModel::dense(&mut rng, data.input_dim(), &[8], data.num_classes());
-        let single = eval_on_client(&m, data.client(0));
-        let ens = eval_ensemble_on_client(&[m], data.client(0));
-        assert!((single - ens).abs() < 1e-6);
     }
 }

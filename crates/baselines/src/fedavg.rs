@@ -12,11 +12,11 @@ use ft_fedsim::device::DeviceTrace;
 use ft_fedsim::driver::{field, mean_loss, Fleet, Method, Round, RoundOutcome, Runner, Suite};
 use ft_fedsim::sink::RobustSink;
 use ft_fedsim::trainer::TrainTask;
-use ft_fedsim::{Result, RobustAggregation, SimError};
+use ft_fedsim::{eval, Result, RobustAggregation, SimError};
 use ft_model::CellModel;
 use ft_nn::Yogi;
 
-use crate::common::{eval_on_client, BaselineConfig, ServerOpt};
+use crate::common::{BaselineConfig, ServerOpt};
 
 /// The FedAvg family's server state.
 ///
@@ -143,13 +143,13 @@ impl<D: ShardSource> Method for FedAvg<D> {
         let macs = self.model.macs_per_sample();
         let population = fleet.data.num_clients();
         let n = self.eval_clients.map_or(population, |k| k.min(population));
-        let accs = ft_fedsim::eval::par_map_indexed(n, |c| {
+        let accs = eval::try_par_map(n, |c| {
             if self.enforce_capacity && !fleet.devices.profile(c).is_compatible(macs) {
-                0.0
+                Ok(0.0)
             } else {
-                eval_on_client(&self.model, &fleet.data.shard(c))
+                eval::accuracy(&self.model, &fleet.data.shard(c))
             }
-        });
+        })?;
         Ok((accs, vec![0; n]))
     }
 
@@ -250,6 +250,16 @@ mod tests {
         assert!(report.network_mb > 0.0);
         assert_eq!(report.per_client_accuracy.len(), 8);
         assert_eq!(report.model_archs.len(), 1);
+    }
+
+    #[test]
+    fn report_fails_instead_of_scoring_zero_when_the_model_does_not_fit() {
+        let (mut cfg, data, devices, _) = setup();
+        cfg.enforce_capacity = false;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let wrong = CellModel::dense(&mut rng, data.input_dim() + 1, &[16], data.num_classes());
+        let mut runner = FedAvg::new(cfg, data, devices, wrong, ServerOpt::Average);
+        assert!(matches!(runner.report(), Err(SimError::Model(_))));
     }
 
     #[test]

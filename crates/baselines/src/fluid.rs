@@ -18,11 +18,11 @@ use ft_data::FederatedDataset;
 use ft_fedsim::device::DeviceTrace;
 use ft_fedsim::driver::{field, mean_loss, Fleet, Method, Round, RoundOutcome, Runner, Suite};
 use ft_fedsim::trainer::TrainTask;
-use ft_fedsim::{Result, SimError};
+use ft_fedsim::{eval, Result, SimError};
 use ft_model::{Cell, CellId, CellModel};
 use ft_tensor::Tensor;
 
-use crate::common::{eval_on_client, BaselineConfig};
+use crate::common::BaselineConfig;
 use crate::heterofl::{level_for, DEFAULT_RATIOS};
 use crate::scatter_sink::ScatterSink;
 use crate::submodel::{extract, unit_count, KeepPlan};
@@ -213,14 +213,12 @@ impl Method for Fluid {
     /// Per-client accuracy on each client's invariant-dropout submodel.
     fn evaluate(&self, fleet: Fleet<'_, FederatedDataset>) -> Result<(Vec<f32>, Vec<usize>)> {
         let (_, submodels) = self.levels();
-        Ok(
-            ft_fedsim::eval::par_map_indexed(fleet.data.num_clients(), |c| {
-                let lvl = level_for(&self.level_macs, fleet.devices.profile(c).capacity_macs);
-                (eval_on_client(&submodels[lvl], fleet.data.client(c)), lvl)
-            })
-            .into_iter()
-            .unzip(),
-        )
+        Ok(eval::try_par_map(fleet.data.num_clients(), |c| {
+            let lvl = level_for(&self.level_macs, fleet.devices.profile(c).capacity_macs);
+            Ok((eval::accuracy(&submodels[lvl], fleet.data.client(c))?, lvl))
+        })?
+        .into_iter()
+        .unzip())
     }
 
     fn suite(&self) -> Suite {
@@ -325,6 +323,15 @@ mod tests {
         assert_ne!(before[0], f.global().snapshot()[0]);
         let id = f.global.cells()[0].id();
         assert!(f.scores[&id].iter().any(|&s| s > 0.0));
+    }
+
+    #[test]
+    fn report_fails_instead_of_scoring_zero_when_the_model_does_not_fit() {
+        let (cfg, data, devices, _) = setup();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let wrong = CellModel::dense(&mut rng, data.input_dim() + 1, &[24], data.num_classes());
+        let mut f = Fluid::new(cfg, data, devices, wrong);
+        assert!(matches!(f.report(), Err(SimError::Model(_))));
     }
 
     #[test]

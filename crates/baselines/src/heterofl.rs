@@ -11,10 +11,10 @@ use ft_data::FederatedDataset;
 use ft_fedsim::device::DeviceTrace;
 use ft_fedsim::driver::{field, mean_loss, Fleet, Method, Round, RoundOutcome, Runner, Suite};
 use ft_fedsim::trainer::TrainTask;
-use ft_fedsim::{Result, SimError};
+use ft_fedsim::{eval, Result, SimError};
 use ft_model::CellModel;
 
-use crate::common::{eval_on_client, BaselineConfig};
+use crate::common::BaselineConfig;
 use crate::scatter_sink::ScatterSink;
 use crate::submodel::{extract, KeepPlan};
 
@@ -143,14 +143,12 @@ impl Method for HeteroFl {
     /// the level used.
     fn evaluate(&self, fleet: Fleet<'_, FederatedDataset>) -> Result<(Vec<f32>, Vec<usize>)> {
         let submodels = self.submodels();
-        Ok(
-            ft_fedsim::eval::par_map_indexed(fleet.data.num_clients(), |c| {
-                let lvl = self.level_for(fleet.devices.profile(c).capacity_macs);
-                (eval_on_client(&submodels[lvl], fleet.data.client(c)), lvl)
-            })
-            .into_iter()
-            .unzip(),
-        )
+        Ok(eval::try_par_map(fleet.data.num_clients(), |c| {
+            let lvl = self.level_for(fleet.devices.profile(c).capacity_macs);
+            Ok((eval::accuracy(&submodels[lvl], fleet.data.client(c))?, lvl))
+        })?
+        .into_iter()
+        .unzip())
     }
 
     fn suite(&self) -> Suite {
@@ -232,6 +230,15 @@ mod tests {
         let mut h = HeteroFl::new(cfg, data, devices, model);
         h.step().unwrap();
         assert_ne!(before[0], h.method().global().snapshot()[0]);
+    }
+
+    #[test]
+    fn report_fails_instead_of_scoring_zero_when_the_model_does_not_fit() {
+        let (cfg, data, devices, _) = setup();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let wrong = CellModel::dense(&mut rng, data.input_dim() + 1, &[32], data.num_classes());
+        let mut h = HeteroFl::new(cfg, data, devices, wrong);
+        assert!(matches!(h.report(), Err(SimError::Model(_))));
     }
 
     #[test]

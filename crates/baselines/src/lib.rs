@@ -31,7 +31,9 @@
 //! right after, so peak memory is bounded by the in-flight window.
 //! Folds always run in fixed task order, never completion order, so
 //! baseline reports — like FedTrans's — are byte-identical at any
-//! thread count.
+//! thread count. Evaluation borrows the method's models through
+//! [`ft_fedsim::eval`], and an evaluation error fails the report
+//! instead of scoring the client 0.
 
 // Every `unsafe` in the workspace lives in `ft_tensor` (docs/LINTS.md).
 #![forbid(unsafe_code)]
@@ -46,7 +48,7 @@ mod splitmix;
 pub mod submodel;
 pub mod tensor_select;
 
-pub use common::{eval_ensemble_on_client, eval_on_client, BaselineConfig, ServerOpt};
+pub use common::{BaselineConfig, ServerOpt};
 pub use fedavg::FedAvg;
 pub use fluid::Fluid;
 pub use heterofl::HeteroFl;

@@ -14,10 +14,10 @@ use ft_fedsim::device::DeviceTrace;
 use ft_fedsim::driver::{field, mean_loss, Fleet, Method, Round, RoundOutcome, Runner, Suite};
 use ft_fedsim::sink::FedAvgSink;
 use ft_fedsim::trainer::TrainTask;
-use ft_fedsim::{Result, SimError};
+use ft_fedsim::{eval, Result, SimError};
 use ft_model::CellModel;
 
-use crate::common::{eval_ensemble_on_client, BaselineConfig};
+use crate::common::BaselineConfig;
 use crate::submodel::{extract, KeepPlan};
 
 /// SplitMix's server state: the independent base models.
@@ -162,19 +162,20 @@ impl Method for SplitMix {
 
     /// Per-client ensemble accuracy plus ensemble size.
     fn evaluate(&self, fleet: Fleet<'_, FederatedDataset>) -> Result<(Vec<f32>, Vec<usize>)> {
-        Ok(
-            ft_fedsim::eval::par_map_indexed(fleet.data.num_clients(), |c| {
-                let count = self.bases_for(fleet.devices.profile(c).capacity_macs);
-                let set = self.base_set(c, count);
-                let ensemble: Vec<CellModel> = set.iter().map(|&b| self.bases[b].clone()).collect();
-                (
-                    eval_ensemble_on_client(&ensemble, fleet.data.client(c)),
-                    count,
-                )
-            })
-            .into_iter()
-            .unzip(),
-        )
+        Ok(eval::try_par_map(fleet.data.num_clients(), |c| {
+            let count = self.bases_for(fleet.devices.profile(c).capacity_macs);
+            let ensemble: Vec<&CellModel> = self
+                .base_set(c, count)
+                .into_iter()
+                .map(|b| &self.bases[b])
+                .collect();
+            Ok((
+                eval::ensemble_accuracy(&ensemble, fleet.data.client(c))?,
+                count,
+            ))
+        })?
+        .into_iter()
+        .unzip())
     }
 
     fn suite(&self) -> Suite {
@@ -256,6 +257,15 @@ mod tests {
         let (cfg, data, devices, model) = setup();
         let sm = SplitMix::new(cfg, data, devices, &model, 4);
         assert_eq!(sm.method().base_set(2, 3), vec![2, 3, 0]);
+    }
+
+    #[test]
+    fn report_fails_instead_of_scoring_zero_when_the_model_does_not_fit() {
+        let (cfg, data, devices, _) = setup();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let wrong = CellModel::dense(&mut rng, data.input_dim() + 1, &[32], data.num_classes());
+        let mut sm = SplitMix::new(cfg, data, devices, &wrong, 3);
+        assert!(matches!(sm.report(), Err(SimError::Model(_))));
     }
 
     #[test]

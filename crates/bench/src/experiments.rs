@@ -10,10 +10,10 @@ use std::error::Error;
 use std::fmt::Display;
 
 use fedtrans::ClientManager;
-use ft_baselines::{eval_on_client, BaselineConfig, ServerOpt};
+use ft_baselines::{BaselineConfig, ServerOpt};
 use ft_fedsim::metrics::{box_stats, mean, std_dev};
 use ft_fedsim::report::{dump_json, RunReport};
-use ft_fedsim::{AdversityConfig, Algorithm, AttackConfig, Corruption, RobustAggregation};
+use ft_fedsim::{eval, AdversityConfig, Algorithm, AttackConfig, Corruption, RobustAggregation};
 use ft_model::CellModel;
 use ft_nn::Sgd;
 use ft_tensor::Tensor;
@@ -521,12 +521,12 @@ fn centralized_upper_bound(
             macs += m.macs_per_sample() as u128 * labels.len() as u128 * 3;
         }
     }
-    let accs: Vec<f32> = setup
+    let accs = setup
         .data
         .clients()
         .iter()
-        .map(|c| eval_on_client(&m, c))
-        .collect();
+        .map(|c| eval::accuracy(&m, c))
+        .collect::<Result<Vec<f32>, _>>()?;
     Ok((mean(&accs), macs as f64 / 1e15))
 }
 
@@ -953,7 +953,7 @@ fn assignment(scale: Scale, _arg: Option<&str>) -> Outcome {
         let compat = ClientManager::compatible_models(&macs, cap);
         let mut best = 0.0f32;
         for &k in &compat {
-            let acc = eval_on_client(&rt.method().models()[k], setup.data.client(c));
+            let acc = eval::accuracy(&rt.method().models()[k], setup.data.client(c))?;
             per_model_mean[k].0 += acc;
             per_model_mean[k].1 += 1;
             best = best.max(acc);

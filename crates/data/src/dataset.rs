@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -153,24 +155,23 @@ impl ClientData {
         self.gather_train(&indices)
     }
 
-    /// The full evaluation set as one batch.
+    /// Held-out samples `rows` gathered into one scratch-backed
+    /// `[rows.len(), dim]` batch, with their labels borrowed. An
+    /// evaluation pass walks the shard through this a bounded chunk at
+    /// a time, so it never materializes the whole test set.
     ///
-    /// Returns `None` when the client has no held-out samples.
-    #[expect(
-        clippy::missing_panics_doc,
-        reason = "every test row has `dim` floats by construction"
-    )]
-    pub fn test_all(&self) -> Option<(Tensor, Vec<usize>)> {
-        if self.test_x.is_empty() {
-            return None;
+    /// # Panics
+    ///
+    /// Panics if `rows` reaches past [`ClientData::test_len`].
+    pub fn test_batch(&self, rows: Range<usize>) -> (Tensor, &[usize]) {
+        let samples = &self.test_x[rows.clone()];
+        let dim = samples.first().map_or(0, Vec::len);
+        let mut data = ft_tensor::scratch::take(samples.len() * dim);
+        for (dst, x) in data.chunks_exact_mut(dim.max(1)).zip(samples) {
+            dst.copy_from_slice(x);
         }
-        let dim = self.test_x[0].len();
-        let mut data = Vec::with_capacity(self.test_x.len() * dim);
-        for x in &self.test_x {
-            data.extend_from_slice(x);
-        }
-        let x = Tensor::from_vec(data, &[self.test_x.len(), dim]).expect("dims consistent");
-        Some((x, self.test_y.clone()))
+        let x = Tensor::from_vec(data, &[samples.len(), dim]).expect("every row has `dim` floats");
+        (x, &self.test_y[rows])
     }
 }
 

@@ -78,13 +78,14 @@ where
     if threads <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
-    let slots = parking_lot::Mutex::new((0..n).map(|_| None).collect::<Vec<Option<T>>>());
+    let slots = Mutex::new((0..n).map(|_| None).collect::<Vec<Option<T>>>());
     ft_tensor::pool::parallel_for_budgeted(n, threads, &|i| {
         let value = f(i);
-        slots.lock()[i] = Some(value);
+        lock(&slots)[i] = Some(value);
     });
     slots
         .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
         .map(|slot| slot.expect("parallel_for runs every index exactly once"))
         .collect()
@@ -216,9 +217,10 @@ struct Pipeline<T, F, C> {
     wake: Condvar,
 }
 
-/// Locks a pipeline mutex. `f` and `consume` run outside the progress
-/// lock and behind `catch_unwind`, so poisoning cannot happen; recover
-/// the guard rather than grow a panic path.
+/// Locks one of this module's mutexes. `f` and `consume` never run
+/// under one (and run behind `catch_unwind` in the pipeline), so
+/// poisoning cannot happen; recover the guard rather than grow a panic
+/// path.
 fn lock<V>(mutex: &Mutex<V>) -> MutexGuard<'_, V> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -16,8 +16,8 @@
 //!   pool, gated by `FT_CLIENT_THREADS`, with byte-identical results
 //!   at any thread count;
 //! * [`select`] — per-round participant selection;
-//! * [`eval`] — parallel per-client evaluation fan-out over the shared
-//!   tensor worker pool;
+//! * [`eval`] — the per-client accuracy sweep: forward-only, chunked to
+//!   a fixed byte budget, fanned out over the shared tensor worker pool;
 //! * [`costs`] — MAC / network / storage accounting (the paper's cost
 //!   metrics in Table 2 and Figs. 2 and 7);
 //! * [`metrics`] — per-client accuracy statistics (mean, IQR, boxplot

@@ -336,8 +336,7 @@ mod tests {
         let out = train_local(&mut m, 0, data.client(0), &cfg, 1).unwrap();
         // Re-evaluate at final weights: loss should be below the initial.
         let (x, y) = data.client(0).train_all();
-        let mut fresh = model.clone();
-        let (initial_loss, _) = fresh.evaluate(&x, &y).unwrap();
+        let (initial_loss, _) = model.evaluate(&x, &y).unwrap();
         let (final_loss, _) = m.evaluate(&x, &y).unwrap();
         assert!(final_loss < initial_loss, "{final_loss} !< {initial_loss}");
         assert_eq!(

@@ -1,11 +1,16 @@
-//! Allocation-count regression gate for the steady-state train step.
+//! Allocation-count regression gate for the steady-state train step
+//! and the evaluation sweep.
 //!
 //! A counting global allocator wraps the system allocator; after a
 //! short warm-up, additional client train steps must perform **zero**
 //! heap allocations: every transient buffer (batch gather, GEMM
 //! outputs and pack panels, activation caches, loss temporaries,
 //! optimizer state) is served by `ft_tensor::scratch`'s per-thread
-//! pools and the layers' retained workspaces.
+//! pools and the layers' retained workspaces. A warm evaluation of a
+//! client shard must allocate nothing either, and even a cold one may
+//! not make a single allocation larger than
+//! `ft_fedsim::eval::EVAL_BUDGET_BYTES` — the evaluation memory bound,
+//! pinned as a count instead of an RSS reading.
 //!
 //! Runs as a `harness = false` integration test: the default libtest
 //! harness keeps service threads that allocate at unpredictable
@@ -15,13 +20,28 @@
 //! steps being measured.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Counts every allocator entry point; the payload is forwarded to
-/// the system allocator untouched.
+use ft_data::ClientData;
+use ft_fedsim::eval::{self, EVAL_BUDGET_BYTES};
+use ft_model::CellModel;
+use rand::SeedableRng;
+
+#[path = "common/test_shard.rs"]
+mod test_shard;
+use test_shard::random_test_shard;
+
+/// Counts every allocator entry point and remembers the largest
+/// request; the payload is forwarded to the system allocator untouched.
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static LARGEST_ALLOC: AtomicUsize = AtomicUsize::new(0);
+
+fn record(bytes: usize) {
+    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    LARGEST_ALLOC.fetch_max(bytes, Ordering::Relaxed);
+}
 
 // SAFETY: pure pass-through to `System`; the counter itself never
 // allocates.
@@ -29,19 +49,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds `GlobalAlloc`'s contract; forwarded to
     // `System` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        record(layout.size());
         System.alloc(layout)
     }
 
     // SAFETY: same pass-through as `alloc`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        record(layout.size());
         System.alloc_zeroed(layout)
     }
 
     // SAFETY: same pass-through as `alloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        record(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -79,23 +99,67 @@ fn allocations_during_warm_steps(
 }
 
 fn main() {
-    warm_train_step_performs_zero_heap_allocations();
-    println!("alloc_steady_state: ok (warm train steps allocation-free)");
-}
-
-fn warm_train_step_performs_zero_heap_allocations() {
     // Pin the worker pool to one thread *before* anything touches it:
     // with workers, their thread-local scratch pools would need their
     // own warm-up and task assignment is not deterministic enough to
     // guarantee it within a bounded warm-up.
     std::env::set_var("FT_TENSOR_THREADS", "1");
+    // First, while this thread's scratch pool holds nothing an
+    // evaluation could reuse.
+    cold_conv_eval_never_allocates_past_the_budget();
+    warm_train_step_performs_zero_heap_allocations();
+    warm_eval_performs_zero_heap_allocations();
+    println!("alloc_steady_state: ok (warm train steps and evals allocation-free, eval bounded)");
+}
 
+/// A `[3, 16, 16]`-input conv model whose 16→16 cell lowers 144·256
+/// floats (147 KB) of im2col columns per sample.
+fn conv_model(rng: &mut rand::rngs::StdRng) -> CellModel {
+    CellModel::conv(rng, 3, 16, 16, &[16, 16], 3, 10)
+}
+
+fn allocations_during_eval(model: &CellModel, shard: &ClientData) -> u64 {
+    let before = allocations();
+    eval::accuracy(model, shard).expect("the shard fits the model");
+    allocations() - before
+}
+
+fn cold_conv_eval_never_allocates_past_the_budget() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let model = conv_model(&mut rng);
+    let shard = random_test_shard(&mut rng, 64, model.input_width(), model.classes());
+    // Lowering the whole shard at once would check out one 9.4 MB
+    // im2col matrix; a chunk of `rows_per_chunk` samples stays within
+    // the budget.
+    assert!(64 * model.sample_working_set_bytes() > 4 * EVAL_BUDGET_BYTES);
+    LARGEST_ALLOC.store(0, Ordering::Relaxed);
+    eval::accuracy(&model, &shard).expect("the shard fits the model");
+    let largest = LARGEST_ALLOC.load(Ordering::Relaxed);
+    assert!(
+        largest <= EVAL_BUDGET_BYTES,
+        "a cold 64-sample conv eval allocated {largest} bytes at once \
+         (budget {EVAL_BUDGET_BYTES})"
+    );
+}
+
+fn warm_eval_performs_zero_heap_allocations() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+    let dense = CellModel::dense(&mut rng, 64, &[32, 32], 10);
+    let conv = conv_model(&mut rng);
+    for (name, model, n) in [("dense", &dense, 45), ("conv", &conv, 45)] {
+        let shard = random_test_shard(&mut rng, n, model.input_width(), model.classes());
+        allocations_during_eval(model, &shard);
+        let n = allocations_during_eval(model, &shard);
+        assert_eq!(n, 0, "a warm {name} eval allocated {n} times (expected 0)");
+    }
+}
+
+fn warm_train_step_performs_zero_heap_allocations() {
     let data = ft_data::DatasetConfig::femnist_like()
         .with_num_clients(2)
         .with_mean_samples(40)
         .generate();
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-    use rand::SeedableRng;
 
     // Dense body — the shape every canned scenario's clients train.
     let mut dense =

@@ -38,7 +38,7 @@ use ft_fedsim::driver::{
 };
 use ft_fedsim::sink::FedAvgSink;
 use ft_fedsim::trainer::TrainTask;
-use ft_fedsim::SimError;
+use ft_fedsim::{eval, SimError};
 use ft_model::{similarity::similarity_matrix, CellModel};
 
 use crate::{
@@ -325,7 +325,7 @@ impl Method for FedTransRuntime {
 
     /// Evaluates every client on its best-utility compatible model
     /// (§5.1's protocol), fanning clients out over the shared worker
-    /// pool.
+    /// pool; every task borrows its suite model.
     fn evaluate(
         &self,
         fleet: Fleet<'_, FederatedDataset>,
@@ -338,17 +338,9 @@ impl Method for FedTransRuntime {
                 self.manager.best_model(c, &compatible)
             })
             .collect();
-        let accs: Vec<f32> = ft_fedsim::eval::par_map_indexed(fleet.data.num_clients(), |c| {
-            match fleet.data.client(c).test_all() {
-                Some((x, y)) => {
-                    let mut m = self.models[chosen[c]].clone();
-                    m.evaluate(&x, &y).map(|(_, acc)| acc)
-                }
-                None => Ok(0.0),
-            }
-        })
-        .into_iter()
-        .collect::<std::result::Result<_, _>>()?;
+        let accs = eval::try_par_map(fleet.data.num_clients(), |c| {
+            eval::accuracy(&self.models[chosen[c]], fleet.data.client(c))
+        })?;
         Ok((accs, chosen))
     }
 

@@ -216,6 +216,37 @@ impl Cell {
         }
     }
 
+    /// Inference forward: the arithmetic of [`Cell::forward`] with
+    /// nothing cached (the cell is only borrowed).
+    ///
+    /// # Errors
+    ///
+    /// Propagates layer errors (geometry mismatches).
+    pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
+        match self {
+            Cell::Dense { linear, relu, .. } => Ok(relu.infer(&linear.infer(x)?)),
+            Cell::Conv { conv, relu, .. } => Ok(relu.infer(&conv.infer(x)?)),
+            Cell::Attention { block, .. } => Ok(block.infer(x)?),
+        }
+    }
+
+    /// Floats in the largest buffer one sample occupies on its way
+    /// through this cell: the im2col patch columns of a conv cell, the
+    /// MLP activations of an attention cell, the wider side of a dense
+    /// cell. Every such buffer scales linearly with the batch, so it
+    /// sizes how many samples an evaluation chunk may hold.
+    pub fn sample_working_floats(&self) -> usize {
+        match self {
+            Cell::Dense { linear, .. } => linear.in_features().max(linear.out_features()),
+            Cell::Conv { conv, .. } => {
+                let (h, w) = conv.spatial();
+                let patch_rows = conv.in_channels() * conv.kernel() * conv.kernel();
+                patch_rows.max(conv.out_channels()) * h * w
+            }
+            Cell::Attention { block, .. } => block.tokens() * block.d_model().max(block.d_ff()),
+        }
+    }
+
     /// Backward pass; accumulates parameter gradients, returns `dX`.
     ///
     /// # Errors

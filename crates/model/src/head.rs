@@ -87,34 +87,29 @@ impl Head {
                 linear,
                 cached_batch,
             } => {
-                let batch = x.rows()?;
-                let t = *tokens;
-                let d = *d_model;
-                if x.cols()? != t * d {
-                    return Err(ModelError::InvalidTransform {
-                        detail: format!(
-                            "token head expected {}x{} inputs, got {}",
-                            t,
-                            d,
-                            x.cols()?
-                        ),
-                    });
-                }
-                // Scratch-pooled; every slot is written exactly once.
-                let mut pooled = ft_tensor::scratch::take(batch * d);
-                for s in 0..batch {
-                    for j in 0..d {
-                        let mut acc = 0.0f32;
-                        for tok in 0..t {
-                            acc += x.data()[s * t * d + tok * d + j];
-                        }
-                        pooled[s * d + j] = acc / t as f32;
-                    }
-                }
-                *cached_batch = Some(batch);
-                let pooled = Tensor::from_vec(pooled, &[batch, d])?;
+                let pooled = token_mean(x, *tokens, *d_model)?;
+                *cached_batch = Some(x.rows()?);
                 Ok(linear.forward(&pooled)?)
             }
+        }
+    }
+
+    /// Inference forward: the arithmetic of [`Head::forward`] with
+    /// nothing cached (the head is only borrowed).
+    ///
+    /// # Errors
+    ///
+    /// Propagates layer geometry errors.
+    pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
+        match self {
+            Head::Classifier { linear } => Ok(linear.infer(x)?),
+            Head::PoolClassifier { pool, linear } => Ok(linear.infer(&pool.infer(x)?)?),
+            Head::TokenMeanClassifier {
+                tokens,
+                d_model,
+                linear,
+                ..
+            } => Ok(linear.infer(&token_mean(x, *tokens, *d_model)?)?),
         }
     }
 
@@ -178,6 +173,29 @@ impl Head {
     pub fn macs_per_sample(&self) -> u64 {
         self.linear().macs_per_sample()
     }
+}
+
+/// Mean over the `t` tokens of each `[t, d]` sample: `[batch, t·d]` to
+/// `[batch, d]`.
+fn token_mean(x: &Tensor, t: usize, d: usize) -> Result<Tensor> {
+    let batch = x.rows()?;
+    if x.cols()? != t * d {
+        return Err(ModelError::InvalidTransform {
+            detail: format!("token head expected {t}x{d} inputs, got {}", x.cols()?),
+        });
+    }
+    // Scratch-pooled; every slot is written exactly once.
+    let mut pooled = ft_tensor::scratch::take(batch * d);
+    for s in 0..batch {
+        for j in 0..d {
+            let mut acc = 0.0f32;
+            for tok in 0..t {
+                acc += x.data()[s * t * d + tok * d + j];
+            }
+            pooled[s * d + j] = acc / t as f32;
+        }
+    }
+    Ok(Tensor::from_vec(pooled, &[batch, d])?)
 }
 
 #[cfg(test)]

@@ -238,6 +238,44 @@ impl CellModel {
         self.head.forward(&h)
     }
 
+    /// Inference forward producing logits: the arithmetic of
+    /// [`CellModel::forward`], but nothing is cached and the input is
+    /// not copied, so one model can be borrowed by every evaluation
+    /// thread at once and a following [`CellModel::backward`] still
+    /// finds no forward to differentiate.
+    ///
+    /// # Errors
+    ///
+    /// Propagates layer geometry errors.
+    pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
+        let Some((first, rest)) = self.cells.split_first() else {
+            return self.head.infer(x);
+        };
+        let mut h = first.infer(x)?;
+        for cell in rest {
+            h = cell.infer(&h)?;
+        }
+        self.head.infer(&h)
+    }
+
+    /// Bytes of the largest buffer one sample occupies anywhere in an
+    /// [`CellModel::infer`] pass (its input row, a conv cell's im2col
+    /// patch columns, an attention cell's MLP activations, …). Every
+    /// such buffer grows linearly with the batch, so a batch of `r`
+    /// samples never checks out a single buffer larger than `r` times
+    /// this.
+    pub fn sample_working_set_bytes(&self) -> usize {
+        let head = self.head.linear();
+        let floats = self
+            .cells
+            .iter()
+            .map(Cell::sample_working_floats)
+            .fold(self.input_width, usize::max)
+            .max(head.in_features())
+            .max(head.out_features());
+        floats * std::mem::size_of::<f32>()
+    }
+
     /// Backward pass from a logits gradient; accumulates all parameter
     /// gradients and returns the input gradient.
     ///
@@ -266,18 +304,16 @@ impl CellModel {
         Ok((loss, acc))
     }
 
-    /// Evaluates loss and accuracy without touching gradients.
+    /// Evaluates loss and accuracy through [`CellModel::infer`]: no
+    /// gradient, cache or weight is touched.
     ///
     /// # Errors
     ///
     /// Propagates layer and loss errors.
-    pub fn evaluate(&mut self, x: &Tensor, labels: &[usize]) -> Result<(f32, f32)> {
-        let logits = self.forward(x)?;
+    pub fn evaluate(&self, x: &Tensor, labels: &[usize]) -> Result<(f32, f32)> {
+        let logits = self.infer(x)?;
         let acc = accuracy(&logits, labels)?;
         let (loss, _) = softmax_cross_entropy(&logits, labels)?;
-        // The training forward caches activations for a backward that
-        // never runs; they are overwritten by the next forward, and no
-        // gradient is touched.
         Ok((loss, acc))
     }
 

@@ -35,6 +35,11 @@ impl Relu {
         self.mask.clear();
         self.mask.extend(x.data().iter().map(|&v| v > 0.0));
         self.mask_valid = true;
+        self.infer(x)
+    }
+
+    /// Applies `max(0, x)` element-wise without touching the mask.
+    pub fn infer(&self, x: &Tensor) -> Tensor {
         x.map(|v| if v > 0.0 { v } else { 0.0 })
     }
 

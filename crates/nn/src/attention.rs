@@ -200,6 +200,28 @@ impl AttentionBlock {
     /// Returns [`NnError::BadInput`] when the input width differs from
     /// `tokens·d_model`.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
+        // Refill the cache box consumed by the previous backward pass
+        // instead of allocating a new one each step.
+        let mut cache = self.spare.take().unwrap_or_default();
+        let out = self.run(x, Some(&mut *cache))?;
+        self.cache = Some(cache);
+        Ok(out)
+    }
+
+    /// Inference forward: the arithmetic of [`AttentionBlock::forward`]
+    /// with every activation returned to the scratch pool instead of
+    /// cached, so the block can be shared across threads.
+    ///
+    /// # Errors
+    ///
+    /// As [`AttentionBlock::forward`].
+    pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
+        self.run(x, None)
+    }
+
+    /// The forward pass proper; fills `cache` with what backward needs
+    /// when one is given.
+    fn run(&self, x: &Tensor, mut cache: Option<&mut BatchCache>) -> Result<Tensor> {
         let batch = x.rows()?;
         if x.cols()? != self.sample_dim() {
             return Err(NnError::BadInput {
@@ -220,10 +242,9 @@ impl AttentionBlock {
         let q = xb.matmul(&self.wq)?;
         let k = xb.matmul(&self.wk)?;
         let v = xb.matmul(&self.wv)?;
-        // Refill the cache box consumed by the previous backward pass
-        // instead of allocating a new one each step.
-        let mut cache = self.spare.take().unwrap_or_default();
-        cache.attn.clear();
+        if let Some(cache) = cache.as_deref_mut() {
+            cache.attn.clear();
+        }
         // Attention is block-diagonal across samples: softmax and the
         // A·V product stay per-sample. The stacked context matrix is a
         // scratch checkout, fully written sample by sample.
@@ -236,24 +257,27 @@ impl AttentionBlock {
             let a = softmax(&scores)?;
             let cs = a.matmul(&vs)?;
             cbig[s * t * d..(s + 1) * t * d].copy_from_slice(cs.data());
-            cache.attn.push(a);
+            if let Some(cache) = cache.as_deref_mut() {
+                cache.attn.push(a);
+            }
         }
         let c = Tensor::from_vec(cbig, &[batch * t, d])?;
         let h = xb.add(&c.matmul(&self.wo)?)?;
         let z = h.matmul(&self.w1)?;
         let m = z.map(|zv| zv.max(0.0));
-        let y = h.add(&m.matmul(&self.w2)?)?;
-        let out = y.reshaped(&[batch, self.sample_dim()])?;
-        cache.batch = batch;
-        cache.x = xb;
-        cache.q = q;
-        cache.k = k;
-        cache.v = v;
-        cache.c = c;
-        cache.h = h;
-        cache.z = z;
-        cache.m = m;
-        self.cache = Some(cache);
+        let mut out = h.add(&m.matmul(&self.w2)?)?;
+        out.reshape(&[batch, self.sample_dim()])?;
+        if let Some(cache) = cache {
+            cache.batch = batch;
+            cache.x = xb;
+            cache.q = q;
+            cache.k = k;
+            cache.v = v;
+            cache.c = c;
+            cache.h = h;
+            cache.z = z;
+            cache.m = m;
+        }
         Ok(out)
     }
 

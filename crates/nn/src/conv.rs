@@ -277,6 +277,25 @@ impl Conv2d {
     /// Returns [`NnError::BadInput`] when the input width differs from
     /// `in_channels·height·width`.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
+        let (cols, out) = self.lower_and_multiply(x)?;
+        self.cache_cols = Some(cols);
+        Ok(out)
+    }
+
+    /// Inference forward: the arithmetic of [`Conv2d::forward`] with the
+    /// patch matrix returned to the scratch pool instead of cached, so
+    /// the layer can be shared across threads.
+    ///
+    /// # Errors
+    ///
+    /// As [`Conv2d::forward`].
+    pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
+        Ok(self.lower_and_multiply(x)?.1)
+    }
+
+    /// The forward pass proper: returns the `[C·k·k, batch·H·W]` patch
+    /// matrix (what backward needs) and the `[batch, out_c·H·W]` output.
+    fn lower_and_multiply(&self, x: &Tensor) -> Result<(Tensor, Tensor)> {
         let batch = x.rows()?;
         if x.cols()? != self.expected_input_len() {
             return Err(NnError::BadInput {
@@ -317,8 +336,8 @@ impl Conv2d {
                 }
             }
         }
-        self.cache_cols = Some(cols);
-        Ok(Tensor::from_vec(out, &[batch, self.out_channels * hw])?)
+        let out = Tensor::from_vec(out, &[batch, self.out_channels * hw])?;
+        Ok((cols, out))
     }
 
     /// Backward pass; accumulates gradients and returns `dX`. The

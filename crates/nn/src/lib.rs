@@ -9,7 +9,9 @@
 //! Every layer performs explicit forward/backward passes with owned
 //! caches — no tape autodiff — because FedTrans needs direct access to
 //! per-layer weights and gradients for its activeness metric and its
-//! function-preserving surgery.
+//! function-preserving surgery. Each layer also has an `infer(&self)`
+//! forward with the same arithmetic and no cache, which evaluation
+//! uses so that one model can be borrowed by every evaluation thread.
 //!
 //! # Example
 //!
@@ -45,7 +47,7 @@ pub use attention::AttentionBlock;
 pub use conv::Conv2d;
 pub use error::NnError;
 pub use linear::Linear;
-pub use loss::{accuracy, softmax, softmax_cross_entropy};
+pub use loss::{accuracy, correct_count, softmax, softmax_cross_entropy};
 pub use optim::{Sgd, SgdStep, Yogi};
 pub use pool::GlobalAvgPool;
 

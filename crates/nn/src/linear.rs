@@ -127,6 +127,18 @@ impl Linear {
     /// Returns [`NnError::BadInput`] when the input width differs from
     /// `in_features`.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
+        let y = self.infer(x)?;
+        self.cache_input = Some(x.clone());
+        Ok(y)
+    }
+
+    /// Inference forward: the arithmetic of [`Linear::forward`] with
+    /// nothing cached, so the layer can be shared across threads.
+    ///
+    /// # Errors
+    ///
+    /// As [`Linear::forward`].
+    pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
         if x.cols().map_err(NnError::from)? != self.in_features() {
             return Err(NnError::BadInput {
                 layer: "Linear",
@@ -137,9 +149,7 @@ impl Linear {
                 ),
             });
         }
-        let y = x.matmul(&self.weight)?.add_row_broadcast(&self.bias)?;
-        self.cache_input = Some(x.clone());
-        Ok(y)
+        Ok(x.matmul(&self.weight)?.add_row_broadcast(&self.bias)?)
     }
 
     /// Backward pass; accumulates `dW`, `db` and returns `dX`.

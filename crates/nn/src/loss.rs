@@ -77,24 +77,49 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<(f32, 
     Ok((loss * inv_batch, grad))
 }
 
-/// Fraction of rows whose argmax matches the label.
+/// Number of rows whose argmax matches the label.
 ///
 /// Allocation-free: compares row argmaxes against labels on the fly
-/// instead of materializing a prediction vector.
+/// instead of materializing a prediction vector. Counts are integers,
+/// so a shard scored chunk by chunk sums to exactly the count of one
+/// whole-shard pass.
 ///
 /// # Errors
 ///
 /// Returns [`NnError::LabelMismatch`] when the label count differs from
-/// the batch size.
-pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
+/// the batch size and [`NnError::LabelOutOfRange`] for a label the
+/// logits have no column for.
+pub fn correct_count(logits: &Tensor, labels: &[usize]) -> Result<usize> {
     let rows = logits.rows()?;
+    let cols = logits.cols()?;
     if labels.len() != rows {
         return Err(NnError::LabelMismatch {
             batch: rows,
             labels: labels.len(),
         });
     }
-    Ok(logits.argmax_accuracy(labels)?)
+    if let Some(&label) = labels.iter().find(|&&l| l >= cols) {
+        return Err(NnError::LabelOutOfRange {
+            label,
+            classes: cols,
+        });
+    }
+    Ok(logits.argmax_hits(labels)?)
+}
+
+/// Fraction of rows whose argmax matches the label; `0.0` for an empty
+/// batch.
+///
+/// # Errors
+///
+/// As [`correct_count`].
+pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
+    let correct = correct_count(logits, labels)?;
+    Ok(if labels.is_empty() {
+        0.0
+    } else {
+        correct as f32 / labels.len() as f32
+    })
 }
 
 #[cfg(test)]
@@ -176,5 +201,8 @@ mod tests {
         assert_eq!(accuracy(&logits, &[0, 1]).unwrap(), 1.0);
         assert_eq!(accuracy(&logits, &[1, 0]).unwrap(), 0.0);
         assert_eq!(accuracy(&logits, &[0, 0]).unwrap(), 0.5);
+        assert_eq!(correct_count(&logits, &[0, 0]).unwrap(), 1);
+        assert!(correct_count(&logits, &[0, 2]).is_err());
+        assert!(correct_count(&logits, &[0]).is_err());
     }
 }

@@ -45,6 +45,18 @@ impl GlobalAvgPool {
     /// Returns [`NnError::BadInput`] when the input width is not
     /// `channels·spatial`.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
+        let out = self.infer(x)?;
+        self.cached_batch = Some(x.rows()?);
+        Ok(out)
+    }
+
+    /// [`GlobalAvgPool::forward`] without recording the batch size for
+    /// a backward pass.
+    ///
+    /// # Errors
+    ///
+    /// As [`GlobalAvgPool::forward`].
+    pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
         let batch = x.rows()?;
         if x.cols()? != self.channels * self.spatial {
             return Err(NnError::BadInput {
@@ -66,7 +78,6 @@ impl GlobalAvgPool {
                 out[s * self.channels + c] = sum / self.spatial as f32;
             }
         }
-        self.cached_batch = Some(batch);
         Ok(Tensor::from_vec(out, &[batch, self.channels])?)
     }
 

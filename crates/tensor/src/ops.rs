@@ -222,7 +222,7 @@ impl Tensor {
     }
 
     /// Argmax of one row (allocation-free helper behind
-    /// [`Tensor::argmax_rows`] and `ft_nn::accuracy`).
+    /// [`Tensor::argmax_rows`] and [`Tensor::argmax_hits`]).
     pub(crate) fn argmax_row(&self, r: usize, cols: usize) -> usize {
         let mut best = 0usize;
         let mut best_v = f32::NEG_INFINITY;
@@ -235,26 +235,24 @@ impl Tensor {
         best
     }
 
-    /// Fraction of rows whose argmax equals the paired label; `0.0` for
-    /// an empty batch. Allocation-free (no materialized prediction
-    /// vector) — the accuracy inner loop of every evaluation pass.
+    /// Number of rows whose argmax equals the paired label.
+    /// Allocation-free (no materialized prediction vector) — the
+    /// accuracy inner loop of every evaluation pass. An integer, so the
+    /// counts of a batch evaluated in chunks add up to the count of the
+    /// whole batch exactly.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] for non-matrices.
-    pub fn argmax_accuracy(&self, labels: &[usize]) -> Result<f32> {
+    pub fn argmax_hits(&self, labels: &[usize]) -> Result<usize> {
         let rows = self.rows()?;
         let cols = self.cols()?;
-        if rows == 0 {
-            return Ok(0.0);
-        }
-        let mut correct = 0usize;
-        for (r, &label) in labels.iter().enumerate().take(rows) {
-            if self.argmax_row(r, cols) == label {
-                correct += 1;
-            }
-        }
-        Ok(correct as f32 / rows as f32)
+        Ok(labels
+            .iter()
+            .take(rows)
+            .enumerate()
+            .filter(|&(r, &label)| self.argmax_row(r, cols) == label)
+            .count())
     }
 
     /// Clamps every element into `[lo, hi]`.
@@ -334,12 +332,12 @@ mod tests {
     }
 
     #[test]
-    fn argmax_accuracy_counts_matches() {
+    fn argmax_hits_counts_matches() {
         let a = t(&[0.9, 0.1, 0.2, 0.8], &[2, 2]);
-        assert_eq!(a.argmax_accuracy(&[0, 1]).unwrap(), 1.0);
-        assert_eq!(a.argmax_accuracy(&[1, 0]).unwrap(), 0.0);
-        assert_eq!(a.argmax_accuracy(&[0, 0]).unwrap(), 0.5);
-        assert_eq!(Tensor::zeros(&[0, 3]).argmax_accuracy(&[]).unwrap(), 0.0);
+        assert_eq!(a.argmax_hits(&[0, 1]).unwrap(), 2);
+        assert_eq!(a.argmax_hits(&[1, 0]).unwrap(), 0);
+        assert_eq!(a.argmax_hits(&[0, 0]).unwrap(), 1);
+        assert_eq!(Tensor::zeros(&[0, 3]).argmax_hits(&[]).unwrap(), 0);
     }
 
     #[test]
