@@ -201,7 +201,70 @@ impl DatasetConfig {
         self
     }
 
+    /// Checks every field the generator samples with, so that a bad
+    /// dataset block is an error naming the field instead of a panic
+    /// inside [`DatasetConfig::generate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, count) in [
+            ("num_clients", self.num_clients),
+            ("num_classes", self.num_classes),
+        ] {
+            if count == 0 {
+                return Err(format!("{name} must be at least 1"));
+            }
+        }
+        if self.input.flat_dim() == 0 {
+            return Err(format!("input has a zero dimension: {:?}", self.input));
+        }
+        if !(self.dirichlet_alpha.is_finite() && self.dirichlet_alpha > 0.0) {
+            return Err(format!(
+                "dirichlet_alpha must be finite and > 0, got {}",
+                self.dirichlet_alpha
+            ));
+        }
+        if self.mean_samples < 2 {
+            // The per-client count is clamped to [8, 6 * mean_samples].
+            return Err(format!(
+                "mean_samples must be at least 2, got {}",
+                self.mean_samples
+            ));
+        }
+        for (name, scale) in [
+            ("sample_spread", self.sample_spread),
+            ("class_sep", self.class_sep),
+            ("noise_std", self.noise_std),
+            ("shift_std", self.shift_std),
+        ] {
+            if !(scale.is_finite() && scale >= 0.0) {
+                return Err(format!("{name} must be finite and >= 0, got {scale}"));
+            }
+        }
+        if !(0.0..=1.0).contains(&self.test_fraction) {
+            return Err(format!(
+                "test_fraction must be in [0, 1], got {}",
+                self.test_fraction
+            ));
+        }
+        for (name, value) in [
+            ("max_difficulty", self.max_difficulty),
+            ("manifold_curvature", self.manifold_curvature),
+        ] {
+            if !value.is_finite() {
+                return Err(format!("{name} must be finite, got {value}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Generates the dataset described by this configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`DatasetConfig::validate`].
     pub fn generate(&self) -> FederatedDataset {
         generator::generate(self)
     }
@@ -228,6 +291,7 @@ mod tests {
         for p in &presets {
             assert!(p.num_clients >= 100);
             assert!(p.num_classes >= 10);
+            assert_eq!(p.validate(), Ok(()));
         }
         assert!(presets[3].num_clients > presets[0].num_clients);
     }

@@ -9,13 +9,53 @@
 //! better, which is what gives larger models their accuracy edge on
 //! difficult clients — the behaviour FedTrans's model assignment
 //! exploits.
+//!
+//! # Walk, then build
+//!
+//! A dense dataset is one `StdRng` stream seeded from `config.seed` and
+//! consumed in a fixed order: the prototypes; then, client by client,
+//! its plan (`plan_client`), difficulty jitter and concept shift; then,
+//! sample by sample, its label, manifold position, confuser blend and
+//! `dim` noise normals. Nearly all of the cost is the Box–Muller
+//! `ln`/`sqrt`/`cos` behind those normals, so [`generate`] runs the
+//! stream in two phases that together draw exactly the words a single
+//! serial pass draws:
+//!
+//! 1. **Walk** (serial, `Sampler::walk`). Makes every draw except the
+//!    normals, in stream order, and records the stream position before
+//!    each client's head and before each of its samples. A normal is
+//!    skipped as its [`WORDS_PER_NORMAL`] `next_u64`s, with no float
+//!    arithmetic.
+//! 2. **Build** (one `ft_tensor::pool` task per client,
+//!    `Sampler::build`). Replays the client's head and then every
+//!    sample from its recorded position through `Sampler::client` and
+//!    `Sampler::sample`, the same two functions
+//!    [`crate::SparseFederatedData`] calls inline on a client's own
+//!    stream.
+//!
+//! The RNG contract lives in this file: the walk and `Sampler::sample`
+//! share `Sampler::sample_draws`, and what a sample draws after that is
+//! its `dim` normals. Debug builds assert that building sample *i*
+//! leaves the stream at sample *i + 1*'s recorded position, so the two
+//! phases cannot drift apart silently. Every float comes out of the
+//! same scalar operations in the same order whichever thread builds
+//! it, so the data is bit-identical at every pool size, and a call from
+//! inside a pool task (which builds inline) returns the same bytes.
 
-use rand::Rng;
-use rand::SeedableRng;
+use std::sync::OnceLock;
+
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rand_distr::{Distribution, LogNormal, Normal};
 
 use crate::partition::{sample_class, sample_dirichlet};
 use crate::{ClientData, DatasetConfig, FederatedDataset, InputSpec};
+
+/// RNG words one normal draw consumes: the `rand_distr` shim's
+/// Box–Muller takes two uniforms of one `next_u64` each. The walk skips
+/// normals by this count, so it is part of the generator's RNG
+/// contract.
+const WORDS_PER_NORMAL: usize = 2;
 
 /// Generates prototypes for image inputs as smooth low-frequency
 /// patterns so conv models have spatial structure to exploit.
@@ -57,10 +97,17 @@ fn flat_prototype(rng: &mut impl Rng, dim: usize, sep: f32) -> Vec<f32> {
     (0..dim).map(|_| normal.sample(rng)).collect()
 }
 
+/// Advances `rng` past `count` normal draws without computing them.
+fn skip_normals(rng: &mut StdRng, count: usize) {
+    for _ in 0..count * WORDS_PER_NORMAL {
+        rng.next_u64();
+    }
+}
+
 /// The per-dataset global structure every client's samples are built
 /// from: class prototypes plus per-class manifold directions. Computed
-/// once per dataset (O(classes × dim)), shared by the sequential
-/// generator and the sparse per-client derivation.
+/// once per dataset (O(classes × dim)), shared by the dense generator
+/// and the sparse per-client derivation.
 #[derive(Debug, Clone)]
 pub(crate) struct Prototypes {
     /// One prototype vector per class.
@@ -71,11 +118,8 @@ pub(crate) struct Prototypes {
 
 /// Draws the global class prototypes and manifold directions. The draw
 /// order is part of the dataset's determinism contract: `generate`
-/// feeds the same RNG straight into the per-client loop afterwards.
-pub(crate) fn sample_prototypes(
-    config: &DatasetConfig,
-    rng: &mut rand::rngs::StdRng,
-) -> Prototypes {
+/// feeds the same RNG straight into the per-client walk afterwards.
+pub(crate) fn sample_prototypes(config: &DatasetConfig, rng: &mut StdRng) -> Prototypes {
     let dim = config.input.flat_dim();
     let prototypes: Vec<Vec<f32>> = (0..config.num_classes)
         .map(|_| match config.input {
@@ -113,7 +157,7 @@ pub(crate) struct ShardPlan {
 
 /// Draws the head of a client's RNG stream: the Dirichlet label
 /// distribution, then the log-normal sample count, split into train
-/// and test. [`generate_client`] starts with this call and
+/// and test. Every client's head starts with this call and
 /// [`crate::SparseFederatedData`] prices a shard's length with it alone,
 /// so the length a round is priced at and the length the generated
 /// shard has come from the same draws, in the same order, through the
@@ -124,7 +168,7 @@ pub(crate) struct ShardPlan {
 /// Panics when `config.sample_spread` is not finite, or when
 /// `config.mean_samples` is below 2 (the count clamp needs
 /// `8 <= 6 * mean_samples`).
-pub(crate) fn plan_client(config: &DatasetConfig, rng: &mut rand::rngs::StdRng) -> ShardPlan {
+pub(crate) fn plan_client(config: &DatasetConfig, rng: &mut StdRng) -> ShardPlan {
     let count_dist = LogNormal::new(
         (config.mean_samples.max(2) as f32).ln() as f64,
         config.sample_spread as f64,
@@ -141,101 +185,221 @@ pub(crate) fn plan_client(config: &DatasetConfig, rng: &mut rand::rngs::StdRng) 
     }
 }
 
-/// Generates one client's shard from the shared prototypes. Draws from
-/// `rng` in a fixed order, so the same RNG state always yields the
-/// same shard — `generate` threads one sequential RNG through every
-/// client, while the sparse representation hands each client its own
-/// index-derived RNG.
-///
-/// # Panics
-///
-/// Panics when `config.noise_std`, `config.shift_std`, or
-/// `config.sample_spread` is not finite — the presets all are, and
-/// these are sampler parameters, not per-client data.
-pub(crate) fn generate_client(
-    config: &DatasetConfig,
-    protos: &Prototypes,
-    client_idx: usize,
-    rng: &mut rand::rngs::StdRng,
-) -> ClientData {
-    let dim = config.input.flat_dim();
-    let prototypes = &protos.prototypes;
-    let directions = &protos.directions;
-    let noise = Normal::new(0.0f32, config.noise_std).expect("noise_std finite");
-    let shift = Normal::new(0.0f32, config.shift_std).expect("shift_std finite");
+/// What a sample draws before its noise.
+struct SampleDraws {
+    label: usize,
+    /// Position along the class manifold.
+    t: f32,
+    /// Confuser class and blend weight, when the sample is blended.
+    blend: Option<(usize, f32)>,
+}
 
-    let ShardPlan {
-        label_dist,
-        n_train,
-        n_test,
-    } = plan_client(config, rng);
-    // Difficulty spread: deterministic ramp + jitter keeps the
-    // population covering the full range at any client count.
-    let ramp = client_idx as f32 / config.num_clients.max(1) as f32;
-    let difficulty = (ramp * config.max_difficulty + rng.gen_range(-0.05..0.05)).clamp(0.0, 1.0);
-    let client_shift: Vec<f32> = (0..dim).map(|_| shift.sample(rng)).collect();
+/// A client's fixed context: what every one of its samples shares.
+struct Client {
+    plan: ShardPlan,
+    /// Confuser-blend probability; also scales the manifold curvature.
+    difficulty: f32,
+    /// The client's concept-shift offset, one value per feature.
+    shift: Vec<f32>,
+}
 
-    let gen_sample = |rng: &mut rand::rngs::StdRng| -> (Vec<f32>, usize) {
-        let label = sample_class(rng, &label_dist);
-        let mut x = prototypes[label].clone();
+impl Client {
+    /// Assembles the shard from `sample(k)`, sample `k` of the client's
+    /// `n_train + n_test` in stream order (train first).
+    fn assemble(&self, mut sample: impl FnMut(usize) -> (Vec<f32>, usize)) -> ClientData {
+        let ShardPlan {
+            ref label_dist,
+            n_train,
+            n_test,
+        } = self.plan;
+        let (train_x, train_y) = (0..n_train).map(&mut sample).unzip();
+        let (test_x, test_y) = (n_train..n_train + n_test).map(&mut sample).unzip();
+        ClientData::new(
+            train_x,
+            train_y,
+            test_x,
+            test_y,
+            label_dist.clone(),
+            self.difficulty,
+        )
+    }
+}
+
+/// One dataset's sampling context: the config, its prototypes, and the
+/// two normal distributions every client draws from.
+pub(crate) struct Sampler<'a> {
+    config: &'a DatasetConfig,
+    protos: &'a Prototypes,
+    noise: Normal<f32>,
+    shift: Normal<f32>,
+    dim: usize,
+}
+
+impl<'a> Sampler<'a> {
+    /// The sampler for `config` over its prototypes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.noise_std` or `config.shift_std` is negative or
+    /// not finite ([`DatasetConfig::validate`] rejects both).
+    pub(crate) fn new(config: &'a DatasetConfig, protos: &'a Prototypes) -> Self {
+        Sampler {
+            config,
+            protos,
+            noise: Normal::new(0.0f32, config.noise_std).expect("noise_std finite"),
+            shift: Normal::new(0.0f32, config.shift_std).expect("shift_std finite"),
+            dim: config.input.flat_dim(),
+        }
+    }
+
+    /// Draws the head of a client's stream up to its concept shift: the
+    /// plan, then the difficulty.
+    fn head(&self, client_idx: usize, rng: &mut StdRng) -> (ShardPlan, f32) {
+        let plan = plan_client(self.config, rng);
+        // Difficulty spread: deterministic ramp + jitter keeps the
+        // population covering the full range at any client count.
+        let ramp = client_idx as f32 / self.config.num_clients.max(1) as f32;
+        let difficulty =
+            (ramp * self.config.max_difficulty + rng.gen_range(-0.05..0.05)).clamp(0.0, 1.0);
+        (plan, difficulty)
+    }
+
+    /// Draws a client's whole head: plan, difficulty and concept shift.
+    fn client(&self, client_idx: usize, rng: &mut StdRng) -> Client {
+        let (plan, difficulty) = self.head(client_idx, rng);
+        let shift = (0..self.dim).map(|_| self.shift.sample(rng)).collect();
+        Client {
+            plan,
+            difficulty,
+            shift,
+        }
+    }
+
+    /// Draws what places a sample before its noise. The walk and
+    /// [`Sampler::sample`] both go through here, so they consume the
+    /// same words.
+    fn sample_draws(&self, label_dist: &[f32], difficulty: f32, rng: &mut StdRng) -> SampleDraws {
+        let label = sample_class(rng, label_dist);
         // Nonlinear class manifold: samples spread along a curve, so
         // carving the class region rewards model capacity.
-        let t: f32 = rng.gen_range(-1.5..1.5);
-        let (d1, d2) = &directions[label];
-        // Curvature scales with client difficulty: easy clients have
-        // near-linear class regions (small models suffice), hard
-        // clients need capacity — the per-client spread of Fig. 1b.
-        let bend = config.manifold_curvature * (0.25 + difficulty) * (2.0 * t).sin();
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi += t * d1[i] + bend * d2[i];
-        }
+        let t = rng.gen_range(-1.5..1.5);
+        let mut blend = None;
         if rng.gen::<f32>() < difficulty {
             // Blend in a confuser class; the label stays the same, so
             // the decision boundary bends around the blend.
-            let confuser = rng.gen_range(0..config.num_classes);
+            let confuser = rng.gen_range(0..self.config.num_classes);
             if confuser != label {
-                let w: f32 = rng.gen_range(0.4..0.65);
-                for (xi, pi) in x.iter_mut().zip(&prototypes[confuser]) {
-                    *xi = *xi * (1.0 - w) + pi * w;
-                }
+                blend = Some((confuser, rng.gen_range(0.4..0.65)));
             }
         }
+        SampleDraws { label, t, blend }
+    }
+
+    /// The one sample function: draws one sample of `client` from `rng`,
+    /// its [`SampleDraws`] and then `dim` noise normals.
+    fn sample(&self, client: &Client, rng: &mut StdRng) -> (Vec<f32>, usize) {
+        let SampleDraws { label, t, blend } =
+            self.sample_draws(&client.plan.label_dist, client.difficulty, rng);
+        let mut x = self.protos.prototypes[label].clone();
+        let (d1, d2) = &self.protos.directions[label];
+        // Curvature scales with client difficulty: easy clients have
+        // near-linear class regions (small models suffice), hard
+        // clients need capacity — the per-client spread of Fig. 1b.
+        let bend = self.config.manifold_curvature * (0.25 + client.difficulty) * (2.0 * t).sin();
         for (i, xi) in x.iter_mut().enumerate() {
-            *xi += client_shift[i] + noise.sample(rng);
+            *xi += t * d1[i] + bend * d2[i];
+        }
+        if let Some((confuser, w)) = blend {
+            for (xi, pi) in x.iter_mut().zip(&self.protos.prototypes[confuser]) {
+                *xi = *xi * (1.0 - w) + pi * w;
+            }
+        }
+        for (xi, shift) in x.iter_mut().zip(&client.shift) {
+            *xi += shift + self.noise.sample(rng);
         }
         (x, label)
-    };
+    }
 
-    let mut train_x = Vec::with_capacity(n_train);
-    let mut train_y = Vec::with_capacity(n_train);
-    for _ in 0..n_train {
-        let (x, y) = gen_sample(rng);
-        train_x.push(x);
-        train_y.push(y);
+    /// Generates one client's shard inline, drawing from `rng` in
+    /// stream order — the sparse path, and the reference the two phases
+    /// reproduce.
+    pub(crate) fn shard(&self, client_idx: usize, rng: &mut StdRng) -> ClientData {
+        let client = self.client(client_idx, rng);
+        client.assemble(|_| self.sample(&client, rng))
     }
-    let mut test_x = Vec::with_capacity(n_test);
-    let mut test_y = Vec::with_capacity(n_test);
-    for _ in 0..n_test {
-        let (x, y) = gen_sample(rng);
-        test_x.push(x);
-        test_y.push(y);
+
+    /// The walk over one client: advances `rng` past the client exactly
+    /// as [`Sampler::shard`] would, without computing a normal, and
+    /// returns the stream position before its head, before each sample,
+    /// and after the last one (`n + 2` marks of 32 bytes; a shard has at
+    /// least 8 samples, so under 48 bytes a sample).
+    fn walk(&self, client_idx: usize, rng: &mut StdRng) -> Vec<[u64; 4]> {
+        let start = rng.state();
+        let (plan, difficulty) = self.head(client_idx, rng);
+        skip_normals(rng, self.dim); // the concept shift
+        let samples = plan.n_train + plan.n_test;
+        let mut marks = Vec::with_capacity(samples + 2);
+        marks.push(start);
+        for _ in 0..samples {
+            marks.push(rng.state());
+            self.sample_draws(&plan.label_dist, difficulty, rng);
+            skip_normals(rng, self.dim);
+        }
+        marks.push(rng.state());
+        marks
     }
-    ClientData::new(train_x, train_y, test_x, test_y, label_dist, difficulty)
+
+    /// The build of one walked client: replays its head from `marks[0]`
+    /// and sample `k` from `marks[k + 1]`.
+    fn build(&self, client_idx: usize, marks: &[[u64; 4]]) -> ClientData {
+        let mut rng = StdRng::from_state(marks[0]);
+        let client = self.client(client_idx, &mut rng);
+        debug_assert_eq!(
+            rng.state(),
+            marks[1],
+            "client {client_idx}: head left the walk"
+        );
+        client.assemble(|k| {
+            let mut rng = StdRng::from_state(marks[k + 1]);
+            let sample = self.sample(&client, &mut rng);
+            debug_assert_eq!(
+                rng.state(),
+                marks[k + 2],
+                "client {client_idx}, sample {k}: the build left the walk"
+            );
+            sample
+        })
+    }
 }
 
 /// Generates the dataset described by `config`. Deterministic in
-/// `config.seed`.
+/// `config.seed`, and bit-identical at every pool size: the walk runs
+/// serially, the build one pool task per client (see the module docs).
 ///
 /// # Panics
 ///
-/// Panics if `config`'s `noise_std`, `shift_std`, `class_sep`, or
-/// `sample_spread` is not finite and non-negative (they parameterize
-/// the sampling distributions).
+/// Panics if `config` fails [`DatasetConfig::validate`].
 pub fn generate(config: &DatasetConfig) -> FederatedDataset {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
+    if let Err(detail) = config.validate() {
+        panic!("invalid dataset config: {detail}");
+    }
+    let mut rng = StdRng::seed_from_u64(config.seed);
     let protos = sample_prototypes(config, &mut rng);
-    let clients = (0..config.num_clients)
-        .map(|client_idx| generate_client(config, &protos, client_idx, &mut rng))
+    let sampler = Sampler::new(config, &protos);
+    let walks: Vec<Vec<[u64; 4]>> = (0..config.num_clients)
+        .map(|client_idx| sampler.walk(client_idx, &mut rng))
+        .collect();
+    let shards: Vec<OnceLock<ClientData>> = walks.iter().map(|_| OnceLock::new()).collect();
+    ft_tensor::pool::parallel_for(walks.len(), &|client_idx| {
+        let _ = shards[client_idx].set(sampler.build(client_idx, &walks[client_idx]));
+    });
+    let clients = shards
+        .into_iter()
+        .map(|shard| {
+            shard
+                .into_inner()
+                .expect("parallel_for runs every index once")
+        })
         .collect();
     FederatedDataset::new(config.clone(), clients)
 }

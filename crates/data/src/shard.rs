@@ -14,7 +14,7 @@ use std::borrow::Cow;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::generator::{generate_client, plan_client, sample_prototypes, Prototypes};
+use crate::generator::{plan_client, sample_prototypes, Prototypes, Sampler};
 use crate::{ClientData, DatasetConfig, FederatedDataset, InputSpec};
 
 /// A source of per-client training shards.
@@ -90,12 +90,14 @@ fn shard_seed(seed: u64, client: usize) -> u64 {
 /// data, so training stays deterministic, but a million-device
 /// population costs no more resident memory than a ten-device one.
 ///
-/// Note the sample *values* differ from [`DatasetConfig::generate`] for
-/// the same config: the dense generator threads one sequential RNG
-/// through all clients (client `i`'s draws depend on clients `0..i`),
-/// which is exactly the coupling a sparse representation must break.
-/// The distributional structure (label skew, volume skew, difficulty
-/// ramp) is identical.
+/// A shard is built inline, on the calling thread, by the same sample
+/// function the dense generator's parallel build replays its walk
+/// through. The sample *values* still differ from
+/// [`DatasetConfig::generate`] for the same config: the dense generator
+/// runs one RNG stream through all clients (client `i`'s draws depend
+/// on clients `0..i`), which is exactly the coupling a sparse
+/// representation must break. The distributional structure (label
+/// skew, volume skew, difficulty ramp) is identical.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SparseFederatedData {
     config: DatasetConfig,
@@ -106,7 +108,14 @@ pub struct SparseFederatedData {
 impl SparseFederatedData {
     /// Creates the sparse population for `config`. Cost is
     /// O(classes × dim) — independent of `config.num_clients`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails [`DatasetConfig::validate`].
     pub fn new(config: DatasetConfig) -> Self {
+        if let Err(detail) = config.validate() {
+            panic!("invalid dataset config: {detail}");
+        }
         let sparse = SparseFederatedData {
             config,
             protos: std::sync::OnceLock::new(),
@@ -166,12 +175,8 @@ impl ShardSource for SparseFederatedData {
     }
 
     fn shard(&self, client: usize) -> Cow<'_, ClientData> {
-        Cow::Owned(generate_client(
-            &self.config,
-            self.protos(),
-            client,
-            &mut self.client_rng(client),
-        ))
+        let sampler = Sampler::new(&self.config, self.protos());
+        Cow::Owned(sampler.shard(client, &mut self.client_rng(client)))
     }
 
     /// Replays only the head of the client's RNG stream — the draws

@@ -1,0 +1,160 @@
+//! The generated data itself, pinned bit for bit.
+//!
+//! `generate` walks one RNG stream serially and then builds the samples
+//! across the tensor pool; a call from inside a pool task builds them
+//! inline instead. Every feature, label, label distribution and
+//! difficulty must come out the same either way, and the same as the
+//! single-threaded generator these digests were taken from.
+
+use std::sync::OnceLock;
+
+use ft_data::{
+    ClientData, DatasetConfig, FederatedDataset, InputSpec, ShardSource, SparseFederatedData,
+};
+use proptest::prelude::*;
+
+/// Every bit of a shard, in a fixed order: train rows and labels, test
+/// rows and labels, the label distribution and the difficulty.
+fn shard_words(shard: &ClientData, out: &mut Vec<u64>) {
+    let (x, y) = shard.train_all();
+    out.extend(x.data().iter().map(|v| u64::from(v.to_bits())));
+    out.extend(y.iter().map(|&l| l as u64));
+    let (x, y) = shard.test_batch(0..shard.test_len());
+    out.extend(x.data().iter().map(|v| u64::from(v.to_bits())));
+    out.extend(y.iter().map(|&l| l as u64));
+    out.extend(shard.label_dist().iter().map(|v| u64::from(v.to_bits())));
+    out.push(u64::from(shard.difficulty().to_bits()));
+}
+
+fn dataset_words(data: &FederatedDataset) -> Vec<u64> {
+    let mut out = Vec::new();
+    for shard in data.clients() {
+        out.push(shard.train_len() as u64);
+        out.push(shard.test_len() as u64);
+        shard_words(shard, &mut out);
+    }
+    out
+}
+
+/// FNV-1a over the words, little-endian bytes.
+fn fnv(words: &[u64]) -> String {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    format!("{h:016x}")
+}
+
+/// Runs `f` as one task of a pool fan-out, where a nested fan-out runs
+/// inline.
+fn in_pool_task<T: Send + Sync>(f: impl Fn() -> T + Sync) -> T {
+    let slot = OnceLock::new();
+    ft_tensor::pool::parallel_for(2, &|i| {
+        if i == 0 {
+            assert!(slot.set(f()).is_ok(), "task 0 runs once");
+        }
+    });
+    slot.into_inner().expect("parallel_for runs every index")
+}
+
+/// The dataset block of `benchmark/workloads/fedtrans-conv.json`.
+fn fedtrans_conv() -> DatasetConfig {
+    let mut config = DatasetConfig::openimage_like().with_num_clients(100);
+    config.input = InputSpec::Image {
+        channels: 3,
+        height: 16,
+        width: 16,
+    };
+    config
+}
+
+/// A flat preset whose clients blend confuser classes into up to 70 %
+/// of their samples.
+fn flat_with_blends() -> DatasetConfig {
+    let config = DatasetConfig::femnist_like().with_num_clients(24);
+    assert_eq!(config.max_difficulty, 0.7);
+    config
+}
+
+fn sparse_shard_words() -> Vec<u64> {
+    let data = SparseFederatedData::new(
+        DatasetConfig::femnist_like()
+            .with_num_clients(1000)
+            .with_mean_samples(20),
+    );
+    let mut out = Vec::new();
+    shard_words(&data.shard(417), &mut out);
+    out
+}
+
+/// Builds `words` at top level (fanned out) and inside a pool task
+/// (inline) and checks both against `pinned`.
+fn assert_pinned(name: &str, words: impl Fn() -> Vec<u64> + Sync, pinned: &str) {
+    assert_eq!(fnv(&words()), pinned, "{name}: top-level build");
+    assert_eq!(
+        fnv(&in_pool_task(words)),
+        pinned,
+        "{name}: build inside a pool task"
+    );
+}
+
+// The digests were taken from the single-threaded generator; a change
+// here moves every golden and benchmark digest downstream.
+
+#[test]
+fn fedtrans_conv_data_matches_its_pinned_digest() {
+    assert_pinned(
+        "fedtrans-conv",
+        || dataset_words(&fedtrans_conv().generate()),
+        "5c14405e7be40437",
+    );
+}
+
+#[test]
+fn blended_flat_data_matches_its_pinned_digest() {
+    assert_pinned(
+        "flat with blends",
+        || dataset_words(&flat_with_blends().generate()),
+        "1399a230613185e9",
+    );
+}
+
+#[test]
+fn sparse_shard_matches_its_pinned_digest() {
+    assert_pinned("sparse shard 417", sparse_shard_words, "e51a915abd113864");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The fanned-out build and the inline one agree for every input
+    /// kind, class count, label skew, difficulty and seed.
+    #[test]
+    fn inline_build_equals_the_fanned_out_one(
+        kind in 0usize..3,
+        num_classes in 1usize..=24,
+        log_alpha in (0.1f32).ln()..(100.0f32).ln(),
+        max_difficulty in 0.0f32..1.0,
+        num_clients in 1usize..=12,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut config = DatasetConfig::femnist_like()
+            .with_num_clients(num_clients)
+            .with_mean_samples(12)
+            .with_dirichlet_alpha(log_alpha.exp())
+            .with_seed(seed);
+        config.num_classes = num_classes;
+        config.max_difficulty = max_difficulty;
+        config.input = match kind {
+            0 => InputSpec::Flat { dim: 7 },
+            1 => InputSpec::Image { channels: 2, height: 3, width: 4 },
+            _ => InputSpec::Tokens { tokens: 3, d_model: 5 },
+        };
+        let top_level = dataset_words(&config.generate());
+        let inline = in_pool_task(|| dataset_words(&config.generate()));
+        prop_assert_eq!(top_level, inline);
+    }
+}

@@ -258,9 +258,9 @@ impl Scenario {
         if self.clients_per_round == 0 {
             return Err("clients_per_round must be at least 1".to_owned());
         }
-        if self.dataset.num_clients == 0 {
-            return Err("dataset must have at least one client".to_owned());
-        }
+        self.dataset
+            .validate()
+            .map_err(|detail| format!("dataset: {detail}"))?;
         if let AlgorithmSpec::SplitMix { bases } = self.algorithm {
             if bases == 0 {
                 return Err("SplitMix needs at least one base".to_owned());

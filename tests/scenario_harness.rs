@@ -157,6 +157,102 @@ fn scenario_json_config_round_trips_through_the_runner() {
     assert_eq!(a.digest, b.digest);
 }
 
+/// `iid-small` with its dataset block edited by `edit` must be refused
+/// by validation and by the build, with an error naming `field` — not
+/// with a panic inside the generator.
+fn assert_bad_dataset(field: &str, edit: impl Fn(&mut ft_data::DatasetConfig)) {
+    let mut scenario = registry::find("iid-small").expect("canned scenario");
+    edit(&mut scenario.dataset);
+    let err = match scenario.validate() {
+        Ok(()) => panic!("{field}: validation accepted {:?}", scenario.dataset),
+        Err(err) => err,
+    };
+    assert!(err.contains(field), "{field}: {err}");
+    match scenario.build() {
+        Ok(_) => panic!("{field}: the build accepted {:?}", scenario.dataset),
+        Err(err) => assert!(err.to_string().contains(field), "{field}: {err}"),
+    }
+}
+
+#[test]
+fn zero_classes_or_clients_is_a_typed_error() {
+    assert_bad_dataset("num_classes", |d| d.num_classes = 0);
+    assert_bad_dataset("num_clients", |d| d.num_clients = 0);
+}
+
+#[test]
+fn a_non_positive_or_non_finite_dirichlet_alpha_is_a_typed_error() {
+    for alpha in [0.0, -1.0, f32::NAN, f32::INFINITY] {
+        assert_bad_dataset("dirichlet_alpha", |d| d.dirichlet_alpha = alpha);
+    }
+}
+
+#[test]
+fn mean_samples_below_two_is_a_typed_error() {
+    for mean in [0, 1] {
+        assert_bad_dataset("mean_samples", |d| d.mean_samples = mean);
+    }
+}
+
+#[test]
+fn a_negative_or_non_finite_sampler_scale_is_a_typed_error() {
+    for bad in [-1.0, f32::NAN, f32::INFINITY] {
+        assert_bad_dataset("sample_spread", |d| d.sample_spread = bad);
+        assert_bad_dataset("class_sep", |d| d.class_sep = bad);
+        assert_bad_dataset("noise_std", |d| d.noise_std = bad);
+        assert_bad_dataset("shift_std", |d| d.shift_std = bad);
+    }
+    // `null` in a scenario file parses to NaN.
+    let dataset = registry::find("iid-small")
+        .expect("canned scenario")
+        .dataset;
+    let serde_json::Value::Object(mut fields) = serde_json::to_value(&dataset) else {
+        panic!("a dataset block encodes as an object");
+    };
+    for (name, value) in &mut fields {
+        if name == "noise_std" {
+            *value = serde_json::Value::Null;
+        }
+    }
+    let parsed: ft_data::DatasetConfig =
+        serde_json::from_value(&serde_json::Value::Object(fields)).expect("null parses");
+    assert!(parsed.noise_std.is_nan());
+    assert_bad_dataset("noise_std", |d| *d = parsed.clone());
+}
+
+#[test]
+fn a_test_fraction_outside_the_unit_interval_is_a_typed_error() {
+    for fraction in [-0.1, 1.5, f32::NAN] {
+        assert_bad_dataset("test_fraction", |d| d.test_fraction = fraction);
+    }
+}
+
+#[test]
+fn a_zero_input_dimension_is_a_typed_error() {
+    for input in [
+        ft_data::InputSpec::Flat { dim: 0 },
+        ft_data::InputSpec::Image {
+            channels: 3,
+            height: 0,
+            width: 8,
+        },
+        ft_data::InputSpec::Tokens {
+            tokens: 0,
+            d_model: 8,
+        },
+    ] {
+        assert_bad_dataset("input", |d| d.input = input);
+    }
+}
+
+#[test]
+fn a_non_finite_difficulty_or_curvature_is_a_typed_error() {
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        assert_bad_dataset("max_difficulty", |d| d.max_difficulty = bad);
+        assert_bad_dataset("manifold_curvature", |d| d.manifold_curvature = bad);
+    }
+}
+
 /// `ft-run` with every inherited `FT_*` variable scrubbed, then `vars`
 /// set.
 fn ft_run(vars: &[(&str, &str)], args: &[&str]) -> std::process::Output {
