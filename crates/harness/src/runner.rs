@@ -22,14 +22,16 @@ use ft_fedsim::{Algorithm, SimError};
 
 use crate::Scenario;
 
-/// Checkpoint file format version. Version 4 is the shared round
+/// Checkpoint file format version. Version 5 writes every tensor's
+/// data as base64 of its little-endian `f32` bytes, where version 4
+/// wrote a decimal array. Version 4 introduced the shared round
 /// runner's envelope: `state` is `kind`/`round`/`rng`/`ledger`/
 /// `coordinator` plus the method's own block under `method`, where
 /// version 3 (the streaming aggregation fold) had one flat per-method
 /// layout. Version 2 added the coordinator protocol state; version 1
 /// had neither. Older checkpoints are rejected with an explicit error
 /// instead of resuming into a layout this build does not read.
-const CHECKPOINT_VERSION: u64 = 4;
+const CHECKPOINT_VERSION: u64 = 5;
 
 /// How a scenario run is executed.
 #[derive(Debug, Clone, Default)]
@@ -389,30 +391,36 @@ mod tests {
     fn resume_rejects_older_checkpoint_versions() {
         let scenario = registry::find("iid-small").unwrap();
         let path = tmp_path("old-version");
-        let _ = std::fs::remove_file(&path);
-        // A syntactically valid version-3 envelope from a build with
-        // per-method checkpoint layouts; only the version gate should
-        // ever look at it.
-        std::fs::write(
-            &path,
-            r#"{"version":3,"scenario":"iid-small","quick":true,"target_rounds":4,"round":1,"state":{}}"#,
-        )
-        .unwrap();
-        let err = run_scenario(
-            &scenario,
-            &RunOptions {
-                quick: true,
-                checkpoint_path: Some(path.clone()),
-                ..Default::default()
-            },
-        );
-        let msg = err
-            .expect_err("version-3 checkpoint must be rejected")
-            .to_string();
-        assert!(
-            msg.contains("version") && msg.contains("3.0") && msg.contains('4'),
-            "rejection must name the version gate, got: {msg}"
-        );
+        // Syntactically valid envelopes from older builds: version 3
+        // had per-method layouts, version 4 decimal tensors. Only the
+        // version gate should ever look at them.
+        for old in [3, 4] {
+            let _ = std::fs::remove_file(&path);
+            std::fs::write(
+                &path,
+                format!(
+                    r#"{{"version":{old},"scenario":"iid-small","quick":true,"target_rounds":4,"round":1,"state":{{}}}}"#
+                ),
+            )
+            .unwrap();
+            let err = run_scenario(
+                &scenario,
+                &RunOptions {
+                    quick: true,
+                    checkpoint_path: Some(path.clone()),
+                    ..Default::default()
+                },
+            );
+            let msg = err
+                .expect_err("an older checkpoint must be rejected")
+                .to_string();
+            assert!(
+                msg.contains("version")
+                    && msg.contains(&format!("{old}.0"))
+                    && msg.contains("writes version 5"),
+                "rejection must name the version gate, got: {msg}"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 

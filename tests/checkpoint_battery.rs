@@ -10,7 +10,9 @@
 //! * a rejected checkpoint (mid-round coordinator phase, truncated
 //!   method block) leaves the driver exactly as it was;
 //! * every method rejects every other method's checkpoint and a
-//!   version-3 file, naming the mismatch.
+//!   version-3 or version-4 file, naming the mismatch;
+//! * tensors cross the text bit for bit (a `+inf` weight stays `+inf`)
+//!   and are written as base64, never as decimal arrays.
 //!
 //! This file is its own process, so it pins the tensor pool to 4
 //! threads before first pool use — on a single-core runner the engine
@@ -27,6 +29,7 @@ use ft_fedsim::trainer::LocalTrainConfig;
 use ft_fedsim::{Algorithm, RoundOptions, RunContext, SimError};
 use ft_harness::{registry, run_scenario, RunOptions};
 use ft_model::CellModel;
+use ft_tensor::Tensor;
 use rand::SeedableRng;
 use serde_json::Value;
 
@@ -179,6 +182,42 @@ fn entry<'a>(object: &'a mut Value, key: &str) -> &'a mut Value {
     value
 }
 
+/// The first tensor block (an object with `shape` and `data`) under
+/// `value`, depth first.
+fn first_tensor(value: &mut Value) -> Option<&mut Value> {
+    if value.get("shape").is_some() && value.get("data").is_some() {
+        return Some(value);
+    }
+    match value {
+        Value::Object(entries) => entries.iter_mut().find_map(|(_, v)| first_tensor(v)),
+        Value::Array(items) => items.iter_mut().find_map(first_tensor),
+        _ => None,
+    }
+}
+
+/// Every tensor block under `value`, and the longest JSON array that
+/// is not inside one.
+fn tensor_blocks<'a>(value: &'a Value, blocks: &mut Vec<&'a Value>, longest: &mut usize) {
+    if value.get("shape").is_some() && value.get("data").is_some() {
+        blocks.push(value);
+        return;
+    }
+    match value {
+        Value::Object(entries) => {
+            for (_, v) in entries {
+                tensor_blocks(v, blocks, longest);
+            }
+        }
+        Value::Array(items) => {
+            *longest = (*longest).max(items.len());
+            for v in items {
+                tensor_blocks(v, blocks, longest);
+            }
+        }
+        _ => {}
+    }
+}
+
 fn snapshot_error(result: ft_fedsim::Result<()>) -> String {
     match result {
         Err(SimError::Snapshot { detail }) => detail,
@@ -320,35 +359,162 @@ fn every_canned_scenario_rejects_a_version_3_file() {
     let _guard = serial();
     for scenario in registry::canned() {
         let path = std::env::temp_dir().join(format!(
-            "ft-battery-v3-{}-{}.json",
+            "ft-battery-stale-{}-{}.json",
             scenario.name,
             std::process::id()
         ));
-        let stale = serde_json::json!({
-            "version": 3,
-            "scenario": scenario.name,
-            "quick": true,
-            "target_rounds": scenario.quick_rounds,
-            "round": 1,
-            "state": {"kind": "fedavg", "round": 1},
-        });
-        std::fs::write(&path, json!(&stale)).unwrap();
-        let result = run_scenario(
-            &scenario,
-            &RunOptions {
-                quick: true,
-                checkpoint_path: Some(path.clone()),
-                ..Default::default()
-            },
-        );
-        let _ = std::fs::remove_file(&path);
-        let message = result
-            .expect_err("a version-3 file must not resume")
-            .to_string();
-        assert!(
-            message.contains("version") && message.contains("3.0") && message.contains('4'),
-            "{}: {message}",
-            scenario.name
-        );
+        // Version 3 had per-method layouts; version 4 decimal tensors.
+        for version in [3, 4] {
+            let stale = serde_json::json!({
+                "version": version,
+                "scenario": scenario.name,
+                "quick": true,
+                "target_rounds": scenario.quick_rounds,
+                "round": 1,
+                "state": {"kind": "fedavg", "round": 1},
+            });
+            std::fs::write(&path, json!(&stale)).unwrap();
+            let result = run_scenario(
+                &scenario,
+                &RunOptions {
+                    quick: true,
+                    checkpoint_path: Some(path.clone()),
+                    ..Default::default()
+                },
+            );
+            let _ = std::fs::remove_file(&path);
+            let message = result
+                .expect_err("an older file must not resume")
+                .to_string();
+            assert!(
+                message.contains("version")
+                    && message.contains(&format!("{version}.0"))
+                    && message.contains("writes version 5"),
+                "{}: {message}",
+                scenario.name
+            );
+        }
     }
+}
+
+/// A weight of `+inf` (and its neighbours at the edges of `f32`) is
+/// the same bits after checkpoint text and restore. Decimal checkpoints
+/// wrote non-finite weights as `null` and brought them back as NaN.
+#[test]
+fn non_finite_and_edge_weights_survive_a_resume_bit_for_bit() {
+    let _guard = serial();
+    let fedtrans = &CASES[0];
+    assert_eq!(fedtrans.name, "fedtrans");
+    let edges = [
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(0x7fc0_1234),
+        f32::from_bits(0xff80_0001),
+        -0.0,
+        f32::from_bits(1),
+        -f32::MIN_POSITIVE / 2.0,
+    ];
+    let mut driver = (fedtrans.build)(threads(1));
+    driver.step().unwrap();
+    let mut state = driver.checkpoint();
+    let block = first_tensor(entry(entry(&mut state, "method"), "models")).expect("a weight");
+    let mut weight: Tensor = serde_json::from_value(block).unwrap();
+    assert!(weight.len() >= edges.len());
+    weight.data_mut()[..edges.len()].copy_from_slice(&edges);
+    *block = serde_json::to_value(&weight);
+
+    let mut resumed = (fedtrans.build)(threads(1));
+    resumed
+        .restore(&serde_json::parse_value(&json!(&state)).unwrap())
+        .unwrap();
+    let mut again = resumed.checkpoint();
+    let block = first_tensor(entry(entry(&mut again, "method"), "models")).unwrap();
+    let back: Tensor = serde_json::from_value(block).unwrap();
+    assert_eq!(back.data()[0], f32::INFINITY);
+    let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&back), bits(&weight));
+    assert_eq!(back.shape(), weight.shape());
+}
+
+/// A hostile tensor block is a typed snapshot error naming the method
+/// field it sits in, and the driver is left as it was.
+#[test]
+fn a_corrupt_tensor_block_is_refused_naming_models() {
+    let _guard = serial();
+    let fedtrans = &CASES[0];
+    let mut driver = (fedtrans.build)(threads(1));
+    driver.step().unwrap();
+    let before = json!(&driver.checkpoint());
+    let mut state = serde_json::parse_value(&before).unwrap();
+    let block = first_tensor(entry(entry(&mut state, "method"), "models")).unwrap();
+    let text = block.get("data").and_then(Value::as_str).unwrap();
+    let corruptions: [(Value, &str); 3] = [
+        (
+            Value::String(format!("@{}", &text[1..])),
+            "0x40 at offset 0",
+        ),
+        (Value::Array(vec![Value::Number(0.5)]), "base64 string"),
+        (Value::String("AAAA".to_owned()), "decodes to 3 bytes"),
+    ];
+    for (data, expect) in corruptions {
+        let mut state = serde_json::parse_value(&before).unwrap();
+        let block = first_tensor(entry(entry(&mut state, "method"), "models")).unwrap();
+        *entry(block, "data") = data;
+        let detail = snapshot_error(driver.restore(&state));
+        assert!(
+            detail.contains("field `models`")
+                && detail.contains("`data`")
+                && detail.contains(expect),
+            "{detail}"
+        );
+        assert!(json!(&driver.checkpoint()) == before);
+    }
+}
+
+/// The work pin for the checkpoint format: a canned FedTrans run's
+/// checkpoint file holds every tensor as exactly `4·⌈4·len/3⌉` base64
+/// characters, and no decimal array longer than 64 numbers is left
+/// under `state.method.models`.
+#[test]
+fn fedtrans_checkpoint_files_hold_tensors_as_base64() {
+    let _guard = serial();
+    let scenario = registry::find("iid-small").unwrap();
+    let path = std::env::temp_dir().join(format!("ft-battery-b64-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let stopped = run_scenario(
+        &scenario,
+        &RunOptions {
+            quick: true,
+            checkpoint_path: Some(path.clone()),
+            stop_after: Some(scenario.quick_rounds - 1),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert!(!stopped.finished() && stopped.algorithm == "fedtrans");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let envelope = serde_json::parse_value(&text).unwrap();
+    let models = envelope
+        .get("state")
+        .and_then(|s| s.get("method"))
+        .and_then(|m| m.get("models"))
+        .expect("state.method.models");
+
+    let (mut blocks, mut longest) = (Vec::new(), 0);
+    tensor_blocks(models, &mut blocks, &mut longest);
+    assert!(blocks.len() >= 8, "{} tensors", blocks.len());
+    assert!(longest <= 64, "a {longest}-element array under models");
+    let mut weights = 0;
+    for block in blocks {
+        let tensor: Tensor = serde_json::from_value(block).unwrap();
+        let bytes = 4 * tensor.len();
+        let data = block
+            .get("data")
+            .and_then(Value::as_str)
+            .expect("string data");
+        assert_eq!(data.len(), 4 * bytes.div_ceil(3), "{:?}", tensor.shape());
+        weights += tensor.len();
+    }
+    assert!(weights > 1_000, "{weights} weights");
 }
