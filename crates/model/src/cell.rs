@@ -266,6 +266,20 @@ impl Cell {
         }
     }
 
+    /// [`Cell::backward`] without `dX`: accumulates parameter gradients
+    /// only, as the first cell of a network does.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cell::backward`].
+    pub fn backward_params(&mut self, dy: &Tensor) -> Result<()> {
+        match self {
+            Cell::Dense { linear, relu, .. } => Ok(linear.backward_params(&relu.backward(dy)?)?),
+            Cell::Conv { conv, relu, .. } => Ok(conv.backward_params(&relu.backward(dy)?)?),
+            Cell::Attention { block, .. } => Ok(block.backward_params(dy)?),
+        }
+    }
+
     /// Clears accumulated gradients.
     pub fn zero_grad(&mut self) {
         match self {

@@ -231,8 +231,11 @@ impl CellModel {
     ///
     /// Propagates layer geometry errors.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        let mut h = x.clone();
-        for cell in &mut self.cells {
+        let Some((first, rest)) = self.cells.split_first_mut() else {
+            return self.head.forward(x);
+        };
+        let mut h = first.forward(x)?;
+        for cell in rest {
             h = cell.forward(&h)?;
         }
         self.head.forward(&h)
@@ -290,6 +293,20 @@ impl CellModel {
         Ok(g)
     }
 
+    /// [`CellModel::backward`] without the input gradient: the first
+    /// cell accumulates its parameter gradients and computes no `dX`,
+    /// since nothing reads the gradient of the data.
+    fn backward_params(&mut self, dlogits: &Tensor) -> Result<()> {
+        let mut g = self.head.backward(dlogits)?;
+        let Some((first, rest)) = self.cells.split_first_mut() else {
+            return Ok(());
+        };
+        for cell in rest.iter_mut().rev() {
+            g = cell.backward(&g)?;
+        }
+        first.backward_params(&g)
+    }
+
     /// Runs one forward/backward pass with softmax cross-entropy,
     /// accumulating gradients. Returns `(loss, accuracy)`.
     ///
@@ -300,7 +317,7 @@ impl CellModel {
         let logits = self.forward(x)?;
         let acc = accuracy(&logits, labels)?;
         let (loss, dlogits) = softmax_cross_entropy(&logits, labels)?;
-        self.backward(&dlogits)?;
+        self.backward_params(&dlogits)?;
         Ok((loss, acc))
     }
 
@@ -542,6 +559,38 @@ mod tests {
         let (last_loss, acc) = m.evaluate(&x, &labels).unwrap();
         assert!(last_loss < first_loss);
         assert_eq!(acc, 1.0);
+    }
+
+    #[test]
+    fn loss_and_grad_skips_only_the_input_gradient() {
+        // The first cell computes no `dX`; every parameter gradient
+        // must still be bit-identical to a full forward + backward, and
+        // the model must train on from either.
+        let cases = [
+            (CellModel::dense(&mut rng(), 96, &[48, 48], 16), 96),
+            (CellModel::conv(&mut rng(), 3, 6, 6, &[4, 8], 3, 5), 3 * 36),
+            (CellModel::vit(&mut rng(), 4, 6, 2, 12, 3), 24),
+        ];
+        for (model, width) in cases {
+            let mut rng = rng();
+            let x = ft_tensor::uniform(&mut rng, &[5, width], -1.0, 1.0);
+            let labels = [0usize, 1, 2, 0, 1];
+            let (mut fast, mut full) = (model.clone(), model);
+            let grads = |m: &CellModel| -> Vec<Vec<u32>> {
+                let bits = |t: &&Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+                m.grad_tensors().iter().map(bits).collect()
+            };
+            for _ in 0..2 {
+                fast.zero_grad();
+                full.zero_grad();
+                fast.loss_and_grad(&x, &labels).unwrap();
+                let logits = full.forward(&x).unwrap();
+                let (_, dlogits) = softmax_cross_entropy(&logits, &labels).unwrap();
+                let dx = full.backward(&dlogits).unwrap();
+                assert_eq!(dx.shape().dims(), &[5, width]);
+                assert_eq!(grads(&fast), grads(&full), "{}", fast.arch_string());
+            }
+        }
     }
 
     #[test]

@@ -289,6 +289,31 @@ impl AttentionBlock {
     /// Returns [`NnError::MissingForwardCache`] if called before
     /// [`AttentionBlock::forward`].
     pub fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
+        let [dh, dq, dk, dv] = self.accumulate_grads(dy)?;
+        let batch = dy.rows()?;
+        let mut dx = dh;
+        dx.axpy(1.0, &dq.matmul_t(&self.wq)?)?;
+        dx.axpy(1.0, &dk.matmul_t(&self.wk)?)?;
+        dx.axpy(1.0, &dv.matmul_t(&self.wv)?)?;
+        Ok(dx.reshaped(&[batch, self.sample_dim()])?)
+    }
+
+    /// [`AttentionBlock::backward`] without `dX`: accumulates every
+    /// weight gradient and skips the three input-projection products —
+    /// the backward of a network's first layer, whose input gradient
+    /// nothing reads.
+    ///
+    /// # Errors
+    ///
+    /// As [`AttentionBlock::backward`].
+    pub fn backward_params(&mut self, dy: &Tensor) -> Result<()> {
+        self.accumulate_grads(dy).map(drop)
+    }
+
+    /// Accumulates every weight gradient from `dy` and returns what
+    /// `dX` is built from, all `[batch·T, d]`: the residual stream's
+    /// gradient `dH` and the projections' `dQ`, `dK`, `dV`.
+    fn accumulate_grads(&mut self, dy: &Tensor) -> Result<[Tensor; 4]> {
         let cache = self.cache.take().ok_or(NnError::MissingForwardCache {
             layer: "AttentionBlock",
         })?;
@@ -350,13 +375,9 @@ impl AttentionBlock {
         self.grads[0].axpy(1.0, &cache.x.t_matmul(&dq)?)?;
         self.grads[1].axpy(1.0, &cache.x.t_matmul(&dk)?)?;
         self.grads[2].axpy(1.0, &cache.x.t_matmul(&dv)?)?;
-        let mut dx = dh.clone();
-        dx.axpy(1.0, &dq.matmul_t(&self.wq)?)?;
-        dx.axpy(1.0, &dk.matmul_t(&self.wk)?)?;
-        dx.axpy(1.0, &dv.matmul_t(&self.wv)?)?;
         // Keep the consumed cache for the next forward to refill.
         self.spare = Some(cache);
-        Ok(dx.reshaped(&[batch, self.sample_dim()])?)
+        Ok([dh, dq, dk, dv])
     }
 
     /// Number of trainable parameters.

@@ -350,6 +350,35 @@ impl Conv2d {
     /// [`Conv2d::forward`], or [`NnError::BadInput`] when `dy` does not
     /// match the cached batch geometry.
     pub fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
+        let dyb = self.accumulate_grads(dy)?;
+        let batch = dy.rows()?;
+        let hw = self.height * self.width;
+        let ld = batch * hw;
+        // [c*k*k, batch*hw]
+        let dcols = self.weight.t_matmul(&dyb)?;
+        // col2im accumulates, so this buffer must start zeroed.
+        let mut dx = ft_tensor::scratch::take_zeroed(batch * self.expected_input_len());
+        let per_sample = self.expected_input_len();
+        for (s, sample) in dx.chunks_mut(per_sample).enumerate() {
+            self.col2im_from(dcols.data(), s * hw, ld, sample);
+        }
+        Ok(Tensor::from_vec(dx, &[batch, per_sample])?)
+    }
+
+    /// [`Conv2d::backward`] without `dX`: accumulates `dW` and `db`
+    /// only, skipping the patch-gradient GEMM and col2im — the backward
+    /// of a network's first layer, whose input gradient nothing reads.
+    ///
+    /// # Errors
+    ///
+    /// As [`Conv2d::backward`].
+    pub fn backward_params(&mut self, dy: &Tensor) -> Result<()> {
+        self.accumulate_grads(dy).map(drop)
+    }
+
+    /// Accumulates `dW` and `db` from `dy` and returns `dy` regathered
+    /// to `[out_c, batch·H·W]`, the patch-gradient GEMM's B operand.
+    fn accumulate_grads(&mut self, dy: &Tensor) -> Result<Tensor> {
         let cols = self
             .cache_cols
             .take()
@@ -384,14 +413,7 @@ impl Conv2d {
             let sum: f32 = dyb.data()[oc * ld..(oc + 1) * ld].iter().sum();
             self.grad_bias.data_mut()[oc] += sum;
         }
-        let dcols = self.weight.t_matmul(&dyb)?; // [c*k*k, batch*hw]
-                                                 // col2im accumulates, so this buffer must start zeroed.
-        let mut dx = ft_tensor::scratch::take_zeroed(batch * self.expected_input_len());
-        let per_sample = self.expected_input_len();
-        for (s, sample) in dx.chunks_mut(per_sample).enumerate() {
-            self.col2im_from(dcols.data(), s * hw, ld, sample);
-        }
-        Ok(Tensor::from_vec(dx, &[batch, per_sample])?)
+        Ok(dyb)
     }
 
     /// Number of trainable parameters.

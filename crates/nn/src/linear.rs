@@ -159,6 +159,18 @@ impl Linear {
     /// Returns [`NnError::MissingForwardCache`] if called before
     /// [`Linear::forward`].
     pub fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
+        self.backward_params(dy)?;
+        Ok(dy.matmul_t(&self.weight)?)
+    }
+
+    /// [`Linear::backward`] without `dX`: accumulates `dW` and `db`
+    /// only — the backward of a network's first layer, whose input
+    /// gradient nothing reads.
+    ///
+    /// # Errors
+    ///
+    /// As [`Linear::backward`].
+    pub fn backward_params(&mut self, dy: &Tensor) -> Result<()> {
         let x = self
             .cache_input
             .take()
@@ -167,8 +179,7 @@ impl Linear {
         self.grad_weight.axpy(1.0, &dw)?;
         let db = dy.sum_rows()?;
         self.grad_bias.axpy(1.0, &db)?;
-        let dx = dy.matmul_t(&self.weight)?;
-        Ok(dx)
+        Ok(())
     }
 
     /// Number of trainable parameters.
@@ -239,6 +250,22 @@ mod tests {
                 analytic.data()[idx]
             );
         }
+    }
+
+    #[test]
+    fn backward_params_accumulates_what_backward_does() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut full = Linear::new(&mut rng, 5, 3);
+        let mut fast = full.clone();
+        let x = ft_tensor::uniform(&mut rng, &[4, 5], -1.0, 1.0);
+        let dy = ft_tensor::uniform(&mut rng, &[4, 3], -1.0, 1.0);
+        full.forward(&x).unwrap();
+        full.backward(&dy).unwrap();
+        fast.forward(&x).unwrap();
+        fast.backward_params(&dy).unwrap();
+        assert_eq!(fast.grad_weight(), full.grad_weight());
+        assert_eq!(fast.grad_bias(), full.grad_bias());
+        assert!(fast.backward_params(&dy).is_err(), "the cache is consumed");
     }
 
     #[test]

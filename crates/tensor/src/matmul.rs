@@ -2,21 +2,25 @@
 //!
 //! Every simulated client's forward/backward pass funnels through the
 //! three GEMM variants here, so they are the hottest code in the repo.
-//! The implementation is a cache-blocked, register-tiled kernel that
-//! falls back to a plain loop nest below a tuned size threshold and,
+//! All three take one path, whatever the shape: a cache-blocked loop
+//! nest around one `MR × NR` register tile (AVX2 where the CPU has it)
+//! that reads A in place, reads a row-major B in place too when its
+//! k-block is small ([`DIRECT_B_MAX`]) and packs it otherwise, and —
 //! for large shapes issued from outside the worker pool
-//! ([`crate::pool`]), fans panels of the longer output dimension out
-//! across it. A large product issued from *inside* a pool task (every
-//! client lane and evaluation task is one) runs as a single panel: the
-//! kernel packs each operand once wherever it runs.
+//! ([`crate::pool`]) — fans panels of the longer output dimension out
+//! across it. A large product issued from
+//! *inside* a pool task (every client lane and evaluation task is one)
+//! runs as a single panel: the kernel packs B at most once wherever it
+//! runs.
 //!
 //! # Determinism
 //!
 //! Results are bit-for-bit reproducible and independent of thread
 //! count: each output element is owned by exactly one task, and its
 //! dot product accumulates in ascending-`k` order with a single `f32`
-//! accumulator on every code path (small, tiled-serial, and parallel
-//! alike). No FMA contraction, no split reductions.
+//! accumulator that starts at `+0.0` on every code path (one panel or
+//! many, operands packed or read in place, either kernel tier). No FMA
+//! contraction, no split reductions.
 //!
 //! # Non-finite propagation
 //!
@@ -36,24 +40,33 @@ pub(crate) const MR: usize = 4;
 /// Columns per register tile (one 8-lane f32 vector — a full `__m256`
 /// on AVX2; MR·NR/8 + operand registers fit the 16-register SIMD file).
 pub(crate) const NR: usize = 8;
-/// Below this many multiply-adds the plain loop nest beats the tiled
-/// kernel (no blocking bookkeeping, no operand transposes).
-const SMALL_WORK: usize = 1 << 15;
 /// At or above this many multiply-adds, panels are fanned out across
 /// the worker pool; under it, thread dispatch costs more than it buys.
 const PAR_WORK: usize = 1 << 20;
 /// Shortest run of rows (or columns) one fanned-out task may own.
 ///
-/// A task packs the *whole* other operand for itself — about one cycle
-/// per element — and reuses each packed element for as many
-/// multiply-adds as its run is long, at about a third of a cycle each
-/// (the 18 GFLOP/s an unsplit conv panel reaches on the benchmark
-/// host). At 32 the private re-pack is under a tenth of the task; the
-/// old `m.div_ceil(2 · threads).max(MR)` rule handed out single
-/// 4-row micro-tiles that spent longer re-packing B than multiplying.
+/// A row-split task packs all of B for itself — about one cycle per
+/// element — and reuses each packed element for as many multiply-adds
+/// as its run is long, at about a third of a cycle each (the
+/// 18 GFLOP/s an unsplit conv panel reaches on the benchmark host). At
+/// 32 the private re-pack is under a tenth of the task; the old
+/// `m.div_ceil(2 · threads).max(MR)` rule handed out single 4-row
+/// micro-tiles that spent longer re-packing B than multiplying.
 /// A multiple of both `MR` and `NR`, so task boundaries fall on
 /// register-tile boundaries.
 const MIN_SPLIT: usize = 32;
+/// Largest k-block of a row-major B, in elements of its storage
+/// (`kc` stored rows of `ld`), that the register tile reads in place
+/// instead of packing. Set where packed and in-place B cross on the
+/// benchmark host (one thread, each side alone; `docs/ARCHITECTURE.md`
+/// "Packing"). Every `fedtrans-dense` k-block is at most 18 Ki elements,
+/// and in place its products ran 1.0–2.0× faster than packed.
+/// Every `fedtrans-conv` patch-matrix k-block is at least 40 Ki, with
+/// rows 10 KiB apart. Read in place, the strip one column window
+/// touches falls into a few L1 sets, and each of many row tiles
+/// re-fetches it; those products ran up to 1.3× slower than packed.
+/// The crossing for a 144-row product lies between 16 and 32 Ki.
+const DIRECT_B_MAX: usize = 24 * 1024;
 
 impl Tensor {
     /// Matrix product `self @ other` for rank-2 tensors.
@@ -71,29 +84,14 @@ impl Tensor {
                 right: vec![k2, n],
             });
         }
-        let a = self.data();
-        let b = other.data();
-        if m * n * k < SMALL_WORK {
-            // ikj loop: row-panel axpy, cache-friendly without blocking.
-            let mut out = scratch::take_zeroed(m * n);
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (p, &av) in arow.iter().enumerate() {
-                    let brow = &b[p * n..(p + 1) * n];
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += av * bv;
-                    }
-                }
-            }
-            return Tensor::from_vec(out, &[m, n]);
-        }
+        let (a, b) = (self.data(), other.data());
         let out = gemm(Operand::row_major(a, k), Operand::row_major(b, n), m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
     /// Computes `self^T @ other` without the caller materializing the
-    /// transpose.
+    /// transpose: the register tile reads A straight from its `[k × m]`
+    /// storage.
     ///
     /// Used by linear-layer backward passes (`dW = X^T dY`).
     ///
@@ -110,30 +108,13 @@ impl Tensor {
                 right: vec![k2, n],
             });
         }
-        let a = self.data();
-        let b = other.data();
-        if m * n * k < SMALL_WORK {
-            // p-outer loop reads A rows contiguously; no transpose.
-            let mut out = scratch::take_zeroed(m * n);
-            for p in 0..k {
-                let arow = &a[p * m..(p + 1) * m];
-                let brow = &b[p * n..(p + 1) * n];
-                for (i, &av) in arow.iter().enumerate() {
-                    let orow = &mut out[i * n..(i + 1) * n];
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += av * bv;
-                    }
-                }
-            }
-            return Tensor::from_vec(out, &[m, n]);
-        }
-        // The panel kernel packs A straight from its `[k × m]` storage.
+        let (a, b) = (self.data(), other.data());
         let out = gemm(Operand::col_major(a, m), Operand::row_major(b, n), m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
     /// Computes `self @ other^T` without the caller materializing the
-    /// transpose.
+    /// transpose: B is packed straight from its `[n × k]` storage.
     ///
     /// Used by linear-layer backward passes (`dX = dY W^T`).
     ///
@@ -150,26 +131,7 @@ impl Tensor {
                 right: vec![n, k2],
             });
         }
-        let a = self.data();
-        let b = other.data();
-        if m * n * k < SMALL_WORK {
-            // Every element is stored exactly once, so unzeroed
-            // scratch is safe here.
-            let mut out = scratch::take(m * n);
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                for j in 0..n {
-                    let brow = &b[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&av, &bv) in arow.iter().zip(brow) {
-                        acc += av * bv;
-                    }
-                    out[i * n + j] = acc;
-                }
-            }
-            return Tensor::from_vec(out, &[m, n]);
-        }
-        // The panel kernel packs B straight from its `[n × k]` storage.
+        let (a, b) = (self.data(), other.data());
         let out = gemm(Operand::row_major(a, k), Operand::col_major(b, k), m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
@@ -178,8 +140,9 @@ impl Tensor {
 /// A GEMM operand exactly as its caller stores it. `ld` is the length
 /// of one stored row; `col_major` says the stored rows are the logical
 /// matrix's *columns* (`t_matmul`'s A is stored `[k × m]`, `matmul_t`'s
-/// B `[n × k]`). The pack loops of [`gemm_panel`] read either layout in
-/// place, so no caller materializes a transpose.
+/// B `[n × k]`). The register tile reads A in either layout in place,
+/// and [`pack_b`] reads B in either, so no caller materializes a
+/// transpose.
 #[derive(Clone, Copy)]
 struct Operand<'a> {
     data: &'a [f32],
@@ -202,6 +165,21 @@ impl<'a> Operand<'a> {
             ld,
             col_major: true,
         }
+    }
+
+    /// Logical rows `i..i + rh` of A from column `pc` on, as the
+    /// register tile reads them: row `r`'s element at k-step `p` is
+    /// `rows[r][p * step]`. Rows past `rh` (an edge tile) repeat the
+    /// last real row; the tile computes them and the store drops them.
+    fn a_rows(&self, i: usize, rh: usize, pc: usize) -> ([&'a [f32]; MR], usize) {
+        let (start, step) = if self.col_major {
+            (pc * self.ld + i, self.ld)
+        } else {
+            (i * self.ld + pc, 1)
+        };
+        let inner = if self.col_major { 1 } else { self.ld };
+        let rows = std::array::from_fn(|r| &self.data[start + r.min(rh - 1) * inner..]);
+        (rows, step)
     }
 }
 
@@ -298,20 +276,49 @@ impl<'a> Window<'a> {
         // one window from being alive together.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(i * self.ld + j), w) }
     }
+
+    /// The full `MR × NR` tile whose top-left element is `(i, j)`, one
+    /// array per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile leaves the window.
+    #[inline]
+    fn tile(&mut self, i: usize, j: usize) -> [&mut [f32; NR]; MR] {
+        assert!(
+            i + MR <= self.rows && j + NR <= self.cols,
+            "tile leaves the window"
+        );
+        std::array::from_fn(|r| {
+            // SAFETY: row `i + r`, columns `j..j + NR` lie inside the
+            // window (checked above), hence inside the buffer. Rows are
+            // `ld ≥ cols` apart, so the `MR` row segments are disjoint;
+            // no other live window overlaps them (`sub`'s contract), and
+            // `&mut self` keeps two tiles of one window from being alive
+            // together.
+            unsafe { &mut *self.ptr.add((i + r) * self.ld + j).cast::<[f32; NR]>() }
+        })
+    }
 }
 
-/// `A[m×k] @ B[k×n]` above the small-shape cutoff, into a
-/// scratch-pooled row-major buffer (the caller hands it to a `Tensor`,
-/// which recycles it on drop). Zeroed up front because the panel kernel
-/// accumulates.
+/// `A[m×k] @ B[k×n]` into a scratch-pooled row-major buffer (the
+/// caller hands it to a `Tensor`, which recycles it on drop). The
+/// buffer is checked out unzeroed: the first k-block of every register
+/// tile *stores* its sums rather than adding them to the output, so
+/// every element is written before it is read. Only an empty inner
+/// dimension leaves nothing to store, and gets zeros.
 fn gemm(a: Operand, b: Operand, m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut out = scratch::take_zeroed(m * n);
-    if m == 0 || n == 0 || k == 0 {
+    if k == 0 {
+        return scratch::take_zeroed(m * n);
+    }
+    let mut out = scratch::take(m * n);
+    if m == 0 || n == 0 {
         return out;
     }
+    let kern = simd::active();
     // Under `PAR_WORK` the pool is never touched (or lazily spawned).
-    if m * n * k < PAR_WORK || !fan_out(a, b, &mut out, m, k, n) {
-        gemm_panel(a, b, Window::whole(&mut out, m, n), k);
+    if m * n * k < PAR_WORK || !fan_out(kern, a, b, &mut out, m, k, n) {
+        gemm_panel(kern, a, b, Window::whole(&mut out, m, n), k);
     }
     out
 }
@@ -319,19 +326,29 @@ fn gemm(a: Operand, b: Operand, m: usize, k: usize, n: usize) -> Vec<f32> {
 /// Splits the product across the worker pool, or returns `false` with
 /// `out` untouched when the pool would run the pieces inline (nested
 /// call, pool owned, no workers) or the shape is too short to split —
-/// the caller then computes one panel, which packs each operand once.
+/// the caller then computes one panel, which packs B at most once.
 ///
-/// One rule: split the **longer** of `m` and `n`. A task packs its own
-/// slice of the split operand and all of the other one, so the operand
-/// that gets re-packed per task is always the smaller, and the larger
-/// is packed exactly once in total. The 16-row conv GEMMs therefore
-/// split columns (B streams past once); squarish and tall shapes split
-/// rows. Tasks own at least [`MIN_SPLIT`] rows/columns and there are at
-/// most two per thread, so the atomic task queue can still even out
+/// One rule: split the **longer** of `m` and `n`. Only B is ever
+/// packed: a column split packs each column of B once in total (every
+/// task packs just its own columns), while in a row split every task
+/// packs all of B for its own rows. Splitting the longer side keeps
+/// that re-pack to shapes where B is the smaller operand. The 16-row
+/// conv GEMMs therefore split columns (B streams past once); squarish
+/// and tall shapes split rows. Tasks own at least [`MIN_SPLIT`]
+/// rows/columns and there are at most two per thread, so the atomic
+/// task queue can still even out
 /// finish times. Every task writes its [`Window`] of `out` in place;
 /// per-element arithmetic is identical on every path, so results stay
 /// bit-equal to the single panel.
-fn fan_out(a: Operand, b: Operand, out: &mut [f32], m: usize, k: usize, n: usize) -> bool {
+fn fan_out(
+    kern: simd::Kernel,
+    a: Operand,
+    b: Operand,
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> bool {
     let by_cols = n > m;
     let (extent, tile) = if by_cols { (n, NR) } else { (m, MR) };
     let tasks = (pool::max_parallelism() * 2).min(extent / MIN_SPLIT);
@@ -358,116 +375,72 @@ fn fan_out(a: Operand, b: Operand, out: &mut [f32], m: usize, k: usize, n: usize
                 whole.sub(run, 0..n)
             }
         };
-        gemm_panel(a, b, window, k);
+        gemm_panel(kern, a, b, window, k);
     })
 }
 
-/// Tiled core: accumulates `out += A[rows, :] @ B[:, cols]` for the
-/// rows and columns of the product that `out` covers.
+/// Tiled core: computes `A[rows, :] @ B[:, cols]` for the rows and
+/// columns of the product that `out` covers, overwriting them.
 ///
-/// Blocking is `pc` (k, [`tune::KC`]) → `ic` (rows, [`tune::MC`])
-/// → `j0` (columns, `NR`): per k-block, each `mc`-row slice of A is
-/// packed into `MR`-interleaved micro-panels that stay L2-resident
-/// while every column window streams past, and each B block into a
-/// contiguous `kc × NR` slab, so the micro-kernel reads two dense
-/// streams (BLIS-style). Both pack loops read the operand in whichever
-/// layout the caller stores it ([`Operand`]): packing moves values, it
-/// never combines them, so the layout cannot change a result. Block
-/// sizes come from [`tune::active`] and cannot change results either:
-/// every output element accumulates k-blocks in ascending `pc` order
-/// regardless of how `ic`/`j0` interleave, and a block boundary just
-/// round-trips the accumulator through an exact `f32` store. Edge tiles
-/// are zero-padded into the same full-size micro-kernel; padded lanes
-/// are computed and then discarded by the partial store, which cannot
-/// change the kept values (each output element only ever accumulates
-/// its own row/column lane).
-fn gemm_panel(a: Operand, b: Operand, mut out: Window, k: usize) {
+/// Blocking is `pc` (k, [`tune::KC`]) → `ic` (rows, [`tune::MC`]) →
+/// `j0` (columns, `NR`) → `r0` (rows, `MR`): per k-block, each `mc`-row
+/// slice of A stays L2-resident while every column window streams past
+/// it. The register tile reads A in place in either layout
+/// ([`Operand::a_rows`]). It reads B in place too when B is row-major,
+/// its k-block spans at most [`DIRECT_B_MAX`] elements and the window
+/// is a full `NR` columns; otherwise ([`matmul_t`](Tensor::matmul_t)'s
+/// B, a large patch matrix, the last narrow window) the window is
+/// packed into a contiguous, zero-padded `kc × NR` slab first. Neither
+/// choice combines values, so neither can change a result. Block sizes
+/// come from [`tune::active`] and cannot change results either: every
+/// output element accumulates k-blocks in ascending `pc` order
+/// regardless of how `ic`/`j0` interleave, the first block starts its
+/// accumulator at `+0.0`, and a later block boundary just round-trips
+/// it through an exact `f32` store. Edge tiles run the same full-size
+/// tile; their padded lanes and repeated rows are computed and then
+/// discarded by the partial store, which cannot change the kept values
+/// (each output element only ever accumulates its own row/column lane).
+fn gemm_panel(kern: simd::Kernel, a: Operand, b: Operand, mut out: Window, k: usize) {
     let (i0, m) = (out.i0, out.rows);
     let (jc, n) = (out.j0, out.cols);
-    let kern = simd::active();
     let cfg = tune::active();
     let kc_max = cfg.kc.min(k);
     let mc = cfg.mc.min(m.next_multiple_of(MR));
-    let block_groups = mc.div_ceil(MR);
-    // The A pack panel comes from the executing thread's scratch pool
-    // — the steady-state GEMM invocation allocates nothing. Unzeroed
-    // scratch is safe: full tiles are overwritten before every read
-    // and edge tiles are explicitly zero-filled below. The B slab has
-    // a compile-time bound (`KC_MAX × NR` = 16 KiB), so it lives on
-    // the stack — and its statically known extent is what lets LLVM
-    // keep the micro-kernel's bounds checks out of the k-loop (an
-    // opaque, pool-provided slab measurably de-vectorizes the kernel).
-    let mut apack = ScratchVec::take(block_groups * MR * kc_max);
-    let mut bpack = [0.0f32; tune::KC_MAX * NR];
+    let b_in_place = !b.col_major && kc_max * b.ld <= DIRECT_B_MAX;
+    // The B slab comes from the executing thread's scratch pool, and
+    // only once something needs packing: a product that reads B in
+    // place neither checks it out nor clears it. Unzeroed scratch is
+    // safe: [`pack_b`] writes every lane the tile reads.
+    let mut bpack: Option<ScratchVec> = None;
     let mut pc = 0;
     while pc < k {
         let kc = (k - pc).min(kc_max);
         let mut ic = 0;
         while ic < m {
             let mh = (m - ic).min(mc);
-            let groups = mh.div_ceil(MR);
-            for g in 0..groups {
-                let r0 = ic + g * MR;
-                let rh = (m - r0).min(MR);
-                let dst = &mut apack[g * MR * kc..(g + 1) * MR * kc];
-                if rh < MR {
-                    dst.fill(0.0);
-                }
-                if a.col_major {
-                    // Stored `[k × m]`: the `rh` rows of one k-step sit
-                    // side by side, already in micro-panel order.
-                    for p in 0..kc {
-                        let base = (pc + p) * a.ld + i0 + r0;
-                        dst[p * MR..p * MR + rh].copy_from_slice(&a.data[base..base + rh]);
-                    }
-                } else {
-                    for r in 0..rh {
-                        let base = (i0 + r0 + r) * a.ld + pc;
-                        for (p, &v) in a.data[base..base + kc].iter().enumerate() {
-                            dst[p * MR + r] = v;
-                        }
-                    }
-                }
-                #[cfg(test)]
-                pack_probe::record(a.data, rh * kc, 0);
-            }
             let mut j0 = 0;
             while j0 < n {
                 let jw = (n - j0).min(NR);
-                if jw < NR {
-                    bpack[..kc * NR].fill(0.0);
-                }
-                if b.col_major {
-                    // Stored `[n × k]`: one logical column is a
-                    // contiguous stored row.
-                    for j in 0..jw {
-                        let base = (jc + j0 + j) * b.ld + pc;
-                        for (p, &v) in b.data[base..base + kc].iter().enumerate() {
-                            bpack[p * NR + j] = v;
-                        }
-                    }
+                let (bsrc, b_step) = if b_in_place && jw == NR {
+                    (&b.data[pc * b.ld + jc + j0..], b.ld)
                 } else {
-                    for p in 0..kc {
-                        let base = (pc + p) * b.ld + jc + j0;
-                        bpack[p * NR..p * NR + jw].copy_from_slice(&b.data[base..base + jw]);
-                    }
-                }
-                #[cfg(test)]
-                pack_probe::record(a.data, 0, kc * jw);
-                for g in 0..groups {
-                    let r0 = ic + g * MR;
-                    let rh = (m - r0).min(MR);
-                    micro_tile(
-                        kern,
-                        &apack[g * MR * kc..(g + 1) * MR * kc],
-                        &bpack,
-                        &mut out,
-                        r0,
-                        rh,
-                        j0,
-                        jw,
+                    let slab = bpack.get_or_insert_with(|| ScratchVec::take(kc_max * NR));
+                    pack_b(b, slab, pc, kc, jc + j0, jw);
+                    (&slab[..], NR)
+                };
+                let mut r0 = ic;
+                while r0 < ic + mh {
+                    let rh = (ic + mh - r0).min(MR);
+                    let (arows, a_step) = a.a_rows(i0 + r0, rh, pc);
+                    let tile = Tile {
+                        a: arows,
+                        a_step,
+                        b: bsrc,
+                        b_step,
                         kc,
-                    );
+                    };
+                    micro_tile(kern, tile, &mut out, r0, rh, j0, jw, pc == 0);
+                    r0 += rh;
                 }
                 j0 += jw;
             }
@@ -477,67 +450,161 @@ fn gemm_panel(a: Operand, b: Operand, mut out: Window, k: usize) {
     }
 }
 
-/// `MR × NR` register tile over packed operands: accumulators live in
-/// registers across the k-block; `apack` is `kc × MR` (row-interleaved),
-/// `bpack` is `kc × NR`. Stores only the `rh × jw` live sub-tile.
+/// Packs columns `j..j + jw` of B's k-block `pc..pc + kc` into the
+/// first `kc × NR` elements of `slab`, `NR` per k-step, zero-padding
+/// lanes past `jw`.
+fn pack_b(b: Operand, slab: &mut [f32], pc: usize, kc: usize, j: usize, jw: usize) {
+    if jw < NR {
+        slab[..kc * NR].fill(0.0);
+    }
+    if b.col_major {
+        // Stored `[n × k]`: one logical column is a contiguous stored
+        // row.
+        for c in 0..jw {
+            let base = (j + c) * b.ld + pc;
+            for (p, &v) in b.data[base..base + kc].iter().enumerate() {
+                slab[p * NR + c] = v;
+            }
+        }
+    } else {
+        for p in 0..kc {
+            let base = (pc + p) * b.ld + j;
+            slab[p * NR..p * NR + jw].copy_from_slice(&b.data[base..base + jw]);
+        }
+    }
+    #[cfg(test)]
+    pack_probe::record(b.data, kc * jw);
+}
+
+/// One register tile's operands over one k-block of `kc` steps: A row
+/// `r` at step `p` is `a[r][p * a_step]`, and B's `NR` lanes at step
+/// `p` start at `b[p * b_step]` — packed (`b_step = NR`) or in place
+/// (`b_step` = B's row length).
+#[derive(Clone, Copy)]
+struct Tile<'a> {
+    a: [&'a [f32]; MR],
+    a_step: usize,
+    b: &'a [f32],
+    b_step: usize,
+    kc: usize,
+}
+
+/// `MR × NR` register tile: accumulators live in registers across the
+/// k-block and only the `rh × jw` live sub-tile is stored. On the
+/// `first` k-block they start at `+0.0` and *store* over whatever the
+/// output held; on later blocks they are loaded from the output and
+/// the sums stored back — the same accumulator, round-tripped through
+/// an exact `f32`. A full tile is loaded from and stored to the output
+/// in place; an edge tile goes through a local `MR × NR` buffer whose
+/// padding lanes are dropped.
 ///
-/// The k-loop dispatches on `kern`: the AVX2 tier executes the same
-/// mul-then-add per lane (bit-identical, see [`crate::simd`]) and
-/// everything else runs the portable loop. Accumulator copy-in/out is
-/// shared by both tiers.
+/// # Panics
+///
+/// Panics if an operand slice ends before the k-block does, or the
+/// `rh × jw` sub-tile leaves `out` — both bugs in the blocking loops,
+/// checked before any raw-pointer read.
 #[inline]
 fn micro_tile(
     kern: simd::Kernel,
-    apack: &[f32],
-    bpack: &[f32],
+    t: Tile,
     out: &mut Window,
     r0: usize,
     rh: usize,
     j0: usize,
     jw: usize,
-    kc: usize,
+    first: bool,
 ) {
+    if rh == MR && jw == NR {
+        tile_kernel(kern, t, &mut out.tile(r0, j0), !first);
+        return;
+    }
     let mut acc = [[0.0f32; NR]; MR];
-    for (r, accr) in acc.iter_mut().take(rh).enumerate() {
-        accr[..jw].copy_from_slice(out.segment(r0 + r, j0, jw));
-    }
-    match kern {
-        #[cfg(target_arch = "x86_64")]
-        simd::Kernel::Avx2 => {
-            // SAFETY: `simd::active` only returns tiers the CPU
-            // supports; apack/bpack hold kc·MR / kc·NR elements.
-            unsafe { simd::x86::gemm_micro_avx2(apack, bpack, &mut acc, kc) }
-        }
-        _ => {
-            for p in 0..kc {
-                let arow = &apack[p * MR..p * MR + MR];
-                let brow = &bpack[p * NR..p * NR + NR];
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let av = arow[r];
-                    for (x, &bv) in accr.iter_mut().zip(brow) {
-                        *x += av * bv;
-                    }
-                }
-            }
+    if !first {
+        for (r, accr) in acc.iter_mut().take(rh).enumerate() {
+            accr[..jw].copy_from_slice(out.segment(r0 + r, j0, jw));
         }
     }
+    tile_kernel(kern, t, &mut acc.each_mut(), true);
     for (r, accr) in acc.iter().take(rh).enumerate() {
         out.segment(r0 + r, j0, jw).copy_from_slice(&accr[..jw]);
     }
 }
 
-/// Test-only pack-volume counter: how many source elements the pack
-/// loops of [`gemm_panel`] read, for products whose A operand is the
-/// watched buffer. Keyed on that buffer's address so GEMMs issued by
-/// tests running concurrently on other threads are not counted, and
-/// global rather than thread-local so a fanned-out product's tasks are.
+/// `c[r][j] = (load ? c[r][j] : +0.0) + Σ_p a[r][p·a_step] ·
+/// b[p·b_step + j]`, ascending `p`, one accumulator per element.
+///
+/// Dispatches on `kern`: the AVX2 tier executes the same mul-then-add
+/// per lane (bit-identical, see [`crate::simd`]) and everything else
+/// runs the portable loop.
+///
+/// # Panics
+///
+/// Panics if the k-block is empty, `b_step < NR` (B's lanes of two
+/// k-steps would overlap), or an operand slice ends before the k-block
+/// does — each a bug in the blocking loops, checked before either tier
+/// reads anything.
+#[inline]
+fn tile_kernel(kern: simd::Kernel, t: Tile, c: &mut [&mut [f32; NR]; MR], load: bool) {
+    let kc = t.kc;
+    assert!(kc > 0 && t.b_step >= NR, "malformed tile");
+    let last = kc - 1;
+    assert!(
+        t.a.iter().all(|row| row.len() > last * t.a_step) && t.b.len() >= last * t.b_step + NR,
+        "tile operands shorter than the k-block"
+    );
+    match kern {
+        #[cfg(target_arch = "x86_64")]
+        simd::Kernel::Avx2 => {
+            // SAFETY: `simd::active` only returns tiers the CPU
+            // supports, and the asserts above are the kernel's extent
+            // contract: every `a[r][p·a_step]` and `b[p·b_step + j]`,
+            // `p < kc`, `j < NR`, lies inside its slice.
+            unsafe {
+                simd::x86::gemm_micro_avx2(
+                    t.a.map(<[f32]>::as_ptr),
+                    t.a_step,
+                    t.b.as_ptr(),
+                    t.b_step,
+                    c,
+                    kc,
+                    load,
+                );
+            }
+        }
+        _ => {
+            let mut acc = [[0.0f32; NR]; MR];
+            if load {
+                for (accr, cr) in acc.iter_mut().zip(c.iter()) {
+                    *accr = **cr;
+                }
+            }
+            for p in 0..kc {
+                let brow = &t.b[p * t.b_step..p * t.b_step + NR];
+                for (accr, arow) in acc.iter_mut().zip(&t.a) {
+                    let av = arow[p * t.a_step];
+                    for (x, &bv) in accr.iter_mut().zip(brow) {
+                        *x += av * bv;
+                    }
+                }
+            }
+            for (cr, accr) in c.iter_mut().zip(acc) {
+                **cr = accr;
+            }
+        }
+    }
+}
+
+/// Test-only pack-volume counter: how many source elements [`pack_b`]
+/// read from the watched B buffer. Keyed on that buffer's address so
+/// GEMMs issued by tests running concurrently on other threads are not
+/// counted, and global rather than thread-local so a fanned-out
+/// product's tasks are. A is never packed.
 #[cfg(test)]
 mod pack_probe {
     use std::sync::{Mutex, MutexGuard, PoisonError};
 
     struct Watch {
-        a_addr: usize,
-        a_elems: usize,
+        b_addr: usize,
         b_elems: usize,
     }
 
@@ -549,27 +616,24 @@ mod pack_probe {
         WATCH.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    pub(super) fn record(a: &[f32], a_elems: usize, b_elems: usize) {
+    pub(super) fn record(b: &[f32], b_elems: usize) {
         if let Some(w) = watch().as_mut() {
-            if w.a_addr == a.as_ptr() as usize {
-                w.a_elems += a_elems;
+            if w.b_addr == b.as_ptr() as usize {
                 w.b_elems += b_elems;
             }
         }
     }
 
-    /// Runs `f` and returns the `(A, B)` element counts packed by
-    /// products whose A operand is `a`.
-    pub(super) fn measure(a: &[f32], f: impl FnOnce()) -> (usize, usize) {
+    /// Runs `f` and returns the element count packed from `b`.
+    pub(super) fn measure(b: &[f32], f: impl FnOnce()) -> usize {
         let _session = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
         *watch() = Some(Watch {
-            a_addr: a.as_ptr() as usize,
-            a_elems: 0,
+            b_addr: b.as_ptr() as usize,
             b_elems: 0,
         });
         f();
         let w = watch().take().expect("watch installed above");
-        (w.a_elems, w.b_elems)
+        w.b_elems
     }
 }
 
@@ -659,13 +723,14 @@ mod tests {
             Operand::row_major(b.data(), n),
         );
         let mut full = vec![0.0f32; m * n];
-        gemm_panel(a, b, Window::whole(&mut full, m, n), k);
+        let kern = simd::active();
+        gemm_panel(kern, a, b, Window::whole(&mut full, m, n), k);
         let mut windowed = vec![0.0f32; m * n];
         let whole = Window::whole(&mut windowed, m, n);
         for jc in (0..n).step_by(NR + 3) {
             // SAFETY: one sub-window alive at a time.
             let window = unsafe { whole.sub(0..m, jc..(jc + NR + 3).min(n)) };
-            gemm_panel(a, b, window, k);
+            gemm_panel(kern, a, b, window, k);
         }
         assert_eq!(full, windowed);
     }
@@ -678,8 +743,10 @@ mod tests {
         let (a, b) = operands(m, k, n);
         let at = a.transpose().unwrap();
         let bt = b.transpose().unwrap();
+        let kern = simd::active();
         let mut full = vec![0.0f32; m * n];
         gemm_panel(
+            kern,
             Operand::row_major(a.data(), k),
             Operand::row_major(b.data(), n),
             Window::whole(&mut full, m, n),
@@ -693,14 +760,14 @@ mod tests {
         let whole = Window::whole(&mut stacked, m, n);
         for rows in [0..8, 8..12, 12..m] {
             // SAFETY: one sub-window alive at a time.
-            gemm_panel(a, b, unsafe { whole.sub(rows, 0..n) }, k);
+            gemm_panel(kern, a, b, unsafe { whole.sub(rows, 0..n) }, k);
         }
         assert_eq!(full, stacked);
     }
 
     #[test]
     fn large_shapes_cross_the_tiled_and_parallel_paths() {
-        // 96×70×130 exceeds SMALL_WORK; 128×128×128 reaches PAR_WORK
+        // 96×70×130 packs its narrow last window; 128×128×128 reaches PAR_WORK
         // (row split) and 4×600×600 the short-and-wide column split
         // when a multi-core pool exists. All must agree with the
         // reference bit-for-bit.
@@ -710,42 +777,42 @@ mod tests {
         }
     }
 
-    /// One product of a `fedtrans-conv` layer: the tensor its A operand
-    /// lives in, the call, and the `(A, B)` element counts one pack of
-    /// each operand reads.
+    /// One product of a `fedtrans-conv` layer: the tensor its B operand
+    /// lives in, the call, and the element count one pack of B reads.
     struct ConvProduct {
         name: &'static str,
-        a: Tensor,
+        b: Tensor,
         call: Box<dyn Fn(&Tensor) + Sync>,
-        once: (usize, usize),
+        once: usize,
     }
 
     /// The three products of one conv layer of `fedtrans-conv`
     /// (16 → 16 channels, 3×3, batch 10 of 16×16): forward `matmul`,
-    /// `dW` `matmul_t`, `dcols` `t_matmul`.
+    /// `dW` `matmul_t`, `dcols` `t_matmul`. Each B is too large to read
+    /// in place.
     fn conv_products() -> [ConvProduct; 3] {
         let (oc, ckk, cols) = (16, 144, 2560);
         let (w, x) = operands(oc, ckk, cols); // weight [16×144], patches [144×2560]
         let (dy, _) = operands(oc, cols, 1); // [16×2560]
-        let (x_fwd, x_dw, dy_dcols) = (x.clone(), x, dy.clone());
+        let (w_fwd, dy_dw) = (w.clone(), dy.clone());
         [
             ConvProduct {
                 name: "matmul",
-                a: w.clone(),
-                call: Box::new(move |a| drop(a.matmul(&x_fwd).unwrap())),
-                once: (oc * ckk, ckk * cols),
+                b: x.clone(),
+                call: Box::new(move |b| drop(w_fwd.matmul(b).unwrap())),
+                once: ckk * cols,
             },
             ConvProduct {
                 name: "matmul_t",
-                a: dy,
-                call: Box::new(move |a| drop(a.matmul_t(&x_dw).unwrap())),
-                once: (oc * cols, cols * ckk),
+                b: x,
+                call: Box::new(move |b| drop(dy_dw.matmul_t(b).unwrap())),
+                once: cols * ckk,
             },
             ConvProduct {
                 name: "t_matmul",
-                a: w,
-                call: Box::new(move |a| drop(a.t_matmul(&dy_dcols).unwrap())),
-                once: (ckk * oc, oc * cols),
+                b: dy,
+                call: Box::new(move |b| drop(w.t_matmul(b).unwrap())),
+                once: oc * cols,
             },
         ]
     }
@@ -770,37 +837,179 @@ mod tests {
     }
 
     #[test]
-    fn a_nested_conv_gemm_packs_each_operand_exactly_once() {
-        // Before: four 4-row panels, each re-packing all of B (≈ 4× the
-        // B term), after a full `transposed()` copy for the two
-        // transposing variants.
+    fn a_nested_conv_gemm_packs_b_exactly_once() {
+        // Once per product, not once per 4-row panel, and with no
+        // `transposed()` copy first. A is read in place, never packed.
         for p in conv_products() {
-            let packed = pack_probe::measure(p.a.data(), || nested(&|| (p.call)(&p.a)));
+            let packed = pack_probe::measure(p.b.data(), || nested(&|| (p.call)(&p.b)));
             assert_eq!(packed, p.once, "{}", p.name);
         }
     }
 
     #[test]
-    fn a_fanned_out_conv_gemm_packs_its_large_operand_once_in_total() {
+    fn a_fanned_out_conv_gemm_packs_b_once_in_total() {
         // From the main thread the product may fan out (when the pool
-        // has workers and nobody else owns it): every task re-packs the
-        // small operand, the large one is packed once between them.
-        let max_tasks = 2 * pool::max_parallelism();
+        // has workers and nobody else owns it). Every conv product is
+        // wider than tall, so the split is by columns and each task
+        // packs only its own columns of B.
         for p in conv_products() {
-            let (pa, pb) = pack_probe::measure(p.a.data(), || (p.call)(&p.a));
-            let (a_once, b_once) = p.once;
-            let (small, small_once, large, large_once) = if a_once < b_once {
-                (pa, a_once, pb, b_once)
-            } else {
-                (pb, b_once, pa, a_once)
-            };
-            assert_eq!(large, large_once, "{}: large operand", p.name);
-            assert_eq!(small % small_once, 0, "{}: whole re-packs only", p.name);
-            assert!(
-                (1..=max_tasks).contains(&(small / small_once)),
-                "{}",
-                p.name
+            let packed = pack_probe::measure(p.b.data(), || (p.call)(&p.b));
+            assert_eq!(packed, p.once, "{}", p.name);
+        }
+    }
+
+    #[test]
+    fn dense_layer_products_pack_only_the_transposed_weight() {
+        // Every `fedtrans-dense` layer shape (batch 10), the widest
+        // 96 ↔ 192 pair included: forward and `dW` read B in place;
+        // `dX = dY Wᵀ` packs W once.
+        for (fan_in, fan_out) in [(96, 48), (48, 16), (96, 192), (192, 96)] {
+            let (x, w) = operands(10, fan_in, fan_out);
+            let (dy, _) = operands(10, fan_out, 1);
+            let shape = format!("{fan_in} -> {fan_out}");
+            assert_eq!(
+                pack_probe::measure(w.data(), || drop(x.matmul(&w))),
+                0,
+                "{shape}"
             );
+            assert_eq!(
+                pack_probe::measure(dy.data(), || drop(x.t_matmul(&dy))),
+                0,
+                "{shape}"
+            );
+            assert_eq!(
+                pack_probe::measure(w.data(), || drop(dy.matmul_t(&w))),
+                fan_in * fan_out,
+                "{shape}"
+            );
+        }
+    }
+
+    /// A NaN whose payload no product produces: a padding element that
+    /// no longer holds it was written by the kernel, and one that leaks
+    /// into a kept output turns it into a NaN the reference lacks.
+    const CANARY: f32 = f32::from_bits(0x7fa5_a5a5);
+    /// Canary elements after every buffer: more than a tile row reads.
+    const TAIL: usize = 2 * NR + 1;
+
+    /// `values` at offset `off` of a canary-filled buffer.
+    fn padded(values: &[f32], off: usize) -> Vec<f32> {
+        let mut buf = vec![CANARY; off + values.len() + TAIL];
+        buf[off..off + values.len()].copy_from_slice(values);
+        buf
+    }
+
+    /// Logical `rows × cols` matrix `at(r, c)` stored as `stored` rows of
+    /// `ld` (`ld` ≥ the stored row length); padding cells are canaries.
+    fn store(
+        rows: usize,
+        cols: usize,
+        col_major: bool,
+        ld: usize,
+        at: &dyn Fn(usize, usize) -> f32,
+    ) -> Vec<f32> {
+        let (stored, len) = if col_major {
+            (cols, rows)
+        } else {
+            (rows, cols)
+        };
+        let mut buf = vec![CANARY; stored * ld];
+        for s in 0..stored {
+            for e in 0..len {
+                let (r, c) = if col_major { (e, s) } else { (s, e) };
+                buf[s * ld + e] = at(r, c);
+            }
+        }
+        buf
+    }
+
+    #[test]
+    fn the_tile_stays_inside_canary_padded_operands_and_windows() {
+        // Every raw-pointer path of the kernel — the AVX2 tile's reads of
+        // A and B in place, `Window::tile`/`segment` writes, `Window::sub`
+        // offsets — on both tiers at 0 ULP against the reference. Operands
+        // sit at base offsets 1–7 of canary-padded buffers and carry
+        // canary padding between their stored rows; outputs are windows
+        // of a canary-filled product (whole, last row, last column, a
+        // corner with MR/NR remainders). After every call each element
+        // outside the window must still be a canary, and each inside
+        // must match the reference bit for bit.
+        let mut calls = 0usize;
+        let shapes = [1, 3, 4, 5, 9].into_iter().flat_map(|m| {
+            [1, 7, 8, 9, 17]
+                .into_iter()
+                .flat_map(move |n| [1, 7, 9, 200].map(|k| (m, n, k)))
+        });
+        for (m, n, k) in shapes {
+            let mut rng = rand::rngs::StdRng::seed_from_u64((m * 1000 + n * 10 + k) as u64);
+            let av: Vec<f32> = crate::uniform(&mut rng, &[m * k], -1.0, 1.0)
+                .data()
+                .to_vec();
+            let bv: Vec<f32> = crate::uniform(&mut rng, &[k * n], -1.0, 1.0)
+                .data()
+                .to_vec();
+            let (a_at, b_at) = (
+                |i: usize, p: usize| av[i * k + p],
+                |p: usize, j: usize| bv[p * n + j],
+            );
+            let want: Vec<f32> = (0..m * n)
+                .map(|e| (0..k).fold(0.0f32, |acc, p| acc + a_at(e / n, p) * b_at(p, e % n)))
+                .collect();
+            // (layout, stored row length): A row-major tight and padded,
+            // A column-major padded; B row-major in place, B row-major
+            // too wide to read in place, B column-major padded.
+            let packed_ld = (DIRECT_B_MAX / k.min(tune::KC) + 1).max(n);
+            let a_forms = [(false, k), (false, k + 3), (true, m + 3)];
+            let b_forms = [(false, n + 3), (false, packed_ld), (true, k + 3)];
+            let windows = [
+                (0..m, 0..n),
+                (m - 1..m, 0..n),
+                (0..m, n - 1..n),
+                (m / 2..m, n / 2..n),
+            ];
+            for (a_col, a_ld) in a_forms {
+                for (b_col, b_ld) in b_forms {
+                    let a_off = 1 + calls % 7;
+                    let b_off = 1 + (calls / 7) % 7;
+                    let abuf = padded(&store(m, k, a_col, a_ld, &a_at), a_off);
+                    let bbuf = padded(&store(k, n, b_col, b_ld, &b_at), b_off);
+                    let a_len = abuf.len() - a_off - TAIL;
+                    let b_len = bbuf.len() - b_off - TAIL;
+                    let a = Operand {
+                        data: &abuf[a_off..a_off + a_len],
+                        ld: a_ld,
+                        col_major: a_col,
+                    };
+                    let b = Operand {
+                        data: &bbuf[b_off..b_off + b_len],
+                        ld: b_ld,
+                        col_major: b_col,
+                    };
+                    for kern in simd::available() {
+                        for (rows, cols) in windows.clone() {
+                            calls += 1;
+                            let off = 1 + calls % 7;
+                            let mut out = padded(&vec![CANARY; m * n], off);
+                            let whole = Window::whole(&mut out[off..off + m * n], m, n);
+                            // SAFETY: the only sub-window alive.
+                            let window = unsafe { whole.sub(rows.clone(), cols.clone()) };
+                            gemm_panel(kern, a, b, window, k);
+                            for (e, got) in out.iter().enumerate() {
+                                let inside = e.checked_sub(off).filter(|&e| {
+                                    e < m * n && rows.contains(&(e / n)) && cols.contains(&(e % n))
+                                });
+                                let expect = inside.map_or(CANARY, |e| want[e]);
+                                assert_eq!(
+                                    got.to_bits(),
+                                    expect.to_bits(),
+                                    "{m}x{k}x{n} element {e} (offset {off}), A col_major {a_col} ld {a_ld}, \
+                                     B col_major {b_col} ld {b_ld}, window {rows:?} x {cols:?}, {kern:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -831,6 +1040,40 @@ mod tests {
         let b = t(&[f32::INFINITY, 2.0], &[1, 2]);
         let c = a.matmul_t(&b).unwrap();
         assert!(c.data()[0].is_nan(), "0 x inf must propagate NaN");
+    }
+
+    #[test]
+    fn stale_scratch_never_reaches_a_product() {
+        // The output is checked out unzeroed and the first k-block
+        // stores over it: a NaN-filled buffer recycled into the pool
+        // right before each product must leave no trace, whether the
+        // product takes one k-block or several.
+        for (m, k, n) in [(10, 96, 48), (10, 10, 16), (7, 300, 13), (96, 10, 48)] {
+            let (a, b) = operands(m, k, n);
+            let (at, bt) = (a.transpose().unwrap(), b.transpose().unwrap());
+            let want = reference(&a, &b);
+            let products: [&dyn Fn() -> Tensor; 3] = [
+                &|| a.matmul(&b).unwrap(),
+                &|| at.t_matmul(&b).unwrap(),
+                &|| a.matmul_t(&bt).unwrap(),
+            ];
+            for product in products {
+                drop(Tensor::from_vec(vec![f32::NAN; m * n], &[m, n]).unwrap());
+                assert_eq!(product(), want, "{m}x{k}x{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_sum_of_negative_zeros_is_positive_zero() {
+        // Every accumulator starts at +0.0, as the reference's does, so
+        // `+0 + (-0) + (-0)` is +0 — a tile that started from its first
+        // product instead would store -0.
+        let a = t(&[-1.0, -2.0, 3.0, 4.0], &[2, 2]);
+        let b = t(&[0.0, 0.0], &[2, 1]);
+        let c = a.matmul(&b).unwrap();
+        assert_eq!(c.data()[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(c.data()[1].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

@@ -152,55 +152,69 @@ pub(crate) mod x86 {
 
     use crate::matmul::{MR, NR};
 
-    /// AVX2 GEMM register tile: `acc[r][j] += Σ_p apack[p·MR+r] ·
-    /// bpack[p·NR+j]`, ascending `p`, one `mul` + one `add` per term —
-    /// the portable micro-kernel's arithmetic exactly, eight `j` lanes
-    /// per instruction (`NR` = 8 = one `__m256`).
+    /// AVX2 GEMM register tile: `c[r][j] = (load ? c[r][j] : +0.0) +
+    /// Σ_p a[r][p·a_step] · b[p·b_step + j]`, ascending `p`, one `mul` +
+    /// one `add` per term — the portable tile's arithmetic exactly,
+    /// eight `j` lanes per instruction (`NR` = 8 = one `__m256`). `a[r]`
+    /// points at row `r` of A in place (`a_step` = 1 row-major, the
+    /// stored row length column-major); `b` at a packed slab (`b_step`
+    /// = `NR`) or at B in place (`b_step` = its row length); `c` holds
+    /// the tile's output rows, in the product or in a local edge buffer.
     ///
     /// # Safety
     ///
-    /// The caller must have verified AVX2 support, and `apack`/`bpack`
-    /// must hold at least `kc * MR` / `kc * NR` elements.
+    /// The caller must have verified AVX2 support, and for every
+    /// `p < kc`, `r < MR`, `j < NR` the elements `a[r] + p·a_step` and
+    /// `b + p·b_step + j` must be readable.
     #[target_feature(enable = "avx2")]
     pub unsafe fn gemm_micro_avx2(
-        apack: &[f32],
-        bpack: &[f32],
-        acc: &mut [[f32; NR]; MR],
+        a: [*const f32; MR],
+        a_step: usize,
+        b: *const f32,
+        b_step: usize,
+        c: &mut [&mut [f32; NR]; MR],
         kc: usize,
+        load: bool,
     ) {
-        debug_assert!(apack.len() >= kc * MR && bpack.len() >= kc * NR);
-        let (ap, bp) = (apack.as_ptr(), bpack.as_ptr());
-        // SAFETY: each acc row is NR = 8 contiguous f32s.
-        let mut v0 = unsafe { _mm256_loadu_ps(acc[0].as_ptr()) };
-        // SAFETY: as above.
-        let mut v1 = unsafe { _mm256_loadu_ps(acc[1].as_ptr()) };
-        // SAFETY: as above.
-        let mut v2 = unsafe { _mm256_loadu_ps(acc[2].as_ptr()) };
-        // SAFETY: as above.
-        let mut v3 = unsafe { _mm256_loadu_ps(acc[3].as_ptr()) };
+        let (mut v0, mut v1, mut v2, mut v3) = if load {
+            // SAFETY: each c row is NR = 8 contiguous f32s.
+            unsafe {
+                (
+                    _mm256_loadu_ps(c[0].as_ptr()),
+                    _mm256_loadu_ps(c[1].as_ptr()),
+                    _mm256_loadu_ps(c[2].as_ptr()),
+                    _mm256_loadu_ps(c[3].as_ptr()),
+                )
+            }
+        } else {
+            let zero = _mm256_setzero_ps();
+            (zero, zero, zero, zero)
+        };
         for p in 0..kc {
-            // SAFETY: p < kc, so p·NR + NR ≤ kc·NR ≤ bpack.len().
-            let b = unsafe { _mm256_loadu_ps(bp.add(p * NR)) };
-            // SAFETY: p < kc, so p·MR + MR ≤ kc·MR ≤ apack.len().
+            // SAFETY: p < kc, so b + p·b_step + 0..NR is readable (the
+            // caller's contract).
+            let bv = unsafe { _mm256_loadu_ps(b.add(p * b_step)) };
+            // SAFETY: p < kc, so every a[r] + p·a_step is readable (the
+            // caller's contract).
             let (a0, a1, a2, a3) = unsafe {
                 (
-                    _mm256_set1_ps(*ap.add(p * MR)),
-                    _mm256_set1_ps(*ap.add(p * MR + 1)),
-                    _mm256_set1_ps(*ap.add(p * MR + 2)),
-                    _mm256_set1_ps(*ap.add(p * MR + 3)),
+                    _mm256_set1_ps(*a[0].add(p * a_step)),
+                    _mm256_set1_ps(*a[1].add(p * a_step)),
+                    _mm256_set1_ps(*a[2].add(p * a_step)),
+                    _mm256_set1_ps(*a[3].add(p * a_step)),
                 )
             };
-            v0 = _mm256_add_ps(v0, _mm256_mul_ps(a0, b));
-            v1 = _mm256_add_ps(v1, _mm256_mul_ps(a1, b));
-            v2 = _mm256_add_ps(v2, _mm256_mul_ps(a2, b));
-            v3 = _mm256_add_ps(v3, _mm256_mul_ps(a3, b));
+            v0 = _mm256_add_ps(v0, _mm256_mul_ps(a0, bv));
+            v1 = _mm256_add_ps(v1, _mm256_mul_ps(a1, bv));
+            v2 = _mm256_add_ps(v2, _mm256_mul_ps(a2, bv));
+            v3 = _mm256_add_ps(v3, _mm256_mul_ps(a3, bv));
         }
-        // SAFETY: each acc row is NR = 8 contiguous f32s.
+        // SAFETY: each c row is NR = 8 contiguous f32s.
         unsafe {
-            _mm256_storeu_ps(acc[0].as_mut_ptr(), v0);
-            _mm256_storeu_ps(acc[1].as_mut_ptr(), v1);
-            _mm256_storeu_ps(acc[2].as_mut_ptr(), v2);
-            _mm256_storeu_ps(acc[3].as_mut_ptr(), v3);
+            _mm256_storeu_ps(c[0].as_mut_ptr(), v0);
+            _mm256_storeu_ps(c[1].as_mut_ptr(), v1);
+            _mm256_storeu_ps(c[2].as_mut_ptr(), v2);
+            _mm256_storeu_ps(c[3].as_mut_ptr(), v3);
         }
     }
 

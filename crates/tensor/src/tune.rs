@@ -20,18 +20,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::matmul::MR;
 
-/// Hard upper bound on `kc`: keeps the stack-allocated B slab
-/// (`KC_MAX × NR × 4` bytes = 16 KiB) a compile-time constant, which
-/// is what lets LLVM hoist the micro-kernel's bounds checks (PR 5
-/// measured 7x from exactly this property).
+/// Hard upper bound on `kc`: caps a packed B slab (`KC_MAX × NR × 4`
+/// bytes = 16 KiB) whatever [`force`] asks for.
 pub const KC_MAX: usize = 512;
-/// Depth of one k-block: the `KC × NR` B slab stays L1-resident in an
-/// eighth of L1d, leaving the rest to the A stream and the C tile
+/// Depth of one k-block: a packed `KC × NR` B slab stays L1-resident
+/// in an eighth of L1d, leaving the rest to the A rows and the C tile
 /// (48 KiB / 8 / (`NR` × 4 B) = 192).
 pub const KC: usize = 192;
-/// Rows of packed A per block: the `MC × KC` panel stays L2-resident
-/// in a quarter of L2 (2 MiB / 4 / (`KC` × 4 B) = 682, rounded down to
-/// a multiple of `MR`).
+/// Rows of A per block: the `MC × KC` block the register tile reads in
+/// place stays L2-resident in a quarter of L2 while every column
+/// window streams past it (2 MiB / 4 / (`KC` × 4 B) = 682, rounded
+/// down to a multiple of `MR`).
 pub const MC: usize = 680;
 
 const _: () = assert!(KC <= KC_MAX && KC.is_multiple_of(8) && MC.is_multiple_of(MR));
@@ -58,7 +57,7 @@ impl TuneSource {
 /// The GEMM block sizes in effect.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TuneConfig {
-    /// Rows of packed A per L2-resident block (multiple of `MR`).
+    /// Rows of A per L2-resident block (multiple of `MR`).
     pub mc: usize,
     /// Depth of one k-block; the B slab is `kc × NR` (multiple of 8,
     /// at most [`KC_MAX`]).

@@ -113,6 +113,36 @@ pub fn conv_workload_products() -> Vec<Case> {
         .collect()
 }
 
+/// The products of one `fedtrans-dense` train step (batch 10, 96
+/// inputs, 16 classes) on the seed model `96 → 48 → 48 → 16` and the
+/// widened `96 → 96 → 48 → 16`, as `docs/ARCHITECTURE.md` "GEMM shapes
+/// of `fedtrans-dense`" lists them: forward `matmul`, `dW` `t_matmul`,
+/// `dX` `matmul_t` (none for the first layer). Each distinct shape once.
+pub fn dense_workload_products() -> Vec<Case> {
+    let shapes: [(&str, (usize, usize, usize)); 11] = [
+        ("matmul", (10, 96, 48)),
+        ("matmul", (10, 48, 48)),
+        ("matmul", (10, 48, 16)),
+        ("matmul", (10, 96, 96)),
+        ("t_matmul", (96, 10, 48)),
+        ("t_matmul", (48, 10, 48)),
+        ("t_matmul", (48, 10, 16)),
+        ("t_matmul", (96, 10, 96)),
+        ("matmul_t", (10, 48, 48)),
+        ("matmul_t", (10, 16, 48)),
+        ("matmul_t", (10, 48, 96)),
+    ];
+    shapes
+        .into_iter()
+        .map(|(variant, (m, k, n))| {
+            products_of(m, k, n, (m * 131 + k * 17 + n) as u64)
+                .into_iter()
+                .find(|case| case.variant == variant)
+                .expect("products_of yields all three variants")
+        })
+        .collect()
+}
+
 /// Runs `product` from the three contexts that take different dispatch
 /// paths inside the kernel: the main thread (may fan out), inside a
 /// pool task (must not), and while another submitter owns the pool

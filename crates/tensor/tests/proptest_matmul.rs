@@ -11,7 +11,7 @@ use ft_tensor::Tensor;
 use proptest::prelude::*;
 
 mod common;
-use common::{conv_workload_products, products_of};
+use common::{conv_workload_products, dense_workload_products, products_of};
 
 /// The naive reference of `common` (ascending-`k`, one accumulator per
 /// element — the accumulation order the tiled kernels guarantee), on
@@ -27,9 +27,9 @@ fn tensor_of(m: usize, n: usize) -> impl Strategy<Value = Tensor> {
         .prop_map(move |v| Tensor::from_vec(v, &[m, n]).unwrap())
 }
 
-/// `(A[m×k], B[k×n])` with dimensions spanning the small, tiled, and
-/// edge-tile paths (sizes straddle the MR=4 / NR=8 register-tile
-/// boundaries as well as the SMALL_WORK threshold).
+/// `(A[m×k], B[k×n])` with dimensions spanning full and edge tiles
+/// (sizes straddle the MR=4 / NR=8 register-tile boundaries) and one
+/// or more k-blocks.
 fn gemm_operands() -> impl Strategy<Value = (Tensor, Tensor)> {
     (1usize..=40, 1usize..=150, 1usize..=40)
         .prop_flat_map(|(m, k, n)| (tensor_of(m, k), tensor_of(k, n)))
@@ -111,6 +111,16 @@ fn conv_workload_shapes_match_reference_from_every_call_context() {
     }
 }
 
+/// The GEMMs of a `fedtrans-dense` train step, which read A (and, but
+/// for `dX`, B) in place: bit-for-bit against the naive reference from
+/// every call context.
+#[test]
+fn dense_workload_shapes_match_reference_from_every_call_context() {
+    for case in dense_workload_products() {
+        assert_eq!(case.check(), Ok(()));
+    }
+}
+
 #[test]
 fn empty_shapes_produce_empty_or_zero_products() {
     for (m, k, n) in [(0, 5, 3), (5, 0, 3), (5, 3, 0), (0, 0, 0)] {
@@ -132,9 +142,9 @@ fn empty_shapes_produce_empty_or_zero_products() {
 
 #[test]
 fn kernels_agree_across_all_internal_dispatch_paths() {
-    // One shape per path: small (< SMALL_WORK), tiled serial, and
-    // large enough to engage the pool on multi-core hosts. The same
-    // seed-derived data must produce identical bits everywhere.
+    // One shape per path: B read in place, B packed, and large enough
+    // to engage the pool on multi-core hosts. The same seed-derived
+    // data must produce identical bits everywhere.
     for (m, k, n) in [(3, 5, 4), (64, 96, 48), (160, 128, 144)] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let a = ft_tensor::uniform(&mut rng, &[m, k], -1.0, 1.0);

@@ -80,8 +80,8 @@ fn check_gemm_shape(m: usize, k: usize, n: usize) {
 }
 
 proptest! {
-    // Shapes deliberately straddle SMALL_WORK and land on every
-    // remainder-tile combination (m % 4, n % 8, k vs one k-block).
+    // Shapes land on every remainder-tile combination (m % 4, n % 8,
+    // k vs one k-block) with B both read in place and packed.
     #[test]
     fn gemm_tiers_agree_on_arbitrary_shapes(
         m in 1usize..=37,
@@ -114,18 +114,18 @@ proptest! {
     }
 }
 
-/// Hand-picked shapes crossing every dispatch path: small loop-nest,
-/// tiled-serial, row-split parallel, column-split (short-and-wide),
-/// plus maximal remainder tiles and k both under and over a k-block.
+/// Hand-picked shapes crossing every dispatch path: B in place, B
+/// packed, row-split parallel, column-split (short-and-wide), plus
+/// maximal remainder tiles and k both under and over a k-block.
 #[test]
 fn gemm_tiers_agree_on_dispatch_edge_shapes() {
     let _guard = lock();
     for (m, k, n) in [
         (1, 1, 1),
-        (3, 7, 5),       // small path
+        (3, 7, 5),       // one edge tile
         (37, 130, 29),   // tiled, m%4=1, n%8=5, k crosses 128
         (21, 500, 19),   // k spans multiple k-blocks
-        (33, 33, 33),    // just over SMALL_WORK
+        (33, 33, 33),    // B in place, narrow last window packed
         (128, 128, 128), // row-split parallel threshold
         (4, 600, 600),   // column-split short-and-wide
         (160, 96, 144),  // multi-panel row split
@@ -147,6 +147,62 @@ fn conv_workload_shapes_match_reference_on_the_portable_kernel() {
             assert_eq!(case.check(), Ok(()), "on the portable kernel");
         }
     });
+}
+
+/// The `fedtrans-dense` shapes on the portable tile, from every call
+/// context: the in-place operand reads must reach the same bits as the
+/// AVX2 tier (`proptest_matmul.rs`) under `FT_TENSOR_SIMD=0`.
+#[test]
+fn dense_workload_shapes_match_reference_on_the_portable_kernel() {
+    let _guard = lock();
+    under(Kernel::Portable, || {
+        for case in common::dense_workload_products() {
+            assert_eq!(case.check(), Ok(()), "on the portable kernel");
+        }
+    });
+}
+
+/// Signed zeros and non-finite operands through every tier and every
+/// operand layout: each finite or infinite result keeps the reference's
+/// exact bits (`+0 + (-0) = +0` included, so every accumulator starts
+/// at `+0.0`), and NaN lands exactly where the reference puts it.
+#[test]
+fn signed_zero_and_non_finite_operands_match_reference_on_every_tier() {
+    let _guard = lock();
+    let specials = [
+        0.0f32,
+        -0.0,
+        1.0,
+        -1.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        1e-40,
+    ];
+    for (m, k, n) in [(10, 96, 48), (5, 3, 9), (96, 10, 16), (6, 200, 20)] {
+        let pick = |i: usize| specials[(i * 7 + i / 5) % specials.len()];
+        let a: Vec<f32> = (0..m * k).map(|i| pick(i) * 0.5).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| pick(i + 3)).collect();
+        let want = common::reference(&a, &b, m, k, n);
+        let (a, b) = (
+            Tensor::from_vec(a, &[m, k]).unwrap(),
+            Tensor::from_vec(b, &[k, n]).unwrap(),
+        );
+        let (at, bt) = (a.transpose().unwrap(), b.transpose().unwrap());
+        let same = |got: &[f32]| {
+            got.iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+        };
+        for tier in simd::available() {
+            let [c, ct, cbt] = under(tier, || {
+                [a.matmul(&b), at.t_matmul(&b), a.matmul_t(&bt)].map(|c| c.unwrap())
+            });
+            for (name, c) in [("matmul", c), ("t_matmul", ct), ("matmul_t", cbt)] {
+                assert!(same(c.data()), "{name} {m}x{k}x{n} on {tier:?}");
+            }
+        }
+    }
 }
 
 /// Any `(mc, kc)` choice must produce bit-identical results under
@@ -308,6 +364,85 @@ fn lane_tails_and_parallel_threshold_are_invisible() {
             },
             &format!("axpy n={n}"),
         );
+    }
+}
+
+/// A NaN whose payload no kernel produces: a padding element that no
+/// longer holds it was written by a kernel.
+const CANARY: f32 = f32::from_bits(0x7fa5_a5a5);
+/// Canary elements after every slice: more than one vector reads.
+const TAIL: usize = 17;
+
+/// One fused kernel over four equal-length slices (unused ones are
+/// ignored; the read-only ones are passed as shared borrows).
+type Fused4 = fn(&mut [f32], &mut [f32], &mut [f32], &mut [f32]);
+
+/// Every AVX2 element-wise wrapper on slices at base offsets 1–7 of
+/// canary-padded buffers, at lengths 0, 1, lane − 1, lane, lane + 1 and
+/// their doubles: after every call all four buffers' padding is intact,
+/// and each slice holds the portable tier's exact bits.
+#[test]
+fn fused_kernels_stay_inside_canary_padded_slices() {
+    let _guard = lock();
+    let kernels: [(&str, Fused4); 8] = [
+        ("add_assign", |a, b, _, _| fused::add_assign(a, b)),
+        ("sub_assign", |a, b, _, _| fused::sub_assign(a, b)),
+        ("mul_assign", |a, b, _, _| fused::mul_assign(a, b)),
+        ("scale_assign", |a, _, _, _| fused::scale_assign(a, 0.75)),
+        ("axpy", |a, b, _, _| fused::axpy(a, -0.5, b)),
+        ("sgd_momentum_update", |p, v, g, _| {
+            fused::sgd_momentum_update(p, v, g, 0.1, 0.9, 1e-4)
+        }),
+        ("prox_sgd_momentum_update", |p, v, g, a| {
+            fused::prox_sgd_momentum_update(p, v, g, a, 0.01, 0.1, 0.9, 1e-4)
+        }),
+        ("yogi_update", |p, m, v, d| {
+            fused::yogi_update(p, m, v, d, 0.1, 0.9, 0.99, 1e-3)
+        }),
+    ];
+    for (name, kernel) in kernels {
+        for len in [0, 1, 7, 8, 9, 15, 16, 17] {
+            for off in 1..=7 {
+                // Yogi's `v` (the third slice) is a second moment: ≥ 0.
+                let inputs: [Vec<f32>; 4] = std::array::from_fn(|i| {
+                    let v = seeded_vec(len, (len * 8 + off + i * 100) as u64);
+                    if i == 2 {
+                        v.iter().map(|x| x.abs()).collect()
+                    } else {
+                        v
+                    }
+                });
+                let run = |tier| {
+                    let mut bufs = inputs.clone().map(|v| {
+                        let mut buf = vec![CANARY; off + len + TAIL];
+                        buf[off..off + len].copy_from_slice(&v);
+                        buf
+                    });
+                    under(tier, || {
+                        let [w, x, y, z] = &mut bufs;
+                        let s = off..off + len;
+                        kernel(
+                            &mut w[s.clone()],
+                            &mut x[s.clone()],
+                            &mut y[s.clone()],
+                            &mut z[s],
+                        );
+                    });
+                    for buf in &bufs {
+                        let padding = buf[..off].iter().chain(&buf[off + len..]);
+                        assert!(
+                            padding.into_iter().all(|x| x.to_bits() == CANARY.to_bits()),
+                            "{name} wrote outside its slices: len {len}, offset {off}, {tier:?}"
+                        );
+                    }
+                    bufs.map(|buf| bits(&buf[off..off + len]))
+                };
+                let want = run(Kernel::Portable);
+                for tier in simd::available() {
+                    assert_eq!(run(tier), want, "{name} len {len} offset {off} on {tier:?}");
+                }
+            }
+        }
     }
 }
 
