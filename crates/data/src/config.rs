@@ -31,15 +31,27 @@ pub enum InputSpec {
 
 impl InputSpec {
     /// Flattened per-sample width.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the product of the dimensions overflows `usize`
+    /// ([`DatasetConfig::validate`] refuses such a geometry).
     pub fn flat_dim(&self) -> usize {
+        self.checked_flat_dim()
+            .expect("input dimensions overflow usize; DatasetConfig::validate refuses them")
+    }
+
+    /// Flattened per-sample width, or `None` when the product of the
+    /// dimensions overflows `usize`.
+    pub fn checked_flat_dim(&self) -> Option<usize> {
         match *self {
-            InputSpec::Flat { dim } => dim,
+            InputSpec::Flat { dim } => Some(dim),
             InputSpec::Image {
                 channels,
                 height,
                 width,
-            } => channels * height * width,
-            InputSpec::Tokens { tokens, d_model } => tokens * d_model,
+            } => channels.checked_mul(height)?.checked_mul(width),
+            InputSpec::Tokens { tokens, d_model } => tokens.checked_mul(d_model),
         }
     }
 }
@@ -217,8 +229,15 @@ impl DatasetConfig {
                 return Err(format!("{name} must be at least 1"));
             }
         }
-        if self.input.flat_dim() == 0 {
-            return Err(format!("input has a zero dimension: {:?}", self.input));
+        match self.input.checked_flat_dim() {
+            None => {
+                return Err(format!(
+                    "input dimensions overflow usize when multiplied: {:?}",
+                    self.input
+                ))
+            }
+            Some(0) => return Err(format!("input has a zero dimension: {:?}", self.input)),
+            Some(_) => {}
         }
         if !(self.dirichlet_alpha.is_finite() && self.dirichlet_alpha > 0.0) {
             return Err(format!(
@@ -226,10 +245,16 @@ impl DatasetConfig {
                 self.dirichlet_alpha
             ));
         }
+        // The per-client count is clamped to [8, 6 * mean_samples].
         if self.mean_samples < 2 {
-            // The per-client count is clamped to [8, 6 * mean_samples].
             return Err(format!(
                 "mean_samples must be at least 2, got {}",
+                self.mean_samples
+            ));
+        }
+        if self.mean_samples.checked_mul(6).is_none() {
+            return Err(format!(
+                "mean_samples is too large: 6 * mean_samples overflows usize, got {}",
                 self.mean_samples
             ));
         }
@@ -316,6 +341,22 @@ mod tests {
             .flat_dim(),
             64
         );
+    }
+
+    #[test]
+    fn checked_flat_dim_reports_overflow() {
+        let huge = InputSpec::Image {
+            channels: (1 << 33) + 1,
+            height: 1 << 31,
+            width: 1,
+        };
+        assert_eq!(huge.checked_flat_dim(), None);
+        let tokens = InputSpec::Tokens {
+            tokens: usize::MAX,
+            d_model: 2,
+        };
+        assert_eq!(tokens.checked_flat_dim(), None);
+        assert_eq!(InputSpec::Flat { dim: 7 }.checked_flat_dim(), Some(7));
     }
 
     #[test]

@@ -111,6 +111,19 @@ pub fn check_env() -> Result<(), String> {
     Ok(())
 }
 
+/// The GEMM kernel tier and block sizes this process runs with, as
+/// `ft-run` prints them: `avx512 (mc 680, kc 192)`. Neither ever changes
+/// a report byte, so the line stays out of every digest.
+pub fn kernel_summary() -> String {
+    let tune = ft_tensor::tune::active();
+    format!(
+        "{} (mc {}, kc {})",
+        ft_tensor::simd::active().name(),
+        tune.mc,
+        tune.kc
+    )
+}
+
 /// What a scenario run produced.
 #[derive(Debug)]
 pub struct RunOutcome {

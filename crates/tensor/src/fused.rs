@@ -20,9 +20,10 @@
 //! # SIMD
 //!
 //! Each per-range body dispatches on [`crate::simd::active`]: the AVX2
-//! tier performs exactly the portable loop's arithmetic eight lanes at
-//! a time (no FMA contraction), so results stay bit-identical across
-//! tiers; `proptest_simd` pins the equivalence.
+//! kernels, which the AVX-512 tier runs too (these loops are
+//! bandwidth-bound), perform exactly the portable loop's arithmetic
+//! eight lanes at a time (no FMA contraction), so results stay
+//! bit-identical across tiers; `proptest_simd` pins the equivalence.
 
 use crate::{pool, simd};
 #[cfg(target_arch = "x86_64")]
@@ -107,8 +108,9 @@ pub fn add_assign(a: &mut [f32], b: &[f32]) {
         let (a, b) = unsafe { (sub_mut(&pa, s, e), sub_ref(&pb, s, e)) };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => {
-                // SAFETY: `simd::active` only returns supported tiers.
+            Kernel::Avx2 | Kernel::Avx512 => {
+                // SAFETY: `simd::active` only returns supported tiers,
+                // and every AVX-512 host has AVX2 (`simd::supported`).
                 unsafe { simd::x86::add_assign_avx2(a, b) }
             }
             _ => {
@@ -134,8 +136,9 @@ pub fn sub_assign(a: &mut [f32], b: &[f32]) {
         let (a, b) = unsafe { (sub_mut(&pa, s, e), sub_ref(&pb, s, e)) };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => {
-                // SAFETY: `simd::active` only returns supported tiers.
+            Kernel::Avx2 | Kernel::Avx512 => {
+                // SAFETY: `simd::active` only returns supported tiers,
+                // and every AVX-512 host has AVX2 (`simd::supported`).
                 unsafe { simd::x86::sub_assign_avx2(a, b) }
             }
             _ => {
@@ -161,8 +164,9 @@ pub fn mul_assign(a: &mut [f32], b: &[f32]) {
         let (a, b) = unsafe { (sub_mut(&pa, s, e), sub_ref(&pb, s, e)) };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => {
-                // SAFETY: `simd::active` only returns supported tiers.
+            Kernel::Avx2 | Kernel::Avx512 => {
+                // SAFETY: `simd::active` only returns supported tiers,
+                // and every AVX-512 host has AVX2 (`simd::supported`).
                 unsafe { simd::x86::mul_assign_avx2(a, b) }
             }
             _ => {
@@ -183,8 +187,9 @@ pub fn scale_assign(a: &mut [f32], alpha: f32) {
         let a = unsafe { sub_mut(&pa, s, e) };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => {
-                // SAFETY: `simd::active` only returns supported tiers.
+            Kernel::Avx2 | Kernel::Avx512 => {
+                // SAFETY: `simd::active` only returns supported tiers,
+                // and every AVX-512 host has AVX2 (`simd::supported`).
                 unsafe { simd::x86::scale_assign_avx2(a, alpha) }
             }
             _ => {
@@ -210,8 +215,9 @@ pub fn axpy(a: &mut [f32], alpha: f32, b: &[f32]) {
         let (a, b) = unsafe { (sub_mut(&pa, s, e), sub_ref(&pb, s, e)) };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => {
-                // SAFETY: `simd::active` only returns supported tiers.
+            Kernel::Avx2 | Kernel::Avx512 => {
+                // SAFETY: `simd::active` only returns supported tiers,
+                // and every AVX-512 host has AVX2 (`simd::supported`).
                 unsafe { simd::x86::axpy_avx2(a, alpha, b) }
             }
             _ => {
@@ -259,8 +265,9 @@ pub fn sgd_momentum_update(
         let (p, v, g) = unsafe { (sub_mut(&pp, s, e), sub_mut(&pv, s, e), sub_ref(&pg, s, e)) };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => {
-                // SAFETY: `simd::active` only returns supported tiers.
+            Kernel::Avx2 | Kernel::Avx512 => {
+                // SAFETY: `simd::active` only returns supported tiers,
+                // and every AVX-512 host has AVX2 (`simd::supported`).
                 unsafe { simd::x86::sgd_momentum_avx2(p, v, g, lr, momentum, weight_decay) }
             }
             _ => {
@@ -315,8 +322,9 @@ pub fn prox_sgd_momentum_update(
         };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => {
-                // SAFETY: `simd::active` only returns supported tiers.
+            Kernel::Avx2 | Kernel::Avx512 => {
+                // SAFETY: `simd::active` only returns supported tiers,
+                // and every AVX-512 host has AVX2 (`simd::supported`).
                 unsafe {
                     simd::x86::prox_sgd_momentum_avx2(p, v, g, a, mu, lr, momentum, weight_decay)
                 }
@@ -373,8 +381,9 @@ pub fn yogi_update(
         };
         match kern {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => {
-                // SAFETY: `simd::active` only returns supported tiers.
+            Kernel::Avx2 | Kernel::Avx512 => {
+                // SAFETY: `simd::active` only returns supported tiers,
+                // and every AVX-512 host has AVX2 (`simd::supported`).
                 unsafe { simd::x86::yogi_avx2(p, m, v, d, lr, beta1, beta2, eps) }
             }
             _ => {

@@ -3,8 +3,8 @@
 //! Every simulated client's forward/backward pass funnels through the
 //! three GEMM variants here, so they are the hottest code in the repo.
 //! All three take one path, whatever the shape: a cache-blocked loop
-//! nest around one `MR × NR` register tile (AVX2 where the CPU has it)
-//! that reads A in place, reads a row-major B in place too when its
+//! nest around one `MR × NR` register tile (AVX-512 or AVX2 where the
+//! CPU has it) that reads A in place, reads a row-major B in place too when its
 //! k-block is small ([`DIRECT_B_MAX`]) and packs it otherwise, and —
 //! for large shapes issued from outside the worker pool
 //! ([`crate::pool`]) — fans panels of the longer output dimension out
@@ -19,7 +19,7 @@
 //! count: each output element is owned by exactly one task, and its
 //! dot product accumulates in ascending-`k` order with a single `f32`
 //! accumulator that starts at `+0.0` on every code path (one panel or
-//! many, operands packed or read in place, either kernel tier). No FMA
+//! many, operands packed or read in place, any kernel tier). No FMA
 //! contraction, no split reductions.
 //!
 //! # Non-finite propagation
@@ -37,9 +37,12 @@ use crate::{pool, simd, tune, Result, Tensor, TensorError};
 
 /// Rows per register tile.
 pub(crate) const MR: usize = 4;
-/// Columns per register tile (one 8-lane f32 vector — a full `__m256`
-/// on AVX2; MR·NR/8 + operand registers fit the 16-register SIMD file).
-pub(crate) const NR: usize = 8;
+/// Columns per register tile. The `MR × NR` tile is eight independent
+/// 16-lane accumulators on AVX-512 (two `__m512` per row) and two
+/// 4 × 16 halves of eight `__m256` accumulators each on AVX2, so no
+/// accumulator's `add` waits on its own previous `add` for long
+/// (docs/ARCHITECTURE.md "Micro-kernels & block sizes" has the sweep).
+pub(crate) const NR: usize = 32;
 /// At or above this many multiply-adds, panels are fanned out across
 /// the worker pool; under it, thread dispatch costs more than it buys.
 const PAR_WORK: usize = 1 << 20;
@@ -65,7 +68,9 @@ const MIN_SPLIT: usize = 32;
 /// rows 10 KiB apart. Read in place, the strip one column window
 /// touches falls into a few L1 sets, and each of many row tiles
 /// re-fetches it; those products ran up to 1.3× slower than packed.
-/// The crossing for a 144-row product lies between 16 and 32 Ki.
+/// The crossing for a 144-row product lies between 16 and 32 Ki
+/// (re-measured on the 4 × 32 tile: packing wins from about 16 Ki for
+/// 144 rows, in place up to at least 36 Ki for 16).
 const DIRECT_B_MAX: usize = 24 * 1024;
 
 impl Tensor {
@@ -84,8 +89,11 @@ impl Tensor {
                 right: vec![k2, n],
             });
         }
-        let (a, b) = (self.data(), other.data());
-        let out = gemm(Operand::row_major(a, k), Operand::row_major(b, n), m, k, n);
+        let (a, b) = (
+            Operand::row_major(self.data(), k),
+            Operand::row_major(other.data(), n),
+        );
+        let out = gemm(simd::active(), a, b, m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -108,8 +116,11 @@ impl Tensor {
                 right: vec![k2, n],
             });
         }
-        let (a, b) = (self.data(), other.data());
-        let out = gemm(Operand::col_major(a, m), Operand::row_major(b, n), m, k, n);
+        let (a, b) = (
+            Operand::col_major(self.data(), m),
+            Operand::row_major(other.data(), n),
+        );
+        let out = gemm(simd::active(), a, b, m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -131,8 +142,11 @@ impl Tensor {
                 right: vec![n, k2],
             });
         }
-        let (a, b) = (self.data(), other.data());
-        let out = gemm(Operand::row_major(a, k), Operand::col_major(b, k), m, k, n);
+        let (a, b) = (
+            Operand::row_major(self.data(), k),
+            Operand::col_major(other.data(), k),
+        );
+        let out = gemm(simd::active(), a, b, m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 }
@@ -306,8 +320,9 @@ impl<'a> Window<'a> {
 /// buffer is checked out unzeroed: the first k-block of every register
 /// tile *stores* its sums rather than adding them to the output, so
 /// every element is written before it is read. Only an empty inner
-/// dimension leaves nothing to store, and gets zeros.
-fn gemm(a: Operand, b: Operand, m: usize, k: usize, n: usize) -> Vec<f32> {
+/// dimension leaves nothing to store, and gets zeros. Every tile runs
+/// on tier `kern`.
+fn gemm(kern: simd::Kernel, a: Operand, b: Operand, m: usize, k: usize, n: usize) -> Vec<f32> {
     if k == 0 {
         return scratch::take_zeroed(m * n);
     }
@@ -315,7 +330,6 @@ fn gemm(a: Operand, b: Operand, m: usize, k: usize, n: usize) -> Vec<f32> {
     if m == 0 || n == 0 {
         return out;
     }
-    let kern = simd::active();
     // Under `PAR_WORK` the pool is never touched (or lazily spawned).
     if m * n * k < PAR_WORK || !fan_out(kern, a, b, &mut out, m, k, n) {
         gemm_panel(kern, a, b, Window::whole(&mut out, m, n), k);
@@ -515,7 +529,7 @@ fn micro_tile(
     first: bool,
 ) {
     if rh == MR && jw == NR {
-        tile_kernel(kern, t, &mut out.tile(r0, j0), !first);
+        tile_kernel(kern, t, &mut out.tile(r0, j0), !first, NR);
         return;
     }
     let mut acc = [[0.0f32; NR]; MR];
@@ -524,16 +538,18 @@ fn micro_tile(
             accr[..jw].copy_from_slice(out.segment(r0 + r, j0, jw));
         }
     }
-    tile_kernel(kern, t, &mut acc.each_mut(), true);
+    tile_kernel(kern, t, &mut acc.each_mut(), true, jw);
     for (r, accr) in acc.iter().take(rh).enumerate() {
         out.segment(r0 + r, j0, jw).copy_from_slice(&accr[..jw]);
     }
 }
 
 /// `c[r][j] = (load ? c[r][j] : +0.0) + Σ_p a[r][p·a_step] ·
-/// b[p·b_step + j]`, ascending `p`, one accumulator per element.
+/// b[p·b_step + j]`, ascending `p`, one accumulator per element, for
+/// the columns `j < jw` (an edge tile's lanes past `jw` may be left
+/// stale or hold sums of padding; the caller drops them).
 ///
-/// Dispatches on `kern`: the AVX2 tier executes the same mul-then-add
+/// Dispatches on `kern`: the SIMD tiers execute the same mul-then-add
 /// per lane (bit-identical, see [`crate::simd`]) and everything else
 /// runs the portable loop.
 ///
@@ -541,10 +557,10 @@ fn micro_tile(
 ///
 /// Panics if the k-block is empty, `b_step < NR` (B's lanes of two
 /// k-steps would overlap), or an operand slice ends before the k-block
-/// does — each a bug in the blocking loops, checked before either tier
+/// does — each a bug in the blocking loops, checked before any tier
 /// reads anything.
 #[inline]
-fn tile_kernel(kern: simd::Kernel, t: Tile, c: &mut [&mut [f32; NR]; MR], load: bool) {
+fn tile_kernel(kern: simd::Kernel, t: Tile, c: &mut [&mut [f32; NR]; MR], load: bool, jw: usize) {
     let kc = t.kc;
     assert!(kc > 0 && t.b_step >= NR, "malformed tile");
     let last = kc - 1;
@@ -560,7 +576,24 @@ fn tile_kernel(kern: simd::Kernel, t: Tile, c: &mut [&mut [f32; NR]; MR], load: 
             // contract: every `a[r][p·a_step]` and `b[p·b_step + j]`,
             // `p < kc`, `j < NR`, lies inside its slice.
             unsafe {
-                simd::x86::gemm_micro_avx2(
+                simd::x86::gemm_tile_avx2(
+                    t.a.map(<[f32]>::as_ptr),
+                    t.a_step,
+                    t.b.as_ptr(),
+                    t.b_step,
+                    c,
+                    kc,
+                    load,
+                    jw,
+                );
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        simd::Kernel::Avx512 => {
+            // SAFETY: as for the AVX2 arm — a supported tier, and the
+            // asserts above are the kernel's extent contract.
+            unsafe {
+                simd::x86::gemm_tile_avx512(
                     t.a.map(<[f32]>::as_ptr),
                     t.a_step,
                     t.b.as_ptr(),
@@ -572,23 +605,28 @@ fn tile_kernel(kern: simd::Kernel, t: Tile, c: &mut [&mut [f32; NR]; MR], load: 
             }
         }
         _ => {
-            let mut acc = [[0.0f32; NR]; MR];
-            if load {
-                for (accr, cr) in acc.iter_mut().zip(c.iter()) {
-                    *accr = **cr;
-                }
-            }
-            for p in 0..kc {
-                let brow = &t.b[p * t.b_step..p * t.b_step + NR];
-                for (accr, arow) in acc.iter_mut().zip(&t.a) {
-                    let av = arow[p * t.a_step];
-                    for (x, &bv) in accr.iter_mut().zip(brow) {
-                        *x += av * bv;
+            // `MR × 8` blocks, one k-sweep each: their accumulators fit
+            // the baseline x86-64 register file, a whole tile's do not.
+            const W: usize = 8;
+            for cb in (0..jw.min(NR)).step_by(W) {
+                let mut acc = [[0.0f32; W]; MR];
+                if load {
+                    for (accr, cr) in acc.iter_mut().zip(c.iter()) {
+                        accr.copy_from_slice(&cr[cb..cb + W]);
                     }
                 }
-            }
-            for (cr, accr) in c.iter_mut().zip(acc) {
-                **cr = accr;
+                for p in 0..kc {
+                    let brow = &t.b[p * t.b_step + cb..p * t.b_step + cb + W];
+                    for (accr, arow) in acc.iter_mut().zip(&t.a) {
+                        let av = arow[p * t.a_step];
+                        for (x, &bv) in accr.iter_mut().zip(brow) {
+                            *x += av * bv;
+                        }
+                    }
+                }
+                for (cr, accr) in c.iter_mut().zip(acc) {
+                    cr[cb..cb + W].copy_from_slice(&accr);
+                }
             }
         }
     }
@@ -777,12 +815,80 @@ mod tests {
         }
     }
 
-    /// One product of a `fedtrans-conv` layer: the tensor its B operand
-    /// lives in, the call, and the element count one pack of B reads.
+    /// The three public products.
+    #[derive(Clone, Copy, Debug)]
+    enum Method {
+        MatMul,
+        TMatMul,
+        MatMulT,
+    }
+
+    /// How a test issues a product: through `gemm` on one tier, with
+    /// the operands laid out as the public method lays them out, or
+    /// through the public method itself, on the active tier.
+    #[derive(Clone, Copy, Debug)]
+    enum Via {
+        Tier(simd::Kernel),
+        Public,
+    }
+
+    /// Every tier this host has, then the public methods.
+    fn every_route() -> Vec<Via> {
+        let mut routes: Vec<Via> = simd::available().into_iter().map(Via::Tier).collect();
+        routes.push(Via::Public);
+        routes
+    }
+
+    impl Method {
+        /// `a.method(b)`, issued `via`; the product is dropped.
+        fn run(self, via: Via, a: &Tensor, b: &Tensor) {
+            let kern = match via {
+                Via::Tier(kern) => kern,
+                Via::Public => {
+                    let public = match self {
+                        Method::MatMul => Tensor::matmul,
+                        Method::TMatMul => Tensor::t_matmul,
+                        Method::MatMulT => Tensor::matmul_t,
+                    };
+                    return drop(public(a, b).unwrap());
+                }
+            };
+            let (ar, ac) = (a.rows().unwrap(), a.cols().unwrap());
+            let (br, bc) = (b.rows().unwrap(), b.cols().unwrap());
+            let (a, b, m, k, n) = match self {
+                Method::MatMul => (
+                    Operand::row_major(a.data(), ac),
+                    Operand::row_major(b.data(), bc),
+                    ar,
+                    ac,
+                    bc,
+                ),
+                Method::TMatMul => (
+                    Operand::col_major(a.data(), ac),
+                    Operand::row_major(b.data(), bc),
+                    ac,
+                    ar,
+                    bc,
+                ),
+                Method::MatMulT => (
+                    Operand::row_major(a.data(), ac),
+                    Operand::col_major(b.data(), bc),
+                    ar,
+                    ac,
+                    br,
+                ),
+            };
+            drop(gemm(kern, a, b, m, k, n));
+        }
+    }
+
+    /// One product of a `fedtrans-conv` layer, `a.method(b)` with the
+    /// operands as the layer stores them, and the element count one
+    /// pack of B reads.
     struct ConvProduct {
-        name: &'static str,
+        method: Method,
+        a: Tensor,
         b: Tensor,
-        call: Box<dyn Fn(&Tensor) + Sync>,
         once: usize,
     }
 
@@ -794,24 +900,23 @@ mod tests {
         let (oc, ckk, cols) = (16, 144, 2560);
         let (w, x) = operands(oc, ckk, cols); // weight [16×144], patches [144×2560]
         let (dy, _) = operands(oc, cols, 1); // [16×2560]
-        let (w_fwd, dy_dw) = (w.clone(), dy.clone());
         [
             ConvProduct {
-                name: "matmul",
+                method: Method::MatMul,
+                a: w.clone(),
                 b: x.clone(),
-                call: Box::new(move |b| drop(w_fwd.matmul(b).unwrap())),
                 once: ckk * cols,
             },
             ConvProduct {
-                name: "matmul_t",
+                method: Method::MatMulT,
+                a: dy.clone(),
                 b: x,
-                call: Box::new(move |b| drop(dy_dw.matmul_t(b).unwrap())),
                 once: cols * ckk,
             },
             ConvProduct {
-                name: "t_matmul",
+                method: Method::TMatMul,
+                a: w,
                 b: dy,
-                call: Box::new(move |b| drop(w.t_matmul(b).unwrap())),
                 once: oc * cols,
             },
         ]
@@ -839,10 +944,14 @@ mod tests {
     #[test]
     fn a_nested_conv_gemm_packs_b_exactly_once() {
         // Once per product, not once per 4-row panel, and with no
-        // `transposed()` copy first. A is read in place, never packed.
-        for p in conv_products() {
-            let packed = pack_probe::measure(p.b.data(), || nested(&|| (p.call)(&p.b)));
-            assert_eq!(packed, p.once, "{}", p.name);
+        // `transposed()` copy first, on every tier and through the
+        // public methods. A is read in place, never packed.
+        for via in every_route() {
+            for p in conv_products() {
+                let run = || nested(&|| p.method.run(via, &p.a, &p.b));
+                let packed = pack_probe::measure(p.b.data(), run);
+                assert_eq!(packed, p.once, "{:?} via {via:?}", p.method);
+            }
         }
     }
 
@@ -852,36 +961,37 @@ mod tests {
         // has workers and nobody else owns it). Every conv product is
         // wider than tall, so the split is by columns and each task
         // packs only its own columns of B.
-        for p in conv_products() {
-            let packed = pack_probe::measure(p.b.data(), || (p.call)(&p.b));
-            assert_eq!(packed, p.once, "{}", p.name);
+        for via in every_route() {
+            for p in conv_products() {
+                let run = || p.method.run(via, &p.a, &p.b);
+                let packed = pack_probe::measure(p.b.data(), run);
+                assert_eq!(packed, p.once, "{:?} via {via:?}", p.method);
+            }
         }
     }
 
     #[test]
     fn dense_layer_products_pack_only_the_transposed_weight() {
         // Every `fedtrans-dense` layer shape (batch 10), the widest
-        // 96 ↔ 192 pair included: forward and `dW` read B in place;
-        // `dX = dY Wᵀ` packs W once.
-        for (fan_in, fan_out) in [(96, 48), (48, 16), (96, 192), (192, 96)] {
-            let (x, w) = operands(10, fan_in, fan_out);
-            let (dy, _) = operands(10, fan_out, 1);
-            let shape = format!("{fan_in} -> {fan_out}");
-            assert_eq!(
-                pack_probe::measure(w.data(), || drop(x.matmul(&w))),
-                0,
-                "{shape}"
-            );
-            assert_eq!(
-                pack_probe::measure(dy.data(), || drop(x.t_matmul(&dy))),
-                0,
-                "{shape}"
-            );
-            assert_eq!(
-                pack_probe::measure(w.data(), || drop(dy.matmul_t(&w))),
-                fan_in * fan_out,
-                "{shape}"
-            );
+        // 96 ↔ 192 pair included, on every tier and through the public
+        // methods: forward and `dW` read B in place, except a window
+        // narrower than `NR` (the last 16 columns of a 48-wide layer,
+        // all of a 16-wide head), which is packed; `dX = dY Wᵀ` packs W
+        // once.
+        for via in every_route() {
+            for (fan_in, fan_out) in [(96, 48), (48, 16), (96, 192), (192, 96)] {
+                let (x, w) = operands(10, fan_in, fan_out);
+                let (dy, _) = operands(10, fan_out, 1);
+                let edge = fan_out % NR;
+                let packed = |method: Method, a: &Tensor, b: &Tensor| {
+                    pack_probe::measure(b.data(), || method.run(via, a, b))
+                };
+                let shape = format!("{fan_in} -> {fan_out} via {via:?}");
+                assert_eq!(packed(Method::MatMul, &x, &w), fan_in * edge, "{shape}");
+                assert_eq!(packed(Method::TMatMul, &x, &dy), 10 * edge, "{shape}");
+                let dx = packed(Method::MatMulT, &dy, &w);
+                assert_eq!(dx, fan_in * fan_out, "{shape}");
+            }
         }
     }
 
@@ -925,18 +1035,20 @@ mod tests {
 
     #[test]
     fn the_tile_stays_inside_canary_padded_operands_and_windows() {
-        // Every raw-pointer path of the kernel — the AVX2 tile's reads of
+        // Every raw-pointer path of the kernel — the SIMD tiles' reads of
         // A and B in place, `Window::tile`/`segment` writes, `Window::sub`
-        // offsets — on both tiers at 0 ULP against the reference. Operands
-        // sit at base offsets 1–7 of canary-padded buffers and carry
-        // canary padding between their stored rows; outputs are windows
-        // of a canary-filled product (whole, last row, last column, a
-        // corner with MR/NR remainders). After every call each element
-        // outside the window must still be a canary, and each inside
-        // must match the reference bit for bit.
+        // offsets — on every tier at 0 ULP against the reference.
+        // Operands sit at base offsets 1–7 of canary-padded buffers and
+        // carry canary padding between their stored rows; outputs are
+        // windows of a canary-filled product (whole, last row, last
+        // column, a corner with MR/NR remainders). Every `m` mod `MR`
+        // appears, and `n` straddles the AVX2 half-tile (16) and the
+        // full-tile (`NR`) edges. After every call each element outside the window
+        // must still be a canary, and each inside must match the
+        // reference bit for bit.
         let mut calls = 0usize;
-        let shapes = [1, 3, 4, 5, 9].into_iter().flat_map(|m| {
-            [1, 7, 8, 9, 17]
+        let shapes = [1, 2, 3, 4, 5, 9].into_iter().flat_map(|m| {
+            [1, 15, 16, 17, NR - 1, NR, NR + 1, 2 * NR + 1]
                 .into_iter()
                 .flat_map(move |n| [1, 7, 9, 200].map(|k| (m, n, k)))
         });

@@ -274,9 +274,9 @@ pub fn parallel_for(tasks: usize, task: &(dyn Fn(usize) + Sync)) {
 /// dispatch that then happens anyway.
 ///
 /// The GEMM kernel is the caller this exists for: a product issued from
-/// inside a client lane computes one panel that packs each operand
-/// once, instead of a row of "parallel" panels that each re-pack the
-/// shared operand and then run back to back.
+/// inside a client lane computes one panel that packs B at most once
+/// (A is never packed), instead of a row of "parallel" panels that each
+/// re-pack B and then run back to back.
 ///
 /// # Panics
 ///

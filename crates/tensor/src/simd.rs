@@ -7,27 +7,34 @@
 //!
 //! 1. `FT_TENSOR_SIMD=0` (or `off`, `portable`) forces the portable
 //!    fallback (the plain Rust loops, exactly the pre-SIMD code path).
-//! 2. Otherwise (unset, or `1`/`on`/`auto`),
-//!    `is_x86_feature_detected!("avx2")` picks [`Kernel::Avx2`] on
-//!    capable x86-64 hosts and [`Kernel::Portable`] everywhere else.
+//! 2. Otherwise (unset, or `1`/`on`/`auto`) the best tier the CPU has:
+//!    [`Kernel::Avx512`] where `is_x86_feature_detected!` reports
+//!    `avx512f` (and `avx2`), [`Kernel::Avx2`] where it reports `avx2`
+//!    only, [`Kernel::Portable`] everywhere else.
+//!
+//! The AVX-512 tier differs from the AVX2 tier in the GEMM register
+//! tile only: the fused element-wise kernels are bandwidth-bound and
+//! run their AVX2 form under it. Tests reach each tier through
+//! [`force`]; there is no environment value that picks one.
 //!
 //! There is no FMA tier: contracting `mul`+`add` into one rounding
 //! would move every digest.
 //!
-//! # Why AVX2 keeps results bit-identical
+//! # Why the SIMD tiers keep results bit-identical
 //!
-//! Every [`Kernel::Avx2`] kernel performs exactly the scalar kernels'
-//! arithmetic — the same IEEE-754 single-precision `mul`/`add`/`sub`/
-//! `div`/`sqrt` operations, on the same operands, in the same
-//! per-element order — merely eight lanes at a time. Vectorizing runs
-//! across *independent* output elements (the `NR` column dimension in
-//! GEMM, disjoint indices element-wise), so no accumulation order
-//! changes and no reduction is split: each output element keeps its
-//! single accumulator and ascending-`k` order. `x86` vector `mulps`/
-//! `addps` lanes round exactly like their scalar `mulss`/`addss`
-//! counterparts, so the results are 0 ULP from the portable fallback —
-//! pinned by `crates/tensor/tests/proptest_simd.rs` and by the CI
-//! scenario legs that replay every golden digest under
+//! Every SIMD kernel performs exactly the scalar kernels' arithmetic —
+//! the same IEEE-754 single-precision `mul`/`add`/`sub`/`div`/`sqrt`
+//! operations, on the same operands, in the same per-element order —
+//! merely eight or sixteen lanes at a time. Vectorizing runs across
+//! *independent* output elements (the `NR` column dimension in GEMM,
+//! disjoint indices element-wise), so no accumulation order changes and
+//! no reduction is split: each output element keeps its single
+//! accumulator and ascending-`k` order. `x86` vector `mulps`/`addps`
+//! lanes round exactly like their scalar `mulss`/`addss` counterparts
+//! at any vector width, so the results are 0 ULP from the portable
+//! fallback — pinned by `crates/tensor/tests/proptest_simd.rs`, by
+//! `tests/kernel_tiers.rs` (golden digests under every tier) and by the
+//! CI scenario legs that replay every golden digest under
 //! `FT_TENSOR_SIMD=0`.
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -40,6 +47,9 @@ pub enum Kernel {
     Portable,
     /// Explicit AVX2 intrinsics, bit-identical to [`Kernel::Portable`].
     Avx2,
+    /// The AVX-512 GEMM register tile (the element-wise kernels run
+    /// their AVX2 form), bit-identical to [`Kernel::Portable`].
+    Avx512,
 }
 
 impl Kernel {
@@ -48,6 +58,7 @@ impl Kernel {
         match self {
             Kernel::Portable => "portable",
             Kernel::Avx2 => "avx2",
+            Kernel::Avx512 => "avx512",
         }
     }
 }
@@ -65,10 +76,11 @@ pub fn parse_env(value: &str) -> Option<bool> {
 }
 
 /// Pure decision function behind [`active`], separated so the env/CPU
-/// matrix is unit-testable without touching process state.
-fn decide(env: Option<&str>, has_avx2: bool) -> Kernel {
-    if has_avx2 && env.and_then(parse_env).unwrap_or(true) {
-        Kernel::Avx2
+/// matrix is unit-testable without touching process state: `best` is
+/// the best tier the CPU has.
+fn decide(env: Option<&str>, best: Kernel) -> Kernel {
+    if env.and_then(parse_env).unwrap_or(true) {
+        best
     } else {
         Kernel::Portable
     }
@@ -81,16 +93,23 @@ pub fn supported(k: Kernel) -> bool {
         Kernel::Portable => true,
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+        // The tier's element-wise kernels are the AVX2 ones.
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => {
+            std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx2")
+        }
         #[cfg(not(target_arch = "x86_64"))]
         _ => false,
     }
 }
 
-/// Every kernel tier this host can execute, portable first. Hardware
-/// capability only — `FT_TENSOR_SIMD` does not narrow this list, so
-/// equivalence tests can always compare the tiers side by side.
+/// Every kernel tier this host can execute, portable first and best
+/// last. Hardware capability only — `FT_TENSOR_SIMD` does not narrow
+/// this list, so equivalence tests can always compare the tiers side
+/// by side.
 pub fn available() -> Vec<Kernel> {
-    [Kernel::Portable, Kernel::Avx2]
+    [Kernel::Portable, Kernel::Avx2, Kernel::Avx512]
         .into_iter()
         .filter(|&k| supported(k))
         .collect()
@@ -101,7 +120,8 @@ fn detected() -> Kernel {
     static DETECTED: OnceLock<Kernel> = OnceLock::new();
     *DETECTED.get_or_init(|| {
         let env = std::env::var("FT_TENSOR_SIMD").ok();
-        decide(env.as_deref(), supported(Kernel::Avx2))
+        let best = available().last().copied().unwrap_or(Kernel::Portable);
+        decide(env.as_deref(), best)
     })
 }
 
@@ -137,15 +157,17 @@ pub fn active() -> Kernel {
     match FORCED.load(Ordering::SeqCst) {
         1 => Kernel::Portable,
         2 => Kernel::Avx2,
+        3 => Kernel::Avx512,
         _ => detected(),
     }
 }
 
-/// The explicit AVX2 kernels. Each function is `unsafe` solely
-/// because of the `target_feature` contract: the caller must have
-/// verified AVX2 support, which every dispatch site does by
+/// The explicit AVX2 and AVX-512 kernels. Each function is `unsafe`
+/// because of the `target_feature` contract — the caller must have
+/// verified the feature, which every dispatch site does by
 /// construction ([`active`] only returns a tier [`supported`] reports
-/// true for).
+/// true for) — and, for the GEMM tiles, because they read their
+/// operands through raw pointers whose extents the caller checks.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use std::arch::x86_64::*;
@@ -155,11 +177,16 @@ pub(crate) mod x86 {
     /// AVX2 GEMM register tile: `c[r][j] = (load ? c[r][j] : +0.0) +
     /// Σ_p a[r][p·a_step] · b[p·b_step + j]`, ascending `p`, one `mul` +
     /// one `add` per term — the portable tile's arithmetic exactly,
-    /// eight `j` lanes per instruction (`NR` = 8 = one `__m256`). `a[r]`
-    /// points at row `r` of A in place (`a_step` = 1 row-major, the
-    /// stored row length column-major); `b` at a packed slab (`b_step`
-    /// = `NR`) or at B in place (`b_step` = its row length); `c` holds
-    /// the tile's output rows, in the product or in a local edge buffer.
+    /// eight `j` lanes per instruction. Sixteen `__m256` accumulators
+    /// would fill the whole register file, so the `MR × NR` tile runs as
+    /// 4 × 16 blocks of eight independent accumulators each (two
+    /// `__m256` per row), one k-sweep per block. Blocks that start at or
+    /// past column `jw` are skipped (an edge tile's dead lanes); the
+    /// caller drops the last block's lanes past `jw`. `a[r]` points at
+    /// row `r` of A in place (`a_step` = 1 row-major, the stored row
+    /// length column-major); `b` at a packed slab (`b_step` = `NR`) or at
+    /// B in place (`b_step` = its row length); `c` holds the tile's
+    /// output rows, in the product or in a local edge buffer.
     ///
     /// # Safety
     ///
@@ -167,7 +194,76 @@ pub(crate) mod x86 {
     /// `p < kc`, `r < MR`, `j < NR` the elements `a[r] + p·a_step` and
     /// `b + p·b_step + j` must be readable.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_micro_avx2(
+    pub unsafe fn gemm_tile_avx2(
+        a: [*const f32; MR],
+        a_step: usize,
+        b: *const f32,
+        b_step: usize,
+        c: &mut [&mut [f32; NR]; MR],
+        kc: usize,
+        load: bool,
+        jw: usize,
+    ) {
+        const { assert!(MR.is_multiple_of(4) && NR.is_multiple_of(16)) };
+        for rb in (0..MR).step_by(4) {
+            for cb in (0..jw.min(NR)).step_by(16) {
+                let mut acc = [[_mm256_setzero_ps(); 2]; 4];
+                if load {
+                    for (r, accr) in acc.iter_mut().enumerate() {
+                        let row = c[rb + r].as_ptr();
+                        // SAFETY: cb + 16 ≤ NR, so both vectors lie
+                        // inside the NR-element c row.
+                        unsafe {
+                            accr[0] = _mm256_loadu_ps(row.add(cb));
+                            accr[1] = _mm256_loadu_ps(row.add(cb + 8));
+                        }
+                    }
+                }
+                for p in 0..kc {
+                    // SAFETY: p < kc and cb + 16 ≤ NR, so b + p·b_step +
+                    // cb..cb + 16 is readable (the caller's contract).
+                    let (b0, b1) = unsafe {
+                        let row = b.add(p * b_step + cb);
+                        (_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8)))
+                    };
+                    for (r, accr) in acc.iter_mut().enumerate() {
+                        // SAFETY: p < kc, so a[rb + r] + p·a_step is
+                        // readable (the caller's contract).
+                        let av = unsafe { _mm256_set1_ps(*a[rb + r].add(p * a_step)) };
+                        accr[0] = _mm256_add_ps(accr[0], _mm256_mul_ps(av, b0));
+                        accr[1] = _mm256_add_ps(accr[1], _mm256_mul_ps(av, b1));
+                    }
+                }
+                for (r, accr) in acc.iter().enumerate() {
+                    let row = c[rb + r].as_mut_ptr();
+                    // SAFETY: cb + 16 ≤ NR, so both vectors lie inside
+                    // the NR-element c row.
+                    unsafe {
+                        _mm256_storeu_ps(row.add(cb), accr[0]);
+                        _mm256_storeu_ps(row.add(cb + 8), accr[1]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Width of one `__m512` in `f32` lanes.
+    const LANES512: usize = 16;
+
+    /// AVX-512 GEMM register tile: the same sums as
+    /// [`gemm_tile_avx2`], sixteen `j` lanes per instruction, with the
+    /// whole `MR × NR` tile held in `MR · NR / 16` = 8 independent
+    /// `__m512` accumulators through one k-sweep. Per lane a 512-bit
+    /// `mulps`/`addps` rounds exactly as the 256-bit and scalar forms
+    /// do, so the tier is 0 ULP from the other two.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX-512F support, and for every
+    /// `p < kc`, `r < MR`, `j < NR` the elements `a[r] + p·a_step` and
+    /// `b + p·b_step + j` must be readable.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gemm_tile_avx512(
         a: [*const f32; MR],
         a_step: usize,
         b: *const f32,
@@ -176,45 +272,38 @@ pub(crate) mod x86 {
         kc: usize,
         load: bool,
     ) {
-        let (mut v0, mut v1, mut v2, mut v3) = if load {
-            // SAFETY: each c row is NR = 8 contiguous f32s.
-            unsafe {
-                (
-                    _mm256_loadu_ps(c[0].as_ptr()),
-                    _mm256_loadu_ps(c[1].as_ptr()),
-                    _mm256_loadu_ps(c[2].as_ptr()),
-                    _mm256_loadu_ps(c[3].as_ptr()),
-                )
+        const V: usize = NR / LANES512;
+        const { assert!(NR.is_multiple_of(LANES512)) };
+        let mut acc = [[_mm512_setzero_ps(); V]; MR];
+        if load {
+            for (accr, cr) in acc.iter_mut().zip(c.iter()) {
+                for (v, x) in accr.iter_mut().enumerate() {
+                    // SAFETY: (v + 1)·16 ≤ NR: inside the c row.
+                    *x = unsafe { _mm512_loadu_ps(cr.as_ptr().add(v * LANES512)) };
+                }
             }
-        } else {
-            let zero = _mm256_setzero_ps();
-            (zero, zero, zero, zero)
-        };
-        for p in 0..kc {
-            // SAFETY: p < kc, so b + p·b_step + 0..NR is readable (the
-            // caller's contract).
-            let bv = unsafe { _mm256_loadu_ps(b.add(p * b_step)) };
-            // SAFETY: p < kc, so every a[r] + p·a_step is readable (the
-            // caller's contract).
-            let (a0, a1, a2, a3) = unsafe {
-                (
-                    _mm256_set1_ps(*a[0].add(p * a_step)),
-                    _mm256_set1_ps(*a[1].add(p * a_step)),
-                    _mm256_set1_ps(*a[2].add(p * a_step)),
-                    _mm256_set1_ps(*a[3].add(p * a_step)),
-                )
-            };
-            v0 = _mm256_add_ps(v0, _mm256_mul_ps(a0, bv));
-            v1 = _mm256_add_ps(v1, _mm256_mul_ps(a1, bv));
-            v2 = _mm256_add_ps(v2, _mm256_mul_ps(a2, bv));
-            v3 = _mm256_add_ps(v3, _mm256_mul_ps(a3, bv));
         }
-        // SAFETY: each c row is NR = 8 contiguous f32s.
-        unsafe {
-            _mm256_storeu_ps(c[0].as_mut_ptr(), v0);
-            _mm256_storeu_ps(c[1].as_mut_ptr(), v1);
-            _mm256_storeu_ps(c[2].as_mut_ptr(), v2);
-            _mm256_storeu_ps(c[3].as_mut_ptr(), v3);
+        for p in 0..kc {
+            let mut bv = [_mm512_setzero_ps(); V];
+            for (v, x) in bv.iter_mut().enumerate() {
+                // SAFETY: p < kc and (v + 1)·16 ≤ NR, so these 16 lanes
+                // of b + p·b_step are readable (the caller's contract).
+                *x = unsafe { _mm512_loadu_ps(b.add(p * b_step + v * LANES512)) };
+            }
+            for (accr, &ar) in acc.iter_mut().zip(&a) {
+                // SAFETY: p < kc, so ar + p·a_step is readable (the
+                // caller's contract).
+                let av = unsafe { _mm512_set1_ps(*ar.add(p * a_step)) };
+                for (x, &bx) in accr.iter_mut().zip(&bv) {
+                    *x = _mm512_add_ps(*x, _mm512_mul_ps(av, bx));
+                }
+            }
+        }
+        for (accr, cr) in acc.iter().zip(c.iter_mut()) {
+            for (v, &x) in accr.iter().enumerate() {
+                // SAFETY: (v + 1)·16 ≤ NR: inside the c row.
+                unsafe { _mm512_storeu_ps(cr.as_mut_ptr().add(v * LANES512), x) };
+            }
         }
     }
 
@@ -541,26 +630,30 @@ mod tests {
 
     #[test]
     fn decide_honors_the_env_override() {
-        assert_eq!(decide(Some("0"), true), Kernel::Portable);
-        assert_eq!(decide(Some("off"), true), Kernel::Portable);
-        assert_eq!(decide(Some("portable"), true), Kernel::Portable);
-        assert_eq!(decide(Some(" 0 "), true), Kernel::Portable);
+        for best in [Kernel::Avx2, Kernel::Avx512] {
+            assert_eq!(decide(Some("0"), best), Kernel::Portable);
+            assert_eq!(decide(Some("off"), best), Kernel::Portable);
+            assert_eq!(decide(Some("portable"), best), Kernel::Portable);
+            assert_eq!(decide(Some(" 0 "), best), Kernel::Portable);
+        }
     }
 
     #[test]
     fn decide_auto_detects_from_cpu_features() {
-        assert_eq!(decide(None, true), Kernel::Avx2);
-        assert_eq!(decide(None, false), Kernel::Portable);
-        assert_eq!(decide(Some("1"), true), Kernel::Avx2);
-        assert_eq!(decide(Some("auto"), false), Kernel::Portable);
+        assert_eq!(decide(None, Kernel::Avx512), Kernel::Avx512);
+        assert_eq!(decide(None, Kernel::Avx2), Kernel::Avx2);
+        assert_eq!(decide(None, Kernel::Portable), Kernel::Portable);
+        assert_eq!(decide(Some("1"), Kernel::Avx512), Kernel::Avx512);
+        assert_eq!(decide(Some("auto"), Kernel::Portable), Kernel::Portable);
     }
 
     #[test]
     fn unrecognised_values_do_not_parse_and_auto_detect() {
-        for bad in ["fma", "protable", "", "2", "avx512"] {
+        for bad in ["fma", "protable", "", "2", "avx2", "avx512"] {
             assert_eq!(parse_env(bad), None, "{bad:?}");
-            assert_eq!(decide(Some(bad), true), Kernel::Avx2);
-            assert_eq!(decide(Some(bad), false), Kernel::Portable);
+            for best in [Kernel::Portable, Kernel::Avx2, Kernel::Avx512] {
+                assert_eq!(decide(Some(bad), best), best);
+            }
         }
     }
 
@@ -570,6 +663,10 @@ mod tests {
         assert_eq!(tiers[0], Kernel::Portable);
         for k in tiers {
             assert!(supported(k));
+        }
+        // Every AVX-512 host runs the tier's AVX2 element-wise kernels.
+        if supported(Kernel::Avx512) {
+            assert!(supported(Kernel::Avx2));
         }
     }
 
@@ -586,5 +683,6 @@ mod tests {
     fn kernel_names_are_stable() {
         assert_eq!(Kernel::Portable.name(), "portable");
         assert_eq!(Kernel::Avx2.name(), "avx2");
+        assert_eq!(Kernel::Avx512.name(), "avx512");
     }
 }

@@ -21,11 +21,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use crate::matmul::MR;
 
 /// Hard upper bound on `kc`: caps a packed B slab (`KC_MAX × NR × 4`
-/// bytes = 16 KiB) whatever [`force`] asks for.
+/// bytes = 64 KiB) whatever [`force`] asks for.
 pub const KC_MAX: usize = 512;
-/// Depth of one k-block: a packed `KC × NR` B slab stays L1-resident
-/// in an eighth of L1d, leaving the rest to the A rows and the C tile
-/// (48 KiB / 8 / (`NR` × 4 B) = 192).
+/// Depth of one k-block: the packed `KC × NR` B slab every row tile of
+/// a block re-reads stays L1-resident in half of L1d, next to one
+/// tile's `MR` rows of A (48 KiB / 2 / (`NR` × 4 B) = 192).
 pub const KC: usize = 192;
 /// Rows of A per block: the `MC × KC` block the register tile reads in
 /// place stays L2-resident in a quarter of L2 while every column

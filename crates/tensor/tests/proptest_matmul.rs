@@ -28,10 +28,10 @@ fn tensor_of(m: usize, n: usize) -> impl Strategy<Value = Tensor> {
 }
 
 /// `(A[m×k], B[k×n])` with dimensions spanning full and edge tiles
-/// (sizes straddle the MR=4 / NR=8 register-tile boundaries) and one
-/// or more k-blocks.
+/// (sizes straddle the MR=4 / NR=32 register-tile boundaries and the
+/// 16-lane vector inside an edge window) and one or more k-blocks.
 fn gemm_operands() -> impl Strategy<Value = (Tensor, Tensor)> {
-    (1usize..=40, 1usize..=150, 1usize..=40)
+    (1usize..=40, 1usize..=150, 1usize..=70)
         .prop_flat_map(|(m, k, n)| (tensor_of(m, k), tensor_of(k, n)))
 }
 

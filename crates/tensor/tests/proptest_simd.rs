@@ -1,13 +1,15 @@
 //! Property tests pinning the SIMD kernel tiers to the portable
 //! fallback at 0 ULP.
 //!
-//! [`ft_tensor::simd`] promises that the AVX2 tier performs exactly
-//! the portable loops' arithmetic — same IEEE-754 ops, same operands,
-//! same per-element order, eight lanes at a time — so every
-//! comparison against [`Kernel::Portable`] here is on raw `f32` bits,
-//! not an epsilon band: GEMM across remainder tiles (`m % MR ≠ 0`,
-//! `n % NR ≠ 0`, `k` below and above one k-block), every fused
-//! element-wise kernel (including NaN/signed-zero edges through
+//! [`ft_tensor::simd`] promises that the AVX2 and AVX-512 tiers
+//! perform exactly the portable loops' arithmetic — same IEEE-754 ops,
+//! same operands, same per-element order, eight or sixteen lanes at a
+//! time — so every comparison against [`Kernel::Portable`] here is on
+//! raw `f32` bits, not an epsilon band, on every tier
+//! [`simd::available`] lists: GEMM across remainder tiles
+//! (`m % MR ≠ 0`, `n % NR ≠ 0` on both sides of one 16-lane vector,
+//! `k` below and above one k-block), the real workload shapes, every
+//! fused element-wise kernel (including NaN/signed-zero edges through
 //! Yogi's `signum`), and a sweep of `(mc, kc)` block sizes.
 //!
 //! All tests serialize on one mutex: `simd::force` / `tune::force`
@@ -69,7 +71,7 @@ fn seeded_vec(n: usize, seed: u64) -> Vec<f32> {
 
 // ---------------------------------------------------------------- GEMM
 
-/// AVX2 GEMM must be bit-identical to portable.
+/// Every SIMD tier's GEMM must be bit-identical to portable.
 fn check_gemm_shape(m: usize, k: usize, n: usize) {
     let a = seeded_tensor(&[m, k], (m * 31 + k) as u64);
     let b = seeded_tensor(&[k, n], (n * 17 + k) as u64);
@@ -80,13 +82,14 @@ fn check_gemm_shape(m: usize, k: usize, n: usize) {
 }
 
 proptest! {
-    // Shapes land on every remainder-tile combination (m % 4, n % 8,
-    // k vs one k-block) with B both read in place and packed.
+    // Shapes land on every remainder-tile combination (m % 4, n % 32
+    // below, at and above one 16-lane vector, k vs one k-block) with B
+    // both read in place and packed.
     #[test]
     fn gemm_tiers_agree_on_arbitrary_shapes(
         m in 1usize..=37,
         k in 1usize..=260,
-        n in 1usize..=41,
+        n in 1usize..=70,
     ) {
         let _guard = lock();
         check_gemm_shape(m, k, n);
@@ -106,8 +109,8 @@ proptest! {
         let run_t = || at.t_matmul(&b).unwrap().data().to_vec();
         let run_bt = || a.matmul_t(&bt).unwrap().data().to_vec();
         let (rt, rbt) = under(Kernel::Portable, || (run_t(), run_bt()));
-        if simd::supported(Kernel::Avx2) {
-            let (gt, gbt) = under(Kernel::Avx2, || (run_t(), run_bt()));
+        for tier in simd::available() {
+            let (gt, gbt) = under(tier, || (run_t(), run_bt()));
             prop_assert_eq!(bits(&gt), bits(&rt));
             prop_assert_eq!(bits(&gbt), bits(&rbt));
         }
@@ -123,43 +126,49 @@ fn gemm_tiers_agree_on_dispatch_edge_shapes() {
     for (m, k, n) in [
         (1, 1, 1),
         (3, 7, 5),       // one edge tile
-        (37, 130, 29),   // tiled, m%4=1, n%8=5, k crosses 128
+        (37, 130, 29),   // tiled, m%4=1, one 29-wide edge window
+        (6, 40, 65),     // two full tiles and a 1-wide edge window
+        (10, 96, 48),    // a full tile and a 16-wide edge, m%4=2
         (21, 500, 19),   // k spans multiple k-blocks
         (33, 33, 33),    // B in place, narrow last window packed
         (128, 128, 128), // row-split parallel threshold
         (4, 600, 600),   // column-split short-and-wide
         (160, 96, 144),  // multi-panel row split
         (5, 513, 9),     // k % KC_MAX ≠ 0 at the block-size ceiling
+        (7, 300, 33),    // a 1-wide edge past a full tile, two k-blocks
     ] {
         check_gemm_shape(m, k, n);
     }
 }
 
-/// The `fedtrans-conv` shapes on the portable micro-kernel, from every
-/// call context (`proptest_matmul.rs` runs the same set on the
-/// dispatched tier): `FT_TENSOR_SIMD=0` must reach the same goldens
+/// The `fedtrans-conv` shapes on every tier, from every call context:
+/// each tier, `FT_TENSOR_SIMD=0` included, must reach the same goldens
 /// through the single-panel, nested and fanned-out paths alike.
 #[test]
-fn conv_workload_shapes_match_reference_on_the_portable_kernel() {
+fn conv_workload_shapes_match_reference_on_every_tier() {
     let _guard = lock();
-    under(Kernel::Portable, || {
-        for case in common::conv_workload_products() {
-            assert_eq!(case.check(), Ok(()), "on the portable kernel");
-        }
-    });
+    for tier in simd::available() {
+        under(tier, || {
+            for case in common::conv_workload_products() {
+                assert_eq!(case.check(), Ok(()), "on {tier:?}");
+            }
+        });
+    }
 }
 
-/// The `fedtrans-dense` shapes on the portable tile, from every call
-/// context: the in-place operand reads must reach the same bits as the
-/// AVX2 tier (`proptest_matmul.rs`) under `FT_TENSOR_SIMD=0`.
+/// The `fedtrans-dense` shapes on every tier, from every call context:
+/// in-place operand reads and packed narrow windows must both reach the
+/// reference's bits.
 #[test]
-fn dense_workload_shapes_match_reference_on_the_portable_kernel() {
+fn dense_workload_shapes_match_reference_on_every_tier() {
     let _guard = lock();
-    under(Kernel::Portable, || {
-        for case in common::dense_workload_products() {
-            assert_eq!(case.check(), Ok(()), "on the portable kernel");
-        }
-    });
+    for tier in simd::available() {
+        under(tier, || {
+            for case in common::dense_workload_products() {
+                assert_eq!(case.check(), Ok(()), "on {tier:?}");
+            }
+        });
+    }
 }
 
 /// Signed zeros and non-finite operands through every tier and every
@@ -220,15 +229,9 @@ fn tile_size_sweep_is_bit_neutral() {
     let reference = under(Kernel::Portable, run);
     for (mc, kc) in [(32, 32), (64, 64), (128, 512), (4096, 480), (36, 136)] {
         tune::force(Some((mc, kc)));
-        let portable = under(Kernel::Portable, run);
-        assert_eq!(
-            bits(&portable),
-            bits(&reference),
-            "portable mc={mc} kc={kc}"
-        );
-        if simd::supported(Kernel::Avx2) {
-            let avx2 = under(Kernel::Avx2, run);
-            assert_eq!(bits(&avx2), bits(&reference), "avx2 mc={mc} kc={kc}");
+        for tier in simd::available() {
+            let got = under(tier, run);
+            assert_eq!(bits(&got), bits(&reference), "{tier:?} mc={mc} kc={kc}");
         }
     }
     tune::force(None);
@@ -446,14 +449,20 @@ fn fused_kernels_stay_inside_canary_padded_slices() {
     }
 }
 
-/// This host must actually exercise a SIMD tier in CI: if the CPU has
-/// AVX2 the tier list must include it regardless of `FT_TENSOR_SIMD`
-/// (the env override narrows `active()`, never `available()`).
+/// This host must actually exercise every SIMD tier it has in CI: the
+/// tier list includes AVX2 and AVX-512 whenever the CPU does,
+/// regardless of `FT_TENSOR_SIMD` (the env override narrows `active()`,
+/// never `available()`).
 #[test]
 fn available_reflects_hardware_not_env() {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        assert!(simd::available().contains(&Kernel::Avx2));
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            assert!(simd::available().contains(&Kernel::Avx2));
+        }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            assert!(simd::available().contains(&Kernel::Avx512));
+        }
     }
     assert!(simd::available().contains(&Kernel::Portable));
 }

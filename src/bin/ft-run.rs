@@ -184,6 +184,8 @@ fn update_goldens() -> Result<(), String> {
 
 fn run(args: &Args) -> Result<bool, String> {
     let scenario = load_scenario(args)?;
+    // After validation, so a refused run still prints nothing.
+    println!("kernel     {}", ft_harness::runner::kernel_summary());
     let opts = RunOptions {
         quick: args.quick,
         rounds_override: args.rounds,

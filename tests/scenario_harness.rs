@@ -246,6 +246,34 @@ fn a_zero_input_dimension_is_a_typed_error() {
 }
 
 #[test]
+fn an_overflowing_size_product_is_a_typed_error() {
+    // Each of these used to pass validation: 6 · mean_samples wrapped to
+    // 2 and the generator panicked on its count clamp, and the image's
+    // channels · height · width wrapped to 2^31.
+    for mean in [usize::MAX / 6 + 1, usize::MAX] {
+        assert_bad_dataset("mean_samples", |d| d.mean_samples = mean);
+    }
+    for input in [
+        ft_data::InputSpec::Image {
+            channels: (1 << 33) + 1,
+            height: 1 << 31,
+            width: 1,
+        },
+        ft_data::InputSpec::Image {
+            channels: 3,
+            height: usize::MAX,
+            width: 2,
+        },
+        ft_data::InputSpec::Tokens {
+            tokens: 1 << 40,
+            d_model: 1 << 40,
+        },
+    ] {
+        assert_bad_dataset("input", |d| d.input = input);
+    }
+}
+
+#[test]
 fn a_non_finite_difficulty_or_curvature_is_a_typed_error() {
     for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
         assert_bad_dataset("max_difficulty", |d| d.max_difficulty = bad);
