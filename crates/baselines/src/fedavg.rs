@@ -7,7 +7,7 @@
 
 use std::marker::PhantomData;
 
-use ft_data::{FederatedDataset, ShardSource};
+use ft_data::{FederatedDataset, Half, ShardSource};
 use ft_fedsim::device::DeviceTrace;
 use ft_fedsim::driver::{field, mean_loss, Fleet, Method, Round, RoundOutcome, Runner, Suite};
 use ft_fedsim::sink::RobustSink;
@@ -147,7 +147,7 @@ impl<D: ShardSource> Method for FedAvg<D> {
             if self.enforce_capacity && !fleet.devices.profile(c).is_compatible(macs) {
                 Ok(0.0)
             } else {
-                eval::accuracy(&self.model, &fleet.data.shard(c))
+                eval::accuracy(&self.model, &fleet.data.shard_half(c, Half::Test))
             }
         })?;
         Ok((accs, vec![0; n]))

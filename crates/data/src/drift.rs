@@ -8,19 +8,19 @@
 //! is checkpoint-free and identical before and after a resume, exactly
 //! like the fault hashes in `ft_fedsim::faults`.
 //!
-//! The rotation is applied as a *view* over any [`ShardSource`]
-//! (materialized or sparse): [`DriftConfig::apply`] takes the shard
-//! `Cow` and rewrites labels only when the round's rotation is
-//! non-zero, so inert configs add zero cost and zero clones. Feature
-//! vectors and sample counts never change, which keeps the
-//! coordinator's round pricing (derived from `train_len`) valid under
-//! drift.
+//! The rotation is applied to whatever shard a reader takes from a
+//! [`ShardSource`](crate::ShardSource), materialized or sparse, whole
+//! or one half: [`DriftConfig::apply`] takes the shard `Cow` and
+//! rewrites labels only when the round's rotation is non-zero, so
+//! inert configs add zero cost and zero clones. Feature vectors and
+//! sample counts never change, which keeps the coordinator's round
+//! pricing (derived from `train_len`) valid under drift.
 
 use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ClientData, ShardSource};
+use crate::ClientData;
 
 /// Label-rotation concept drift. The default (`period: 0`) is inert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -67,46 +67,10 @@ impl DriftConfig {
     }
 }
 
-/// A [`ShardSource`] view with a drift rotation pinned to one round —
-/// what a training engine reads during that round so every shard it
-/// touches (dense or sparse) reflects the same point in the drift
-/// schedule.
-pub struct DriftedShards<'a, S: ShardSource + ?Sized> {
-    inner: &'a S,
-    drift: DriftConfig,
-    round: u32,
-}
-
-impl<'a, S: ShardSource + ?Sized> DriftedShards<'a, S> {
-    /// Pins `drift` at `round` over `inner`.
-    pub fn new(inner: &'a S, drift: DriftConfig, round: u32) -> Self {
-        DriftedShards {
-            inner,
-            drift,
-            round,
-        }
-    }
-}
-
-impl<S: ShardSource + ?Sized> ShardSource for DriftedShards<'_, S> {
-    fn num_clients(&self) -> usize {
-        self.inner.num_clients()
-    }
-
-    fn shard(&self, client: usize) -> Cow<'_, ClientData> {
-        self.drift.apply(self.round, self.inner.shard(client))
-    }
-
-    fn train_len(&self, client: usize) -> usize {
-        // Drift never adds or removes samples.
-        self.inner.train_len(client)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DatasetConfig, SparseFederatedData};
+    use crate::{DatasetConfig, Half, ShardSource, SparseFederatedData};
 
     fn drift(period: usize, rotation: usize) -> DriftConfig {
         DriftConfig { period, rotation }
@@ -137,8 +101,8 @@ mod tests {
             .with_num_clients(2)
             .with_mean_samples(20)
             .generate();
-        let view = DriftedShards::new(&data, DriftConfig::default(), 5);
-        assert!(matches!(view.shard(0), Cow::Borrowed(_)));
+        let shard = DriftConfig::default().apply(5, data.shard(0));
+        assert!(matches!(shard, Cow::Borrowed(_)));
     }
 
     #[test]
@@ -149,12 +113,10 @@ mod tests {
             .generate();
         let classes = data.num_classes();
         let d = drift(1, 1);
-        let view = DriftedShards::new(&data, d, 2); // rotation of 2
         for c in 0..3 {
             let raw = data.shard(c);
-            let drifted = view.shard(c);
+            let drifted = d.apply(2, data.shard(c)); // rotation of 2
             assert_eq!(drifted.train_len(), raw.train_len());
-            assert_eq!(view.train_len(c), raw.train_len());
             let (_, raw_y) = raw.train_all();
             let (_, drift_y) = drifted.train_all();
             for (a, b) in raw_y.iter().zip(&drift_y) {
@@ -180,22 +142,21 @@ mod tests {
     }
 
     #[test]
-    fn sparse_shards_drift_identically_to_direct_application() {
-        // The wrapper must compose with the on-demand path: drifting a
-        // sparse source gives exactly apply(round, shard).
+    fn each_half_of_a_sparse_shard_drifts_as_the_whole_shard_does() {
         let sparse = SparseFederatedData::new(
             DatasetConfig::femnist_like()
                 .with_num_clients(100)
                 .with_mean_samples(20),
         );
         let d = drift(2, 1);
-        let view = DriftedShards::new(&sparse, d, 4);
-        let direct = d.apply(4, sparse.shard(42));
-        let via_view = view.shard(42);
-        assert_eq!(direct.train_all(), via_view.train_all());
-        assert_eq!(direct.label_dist(), via_view.label_dist());
-        // And it is deterministic across calls (stateless derivation).
-        assert_eq!(view.shard(42).train_all(), via_view.train_all());
+        let whole = d.apply(4, sparse.shard(42));
+        let train = d.apply(4, sparse.shard_half(42, Half::Train));
+        let test = d.apply(4, sparse.shard_half(42, Half::Test));
+        assert_eq!(train.train_all(), whole.train_all());
+        let rows = 0..whole.test_len();
+        assert_eq!(test.test_batch(rows.clone()), whole.test_batch(rows));
+        assert_eq!(train.label_dist(), whole.label_dist());
+        assert_eq!(test.label_dist(), whole.label_dist());
     }
 
     #[test]

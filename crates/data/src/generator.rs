@@ -33,10 +33,18 @@
 //!    [`crate::SparseFederatedData`] calls inline on a client's own
 //!    stream.
 //!
-//! The RNG contract lives in this file: the walk and `Sampler::sample`
-//! share `Sampler::sample_draws`, and what a sample draws after that is
-//! its `dim` normals. Debug builds assert that building sample *i*
-//! leaves the stream at sample *i + 1*'s recorded position, so the two
+//! A sparse shard is derived inline on the client's own stream
+//! (`Sampler::shard`), and only the half its reader takes
+//! ([`crate::Half`]): the train half stops the stream after the last
+//! train sample; the test half steps over the train samples with the
+//! walk's per-sample step and then builds the test samples.
+//!
+//! The RNG contract lives in this file: the walk, the test half's step
+//! over the train samples and `Sampler::sample` share
+//! `Sampler::sample_draws`, and what a sample draws after that is its
+//! `dim` normals. Debug builds assert that building sample *i*
+//! leaves the stream at sample *i + 1*'s recorded position, and that a
+//! sparse derivation stops at the walk's mark for its half, so the
 //! phases cannot drift apart silently. Every float comes out of the
 //! same scalar operations in the same order whichever thread builds
 //! it, so the data is bit-identical at every pool size, and a call from
@@ -49,7 +57,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use rand_distr::{Distribution, LogNormal, Normal};
 
 use crate::partition::{sample_class, sample_dirichlet};
-use crate::{ClientData, DatasetConfig, FederatedDataset, InputSpec};
+use crate::{ClientData, DatasetConfig, FederatedDataset, Half, InputSpec};
 
 /// RNG words one normal draw consumes: the `rand_distr` shim's
 /// Box–Muller takes two uniforms of one `next_u64` each. The walk skips
@@ -205,15 +213,30 @@ struct Client {
 
 impl Client {
     /// Assembles the shard from `sample(k)`, sample `k` of the client's
-    /// `n_train + n_test` in stream order (train first).
-    fn assemble(&self, mut sample: impl FnMut(usize) -> (Vec<f32>, usize)) -> ClientData {
+    /// `n_train + n_test` in stream order (train first). With `half`
+    /// set, only that half's samples are asked for and the other half
+    /// is empty.
+    fn assemble(
+        &self,
+        half: Option<Half>,
+        mut sample: impl FnMut(usize) -> (Vec<f32>, usize),
+    ) -> ClientData {
         let ShardPlan {
             ref label_dist,
             n_train,
             n_test,
         } = self.plan;
-        let (train_x, train_y) = (0..n_train).map(&mut sample).unzip();
-        let (test_x, test_y) = (n_train..n_train + n_test).map(&mut sample).unzip();
+        let wants = |h: Half| half.is_none_or(|only| only == h);
+        let (train_x, train_y) = if wants(Half::Train) {
+            (0..n_train).map(&mut sample).unzip()
+        } else {
+            Default::default()
+        };
+        let (test_x, test_y) = if wants(Half::Test) {
+            (n_train..n_train + n_test).map(&mut sample).unzip()
+        } else {
+            Default::default()
+        };
         ClientData::new(
             train_x,
             train_y,
@@ -320,12 +343,53 @@ impl<'a> Sampler<'a> {
         (x, label)
     }
 
+    /// Steps `rng` over one sample without computing its normals: the
+    /// walk's per-sample step.
+    fn skip_sample(&self, plan: &ShardPlan, difficulty: f32, rng: &mut StdRng) {
+        self.sample_draws(&plan.label_dist, difficulty, rng);
+        skip_normals(rng, self.dim);
+    }
+
     /// Generates one client's shard inline, drawing from `rng` in
     /// stream order — the sparse path, and the reference the two phases
-    /// reproduce.
-    pub(crate) fn shard(&self, client_idx: usize, rng: &mut StdRng) -> ClientData {
+    /// reproduce. `half` builds only that half: `Train` stops the stream
+    /// after the last train sample, `Test` steps over the train samples
+    /// as the walk does and builds the test samples. `None` builds both.
+    ///
+    /// Debug builds walk a copy of the stream first and assert that the
+    /// derivation stops at the walk's mark: before the first test sample
+    /// for `Train`, after the last sample otherwise.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when the derivation leaves the walk: a draw was
+    /// added to the sample path without the walk learning about it.
+    pub(crate) fn shard(
+        &self,
+        client_idx: usize,
+        rng: &mut StdRng,
+        half: Option<Half>,
+    ) -> ClientData {
+        let walked = cfg!(debug_assertions).then(|| self.walk(client_idx, &mut rng.clone()));
         let client = self.client(client_idx, rng);
-        client.assemble(|_| self.sample(&client, rng))
+        if half == Some(Half::Test) {
+            for _ in 0..client.plan.n_train {
+                self.skip_sample(&client.plan, client.difficulty, rng);
+            }
+        }
+        let shard = client.assemble(half, |_| self.sample(&client, rng));
+        if let Some(marks) = walked {
+            let stop = match half {
+                Some(Half::Train) => client.plan.n_train + 1,
+                _ => marks.len() - 1,
+            };
+            assert_eq!(
+                rng.state(),
+                marks[stop],
+                "client {client_idx}, {half:?}: the derivation left the walk"
+            );
+        }
+        shard
     }
 
     /// The walk over one client: advances `rng` past the client exactly
@@ -342,8 +406,7 @@ impl<'a> Sampler<'a> {
         marks.push(start);
         for _ in 0..samples {
             marks.push(rng.state());
-            self.sample_draws(&plan.label_dist, difficulty, rng);
-            skip_normals(rng, self.dim);
+            self.skip_sample(&plan, difficulty, rng);
         }
         marks.push(rng.state());
         marks
@@ -359,7 +422,7 @@ impl<'a> Sampler<'a> {
             marks[1],
             "client {client_idx}: head left the walk"
         );
-        client.assemble(|k| {
+        client.assemble(None, |k| {
             let mut rng = StdRng::from_state(marks[k + 1]);
             let sample = self.sample(&client, &mut rng);
             debug_assert_eq!(

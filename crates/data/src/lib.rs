@@ -45,8 +45,8 @@ mod shard;
 
 pub use config::{DatasetConfig, InputSpec};
 pub use dataset::{ClientData, FederatedDataset};
-pub use drift::{DriftConfig, DriftedShards};
-pub use shard::{ShardSource, SparseFederatedData};
+pub use drift::DriftConfig;
+pub use shard::{Half, ShardSource, SparseFederatedData};
 
 #[cfg(test)]
 mod smoke {

@@ -8,6 +8,13 @@
 //! the client index on demand — no per-client structs at rest, which is
 //! what lets a simulated population reach millions of devices with
 //! peak memory proportional to the clients in flight.
+//!
+//! A reader that takes one half of a shard says so through
+//! [`ShardSource::shard_half`]: training reads the [`Half::Train`]
+//! samples, evaluation the [`Half::Test`] ones. A materialized source
+//! borrows the whole shard either way; a sparse one derives only the
+//! half asked for, so the training fan-out builds no test samples and
+//! the eval sweep builds no train samples.
 
 use std::borrow::Cow;
 
@@ -17,10 +24,19 @@ use serde::{Deserialize, Serialize};
 use crate::generator::{plan_client, sample_prototypes, Prototypes, Sampler};
 use crate::{ClientData, DatasetConfig, FederatedDataset, InputSpec};
 
+/// One half of a client's shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Half {
+    /// The training samples, which local training reads.
+    Train,
+    /// The held-out samples, which evaluation reads.
+    Test,
+}
+
 /// A source of per-client training shards.
 ///
 /// `Sync` is a supertrait because the round engine reads shards from
-/// worker threads.
+/// worker threads. The trait is object-safe.
 pub trait ShardSource: Sync {
     /// Number of clients in the population.
     fn num_clients(&self) -> usize;
@@ -28,6 +44,19 @@ pub trait ShardSource: Sync {
     /// The shard of one client. Materialized sources borrow; sparse
     /// sources derive the shard on demand and return it owned.
     fn shard(&self, client: usize) -> Cow<'_, ClientData>;
+
+    /// The shard of one client, for a reader that takes only `half` of
+    /// it. The label distribution and difficulty are those of
+    /// [`ShardSource::shard`]; the samples of `half` are bit-identical
+    /// to its samples. The other half may be empty, so a reader must
+    /// not touch it.
+    ///
+    /// The default borrows [`ShardSource::shard`], which costs a
+    /// materialized source nothing. A source that derives shards on
+    /// demand overrides it to derive only the half asked for.
+    fn shard_half(&self, client: usize, _half: Half) -> Cow<'_, ClientData> {
+        self.shard(client)
+    }
 
     /// Number of training samples in `client`'s shard. The coordinator
     /// calls this once per task, serially, to price a round's compute
@@ -89,6 +118,9 @@ fn shard_seed(seed: u64, client: usize) -> u64 {
 /// it is asked. Two calls for the same client always return identical
 /// data, so training stays deterministic, but a million-device
 /// population costs no more resident memory than a ten-device one.
+/// [`ShardSource::shard_half`] derives one half: the train half stops
+/// the client's stream after its last train sample, and the test half
+/// steps over the train samples without computing their noise normals.
 ///
 /// A shard is built inline, on the calling thread, by the same sample
 /// function the dense generator's parallel build replays its walk
@@ -167,6 +199,11 @@ impl SparseFederatedData {
         );
         rand::rngs::StdRng::seed_from_u64(shard_seed(self.config.seed, client))
     }
+
+    /// Derives `client`'s shard, or only its `half`.
+    fn derive(&self, client: usize, half: Option<Half>) -> ClientData {
+        Sampler::new(&self.config, self.protos()).shard(client, &mut self.client_rng(client), half)
+    }
 }
 
 impl ShardSource for SparseFederatedData {
@@ -175,8 +212,11 @@ impl ShardSource for SparseFederatedData {
     }
 
     fn shard(&self, client: usize) -> Cow<'_, ClientData> {
-        let sampler = Sampler::new(&self.config, self.protos());
-        Cow::Owned(sampler.shard(client, &mut self.client_rng(client)))
+        Cow::Owned(self.derive(client, None))
+    }
+
+    fn shard_half(&self, client: usize, half: Half) -> Cow<'_, ClientData> {
+        Cow::Owned(self.derive(client, Some(half)))
     }
 
     /// Replays only the head of the client's RNG stream — the draws
@@ -193,7 +233,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::{DriftConfig, DriftedShards};
+    use crate::DriftConfig;
 
     fn sparse(clients: usize) -> SparseFederatedData {
         SparseFederatedData::new(
@@ -233,7 +273,7 @@ mod tests {
 
         /// The length a round is priced at is the length the shard
         /// trains on — for any volume skew, split, class count, seed
-        /// and client, with or without a drift view on top.
+        /// and client, with or without drift applied to either half.
         #[test]
         fn sparse_train_len_matches_the_generated_shard(
             mean_samples in 2usize..=120,
@@ -253,14 +293,17 @@ mod tests {
             config.num_classes = num_classes;
             config.input = InputSpec::Flat { dim: 3 };
             let data = SparseFederatedData::new(config);
-            let generated = data.shard(client).train_len();
+            let full = data.shard(client);
+            let generated = full.train_len();
             prop_assert!(generated >= 4);
             prop_assert_eq!(data.train_len(client), generated);
 
             let drift = DriftConfig { period: 3, rotation: 5 };
-            let drifted = DriftedShards::new(&data, drift, round);
-            prop_assert_eq!(drifted.train_len(client), generated);
-            prop_assert_eq!(drifted.shard(client).train_len(), generated);
+            let train = drift.apply(round, data.shard_half(client, Half::Train));
+            prop_assert_eq!(train.train_len(), generated);
+            let test = drift.apply(round, data.shard_half(client, Half::Test));
+            prop_assert_eq!(test.train_len(), 0);
+            prop_assert_eq!(test.test_len(), full.test_len());
         }
     }
 
@@ -287,6 +330,10 @@ mod tests {
         let slice: &[ClientData] = dense.clients();
         let via_slice = slice.shard(2);
         assert!(matches!(via_slice, Cow::Borrowed(_)));
+        for half in [Half::Train, Half::Test] {
+            assert!(matches!(dense.shard_half(2, half), Cow::Borrowed(_)));
+            assert!(matches!(slice.shard_half(2, half), Cow::Borrowed(_)));
+        }
         assert_eq!(via_slice.train_all(), dense.client(2).train_all());
         assert_eq!(ShardSource::num_clients(slice), 3);
     }

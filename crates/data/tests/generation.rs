@@ -4,26 +4,48 @@
 //! across the tensor pool; a call from inside a pool task builds them
 //! inline instead. Every feature, label, label distribution and
 //! difficulty must come out the same either way, and the same as the
-//! single-threaded generator these digests were taken from.
+//! single-threaded generator these digests were taken from. A sparse
+//! shard derived one half at a time must be the same bits as the half
+//! of the whole shard.
 
 use std::sync::OnceLock;
 
 use ft_data::{
-    ClientData, DatasetConfig, FederatedDataset, InputSpec, ShardSource, SparseFederatedData,
+    ClientData, DatasetConfig, FederatedDataset, Half, InputSpec, ShardSource, SparseFederatedData,
 };
+use ft_tensor::Tensor;
 use proptest::prelude::*;
 
 /// Every bit of a shard, in a fixed order: train rows and labels, test
 /// rows and labels, the label distribution and the difficulty.
 fn shard_words(shard: &ClientData, out: &mut Vec<u64>) {
+    halves_words(shard, shard, out);
+}
+
+/// [`shard_words`] with the train samples taken from `train` and
+/// everything else from `test`.
+fn halves_words(train: &ClientData, test: &ClientData, out: &mut Vec<u64>) {
+    out.extend(train_words(train));
+    out.extend(test_words(test));
+    out.extend(test.label_dist().iter().map(|v| u64::from(v.to_bits())));
+    out.push(u64::from(test.difficulty().to_bits()));
+}
+
+/// The train rows and labels.
+fn train_words(shard: &ClientData) -> Vec<u64> {
     let (x, y) = shard.train_all();
-    out.extend(x.data().iter().map(|v| u64::from(v.to_bits())));
-    out.extend(y.iter().map(|&l| l as u64));
+    batch_words(&x, &y)
+}
+
+/// The test rows and labels.
+fn test_words(shard: &ClientData) -> Vec<u64> {
     let (x, y) = shard.test_batch(0..shard.test_len());
-    out.extend(x.data().iter().map(|v| u64::from(v.to_bits())));
-    out.extend(y.iter().map(|&l| l as u64));
-    out.extend(shard.label_dist().iter().map(|v| u64::from(v.to_bits())));
-    out.push(u64::from(shard.difficulty().to_bits()));
+    batch_words(&x, y)
+}
+
+fn batch_words(x: &Tensor, y: &[usize]) -> Vec<u64> {
+    let rows = x.data().iter().map(|v| u64::from(v.to_bits()));
+    rows.chain(y.iter().map(|&l| l as u64)).collect()
 }
 
 fn dataset_words(data: &FederatedDataset) -> Vec<u64> {
@@ -79,14 +101,27 @@ fn flat_with_blends() -> DatasetConfig {
     config
 }
 
-fn sparse_shard_words() -> Vec<u64> {
-    let data = SparseFederatedData::new(
+fn sparse_1000() -> SparseFederatedData {
+    SparseFederatedData::new(
         DatasetConfig::femnist_like()
             .with_num_clients(1000)
             .with_mean_samples(20),
-    );
+    )
+}
+
+fn sparse_shard_words() -> Vec<u64> {
     let mut out = Vec::new();
-    shard_words(&data.shard(417), &mut out);
+    shard_words(&sparse_1000().shard(417), &mut out);
+    out
+}
+
+/// [`sparse_shard_words`] recomposed from the shard's two halves.
+fn sparse_halves_words() -> Vec<u64> {
+    let data = sparse_1000();
+    let mut out = Vec::new();
+    let train = data.shard_half(417, Half::Train);
+    let test = data.shard_half(417, Half::Test);
+    halves_words(&train, &test, &mut out);
     out
 }
 
@@ -125,6 +160,11 @@ fn blended_flat_data_matches_its_pinned_digest() {
 #[test]
 fn sparse_shard_matches_its_pinned_digest() {
     assert_pinned("sparse shard 417", sparse_shard_words, "e51a915abd113864");
+    assert_pinned(
+        "sparse shard 417 from its halves",
+        sparse_halves_words,
+        "e51a915abd113864",
+    );
 }
 
 proptest! {
@@ -156,5 +196,49 @@ proptest! {
         let top_level = dataset_words(&config.generate());
         let inline = in_pool_task(|| dataset_words(&config.generate()));
         prop_assert_eq!(top_level, inline);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A sparse half is bit for bit the same half of the whole shard,
+    /// with the same label distribution and difficulty, and its other
+    /// half is empty — for flat and image inputs, any class count,
+    /// volume spread, split, seed and client.
+    #[test]
+    fn each_sparse_half_is_that_half_of_the_whole_shard(
+        kind in 0usize..2,
+        num_classes in 1usize..=24,
+        sample_spread in 0.0f32..2.5,
+        test_fraction in 0.0f32..1.0,
+        seed in 0u64..u64::MAX,
+        client in 0usize..1_000_000,
+    ) {
+        let mut config = DatasetConfig::femnist_like()
+            .with_num_clients(1_000_000)
+            .with_mean_samples(12)
+            .with_seed(seed);
+        config.num_classes = num_classes;
+        config.sample_spread = sample_spread;
+        config.test_fraction = test_fraction;
+        config.input = if kind == 1 {
+            InputSpec::Image { channels: 2, height: 3, width: 4 }
+        } else {
+            InputSpec::Flat { dim: 7 }
+        };
+        let data = SparseFederatedData::new(config);
+        let whole = data.shard(client);
+        let train = data.shard_half(client, Half::Train);
+        let test = data.shard_half(client, Half::Test);
+
+        prop_assert_eq!(train_words(&train), train_words(&whole));
+        prop_assert_eq!(train.test_len(), 0);
+        prop_assert_eq!(test_words(&test), test_words(&whole));
+        prop_assert_eq!(test.train_len(), 0);
+        for half in [&train, &test] {
+            prop_assert_eq!(half.label_dist(), whole.label_dist());
+            prop_assert_eq!(half.difficulty().to_bits(), whole.difficulty().to_bits());
+        }
     }
 }

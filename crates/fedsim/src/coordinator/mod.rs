@@ -53,7 +53,7 @@ pub mod transport;
 
 use serde::{Deserialize, Serialize, Value};
 
-use ft_data::ShardSource;
+use ft_data::{Half, ShardSource};
 use ft_model::CellModel;
 
 use crate::attack::AdversityConfig;
@@ -214,8 +214,15 @@ pub struct CoordinatorStats {
     pub heartbeat_dropouts: u64,
     /// Heartbeats received.
     pub heartbeats: u64,
-    /// Training results received.
+    /// Training results accepted.
     pub results: u64,
+    /// Training results dropped by the wire checks: for another round,
+    /// for no task of the round, from a client other than the task's,
+    /// or for a task that is not open (already landed, reaped, or
+    /// never taken by its device). Checkpoints written before this
+    /// field existed load it as zero.
+    #[serde(default)]
+    pub rejected_results: u64,
     /// Total participant→coordinator messages received.
     pub messages_up: u64,
     /// Total coordinator→participant messages sent.
@@ -437,10 +444,12 @@ impl Coordinator {
                         );
                         self.stats.messages_down += 1;
                     }
-                    // A heartbeat or result from a previous round's
-                    // stray schedule: the wire was cleared at the round
-                    // boundary, so these cannot occur; ignore defensively.
-                    ClientMessage::Heartbeat { .. } | ClientMessage::EndTrainingRound { .. } => {}
+                    // No task is open before `train` dispatches one:
+                    // an honest wire (cleared at the round boundary)
+                    // carries no result now, so one is dropped.
+                    ClientMessage::EndTrainingRound { .. } => self.stats.rejected_results += 1,
+                    // Liveness only matters once training starts.
+                    ClientMessage::Heartbeat { .. } => {}
                 }
             }
         }
@@ -699,6 +708,9 @@ impl Coordinator {
             for (client, msg) in self.transport.recv_up(now) {
                 self.stats.messages_up += 1;
                 match msg {
+                    // A heartbeat refreshes its sender's liveness; one
+                    // from a client with no task this round changes
+                    // nothing.
                     ClientMessage::Heartbeat { .. } => {
                         if let Ok(slot) = clients.binary_search(&client) {
                             last_signal[slot] = now;
@@ -706,18 +718,31 @@ impl Coordinator {
                         self.stats.heartbeats += 1;
                     }
                     ClientMessage::EndTrainingRound {
+                        round: r,
                         task,
                         samples,
                         elapsed_s,
-                        ..
                     } => {
+                        // The wire is untrusted: a result lands only
+                        // for this round, for one of its tasks, from
+                        // that task's client, while the task is open —
+                        // taken by its device, not landed, not reaped.
+                        // Anything else is dropped and counted, so it
+                        // can neither panic here nor replace a reply.
+                        let open = r == round
+                            && task < n
+                            && task_meta[task].0 == client
+                            && executed[task]
+                            && replies[task].is_none()
+                            && open_tasks[task_slot[task]] > 0;
+                        if !open {
+                            self.stats.rejected_results += 1;
+                            continue;
+                        }
                         let slot = task_slot[task];
                         last_signal[slot] = now;
-                        if replies[task].is_none() {
-                            unresolved -= 1;
-                            // Already zero if the device was reaped.
-                            open_tasks[slot] = open_tasks[slot].saturating_sub(1);
-                        }
+                        unresolved -= 1;
+                        open_tasks[slot] -= 1;
                         replies[task] = Some(TrainReply {
                             task,
                             client,
@@ -791,7 +816,7 @@ impl Coordinator {
                 // Concept drift first (the whole fleet sees the same
                 // schedule), then the byzantine label flip on marked
                 // clients — both pure shard views, inert by default.
-                let mut shard = drift.apply(round, shards.shard(client));
+                let mut shard = drift.apply(round, shards.shard_half(client, Half::Train));
                 if attack.flip_labels && attack.is_byzantine(run_seed, round, client) {
                     let classes = shard.label_dist().len();
                     if classes > 1 {

@@ -15,7 +15,7 @@
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use ft_data::{ClientData, ShardSource};
+use ft_data::{ClientData, Half, ShardSource};
 use ft_model::CellModel;
 use ft_nn::{NnError, Sgd};
 use ft_tensor::Tensor;
@@ -257,9 +257,10 @@ pub struct TrainTask {
 
 /// Executes a batch of [`TrainTask`]s concurrently over the shared
 /// worker pool — the coordinator's training-phase executor. Each worker
-/// clones its task's entry of `models` and pulls the client's shard
-/// from the [`ShardSource`] on demand, so a sparse million-device
-/// population never materializes beyond the clients in flight.
+/// clones its task's entry of `models` and pulls the train half of the
+/// client's shard from the [`ShardSource`] on demand, so a sparse
+/// million-device population never materializes beyond the clients in
+/// flight, and never builds their test samples.
 ///
 /// Outcomes are returned in task order and are byte-identical at any
 /// thread budget: each task's RNG stream comes from its own seed,
@@ -304,7 +305,7 @@ pub fn train_tasks<S: ShardSource + ?Sized>(
     crate::exec::try_par_map(n, threads, |slot| {
         let t = tasks[slot];
         let mut model = models[t.model].clone();
-        let shard = shards.shard(t.client);
+        let shard = shards.shard_half(t.client, Half::Train);
         train_local(&mut model, t.client, &shard, cfg, t.seed)
     })
 }

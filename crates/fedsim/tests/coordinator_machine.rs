@@ -1,16 +1,18 @@
 //! Coordinator protocol tests: the state machine's legal and illegal
 //! transitions, emergent dropout and straggling, heartbeat-deadline
-//! reaping, Later-then-Accept readmission, and the delivery-permutation
-//! property (any within-tick message order yields the same round
-//! outcome).
+//! reaping, Later-then-Accept readmission, forged training results on a
+//! hostile wire, and the delivery-permutation property (any within-tick
+//! message order yields the same round outcome).
 
 use proptest::prelude::*;
 
 use ft_data::{DatasetConfig, FederatedDataset};
 use ft_fedsim::coordinator::{
-    Behavior, Coordinator, DeliveryOrder, InMemoryTransport, RoundOptions,
+    Behavior, ClientMessage, Coordinator, CoordinatorMessage, CoordinatorStats, DeliveryOrder,
+    InMemoryTransport, RoundOptions, TrainReply, Transport,
 };
 use ft_fedsim::device::{DeviceTrace, DeviceTraceConfig};
+use ft_fedsim::driver::Accumulator;
 use ft_fedsim::roundtime::client_round_time;
 use ft_fedsim::sink::DiscardSink;
 use ft_fedsim::trainer::{client_seed, LocalTrainConfig, TrainTask};
@@ -453,11 +455,239 @@ fn later_then_accept_readmission() {
 }
 
 // ---------------------------------------------------------------------
+// A hostile wire: forged training results.
+// ---------------------------------------------------------------------
+
+/// Where a forged message joins the wire.
+#[derive(Debug, Clone, Copy)]
+enum Inject {
+    /// Into the first upward batch of the rendezvous exchange.
+    Selection,
+    /// Into the upward batch that carries `task`'s honest result, after
+    /// it.
+    AfterResult(usize),
+}
+
+/// An honest FIFO wire that hands the coordinator forged upward
+/// messages, all at the `Inject` point.
+struct Hostile {
+    honest: InMemoryTransport,
+    forged: Vec<(usize, ClientMessage)>,
+    at: Inject,
+}
+
+impl Transport for Hostile {
+    fn send_up(&mut self, from: usize, deliver_at: u64, msg: ClientMessage) {
+        self.honest.send_up(from, deliver_at, msg);
+    }
+
+    fn send_down(&mut self, to: usize, deliver_at: u64, msg: CoordinatorMessage) {
+        self.honest.send_down(to, deliver_at, msg);
+    }
+
+    fn recv_up(&mut self, now: u64) -> Vec<(usize, ClientMessage)> {
+        let mut batch = self.honest.recv_up(now);
+        let due = batch.iter().any(|(_, msg)| match (self.at, msg) {
+            (Inject::Selection, ClientMessage::RendezvousRequest { .. }) => true,
+            (Inject::AfterResult(want), ClientMessage::EndTrainingRound { task, .. }) => {
+                *task == want
+            }
+            _ => false,
+        });
+        if due {
+            batch.append(&mut self.forged);
+        }
+        batch
+    }
+
+    fn recv_down(&mut self, now: u64) -> Vec<(usize, CoordinatorMessage)> {
+        self.honest.recv_down(now)
+    }
+
+    fn next_delivery(&self) -> Option<u64> {
+        self.honest.next_delivery()
+    }
+
+    fn pending(&self) -> usize {
+        self.honest.pending()
+    }
+
+    fn clear(&mut self) {
+        self.honest.clear();
+    }
+}
+
+/// What the rest of the run sees of a round: its replies, bit for bit,
+/// and the ledger charged from them.
+#[derive(Debug, PartialEq)]
+struct Charged {
+    replies: Vec<ReplyDigest>,
+    ledger: ft_fedsim::costs::CostMeter,
+    slowest_bits: u64,
+}
+
+/// One round over clients 0–3 with `forged` injected at `at`. Tasks
+/// 0–3 train the small model, one per client; task 4 trains the big one
+/// on client 1. Client 1's small task lands first and its big one
+/// later. Client 2 vanishes after taking its task, and client 3 departs
+/// before its result, so the 4 s heartbeat deadline reaps both. Client
+/// 0 is slow but heartbeats, so it lands last, after the reaps.
+fn hostile_round(forged: Vec<(usize, ClientMessage)>, at: Inject) -> (Charged, CoordinatorStats) {
+    let n = 5;
+    let data = dataset(n);
+    let small = tiny_model(&data);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+    let big = CellModel::dense(&mut rng, data.input_dim(), &[256, 256], data.num_classes());
+    let transport = Hostile {
+        honest: InMemoryTransport::with_order(DeliveryOrder::Fifo),
+        forged,
+        at,
+    };
+    let mut c =
+        Coordinator::with_transport(SEED, FaultConfig::default(), fleet(n), Box::new(transport));
+    c.set_options(
+        RoundOptions::new()
+            .heartbeat_interval_s(1.0)
+            .heartbeat_deadline_s(4.0),
+    );
+    c.cohort_mut().set_behavior(0, 0, Behavior::Slow(1000.0));
+    c.cohort_mut().set_behavior(0, 2, Behavior::Vanish);
+    c.cohort_mut().set_behavior(0, 3, Behavior::Depart(0.0));
+    let admitted = c.begin_round(0, &[0, 1, 2, 3]).unwrap();
+    assert_eq!(admitted, vec![0, 1, 2, 3]);
+    let mut tasks = tasks_for(&admitted, SEED);
+    tasks.push(TrainTask {
+        client: 1,
+        model: 1,
+        seed: client_seed(SEED, 1),
+    });
+    let models = [small, big];
+    let replies = c
+        .train(
+            tasks,
+            &models,
+            data.clients(),
+            &tiny_cfg(),
+            &mut DiscardSink,
+        )
+        .unwrap();
+    let mut ledger = Accumulator::default();
+    let slowest = ledger.charge(&replies, |r| {
+        let m = &models[usize::from(r.task == 4)];
+        (m.macs_per_sample(), m.param_count())
+    });
+    let charged = Charged {
+        replies: replies.iter().map(reply_digest).collect(),
+        ledger: ledger.cost,
+        slowest_bits: slowest.to_bits(),
+    };
+    (charged, *c.stats())
+}
+
+/// A training result as a device would announce it.
+fn result(round: u32, task: usize, samples: u64) -> ClientMessage {
+    ClientMessage::EndTrainingRound {
+        round,
+        task,
+        samples,
+        elapsed_s: 0.5,
+    }
+}
+
+#[test]
+fn every_forged_result_is_dropped_and_counted() {
+    let (clean, clean_stats) = hostile_round(Vec::new(), Inject::Selection);
+    let landed: Vec<(usize, usize)> = clean.replies.iter().map(|r| (r.0, r.1)).collect();
+    assert_eq!(
+        landed,
+        vec![(0, 0), (1, 1), (4, 1)],
+        "tasks 2 and 3 are reaped"
+    );
+    assert_eq!(clean_stats.heartbeat_dropouts, 2);
+    assert_eq!(
+        clean_stats.rejected_results, 0,
+        "an honest wire forges nothing"
+    );
+
+    // (case, sender, message, injection point): each case fails exactly
+    // one check. Task 0 is open until the last batch; task 1 lands
+    // first, while its sibling task 4 is still open; task 2 is never
+    // taken; task 3 is reaped before task 0 lands. Client 4 has no task.
+    let first = Inject::AfterResult(1);
+    let last = Inject::AfterResult(0);
+    let cases: &[(&str, usize, ClientMessage, Inject)] = &[
+        (
+            "before any task exists",
+            0,
+            result(0, 0, 1),
+            Inject::Selection,
+        ),
+        ("stale round", 0, result(7, 0, 1), first),
+        ("task out of range", 0, result(0, 9, 1), first),
+        ("sender without a task", 4, result(0, 0, 1), first),
+        ("sender of another task", 1, result(0, 0, 1), first),
+        ("task its device never took", 2, result(0, 2, 1), first),
+        ("duplicate", 1, result(0, 1, 1), first),
+        ("reaped task", 3, result(0, 3, 1), last),
+    ];
+    for (case, sender, msg, at) in cases {
+        let (got, stats) = hostile_round(vec![(*sender, msg.clone())], *at);
+        assert_eq!(got, clean, "{case}: the honest round must not move");
+        let expected = CoordinatorStats {
+            rejected_results: 1,
+            messages_up: clean_stats.messages_up + 1,
+            ..clean_stats
+        };
+        assert_eq!(stats, expected, "{case}: dropped and counted once");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Any burst of forged results, delivered with the round's last
+    /// honest one, is dropped message by message: by then every task
+    /// has landed, was never taken or was reaped.
+    #[test]
+    fn a_burst_of_forged_results_moves_nothing(
+        forged in proptest::collection::vec(
+            (0usize..5, 0u32..3, 0usize..5, 0u64..100),
+            1..8,
+        ),
+    ) {
+        let (clean, clean_stats) = hostile_round(Vec::new(), Inject::Selection);
+        let burst: Vec<(usize, ClientMessage)> = forged
+            .iter()
+            .map(|&(sender, round, task, samples)| (sender, result(round, task, samples)))
+            .collect();
+        let (got, stats) = hostile_round(burst, Inject::AfterResult(0));
+        prop_assert_eq!(got, clean);
+        let n = forged.len() as u64;
+        let expected = CoordinatorStats {
+            rejected_results: n,
+            messages_up: clean_stats.messages_up + n,
+            ..clean_stats
+        };
+        prop_assert_eq!(stats, expected);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Delivery-permutation property.
 // ---------------------------------------------------------------------
 
 /// One reply's digest: task, client, sample count, loss bits, time bits.
 type ReplyDigest = (usize, usize, u64, u32, u64);
+
+fn reply_digest(r: &TrainReply) -> ReplyDigest {
+    (
+        r.task,
+        r.client,
+        r.samples,
+        r.avg_loss.to_bits(),
+        r.elapsed_s.to_bits(),
+    )
+}
 
 /// A comparable digest of one round's outcome: the admitted cohort and
 /// every reply's identity, sample count, loss bits, and time bits.
@@ -488,19 +718,7 @@ fn round_outcome(order: DeliveryOrder) -> (Vec<usize>, Vec<ReplyDigest>) {
             &mut DiscardSink,
         )
         .unwrap();
-    let digest = replies
-        .iter()
-        .map(|r| {
-            (
-                r.task,
-                r.client,
-                r.samples,
-                r.avg_loss.to_bits(),
-                r.elapsed_s.to_bits(),
-            )
-        })
-        .collect();
-    (admitted, digest)
+    (admitted, replies.iter().map(reply_digest).collect())
 }
 
 proptest! {
