@@ -9,7 +9,9 @@ use std::marker::PhantomData;
 
 use ft_data::{FederatedDataset, Half, ShardSource};
 use ft_fedsim::device::DeviceTrace;
-use ft_fedsim::driver::{field, mean_loss, Fleet, Method, Round, RoundOutcome, Runner, Suite};
+use ft_fedsim::driver::{
+    field, mean_loss, validate_model, Fleet, Method, Round, RoundOutcome, Runner, Suite,
+};
 use ft_fedsim::sink::RobustSink;
 use ft_fedsim::trainer::TrainTask;
 use ft_fedsim::{eval, Result, RobustAggregation, SimError};
@@ -170,6 +172,7 @@ impl<D: ShardSource> Method for FedAvg<D> {
 
     fn restore(&mut self, block: &serde::Value) -> Result<()> {
         let model: CellModel = field(block, "model")?;
+        validate_model("model", &model)?;
         if model.param_count() != self.model.param_count() {
             return Err(SimError::snapshot(
                 "field `model`: checkpointed model shape does not match this configuration",

@@ -16,7 +16,9 @@ use std::collections::BTreeMap;
 
 use ft_data::FederatedDataset;
 use ft_fedsim::device::DeviceTrace;
-use ft_fedsim::driver::{field, mean_loss, Fleet, Method, Round, RoundOutcome, Runner, Suite};
+use ft_fedsim::driver::{
+    field, mean_loss, validate_model, Fleet, Method, Round, RoundOutcome, Runner, Suite,
+};
 use ft_fedsim::trainer::TrainTask;
 use ft_fedsim::{eval, Result, SimError};
 use ft_model::{Cell, CellId, CellModel};
@@ -242,6 +244,7 @@ impl Method for Fluid {
 
     fn restore(&mut self, block: &serde::Value) -> Result<()> {
         let global: CellModel = field(block, "global")?;
+        validate_model("global", &global)?;
         if global.param_count() != self.global.param_count() {
             return Err(SimError::snapshot(
                 "field `global`: checkpointed model shape does not match this configuration",

@@ -11,7 +11,9 @@ use rand::SeedableRng;
 
 use ft_data::FederatedDataset;
 use ft_fedsim::device::DeviceTrace;
-use ft_fedsim::driver::{field, mean_loss, Fleet, Method, Round, RoundOutcome, Runner, Suite};
+use ft_fedsim::driver::{
+    field, mean_loss, validate_model, Fleet, Method, Round, RoundOutcome, Runner, Suite,
+};
 use ft_fedsim::sink::FedAvgSink;
 use ft_fedsim::trainer::TrainTask;
 use ft_fedsim::{eval, Result, SimError};
@@ -196,6 +198,9 @@ impl Method for SplitMix {
 
     fn restore(&mut self, block: &serde::Value) -> Result<()> {
         let bases: Vec<CellModel> = field(block, "bases")?;
+        for base in &bases {
+            validate_model("bases", base)?;
+        }
         if bases.len() != self.bases.len() {
             return Err(SimError::snapshot(
                 "field `bases`: checkpointed base count does not match this configuration",

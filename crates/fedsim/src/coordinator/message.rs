@@ -45,7 +45,9 @@ pub enum ClientMessage {
         round: u32,
         /// Index into the round's task list (assignment order).
         task: usize,
-        /// Samples the client processed (the FedAvg weight numerator).
+        /// Samples the client claims it processed. The coordinator
+        /// priced the task before it ran; a claim that differs is
+        /// dropped as forged, and the priced count is what gets billed.
         samples: u64,
         /// Simulated seconds the client spent on the round (compute +
         /// comms, after any straggler slowdown).

@@ -252,7 +252,8 @@ pub struct TrainReply {
     pub task: usize,
     /// The client that trained.
     pub client: usize,
-    /// Samples the client processed (MAC accounting, FedAvg weight).
+    /// Samples the task was priced at, which an accepted result's
+    /// claim equals (MAC accounting, FedAvg weight).
     pub samples: u64,
     /// Mean training loss over the client's local steps.
     pub avg_loss: f32,
@@ -726,15 +727,18 @@ impl Coordinator {
                         // The wire is untrusted: a result lands only
                         // for this round, for one of its tasks, from
                         // that task's client, while the task is open —
-                        // taken by its device, not landed, not reaped.
-                        // Anything else is dropped and counted, so it
-                        // can neither panic here nor replace a reply.
+                        // taken by its device, not landed, not reaped —
+                        // and claiming the sample count the task was
+                        // priced at. Anything else is dropped and
+                        // counted, so it can neither panic here nor
+                        // replace a reply.
                         let open = r == round
                             && task < n
                             && task_meta[task].0 == client
                             && executed[task]
                             && replies[task].is_none()
-                            && open_tasks[task_slot[task]] > 0;
+                            && open_tasks[task_slot[task]] > 0
+                            && samples == task_samples[task];
                         if !open {
                             self.stats.rejected_results += 1;
                             continue;
@@ -743,10 +747,12 @@ impl Coordinator {
                         last_signal[slot] = now;
                         unresolved -= 1;
                         open_tasks[slot] -= 1;
+                        // The priced count, the one the sink and the
+                        // virtual clock see, is the one billed.
                         replies[task] = Some(TrainReply {
                             task,
                             client,
-                            samples,
+                            samples: task_samples[task],
                             avg_loss: 0.0,
                             avg_acc: 0.0,
                             elapsed_s,

@@ -521,6 +521,20 @@ pub fn field<T: Deserialize>(state: &Value, key: &str) -> Result<T> {
     T::from_value(raw(state, key)?).map_err(|e| SimError::snapshot(format!("field `{key}`: {e}")))
 }
 
+/// Checks a checkpointed model's layer geometry
+/// ([`CellModel::validate`]): a hostile block is a snapshot error naming
+/// field `key`, not an index panic on the model's first pass.
+///
+/// # Errors
+///
+/// Returns [`crate::SimError::Snapshot`] naming `key` and the first
+/// layer that does not hold together.
+pub fn validate_model(key: &str, model: &CellModel) -> Result<()> {
+    model
+        .validate()
+        .map_err(|e| SimError::snapshot(format!("field `{key}`: {e}")))
+}
+
 /// Encodes an RNG state as four 16-hex-digit words (JSON numbers stop
 /// being exact at 2^53; xoshiro state words use all 64 bits).
 fn rng_to_value(rng: &StdRng) -> Value {

@@ -10,7 +10,10 @@
 //! client shard must allocate nothing either, and even a cold one may
 //! not make a single allocation larger than
 //! `ft_fedsim::eval::EVAL_BUDGET_BYTES` — the evaluation memory bound,
-//! pinned as a count instead of an RSS reading.
+//! pinned as a count instead of an RSS reading — nor one as large as a
+//! conv cell's `[C·k·k, R·H·W]` patch matrix for a chunk of `R`
+//! samples: inference lowers patches inside the GEMM pack and never
+//! writes that matrix.
 //!
 //! Runs as a `harness = false` integration test: the default libtest
 //! harness keeps service threads that allocate at unpredictable
@@ -24,7 +27,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use ft_data::ClientData;
 use ft_fedsim::eval::{self, EVAL_BUDGET_BYTES};
-use ft_model::CellModel;
+use ft_model::{Cell, CellModel};
 use rand::SeedableRng;
 
 #[path = "common/test_shard.rs"]
@@ -112,8 +115,8 @@ fn main() {
     println!("alloc_steady_state: ok (warm train steps and evals allocation-free, eval bounded)");
 }
 
-/// A `[3, 16, 16]`-input conv model whose 16→16 cell lowers 144·256
-/// floats (147 KB) of im2col columns per sample.
+/// A `[3, 16, 16]`-input conv model whose 16→16 cell has 144·256
+/// floats (147 KB) of patch-matrix columns per sample.
 fn conv_model(rng: &mut rand::rngs::StdRng) -> CellModel {
     CellModel::conv(rng, 3, 16, 16, &[16, 16], 3, 10)
 }
@@ -128,10 +131,25 @@ fn cold_conv_eval_never_allocates_past_the_budget() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let model = conv_model(&mut rng);
     let shard = random_test_shard(&mut rng, 64, model.input_width(), model.classes());
-    // Lowering the whole shard at once would check out one 9.4 MB
-    // im2col matrix; a chunk of `rows_per_chunk` samples stays within
-    // the budget.
+    // The whole shard's working set is four budgets; a chunk of
+    // `rows_per_chunk` samples stays within one.
     assert!(64 * model.sample_working_set_bytes() > 4 * EVAL_BUDGET_BYTES);
+    // The patch matrix a chunk of the widest conv cell would have (the
+    // 16→16 cell's 144·R·256 floats), which the eval used to check out.
+    let rows = eval::rows_per_chunk(&model);
+    let patch_bytes = model
+        .cells()
+        .iter()
+        .filter_map(|cell| match cell {
+            Cell::Conv { conv, .. } => {
+                let (h, w) = conv.spatial();
+                let taps = conv.kernel() * conv.kernel();
+                Some(conv.in_channels() * taps * rows * h * w * std::mem::size_of::<f32>())
+            }
+            _ => None,
+        })
+        .max()
+        .expect("a conv model");
     LARGEST_ALLOC.store(0, Ordering::Relaxed);
     eval::accuracy(&model, &shard).expect("the shard fits the model");
     let largest = LARGEST_ALLOC.load(Ordering::Relaxed);
@@ -139,6 +157,11 @@ fn cold_conv_eval_never_allocates_past_the_budget() {
         largest <= EVAL_BUDGET_BYTES,
         "a cold 64-sample conv eval allocated {largest} bytes at once \
          (budget {EVAL_BUDGET_BYTES})"
+    );
+    assert!(
+        largest < patch_bytes,
+        "a cold conv eval allocated {largest} bytes at once, as much as a \
+         {rows}-sample patch matrix ({patch_bytes} bytes)"
     );
 }
 
@@ -189,8 +212,9 @@ fn warm_train_step_performs_zero_heap_allocations() {
         "warm FedProx train step allocated {n} times over 5 steps (expected 0)"
     );
 
-    // Conv body — im2col forward/backward through scratch workspaces
-    // (the `large-population` scenario's workload shape).
+    // Conv body — patch lowering, forward and backward, through
+    // scratch workspaces (the `large-population` scenario's workload
+    // shape).
     let conv_data = ft_data::DatasetConfig::openimage_like()
         .with_num_clients(1)
         .with_mean_samples(30)

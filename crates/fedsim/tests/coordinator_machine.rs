@@ -629,6 +629,12 @@ fn every_forged_result_is_dropped_and_counted() {
         ("task its device never took", 2, result(0, 2, 1), first),
         ("duplicate", 1, result(0, 1, 1), first),
         ("reaped task", 3, result(0, 3, 1), last),
+        (
+            "samples differ from the priced count",
+            0,
+            result(0, 0, clean.replies[0].2 + 1),
+            first,
+        ),
     ];
     for (case, sender, msg, at) in cases {
         let (got, stats) = hostile_round(vec![(*sender, msg.clone())], *at);

@@ -100,7 +100,7 @@ fn infer_is_the_training_forward_without_caches_at_every_chunk_boundary() {
     let models = [
         // 4096-wide input: R = 128 rows per chunk.
         ("dense", CellModel::dense(&mut rng, 4096, &[64, 32], 5)),
-        // 16→16 3x3 over 16x16: 144·256 im2col floats per sample, R = 14.
+        // 16→16 3x3 over 16x16: 144·256 patch floats per sample, R = 14.
         (
             "conv",
             CellModel::conv(&mut rng, 3, 16, 16, &[16, 16], 3, 5),

@@ -34,7 +34,8 @@ use ft_data::{FederatedDataset, InputSpec};
 use ft_fedsim::costs::storage_mb;
 use ft_fedsim::device::DeviceTrace;
 use ft_fedsim::driver::{
-    field, mean_loss, Fleet, Method, Round, RoundOutcome, Runner, SpineConfig, Suite,
+    field, mean_loss, validate_model, Fleet, Method, Round, RoundOutcome, Runner, SpineConfig,
+    Suite,
 };
 use ft_fedsim::sink::FedAvgSink;
 use ft_fedsim::trainer::TrainTask;
@@ -391,6 +392,7 @@ impl Method for FedTransRuntime {
                     self.input_dim
                 )));
             }
+            validate_model("models", m)?;
         }
         let model_birth = field(block, "model_birth")?;
         let utilities = field(block, "utilities")?;

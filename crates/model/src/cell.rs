@@ -230,11 +230,28 @@ impl Cell {
         }
     }
 
-    /// Floats in the largest buffer one sample occupies on its way
-    /// through this cell: the im2col patch columns of a conv cell, the
-    /// MLP activations of an attention cell, the wider side of a dense
-    /// cell. Every such buffer scales linearly with the batch, so it
-    /// sizes how many samples an evaluation chunk may hold.
+    /// Checks the cell's layer geometry (see `Conv2d::validate` and its
+    /// siblings) — for a cell that arrived through deserialization.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::ModelError::Nn`] naming the first mismatch.
+    pub fn validate(&self) -> Result<()> {
+        match self {
+            Cell::Dense { linear, .. } => linear.validate()?,
+            Cell::Conv { conv, .. } => conv.validate()?,
+            Cell::Attention { block, .. } => block.validate()?,
+        }
+        Ok(())
+    }
+
+    /// Floats in the largest buffer one sample may occupy on its way
+    /// through this cell: the `C·k·k·H·W` patch columns of a conv cell
+    /// (a bound: the GEMM lowers them as it packs, no buffer holds
+    /// them), the MLP activations of an attention cell, the wider side
+    /// of a dense cell. Every such buffer scales linearly with the
+    /// batch, so it sizes how many samples an evaluation chunk may
+    /// hold.
     pub fn sample_working_floats(&self) -> usize {
         match self {
             Cell::Dense { linear, .. } => linear.in_features().max(linear.out_features()),

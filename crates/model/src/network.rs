@@ -215,6 +215,21 @@ impl CellModel {
         )
     }
 
+    /// Checks every layer's geometry, cells and head alike: what a
+    /// model deserialized from a checkpoint was never checked for, and
+    /// what would otherwise surface as an index panic on its first pass.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::Nn`] naming the first layer that does not hold
+    /// together.
+    pub fn validate(&self) -> Result<()> {
+        for cell in &self.cells {
+            cell.validate()?;
+        }
+        Ok(self.head.linear().validate()?)
+    }
+
     /// Expected flat input width per sample.
     pub fn input_width(&self) -> usize {
         self.input_width
@@ -261,12 +276,14 @@ impl CellModel {
         self.head.infer(&h)
     }
 
-    /// Bytes of the largest buffer one sample occupies anywhere in an
-    /// [`CellModel::infer`] pass (its input row, a conv cell's im2col
-    /// patch columns, an attention cell's MLP activations, …). Every
-    /// such buffer grows linearly with the batch, so a batch of `r`
-    /// samples never checks out a single buffer larger than `r` times
-    /// this.
+    /// Bytes of the largest buffer one sample may occupy anywhere in
+    /// an [`CellModel::infer`] pass (its input row, a conv cell's patch
+    /// columns, an attention cell's MLP activations, …). Every such
+    /// buffer grows linearly with the batch, so a batch of `r` samples
+    /// never checks out a single buffer larger than `r` times this. A
+    /// conv cell's patch columns are a bound, not a buffer: the GEMM
+    /// lowers them as it packs, and the largest conv buffer it checks
+    /// out is smaller.
     pub fn sample_working_set_bytes(&self) -> usize {
         let head = self.head.linear();
         let floats = self

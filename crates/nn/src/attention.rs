@@ -2,6 +2,7 @@ use serde::{Deserialize, Serialize};
 
 use ft_tensor::{scratch, xavier_uniform, Tensor};
 
+use crate::error::expect_shape;
 use crate::{softmax, NnError, Result};
 
 /// A single-head self-attention block with a residual MLP.
@@ -187,6 +188,41 @@ impl AttentionBlock {
         for g in &mut self.grads {
             g.data_mut().fill(0.0);
         }
+    }
+
+    /// Checks what a deserialized block was never checked for: `Wq`,
+    /// `Wk`, `Wv`, `Wo` `[d_model, d_model]`, `W1` `[d_model, d_ff]`,
+    /// `W2` `[d_ff, d_model]`, and one gradient per weight, shaped like
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// [`NnError::BadInput`] naming the first mismatch.
+    pub fn validate(&self) -> Result<()> {
+        let (d, f) = (self.d_model, self.d_ff);
+        let weights = [
+            ("wq", &self.wq, [d, d]),
+            ("wk", &self.wk, [d, d]),
+            ("wv", &self.wv, [d, d]),
+            ("wo", &self.wo, [d, d]),
+            ("w1", &self.w1, [d, f]),
+            ("w2", &self.w2, [f, d]),
+        ];
+        if self.grads.len() != weights.len() {
+            return Err(NnError::BadInput {
+                layer: "AttentionBlock",
+                detail: format!(
+                    "{} gradients for {} weights",
+                    self.grads.len(),
+                    weights.len()
+                ),
+            });
+        }
+        for ((name, weight, dims), grad) in weights.into_iter().zip(&self.grads) {
+            expect_shape("AttentionBlock", name, weight, &dims)?;
+            expect_shape("AttentionBlock", "a gradient", grad, &dims)?;
+        }
+        Ok(())
     }
 
     fn sample_dim(&self) -> usize {
@@ -398,6 +434,26 @@ impl AttentionBlock {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    #[test]
+    fn validate_names_a_weight_or_gradient_that_does_not_fit() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let block = AttentionBlock::new(&mut rng, 4, 8, 16);
+        block.validate().unwrap();
+        let detail = |block: AttentionBlock| match block.validate() {
+            Err(NnError::BadInput { detail, .. }) => detail,
+            other => panic!("expected a geometry error, got {other:?}"),
+        };
+        let mut bad = block.clone();
+        bad.w2 = Tensor::zeros(&[8, 16]);
+        assert_eq!(detail(bad), "w2 has shape [8, 16], expected [16, 8]");
+        let mut bad = block.clone();
+        bad.grads.pop();
+        assert_eq!(detail(bad), "5 gradients for 6 weights");
+        let mut bad = block;
+        bad.grads[4] = Tensor::zeros(&[1]);
+        assert_eq!(detail(bad), "a gradient has shape [1], expected [8, 16]");
+    }
 
     #[test]
     fn identity_block_is_identity() {

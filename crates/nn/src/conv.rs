@@ -1,22 +1,26 @@
 use serde::{Deserialize, Serialize};
 
-use ft_tensor::{he_normal, Tensor};
+use ft_tensor::{he_normal, Patches, Tensor};
 
+use crate::error::expect_shape;
 use crate::{NnError, Result};
 
 /// A same-padded, stride-1 2-D convolution over `[batch, C·H·W]` inputs.
 ///
 /// The weight is stored as a `[out_channels, in_channels·k·k]` matrix so
-/// convolution reduces to an im2col GEMM, and — more importantly for
-/// FedTrans — so that widening the layer's output duplicates *rows* and
-/// widening its input duplicates contiguous *column blocks* of `k·k`
-/// entries per input channel. Spatial geometry `(height, width)` is fixed
-/// at construction; all FedTrans conv cells preserve spatial dims.
+/// convolution reduces to a GEMM against the input's patch matrix, and
+/// — more importantly for FedTrans — so that widening the layer's
+/// output duplicates *rows* and widening its input duplicates
+/// contiguous *column blocks* of `k·k` entries per input channel.
+/// Spatial geometry `(height, width)` is fixed at construction; all
+/// FedTrans conv cells preserve spatial dims.
 ///
-/// The whole batch is lowered into **one** `[C·k·k, batch·H·W]` patch
-/// matrix so the forward pass, `dW`, and `dX` each issue a single large
-/// GEMM instead of one small GEMM per sample — the shape the tiled
-/// kernel in `ft_tensor` is fastest at.
+/// The whole batch is one `[C·k·k, batch·H·W]` patch matrix, so the
+/// forward pass and `dW` each issue a single large GEMM instead of one
+/// small GEMM per sample — the shape the tiled kernel in `ft_tensor` is
+/// fastest at. Neither writes that matrix: [`Patches`] lowers its
+/// elements inside the GEMM, and the layer caches only its (9× smaller,
+/// for 3×3) input. `dX` is one product and one scatter per sample.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Conv2d {
     in_channels: usize,
@@ -29,7 +33,7 @@ pub struct Conv2d {
     grad_weight: Tensor,
     grad_bias: Tensor,
     #[serde(skip)]
-    cache_cols: Option<Tensor>,
+    cache_input: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -99,7 +103,7 @@ impl Conv2d {
             bias,
             grad_weight: gw,
             grad_bias: gb,
-            cache_cols: None,
+            cache_input: None,
         }
     }
 
@@ -193,7 +197,7 @@ impl Conv2d {
         self.bias = bias;
         self.in_channels = in_channels;
         self.out_channels = out_channels;
-        self.cache_cols = None;
+        self.cache_input = None;
     }
 
     /// Clears accumulated gradients in place (no reallocation — part
@@ -203,47 +207,39 @@ impl Conv2d {
         self.grad_bias.data_mut().fill(0.0);
     }
 
+    /// Checks what a deserialized layer was never checked for: an odd
+    /// kernel, weight `[out_channels, in_channels·k·k]`, bias
+    /// `[out_channels]`, and gradients shaped like their parameters.
+    ///
+    /// # Errors
+    ///
+    /// [`NnError::BadInput`] naming the first mismatch.
+    pub fn validate(&self) -> Result<()> {
+        let k = self.kernel;
+        if k.is_multiple_of(2) {
+            return Err(NnError::BadInput {
+                layer: "Conv2d",
+                detail: format!("kernel {k} is even; same padding needs an odd kernel"),
+            });
+        }
+        let weight = [self.out_channels, self.in_channels * k * k];
+        expect_shape("Conv2d", "weight", &self.weight, &weight)?;
+        expect_shape("Conv2d", "bias", &self.bias, &[self.out_channels])?;
+        expect_shape("Conv2d", "grad_weight", &self.grad_weight, &weight)?;
+        expect_shape("Conv2d", "grad_bias", &self.grad_bias, &[self.out_channels])
+    }
+
     fn expected_input_len(&self) -> usize {
         self.in_channels * self.height * self.width
     }
 
-    /// Lowers one sample `[C·H·W]` into columns `[off, off + H·W)` of a
-    /// `[C·k·k, ld]` patch matrix (`ld` = batch·H·W for whole-batch
-    /// lowering). `out` must be zero where no patch value lands (the
-    /// same-padding border).
-    ///
-    /// Per kernel tap the in-image output rows and columns are one
-    /// range each ([`tap_range`]), so every patch row is a run of
-    /// straight slice copies with no per-element border test.
-    fn im2col_into(&self, sample: &[f32], out: &mut [f32], off: usize, ld: usize) {
-        let (h, w, k, c) = (self.height, self.width, self.kernel, self.in_channels);
-        for ic in 0..c {
-            let plane = &sample[ic * h * w..(ic + 1) * h * w];
-            for ki in 0..k {
-                let (rows, ii0) = tap_range(ki, k, h);
-                for kj in 0..k {
-                    let (cols, jj0) = tap_range(kj, k, w);
-                    if cols.is_empty() {
-                        continue;
-                    }
-                    let base = (ic * k * k + ki * k + kj) * ld + off;
-                    for (r, oi) in rows.clone().enumerate() {
-                        let dst = base + oi * w + cols.start;
-                        let src = (ii0 + r) * w + jj0;
-                        out[dst..dst + cols.len()].copy_from_slice(&plane[src..src + cols.len()]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Scatters columns `[off, off + H·W)` of a `[C·k·k, ld]` gradient
-    /// matrix back onto one sample's `[C·H·W]` image gradient.
+    /// Scatters one sample's `[C·k·k, H·W]` patch gradient back onto
+    /// its `[C·H·W]` image gradient.
     ///
     /// `(ic, ki, kj)` stay the outer loops and a tap touches each image
     /// element at most once, so every `dx` element still accumulates
     /// its taps in ascending `(ki, kj)` order.
-    fn col2im_from(&self, d: &[f32], off: usize, ld: usize, out: &mut [f32]) {
+    fn col2im_from(&self, d: &[f32], out: &mut [f32]) {
         let (h, w, k, c) = (self.height, self.width, self.kernel, self.in_channels);
         for ic in 0..c {
             let plane = &mut out[ic * h * w..(ic + 1) * h * w];
@@ -254,7 +250,7 @@ impl Conv2d {
                     if cols.is_empty() {
                         continue;
                     }
-                    let base = (ic * k * k + ki * k + kj) * ld + off;
+                    let base = (ic * k * k + ki * k + kj) * h * w;
                     for (r, oi) in rows.clone().enumerate() {
                         let src = base + oi * w + cols.start;
                         let dst = (ii0 + r) * w + jj0;
@@ -268,35 +264,48 @@ impl Conv2d {
         }
     }
 
-    /// Forward pass over `[batch, C·H·W]`: one im2col lowering of the
-    /// whole batch followed by a single `[out_c, C·k·k] @ [C·k·k,
-    /// batch·H·W]` GEMM.
+    /// Forward pass over `[batch, C·H·W]`: a single `[out_c, C·k·k] @
+    /// [C·k·k, batch·H·W]` GEMM against the batch's patch matrix, which
+    /// the GEMM lowers as it packs. The input is cached for `dW`.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BadInput`] when the input width differs from
     /// `in_channels·height·width`.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        let (cols, out) = self.lower_and_multiply(x)?;
-        self.cache_cols = Some(cols);
+        let out = self.infer(x)?;
+        self.cache_input = Some(x.clone());
         Ok(out)
     }
 
-    /// Inference forward: the arithmetic of [`Conv2d::forward`] with the
-    /// patch matrix returned to the scratch pool instead of cached, so
-    /// the layer can be shared across threads.
+    /// Inference forward: the arithmetic of [`Conv2d::forward`] with
+    /// nothing cached, so the layer can be shared across threads.
     ///
     /// # Errors
     ///
     /// As [`Conv2d::forward`].
     pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
-        Ok(self.lower_and_multiply(x)?.1)
+        let batch = x.rows()?;
+        let patches = self.patches(x)?;
+        let hw = self.height * self.width;
+        let ld = batch * hw;
+        let y = self.weight.matmul_patches(&patches)?; // [out_c, batch*hw]
+        let b = self.bias.data();
+        let mut out = ft_tensor::scratch::take(batch * self.out_channels * hw);
+        for s in 0..batch {
+            for oc in 0..self.out_channels {
+                let row = &y.data()[oc * ld + s * hw..oc * ld + (s + 1) * hw];
+                let dst = &mut out[(s * self.out_channels + oc) * hw..][..hw];
+                for (o, &v) in dst.iter_mut().zip(row) {
+                    *o = v + b[oc];
+                }
+            }
+        }
+        Ok(Tensor::from_vec(out, &[batch, self.out_channels * hw])?)
     }
 
-    /// The forward pass proper: returns the `[C·k·k, batch·H·W]` patch
-    /// matrix (what backward needs) and the `[batch, out_c·H·W]` output.
-    fn lower_and_multiply(&self, x: &Tensor) -> Result<(Tensor, Tensor)> {
-        let batch = x.rows()?;
+    /// The `[C·k·k, batch·H·W]` patch matrix of `x`, as a GEMM operand.
+    fn patches<'a>(&self, x: &'a Tensor) -> Result<Patches<'a>> {
         if x.cols()? != self.expected_input_len() {
             return Err(NnError::BadInput {
                 layer: "Conv2d",
@@ -310,39 +319,23 @@ impl Conv2d {
                 ),
             });
         }
-        let hw = self.height * self.width;
-        let patch_rows = self.in_channels * self.kernel * self.kernel;
-        let ld = batch * hw;
-        // The im2col workspace and the output come from the scratch
-        // pool: steady-state conv forwards allocate nothing. The patch
-        // matrix must start zeroed (the same-padding border is never
-        // written); the output is fully overwritten below.
-        let mut cols = ft_tensor::scratch::take_zeroed(patch_rows * ld);
-        for s in 0..batch {
-            let sample =
-                &x.data()[s * self.expected_input_len()..(s + 1) * self.expected_input_len()];
-            self.im2col_into(sample, &mut cols, s * hw, ld);
-        }
-        let cols = Tensor::from_vec(cols, &[patch_rows, ld])?;
-        let y = self.weight.matmul(&cols)?; // [out_c, batch*hw]
-        let b = self.bias.data();
-        let mut out = ft_tensor::scratch::take(batch * self.out_channels * hw);
-        for s in 0..batch {
-            for oc in 0..self.out_channels {
-                let row = &y.data()[oc * ld + s * hw..oc * ld + (s + 1) * hw];
-                let dst = &mut out[(s * self.out_channels + oc) * hw..][..hw];
-                for (o, &v) in dst.iter_mut().zip(row) {
-                    *o = v + b[oc];
-                }
-            }
-        }
-        let out = Tensor::from_vec(out, &[batch, self.out_channels * hw])?;
-        Ok((cols, out))
+        Ok(Patches::new(
+            x,
+            self.in_channels,
+            self.height,
+            self.width,
+            self.kernel,
+        )?)
     }
 
-    /// Backward pass; accumulates gradients and returns `dX`. The
-    /// gradient is regathered to `[out_c, batch·H·W]` so `dW` and the
-    /// patch gradient are each one large GEMM over the whole batch.
+    /// Backward pass; accumulates gradients and returns `dX`.
+    ///
+    /// The patch gradient `Wᵀ · dY` is computed and scattered back onto
+    /// the image one sample at a time: each sample's `dY` is already a
+    /// contiguous `[out_c, H·W]` matrix, and its `[C·k·k, H·W]` patch
+    /// gradient stays cache-resident between the GEMM that writes it and
+    /// the col2im that reads it. Every element is the same
+    /// ascending-channel sum as in a whole-batch product.
     ///
     /// # Errors
     ///
@@ -350,17 +343,19 @@ impl Conv2d {
     /// [`Conv2d::forward`], or [`NnError::BadInput`] when `dy` does not
     /// match the cached batch geometry.
     pub fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
-        let dyb = self.accumulate_grads(dy)?;
+        self.accumulate_grads(dy)?;
         let batch = dy.rows()?;
         let hw = self.height * self.width;
-        let ld = batch * hw;
-        // [c*k*k, batch*hw]
-        let dcols = self.weight.t_matmul(&dyb)?;
-        // col2im accumulates, so this buffer must start zeroed.
-        let mut dx = ft_tensor::scratch::take_zeroed(batch * self.expected_input_len());
         let per_sample = self.expected_input_len();
-        for (s, sample) in dx.chunks_mut(per_sample).enumerate() {
-            self.col2im_from(dcols.data(), s * hw, ld, sample);
+        let dy_len = self.out_channels * hw;
+        // col2im accumulates, so this buffer must start zeroed.
+        let mut dx = ft_tensor::scratch::take_zeroed(batch * per_sample);
+        for (s, image) in dx.chunks_mut(per_sample.max(1)).enumerate() {
+            let mut dys = ft_tensor::scratch::take(dy_len);
+            dys.copy_from_slice(&dy.data()[s * dy_len..(s + 1) * dy_len]);
+            let dys = Tensor::from_vec(dys, &[self.out_channels, hw])?;
+            let dcols = self.weight.t_matmul(&dys)?; // [c*k*k, hw]
+            self.col2im_from(dcols.data(), image);
         }
         Ok(Tensor::from_vec(dx, &[batch, per_sample])?)
     }
@@ -373,26 +368,30 @@ impl Conv2d {
     ///
     /// As [`Conv2d::backward`].
     pub fn backward_params(&mut self, dy: &Tensor) -> Result<()> {
-        self.accumulate_grads(dy).map(drop)
+        self.accumulate_grads(dy)
     }
 
-    /// Accumulates `dW` and `db` from `dy` and returns `dy` regathered
-    /// to `[out_c, batch·H·W]`, the patch-gradient GEMM's B operand.
-    fn accumulate_grads(&mut self, dy: &Tensor) -> Result<Tensor> {
-        let cols = self
-            .cache_cols
+    /// Accumulates `dW` and `db` from `dy`.
+    ///
+    /// `dW` is computed transposed, `dWᵀ = patches · dYᵀ`: the patch
+    /// matrix is the A operand, lowered a k-block at a time, and only
+    /// `dY` is packed. Each element is the same ascending-pixel sum of
+    /// the same products as `dY · patchesᵀ`, so the result is too.
+    fn accumulate_grads(&mut self, dy: &Tensor) -> Result<()> {
+        let x = self
+            .cache_input
             .take()
             .ok_or(NnError::MissingForwardCache { layer: "Conv2d" })?;
         let batch = dy.rows()?;
         let hw = self.height * self.width;
         let ld = batch * hw;
-        if cols.cols()? != ld || dy.cols()? != self.out_channels * hw {
+        if x.rows()? != batch || dy.cols()? != self.out_channels * hw {
             return Err(NnError::BadInput {
                 layer: "Conv2d",
                 detail: format!(
                     "gradient shape {:?} does not match cached batch {} x {}",
                     dy.shape().dims(),
-                    cols.cols()? / hw.max(1),
+                    x.rows()?,
                     self.out_channels * hw
                 ),
             });
@@ -407,13 +406,23 @@ impl Conv2d {
             }
         }
         let dyb = Tensor::from_vec(dyb, &[self.out_channels, ld])?;
-        let dw = dyb.matmul_t(&cols)?; // [out_c, c*k*k]
-        self.grad_weight.axpy(1.0, &dw)?;
+        let dwt = self.patches(&x)?.matmul_t(&dyb)?; // [c*k*k, out_c]
+        let fan_in = self.weight.cols()?;
+        let gw = self.grad_weight.data_mut();
+        for (r, row) in dwt
+            .data()
+            .chunks_exact(self.out_channels.max(1))
+            .enumerate()
+        {
+            for (oc, &v) in row.iter().enumerate() {
+                gw[oc * fan_in + r] += v;
+            }
+        }
         for oc in 0..self.out_channels {
             let sum: f32 = dyb.data()[oc * ld..(oc + 1) * ld].iter().sum();
             self.grad_bias.data_mut()[oc] += sum;
         }
-        Ok(dyb)
+        Ok(())
     }
 
     /// Number of trainable parameters.
@@ -452,8 +461,8 @@ mod tests {
     use rand::SeedableRng;
 
     impl Conv2d {
-        /// The per-element lowering the slice version replaced, kept as
-        /// the oracle: every patch element tests its own border.
+        /// A per-element lowering, the oracle for [`Patches`]: every
+        /// patch element tests its own border.
         fn im2col_oracle(&self, sample: &[f32], out: &mut [f32], off: usize, ld: usize) {
             let (h, w, k, c) = (self.height, self.width, self.kernel, self.in_channels);
             let pad = k / 2;
@@ -482,14 +491,14 @@ mod tests {
         }
 
         /// Per-element scatter oracle for [`Conv2d::col2im_from`].
-        fn col2im_oracle(&self, d: &[f32], off: usize, ld: usize, out: &mut [f32]) {
+        fn col2im_oracle(&self, d: &[f32], out: &mut [f32]) {
             let (h, w, k, c) = (self.height, self.width, self.kernel, self.in_channels);
             let pad = k / 2;
             for ic in 0..c {
                 for ki in 0..k {
                     for kj in 0..k {
                         let row = ic * k * k + ki * k + kj;
-                        let base = row * ld + off;
+                        let base = row * h * w;
                         for oi in 0..h {
                             let ii = oi as isize + ki as isize - pad as isize;
                             if ii < 0 || ii >= h as isize {
@@ -515,10 +524,12 @@ mod tests {
     }
 
     proptest! {
-        /// Slice-wise lowering and scatter against the per-element
-        /// oracles, bit for bit, at every sample's (non-zero) column
-        /// offset — including images shorter or narrower than the
-        /// kernel, where whole taps fall in the padding.
+        /// Slice-wise lowering ([`Patches`], read back through an
+        /// identity product, which reproduces each element exactly) and
+        /// scatter against the per-element oracles, bit for bit, for
+        /// every sample of the batch — including images shorter or
+        /// narrower than the kernel, where whole taps fall in the
+        /// padding.
         #[test]
         fn slice_im2col_and_col2im_match_the_per_element_oracles(
             kernel_idx in 0usize..3,
@@ -535,23 +546,25 @@ mod tests {
             let ld = batch * hw;
             let patch_rows = channels * kernel * kernel;
             let x = ft_tensor::uniform(&mut rng, &[batch, per_sample], -2.0, 2.0);
-            let d = ft_tensor::uniform(&mut rng, &[patch_rows, ld], -2.0, 2.0);
+            // One [patch_rows, hw] patch gradient per sample.
+            let d = ft_tensor::uniform(&mut rng, &[batch, patch_rows * hw], -2.0, 2.0);
 
-            let mut cols = vec![0.0f32; patch_rows * ld];
-            let mut cols_oracle = cols.clone();
+            let patches = conv.patches(&x).unwrap();
+            let cols = Tensor::eye(patch_rows).matmul_patches(&patches).unwrap();
+            let mut cols_oracle = vec![0.0f32; patch_rows * ld];
             // Accumulate onto a non-zero image so a dropped or doubled
             // tap cannot hide behind a zero.
             let mut dx = x.data().to_vec();
             let mut dx_oracle = dx.clone();
             for s in 0..batch {
                 let sample = &x.data()[s * per_sample..(s + 1) * per_sample];
-                conv.im2col_into(sample, &mut cols, s * hw, ld);
                 conv.im2col_oracle(sample, &mut cols_oracle, s * hw, ld);
                 let image = s * per_sample..(s + 1) * per_sample;
-                conv.col2im_from(d.data(), s * hw, ld, &mut dx[image.clone()]);
-                conv.col2im_oracle(d.data(), s * hw, ld, &mut dx_oracle[image]);
+                let grad = &d.data()[s * patch_rows * hw..(s + 1) * patch_rows * hw];
+                conv.col2im_from(grad, &mut dx[image.clone()]);
+                conv.col2im_oracle(grad, &mut dx_oracle[image]);
             }
-            prop_assert_eq!(bits(&cols), bits(&cols_oracle));
+            prop_assert_eq!(bits(cols.data()), bits(&cols_oracle));
             prop_assert_eq!(bits(&dx), bits(&dx_oracle));
         }
     }

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use ft_tensor::TensorError;
+use ft_tensor::{Tensor, TensorError};
 
 /// Error raised by NN layers, losses, and optimizers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,4 +79,24 @@ impl From<TensorError> for NnError {
     fn from(e: TensorError) -> Self {
         NnError::Tensor(e)
     }
+}
+
+/// [`NnError::BadInput`] unless `tensor` (the layer's `what`) has shape
+/// `dims` — the geometry check a deserialized layer gets before use.
+pub(crate) fn expect_shape(
+    layer: &'static str,
+    what: &str,
+    tensor: &Tensor,
+    dims: &[usize],
+) -> Result<(), NnError> {
+    if tensor.shape().dims() == dims {
+        return Ok(());
+    }
+    Err(NnError::BadInput {
+        layer,
+        detail: format!(
+            "{what} has shape {:?}, expected {dims:?}",
+            tensor.shape().dims()
+        ),
+    })
 }

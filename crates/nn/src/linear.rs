@@ -2,6 +2,7 @@ use serde::{Deserialize, Serialize};
 
 use ft_tensor::{he_normal, Tensor};
 
+use crate::error::expect_shape;
 use crate::{NnError, Result};
 
 /// A fully connected layer `y = x W + b`.
@@ -118,6 +119,33 @@ impl Linear {
     pub fn zero_grad(&mut self) {
         self.grad_weight.data_mut().fill(0.0);
         self.grad_bias.data_mut().fill(0.0);
+    }
+
+    /// Checks what a deserialized layer was never checked for: a
+    /// matrix weight `[in, out]`, bias `[out]`, and gradients shaped
+    /// like their parameters.
+    ///
+    /// # Errors
+    ///
+    /// [`NnError::BadInput`] naming the first mismatch.
+    pub fn validate(&self) -> Result<()> {
+        let &[fan_in, fan_out] = self.weight.shape().dims() else {
+            return Err(NnError::BadInput {
+                layer: "Linear",
+                detail: format!(
+                    "weight has shape {:?}, expected a matrix",
+                    self.weight.shape().dims()
+                ),
+            });
+        };
+        expect_shape("Linear", "bias", &self.bias, &[fan_out])?;
+        expect_shape(
+            "Linear",
+            "grad_weight",
+            &self.grad_weight,
+            &[fan_in, fan_out],
+        )?;
+        expect_shape("Linear", "grad_bias", &self.grad_bias, &[fan_out])
     }
 
     /// Forward pass over a `[batch, in]` matrix.

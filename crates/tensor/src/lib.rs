@@ -39,6 +39,7 @@ pub mod tune;
 
 pub use error::TensorError;
 pub use init::{he_normal, uniform, xavier_uniform};
+pub use matmul::Patches;
 pub use shape::{Shape, MAX_RANK};
 pub use tensor::Tensor;
 

@@ -1,8 +1,8 @@
 //! Matrix multiplication kernels.
 //!
 //! Every simulated client's forward/backward pass funnels through the
-//! three GEMM variants here, so they are the hottest code in the repo.
-//! All three take one path, whatever the shape: a cache-blocked loop
+//! GEMM variants here, so they are the hottest code in the repo. They
+//! take one path, whatever the shape: a cache-blocked loop
 //! nest around one `MR × NR` register tile (AVX-512 or AVX2 where the
 //! CPU has it) that reads A in place, reads a row-major B in place too when its
 //! k-block is small ([`DIRECT_B_MAX`]) and packs it otherwise, and —
@@ -12,6 +12,11 @@
 //! *inside* a pool task (every client lane and evaluation task is one)
 //! runs as a single panel: the kernel packs B at most once wherever it
 //! runs.
+//!
+//! A convolution's patch matrix is an operand too ([`Patches`]): the
+//! conv geometry plus its NCHW input. No `[C·k·k, B·H·W]` matrix is
+//! ever written; as B its elements are lowered straight into the pack
+//! slab, and as A one `rows × KC` block at a time into scratch.
 //!
 //! # Determinism
 //!
@@ -149,35 +154,273 @@ impl Tensor {
         let out = gemm(simd::active(), a, b, m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
+
+    /// Computes `self @ patches` — a convolution's forward product,
+    /// `W[out_c × C·k·k]` times the `[C·k·k × B·H·W]` patch matrix —
+    /// lowering patch elements straight into the B pack.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::MatmulDimMismatch`] when `self` does not
+    /// have one column per patch row.
+    pub fn matmul_patches(&self, patches: &Patches) -> Result<Tensor> {
+        let (m, k) = (self.rows()?, self.cols()?);
+        let (k2, n) = (patches.rows(), patches.cols());
+        if k != k2 {
+            return Err(TensorError::MatmulDimMismatch {
+                left: vec![m, k],
+                right: vec![k2, n],
+            });
+        }
+        let a = Operand::row_major(self.data(), k);
+        let out = gemm(simd::active(), a, Operand::Patches(patches), m, k, n);
+        Tensor::from_vec(out, &[m, n])
+    }
 }
 
-/// A GEMM operand exactly as its caller stores it. `ld` is the length
+/// The patch matrix of a same-padded, stride-1 2-D convolution, as a
+/// GEMM operand: the conv geometry plus its `[B, C·H·W]` NCHW input.
+/// Logically it is `[C·k·k, B·H·W]`. Row `ic·k·k + ki·k + kj`, column
+/// `s·H·W + oi·W + oj` holds input `[s, ic, oi + ki − k/2, oj + kj − k/2]`,
+/// or `+0.0` where that falls outside the image.
+///
+/// Nothing materializes the matrix. [`Patches::new`] copies the input
+/// once into zero-bordered planes (`(H + k − 1) × (W + k − 1)` each,
+/// about 1.3× the input for 3×3 over 16×16); a patch row's run across
+/// one image row is then a single copy out of them, with no border
+/// test. As B ([`Tensor::matmul_patches`]) the runs are lowered into
+/// the packed `kc × NR` slab; as A ([`Patches::matmul_t`]) one
+/// `rows × kc` block per k-block is lowered into scratch, and the tile
+/// reads it in place. Lowering only copies input values and the
+/// border's `+0.0`, so the products are bit-identical to those over a
+/// materialized patch matrix.
+pub struct Patches<'a> {
+    input: &'a [f32],
+    /// The input's `B·C` planes, each bordered by `k/2` zeros above and
+    /// left and `k − 1 − k/2` below and right.
+    planes: ScratchVec,
+    channels: usize,
+    height: usize,
+    width: usize,
+    kernel: usize,
+}
+
+impl<'a> Patches<'a> {
+    /// The patch matrix of `input` (`[B, C·H·W]`) for a `kernel × kernel`
+    /// same-padded convolution over `channels` planes of
+    /// `height × width`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when `input` is not a
+    /// matrix with `channels·height·width` columns.
+    pub fn new(
+        input: &'a Tensor,
+        channels: usize,
+        height: usize,
+        width: usize,
+        kernel: usize,
+    ) -> Result<Self> {
+        let (batch, per_sample) = (input.rows()?, channels * height * width);
+        if input.cols()? != per_sample {
+            return Err(TensorError::ShapeMismatch {
+                left: input.shape().dims().to_vec(),
+                right: vec![batch, per_sample],
+            });
+        }
+        let (hp, wp, pad) = (
+            height + kernel.max(1) - 1,
+            width + kernel.max(1) - 1,
+            kernel / 2,
+        );
+        let mut planes = ScratchVec::take_zeroed(batch * channels * hp * wp);
+        if height * width > 0 {
+            let plane_rows = input.data().chunks_exact(height * width);
+            for (plane, padded) in plane_rows.zip(planes.chunks_exact_mut(hp * wp)) {
+                let padded_rows = padded.chunks_exact_mut(wp).skip(pad);
+                for (row, out) in plane.chunks_exact(width).zip(padded_rows) {
+                    short_copy(&mut out[pad..pad + width], row);
+                }
+            }
+        }
+        Ok(Patches {
+            input: input.data(),
+            planes,
+            channels,
+            height,
+            width,
+            kernel,
+        })
+    }
+
+    /// Logical rows, `C·k·k`.
+    pub(crate) fn rows(&self) -> usize {
+        self.channels * self.kernel * self.kernel
+    }
+
+    /// Logical columns, `B·H·W`.
+    pub(crate) fn cols(&self) -> usize {
+        let (per_sample, hw) = (
+            self.channels * self.height * self.width,
+            self.height * self.width,
+        );
+        self.input.len().checked_div(per_sample).unwrap_or(0) * hw
+    }
+
+    /// Computes `patches @ other^T` — a convolution's weight gradient,
+    /// transposed (`dWᵀ = patches · dYᵀ` for `dY` stored
+    /// `[out_c × B·H·W]`). The patch matrix is the A operand, lowered one
+    /// k-block at a time; only `other` is packed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::MatmulDimMismatch`] when `other` does not
+    /// have one column per patch column.
+    pub fn matmul_t(&self, other: &Tensor) -> Result<Tensor> {
+        let (m, k) = (self.rows(), self.cols());
+        let (n, k2) = (other.rows()?, other.cols()?);
+        if k != k2 {
+            return Err(TensorError::MatmulDimMismatch {
+                left: vec![m, k],
+                right: vec![n, k2],
+            });
+        }
+        let b = Operand::col_major(other.data(), k);
+        let out = gemm(simd::active(), Operand::Patches(self), b, m, k, n);
+        Tensor::from_vec(out, &[m, n])
+    }
+
+    /// Writes the block `rows × cols` of the patch matrix into `dst`,
+    /// logical row `r` at `dst[(r − rows.start) · ld..]`, `cols.len()`
+    /// elements per row; nothing else of `dst` is touched.
+    ///
+    /// A row's columns fall into runs of one image row each, and each
+    /// run is one copy out of the zero-bordered planes. Row and column
+    /// coordinates are stepped, not divided out, once the block's first
+    /// element is located.
+    fn lower(&self, rows: Range<usize>, cols: Range<usize>, dst: &mut [f32], ld: usize) {
+        if cols.is_empty() || rows.is_empty() {
+            return;
+        }
+        let (h, w, k) = (self.height, self.width, self.kernel);
+        let (hw, wp) = (h * w, w + k - 1);
+        let plane = (h + k - 1) * wp;
+        let sample = self.channels * plane;
+        let first = (cols.start / hw, cols.start % hw / w, cols.start % w);
+        let (mut ic, tap) = (rows.start / (k * k), rows.start % (k * k));
+        let (mut ki, mut kj) = (tap / k, tap % k);
+        for (r, out) in dst.chunks_mut(ld).take(rows.len()).enumerate() {
+            if r > 0 {
+                kj += 1;
+                if kj == k {
+                    kj = 0;
+                    ki += 1;
+                    if ki == k {
+                        ki = 0;
+                        ic += 1;
+                    }
+                }
+            }
+            // Output pixel (oi, oj) of sample s reads padded (oi + ki, oj + kj).
+            let tap_origin = ic * plane + ki * wp + kj;
+            let out = &mut out[..cols.len()];
+            let (mut s, mut oi, mut oj) = first;
+            let mut d = 0;
+            while d < out.len() {
+                let len = (w - oj).min(out.len() - d);
+                let src = s * sample + tap_origin + oi * wp + oj;
+                short_copy(&mut out[d..d + len], &self.planes[src..src + len]);
+                d += len;
+                oj = 0;
+                oi += 1;
+                if oi == h {
+                    oi = 0;
+                    s += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Lanes per move in [`short_copy`].
+const RUN_LANES: usize = 8;
+
+/// `dst.copy_from_slice(src)` for the short runs the lowering copies
+/// (an image row or less, thousands per product): fixed
+/// `RUN_LANES`-wide moves, the last one overlapping its predecessor,
+/// which compile inline instead of calling the library `memcpy` once
+/// per run. The overlap rewrites lanes with the values they already
+/// hold.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+#[inline(always)]
+fn short_copy(dst: &mut [f32], src: &[f32]) {
+    let n = dst.len();
+    if n < RUN_LANES {
+        return dst.copy_from_slice(src);
+    }
+    assert_eq!(src.len(), n, "short_copy length mismatch");
+    let mut i = 0;
+    while i + RUN_LANES < n {
+        dst[i..i + RUN_LANES].copy_from_slice(&src[i..i + RUN_LANES]);
+        i += RUN_LANES;
+    }
+    dst[n - RUN_LANES..].copy_from_slice(&src[n - RUN_LANES..]);
+}
+
+/// A GEMM operand: a matrix as its caller stores it, or a conv input
+/// standing for its patch matrix.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    Stored(Stored<'a>),
+    Patches(&'a Patches<'a>),
+}
+
+impl<'a> Operand<'a> {
+    fn row_major(data: &'a [f32], ld: usize) -> Self {
+        Operand::Stored(Stored::row_major(data, ld))
+    }
+
+    fn col_major(data: &'a [f32], ld: usize) -> Self {
+        Operand::Stored(Stored {
+            data,
+            ld,
+            col_major: true,
+        })
+    }
+
+    /// The buffer the operand's elements come from (what the test-only
+    /// pack probe is keyed on).
+    #[cfg(test)]
+    fn source(&self) -> &'a [f32] {
+        match self {
+            Operand::Stored(s) => s.data,
+            Operand::Patches(p) => p.input,
+        }
+    }
+}
+
+/// A matrix exactly as its caller stores it. `ld` is the length
 /// of one stored row; `col_major` says the stored rows are the logical
 /// matrix's *columns* (`t_matmul`'s A is stored `[k × m]`, `matmul_t`'s
 /// B `[n × k]`). The register tile reads A in either layout in place,
 /// and [`pack_b`] reads B in either, so no caller materializes a
 /// transpose.
 #[derive(Clone, Copy)]
-struct Operand<'a> {
+struct Stored<'a> {
     data: &'a [f32],
     ld: usize,
     col_major: bool,
 }
 
-impl<'a> Operand<'a> {
+impl<'a> Stored<'a> {
     fn row_major(data: &'a [f32], ld: usize) -> Self {
-        Operand {
+        Stored {
             data,
             ld,
             col_major: false,
-        }
-    }
-
-    fn col_major(data: &'a [f32], ld: usize) -> Self {
-        Operand {
-            data,
-            ld,
-            col_major: true,
         }
     }
 
@@ -399,11 +642,13 @@ fn fan_out(
 /// Blocking is `pc` (k, [`tune::KC`]) → `ic` (rows, [`tune::MC`]) →
 /// `j0` (columns, `NR`) → `r0` (rows, `MR`): per k-block, each `mc`-row
 /// slice of A stays L2-resident while every column window streams past
-/// it. The register tile reads A in place in either layout
-/// ([`Operand::a_rows`]). It reads B in place too when B is row-major,
+/// it. The register tile reads a stored A in place in either layout
+/// ([`Stored::a_rows`]); a patch-matrix A is first lowered, the panel's
+/// rows times the k-block, into scratch that the tile then reads in
+/// place. The tile reads B in place too when B is stored row-major,
 /// its k-block spans at most [`DIRECT_B_MAX`] elements and the window
 /// is a full `NR` columns; otherwise ([`matmul_t`](Tensor::matmul_t)'s
-/// B, a large patch matrix, the last narrow window) the window is
+/// B, a large or patch-matrix B, the last narrow window) the window is
 /// packed into a contiguous, zero-padded `kc × NR` slab first. Neither
 /// choice combines values, so neither can change a result. Block sizes
 /// come from [`tune::active`] and cannot change results either: every
@@ -420,32 +665,48 @@ fn gemm_panel(kern: simd::Kernel, a: Operand, b: Operand, mut out: Window, k: us
     let cfg = tune::active();
     let kc_max = cfg.kc.min(k);
     let mc = cfg.mc.min(m.next_multiple_of(MR));
-    let b_in_place = !b.col_major && kc_max * b.ld <= DIRECT_B_MAX;
-    // The B slab comes from the executing thread's scratch pool, and
-    // only once something needs packing: a product that reads B in
-    // place neither checks it out nor clears it. Unzeroed scratch is
-    // safe: [`pack_b`] writes every lane the tile reads.
+    let b_in_place =
+        matches!(b, Operand::Stored(s) if !s.col_major && kc_max * s.ld <= DIRECT_B_MAX);
+    // The B slab and the lowered A block come from the executing
+    // thread's scratch pool, and only once something needs them: a
+    // product that reads both operands in place checks out neither.
+    // Unzeroed scratch is safe: [`pack_b`] and [`Patches::lower`] write
+    // every element the tile reads.
     let mut bpack: Option<ScratchVec> = None;
+    let mut ablock: Option<ScratchVec> = None;
     let mut pc = 0;
     while pc < k {
         let kc = (k - pc).min(kc_max);
+        // A as the tile reads it, and the coordinates of the panel's
+        // first row and this k-block in it.
+        let (a_src, ai, apc) = match a {
+            Operand::Stored(s) => (s, i0, pc),
+            Operand::Patches(p) => {
+                let block = ablock.get_or_insert_with(|| ScratchVec::take(m * kc_max));
+                p.lower(i0..i0 + m, pc..pc + kc, block, kc);
+                (Stored::row_major(&block[..m * kc], kc), 0, 0)
+            }
+        };
         let mut ic = 0;
         while ic < m {
             let mh = (m - ic).min(mc);
             let mut j0 = 0;
             while j0 < n {
                 let jw = (n - j0).min(NR);
-                let (bsrc, b_step) = if b_in_place && jw == NR {
-                    (&b.data[pc * b.ld + jc + j0..], b.ld)
-                } else {
-                    let slab = bpack.get_or_insert_with(|| ScratchVec::take(kc_max * NR));
-                    pack_b(b, slab, pc, kc, jc + j0, jw);
-                    (&slab[..], NR)
+                let (bsrc, b_step) = match b {
+                    Operand::Stored(s) if b_in_place && jw == NR => {
+                        (&s.data[pc * s.ld + jc + j0..], s.ld)
+                    }
+                    _ => {
+                        let slab = bpack.get_or_insert_with(|| ScratchVec::take(kc_max * NR));
+                        pack_b(b, slab, pc, kc, jc + j0, jw);
+                        (&slab[..], NR)
+                    }
                 };
                 let mut r0 = ic;
                 while r0 < ic + mh {
                     let rh = (ic + mh - r0).min(MR);
-                    let (arows, a_step) = a.a_rows(i0 + r0, rh, pc);
+                    let (arows, a_step) = a_src.a_rows(ai + r0, rh, apc);
                     let tile = Tile {
                         a: arows,
                         a_step,
@@ -466,28 +727,32 @@ fn gemm_panel(kern: simd::Kernel, a: Operand, b: Operand, mut out: Window, k: us
 
 /// Packs columns `j..j + jw` of B's k-block `pc..pc + kc` into the
 /// first `kc × NR` elements of `slab`, `NR` per k-step, zero-padding
-/// lanes past `jw`.
+/// lanes past `jw`. A patch-matrix B is lowered straight into the slab.
 fn pack_b(b: Operand, slab: &mut [f32], pc: usize, kc: usize, j: usize, jw: usize) {
     if jw < NR {
         slab[..kc * NR].fill(0.0);
     }
-    if b.col_major {
-        // Stored `[n × k]`: one logical column is a contiguous stored
-        // row.
-        for c in 0..jw {
-            let base = (j + c) * b.ld + pc;
-            for (p, &v) in b.data[base..base + kc].iter().enumerate() {
-                slab[p * NR + c] = v;
+    match b {
+        Operand::Patches(p) => p.lower(pc..pc + kc, j..j + jw, slab, NR),
+        Operand::Stored(b) if b.col_major => {
+            // Stored `[n × k]`: one logical column is a contiguous
+            // stored row.
+            for c in 0..jw {
+                let base = (j + c) * b.ld + pc;
+                for (p, &v) in b.data[base..base + kc].iter().enumerate() {
+                    slab[p * NR + c] = v;
+                }
             }
         }
-    } else {
-        for p in 0..kc {
-            let base = (pc + p) * b.ld + j;
-            slab[p * NR..p * NR + jw].copy_from_slice(&b.data[base..base + jw]);
+        Operand::Stored(b) => {
+            for p in 0..kc {
+                let base = (pc + p) * b.ld + j;
+                slab[p * NR..p * NR + jw].copy_from_slice(&b.data[base..base + jw]);
+            }
         }
     }
     #[cfg(test)]
-    pack_probe::record(b.data, kc * jw);
+    pack_probe::record(b.source(), kc * jw);
 }
 
 /// One register tile's operands over one k-block of `kc` steps: A row
@@ -590,10 +855,15 @@ fn tile_kernel(kern: simd::Kernel, t: Tile, c: &mut [&mut [f32; NR]; MR], load: 
         }
         #[cfg(target_arch = "x86_64")]
         simd::Kernel::Avx512 => {
+            let tile = if jw <= NR / 2 {
+                simd::x86::gemm_tile_avx512::<1>
+            } else {
+                simd::x86::gemm_tile_avx512::<{ NR / 16 }>
+            };
             // SAFETY: as for the AVX2 arm — a supported tier, and the
             // asserts above are the kernel's extent contract.
             unsafe {
-                simd::x86::gemm_tile_avx512(
+                tile(
                     t.a.map(<[f32]>::as_ptr),
                     t.a_step,
                     t.b.as_ptr(),
@@ -815,12 +1085,21 @@ mod tests {
         }
     }
 
-    /// The three public products.
+    /// A 3×3 conv layer over a batch of 10 16×16 images, as
+    /// `fedtrans-conv` trains it: `(channels, height, width, kernel)`
+    /// of its input.
+    type ConvGeometry = (usize, usize, usize, usize);
+
+    /// The public products.
     #[derive(Clone, Copy, Debug)]
     enum Method {
         MatMul,
         TMatMul,
         MatMulT,
+        /// `a @ patches(b)`: a conv forward, `b` the NCHW input.
+        MatMulPatches(ConvGeometry),
+        /// `patches(a) @ bᵀ`: a conv `dWᵀ`, `a` the NCHW input.
+        PatchesMatMulT(ConvGeometry),
     }
 
     /// How a test issues a product: through `gemm` on one tier, with
@@ -839,22 +1118,33 @@ mod tests {
         routes
     }
 
+    fn patches(x: &Tensor, (c, h, w, k): ConvGeometry) -> Patches<'_> {
+        Patches::new(x, c, h, w, k).unwrap()
+    }
+
     impl Method {
         /// `a.method(b)`, issued `via`; the product is dropped.
         fn run(self, via: Via, a: &Tensor, b: &Tensor) {
             let kern = match via {
                 Via::Tier(kern) => kern,
                 Via::Public => {
-                    let public = match self {
-                        Method::MatMul => Tensor::matmul,
-                        Method::TMatMul => Tensor::t_matmul,
-                        Method::MatMulT => Tensor::matmul_t,
+                    let product = match self {
+                        Method::MatMul => a.matmul(b),
+                        Method::TMatMul => a.t_matmul(b),
+                        Method::MatMulT => a.matmul_t(b),
+                        Method::MatMulPatches(g) => a.matmul_patches(&patches(b, g)),
+                        Method::PatchesMatMulT(g) => patches(a, g).matmul_t(b),
                     };
-                    return drop(public(a, b).unwrap());
+                    return drop(product.unwrap());
                 }
             };
             let (ar, ac) = (a.rows().unwrap(), a.cols().unwrap());
             let (br, bc) = (b.rows().unwrap(), b.cols().unwrap());
+            let lowered = match self {
+                Method::MatMulPatches(g) => Some(patches(b, g)),
+                Method::PatchesMatMulT(g) => Some(patches(a, g)),
+                _ => None,
+            };
             let (a, b, m, k, n) = match self {
                 Method::MatMul => (
                     Operand::row_major(a.data(), ac),
@@ -877,6 +1167,26 @@ mod tests {
                     ac,
                     br,
                 ),
+                Method::MatMulPatches(_) => {
+                    let p = lowered.as_ref().expect("built above");
+                    (
+                        Operand::row_major(a.data(), ac),
+                        Operand::Patches(p),
+                        ar,
+                        ac,
+                        p.cols(),
+                    )
+                }
+                Method::PatchesMatMulT(_) => {
+                    let p = lowered.as_ref().expect("built above");
+                    (
+                        Operand::Patches(p),
+                        Operand::col_major(b.data(), bc),
+                        p.rows(),
+                        bc,
+                        br,
+                    )
+                }
             };
             drop(gemm(kern, a, b, m, k, n));
         }
@@ -884,7 +1194,7 @@ mod tests {
 
     /// One product of a `fedtrans-conv` layer, `a.method(b)` with the
     /// operands as the layer stores them, and the element count one
-    /// pack of B reads.
+    /// pack of B reads (lowers, for a patch-matrix B).
     struct ConvProduct {
         method: Method,
         a: Tensor,
@@ -893,31 +1203,36 @@ mod tests {
     }
 
     /// The three products of one conv layer of `fedtrans-conv`
-    /// (16 → 16 channels, 3×3, batch 10 of 16×16): forward `matmul`,
-    /// `dW` `matmul_t`, `dcols` `t_matmul`. Each B is too large to read
-    /// in place.
+    /// (16 → 16 channels, 3×3, batch 10 of 16×16): forward
+    /// `matmul_patches`, which lowers the `[144 × 2560]` patch matrix
+    /// into its pack; `dWᵀ` `Patches::matmul_t`, which packs `dY`; and
+    /// one sample's `dcols` `t_matmul`, whose `[16 × 256]` B is read in
+    /// place.
     fn conv_products() -> [ConvProduct; 3] {
-        let (oc, ckk, cols) = (16, 144, 2560);
-        let (w, x) = operands(oc, ckk, cols); // weight [16×144], patches [144×2560]
-        let (dy, _) = operands(oc, cols, 1); // [16×2560]
+        let (oc, c, hw, batch) = (16, 16, 256, 10);
+        let geometry = (c, 16, 16, 3);
+        let (w, _) = operands(oc, c * 9, 1); // weight [16×144]
+        let (x, _) = operands(batch, c * hw, 1); // NCHW input
+        let (dy, _) = operands(oc, batch * hw, 1); // [16×2560]
+        let (dys, _) = operands(oc, hw, 1); // one sample's [16×256]
         [
             ConvProduct {
-                method: Method::MatMul,
+                method: Method::MatMulPatches(geometry),
                 a: w.clone(),
                 b: x.clone(),
-                once: ckk * cols,
+                once: c * 9 * batch * hw,
             },
             ConvProduct {
-                method: Method::MatMulT,
-                a: dy.clone(),
-                b: x,
-                once: cols * ckk,
+                method: Method::PatchesMatMulT(geometry),
+                a: x,
+                b: dy,
+                once: oc * batch * hw,
             },
             ConvProduct {
                 method: Method::TMatMul,
                 a: w,
-                b: dy,
-                once: oc * cols,
+                b: dys,
+                once: 0,
             },
         ]
     }
@@ -945,7 +1260,8 @@ mod tests {
     fn a_nested_conv_gemm_packs_b_exactly_once() {
         // Once per product, not once per 4-row panel, and with no
         // `transposed()` copy first, on every tier and through the
-        // public methods. A is read in place, never packed.
+        // public methods — or not at all, where B is read in place. A
+        // is never packed.
         for via in every_route() {
             for p in conv_products() {
                 let run = || nested(&|| p.method.run(via, &p.a, &p.b));
@@ -958,14 +1274,135 @@ mod tests {
     #[test]
     fn a_fanned_out_conv_gemm_packs_b_once_in_total() {
         // From the main thread the product may fan out (when the pool
-        // has workers and nobody else owns it). Every conv product is
-        // wider than tall, so the split is by columns and each task
-        // packs only its own columns of B.
+        // has workers and nobody else owns it). The forward and `dcols`
+        // are wider than tall, so they split by columns and each task
+        // packs only its own columns of B. `dWᵀ` is taller than wide
+        // and splits by rows: each task packs all of `dY`, at most one
+        // task per `MIN_SPLIT` rows.
         for via in every_route() {
             for p in conv_products() {
                 let run = || p.method.run(via, &p.a, &p.b);
                 let packed = pack_probe::measure(p.b.data(), run);
-                assert_eq!(packed, p.once, "{:?} via {via:?}", p.method);
+                let shape = format!("{:?} via {via:?}", p.method);
+                if let Method::PatchesMatMulT(_) = p.method {
+                    let tasks = packed / p.once;
+                    assert_eq!(packed % p.once, 0, "{shape}");
+                    assert!((1..=144 / MIN_SPLIT).contains(&tasks), "{shape}: {tasks}");
+                } else {
+                    assert_eq!(packed, p.once, "{shape}");
+                }
+            }
+        }
+    }
+
+    /// Patch-matrix block `rows × cols` of `x` for `geometry`, one
+    /// element at a time (each tests its own border): the lowering's
+    /// oracle.
+    fn patch_oracle(x: &Tensor, (c, h, w, k): ConvGeometry, r: usize, col: usize) -> f32 {
+        let (ic, ki, kj) = (r / (k * k), r % (k * k) / k, r % k);
+        let (s, oi, oj) = (col / (h * w), col % (h * w) / w, col % w);
+        let ii = (oi + ki) as isize - (k / 2) as isize;
+        let jj = (oj + kj) as isize - (k / 2) as isize;
+        if ii < 0 || jj < 0 || ii >= h as isize || jj >= w as isize {
+            return 0.0;
+        }
+        x.data()[s * c * h * w + ic * h * w + ii as usize * w + jj as usize]
+    }
+
+    #[test]
+    fn the_32_channel_layer_packs_dy_and_never_a_patch_matrix() {
+        // The widest `fedtrans-conv` layer, 32 → 32 channels, 3×3,
+        // batch 10 of 16×16, issued nested as a client lane issues it,
+        // on every tier and through the public methods.
+        let (oc, c, hw, batch) = (32, 32, 256, 10);
+        let geometry = (c, 16, 16, 3);
+        let (rows, cols) = (c * 9, batch * hw);
+        let (w, _) = operands(oc, rows, 1);
+        let (x, _) = operands(batch, c * hw, 1);
+        let (dy, _) = operands(oc, cols, 1);
+        // The matrix an im2col lowering would have written.
+        let materialized = Tensor::from_vec(
+            (0..rows * cols)
+                .map(|e| patch_oracle(&x, geometry, e / cols, e % cols))
+                .collect(),
+            &[rows, cols],
+        )
+        .unwrap();
+        for via in every_route() {
+            let packed = |method: Method, a: &Tensor, b: &Tensor, key: &Tensor| {
+                pack_probe::measure(key.data(), || nested(&|| method.run(via, a, b)))
+            };
+            // dWᵀ = patches · dYᵀ packs dY once: 32 × 2 560 elements.
+            let dwt = Method::PatchesMatMulT(geometry);
+            assert_eq!(packed(dwt, &x, &dy, &dy), 81_920, "{via:?}");
+            // dW = dY · patchesᵀ, the orientation it replaced, sends the
+            // whole patch matrix through the transposing pack.
+            let dw = Method::MatMulT;
+            assert_eq!(
+                packed(dw, &dy, &materialized, &materialized),
+                737_280,
+                "{via:?}"
+            );
+            // The forward lowers each patch element into its pack once,
+            // straight from the input.
+            let forward = Method::MatMulPatches(geometry);
+            assert_eq!(packed(forward, &w, &x, &x), rows * cols, "{via:?}");
+        }
+    }
+
+    #[test]
+    fn the_lowering_writes_only_its_own_block() {
+        // `Patches::lower` as the B pack calls it (a slab of at most
+        // `NR` columns, rows `NR` apart) and as the A block does (rows a
+        // k-block long), into canary-padded buffers at offsets 1–7:
+        // each element of the block must match the per-element oracle
+        // bit for bit, and every other element must still be a canary.
+        // Images of 1×1, 5×7, 16×16 and 17×3 put sample boundaries and
+        // whole padding taps inside blocks.
+        let mut calls = 0usize;
+        for k in [1, 3, 5] {
+            for (h, w) in [(1, 1), (5, 7), (16, 16), (17, 3)] {
+                for (c, batch) in [(1, 1), (3, 3), (2, 10)] {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64((k * 100 + h * w + c) as u64);
+                    let x = crate::uniform(&mut rng, &[batch, c * h * w], -1.0, 1.0);
+                    let geometry = (c, h, w, k);
+                    let p = patches(&x, geometry);
+                    let (rows, cols) = (p.rows(), p.cols());
+                    let blocks = [
+                        (0..rows, 0..cols.min(NR), NR),
+                        (rows / 2..rows, cols / 3..(cols / 3 + NR).min(cols), NR),
+                        (0..rows, 0..cols, cols + 3),
+                        (rows - 1..rows, cols - 1..cols, 5),
+                        (rows / 3..rows, cols / 2..cols, cols + 1),
+                    ];
+                    for (block_rows, block_cols, ld) in blocks {
+                        calls += 1;
+                        let off = 1 + calls % 7;
+                        let len = block_rows.len() * ld;
+                        let mut buf = vec![CANARY; off + len + TAIL];
+                        p.lower(
+                            block_rows.clone(),
+                            block_cols.clone(),
+                            &mut buf[off..off + len],
+                            ld,
+                        );
+                        for (e, got) in buf.iter().enumerate() {
+                            let inside = e
+                                .checked_sub(off)
+                                .filter(|&e| e < len && e % ld < block_cols.len());
+                            let want = inside.map_or(CANARY, |e| {
+                                let r = block_rows.start + e / ld;
+                                patch_oracle(&x, geometry, r, block_cols.start + e % ld)
+                            });
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{c}x{h}x{w} k{k} batch {batch}, rows {block_rows:?}, \
+                                 cols {block_cols:?}, ld {ld}: element {e} (offset {off})"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -1087,16 +1524,16 @@ mod tests {
                     let bbuf = padded(&store(k, n, b_col, b_ld, &b_at), b_off);
                     let a_len = abuf.len() - a_off - TAIL;
                     let b_len = bbuf.len() - b_off - TAIL;
-                    let a = Operand {
+                    let a = Operand::Stored(Stored {
                         data: &abuf[a_off..a_off + a_len],
                         ld: a_ld,
                         col_major: a_col,
-                    };
-                    let b = Operand {
+                    });
+                    let b = Operand::Stored(Stored {
                         data: &bbuf[b_off..b_off + b_len],
                         ld: b_ld,
                         col_major: b_col,
-                    };
+                    });
                     for kern in simd::available() {
                         for (rows, cols) in windows.clone() {
                             calls += 1;

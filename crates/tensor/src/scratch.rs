@@ -2,7 +2,7 @@
 //! layer behind the zero-allocation steady-state train step.
 //!
 //! Every transient `f32` buffer in the workspace (tensor data, GEMM
-//! pack panels, im2col matrices, attention projection workspaces,
+//! pack panels, patch-lowering planes, attention projection workspaces,
 //! loss/eval temporaries) is checked out of a thread-local pool with
 //! [`take`] / [`take_zeroed`] and returned on drop — either through
 //! the [`ScratchVec`] guard or through `Tensor`'s `Drop` impl, which

@@ -251,9 +251,13 @@ pub(crate) mod x86 {
     const LANES512: usize = 16;
 
     /// AVX-512 GEMM register tile: the same sums as
-    /// [`gemm_tile_avx2`], sixteen `j` lanes per instruction, with the
-    /// whole `MR × NR` tile held in `MR · NR / 16` = 8 independent
-    /// `__m512` accumulators through one k-sweep. Per lane a 512-bit
+    /// [`gemm_tile_avx2`], sixteen `j` lanes per instruction, over the
+    /// first `V · 16` columns of the tile. `V = NR / 16` holds the whole
+    /// `MR × NR` tile in 8 independent `__m512` accumulators through one
+    /// k-sweep; `V = 1` computes a window at most 16 wide (`dWᵀ` of a
+    /// 16-channel conv layer) in 4, at the same rate per kept lane,
+    /// instead of computing and dropping 16 dead lanes. Lanes past
+    /// `V · 16` are neither read nor written. Per lane a 512-bit
     /// `mulps`/`addps` rounds exactly as the 256-bit and scalar forms
     /// do, so the tier is 0 ULP from the other two.
     ///
@@ -263,7 +267,7 @@ pub(crate) mod x86 {
     /// `p < kc`, `r < MR`, `j < NR` the elements `a[r] + p·a_step` and
     /// `b + p·b_step + j` must be readable.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemm_tile_avx512(
+    pub unsafe fn gemm_tile_avx512<const V: usize>(
         a: [*const f32; MR],
         a_step: usize,
         b: *const f32,
@@ -272,13 +276,12 @@ pub(crate) mod x86 {
         kc: usize,
         load: bool,
     ) {
-        const V: usize = NR / LANES512;
-        const { assert!(NR.is_multiple_of(LANES512)) };
+        const { assert!(V >= 1 && V * LANES512 <= NR) };
         let mut acc = [[_mm512_setzero_ps(); V]; MR];
         if load {
             for (accr, cr) in acc.iter_mut().zip(c.iter()) {
                 for (v, x) in accr.iter_mut().enumerate() {
-                    // SAFETY: (v + 1)·16 ≤ NR: inside the c row.
+                    // SAFETY: (v + 1)·16 ≤ V·16 ≤ NR: inside the c row.
                     *x = unsafe { _mm512_loadu_ps(cr.as_ptr().add(v * LANES512)) };
                 }
             }
@@ -286,8 +289,9 @@ pub(crate) mod x86 {
         for p in 0..kc {
             let mut bv = [_mm512_setzero_ps(); V];
             for (v, x) in bv.iter_mut().enumerate() {
-                // SAFETY: p < kc and (v + 1)·16 ≤ NR, so these 16 lanes
-                // of b + p·b_step are readable (the caller's contract).
+                // SAFETY: p < kc and (v + 1)·16 ≤ V·16 ≤ NR, so these 16
+                // lanes of b + p·b_step are readable (the caller's
+                // contract).
                 *x = unsafe { _mm512_loadu_ps(b.add(p * b_step + v * LANES512)) };
             }
             for (accr, &ar) in acc.iter_mut().zip(&a) {
@@ -301,7 +305,7 @@ pub(crate) mod x86 {
         }
         for (accr, cr) in acc.iter().zip(c.iter_mut()) {
             for (v, &x) in accr.iter().enumerate() {
-                // SAFETY: (v + 1)·16 ≤ NR: inside the c row.
+                // SAFETY: (v + 1)·16 ≤ V·16 ≤ NR: inside the c row.
                 unsafe { _mm512_storeu_ps(cr.as_mut_ptr().add(v * LANES512), x) };
             }
         }

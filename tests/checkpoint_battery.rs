@@ -518,3 +518,78 @@ fn fedtrans_checkpoint_files_hold_tensors_as_base64() {
     }
     assert!(weights > 1_000, "{weights} weights");
 }
+
+/// The first object under `value` that holds `key`, depth first.
+fn holder<'a>(value: &'a mut Value, key: &str) -> Option<&'a mut Value> {
+    if value.get(key).is_some() {
+        return Some(value);
+    }
+    match value {
+        Value::Object(entries) => entries.iter_mut().find_map(|(_, v)| holder(v, key)),
+        Value::Array(items) => items.iter_mut().find_map(|v| holder(v, key)),
+        _ => None,
+    }
+}
+
+/// A layer whose tensors do not fit its geometry deserializes fine, so
+/// restore checks every layer before the models are used: a conv bias
+/// cut to one entry used to pass restore and then panic on the first
+/// evaluation with an index out of bounds. Each corruption is a typed
+/// snapshot error naming `models`, and the driver is left as it was.
+#[test]
+fn a_layer_that_does_not_fit_its_geometry_is_refused_naming_models() {
+    let _guard = serial();
+    let data = DatasetConfig::cifar_like()
+        .with_num_clients(6)
+        .with_mean_samples(12)
+        .generate();
+    let devices = DeviceTraceConfig::default()
+        .with_num_devices(6)
+        .with_base_capacity(200_000)
+        .generate();
+    let cfg = FedTransConfig::default()
+        .with_clients_per_round(3)
+        .with_local(local());
+    let mut driver = FedTransRuntime::new(cfg, data, devices).expect("valid config");
+    driver.step().unwrap();
+    let before = json!(&driver.checkpoint());
+    let state = serde_json::parse_value(&before).unwrap();
+    let models = state.get("method").and_then(|m| m.get("models")).unwrap();
+    let text = serde_json::to_string(models).unwrap();
+    assert!(text.contains("\"Conv\""), "a conv seed model: {text:.200}");
+
+    let tensor = |dims: &[usize]| serde_json::to_value(&Tensor::zeros(dims));
+    // (layer key, field, replacement, expected detail)
+    let corruptions: [(&str, &str, Value, &str); 5] = [
+        ("conv", "bias", tensor(&[1]), "bias has shape [1]"),
+        (
+            "conv",
+            "grad_weight",
+            tensor(&[1, 1]),
+            "grad_weight has shape [1, 1]",
+        ),
+        ("conv", "kernel", Value::Number(2.0), "kernel 2 is even"),
+        ("linear", "weight", tensor(&[4]), "expected a matrix"),
+        (
+            "linear",
+            "grad_bias",
+            tensor(&[0]),
+            "grad_bias has shape [0]",
+        ),
+    ];
+    for (layer, key, replacement, expect) in corruptions {
+        let mut state = serde_json::parse_value(&before).unwrap();
+        let models = entry(entry(&mut state, "method"), "models");
+        let owner = holder(models, layer).unwrap_or_else(|| panic!("no `{layer}`"));
+        *entry(entry(owner, layer), key) = replacement;
+        let detail = snapshot_error(driver.restore(&state));
+        assert!(
+            detail.contains("field `models`") && detail.contains(expect),
+            "{layer}.{key}: {detail}"
+        );
+        assert!(json!(&driver.checkpoint()) == before);
+    }
+    // The untouched checkpoint still restores, and the models run.
+    driver.restore(&state).unwrap();
+    driver.step().unwrap();
+}
