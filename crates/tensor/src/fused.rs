@@ -10,89 +10,26 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Above [`PAR_ELEMS`] elements a kernel fans out over the shared
-//! worker pool ([`crate::pool`]) in disjoint index ranges. Every
-//! element is written by exactly one task and no kernel here performs
-//! a cross-element reduction, so results are independent of thread
-//! count and scheduling by construction — the same discipline the
-//! GEMM kernels follow.
+//! At or above [`pool::PAR_ELEMS`] elements a kernel fans out over the
+//! shared worker pool in disjoint index ranges
+//! ([`pool::for_each_chunk_mut`]). Every element is written by exactly
+//! one task and no kernel here performs a cross-element reduction, so
+//! results are independent of thread count and scheduling by
+//! construction — the same discipline the GEMM kernels follow.
 //!
 //! # SIMD
 //!
-//! Each per-range body dispatches on [`crate::simd::active`]: the AVX2
-//! kernels, which the AVX-512 tier runs too (these loops are
-//! bandwidth-bound), perform exactly the portable loop's arithmetic
-//! eight lanes at a time (no FMA contraction), so results stay
-//! bit-identical across tiers; `proptest_simd` pins the equivalence.
+//! Each loop is written once and runs through `simd::elementwise`: as
+//! is on the portable tier, and as the compiler's AVX2 build of the same
+//! source on the AVX2 and AVX-512 tiers (these loops are
+//! bandwidth-bound, so the AVX-512 tier gains nothing from wider
+//! lanes). The per-element operations are independent IEEE `mul`, `add`,
+//! `sub`, `div` and `sqrt` with no FMA contraction, which round the same
+//! at any width, so results stay bit-identical across tiers;
+//! `proptest_simd` pins the equivalence.
+#![forbid(unsafe_code)]
 
 use crate::{pool, simd};
-#[cfg(target_arch = "x86_64")]
-use simd::Kernel;
-
-/// At or above this many elements an in-place kernel fans out over
-/// the worker pool; below it, dispatch costs more than it buys on a
-/// memory-bound loop.
-pub const PAR_ELEMS: usize = 1 << 16;
-
-/// Shares a mutable element pointer with pool tasks that each write a
-/// disjoint index range.
-struct MutPtr(*mut f32);
-// SAFETY: tasks operate on strictly disjoint ranges (enforced by the
-// chunking arithmetic in `dispatch`), so concurrent writes never alias.
-unsafe impl Send for MutPtr {}
-// SAFETY: as for `Send` — a shared `&MutPtr` only hands each task the
-// base pointer; every write goes to that task's own disjoint range.
-unsafe impl Sync for MutPtr {}
-
-/// Shares a read-only element pointer with pool tasks.
-struct ConstPtr(*const f32);
-// SAFETY: read-only access from multiple threads is always sound; the
-// submitter keeps the referent alive until `parallel_for` returns.
-unsafe impl Send for ConstPtr {}
-// SAFETY: as for `Send` — nothing is ever written through the pointer,
-// and the referent outlives every task that holds a `&ConstPtr`.
-unsafe impl Sync for ConstPtr {}
-
-/// Runs `body(start, end)` over `[0, len)`, split into disjoint ranges
-/// across the worker pool for large `len`, inline otherwise. Purely a
-/// scheduling decision: `body` must produce identical results for any
-/// partition, which holds for every caller here (element-wise math,
-/// no cross-element dependencies).
-fn dispatch(len: usize, body: &(dyn Fn(usize, usize) + Sync)) {
-    if len >= PAR_ELEMS && pool::max_parallelism() > 1 {
-        let chunk = len.div_ceil(pool::max_parallelism() * 2).max(1024);
-        let tasks = len.div_ceil(chunk);
-        pool::parallel_for(tasks, &|t| {
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(len);
-            body(start, end);
-        });
-    } else {
-        body(0, len);
-    }
-}
-
-/// Reborrows disjoint subranges of the shared pointers as slices.
-///
-/// # Safety
-///
-/// `start..end` must be in-bounds for the original allocation and
-/// disjoint across concurrently running tasks.
-unsafe fn sub_mut<'a>(p: &MutPtr, start: usize, end: usize) -> &'a mut [f32] {
-    // SAFETY: in-bounds and exclusive per this fn's contract.
-    unsafe { std::slice::from_raw_parts_mut(p.0.add(start), end - start) }
-}
-
-/// Shared-slice counterpart of [`sub_mut`].
-///
-/// # Safety
-///
-/// `start..end` must be in-bounds for the original allocation; shared
-/// reborrows may overlap, but no task may mutate the range.
-unsafe fn sub_ref<'a>(p: &ConstPtr, start: usize, end: usize) -> &'a [f32] {
-    // SAFETY: in-bounds and unaliased by writers per this fn's contract.
-    unsafe { std::slice::from_raw_parts(p.0.add(start), end - start) }
-}
 
 /// `a[i] += b[i]`.
 ///
@@ -100,25 +37,12 @@ unsafe fn sub_ref<'a>(p: &ConstPtr, start: usize, end: usize) -> &'a [f32] {
 ///
 /// Panics if lengths differ.
 pub fn add_assign(a: &mut [f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "fused add_assign length mismatch");
-    let kern = simd::active();
-    let (pa, pb) = (MutPtr(a.as_mut_ptr()), ConstPtr(b.as_ptr()));
-    dispatch(a.len(), &|s, e| {
-        // SAFETY: ranges are disjoint and in-bounds (dispatch contract).
-        let (a, b) = unsafe { (sub_mut(&pa, s, e), sub_ref(&pb, s, e)) };
-        match kern {
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx512 => {
-                // SAFETY: `simd::active` only returns supported tiers,
-                // and every AVX-512 host has AVX2 (`simd::supported`).
-                unsafe { simd::x86::add_assign_avx2(a, b) }
+    pool::for_each_chunk_mut([a], [b], |[a], [b]| {
+        simd::elementwise(move || {
+            for (x, &y) in a.iter_mut().zip(b) {
+                *x += y;
             }
-            _ => {
-                for (x, &y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-            }
-        }
+        });
     });
 }
 
@@ -128,25 +52,12 @@ pub fn add_assign(a: &mut [f32], b: &[f32]) {
 ///
 /// Panics if lengths differ.
 pub fn sub_assign(a: &mut [f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "fused sub_assign length mismatch");
-    let kern = simd::active();
-    let (pa, pb) = (MutPtr(a.as_mut_ptr()), ConstPtr(b.as_ptr()));
-    dispatch(a.len(), &|s, e| {
-        // SAFETY: ranges are disjoint and in-bounds (dispatch contract).
-        let (a, b) = unsafe { (sub_mut(&pa, s, e), sub_ref(&pb, s, e)) };
-        match kern {
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx512 => {
-                // SAFETY: `simd::active` only returns supported tiers,
-                // and every AVX-512 host has AVX2 (`simd::supported`).
-                unsafe { simd::x86::sub_assign_avx2(a, b) }
+    pool::for_each_chunk_mut([a], [b], |[a], [b]| {
+        simd::elementwise(move || {
+            for (x, &y) in a.iter_mut().zip(b) {
+                *x -= y;
             }
-            _ => {
-                for (x, &y) in a.iter_mut().zip(b) {
-                    *x -= y;
-                }
-            }
-        }
+        });
     });
 }
 
@@ -156,48 +67,23 @@ pub fn sub_assign(a: &mut [f32], b: &[f32]) {
 ///
 /// Panics if lengths differ.
 pub fn mul_assign(a: &mut [f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "fused mul_assign length mismatch");
-    let kern = simd::active();
-    let (pa, pb) = (MutPtr(a.as_mut_ptr()), ConstPtr(b.as_ptr()));
-    dispatch(a.len(), &|s, e| {
-        // SAFETY: ranges are disjoint and in-bounds (dispatch contract).
-        let (a, b) = unsafe { (sub_mut(&pa, s, e), sub_ref(&pb, s, e)) };
-        match kern {
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx512 => {
-                // SAFETY: `simd::active` only returns supported tiers,
-                // and every AVX-512 host has AVX2 (`simd::supported`).
-                unsafe { simd::x86::mul_assign_avx2(a, b) }
+    pool::for_each_chunk_mut([a], [b], |[a], [b]| {
+        simd::elementwise(move || {
+            for (x, &y) in a.iter_mut().zip(b) {
+                *x *= y;
             }
-            _ => {
-                for (x, &y) in a.iter_mut().zip(b) {
-                    *x *= y;
-                }
-            }
-        }
+        });
     });
 }
 
 /// `a[i] *= alpha`.
 pub fn scale_assign(a: &mut [f32], alpha: f32) {
-    let kern = simd::active();
-    let pa = MutPtr(a.as_mut_ptr());
-    dispatch(a.len(), &|s, e| {
-        // SAFETY: ranges are disjoint and in-bounds (dispatch contract).
-        let a = unsafe { sub_mut(&pa, s, e) };
-        match kern {
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx512 => {
-                // SAFETY: `simd::active` only returns supported tiers,
-                // and every AVX-512 host has AVX2 (`simd::supported`).
-                unsafe { simd::x86::scale_assign_avx2(a, alpha) }
+    pool::for_each_chunk_mut([a], [], |[a], []| {
+        simd::elementwise(move || {
+            for x in a {
+                *x *= alpha;
             }
-            _ => {
-                for x in a {
-                    *x *= alpha;
-                }
-            }
-        }
+        });
     });
 }
 
@@ -207,25 +93,12 @@ pub fn scale_assign(a: &mut [f32], alpha: f32) {
 ///
 /// Panics if lengths differ.
 pub fn axpy(a: &mut [f32], alpha: f32, b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "fused axpy length mismatch");
-    let kern = simd::active();
-    let (pa, pb) = (MutPtr(a.as_mut_ptr()), ConstPtr(b.as_ptr()));
-    dispatch(a.len(), &|s, e| {
-        // SAFETY: ranges are disjoint and in-bounds (dispatch contract).
-        let (a, b) = unsafe { (sub_mut(&pa, s, e), sub_ref(&pb, s, e)) };
-        match kern {
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx512 => {
-                // SAFETY: `simd::active` only returns supported tiers,
-                // and every AVX-512 host has AVX2 (`simd::supported`).
-                unsafe { simd::x86::axpy_avx2(a, alpha, b) }
+    pool::for_each_chunk_mut([a], [b], |[a], [b]| {
+        simd::elementwise(move || {
+            for (x, &y) in a.iter_mut().zip(b) {
+                *x += alpha * y;
             }
-            _ => {
-                for (x, &y) in a.iter_mut().zip(b) {
-                    *x += alpha * y;
-                }
-            }
-        }
+        });
     });
 }
 
@@ -252,33 +125,18 @@ pub fn sgd_momentum_update(
     momentum: f32,
     weight_decay: f32,
 ) {
-    assert_eq!(p.len(), v.len(), "fused sgd length mismatch (velocity)");
-    assert_eq!(p.len(), g.len(), "fused sgd length mismatch (gradient)");
-    let (pp, pv, pg) = (
-        MutPtr(p.as_mut_ptr()),
-        MutPtr(v.as_mut_ptr()),
-        ConstPtr(g.as_ptr()),
-    );
-    let kern = simd::active();
-    dispatch(p.len(), &|s, e| {
-        // SAFETY: ranges are disjoint and in-bounds (dispatch contract).
-        let (p, v, g) = unsafe { (sub_mut(&pp, s, e), sub_mut(&pv, s, e), sub_ref(&pg, s, e)) };
-        match kern {
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx512 => {
-                // SAFETY: `simd::active` only returns supported tiers,
-                // and every AVX-512 host has AVX2 (`simd::supported`).
-                unsafe { simd::x86::sgd_momentum_avx2(p, v, g, lr, momentum, weight_decay) }
+    pool::for_each_chunk_mut([p, v], [g], |[p, v], [g]| {
+        simd::elementwise(move || {
+            for ((p, v), &g) in p.iter_mut().zip(v).zip(g) {
+                // Read `p` once: the AVX2 build cannot prove `p` and `v`
+                // disjoint, so a read after the `v` store is a reload.
+                let x = *p;
+                let grad = g + weight_decay * x;
+                let vel = momentum * *v + grad;
+                *v = vel;
+                *p = x - lr * vel;
             }
-            _ => {
-                for ((p, v), &g) in p.iter_mut().zip(v).zip(g) {
-                    let grad = g + weight_decay * *p;
-                    let vel = momentum * *v + grad;
-                    *v = vel;
-                    *p -= lr * vel;
-                }
-            }
-        }
+        });
     });
 }
 
@@ -300,45 +158,18 @@ pub fn prox_sgd_momentum_update(
     momentum: f32,
     weight_decay: f32,
 ) {
-    assert_eq!(p.len(), v.len(), "fused prox length mismatch (velocity)");
-    assert_eq!(p.len(), g.len(), "fused prox length mismatch (gradient)");
-    assert_eq!(p.len(), anchor.len(), "fused prox length mismatch (anchor)");
-    let (pp, pv, pg, pa) = (
-        MutPtr(p.as_mut_ptr()),
-        MutPtr(v.as_mut_ptr()),
-        ConstPtr(g.as_ptr()),
-        ConstPtr(anchor.as_ptr()),
-    );
-    let kern = simd::active();
-    dispatch(p.len(), &|s, e| {
-        // SAFETY: ranges are disjoint and in-bounds (dispatch contract).
-        let (p, v, g, a) = unsafe {
-            (
-                sub_mut(&pp, s, e),
-                sub_mut(&pv, s, e),
-                sub_ref(&pg, s, e),
-                sub_ref(&pa, s, e),
-            )
-        };
-        match kern {
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx512 => {
-                // SAFETY: `simd::active` only returns supported tiers,
-                // and every AVX-512 host has AVX2 (`simd::supported`).
-                unsafe {
-                    simd::x86::prox_sgd_momentum_avx2(p, v, g, a, mu, lr, momentum, weight_decay)
-                }
+    pool::for_each_chunk_mut([p, v], [g, anchor], |[p, v], [g, anchor]| {
+        simd::elementwise(move || {
+            for (((p, v), &g), &a) in p.iter_mut().zip(v).zip(g).zip(anchor) {
+                // `p` is read once, as in `sgd_momentum_update`.
+                let x = *p;
+                let adjusted = g + mu * (x - a);
+                let grad = adjusted + weight_decay * x;
+                let vel = momentum * *v + grad;
+                *v = vel;
+                *p = x - lr * vel;
             }
-            _ => {
-                for (((p, v), &g), &a) in p.iter_mut().zip(v).zip(g).zip(a) {
-                    let adjusted = g + mu * (*p - a);
-                    let grad = adjusted + weight_decay * *p;
-                    let vel = momentum * *v + grad;
-                    *v = vel;
-                    *p -= lr * vel;
-                }
-            }
-        }
+        });
     });
 }
 
@@ -359,44 +190,17 @@ pub fn yogi_update(
     beta2: f32,
     eps: f32,
 ) {
-    assert_eq!(p.len(), m.len(), "fused yogi length mismatch (m)");
-    assert_eq!(p.len(), v.len(), "fused yogi length mismatch (v)");
-    assert_eq!(p.len(), d.len(), "fused yogi length mismatch (delta)");
-    let (pp, pm, pv, pd) = (
-        MutPtr(p.as_mut_ptr()),
-        MutPtr(m.as_mut_ptr()),
-        MutPtr(v.as_mut_ptr()),
-        ConstPtr(d.as_ptr()),
-    );
-    let kern = simd::active();
-    dispatch(p.len(), &|s, e| {
-        // SAFETY: ranges are disjoint and in-bounds (dispatch contract).
-        let (p, m, v, d) = unsafe {
-            (
-                sub_mut(&pp, s, e),
-                sub_mut(&pm, s, e),
-                sub_mut(&pv, s, e),
-                sub_ref(&pd, s, e),
-            )
-        };
-        match kern {
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 | Kernel::Avx512 => {
-                // SAFETY: `simd::active` only returns supported tiers,
-                // and every AVX-512 host has AVX2 (`simd::supported`).
-                unsafe { simd::x86::yogi_avx2(p, m, v, d, lr, beta1, beta2, eps) }
+    pool::for_each_chunk_mut([p, m, v], [d], |[p, m, v], [d]| {
+        simd::elementwise(move || {
+            for (((p, m), v), &g) in p.iter_mut().zip(m).zip(v).zip(d) {
+                let mi = beta1 * *m + (1.0 - beta1) * g;
+                let g2 = g * g;
+                let vi = *v - (1.0 - beta2) * g2 * (*v - g2).signum();
+                *m = mi;
+                *v = vi;
+                *p += lr * mi / (vi.sqrt() + eps);
             }
-            _ => {
-                for (((p, m), v), &g) in p.iter_mut().zip(m).zip(v).zip(d) {
-                    let mi = beta1 * *m + (1.0 - beta1) * g;
-                    let g2 = g * g;
-                    let vi = *v - (1.0 - beta2) * g2 * (*v - g2).signum();
-                    *m = mi;
-                    *v = vi;
-                    *p += lr * mi / (vi.sqrt() + eps);
-                }
-            }
-        }
+        });
     });
 }
 
@@ -416,14 +220,51 @@ mod tests {
         assert_eq!(a, expect);
     }
 
+    /// Every kernel with its operand count; operands past the count are
+    /// ignored.
+    type Call = fn(&mut [f32], &mut [f32], &mut [f32], &mut [f32]);
+    const KERNELS: [(&str, usize, Call); 8] = [
+        ("add_assign", 2, |a, b, _, _| add_assign(a, b)),
+        ("sub_assign", 2, |a, b, _, _| sub_assign(a, b)),
+        ("mul_assign", 2, |a, b, _, _| mul_assign(a, b)),
+        ("scale_assign", 1, |a, _, _, _| scale_assign(a, 2.0)),
+        ("axpy", 2, |a, b, _, _| axpy(a, 1.0, b)),
+        ("sgd_momentum_update", 3, |p, v, g, _| {
+            sgd_momentum_update(p, v, g, 0.1, 0.9, 0.0)
+        }),
+        ("prox_sgd_momentum_update", 4, |p, v, g, a| {
+            prox_sgd_momentum_update(p, v, g, a, 0.01, 0.1, 0.9, 0.0)
+        }),
+        ("yogi_update", 4, |p, m, v, d| {
+            yogi_update(p, m, v, d, 0.1, 0.9, 0.99, 1e-3)
+        }),
+    ];
+
     #[test]
     fn empty_slices_are_no_ops() {
-        add_assign(&mut [], &[]);
-        sub_assign(&mut [], &[]);
-        mul_assign(&mut [], &[]);
-        scale_assign(&mut [], 2.0);
-        axpy(&mut [], 1.0, &[]);
-        sgd_momentum_update(&mut [], &mut [], &[], 0.1, 0.9, 0.0);
+        for (_, _, call) in KERNELS {
+            call(&mut [], &mut [], &mut [], &mut []);
+        }
+    }
+
+    #[test]
+    fn every_kernel_refuses_a_short_operand_in_any_position() {
+        // `scale_assign`'s one operand cannot mismatch.
+        for (name, arity, call) in KERNELS.into_iter().filter(|k| k.1 > 1) {
+            for short in 0..arity {
+                let [mut a, mut b, mut c, mut d] =
+                    std::array::from_fn(|i| vec![1.0f32; if i == short { 2 } else { 3 }]);
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    call(&mut a, &mut b, &mut c, &mut d);
+                }))
+                .expect_err(name);
+                let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(
+                    message.contains("length mismatch"),
+                    "{name}, operand {short} short: {message:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -448,7 +289,7 @@ mod tests {
     #[test]
     fn large_parallel_sizes_match_serial() {
         // Straddle PAR_ELEMS: the parallel partition must be invisible.
-        for n in [PAR_ELEMS - 1, PAR_ELEMS, PAR_ELEMS + 17] {
+        for n in [pool::PAR_ELEMS - 1, pool::PAR_ELEMS, pool::PAR_ELEMS + 17] {
             let mut a: Vec<f32> = (0..n).map(|i| (i % 113) as f32 * 0.3).collect();
             let b: Vec<f32> = (0..n).map(|i| (i % 97) as f32 - 48.0).collect();
             let mut expect = a.clone();

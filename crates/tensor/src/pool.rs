@@ -314,6 +314,85 @@ pub fn parallel_for_budgeted(tasks: usize, max_threads: usize, task: &(dyn Fn(us
     }
 }
 
+/// At or above this many elements [`for_each_chunk_mut`] fans out over
+/// the pool; below it, dispatch costs more than it buys on a
+/// memory-bound loop.
+pub const PAR_ELEMS: usize = 1 << 16;
+
+/// Runs `body` over equal-length operands — `M` written, `R` read —
+/// handing it the same index range of every operand. At or above
+/// [`PAR_ELEMS`] elements the ranges are disjoint pieces of `[0, len)`
+/// spread over the pool; below it, or when the pool declines (see
+/// [`try_parallel_for`]: the caller is a pool worker, another submitter
+/// owns the pool, or it has no workers), `body` runs once over the
+/// whole range.
+///
+/// Purely a scheduling decision: `body` must compute each element from
+/// that element's operands alone, so any partition gives the same
+/// result. `body` is generic so it is compiled into each caller, which
+/// the element-wise kernels need to build their loop inside
+/// [`crate::simd`]'s AVX2 trampoline; a `&dyn` body would not be
+/// inlined there.
+///
+/// # Panics
+///
+/// Panics with "length mismatch" if the operands' lengths differ, and
+/// re-raises a panic from `body`.
+#[track_caller]
+pub fn for_each_chunk_mut<const M: usize, const R: usize>(
+    mut muts: [&mut [f32]; M],
+    mut refs: [&[f32]; R],
+    body: impl Fn([&mut [f32]; M], [&[f32]; R]) + Sync,
+) {
+    const { assert!(M >= 1) };
+    let len = muts[0].len();
+    let lens = || {
+        muts.iter()
+            .map(|s| s.len())
+            .chain(refs.iter().map(|s| s.len()))
+    };
+    assert!(
+        lens().all(|n| n == len),
+        "length mismatch: operand lengths {:?}",
+        lens().collect::<Vec<_>>()
+    );
+    if len >= PAR_ELEMS {
+        let chunk = len.div_ceil(max_parallelism() * 2).max(1024);
+        // The operands' unclaimed tails. Each task splits its range off
+        // the front, so ranges are disjoint by construction; which task
+        // takes which range cannot change an element-wise result.
+        let rest = Mutex::new((muts, refs));
+        let fanned = try_parallel_for(len.div_ceil(chunk), &|_| {
+            let (m, r) = {
+                let mut rest = rest
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                let (muts, refs) = &mut *rest;
+                let n = chunk.min(muts[0].len());
+                let m: [&mut [f32]; M] = std::array::from_fn(|i| {
+                    let (head, tail) = std::mem::take(&mut muts[i]).split_at_mut(n);
+                    muts[i] = tail;
+                    head
+                });
+                let r: [&[f32]; R] = std::array::from_fn(|i| {
+                    let (head, tail) = refs[i].split_at(n);
+                    refs[i] = tail;
+                    head
+                });
+                (m, r)
+            };
+            body(m, r);
+        });
+        if fanned {
+            return;
+        }
+        (muts, refs) = rest
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    }
+    body(muts, refs);
+}
+
 /// Hands `task(0..tasks)` to the pool and blocks until every index has
 /// run, or returns `false` without running any when the job would not
 /// leave the calling thread (see [`try_parallel_for`]).
@@ -489,6 +568,55 @@ mod tests {
             running.fetch_sub(1, Ordering::SeqCst);
         });
         assert!(peak.load(Ordering::SeqCst) <= budget as u64);
+    }
+
+    #[test]
+    fn chunk_ranges_tile_the_operand_exactly_once() {
+        // Both sides of the split, and (on two threads) last chunks
+        // short by 0–3.
+        for len in [0, 17, 5 * PAR_ELEMS + 2]
+            .into_iter()
+            .chain(PAR_ELEMS - 1..PAR_ELEMS + 4)
+        {
+            let mut buf = vec![0.0f32; len];
+            let base = buf.as_ptr() as usize;
+            let ranges = Mutex::new(Vec::new());
+            for_each_chunk_mut([&mut buf[..]], [], |[s], []| {
+                let start = (s.as_ptr() as usize - base) / std::mem::size_of::<f32>();
+                ranges.lock().unwrap().push(start..start + s.len());
+                s.iter_mut().for_each(|x| *x += 1.0);
+            });
+            assert!(
+                buf.iter().all(|&x| x == 1.0),
+                "len {len}: not every element written once"
+            );
+            let mut ranges = ranges.into_inner().unwrap();
+            ranges.sort_by_key(|r| r.start);
+            let tiled = ranges.first().map_or(0, |r| r.start) == 0
+                && ranges.windows(2).all(|w| w[0].end == w[1].start)
+                && ranges.last().map_or(0, |r| r.end) == len;
+            assert!(tiled, "len {len}: {ranges:?}");
+            // Fanned out, or declined (another test owns the pool) and
+            // run as one range.
+            let chunk = len.div_ceil(max_parallelism() * 2).max(1024);
+            assert!(
+                ranges.len() == 1 || (len >= PAR_ELEMS && ranges.len() == len.div_ceil(chunk)),
+                "len {len}: {ranges:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn read_operands_arrive_with_the_written_range() {
+        let len = PAR_ELEMS + 3;
+        let up: Vec<f32> = (0..len).map(|i| i as f32).collect();
+        let down: Vec<f32> = up.iter().rev().copied().collect();
+        let (mut a, mut b) = (vec![0.0; len], vec![0.0; len]);
+        for_each_chunk_mut([&mut a, &mut b], [&up, &down], |[a, b], [up, down]| {
+            a.copy_from_slice(up);
+            b.copy_from_slice(down);
+        });
+        assert!(a == up && b == down);
     }
 
     #[test]

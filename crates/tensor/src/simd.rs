@@ -1,5 +1,5 @@
-//! Runtime-dispatched SIMD micro-kernels for the GEMM core and the
-//! fused element-wise kernels.
+//! Runtime-dispatched SIMD tiers: intrinsic register tiles for the
+//! GEMM core, and AVX2 builds of the fused element-wise loops.
 //!
 //! # Dispatch
 //!
@@ -14,8 +14,15 @@
 //!
 //! The AVX-512 tier differs from the AVX2 tier in the GEMM register
 //! tile only: the fused element-wise kernels are bandwidth-bound and
-//! run their AVX2 form under it. Tests reach each tier through
+//! run their AVX2 build under it. Tests reach each tier through
 //! [`force`]; there is no environment value that picks one.
+//!
+//! The element-wise kernels have no intrinsic copies. Each loop is
+//! written once, in [`crate::fused`], and `elementwise` runs it either
+//! as is (the portable tier) or inside a function compiled with
+//! `target_feature(enable = "avx2")`, where the compiler vectorises the
+//! same source eight lanes wide. Rust never fuses a `mul` and an `add`
+//! into one FMA, so both builds perform the same operations.
 //!
 //! There is no FMA tier: contracting `mul`+`add` into one rounding
 //! would move every digest.
@@ -45,10 +52,11 @@ use std::sync::OnceLock;
 pub enum Kernel {
     /// Plain Rust loops — the reference semantics on every platform.
     Portable,
-    /// Explicit AVX2 intrinsics, bit-identical to [`Kernel::Portable`].
+    /// The AVX2 GEMM register tile and AVX2 builds of the element-wise
+    /// loops, bit-identical to [`Kernel::Portable`].
     Avx2,
-    /// The AVX-512 GEMM register tile (the element-wise kernels run
-    /// their AVX2 form), bit-identical to [`Kernel::Portable`].
+    /// The AVX-512 GEMM register tile (the element-wise loops run their
+    /// AVX2 build), bit-identical to [`Kernel::Portable`].
     Avx512,
 }
 
@@ -93,7 +101,7 @@ pub fn supported(k: Kernel) -> bool {
         Kernel::Portable => true,
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-        // The tier's element-wise kernels are the AVX2 ones.
+        // The tier runs the element-wise loops' AVX2 build.
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx512 => {
             std::arch::is_x86_feature_detected!("avx512f")
@@ -162,12 +170,45 @@ pub fn active() -> Kernel {
     }
 }
 
-/// The explicit AVX2 and AVX-512 kernels. Each function is `unsafe`
-/// because of the `target_feature` contract — the caller must have
-/// verified the feature, which every dispatch site does by
+/// Runs `f` on the active tier: compiled for AVX2 on the AVX2 and
+/// AVX-512 tiers, as portable code otherwise. `f` must be an
+/// element-wise loop whose lanes are independent IEEE operations with
+/// no FMA contraction; such a loop rounds the same at any vector width,
+/// so both builds give the same bits.
+///
+/// `f` is generic so its body is compiled into the trampoline's AVX2
+/// context; through a `&dyn` it would run its portable build.
+pub(crate) fn elementwise(f: impl FnOnce()) {
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 | Kernel::Avx512 => {
+            // SAFETY: `active` only returns tiers `supported` reports,
+            // and both of these need AVX2.
+            unsafe { on_avx2(f) }
+        }
+        _ => f(),
+    }
+}
+
+/// The AVX2 trampoline behind [`elementwise`]: inlines `f` into an
+/// AVX2-enabled function, so the compiler may vectorise it with `ymm`
+/// registers.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn on_avx2(f: impl FnOnce()) {
+    f();
+}
+
+/// The intrinsic AVX2 and AVX-512 GEMM register tiles. Each function is
+/// `unsafe` because of the `target_feature` contract — the caller must
+/// have verified the feature, which every dispatch site does by
 /// construction ([`active`] only returns a tier [`supported`] reports
-/// true for) — and, for the GEMM tiles, because they read their
-/// operands through raw pointers whose extents the caller checks.
+/// true for) — and because they read their operands through raw
+/// pointers whose extents the caller checks.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use std::arch::x86_64::*;
@@ -308,322 +349,6 @@ pub(crate) mod x86 {
                 // SAFETY: (v + 1)·16 ≤ V·16 ≤ NR: inside the c row.
                 unsafe { _mm512_storeu_ps(cr.as_mut_ptr().add(v * LANES512), x) };
             }
-        }
-    }
-
-    /// Width of one `__m256` in `f32` lanes.
-    const LANES: usize = 8;
-
-    /// `a[i] += b[i]`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support; slices must be equal
-    /// length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_assign_avx2(a: &mut [f32], b: &[f32]) {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let (pa, pb) = (a.as_mut_ptr(), b.as_ptr());
-        let mut i = 0;
-        while i + LANES <= n {
-            // SAFETY: i + 8 ≤ n, both slices are n long.
-            unsafe {
-                let va = _mm256_loadu_ps(pa.add(i));
-                let vb = _mm256_loadu_ps(pb.add(i));
-                _mm256_storeu_ps(pa.add(i), _mm256_add_ps(va, vb));
-            }
-            i += LANES;
-        }
-        for (x, &y) in a[i..].iter_mut().zip(&b[i..]) {
-            *x += y;
-        }
-    }
-
-    /// `a[i] -= b[i]`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support; slices must be equal
-    /// length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sub_assign_avx2(a: &mut [f32], b: &[f32]) {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let (pa, pb) = (a.as_mut_ptr(), b.as_ptr());
-        let mut i = 0;
-        while i + LANES <= n {
-            // SAFETY: i + 8 ≤ n, both slices are n long.
-            unsafe {
-                let va = _mm256_loadu_ps(pa.add(i));
-                let vb = _mm256_loadu_ps(pb.add(i));
-                _mm256_storeu_ps(pa.add(i), _mm256_sub_ps(va, vb));
-            }
-            i += LANES;
-        }
-        for (x, &y) in a[i..].iter_mut().zip(&b[i..]) {
-            *x -= y;
-        }
-    }
-
-    /// `a[i] *= b[i]`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support; slices must be equal
-    /// length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_assign_avx2(a: &mut [f32], b: &[f32]) {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let (pa, pb) = (a.as_mut_ptr(), b.as_ptr());
-        let mut i = 0;
-        while i + LANES <= n {
-            // SAFETY: i + 8 ≤ n, both slices are n long.
-            unsafe {
-                let va = _mm256_loadu_ps(pa.add(i));
-                let vb = _mm256_loadu_ps(pb.add(i));
-                _mm256_storeu_ps(pa.add(i), _mm256_mul_ps(va, vb));
-            }
-            i += LANES;
-        }
-        for (x, &y) in a[i..].iter_mut().zip(&b[i..]) {
-            *x *= y;
-        }
-    }
-
-    /// `a[i] *= alpha`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scale_assign_avx2(a: &mut [f32], alpha: f32) {
-        let n = a.len();
-        let pa = a.as_mut_ptr();
-        let va = _mm256_set1_ps(alpha);
-        let mut i = 0;
-        while i + LANES <= n {
-            // SAFETY: i + 8 ≤ n.
-            unsafe {
-                let v = _mm256_loadu_ps(pa.add(i));
-                _mm256_storeu_ps(pa.add(i), _mm256_mul_ps(v, va));
-            }
-            i += LANES;
-        }
-        for x in &mut a[i..] {
-            *x *= alpha;
-        }
-    }
-
-    /// `a[i] += alpha * b[i]` (no FMA: `mul` then `add`, matching the
-    /// portable kernel bit for bit).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support; slices must be equal
-    /// length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_avx2(a: &mut [f32], alpha: f32, b: &[f32]) {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let (pa, pb) = (a.as_mut_ptr(), b.as_ptr());
-        let valpha = _mm256_set1_ps(alpha);
-        let mut i = 0;
-        while i + LANES <= n {
-            // SAFETY: i + 8 ≤ n, both slices are n long.
-            unsafe {
-                let va = _mm256_loadu_ps(pa.add(i));
-                let vb = _mm256_loadu_ps(pb.add(i));
-                _mm256_storeu_ps(pa.add(i), _mm256_add_ps(va, _mm256_mul_ps(valpha, vb)));
-            }
-            i += LANES;
-        }
-        for (x, &y) in a[i..].iter_mut().zip(&b[i..]) {
-            *x += alpha * y;
-        }
-    }
-
-    /// Fused SGD-with-momentum update, the scalar kernel's arithmetic
-    /// lane for lane: `grad = g + wd·p; v = mom·v + grad; p -= lr·v`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support; slices must be equal
-    /// length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sgd_momentum_avx2(
-        p: &mut [f32],
-        v: &mut [f32],
-        g: &[f32],
-        lr: f32,
-        momentum: f32,
-        weight_decay: f32,
-    ) {
-        debug_assert!(p.len() == v.len() && p.len() == g.len());
-        let n = p.len();
-        let (pp, pv, pg) = (p.as_mut_ptr(), v.as_mut_ptr(), g.as_ptr());
-        let (vlr, vmom, vwd) = (
-            _mm256_set1_ps(lr),
-            _mm256_set1_ps(momentum),
-            _mm256_set1_ps(weight_decay),
-        );
-        let mut i = 0;
-        while i + LANES <= n {
-            // SAFETY: i + 8 ≤ n; p/v/g are all n long.
-            unsafe {
-                let xp = _mm256_loadu_ps(pp.add(i));
-                let xv = _mm256_loadu_ps(pv.add(i));
-                let xg = _mm256_loadu_ps(pg.add(i));
-                let grad = _mm256_add_ps(xg, _mm256_mul_ps(vwd, xp));
-                let vel = _mm256_add_ps(_mm256_mul_ps(vmom, xv), grad);
-                _mm256_storeu_ps(pv.add(i), vel);
-                _mm256_storeu_ps(pp.add(i), _mm256_sub_ps(xp, _mm256_mul_ps(vlr, vel)));
-            }
-            i += LANES;
-        }
-        for ((p, v), &g) in p[i..].iter_mut().zip(&mut v[i..]).zip(&g[i..]) {
-            let grad = g + weight_decay * *p;
-            let vel = momentum * *v + grad;
-            *v = vel;
-            *p -= lr * vel;
-        }
-    }
-
-    /// Fused FedProx update: the SGD kernel with the proximal term
-    /// `g + mu·(p − anchor)` computed from the pre-update `p`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support; slices must be equal
-    /// length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn prox_sgd_momentum_avx2(
-        p: &mut [f32],
-        v: &mut [f32],
-        g: &[f32],
-        anchor: &[f32],
-        mu: f32,
-        lr: f32,
-        momentum: f32,
-        weight_decay: f32,
-    ) {
-        debug_assert!(p.len() == v.len() && p.len() == g.len() && p.len() == anchor.len());
-        let n = p.len();
-        let (pp, pv, pg, pa) = (p.as_mut_ptr(), v.as_mut_ptr(), g.as_ptr(), anchor.as_ptr());
-        let (vmu, vlr, vmom, vwd) = (
-            _mm256_set1_ps(mu),
-            _mm256_set1_ps(lr),
-            _mm256_set1_ps(momentum),
-            _mm256_set1_ps(weight_decay),
-        );
-        let mut i = 0;
-        while i + LANES <= n {
-            // SAFETY: i + 8 ≤ n; p/v/g/anchor are all n long.
-            unsafe {
-                let xp = _mm256_loadu_ps(pp.add(i));
-                let xv = _mm256_loadu_ps(pv.add(i));
-                let xg = _mm256_loadu_ps(pg.add(i));
-                let xa = _mm256_loadu_ps(pa.add(i));
-                let adjusted = _mm256_add_ps(xg, _mm256_mul_ps(vmu, _mm256_sub_ps(xp, xa)));
-                let grad = _mm256_add_ps(adjusted, _mm256_mul_ps(vwd, xp));
-                let vel = _mm256_add_ps(_mm256_mul_ps(vmom, xv), grad);
-                _mm256_storeu_ps(pv.add(i), vel);
-                _mm256_storeu_ps(pp.add(i), _mm256_sub_ps(xp, _mm256_mul_ps(vlr, vel)));
-            }
-            i += LANES;
-        }
-        for (((p, v), &g), &a) in p[i..]
-            .iter_mut()
-            .zip(&mut v[i..])
-            .zip(&g[i..])
-            .zip(&anchor[i..])
-        {
-            let adjusted = g + mu * (*p - a);
-            let grad = adjusted + weight_decay * *p;
-            let vel = momentum * *v + grad;
-            *v = vel;
-            *p -= lr * vel;
-        }
-    }
-
-    /// `signum` over a vector, matching `f32::signum` lane for lane:
-    /// ±1 with the operand's sign bit for finite and infinite values
-    /// (including ±0), the canonical `f32::NAN` for NaN lanes.
-    ///
-    /// # Safety
-    ///
-    /// Safe to call only from the AVX2-featured kernels of this module;
-    /// any other caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    fn signum_ps(x: __m256) -> __m256 {
-        let signed_one = _mm256_or_ps(_mm256_set1_ps(1.0), _mm256_and_ps(x, _mm256_set1_ps(-0.0)));
-        // Unordered-with-self picks out NaN lanes.
-        let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x);
-        _mm256_blendv_ps(signed_one, _mm256_set1_ps(f32::NAN), nan)
-    }
-
-    /// Fused Yogi update, the scalar kernel's arithmetic lane for
-    /// lane (vector `sqrt`/`div` round identically to their scalar
-    /// forms; `signum` is emulated exactly, see [`signum_ps`]).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support; slices must be equal
-    /// length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn yogi_avx2(
-        p: &mut [f32],
-        m: &mut [f32],
-        v: &mut [f32],
-        d: &[f32],
-        lr: f32,
-        beta1: f32,
-        beta2: f32,
-        eps: f32,
-    ) {
-        debug_assert!(p.len() == m.len() && p.len() == v.len() && p.len() == d.len());
-        let n = p.len();
-        let (pp, pm, pv, pd) = (p.as_mut_ptr(), m.as_mut_ptr(), v.as_mut_ptr(), d.as_ptr());
-        let (vlr, vb1, vb2c, vb1c, veps) = (
-            _mm256_set1_ps(lr),
-            _mm256_set1_ps(beta1),
-            _mm256_set1_ps(1.0 - beta2),
-            _mm256_set1_ps(1.0 - beta1),
-            _mm256_set1_ps(eps),
-        );
-        let mut i = 0;
-        while i + LANES <= n {
-            // SAFETY: i + 8 ≤ n; p/m/v/d are all n long.
-            unsafe {
-                let xp = _mm256_loadu_ps(pp.add(i));
-                let xm = _mm256_loadu_ps(pm.add(i));
-                let xv = _mm256_loadu_ps(pv.add(i));
-                let xg = _mm256_loadu_ps(pd.add(i));
-                let mi = _mm256_add_ps(_mm256_mul_ps(vb1, xm), _mm256_mul_ps(vb1c, xg));
-                let g2 = _mm256_mul_ps(xg, xg);
-                let sign = signum_ps(_mm256_sub_ps(xv, g2));
-                let vi = _mm256_sub_ps(xv, _mm256_mul_ps(_mm256_mul_ps(vb2c, g2), sign));
-                _mm256_storeu_ps(pm.add(i), mi);
-                _mm256_storeu_ps(pv.add(i), vi);
-                let denom = _mm256_add_ps(_mm256_sqrt_ps(vi), veps);
-                let step = _mm256_div_ps(_mm256_mul_ps(vlr, mi), denom);
-                _mm256_storeu_ps(pp.add(i), _mm256_add_ps(xp, step));
-            }
-            i += LANES;
-        }
-        for (((p, m), v), &g) in p[i..]
-            .iter_mut()
-            .zip(&mut m[i..])
-            .zip(&mut v[i..])
-            .zip(&d[i..])
-        {
-            let mi = beta1 * *m + (1.0 - beta1) * g;
-            let g2 = g * g;
-            let vi = *v - (1.0 - beta2) * g2 * (*v - g2).signum();
-            *m = mi;
-            *v = vi;
-            *p += lr * mi / (vi.sqrt() + eps);
         }
     }
 }

@@ -10,7 +10,10 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex, MutexGuard, Once};
 
-use ft_tensor::pool::{max_parallelism, parallel_for, parallel_for_budgeted, try_parallel_for};
+use ft_tensor::pool::{
+    for_each_chunk_mut, max_parallelism, parallel_for, parallel_for_budgeted, try_parallel_for,
+    PAR_ELEMS,
+};
 
 /// Forces a 7-worker pool (8 threads of parallelism) regardless of the
 /// host's core count. Must run before any other pool use in this
@@ -202,4 +205,32 @@ fn try_dispatch_task_panic_reraises_on_the_submitter() {
         n.fetch_add(1, Ordering::Relaxed);
     }));
     assert_eq!(n.load(Ordering::Relaxed), 16);
+}
+
+/// How many times `for_each_chunk_mut` calls its body over a
+/// `len`-element operand.
+fn chunk_calls(len: usize) -> u64 {
+    let calls = AtomicU64::new(0);
+    for_each_chunk_mut([&mut vec![0.0; len][..]], [], |_, []| {
+        calls.fetch_add(1, Ordering::Relaxed);
+    });
+    calls.into_inner()
+}
+
+#[test]
+fn chunk_fan_out_splits_on_a_free_pool_and_runs_one_range_when_declined() {
+    let _pool = pinned_pool();
+    // 8 threads: two chunks per thread, each ⌈len/16⌉ elements.
+    assert_eq!(chunk_calls(PAR_ELEMS - 1), 1);
+    assert_eq!(chunk_calls(PAR_ELEMS + 1), 16);
+    while_another_submitter_owns_the_pool(|| assert_eq!(chunk_calls(PAR_ELEMS + 1), 1));
+    let nested = AtomicU64::new(0);
+    assert!(try_parallel_for(4, &|_| {
+        nested.fetch_add(chunk_calls(PAR_ELEMS + 1), Ordering::Relaxed);
+    }));
+    assert_eq!(
+        nested.into_inner(),
+        4,
+        "a nested fan-out is one range per caller"
+    );
 }

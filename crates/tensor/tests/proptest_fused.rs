@@ -6,10 +6,10 @@
 //! same per-element order, merely without temporaries. Every
 //! comparison here is on raw `f32` bits (`assert_eq` on buffers),
 //! not an epsilon band. Deterministic tests at the pool-parallel
-//! threshold (`fused::PAR_ELEMS`) additionally pin that the parallel
+//! threshold (`pool::PAR_ELEMS`) additionally pin that the parallel
 //! partition is invisible, including the empty and length-1 edges.
 
-use ft_tensor::{fused, Tensor};
+use ft_tensor::{fused, pool, Tensor};
 use proptest::prelude::*;
 
 fn pair_same_len(max: usize) -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
@@ -185,9 +185,9 @@ fn threshold_straddling_sizes_match_serial_reference() {
     for n in [
         0,
         1,
-        fused::PAR_ELEMS - 1,
-        fused::PAR_ELEMS,
-        fused::PAR_ELEMS + 13,
+        pool::PAR_ELEMS - 1,
+        pool::PAR_ELEMS,
+        pool::PAR_ELEMS + 13,
     ] {
         let a = seeded(n, 1);
         let b = seeded(n, 2);

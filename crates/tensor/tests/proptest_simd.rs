@@ -16,7 +16,7 @@
 //! are process-global hooks.
 
 use ft_tensor::simd::{self, Kernel};
-use ft_tensor::{fused, tune, Tensor};
+use ft_tensor::{fused, pool, tune, Tensor};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -351,11 +351,7 @@ fn yogi_signum_edges_are_bit_identical() {
 fn lane_tails_and_parallel_threshold_are_invisible() {
     let _guard = lock();
     let mut sizes: Vec<usize> = (0..=17).collect();
-    sizes.extend([
-        fused::PAR_ELEMS - 1,
-        fused::PAR_ELEMS,
-        fused::PAR_ELEMS + 13,
-    ]);
+    sizes.extend([pool::PAR_ELEMS - 1, pool::PAR_ELEMS, pool::PAR_ELEMS + 13]);
     for n in sizes {
         let a = seeded_vec(n, 21);
         let b = seeded_vec(n, 22);
@@ -380,10 +376,13 @@ const TAIL: usize = 17;
 /// ignored; the read-only ones are passed as shared borrows).
 type Fused4 = fn(&mut [f32], &mut [f32], &mut [f32], &mut [f32]);
 
-/// Every AVX2 element-wise wrapper on slices at base offsets 1–7 of
+/// Every fused element-wise kernel on slices at base offsets 1–7 of
 /// canary-padded buffers, at lengths 0, 1, lane − 1, lane, lane + 1 and
-/// their doubles: after every call all four buffers' padding is intact,
-/// and each slice holds the portable tier's exact bits.
+/// their doubles, and at one offset around the pool split
+/// (`PAR_ELEMS` − 1, `PAR_ELEMS`, `PAR_ELEMS` + 13), where the slices
+/// reach the kernel in chunks: after every call all four buffers'
+/// padding is intact, and each slice holds the portable tier's exact
+/// bits.
 #[test]
 fn fused_kernels_stay_inside_canary_padded_slices() {
     let _guard = lock();
@@ -403,47 +402,49 @@ fn fused_kernels_stay_inside_canary_padded_slices() {
             fused::yogi_update(p, m, v, d, 0.1, 0.9, 0.99, 1e-3)
         }),
     ];
+    let small = [0, 1, 7, 8, 9, 15, 16, 17]
+        .into_iter()
+        .flat_map(|len| (1..=7).map(move |off| (len, off)));
+    let split = [pool::PAR_ELEMS - 1, pool::PAR_ELEMS, pool::PAR_ELEMS + 13].map(|len| (len, 3));
     for (name, kernel) in kernels {
-        for len in [0, 1, 7, 8, 9, 15, 16, 17] {
-            for off in 1..=7 {
-                // Yogi's `v` (the third slice) is a second moment: ≥ 0.
-                let inputs: [Vec<f32>; 4] = std::array::from_fn(|i| {
-                    let v = seeded_vec(len, (len * 8 + off + i * 100) as u64);
-                    if i == 2 {
-                        v.iter().map(|x| x.abs()).collect()
-                    } else {
-                        v
-                    }
-                });
-                let run = |tier| {
-                    let mut bufs = inputs.clone().map(|v| {
-                        let mut buf = vec![CANARY; off + len + TAIL];
-                        buf[off..off + len].copy_from_slice(&v);
-                        buf
-                    });
-                    under(tier, || {
-                        let [w, x, y, z] = &mut bufs;
-                        let s = off..off + len;
-                        kernel(
-                            &mut w[s.clone()],
-                            &mut x[s.clone()],
-                            &mut y[s.clone()],
-                            &mut z[s],
-                        );
-                    });
-                    for buf in &bufs {
-                        let padding = buf[..off].iter().chain(&buf[off + len..]);
-                        assert!(
-                            padding.into_iter().all(|x| x.to_bits() == CANARY.to_bits()),
-                            "{name} wrote outside its slices: len {len}, offset {off}, {tier:?}"
-                        );
-                    }
-                    bufs.map(|buf| bits(&buf[off..off + len]))
-                };
-                let want = run(Kernel::Portable);
-                for tier in simd::available() {
-                    assert_eq!(run(tier), want, "{name} len {len} offset {off} on {tier:?}");
+        for (len, off) in small.clone().chain(split) {
+            // Yogi's `v` (the third slice) is a second moment: ≥ 0.
+            let inputs: [Vec<f32>; 4] = std::array::from_fn(|i| {
+                let v = seeded_vec(len, (len * 8 + off + i * 100) as u64);
+                if i == 2 {
+                    v.iter().map(|x| x.abs()).collect()
+                } else {
+                    v
                 }
+            });
+            let run = |tier| {
+                let mut bufs = inputs.clone().map(|v| {
+                    let mut buf = vec![CANARY; off + len + TAIL];
+                    buf[off..off + len].copy_from_slice(&v);
+                    buf
+                });
+                under(tier, || {
+                    let [w, x, y, z] = &mut bufs;
+                    let s = off..off + len;
+                    kernel(
+                        &mut w[s.clone()],
+                        &mut x[s.clone()],
+                        &mut y[s.clone()],
+                        &mut z[s],
+                    );
+                });
+                for buf in &bufs {
+                    let padding = buf[..off].iter().chain(&buf[off + len..]);
+                    assert!(
+                        padding.into_iter().all(|x| x.to_bits() == CANARY.to_bits()),
+                        "{name} wrote outside its slices: len {len}, offset {off}, {tier:?}"
+                    );
+                }
+                bufs.map(|buf| bits(&buf[off..off + len]))
+            };
+            let want = run(Kernel::Portable);
+            for tier in simd::available() {
+                assert_eq!(run(tier), want, "{name} len {len} offset {off} on {tier:?}");
             }
         }
     }
