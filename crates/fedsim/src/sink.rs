@@ -76,13 +76,16 @@
 //! count, completeness at `finish`, no `take_*` before `finish`) is the
 //! [`Cursor`], written once and shared with the baselines' scatter
 //! sink. The buffering rules keep the determinism contract anyway: the
-//! one selection kernel both share orders a coordinate's values by
-//! `total_cmp` with the buffer position as tie-break, and the surviving
-//! values fold in task order — so the result is bit-identical under any
-//! completion-order permutation, any in-flight window, and any thread
-//! count (the kernel fans 64-coordinate tiles out over the shared
-//! pool). All four rules checkpoint/restore mid-fold through one
-//! envelope.
+//! one kernel both share ([`ft_tensor::order_stats`]) orders a
+//! coordinate's values by `total_cmp` with the buffer position as
+//! tie-break, finds the two cut points by a bitwise rank search over 32
+//! coordinates at a time, and folds the surviving values in task order
+//! — so the result is bit-identical under any completion-order
+//! permutation, any in-flight window, and any thread count (32-coordinate
+//! tiles fan out over the shared pool). All four rules checkpoint and
+//! restore mid-fold through one envelope, and a restore re-derives the
+//! buffered sample counts and group normalizers from the manifest it
+//! carries.
 //!
 //! # Non-finite uploads
 //!
@@ -96,6 +99,7 @@
 
 use serde::{Deserialize, Serialize, Value};
 
+use ft_tensor::order_stats::{self, Survivors};
 use ft_tensor::Tensor;
 
 use crate::{Result, SimError};
@@ -633,7 +637,10 @@ impl Aggregator {
     /// # Errors
     ///
     /// [`SimError::Snapshot`] on a malformed or foreign checkpoint, or
-    /// one with no group or whose buffer disagrees with its cursor.
+    /// one whose round state disagrees with its own manifest: no group,
+    /// a buffer whose length is not the cursor's, a buffered update whose
+    /// `samples` is not its manifest entry's, or a group `total`/`count`
+    /// other than its manifest entries' sum.
     pub fn restore_value(&mut self, state: &Value) -> Result<()> {
         let kind: String = crate::driver::field(state, "sink")?;
         let restored: Aggregator = crate::driver::field(state, "state")?;
@@ -643,17 +650,71 @@ impl Aggregator {
                 self.rule.kind()
             )));
         }
-        let buffered = usize::from(restored.rule.buffers()) * restored.cursor.absorbed;
-        if restored.groups.is_empty() || restored.buffer.len() != buffered {
-            return Err(SimError::snapshot(format!(
-                "`{kind}` sink checkpoint has {} groups and buffers {} updates, its cursor \
-                 absorbed {buffered}",
-                restored.groups.len(),
-                restored.buffer.len()
-            )));
-        }
+        restored
+            .check_round_state()
+            .map_err(|detail| SimError::snapshot(format!("`{kind}` sink checkpoint {detail}")))?;
         *self = restored;
         Ok(())
+    }
+
+    /// Re-derives what the round state must hold from the manifest the
+    /// cursor carries — what `begin_round` computed and `absorb`
+    /// admitted — and names the first field that disagrees.
+    fn check_round_state(&self) -> std::result::Result<(), String> {
+        let Cursor {
+            expected, absorbed, ..
+        } = &self.cursor;
+        let buffered = usize::from(self.rule.buffers()) * absorbed;
+        if self.groups.is_empty() || *absorbed > expected.len() || self.buffer.len() != buffered {
+            return Err(format!(
+                "has {} groups and buffers {} updates, its cursor absorbed {absorbed} of {} tasks",
+                self.groups.len(),
+                self.buffer.len(),
+                expected.len()
+            ));
+        }
+        for (p, (update, spec)) in self.buffer.iter().zip(expected).enumerate() {
+            if update.samples != spec.samples {
+                return Err(format!(
+                    "buffers update {p} with `samples` {}, its manifest entry (task {}) has {}",
+                    update.samples, spec.task, spec.samples
+                ));
+            }
+        }
+        let derived = self.group_totals(expected).map_err(|e| e.to_string())?;
+        for (g, (group, &(total, count))) in self.groups.iter().zip(&derived).enumerate() {
+            for (field, got, want) in [("total", group.total, total), ("count", group.count, count)]
+            {
+                if got != want {
+                    return Err(format!(
+                        "has group {g} `{field}` {got}, its manifest entries give {want}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Each group's `(total, count)` over `tasks`: the normalizers a
+    /// streaming fold needs before its first update.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Protocol`] for a task without a group, or a sum that
+    /// overflows `u64`.
+    fn group_totals(&self, tasks: &[TaskSpec]) -> Result<Vec<(u64, u64)>> {
+        let mut totals = vec![(0u64, 0u64); self.groups.len()];
+        for spec in tasks {
+            let (total, count) = &mut totals[self.group(spec.task)?];
+            *total = total.checked_add(spec.samples).ok_or_else(|| {
+                SimError::protocol(format!(
+                    "task {}'s {} samples overflow its group's total",
+                    spec.task, spec.samples
+                ))
+            })?;
+            *count += 1;
+        }
+        Ok(totals)
     }
 
     /// The buffering rules' reduction of a complete round.
@@ -670,11 +731,17 @@ impl Aggregator {
         let RobustAggregation::TrimmedMean { trim } = self.rule else {
             // The median is the trim that leaves one survivor (odd
             // cohorts) or two (even cohorts).
-            return order_statistics(&self.buffer, (k - 1) / 2, Survivors::Midpoint).map(Some);
+            return Ok(Some(order_statistics(
+                &self.buffer,
+                (k - 1) / 2,
+                Survivors::Midpoint,
+            )));
         };
         let g = ((trim * k as f64).floor() as usize).min((k - 1) / 2);
         if g > 0 {
-            return order_statistics(&self.buffer, g, Survivors::WeightedMean).map(Some);
+            let samples: Vec<u64> = self.buffer.iter().map(|u| u.samples).collect();
+            let rule = Survivors::WeightedMean(&samples);
+            return Ok(Some(order_statistics(&self.buffer, g, rule)));
         }
         // Nothing to trim: the undefended fold's exact floating-point op
         // sequence (0 ULP), over the borrowed buffer.
@@ -700,10 +767,9 @@ impl UpdateSink for Aggregator {
         // The manifest is what lets a *streaming* fold be bit-identical
         // to the batch path: per-group normalizers exist before the
         // first update arrives.
-        for spec in manifest.tasks {
-            let g = self.group(spec.task)?;
-            self.groups[g].total += spec.samples;
-            self.groups[g].count += 1;
+        let totals = self.group_totals(manifest.tasks)?;
+        for (group, (total, count)) in self.groups.iter_mut().zip(totals) {
+            (group.total, group.count) = (total, count);
         }
         Ok(())
     }
@@ -769,52 +835,28 @@ impl UpdateSink for Aggregator {
     }
 }
 
-/// Coordinates per tile of [`order_statistics`]: 64 rows of a
-/// 200-client cohort are 51 KB of `f32`, L2-resident on every host
-/// the pool runs on, while each update is still read in 256-byte runs.
-const TILE_COORDS: usize = 64;
-
-/// What [`order_statistics`] makes of a coordinate's survivors.
-#[derive(Clone, Copy)]
-enum Survivors {
-    /// Sample-weighted mean, folded in task order.
-    WeightedMean,
-    /// The central value, or the midpoint of the two central values.
-    Midpoint,
-}
-
-/// `v`'s rank under `f32::total_cmp` as an unsigned integer: negatives
-/// have all bits flipped, everything else only the sign bit, so `-NaN <
-/// -Inf < … < -0.0 < +0.0 < … < +Inf < +NaN` compares as plain `u32`s.
-fn total_order_key(v: f32) -> u32 {
-    let bits = v.to_bits();
-    bits ^ ((((bits as i32) >> 31) as u32) | 0x8000_0000)
-}
+/// Coordinates per tile of [`order_statistics`]: one lane of the rank
+/// search per coordinate. A 200-client cohort's tile is 51 KB of keys
+/// and survivor mask, L2-resident on every host the pool runs on, while
+/// each update is still read in 128-byte runs.
+const TILE_COORDS: usize = order_stats::LANES;
 
 /// The shared kernel of the buffering rules: per coordinate, drops the
 /// `g` smallest and `g` largest of the cohort's values and reduces the
 /// `k − 2g ≥ 1` survivors as `rule` says.
 ///
 /// Values order by `total_cmp` with the buffer position — task order —
-/// as tie-break; packing `(total_order_key << 32) | position` into a
-/// `u64` (a buffered cohort is memory-bound far below 2^32 updates)
-/// makes that one strict total order, so two
-/// `select_nth_unstable` partitions (O(k), no sort) cut out exactly
-/// the survivor set a full sort would. The weighted mean then folds
-/// the survivors in task order, never sorted order, so which partition
-/// the selection happened to produce is unobservable.
+/// as tie-break, and [`order_stats::reduce_tile`] cuts out exactly the
+/// survivor set a full sort would, by a bitwise rank search over 32
+/// coordinates at a time. The weighted mean then folds the survivors in
+/// task order, never sorted order.
 ///
-/// Work is tiled: [`TILE_COORDS`] coordinates at a time are gathered
-/// from every update (one sequential read of each update's slice) into
-/// a contiguous `[coordinate][client]` tile, and the tiles fan out over
-/// the shared pool. Each output coordinate is written once from its own
-/// tile, so the result is independent of the thread count; scratch is
-/// `TILE_COORDS × k × 4 B` for the tile plus `17 B × k` of keys, trim
-/// marks and survivor positions per worker.
-fn order_statistics(buffer: &[BufferedUpdate], g: usize, rule: Survivors) -> Result<Vec<Tensor>> {
-    let k = buffer.len();
+/// Work is tiled: [`TILE_COORDS`] coordinates at a time are copied from
+/// every update (one 128-byte run of each update's slice), and the tiles
+/// fan out over the shared pool. Each output coordinate is written once
+/// from its own tile, so the result is independent of the thread count.
+fn order_statistics(buffer: &[BufferedUpdate], g: usize, rule: Survivors<'_>) -> Vec<Tensor> {
     let first = &buffer[0].weights;
-    let samples: Vec<u64> = buffer.iter().map(|u| u.samples).collect();
     let tiles: Vec<(usize, usize)> = first
         .iter()
         .enumerate()
@@ -827,65 +869,12 @@ fn order_statistics(buffer: &[BufferedUpdate], g: usize, rule: Survivors) -> Res
     let reduce_tile = |tile_index: usize| -> Vec<f32> {
         let (ti, start) = tiles[tile_index];
         let len = TILE_COORDS.min(first[ti].data().len() - start);
-        let mut tile = ft_tensor::scratch::ScratchVec::take(len * k);
-        for (p, update) in buffer.iter().enumerate() {
-            let src = &update.weights[ti].data()[start..start + len];
-            for (row, &v) in tile.chunks_exact_mut(k).zip(src) {
-                row[p] = v;
-            }
-        }
-        let mut keys = vec![0u64; k];
-        let mut trimmed = vec![false; k];
-        let mut kept = vec![0usize; k];
-        let position = |key: u64| key as u32 as usize;
-        tile.chunks_exact(k)
-            .map(|row| {
-                for (p, (key, &v)) in keys.iter_mut().zip(row).enumerate() {
-                    *key = (u64::from(total_order_key(v)) << 32) | p as u64;
-                }
-                if g > 0 {
-                    keys.select_nth_unstable(g);
-                    keys[g..].select_nth_unstable(k - 2 * g);
-                }
-                match rule {
-                    Survivors::WeightedMean => {
-                        trimmed.fill(false);
-                        for &key in keys[..g].iter().chain(&keys[k - g..]) {
-                            trimmed[position(key)] = true;
-                        }
-                        // Branch-free compaction: which clients survive is
-                        // close to a coin flip per position.
-                        let mut n = 0;
-                        for (p, &cut) in trimmed.iter().enumerate() {
-                            kept[n] = p;
-                            n += usize::from(!cut);
-                        }
-                        let kept = &kept[..n];
-                        let total: u64 = kept.iter().map(|&p| samples[p]).sum();
-                        let mut acc = 0.0f32;
-                        if total > 0 {
-                            for &p in kept {
-                                acc += (samples[p] as f32 / total as f32) * row[p];
-                            }
-                        } else {
-                            let inv = 1.0 / kept.len() as f32;
-                            for &p in kept {
-                                acc += inv * row[p];
-                            }
-                        }
-                        acc
-                    }
-                    Survivors::Midpoint => {
-                        let (a, b) = (keys[g], keys[k - g - 1]);
-                        if a == b {
-                            row[position(a)]
-                        } else {
-                            (row[position(a.min(b))] + row[position(a.max(b))]) * 0.5
-                        }
-                    }
-                }
-            })
-            .collect()
+        let mut values = vec![0.0; len];
+        let runs = buffer
+            .iter()
+            .map(|update| &update.weights[ti].data()[start..start + len]);
+        order_stats::reduce_tile(runs, g, rule, &mut values);
+        values
     };
     let reduced =
         crate::exec::par_map_indexed(tiles.len(), ft_tensor::pool::max_parallelism(), reduce_tile);
@@ -896,7 +885,7 @@ fn order_statistics(buffer: &[BufferedUpdate], g: usize, rule: Survivors) -> Res
     for (&(ti, start), values) in tiles.iter().zip(&reduced) {
         out[ti].data_mut()[start..start + values.len()].copy_from_slice(values);
     }
-    Ok(out)
+    out
 }
 
 /// A sink that drops every update: for protocol-only rounds where no
@@ -1216,32 +1205,12 @@ mod tests {
     }
 
     #[test]
-    fn total_order_key_orders_like_total_cmp() {
-        let specials = [
-            -f32::NAN,
-            f32::NEG_INFINITY,
-            f32::MIN,
-            -1.0,
-            -f32::MIN_POSITIVE,
-            -1e-45, // negative subnormal
-            -0.0,
-            0.0,
-            1e-45,
-            f32::MIN_POSITIVE,
-            1.0,
-            f32::MAX,
-            f32::INFINITY,
-            f32::NAN,
-        ];
-        for a in specials {
-            for b in specials {
-                assert_eq!(
-                    total_order_key(a).cmp(&total_order_key(b)),
-                    a.total_cmp(&b),
-                    "{a} vs {b}"
-                );
-            }
-        }
+    fn a_manifest_whose_group_total_overflows_is_refused() {
+        let specs = specs(&[u64::MAX, 1]);
+        let err = FedAvgSink::single()
+            .begin_round(&manifest(&specs))
+            .unwrap_err();
+        assert!(matches!(err, SimError::Protocol { .. }), "{err}");
     }
 
     #[test]

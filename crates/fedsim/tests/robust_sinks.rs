@@ -12,9 +12,9 @@
 //!
 //! Those compare the sinks with themselves. The second half holds the
 //! buffering sinks to an independent reference: the naive
-//! sort-everything rule the blocked selection kernel replaced, kept
-//! here as the oracle, over cohorts, tensor lengths and values chosen
-//! to hit tile edges, ties, signed zeros and non-finite uploads.
+//! sort-everything rule, kept here as the oracle, over cohorts, tensor
+//! lengths and values chosen to hit tile edges, ties, signed zeros and
+//! non-finite uploads, on every kernel tier.
 
 use std::collections::BTreeMap;
 
@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use ft_fedsim::sink::{
     ClientUpdate, FedAvgSink, RobustAggregation, RobustSink, RoundManifest, TaskSpec, UpdateSink,
 };
-use ft_tensor::Tensor;
+use ft_tensor::{simd, Tensor};
 
 /// Per-task weights + sample counts.
 type Cohort = Vec<(Vec<Tensor>, u64)>;
@@ -401,10 +401,10 @@ fn assert_matches_oracle(spec: RobustAggregation, updates: &Cohort) -> Option<Ve
     got
 }
 
-/// Tensor lengths straddling the kernel's 64-coordinate tile: a lone
-/// coordinate, one short of a tile, exactly one, one over, two and a
-/// remainder.
-const ORACLE_LENS: [usize; 5] = [1, 63, 64, 65, 129];
+/// Tensor lengths straddling the kernel's 32-coordinate tile: a lone
+/// coordinate, one short of a tile, exactly one, one over, two and one
+/// over, and the 64-coordinate tile's edges.
+const ORACLE_LENS: [usize; 7] = [1, 31, 32, 33, 64, 65, 129];
 
 const NEG_NAN: f32 = f32::from_bits(0xffc0_0000);
 const SPECIALS: [f32; 6] = [
@@ -469,17 +469,103 @@ fn oracle_cohort() -> impl Strategy<Value = Cohort> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The selection kernel is the naive rule, to the bit, for every
-    /// trim fraction and for the median.
+    /// The rank-search kernel is the naive rule, to the bit, for every
+    /// trim fraction and for the median, on every kernel tier.
     #[test]
     fn buffering_sinks_match_the_naive_oracle(
         updates in oracle_cohort(),
         trim_pct in 0u32..50,
     ) {
         let trim = f64::from(trim_pct) / 100.0;
-        assert_matches_oracle(RobustAggregation::TrimmedMean { trim }, &updates);
+        for tier in simd::available() {
+            simd::force(Some(tier));
+            assert_matches_oracle(RobustAggregation::TrimmedMean { trim }, &updates);
+            assert_matches_oracle(RobustAggregation::CoordinateMedian, &updates);
+        }
+        simd::force(None);
+    }
+}
+
+/// Updates in the benchmark's cohort: `trim = 0.3` cuts at ranks 60
+/// and 139, the median at 99 and 100.
+const FLEET: usize = 200;
+
+/// Update `p`'s value at coordinate `j` of the [`fleet`] cohort. Each
+/// coordinate places its values by a permutation of the positions
+/// (`slot`), so tied values sit at scattered positions, and takes one
+/// of five shapes:
+///
+/// 0. runs of ties straddling both trim cuts (`T` among 30 tied keys at
+///    ranks 50–79, `U` among 50 at ranks 120–169);
+/// 1. `T = U`: 150 tied keys at ranks 25–174, so both cuts and both
+///    median ranks land in one run;
+/// 2. the 60 weighted updates all at one end, so every survivor has
+///    zero samples and the mean is uniform;
+/// 3. signed zeros and specials, tied across both cuts;
+/// 4. eighth-steps over a narrow range: ties everywhere.
+fn fleet_value(j: usize, p: usize) -> f32 {
+    let slot = (p * 77 + j * 31) % FLEET;
+    let eighths = ((p * 37 + j * 11) % 23) as f32 * 0.125 - 1.0;
+    match j % 5 {
+        0 => match slot {
+            0..50 => -2.0,
+            50..80 => -1.0,
+            80..120 => eighths,
+            120..170 => 1.0,
+            _ => 2.0,
+        },
+        1 => match slot {
+            0..25 => -8.0 - eighths,
+            25..175 => 0.5,
+            _ => 8.0 + eighths,
+        },
+        2 if fleet_samples(p) > 0 => -1000.0,
+        2 => p as f32 * 0.25,
+        3 => SPECIALS[slot * SPECIALS.len() / FLEET],
+        _ => eighths,
+    }
+}
+
+/// Sample counts of the [`fleet`] cohort: 140 updates carry none.
+fn fleet_samples(p: usize) -> u64 {
+    if p % 10 < 7 {
+        0
+    } else {
+        (p % 13 + 1) as u64
+    }
+}
+
+/// A deterministic cohort of the benchmark's size, over every
+/// [`ORACLE_LENS`] tensor.
+fn fleet() -> Cohort {
+    (0..FLEET)
+        .map(|p| {
+            let mut j = 0;
+            let tensors = ORACLE_LENS
+                .iter()
+                .map(|&len| {
+                    let values = (j..j + len).map(|j| fleet_value(j, p)).collect();
+                    j += len;
+                    Tensor::from_vec(values, &[len]).unwrap()
+                })
+                .collect();
+            (tensors, fleet_samples(p))
+        })
+        .collect()
+}
+
+/// The proptest stops at 48 updates; the benchmark aggregates 200. Its
+/// cuts fall inside tie runs, and which tied positions survive decides
+/// the weighted mean.
+#[test]
+fn a_benchmark_sized_cohort_with_ties_at_both_cuts_matches_the_oracle() {
+    let updates = fleet();
+    for tier in simd::available() {
+        simd::force(Some(tier));
+        assert_matches_oracle(RobustAggregation::TrimmedMean { trim: 0.3 }, &updates);
         assert_matches_oracle(RobustAggregation::CoordinateMedian, &updates);
     }
+    simd::force(None);
 }
 
 /// Ten clients, one coordinate, 10 samples each; `trim = 0.2` drops

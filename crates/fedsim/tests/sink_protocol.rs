@@ -236,6 +236,99 @@ fn a_ragged_or_inconsistent_restored_buffer_is_rejected_not_indexed() {
     }
 }
 
+/// Restores `envelope` into a fresh sink and expects a
+/// [`SimError::Snapshot`] naming `field`.
+fn assert_refused_naming(subject: &Subject<'_, Aggregator>, envelope: &Value, field: &str) {
+    match (subject.fresh)().restore_value(envelope) {
+        Err(err @ SimError::Snapshot { .. }) => assert!(
+            err.to_string().contains(&format!("`{field}`")),
+            "{}: {err}",
+            subject.name
+        ),
+        other => panic!("{}: `{field}` edit restored as {other:?}", subject.name),
+    }
+}
+
+/// A buffered update is admitted under its manifest entry's sample
+/// count; a checkpoint that says otherwise would weight the survivors
+/// by counts nobody priced.
+#[test]
+fn a_restored_buffer_whose_samples_disagree_with_the_manifest_is_refused() {
+    // Five tasks of one sample each, trim 0.2 (one per end), every
+    // buffered count rewritten to 7 after all five absorbs.
+    let specs: Vec<TaskSpec> = (0..5)
+        .map(|task| TaskSpec {
+            task,
+            client: task,
+            samples: 1,
+        })
+        .collect();
+    let subject = Subject {
+        name: "TrimmedMean 0.2, one sample each".to_owned(),
+        fresh: Box::new(|| RobustSink::new(RobustAggregation::TrimmedMean { trim: 0.2 })),
+        updates: specs
+            .iter()
+            .map(|spec| ClientUpdate {
+                task: spec.task,
+                client: spec.client,
+                samples: 1,
+                weights: vec![Tensor::from_vec(vec![spec.task as f32], &[1]).unwrap()],
+                delta: Vec::new(),
+            })
+            .collect(),
+        specs,
+        ragged: Vec::new(),
+        has_task_table: false,
+        take: take_all,
+    };
+    let mut envelope = envelope_at(&subject, 5);
+    let Value::Array(buffer) = field_mut(field_mut(&mut envelope, "state"), "buffer") else {
+        panic!("buffer is an array");
+    };
+    for update in buffer {
+        *field_mut(update, "samples") = Value::Number(7.0);
+    }
+    assert_refused_naming(&subject, &envelope, "samples");
+
+    // One update off by one, in every buffering rule, mid-round.
+    for subject in subjects() {
+        if !subject.name.starts_with("TrimmedMean") && subject.name != "CoordinateMedian" {
+            continue;
+        }
+        let mut envelope = envelope_at(&subject, 3);
+        let Value::Array(buffer) = field_mut(field_mut(&mut envelope, "state"), "buffer") else {
+            panic!("buffer is an array");
+        };
+        let samples = field_mut(&mut buffer[1], "samples");
+        let Value::Number(n) = *samples else {
+            panic!("samples is a number");
+        };
+        *samples = Value::Number(n + 1.0);
+        assert_refused_naming(&subject, &envelope, "samples");
+    }
+}
+
+/// A group's normalizers are the manifest's sums, re-derived on restore
+/// rather than taken as written.
+#[test]
+fn a_restored_group_total_or_count_off_its_manifest_is_refused() {
+    for subject in subjects() {
+        for field in ["total", "count"] {
+            let mut envelope = envelope_at(&subject, 2);
+            let Value::Array(groups) = field_mut(field_mut(&mut envelope, "state"), "groups")
+            else {
+                panic!("groups is an array");
+            };
+            let value = field_mut(&mut groups[0], field);
+            let Value::Number(n) = *value else {
+                panic!("{field} is a number");
+            };
+            *value = Value::Number(n + 1.0);
+            assert_refused_naming(&subject, &envelope, field);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Non-finite uploads: the streaming rules reject and count
 // ---------------------------------------------------------------------

@@ -38,11 +38,14 @@ use crate::{pool, simd};
 /// Panics if lengths differ.
 pub fn add_assign(a: &mut [f32], b: &[f32]) {
     pool::for_each_chunk_mut([a], [b], |[a], [b]| {
-        simd::elementwise(move || {
-            for (x, &y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        });
+        simd::elementwise(
+            #[inline(always)]
+            move || {
+                for (x, &y) in a.iter_mut().zip(b) {
+                    *x += y;
+                }
+            },
+        );
     });
 }
 
@@ -53,11 +56,14 @@ pub fn add_assign(a: &mut [f32], b: &[f32]) {
 /// Panics if lengths differ.
 pub fn sub_assign(a: &mut [f32], b: &[f32]) {
     pool::for_each_chunk_mut([a], [b], |[a], [b]| {
-        simd::elementwise(move || {
-            for (x, &y) in a.iter_mut().zip(b) {
-                *x -= y;
-            }
-        });
+        simd::elementwise(
+            #[inline(always)]
+            move || {
+                for (x, &y) in a.iter_mut().zip(b) {
+                    *x -= y;
+                }
+            },
+        );
     });
 }
 
@@ -68,22 +74,28 @@ pub fn sub_assign(a: &mut [f32], b: &[f32]) {
 /// Panics if lengths differ.
 pub fn mul_assign(a: &mut [f32], b: &[f32]) {
     pool::for_each_chunk_mut([a], [b], |[a], [b]| {
-        simd::elementwise(move || {
-            for (x, &y) in a.iter_mut().zip(b) {
-                *x *= y;
-            }
-        });
+        simd::elementwise(
+            #[inline(always)]
+            move || {
+                for (x, &y) in a.iter_mut().zip(b) {
+                    *x *= y;
+                }
+            },
+        );
     });
 }
 
 /// `a[i] *= alpha`.
 pub fn scale_assign(a: &mut [f32], alpha: f32) {
     pool::for_each_chunk_mut([a], [], |[a], []| {
-        simd::elementwise(move || {
-            for x in a {
-                *x *= alpha;
-            }
-        });
+        simd::elementwise(
+            #[inline(always)]
+            move || {
+                for x in a {
+                    *x *= alpha;
+                }
+            },
+        );
     });
 }
 
@@ -94,11 +106,14 @@ pub fn scale_assign(a: &mut [f32], alpha: f32) {
 /// Panics if lengths differ.
 pub fn axpy(a: &mut [f32], alpha: f32, b: &[f32]) {
     pool::for_each_chunk_mut([a], [b], |[a], [b]| {
-        simd::elementwise(move || {
-            for (x, &y) in a.iter_mut().zip(b) {
-                *x += alpha * y;
-            }
-        });
+        simd::elementwise(
+            #[inline(always)]
+            move || {
+                for (x, &y) in a.iter_mut().zip(b) {
+                    *x += alpha * y;
+                }
+            },
+        );
     });
 }
 
@@ -126,17 +141,20 @@ pub fn sgd_momentum_update(
     weight_decay: f32,
 ) {
     pool::for_each_chunk_mut([p, v], [g], |[p, v], [g]| {
-        simd::elementwise(move || {
-            for ((p, v), &g) in p.iter_mut().zip(v).zip(g) {
-                // Read `p` once: the AVX2 build cannot prove `p` and `v`
-                // disjoint, so a read after the `v` store is a reload.
-                let x = *p;
-                let grad = g + weight_decay * x;
-                let vel = momentum * *v + grad;
-                *v = vel;
-                *p = x - lr * vel;
-            }
-        });
+        simd::elementwise(
+            #[inline(always)]
+            move || {
+                for ((p, v), &g) in p.iter_mut().zip(v).zip(g) {
+                    // Read `p` once: the AVX2 build cannot prove `p` and `v`
+                    // disjoint, so a read after the `v` store is a reload.
+                    let x = *p;
+                    let grad = g + weight_decay * x;
+                    let vel = momentum * *v + grad;
+                    *v = vel;
+                    *p = x - lr * vel;
+                }
+            },
+        );
     });
 }
 
@@ -159,17 +177,20 @@ pub fn prox_sgd_momentum_update(
     weight_decay: f32,
 ) {
     pool::for_each_chunk_mut([p, v], [g, anchor], |[p, v], [g, anchor]| {
-        simd::elementwise(move || {
-            for (((p, v), &g), &a) in p.iter_mut().zip(v).zip(g).zip(anchor) {
-                // `p` is read once, as in `sgd_momentum_update`.
-                let x = *p;
-                let adjusted = g + mu * (x - a);
-                let grad = adjusted + weight_decay * x;
-                let vel = momentum * *v + grad;
-                *v = vel;
-                *p = x - lr * vel;
-            }
-        });
+        simd::elementwise(
+            #[inline(always)]
+            move || {
+                for (((p, v), &g), &a) in p.iter_mut().zip(v).zip(g).zip(anchor) {
+                    // `p` is read once, as in `sgd_momentum_update`.
+                    let x = *p;
+                    let adjusted = g + mu * (x - a);
+                    let grad = adjusted + weight_decay * x;
+                    let vel = momentum * *v + grad;
+                    *v = vel;
+                    *p = x - lr * vel;
+                }
+            },
+        );
     });
 }
 
@@ -191,16 +212,19 @@ pub fn yogi_update(
     eps: f32,
 ) {
     pool::for_each_chunk_mut([p, m, v], [d], |[p, m, v], [d]| {
-        simd::elementwise(move || {
-            for (((p, m), v), &g) in p.iter_mut().zip(m).zip(v).zip(d) {
-                let mi = beta1 * *m + (1.0 - beta1) * g;
-                let g2 = g * g;
-                let vi = *v - (1.0 - beta2) * g2 * (*v - g2).signum();
-                *m = mi;
-                *v = vi;
-                *p += lr * mi / (vi.sqrt() + eps);
-            }
-        });
+        simd::elementwise(
+            #[inline(always)]
+            move || {
+                for (((p, m), v), &g) in p.iter_mut().zip(m).zip(v).zip(d) {
+                    let mi = beta1 * *m + (1.0 - beta1) * g;
+                    let g2 = g * g;
+                    let vi = *v - (1.0 - beta2) * g2 * (*v - g2).signum();
+                    *m = mi;
+                    *v = vi;
+                    *p += lr * mi / (vi.sqrt() + eps);
+                }
+            },
+        );
     });
 }
 

@@ -18,9 +18,9 @@
 //! # Ok::<(), ft_tensor::TensorError>(())
 //! ```
 
-// The raw-pointer kernels must spell out every unsafe operation; docs
-// are part of the public contract (clippy's `undocumented_unsafe_blocks`
-// enforces the SAFETY comments themselves).
+// The raw-pointer kernels must spell out every unsafe operation (clippy
+// checks each one's SAFETY comment); docs are part of the public
+// contract.
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::missing_panics_doc))]
@@ -30,6 +30,7 @@ pub mod fused;
 mod init;
 mod matmul;
 mod ops;
+pub mod order_stats;
 pub mod pool;
 pub mod scratch;
 mod shape;

@@ -18,7 +18,8 @@
 //! [`force`]; there is no environment value that picks one.
 //!
 //! The element-wise kernels have no intrinsic copies. Each loop is
-//! written once, in [`crate::fused`], and `elementwise` runs it either
+//! written once, in [`crate::fused`] or [`crate::order_stats`] (whose
+//! lanes are 32 adjacent coordinates), and `elementwise` runs it either
 //! as is (the portable tier) or inside a function compiled with
 //! `target_feature(enable = "avx2")`, where the compiler vectorises the
 //! same source eight lanes wide. Rust never fuses a `mul` and an `add`
@@ -176,8 +177,14 @@ pub fn active() -> Kernel {
 /// no FMA contraction; such a loop rounds the same at any vector width,
 /// so both builds give the same bits.
 ///
-/// `f` is generic so its body is compiled into the trampoline's AVX2
-/// context; through a `&dyn` it would run its portable build.
+/// `f` is generic, so each closure gets its own trampoline instance,
+/// but its body is compiled in the AVX2 context only if the compiler
+/// inlines it there. Nothing guarantees that for a large body: the
+/// instance can be a bare jump into the closure's portable build. Every
+/// caller therefore marks its closure `#[inline(always)]` (and every
+/// helper the closure calls), and the emitted assembly of each instance
+/// is checked for `ymm` registers. Through a `&dyn` the body would
+/// never be inlined.
 pub(crate) fn elementwise(f: impl FnOnce()) {
     match active() {
         #[cfg(target_arch = "x86_64")]
@@ -190,9 +197,9 @@ pub(crate) fn elementwise(f: impl FnOnce()) {
     }
 }
 
-/// The AVX2 trampoline behind [`elementwise`]: inlines `f` into an
-/// AVX2-enabled function, so the compiler may vectorise it with `ymm`
-/// registers.
+/// The AVX2 trampoline behind [`elementwise`]: an AVX2-enabled function
+/// that calls `f`, so the compiler may vectorise an inlined `f` with
+/// `ymm` registers.
 ///
 /// # Safety
 ///
