@@ -102,7 +102,9 @@ fn per_lane<T: Copy + Default>(f: impl Fn(usize) -> T) -> [T; LANES] {
 #[inline(always)]
 fn rank_search(keys: &[[[f32; LANES]; 4]], rank: i32) -> ([i32; LANES], [i32; LANES]) {
     // `t` is the largest key with at most `rank` keys below it, found
-    // from the top bit down; `i32::MIN` has nothing below it.
+    // from the top bit down; `i32::MIN` has nothing below it. Offset by
+    // `i32::MIN` the keys are unsigned, `t` starts at 0 and `t ^ flip`
+    // is `t | bit` there.
     let mut t = [i32::MIN; LANES];
     let mut below = [0i32; LANES];
     for bit in (0..32).rev() {
