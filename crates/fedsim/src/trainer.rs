@@ -6,10 +6,13 @@
 //! training loss — exactly the feedback FedTrans's coordinator consumes
 //! (Algorithm 1, line 10).
 //!
-//! [`train_tasks`] executes a batch of participants concurrently
-//! through the [`crate::exec`] engine. Downstream accounting (cost
-//! meters, round times, loss means) iterates the returned outcomes in
-//! task order, which is what keeps every floating-point reduction
+//! The coordinator trains each participant with [`train_local`] inside
+//! its pipelined fold ([`crate::exec::try_stream_map`]).
+//! [`train_tasks`] executes a batch of participants concurrently through
+//! the same [`crate::exec`] engine for callers outside a round — the
+//! benchmark's trainer probe and tests. Either way, downstream
+//! accounting (cost meters, round times, loss means) iterates outcomes
+//! in task order, which is what keeps every floating-point reduction
 //! order-fixed regardless of which client finished first.
 
 use rand::SeedableRng;
@@ -256,7 +259,8 @@ pub struct TrainTask {
 }
 
 /// Executes a batch of [`TrainTask`]s concurrently over the shared
-/// worker pool — the coordinator's training-phase executor. Each worker
+/// worker pool, outside a round (the coordinator trains through
+/// [`train_local`] in its own fold). Each worker
 /// clones its task's entry of `models` and pulls the train half of the
 /// client's shard from the [`ShardSource`] on demand, so a sparse
 /// million-device population never materializes beyond the clients in

@@ -216,15 +216,15 @@ impl FedTransConfig {
         if !(0.0..=1.0).contains(&self.alpha) {
             return Err(format!("alpha must be in [0,1], got {}", self.alpha));
         }
-        if self.beta <= 0.0 {
+        if self.beta.is_nan() || self.beta <= 0.0 {
             return Err(format!("beta must be positive, got {}", self.beta));
         }
         if self.gamma == 0 || self.delta == 0 {
             return Err("gamma and delta must be at least 1".to_owned());
         }
-        if self.widen_factor <= 1.0 {
+        if !self.widen_factor.is_finite() || self.widen_factor <= 1.0 {
             return Err(format!(
-                "widen_factor must exceed 1, got {}",
+                "widen_factor must be finite and exceed 1, got {}",
                 self.widen_factor
             ));
         }
@@ -290,6 +290,18 @@ mod tests {
             .with_widen_factor(0.5)
             .validate()
             .is_err());
+        for bad in [f32::NAN, f32::INFINITY] {
+            let err = FedTransConfig::default()
+                .with_widen_factor(bad)
+                .validate()
+                .unwrap_err();
+            assert!(err.contains("widen_factor"), "{err}");
+        }
+        let err = FedTransConfig::default()
+            .with_beta(f32::NAN)
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("beta"), "{err}");
         assert!(FedTransConfig::default()
             .with_clients_per_round(0)
             .validate()

@@ -10,16 +10,15 @@
 //! per-round metrics into the shared [`ft_fedsim::report::RunReport`],
 //! and supports kill/restart checkpoint-resume with byte-identical
 //! final reports. The [`registry`] ships 14 canned scenarios, each
-//! pinned by a committed quick-mode golden digest that CI re-checks on
-//! every push.
+//! pinned by a committed quick-mode golden digest.
 //!
 //! Determinism extends across execution widths: local training fans
 //! out over the parallel client engine (`ft_fedsim::exec`, gated by
 //! `FT_CLIENT_THREADS`), whose per-client RNG streams are derived
 //! statelessly from `(round seed, client)`, so the same scenario
-//! produces the same digest at any thread count — before and after a
-//! kill/resume (`tests/client_parallelism.rs` in the workspace root
-//! pins both).
+//! produces the same digest at any thread count and kernel tier —
+//! before and after a kill/resume (`tests/determinism_matrix.rs` in the
+//! workspace root pins every golden in every such cell).
 //!
 //! # Example
 //!

@@ -2,8 +2,9 @@
 //!
 //! Every scenario here is CI-sized in quick mode (seconds) and
 //! meaningfully larger in full mode. The committed `goldens.json`
-//! maps scenario names to the quick-mode report digest; the CI
-//! scenario matrix re-runs each scenario and fails on drift, which
+//! maps scenario names to the quick-mode report digest; the workspace's
+//! `tests/determinism_matrix.rs` re-runs each scenario and fails on
+//! drift, which
 //! catches any unintended change to training dynamics, cost
 //! accounting, or report serialization.
 

@@ -172,6 +172,13 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> ft_fedsim::Result
             detail: "stop_after requires a checkpoint path".to_owned(),
         });
     }
+    if let Some(stop) = opts.stop_after.filter(|&stop| stop >= target) {
+        // The kill would never fire: the run would finish and leave
+        // no checkpoint to resume from.
+        return Err(SimError::BadConfig {
+            detail: format!("stop_after {stop} is not before the round budget {target}"),
+        });
+    }
     let mut driver = scenario.build()?;
 
     let mut resumed_from = None;
@@ -478,6 +485,31 @@ mod tests {
             reference_json,
         );
         assert_eq!(resumed.digest, reference.digest);
+    }
+
+    #[test]
+    fn stop_after_at_or_past_the_budget_is_refused() {
+        let scenario = registry::find("large-population-1m").unwrap();
+        let path = tmp_path("unreachable-kill");
+        for stop in [scenario.quick_rounds, scenario.quick_rounds + 1] {
+            let err = run_scenario(
+                &scenario,
+                &RunOptions {
+                    quick: true,
+                    checkpoint_path: Some(path.clone()),
+                    stop_after: Some(stop),
+                    ..Default::default()
+                },
+            )
+            .expect_err("a kill that cannot fire must be refused");
+            let msg = err.to_string();
+            assert!(matches!(err, SimError::BadConfig { .. }), "{msg}");
+            assert!(
+                msg.contains(&format!("stop_after {stop}"))
+                    && msg.contains(&format!("budget {}", scenario.quick_rounds)),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

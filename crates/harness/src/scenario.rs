@@ -179,6 +179,32 @@ pub enum AlgorithmSpec {
     Fluid,
 }
 
+/// Refuses local training hyperparameters that would train on NaN or
+/// overflow the per-client sample count the sinks normalize by.
+fn validate_local(local: &LocalTrainConfig) -> Result<(), String> {
+    for (name, v) in [("lr", local.lr), ("momentum", local.momentum)] {
+        if !v.is_finite() {
+            return Err(format!("local.{name} must be finite, got {v}"));
+        }
+    }
+    if let Some(mu) = local.prox_mu.filter(|mu| !mu.is_finite() || *mu < 0.0) {
+        return Err(format!("local.prox_mu must be finite and >= 0, got {mu}"));
+    }
+    if local.local_steps == 0 {
+        return Err("local.local_steps must be at least 1".to_owned());
+    }
+    if (local.local_steps as u64)
+        .checked_mul(local.batch_size.max(1) as u64)
+        .is_none()
+    {
+        return Err(format!(
+            "local.local_steps ({}) × local.batch_size ({}) overflows the sample count",
+            local.local_steps, local.batch_size
+        ));
+    }
+    Ok(())
+}
+
 /// A complete experiment description.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Scenario {
@@ -261,10 +287,22 @@ impl Scenario {
         self.dataset
             .validate()
             .map_err(|detail| format!("dataset: {detail}"))?;
-        if let AlgorithmSpec::SplitMix { bases } = self.algorithm {
-            if bases == 0 {
+        validate_local(&self.local)?;
+        match self.algorithm {
+            AlgorithmSpec::SplitMix { bases: 0 } => {
                 return Err("SplitMix needs at least one base".to_owned());
             }
+            AlgorithmSpec::FedAvg { yogi_lr, prox_mu } => {
+                for (name, v) in [("yogi_lr", yogi_lr), ("prox_mu", prox_mu)] {
+                    if let Some(v) = v.filter(|v| !v.is_finite() || *v < 0.0) {
+                        return Err(format!("{name} must be finite and >= 0, got {v}"));
+                    }
+                }
+            }
+            _ => {}
+        }
+        if let Some(cfg) = self.fedtrans_config() {
+            cfg.validate()?;
         }
         if self.devices.base_capacity_macs == 0 {
             return Err("base_capacity_macs must be at least 1".to_owned());
@@ -405,6 +443,32 @@ impl Scenario {
         }
     }
 
+    /// The FedTrans configuration this scenario implies (`None` for the
+    /// baselines).
+    fn fedtrans_config(&self) -> Option<FedTransConfig> {
+        let AlgorithmSpec::FedTrans {
+            max_models,
+            transform_cooldown,
+            gamma,
+            delta,
+            beta,
+        } = self.algorithm
+        else {
+            return None;
+        };
+        let mut cfg = FedTransConfig::default()
+            .with_clients_per_round(self.clients_per_round)
+            .with_gamma(gamma)
+            .with_delta(delta)
+            .with_beta(beta)
+            .with_local(self.local)
+            .with_faults(self.faults)
+            .with_seed(self.seed);
+        cfg.max_models = max_models;
+        cfg.transform_cooldown = transform_cooldown;
+        Some(cfg)
+    }
+
     /// The baseline configuration this scenario implies.
     fn baseline_config(&self) -> BaselineConfig {
         BaselineConfig {
@@ -489,23 +553,12 @@ impl Scenario {
         devices: DeviceTrace,
     ) -> ft_fedsim::Result<Box<dyn Algorithm>> {
         match self.algorithm {
-            AlgorithmSpec::FedTrans {
-                max_models,
-                transform_cooldown,
-                gamma,
-                delta,
-                beta,
-            } => {
-                let mut cfg = FedTransConfig::default()
-                    .with_clients_per_round(self.clients_per_round)
-                    .with_gamma(gamma)
-                    .with_delta(delta)
-                    .with_beta(beta)
-                    .with_local(self.local)
-                    .with_faults(self.faults)
-                    .with_seed(self.seed);
-                cfg.max_models = max_models;
-                cfg.transform_cooldown = transform_cooldown;
+            AlgorithmSpec::FedTrans { .. } => {
+                let Some(cfg) = self.fedtrans_config() else {
+                    return Err(SimError::BadConfig {
+                        detail: "not a FedTrans scenario".to_owned(),
+                    });
+                };
                 let rt =
                     FedTransRuntime::new(cfg, data, devices).map_err(|e| SimError::BadConfig {
                         detail: e.to_string(),

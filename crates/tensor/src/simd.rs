@@ -40,10 +40,9 @@
 //! accumulator and ascending-`k` order. `x86` vector `mulps`/`addps`
 //! lanes round exactly like their scalar `mulss`/`addss` counterparts
 //! at any vector width, so the results are 0 ULP from the portable
-//! fallback — pinned by `crates/tensor/tests/proptest_simd.rs`, by
-//! `tests/kernel_tiers.rs` (golden digests under every tier) and by the
-//! CI scenario legs that replay every golden digest under
-//! `FT_TENSOR_SIMD=0`.
+//! fallback — pinned by `crates/tensor/tests/proptest_simd.rs` and by
+//! the workspace's `tests/determinism_matrix.rs` (every golden digest
+//! under every tier).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;

@@ -2,8 +2,8 @@
 //!
 //! Runs one canned or user-supplied scenario deterministically, writes
 //! its JSON report to the workspace `bench_results/` directory, and
-//! optionally checks (or regenerates) the committed golden digests the
-//! CI scenario matrix gates on.
+//! optionally checks (or regenerates) the committed golden digests
+//! (`crates/harness/goldens.json`).
 //!
 //! ```text
 //! ft-run --list

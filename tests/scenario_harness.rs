@@ -1,134 +1,19 @@
-//! Cross-crate integration tests for the scenario harness: canned
-//! registry execution, checkpoint/resume byte-identity for FedTrans
-//! and a baseline, golden-digest agreement, and `ft-run`'s startup
-//! check of the `FT_*` environment.
+//! Cross-crate integration tests for the scenario harness: the JSON
+//! config path, validation of hostile scenario values, and `ft-run`'s
+//! startup check of the `FT_*` environment, its report write and its
+//! kill/resume flags. Every golden under every kernel tier, thread count
+//! and kill/resume is `tests/determinism_matrix.rs`.
 
 use std::path::PathBuf;
 
-use ft_harness::{registry, run_scenario, RunOptions};
+use ft_fedsim::SimError;
+use ft_harness::{registry, run_scenario, AlgorithmSpec, RunOptions, Scenario};
 
 fn tmp_checkpoint(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
         "ft-scenario-harness-{tag}-{}.json",
         std::process::id()
     ))
-}
-
-/// Runs a canned scenario uninterrupted, then again with a mid-run
-/// checkpoint/restart, asserting byte-identical reports.
-fn assert_resume_byte_identical(name: &str, stop_after: usize) {
-    let scenario = registry::find(name).expect("canned scenario");
-    let reference = run_scenario(
-        &scenario,
-        &RunOptions {
-            quick: true,
-            ..Default::default()
-        },
-    )
-    .expect("reference run");
-    let reference_json = serde_json::to_string(reference.report.as_ref().unwrap()).unwrap();
-
-    let path = tmp_checkpoint(name);
-    let _ = std::fs::remove_file(&path);
-    let interrupted = run_scenario(
-        &scenario,
-        &RunOptions {
-            quick: true,
-            checkpoint_path: Some(path.clone()),
-            stop_after: Some(stop_after),
-            ..Default::default()
-        },
-    )
-    .expect("interrupted run");
-    assert!(!interrupted.finished());
-
-    let resumed = run_scenario(
-        &scenario,
-        &RunOptions {
-            quick: true,
-            checkpoint_path: Some(path),
-            ..Default::default()
-        },
-    )
-    .expect("resumed run");
-    assert_eq!(resumed.resumed_from, Some(stop_after as u32));
-    assert_eq!(
-        serde_json::to_string(resumed.report.as_ref().unwrap()).unwrap(),
-        reference_json,
-        "{name}: resumed report must be byte-identical to the uninterrupted run"
-    );
-    assert_eq!(resumed.digest, reference.digest);
-}
-
-#[test]
-fn fedtrans_scenario_resumes_byte_identically() {
-    // dirichlet-skew is the FedTrans arm with non-trivial skew.
-    assert_resume_byte_identical("dirichlet-skew", 3);
-}
-
-#[test]
-fn baseline_scenario_resumes_byte_identically() {
-    // hetero-tiers drives HeteroFL through the same checkpoint path.
-    assert_resume_byte_identical("hetero-tiers", 3);
-}
-
-#[test]
-fn fault_injected_scenario_resumes_byte_identically() {
-    // Dropout/straggler hashing must not depend on process history.
-    assert_resume_byte_identical("straggler-heavy", 5);
-}
-
-#[test]
-fn byzantine_scenario_resumes_byte_identically() {
-    // Attack injection and the buffering trimmed-mean sink are both
-    // stateless across rounds (corruption hashes from (seed, round,
-    // client); the sink drains inside each round), so a kill/resume
-    // under active attack must replay the defended fold bit for bit.
-    assert_resume_byte_identical("byzantine-trimmed-mean", 4);
-}
-
-#[test]
-fn every_canned_scenario_matches_its_committed_golden() {
-    let goldens = registry::load_goldens().expect("goldens.json committed");
-    for scenario in registry::canned() {
-        let outcome = run_scenario(
-            &scenario,
-            &RunOptions {
-                quick: true,
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
-        assert!(outcome.finished(), "{} must finish", scenario.name);
-        let digest = outcome.digest.expect("finished");
-        let report = outcome.report.expect("finished");
-        assert_eq!(
-            report.rounds.len(),
-            scenario.quick_rounds,
-            "{} round count",
-            scenario.name
-        );
-        // eval_clients caps the evaluation sweep (million-device
-        // scenarios would otherwise evaluate the whole population).
-        let evaluated = scenario
-            .eval_clients
-            .map_or(scenario.dataset.num_clients, |k| {
-                k.min(scenario.dataset.num_clients)
-            });
-        assert_eq!(
-            report.per_client_accuracy.len(),
-            evaluated,
-            "{} per-client accuracy length",
-            scenario.name
-        );
-        assert_eq!(
-            goldens.get(&scenario.name),
-            Some(&digest),
-            "{}: quick-mode digest drifted from goldens.json — \
-             regenerate with `ft-run --update-goldens` if intentional",
-            scenario.name
-        );
-    }
 }
 
 #[test]
@@ -157,21 +42,52 @@ fn scenario_json_config_round_trips_through_the_runner() {
     assert_eq!(a.digest, b.digest);
 }
 
-/// `iid-small` with its dataset block edited by `edit` must be refused
-/// by validation and by the build, with an error naming `field` — not
-/// with a panic inside the generator.
-fn assert_bad_dataset(field: &str, edit: impl Fn(&mut ft_data::DatasetConfig)) {
+/// `iid-small` edited by `edit` must be refused by validation and by
+/// the build, with an error naming `field` — not with a panic inside the
+/// generator or a run that trains on NaN.
+fn assert_bad_scenario(field: &str, edit: impl Fn(&mut Scenario)) {
     let mut scenario = registry::find("iid-small").expect("canned scenario");
-    edit(&mut scenario.dataset);
+    edit(&mut scenario);
     let err = match scenario.validate() {
-        Ok(()) => panic!("{field}: validation accepted {:?}", scenario.dataset),
+        Ok(()) => panic!("{field}: validation accepted {scenario:?}"),
         Err(err) => err,
     };
     assert!(err.contains(field), "{field}: {err}");
     match scenario.build() {
-        Ok(_) => panic!("{field}: the build accepted {:?}", scenario.dataset),
-        Err(err) => assert!(err.to_string().contains(field), "{field}: {err}"),
+        Ok(_) => panic!("{field}: the build accepted {scenario:?}"),
+        Err(err @ SimError::BadConfig { .. }) => {
+            assert!(err.to_string().contains(field), "{field}: {err}");
+        }
+        Err(err) => panic!("{field}: refused with an untyped {err:?}"),
     }
+}
+
+/// [`assert_bad_scenario`] on the dataset block alone.
+fn assert_bad_dataset(field: &str, edit: impl Fn(&mut ft_data::DatasetConfig)) {
+    assert_bad_scenario(field, |s| edit(&mut s.dataset));
+}
+
+/// The canned scenario `name` read back from its JSON with the value at
+/// `path` replaced by `null`, which a scenario file parses to NaN.
+fn with_null(name: &str, path: &[&str]) -> Scenario {
+    fn set_null(value: &mut serde_json::Value, path: &[&str]) {
+        let serde_json::Value::Object(fields) = value else {
+            panic!("{path:?} does not lead through objects");
+        };
+        let (field, value) = fields
+            .iter_mut()
+            .find(|(field, _)| field == path[0])
+            .unwrap_or_else(|| panic!("no field {}", path[0]));
+        match path {
+            [_] => *value = serde_json::Value::Null,
+            [_, rest @ ..] => set_null(value, rest),
+            [] => unreachable!("{field}: empty path"),
+        }
+    }
+    let scenario = registry::find(name).expect("canned scenario");
+    let mut value = serde_json::to_value(&scenario);
+    set_null(&mut value, path);
+    serde_json::from_value(&value).expect("null parses")
 }
 
 #[test]
@@ -202,22 +118,9 @@ fn a_negative_or_non_finite_sampler_scale_is_a_typed_error() {
         assert_bad_dataset("noise_std", |d| d.noise_std = bad);
         assert_bad_dataset("shift_std", |d| d.shift_std = bad);
     }
-    // `null` in a scenario file parses to NaN.
-    let dataset = registry::find("iid-small")
-        .expect("canned scenario")
-        .dataset;
-    let serde_json::Value::Object(mut fields) = serde_json::to_value(&dataset) else {
-        panic!("a dataset block encodes as an object");
-    };
-    for (name, value) in &mut fields {
-        if name == "noise_std" {
-            *value = serde_json::Value::Null;
-        }
-    }
-    let parsed: ft_data::DatasetConfig =
-        serde_json::from_value(&serde_json::Value::Object(fields)).expect("null parses");
-    assert!(parsed.noise_std.is_nan());
-    assert_bad_dataset("noise_std", |d| *d = parsed.clone());
+    let parsed = with_null("iid-small", &["dataset", "noise_std"]);
+    assert!(parsed.dataset.noise_std.is_nan());
+    assert_bad_scenario("noise_std", |s| *s = parsed.clone());
 }
 
 #[test]
@@ -278,6 +181,51 @@ fn a_non_finite_difficulty_or_curvature_is_a_typed_error() {
     for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
         assert_bad_dataset("max_difficulty", |d| d.max_difficulty = bad);
         assert_bad_dataset("manifold_curvature", |d| d.manifold_curvature = bad);
+    }
+}
+
+#[test]
+fn non_finite_or_overflowing_local_training_is_a_typed_error() {
+    // Each of these used to validate: a NaN learning rate trained to
+    // chance accuracy and exited 0, and the step count multiplied
+    // unchecked into the per-client sample count.
+    for bad in [f32::NAN, f32::INFINITY] {
+        assert_bad_scenario("lr", |s| s.local.lr = bad);
+        assert_bad_scenario("momentum", |s| s.local.momentum = bad);
+    }
+    for bad in [f32::NAN, f32::INFINITY, -0.5] {
+        assert_bad_scenario("prox_mu", |s| s.local.prox_mu = Some(bad));
+        for (field, yogi_lr, prox_mu) in
+            [("yogi_lr", Some(bad), None), ("prox_mu", None, Some(bad))]
+        {
+            assert_bad_scenario(field, |s| {
+                s.algorithm = AlgorithmSpec::FedAvg { yogi_lr, prox_mu }
+            });
+        }
+    }
+    assert_bad_scenario("local_steps", |s| s.local.local_steps = 0);
+    for steps in [usize::MAX / 2, usize::MAX] {
+        assert_bad_scenario("local_steps", |s| s.local.local_steps = steps);
+    }
+    let parsed = with_null("iid-small", &["local", "lr"]);
+    assert!(parsed.local.lr.is_nan());
+    assert_bad_scenario("lr", |s| *s = parsed.clone());
+}
+
+#[test]
+fn a_nan_or_non_positive_fedtrans_beta_is_a_typed_error() {
+    let parsed = with_null("dirichlet-skew", &["algorithm", "FedTrans", "beta"]);
+    let AlgorithmSpec::FedTrans { beta, .. } = parsed.algorithm else {
+        panic!("dirichlet-skew runs FedTrans");
+    };
+    assert!(beta.is_nan());
+    assert_bad_scenario("beta", |s| *s = parsed.clone());
+    for bad in [0.0, -1.0] {
+        assert_bad_scenario("beta", |s| {
+            if let AlgorithmSpec::FedTrans { beta, .. } = &mut s.algorithm {
+                *beta = bad;
+            }
+        });
     }
 }
 
@@ -364,6 +312,60 @@ fn ft_run_accepts_a_clean_environment_and_every_surviving_variable() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(written, "the report lands in FT_ARTIFACT_DIR");
+}
+
+#[test]
+fn ft_run_kills_and_resumes_under_other_settings_onto_the_golden() {
+    let path = tmp_checkpoint("ft-run-kill");
+    let _ = std::fs::remove_file(&path);
+    let artifacts = std::env::temp_dir().join(format!("ft-run-kill-{}", std::process::id()));
+    let ck = path.to_str().expect("utf-8 temp dir");
+    let dir = artifacts.to_str().expect("utf-8 temp dir");
+    let run = ["--scenario", "iid-small", "--quick", "--checkpoint", ck];
+    let killed = ft_run(
+        &[("FT_CLIENT_THREADS", "4"), ("FT_ARTIFACT_DIR", dir)],
+        &[&run[..], &["--stop-after-round", "2"]].concat(),
+    );
+    let stdout = String::from_utf8_lossy(&killed.stdout);
+    assert!(
+        killed.status.success(),
+        "{}",
+        String::from_utf8_lossy(&killed.stderr)
+    );
+    assert!(
+        stdout.contains("stopped `iid-small` at round 2/"),
+        "{stdout}"
+    );
+    assert!(
+        !stdout.contains("digest"),
+        "a killed run prints no report: {stdout}"
+    );
+    assert!(!artifacts.exists(), "a killed run writes no report");
+    assert!(path.exists(), "the kill leaves its checkpoint");
+
+    let resumed = ft_run(
+        &[
+            ("FT_CLIENT_THREADS", "1"),
+            ("FT_TENSOR_SIMD", "portable"),
+            ("FT_ARTIFACT_DIR", dir),
+        ],
+        &[&run[..], &["--check-golden"]].concat(),
+    );
+    let stdout = String::from_utf8_lossy(&resumed.stdout);
+    let left = path.exists();
+    let _ = std::fs::remove_dir_all(&artifacts);
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        resumed.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert!(
+        stdout.contains("resumed `iid-small` from round 2"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("golden     ok"), "{stdout}");
+    assert!(!left, "a finished run clears its checkpoint");
 }
 
 #[test]
