@@ -15,190 +15,36 @@
 //! `exec::client_threads()` reads `FT_CLIENT_THREADS` on every call, so
 //! flipping it between runs is enough. The tensor pool is sized once per
 //! process: this test pins it to 4 threads unless `FT_TENSOR_THREADS` is
-//! already set, because on a small host the client fan-out would
-//! otherwise fall back to the serial path and the comparison would be
-//! vacuous. `FT_TENSOR_THREADS=1` runs the same matrix with every pool
-//! fan-out inline.
+//! already set. `FT_TENSOR_THREADS=1` runs the same matrix with every
+//! pool fan-out inline.
 //!
 //! A failing cell does not stop the sweep: the test fails once, naming
-//! every (scenario, setting) that drifted, errored or panicked.
+//! every (scenario, setting) that drifted, errored or panicked. The
+//! cells live in `common/matrix.rs`.
 
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
+#[path = "common/matrix.rs"]
+mod matrix;
 
-use ft_harness::{registry, run_scenario, RunOptions, RunOutcome, Scenario};
+use ft_harness::registry;
 use ft_tensor::simd::{self, Kernel};
-
-/// Runs `scenario` with `threads` client threads on `tier` (`None`: the
-/// auto-detected one), turning an error or a panic into a message.
-fn run_cell(
-    scenario: &Scenario,
-    tier: Option<Kernel>,
-    threads: usize,
-    opts: &RunOptions,
-) -> Result<RunOutcome, String> {
-    simd::force(tier);
-    std::env::set_var("FT_CLIENT_THREADS", threads.to_string());
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_scenario(scenario, opts)));
-    std::env::remove_var("FT_CLIENT_THREADS");
-    simd::force(None);
-    match outcome {
-        Ok(Ok(outcome)) => Ok(outcome),
-        Ok(Err(e)) => Err(format!("error: {e}")),
-        Err(_) => Err("panicked".to_owned()),
-    }
-}
-
-/// Checks a finished run against its golden and the scenario's shape.
-fn check_finished(
-    scenario: &Scenario,
-    golden: Option<&String>,
-    outcome: &RunOutcome,
-) -> Result<(), String> {
-    let (Some(report), Some(digest)) = (&outcome.report, &outcome.digest) else {
-        return Err(format!(
-            "stopped at round {}/{}",
-            outcome.rounds_completed, outcome.target_rounds
-        ));
-    };
-    if report.rounds.len() != scenario.quick_rounds {
-        return Err(format!(
-            "{} rounds reported, quick_rounds is {}",
-            report.rounds.len(),
-            scenario.quick_rounds
-        ));
-    }
-    // eval_clients caps the evaluation sweep (million-device scenarios
-    // would otherwise evaluate the whole population).
-    let evaluated = scenario
-        .eval_clients
-        .map_or(scenario.dataset.num_clients, |k| {
-            k.min(scenario.dataset.num_clients)
-        });
-    if report.per_client_accuracy.len() != evaluated {
-        return Err(format!(
-            "{} per-client accuracies, {evaluated} clients evaluated",
-            report.per_client_accuracy.len()
-        ));
-    }
-    if golden != Some(digest) {
-        return Err(format!("digest {digest}, golden {golden:?}"));
-    }
-    Ok(())
-}
-
-/// Kills `scenario` at round `quick_rounds / 2` under 4 client threads
-/// and the auto-detected tier, then resumes it under 1 client thread and
-/// the portable tier.
-fn kill_and_resume(scenario: &Scenario, golden: Option<&String>) -> Result<(), String> {
-    let kill = scenario.quick_rounds / 2;
-    let path = std::env::temp_dir().join(format!(
-        "ft-determinism-matrix-{}-{}.json",
-        scenario.name,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
-    let result = kill_and_resume_at(scenario, golden, kill, &path);
-    let _ = std::fs::remove_file(&path);
-    result
-}
-
-fn kill_and_resume_at(
-    scenario: &Scenario,
-    golden: Option<&String>,
-    kill: usize,
-    path: &Path,
-) -> Result<(), String> {
-    let interrupted = run_cell(
-        scenario,
-        None,
-        4,
-        &RunOptions {
-            quick: true,
-            checkpoint_path: Some(path.to_owned()),
-            stop_after: Some(kill),
-            ..Default::default()
-        },
-    )?;
-    if interrupted.finished() || interrupted.rounds_completed != kill {
-        return Err(format!(
-            "the kill at round {kill} did not take: {} rounds, finished {}",
-            interrupted.rounds_completed,
-            interrupted.finished()
-        ));
-    }
-    if !path.exists() {
-        return Err(format!("the kill at round {kill} left no checkpoint"));
-    }
-    let resumed = run_cell(
-        scenario,
-        Some(Kernel::Portable),
-        1,
-        &RunOptions {
-            quick: true,
-            checkpoint_path: Some(path.to_owned()),
-            ..Default::default()
-        },
-    )?;
-    if resumed.resumed_from != Some(kill as u32) {
-        return Err(format!(
-            "resumed from {:?}, killed at {kill}",
-            resumed.resumed_from
-        ));
-    }
-    check_finished(scenario, golden, &resumed)
-}
 
 #[test]
 fn every_golden_holds_in_every_cell() {
-    if std::env::var_os("FT_TENSOR_THREADS").is_none() {
-        std::env::set_var("FT_TENSOR_THREADS", "4");
-        assert_eq!(ft_tensor::pool::max_parallelism(), 4);
-    }
-    let goldens: BTreeMap<String, String> =
-        registry::load_goldens().expect("goldens.json is committed");
-    let quick = RunOptions {
-        quick: true,
-        ..Default::default()
-    };
-    let mut failures = Vec::new();
-    let mut cells = 0;
+    matrix::pin_pool();
+    let mut matrix = matrix::Matrix::new();
     for scenario in registry::canned() {
-        let golden = goldens.get(&scenario.name);
-        let widths: &[usize] = if scenario.name == "large-population-1m" {
+        let name = &scenario.name;
+        let widths: &[usize] = if name == "large-population-1m" {
             &[1, 2, 4]
         } else {
             &[1, 4]
         };
         for tier in simd::available() {
             for &threads in widths {
-                cells += 1;
-                let checked = run_cell(&scenario, Some(tier), threads, &quick)
-                    .and_then(|outcome| check_finished(&scenario, golden, &outcome));
-                if let Err(e) = checked {
-                    failures.push(format!(
-                        "{} on {}, FT_CLIENT_THREADS={threads}: {e}",
-                        scenario.name,
-                        tier.name()
-                    ));
-                }
+                matrix.run(name, Some(tier), threads);
             }
         }
-        cells += 1;
-        if let Err(e) = kill_and_resume(&scenario, golden) {
-            failures.push(format!(
-                "{} killed at round {} (FT_CLIENT_THREADS=4, auto tier), resumed \
-                 (FT_CLIENT_THREADS=1, portable): {e}",
-                scenario.name,
-                scenario.quick_rounds / 2
-            ));
-        }
+        matrix.kill_and_resume(name, scenario.quick_rounds / 2, Some(Kernel::Portable));
     }
-    assert!(
-        failures.is_empty(),
-        "{} of {cells} cells drifted from goldens.json:\n{}",
-        failures.len(),
-        failures.join("\n")
-    );
+    matrix.finish();
 }

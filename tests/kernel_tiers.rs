@@ -1,38 +1,26 @@
 //! Golden digests under every kernel tier, in one process.
 //!
-//! The CI scenario legs run the auto-detected tier and the portable one
-//! (`FT_TENSOR_SIMD=0`), so on an AVX-512 host the AVX2 register tile
-//! would otherwise never reproduce a golden end to end. This file
-//! forces each tier `ft_tensor::simd::available()` lists through
-//! `simd::force` — a process-global switch that reaches the pool
-//! workers too, which is why it lives in a test binary of its own —
-//! and replays a conv and a dense canned scenario against
-//! `goldens.json`.
+//! This file forces each tier `ft_tensor::simd::available()` lists
+//! through `simd::force` (a process-global switch that reaches the pool
+//! workers too) and replays a conv and a dense canned scenario against
+//! `goldens.json`, so an AVX2 register tile is exercised end to end even
+//! on an AVX-512 host. `determinism_matrix.rs` runs every canned
+//! scenario on every tier.
 
-use ft_harness::{registry, run_scenario, RunOptions};
+#[expect(dead_code, reason = "no kill/resume cell here")]
+#[path = "common/matrix.rs"]
+mod matrix;
+
 use ft_tensor::simd;
 
 #[test]
 fn conv_and_dense_goldens_hold_on_every_kernel_tier() {
-    let goldens = registry::load_goldens().expect("goldens.json committed");
+    matrix::pin_pool();
+    let mut matrix = matrix::Matrix::new();
     for tier in simd::available() {
-        simd::force(Some(tier));
         for name in ["conv-small", "iid-small"] {
-            let scenario = registry::find(name).expect("canned scenario");
-            let outcome = run_scenario(
-                &scenario,
-                &RunOptions {
-                    quick: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("{name} on {tier:?}: {e}"));
-            assert_eq!(
-                outcome.digest.as_ref(),
-                goldens.get(name),
-                "{name}: the digest on {tier:?} drifted from goldens.json"
-            );
+            matrix.run(name, Some(tier), 4);
         }
     }
-    simd::force(None);
+    matrix.finish();
 }

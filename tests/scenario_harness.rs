@@ -1,10 +1,16 @@
-//! Cross-crate integration tests for the scenario harness: the JSON
-//! config path, validation of hostile scenario values, and `ft-run`'s
-//! startup check of the `FT_*` environment, its report write and its
-//! kill/resume flags. Every golden under every kernel tier, thread count
-//! and kill/resume is `tests/determinism_matrix.rs`.
+//! Cross-crate integration tests for the scenario harness: golden-digest
+//! agreement, checkpoint/resume byte-identity for FedTrans, a baseline,
+//! fault injection and an attack, the JSON config path, validation of
+//! hostile scenario values, and `ft-run`'s startup check of the `FT_*`
+//! environment, its report write and its kill/resume flags. Every golden
+//! under every kernel tier, thread count and kill/resume is
+//! `tests/determinism_matrix.rs`.
 
 use std::path::PathBuf;
+
+#[expect(dead_code, reason = "tests here share the pool, so none pins it")]
+#[path = "common/matrix.rs"]
+mod matrix;
 
 use ft_fedsim::SimError;
 use ft_harness::{registry, run_scenario, AlgorithmSpec, RunOptions, Scenario};
@@ -14,6 +20,52 @@ fn tmp_checkpoint(tag: &str) -> PathBuf {
         "ft-scenario-harness-{tag}-{}.json",
         std::process::id()
     ))
+}
+
+#[test]
+fn every_canned_scenario_matches_its_committed_golden() {
+    // A drift here is regenerated with `ft-run --update-goldens` only
+    // when it is intentional.
+    let mut matrix = matrix::Matrix::new();
+    for scenario in registry::canned() {
+        matrix.run(&scenario.name, None, 4);
+    }
+    matrix.finish();
+}
+
+/// Kills the canned scenario `name` after round `stop_after` and resumes
+/// it: the resumed report must land on the golden, byte for byte.
+fn assert_resume_byte_identical(name: &str, stop_after: usize) {
+    let mut matrix = matrix::Matrix::new();
+    matrix.kill_and_resume(name, stop_after, None);
+    matrix.finish();
+}
+
+#[test]
+fn fedtrans_scenario_resumes_byte_identically() {
+    // dirichlet-skew is the FedTrans arm with non-trivial skew.
+    assert_resume_byte_identical("dirichlet-skew", 3);
+}
+
+#[test]
+fn baseline_scenario_resumes_byte_identically() {
+    // hetero-tiers drives HeteroFL through the same checkpoint path.
+    assert_resume_byte_identical("hetero-tiers", 3);
+}
+
+#[test]
+fn fault_injected_scenario_resumes_byte_identically() {
+    // Dropout/straggler hashing must not depend on process history.
+    assert_resume_byte_identical("straggler-heavy", 5);
+}
+
+#[test]
+fn byzantine_scenario_resumes_byte_identically() {
+    // Attack injection and the buffering trimmed-mean sink are both
+    // stateless across rounds (corruption hashes from (seed, round,
+    // client); the sink drains inside each round), so a kill/resume
+    // under active attack must replay the defended fold bit for bit.
+    assert_resume_byte_identical("byzantine-trimmed-mean", 4);
 }
 
 #[test]
