@@ -212,7 +212,7 @@ pub struct CoordinatorStats {
     pub rendezvous_dropouts: u64,
     /// Training participants reaped by the heartbeat deadline.
     pub heartbeat_dropouts: u64,
-    /// Heartbeats received.
+    /// Heartbeats received for the round in progress.
     pub heartbeats: u64,
     /// Training results accepted.
     pub results: u64,
@@ -223,6 +223,12 @@ pub struct CoordinatorStats {
     /// field existed load it as zero.
     #[serde(default)]
     pub rejected_results: u64,
+    /// Heartbeats dropped for naming another round: they refresh no
+    /// liveness, so a replayed one cannot keep a vanished device from
+    /// its reap. Checkpoints written before this field existed load it
+    /// as zero.
+    #[serde(default)]
+    pub rejected_heartbeats: u64,
     /// Total participant→coordinator messages received.
     pub messages_up: u64,
     /// Total coordinator→participant messages sent.
@@ -709,9 +715,13 @@ impl Coordinator {
             for (client, msg) in self.transport.recv_up(now) {
                 self.stats.messages_up += 1;
                 match msg {
-                    // A heartbeat refreshes its sender's liveness; one
-                    // from a client with no task this round changes
-                    // nothing.
+                    // A heartbeat for this round refreshes its
+                    // sender's liveness; one from a client with no task
+                    // this round changes nothing. One for another round
+                    // is dropped and counted.
+                    ClientMessage::Heartbeat { round: r } if r != round => {
+                        self.stats.rejected_heartbeats += 1;
+                    }
                     ClientMessage::Heartbeat { .. } => {
                         if let Ok(slot) = clients.binary_search(&client) {
                             last_signal[slot] = now;

@@ -6,11 +6,36 @@
 //! a log-uniform capacity spread with the same disparity, plus compute
 //! speed and bandwidth figures for the latency model used by Fig. 1a
 //! (inference latency distributions) and Table 6 (round times).
+//!
+//! # Replay, not storage
+//!
+//! A trace is one `StdRng` stream seeded from the config, consumed
+//! device by device in index order, and every device draws a fixed
+//! number of words from it (see [`DeviceTrace`]). So a trace holds no
+//! profiles: [`DeviceTraceConfig::generate`] walks the stream once,
+//! keeping the stream position before every 16th device and the
+//! capacity extremes, and [`DeviceTrace::profile`] replays a device
+//! from the nearest mark through the same per-device draw the walk
+//! stepped over. The profiles are those of one sequential pass, bit
+//! for bit.
 
-use rand::Rng;
-use rand::SeedableRng;
+use std::sync::Arc;
+
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rand_distr::{Distribution, LogNormal};
 use serde::{Deserialize, Serialize};
+
+/// Devices between two saved stream positions. A mark is 32 bytes, so
+/// the trace holds 2 bytes per device, and a lookup replays at most 15
+/// devices' words before its own draw.
+const MARK_STRIDE: usize = 16;
+
+/// RNG words one normal draw consumes: the `rand_distr` shim's
+/// Box–Muller takes two uniforms of one `next_u64` each. The walk skips
+/// the speed and bandwidth normals by this count, so it is part of the
+/// trace's RNG contract.
+const WORDS_PER_NORMAL: usize = 2;
 
 /// One client device's capabilities.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -38,67 +63,156 @@ impl DeviceProfile {
 
 /// A population of device profiles, indexed by client id.
 ///
-/// Two representations share the type: a **dense** trace holds an
-/// explicit profile list, while a **procedural** trace stores only its
-/// generating parameters and derives any device's profile statelessly
-/// from the index on demand. Procedural traces make million-device
-/// fleets free to hold at rest (O(1) memory) and to checkpoint
-/// (O(config) wire size); the two forms answer every query through the
-/// same API, which is why [`DeviceTrace::profile`] returns the `Copy`
-/// profile *by value*.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Device `i` draws its capacity, then a speed-jitter normal, then a
+/// bandwidth normal. The capacity takes one uniform word under the
+/// log-uniform generator (none at the two pinned ends) and one normal
+/// under the tiered one, so a device is 4, 5 or 6 words of the stream.
+/// The trace keeps the generator's parameters, the stream position
+/// before every 16th device (shared, so `Clone` is O(1)) and the exact
+/// capacity extremes; [`DeviceTrace::profile`] derives a device on
+/// demand, by value.
+#[derive(Debug, Clone)]
 pub struct DeviceTrace {
-    repr: TraceRepr,
+    draw: Draw,
+    /// `StdRng` state before devices 0, 16, 32, ….
+    marks: Arc<[[u64; 4]]>,
+    min_capacity: u64,
+    max_capacity: u64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum TraceRepr {
-    Dense(Vec<DeviceProfile>),
-    Procedural(DeviceTraceConfig),
+/// The per-device draw of both generators, its distributions built
+/// (and so validated) once, when the trace is generated.
+#[derive(Debug, Clone)]
+struct Draw {
+    num_devices: usize,
+    /// Least capable device's capacity; the tiers' base.
+    lo: f64,
+    /// Most capable device's capacity (log-uniform generator).
+    hi: f64,
+    /// `ln(lo)` and `ln(hi) - ln(lo)`: the log-uniform draw's range.
+    ln_lo: f64,
+    ln_span: f64,
+    /// Empty for the log-uniform generator.
+    tiers: Arc<[DeviceTier]>,
+    tier_jitter: LogNormal<f64>,
+    speed_jitter: LogNormal<f64>,
+    bandwidth: LogNormal<f64>,
 }
 
-/// SplitMix64-style avalanche giving every device of a procedural
-/// trace an independent, stateless RNG stream.
-fn device_seed(seed: u64, index: usize) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((index as u64).wrapping_mul(0x2545_F491_4F6C_DD1D));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl DeviceTrace {
-    /// Wraps an explicit profile list.
-    pub fn new(profiles: Vec<DeviceProfile>) -> Self {
-        DeviceTrace {
-            repr: TraceRepr::Dense(profiles),
+impl Draw {
+    /// # Panics
+    ///
+    /// Panics if `cfg.speed_jitter_sigma` is not finite and
+    /// non-negative (see [`DeviceTraceConfig::generate`]).
+    fn new(cfg: &DeviceTraceConfig, tiers: &[DeviceTier]) -> Self {
+        let lo = cfg.base_capacity_macs as f64;
+        let hi = lo * cfg.disparity;
+        Draw {
+            num_devices: cfg.num_devices,
+            lo,
+            hi,
+            ln_lo: lo.ln(),
+            ln_span: hi.ln() - lo.ln(),
+            tiers: tiers.into(),
+            tier_jitter: LogNormal::new(0.0, 0.1).expect("sigma finite"),
+            speed_jitter: LogNormal::new(0.0, cfg.speed_jitter_sigma).expect("sigma finite"),
+            bandwidth: LogNormal::new(cfg.median_bandwidth.ln(), 0.6).expect("bw finite"),
         }
     }
 
-    /// A procedural trace: per-device profiles derived statelessly
-    /// from `config` and the device index, nothing stored per device.
-    /// The first and last devices are pinned to the configured
-    /// capacity extremes (like [`DeviceTraceConfig::generate`]), so
-    /// [`DeviceTrace::min_capacity`] and [`DeviceTrace::max_capacity`]
-    /// are exact without scanning the population.
-    ///
-    /// Note the profile *values* differ from the dense generator's for
-    /// the same config: the dense path threads one sequential RNG
-    /// through the population, which is exactly the coupling a
-    /// stateless per-index derivation must break.
-    pub fn procedural(config: DeviceTraceConfig) -> Self {
+    /// Words of the stream device `i` draws.
+    fn words(&self, i: usize) -> usize {
+        let capacity = if !self.tiers.is_empty() {
+            WORDS_PER_NORMAL
+        } else if i == 0 || i + 1 == self.num_devices {
+            0
+        } else {
+            1
+        };
+        capacity + 2 * WORDS_PER_NORMAL
+    }
+
+    /// Device `i`'s capacity, the first of its draws. Tiered: device
+    /// `i` lands in the tier covering position `(i + ½)/n` of the
+    /// cumulative weights (normalized; all-zero weights count as 1),
+    /// jittered ±10% (log-normal). Log-uniform: the first and last
+    /// devices are pinned to the extremes.
+    fn capacity(&self, i: usize, rng: &mut StdRng) -> f64 {
+        if let Some(last) = self.tiers.last() {
+            let total: f64 = self.tiers.iter().map(|t| t.weight.max(0.0)).sum();
+            let total = if total > 0.0 { total } else { 1.0 };
+            let position = (i as f64 + 0.5) / self.num_devices as f64 * total;
+            let mut acc = 0.0f64;
+            let tier = self
+                .tiers
+                .iter()
+                .find(|t| {
+                    acc += t.weight.max(0.0);
+                    position <= acc
+                })
+                .unwrap_or(last);
+            (self.lo * tier.capacity_mult.max(1e-6) * self.tier_jitter.sample(rng)).max(1.0)
+        } else if i == 0 {
+            self.lo
+        } else if i + 1 == self.num_devices {
+            self.hi
+        } else {
+            let u: f64 = rng.gen();
+            (self.ln_lo + u * self.ln_span).exp()
+        }
+    }
+
+    /// Device `i`'s profile, drawn from `rng` positioned at its start.
+    fn device(&self, i: usize, rng: &mut StdRng) -> DeviceProfile {
+        #[cfg(test)]
+        DERIVED.set(DERIVED.get() + 1);
+        let capacity = self.capacity(i, rng);
+        // Speed scales sub-linearly with capacity plus jitter:
+        // capable devices are faster but not proportionally so.
+        let speed = capacity.powf(0.85) * 50.0 * self.speed_jitter.sample(rng);
+        DeviceProfile {
+            capacity_macs: capacity.round() as u64,
+            speed_macs_per_s: speed,
+            bandwidth_bytes_per_s: self.bandwidth.sample(rng),
+        }
+    }
+}
+
+fn skip(rng: &mut StdRng, words: usize) {
+    for _ in 0..words {
+        rng.next_u64();
+    }
+}
+
+impl DeviceTrace {
+    /// The walk: one pass over the stream that saves the marks and the
+    /// capacity extremes. It draws each capacity (one `exp`, or one
+    /// normal when tiered) and skips the speed and bandwidth normals.
+    fn walk(draw: Draw, seed: u64) -> Self {
+        let n = draw.num_devices;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut marks = Vec::with_capacity(n.div_ceil(MARK_STRIDE));
+        let (mut min_capacity, mut max_capacity) = (u64::MAX, 0);
+        for i in 0..n {
+            if i % MARK_STRIDE == 0 {
+                marks.push(rng.state());
+            }
+            let capacity = draw.capacity(i, &mut rng).round() as u64;
+            skip(&mut rng, 2 * WORDS_PER_NORMAL);
+            min_capacity = min_capacity.min(capacity);
+            max_capacity = max_capacity.max(capacity);
+        }
         DeviceTrace {
-            repr: TraceRepr::Procedural(config),
+            draw,
+            marks: marks.into(),
+            min_capacity: if n == 0 { 0 } else { min_capacity },
+            max_capacity,
         }
     }
 
     /// Number of devices.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            TraceRepr::Dense(profiles) => profiles.len(),
-            TraceRepr::Procedural(cfg) => cfg.num_devices,
-        }
+        self.draw.num_devices
     }
 
     /// Whether the trace is empty.
@@ -106,67 +220,47 @@ impl DeviceTrace {
         self.len() == 0
     }
 
-    /// The profile of client `index`, by value (derived on demand for
-    /// procedural traces).
+    /// The profile of client `index`, by value: replayed from the
+    /// nearest saved stream position.
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range.
+    /// Panics if `index` is out of range. In debug builds, also when
+    /// the device's draw leaves the walk: a draw was added to it
+    /// without the word count learning about it.
     pub fn profile(&self, index: usize) -> DeviceProfile {
-        match &self.repr {
-            TraceRepr::Dense(profiles) => profiles[index],
-            TraceRepr::Procedural(cfg) => {
-                assert!(
-                    index < cfg.num_devices,
-                    "device index {index} out of range for fleet of {}",
-                    cfg.num_devices
-                );
-                cfg.derive_profile(index)
-            }
+        assert!(
+            index < self.len(),
+            "device index {index} out of range for fleet of {}",
+            self.len()
+        );
+        let first = index - index % MARK_STRIDE;
+        let mut rng = StdRng::from_state(self.marks[index / MARK_STRIDE]);
+        for i in first..index {
+            skip(&mut rng, self.draw.words(i));
         }
-    }
-
-    /// All profiles of a dense trace; `None` for a procedural trace
-    /// (which has no materialized list — iterate [`DeviceTrace::profile`]
-    /// by index instead).
-    pub fn profiles(&self) -> Option<&[DeviceProfile]> {
-        match &self.repr {
-            TraceRepr::Dense(profiles) => Some(profiles),
-            TraceRepr::Procedural(_) => None,
+        let walked = cfg!(debug_assertions).then(|| {
+            let mut next = rng.clone();
+            skip(&mut next, self.draw.words(index));
+            next.state()
+        });
+        let profile = self.draw.device(index, &mut rng);
+        if let Some(next) = walked {
+            assert_eq!(rng.state(), next, "device {index}: the draw left the walk");
         }
+        profile
     }
 
     /// Smallest capacity in the trace (the seed model's complexity
-    /// budget per §5.1). O(1) for procedural traces (extremes are
-    /// pinned by construction).
+    /// budget per §5.1); 0 when empty.
     pub fn min_capacity(&self) -> u64 {
-        match &self.repr {
-            TraceRepr::Dense(profiles) => {
-                profiles.iter().map(|p| p.capacity_macs).min().unwrap_or(0)
-            }
-            TraceRepr::Procedural(cfg) => {
-                if cfg.num_devices == 0 {
-                    0
-                } else {
-                    cfg.base_capacity_macs
-                }
-            }
-        }
+        self.min_capacity
     }
 
     /// Largest capacity in the trace (the maximum model's complexity
-    /// budget per §5.1). O(1) for procedural traces.
+    /// budget per §5.1); 0 when empty.
     pub fn max_capacity(&self) -> u64 {
-        match &self.repr {
-            TraceRepr::Dense(profiles) => {
-                profiles.iter().map(|p| p.capacity_macs).max().unwrap_or(0)
-            }
-            TraceRepr::Procedural(cfg) => match cfg.num_devices {
-                0 => 0,
-                1 => cfg.base_capacity_macs,
-                _ => (cfg.base_capacity_macs as f64 * cfg.disparity).round() as u64,
-            },
-        }
+        self.max_capacity
     }
 
     /// Ratio of the most to least capable device.
@@ -177,6 +271,13 @@ impl DeviceTrace {
         }
         self.max_capacity() as f64 / min as f64
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only count of profiles derived on this thread, so a test
+    /// can see that generating a trace derives none.
+    static DERIVED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// One device-heterogeneity tier: a cluster of similar hardware.
@@ -261,66 +362,7 @@ impl DeviceTraceConfig {
     /// Panics if `speed_jitter_sigma` or `median_bandwidth` is not
     /// finite and positive (they parameterize log-normal draws).
     pub fn generate(&self) -> DeviceTrace {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
-        let jitter = LogNormal::new(0.0, self.speed_jitter_sigma).expect("sigma finite");
-        let bw = LogNormal::new(self.median_bandwidth.ln(), 0.6).expect("bw finite");
-        let lo = self.base_capacity_macs as f64;
-        let hi = lo * self.disparity;
-        let profiles = (0..self.num_devices)
-            .map(|i| {
-                // Log-uniform capacities, extremes pinned.
-                let capacity = if i == 0 {
-                    lo
-                } else if i + 1 == self.num_devices && self.num_devices > 1 {
-                    hi
-                } else {
-                    let u: f64 = rng.gen();
-                    (lo.ln() + u * (hi.ln() - lo.ln())).exp()
-                };
-                // Speed scales sub-linearly with capacity plus jitter:
-                // capable devices are faster but not proportionally so.
-                let speed = capacity.powf(0.85) * 50.0 * jitter.sample(&mut rng);
-                DeviceProfile {
-                    capacity_macs: capacity.round() as u64,
-                    speed_macs_per_s: speed,
-                    bandwidth_bytes_per_s: bw.sample(&mut rng),
-                }
-            })
-            .collect();
-        DeviceTrace::new(profiles)
-    }
-
-    /// Derives device `index`'s profile statelessly: the same
-    /// log-uniform capacity spread and speed/bandwidth model as
-    /// [`DeviceTraceConfig::generate`], but from a per-index RNG stream
-    /// instead of one threaded sequentially through the fleet — the
-    /// engine behind [`DeviceTrace::procedural`]. Extremes are pinned
-    /// exactly as in the dense generator.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `speed_jitter_sigma` or `median_bandwidth` is not
-    /// finite and positive (builder defaults always are).
-    fn derive_profile(&self, index: usize) -> DeviceProfile {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(device_seed(self.seed, index));
-        let jitter = LogNormal::new(0.0, self.speed_jitter_sigma).expect("sigma finite");
-        let bw = LogNormal::new(self.median_bandwidth.ln(), 0.6).expect("bw finite");
-        let lo = self.base_capacity_macs as f64;
-        let hi = lo * self.disparity;
-        let capacity = if index == 0 {
-            lo
-        } else if index + 1 == self.num_devices && self.num_devices > 1 {
-            hi
-        } else {
-            let u: f64 = rng.gen();
-            (lo.ln() + u * (hi.ln() - lo.ln())).exp()
-        };
-        let speed = capacity.powf(0.85) * 50.0 * jitter.sample(&mut rng);
-        DeviceProfile {
-            capacity_macs: capacity.round() as u64,
-            speed_macs_per_s: speed,
-            bandwidth_bytes_per_s: bw.sample(&mut rng),
-        }
+        self.generate_tiered(&[])
     }
 
     /// Generates a tiered trace: device `i` lands in the tier covering
@@ -336,22 +378,43 @@ impl DeviceTraceConfig {
     /// Panics if `speed_jitter_sigma` or `median_bandwidth` is not
     /// finite and positive (they parameterize log-normal draws).
     pub fn generate_tiered(&self, tiers: &[DeviceTier]) -> DeviceTrace {
-        if tiers.is_empty() {
-            return self.generate();
-        }
+        DeviceTrace::walk(Draw::new(self, tiers), self.seed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The retired sequential generator, both loops in one, kept as the
+    /// reference every replayed profile must equal.
+    fn reference(cfg: &DeviceTraceConfig, tiers: &[DeviceTier]) -> Vec<DeviceProfile> {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let jitter = LogNormal::new(0.0, 0.1).unwrap();
+        let speed_jitter = LogNormal::new(0.0, cfg.speed_jitter_sigma).unwrap();
+        let bw = LogNormal::new(cfg.median_bandwidth.ln(), 0.6).unwrap();
         let total_weight: f64 = tiers.iter().map(|t| t.weight.max(0.0)).sum();
         let total_weight = if total_weight > 0.0 {
             total_weight
         } else {
             1.0
         };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
-        let jitter = LogNormal::new(0.0, 0.1).expect("sigma finite");
-        let speed_jitter = LogNormal::new(0.0, self.speed_jitter_sigma).expect("sigma finite");
-        let bw = LogNormal::new(self.median_bandwidth.ln(), 0.6).expect("bw finite");
-        let n = self.num_devices;
-        let profiles = (0..n)
-            .map(|i| {
+        let n = cfg.num_devices;
+        let lo = cfg.base_capacity_macs as f64;
+        let hi = lo * cfg.disparity;
+        let mut profiles = Vec::new();
+        for i in 0..n {
+            let capacity = if tiers.is_empty() {
+                if i == 0 {
+                    lo
+                } else if i + 1 == n && n > 1 {
+                    hi
+                } else {
+                    let u: f64 = rng.gen();
+                    (lo.ln() + u * (hi.ln() - lo.ln())).exp()
+                }
+            } else {
                 let position = (i as f64 + 0.5) / n as f64 * total_weight;
                 let mut acc = 0.0f64;
                 let mut tier = tiers[tiers.len() - 1];
@@ -362,31 +425,109 @@ impl DeviceTraceConfig {
                         break;
                     }
                 }
-                let capacity = (self.base_capacity_macs as f64
-                    * tier.capacity_mult.max(1e-6)
-                    * jitter.sample(&mut rng))
-                .max(1.0);
-                let speed = capacity.powf(0.85) * 50.0 * speed_jitter.sample(&mut rng);
-                DeviceProfile {
-                    capacity_macs: capacity.round() as u64,
-                    speed_macs_per_s: speed,
-                    bandwidth_bytes_per_s: bw.sample(&mut rng),
-                }
-            })
-            .collect();
-        DeviceTrace::new(profiles)
+                (lo * tier.capacity_mult.max(1e-6) * jitter.sample(&mut rng)).max(1.0)
+            };
+            let speed = capacity.powf(0.85) * 50.0 * speed_jitter.sample(&mut rng);
+            profiles.push(DeviceProfile {
+                capacity_macs: capacity.round() as u64,
+                speed_macs_per_s: speed,
+                bandwidth_bytes_per_s: bw.sample(&mut rng),
+            });
+        }
+        profiles
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn profiles(t: &DeviceTrace) -> Vec<DeviceProfile> {
+        (0..t.len()).map(|i| t.profile(i)).collect()
+    }
+
+    /// Every profile of the trace equals the reference's, `f64` fields
+    /// by their bits, and the extremes equal the reference's scan.
+    fn assert_replays(cfg: &DeviceTraceConfig, tiers: &[DeviceTier]) {
+        let bits = |p: &DeviceProfile| {
+            (
+                p.capacity_macs,
+                p.speed_macs_per_s.to_bits(),
+                p.bandwidth_bytes_per_s.to_bits(),
+            )
+        };
+        let want = reference(cfg, tiers);
+        let t = cfg.generate_tiered(tiers);
+        let got: Vec<_> = profiles(&t).iter().map(bits).collect();
+        assert_eq!(
+            got,
+            want.iter().map(bits).collect::<Vec<_>>(),
+            "{cfg:?} {tiers:?}"
+        );
+        let caps = want.iter().map(|p| p.capacity_macs);
+        let scan = (caps.clone().min().unwrap_or(0), caps.max().unwrap_or(0));
+        assert_eq!(
+            (t.min_capacity(), t.max_capacity()),
+            scan,
+            "{cfg:?} {tiers:?}"
+        );
+    }
+
+    fn three_tiers() -> [DeviceTier; 3] {
+        [
+            DeviceTier {
+                weight: 0.5,
+                capacity_mult: 1.0,
+            },
+            DeviceTier {
+                weight: 0.3,
+                capacity_mult: 8.0,
+            },
+            DeviceTier {
+                weight: 0.2,
+                capacity_mult: 30.0,
+            },
+        ]
+    }
+
+    #[test]
+    fn replay_equals_the_sequential_generator_at_every_stride_edge() {
+        for n in [0, 1, 2, 15, 16, 17, 1_000] {
+            let cfg = DeviceTraceConfig::default().with_num_devices(n);
+            assert_replays(&cfg, &[]);
+            assert_replays(&cfg, &three_tiers());
+        }
+    }
+
+    #[test]
+    fn generating_derives_no_profile_and_a_clone_shares_the_marks() {
+        let before = DERIVED.get();
+        let t = DeviceTraceConfig::default()
+            .with_num_devices(1_000_000)
+            .generate();
+        assert_eq!(DERIVED.get() - before, 0, "the walk derives none");
+        assert_eq!(t.marks.len(), 1_000_000 / MARK_STRIDE);
+        let c = t.clone();
+        assert!(Arc::ptr_eq(&t.marks, &c.marks), "a clone shares the marks");
+        let p = c.profile(999_999);
+        assert_eq!(DERIVED.get() - before, 1, "one lookup, one profile");
+        assert_eq!(
+            p.capacity_macs,
+            t.max_capacity(),
+            "the last device is pinned"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma finite")]
+    fn a_bad_config_panics_in_generate() {
+        let cfg = DeviceTraceConfig {
+            speed_jitter_sigma: f64::NAN,
+            ..DeviceTraceConfig::default()
+        };
+        let _ = cfg.generate();
+    }
 
     #[test]
     fn generation_is_deterministic() {
         let a = DeviceTraceConfig::default().generate();
         let b = DeviceTraceConfig::default().generate();
-        assert_eq!(a.profiles().unwrap(), b.profiles().unwrap());
+        assert_eq!(profiles(&a), profiles(&b));
     }
 
     #[test]
@@ -403,7 +544,7 @@ mod tests {
     fn capacities_stay_in_range() {
         let cfg = DeviceTraceConfig::default().with_num_devices(500);
         let t = cfg.generate();
-        for p in t.profiles().unwrap() {
+        for p in profiles(&t) {
             assert!(p.capacity_macs >= cfg.base_capacity_macs);
             assert!(p.capacity_macs as f64 <= cfg.base_capacity_macs as f64 * cfg.disparity * 1.01);
         }
@@ -418,20 +559,7 @@ mod tests {
 
     #[test]
     fn tiered_trace_clusters_by_weight() {
-        let tiers = [
-            DeviceTier {
-                weight: 0.5,
-                capacity_mult: 1.0,
-            },
-            DeviceTier {
-                weight: 0.3,
-                capacity_mult: 8.0,
-            },
-            DeviceTier {
-                weight: 0.2,
-                capacity_mult: 30.0,
-            },
-        ];
+        let tiers = three_tiers();
         let cfg = DeviceTraceConfig::default().with_num_devices(100);
         let t = cfg.generate_tiered(&tiers);
         assert_eq!(t.len(), 100);
@@ -447,53 +575,16 @@ mod tests {
         }
         // Deterministic in the seed.
         let again = cfg.generate_tiered(&tiers);
-        assert_eq!(t.profiles().unwrap(), again.profiles().unwrap());
+        assert_eq!(profiles(&t), profiles(&again));
     }
 
     #[test]
     fn tiered_with_no_tiers_falls_back() {
         let cfg = DeviceTraceConfig::default().with_num_devices(10);
         assert_eq!(
-            cfg.generate_tiered(&[]).profiles().unwrap(),
-            cfg.generate().profiles().unwrap()
+            profiles(&cfg.generate_tiered(&[])),
+            profiles(&cfg.generate())
         );
-    }
-
-    #[test]
-    fn procedural_trace_is_stateless_and_reproducible() {
-        let cfg = DeviceTraceConfig::default().with_num_devices(1_000_000);
-        let t = DeviceTrace::procedural(cfg);
-        assert_eq!(t.len(), 1_000_000);
-        // Any index is directly derivable, twice over, identically.
-        let a = t.profile(777_777);
-        let b = DeviceTrace::procedural(cfg).profile(777_777);
-        assert_eq!(a, b);
-        assert!(t.profiles().is_none(), "no materialized list exists");
-    }
-
-    #[test]
-    fn procedural_extremes_are_pinned_and_analytic() {
-        let cfg = DeviceTraceConfig::default()
-            .with_num_devices(1_000_000)
-            .with_disparity(29.0);
-        let t = DeviceTrace::procedural(cfg);
-        assert_eq!(t.min_capacity(), cfg.base_capacity_macs);
-        assert_eq!(t.profile(0).capacity_macs, t.min_capacity());
-        assert_eq!(t.profile(999_999).capacity_macs, t.max_capacity());
-        assert!((t.capacity_disparity() - 29.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn procedural_capacities_stay_in_range() {
-        let cfg = DeviceTraceConfig::default().with_num_devices(10_000);
-        let t = DeviceTrace::procedural(cfg);
-        for i in (0..10_000).step_by(997) {
-            let p = t.profile(i);
-            assert!(p.capacity_macs >= cfg.base_capacity_macs);
-            assert!(p.capacity_macs as f64 <= cfg.base_capacity_macs as f64 * cfg.disparity * 1.01);
-            assert!(p.speed_macs_per_s > 0.0);
-            assert!(p.bandwidth_bytes_per_s > 0.0);
-        }
     }
 
     #[test]
@@ -505,5 +596,29 @@ mod tests {
         };
         assert!(p.is_compatible(1000));
         assert!(!p.is_compatible(1001));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn replay_equals_the_sequential_generator(
+            base in 1u64..1_000_000,
+            disparity in 1.0f64..100.0,
+            seed in 0u64..u64::MAX,
+            tiers in proptest::collection::vec((0.0f64..5.0, 0.01f64..50.0), 0..4),
+            n in 0usize..=300,
+        ) {
+            let cfg = DeviceTraceConfig::default()
+                .with_num_devices(n)
+                .with_base_capacity(base)
+                .with_disparity(disparity)
+                .with_seed(seed);
+            let tiers: Vec<DeviceTier> = tiers
+                .into_iter()
+                .map(|(weight, capacity_mult)| DeviceTier { weight, capacity_mult })
+                .collect();
+            assert_replays(&cfg, &tiers);
+        }
     }
 }

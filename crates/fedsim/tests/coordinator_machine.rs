@@ -1,8 +1,10 @@
 //! Coordinator protocol tests: the state machine's legal and illegal
 //! transitions, emergent dropout and straggling, heartbeat-deadline
-//! reaping, Later-then-Accept readmission, forged training results on a
-//! hostile wire, and the delivery-permutation property (any within-tick
-//! message order yields the same round outcome).
+//! reaping, Later-then-Accept readmission, forged training results and
+//! heartbeats on a hostile wire, and the delivery-permutation property
+//! (any within-tick message order yields the same round outcome).
+
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
@@ -469,11 +471,13 @@ enum Inject {
 }
 
 /// An honest FIFO wire that hands the coordinator forged upward
-/// messages, all at the `Inject` point.
+/// messages, all at the `Inject` point, and logs the tick of every
+/// upward poll.
 struct Hostile {
     honest: InMemoryTransport,
     forged: Vec<(usize, ClientMessage)>,
     at: Inject,
+    polls: Arc<Mutex<Vec<u64>>>,
 }
 
 impl Transport for Hostile {
@@ -486,6 +490,7 @@ impl Transport for Hostile {
     }
 
     fn recv_up(&mut self, now: u64) -> Vec<(usize, ClientMessage)> {
+        self.polls.lock().unwrap().push(now);
         let mut batch = self.honest.recv_up(now);
         let due = batch.iter().any(|(_, msg)| match (self.at, msg) {
             (Inject::Selection, ClientMessage::RendezvousRequest { .. }) => true,
@@ -518,12 +523,15 @@ impl Transport for Hostile {
 }
 
 /// What the rest of the run sees of a round: its replies, bit for bit,
-/// and the ledger charged from them.
+/// the ledger charged from them, and its timeline — the ticks the
+/// coordinator polled the wire at, every deadline it reaped on
+/// included.
 #[derive(Debug, PartialEq)]
 struct Charged {
     replies: Vec<ReplyDigest>,
     ledger: ft_fedsim::costs::CostMeter,
     slowest_bits: u64,
+    polls: Vec<u64>,
 }
 
 /// One round over clients 0–3 with `forged` injected at `at`. Tasks
@@ -538,10 +546,12 @@ fn hostile_round(forged: Vec<(usize, ClientMessage)>, at: Inject) -> (Charged, C
     let small = tiny_model(&data);
     let mut rng = rand::rngs::StdRng::seed_from_u64(8);
     let big = CellModel::dense(&mut rng, data.input_dim(), &[256, 256], data.num_classes());
+    let polls = Arc::new(Mutex::new(Vec::new()));
     let transport = Hostile {
         honest: InMemoryTransport::with_order(DeliveryOrder::Fifo),
         forged,
         at,
+        polls: Arc::clone(&polls),
     };
     let mut c =
         Coordinator::with_transport(SEED, FaultConfig::default(), fleet(n), Box::new(transport));
@@ -580,6 +590,7 @@ fn hostile_round(forged: Vec<(usize, ClientMessage)>, at: Inject) -> (Charged, C
         replies: replies.iter().map(reply_digest).collect(),
         ledger: ledger.cost,
         slowest_bits: slowest.to_bits(),
+        polls: std::mem::take(&mut polls.lock().unwrap()),
     };
     (charged, *c.stats())
 }
@@ -646,6 +657,29 @@ fn every_forged_result_is_dropped_and_counted() {
         };
         assert_eq!(stats, expected, "{case}: dropped and counted once");
     }
+}
+
+#[test]
+fn a_heartbeat_for_another_round_keeps_no_device_alive() {
+    let (clean, clean_stats) = hostile_round(Vec::new(), Inject::Selection);
+    // Beats in the name of client 2, which vanished after taking its
+    // task, arrive with task 1's result, while task 2 is still open.
+    let forged = vec![
+        (2, ClientMessage::Heartbeat { round: 1 }),
+        (2, ClientMessage::Heartbeat { round: 7 }),
+    ];
+    let (got, stats) = hostile_round(forged, Inject::AfterResult(1));
+    assert_eq!(
+        got.polls, clean.polls,
+        "the vanished device is reaped at the same tick"
+    );
+    assert_eq!(got, clean);
+    let expected = CoordinatorStats {
+        rejected_heartbeats: 2,
+        messages_up: clean_stats.messages_up + 2,
+        ..clean_stats
+    };
+    assert_eq!(stats, expected, "dropped and counted, not heartbeats");
 }
 
 proptest! {

@@ -105,6 +105,8 @@ pub struct FedTransRuntime {
     transformer: ModelTransformer,
     activeness: ActivenessTracker,
     sims: Vec<Vec<f32>>,
+    /// Per-client device capacities, fixed for the run.
+    capacities: Vec<u64>,
 }
 
 impl FedTransRuntime {
@@ -121,15 +123,6 @@ impl FedTransRuntime {
     ) -> Result<Runner<Self>> {
         cfg.validate()
             .map_err(|detail| FedTransError::BadConfig { detail })?;
-        if devices.len() < data.num_clients() {
-            return Err(FedTransError::BadConfig {
-                detail: format!(
-                    "device trace has {} profiles for {} clients",
-                    devices.len(),
-                    data.num_clients()
-                ),
-            });
-        }
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
         let seed = seed_model(
             &mut rng,
@@ -145,7 +138,8 @@ impl FedTransRuntime {
     ///
     /// # Errors
     ///
-    /// Returns [`FedTransError::BadConfig`] on invalid configuration.
+    /// Returns [`FedTransError::BadConfig`] on invalid configuration
+    /// or when the device trace does not cover the client population.
     pub fn with_seed_model(
         cfg: FedTransConfig,
         data: FederatedDataset,
@@ -154,6 +148,15 @@ impl FedTransRuntime {
     ) -> Result<Runner<Self>> {
         cfg.validate()
             .map_err(|detail| FedTransError::BadConfig { detail })?;
+        if devices.len() < data.num_clients() {
+            return Err(FedTransError::BadConfig {
+                detail: format!(
+                    "device trace has {} profiles for {} clients",
+                    devices.len(),
+                    data.num_clients()
+                ),
+            });
+        }
         if seed.input_width() != data.input_dim() {
             return Err(FedTransError::BadConfig {
                 detail: format!(
@@ -172,6 +175,9 @@ impl FedTransRuntime {
             transformer: ModelTransformer::new(&cfg),
             activeness: ActivenessTracker::new(cfg.activeness_window),
             sims: vec![vec![1.0]],
+            capacities: (0..data.num_clients())
+                .map(|c| devices.profile(c).capacity_macs)
+                .collect(),
         };
         let spine = SpineConfig {
             seed: cfg.seed,
@@ -194,13 +200,6 @@ impl FedTransRuntime {
     }
 }
 
-/// Per-client device capacities.
-fn capacities(fleet: &Fleet<'_, FederatedDataset>) -> Vec<u64> {
-    (0..fleet.data.num_clients())
-        .map(|c| fleet.devices.profile(c).capacity_macs)
-        .collect()
-}
-
 impl Method for FedTransRuntime {
     type Data = FederatedDataset;
 
@@ -212,13 +211,12 @@ impl Method for FedTransRuntime {
     /// transformation.
     fn round(&mut self, cx: &mut Round<'_, FederatedDataset>) -> ft_fedsim::Result<RoundOutcome> {
         let macs = self.model_macs();
-        let capacities = capacities(&cx.fleet);
 
         // 1. Utility-based model assignment (§4.2).
         let mut tasks: Vec<TrainTask> = Vec::with_capacity(cx.participants.len());
         let mut assigned_model: Vec<usize> = Vec::with_capacity(cx.participants.len());
         for &c in cx.participants {
-            let compatible = ClientManager::compatible_models(&macs, capacities[c]);
+            let compatible = ClientManager::compatible_models(&macs, self.capacities[c]);
             let n = self.manager.assign(cx.rng, c, &compatible);
             assigned_model.push(n);
             tasks.push(TrainTask {
@@ -287,7 +285,7 @@ impl Method for FedTransRuntime {
             .map(|r| (r.client, assigned_model[r.task], r.avg_loss))
             .collect();
         self.manager
-            .update(&participation, &self.sims, &macs, &capacities);
+            .update(&participation, &self.sims, &macs, &self.capacities);
 
         // 7. Transformation (§4.1), seeded from the newest model. A
         // fully dropped-out round produced no loss reports; the
@@ -332,10 +330,9 @@ impl Method for FedTransRuntime {
         fleet: Fleet<'_, FederatedDataset>,
     ) -> ft_fedsim::Result<(Vec<f32>, Vec<usize>)> {
         let macs = self.model_macs();
-        let capacities = capacities(&fleet);
         let chosen: Vec<usize> = (0..fleet.data.num_clients())
             .map(|c| {
-                let compatible = ClientManager::compatible_models(&macs, capacities[c]);
+                let compatible = ClientManager::compatible_models(&macs, self.capacities[c]);
                 self.manager.best_model(c, &compatible)
             })
             .collect();

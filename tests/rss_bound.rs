@@ -7,12 +7,14 @@
 #![cfg(target_os = "linux")]
 
 /// Peak-RSS bound for the million-device streaming round, in MB. The
-/// run measures a few tens of MB; the bound is deliberately loose
-/// against allocator and host variance while staying orders of
-/// magnitude below what a materialized population (tens of GB) or a
-/// materialized cohort would need. If a change trips it, aggregation
-/// or shard memory stopped being O(clients in flight).
-const MAX_RSS_MB: f64 = 256.0;
+/// run measures about 8 MB in the dev profile. A materialized device
+/// trace (24 MB a copy, and the coordinator held a second) measured
+/// about 50 MB, so the bound fails it while leaving headroom for
+/// allocator and host variance; a materialized population (tens of
+/// GB) or cohort is far past it. If a change trips it, the device
+/// trace, aggregation or shard memory stopped being O(clients in
+/// flight).
+const MAX_RSS_MB: f64 = 32.0;
 
 #[test]
 fn million_device_round_stays_under_the_rss_bound() {
