@@ -35,9 +35,10 @@ use crate::{Result, SimError};
 /// Bytes the largest buffer of one evaluation chunk may occupy: one L2
 /// of the benchmark host (2 MiB, the cache [`ft_tensor::tune::MC`] is
 /// derived from), counting a conv cell's patch matrix as if it were
-/// written (it is lowered inside the GEMM pack instead). A power of
-/// two, so the scratch size class that a buffer of at most this many
-/// bytes lands in never exceeds it either.
+/// written (nothing writes it; the count caps conv chunks, see
+/// [`ft_model::Cell::sample_working_floats`]). A power of two, so the
+/// scratch size class that a buffer of at most this many bytes lands in
+/// never exceeds it either.
 pub const EVAL_BUDGET_BYTES: usize = 2 << 20;
 
 const _: () = assert!(EVAL_BUDGET_BYTES.is_power_of_two());
@@ -178,7 +179,10 @@ mod tests {
     #[test]
     fn chunk_size_follows_the_largest_per_sample_buffer() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        // 32→32 3x3 conv over 16x16: 288·256 patch floats per sample.
+        // 32→32 3x3 conv over 16x16: counted as 288·256 patch floats per
+        // sample, the cap. Its largest real per-sample buffer is a
+        // 32·256-float row, and its planes (32·3·18·16 floats, one
+        // sample's) do not grow with the chunk.
         let conv = CellModel::conv(&mut rng, 3, 16, 16, &[32, 32], 3, 10);
         assert_eq!(conv.sample_working_set_bytes(), 288 * 256 * 4);
         assert_eq!(rows_per_chunk(&conv), EVAL_BUDGET_BYTES / (288 * 256 * 4));

@@ -12,8 +12,8 @@
 //! `ft_fedsim::eval::EVAL_BUDGET_BYTES` — the evaluation memory bound,
 //! pinned as a count instead of an RSS reading — nor one as large as a
 //! conv cell's `[C·k·k, R·H·W]` patch matrix for a chunk of `R`
-//! samples: inference lowers patches inside the GEMM pack and never
-//! writes that matrix.
+//! samples: inference reads patches in place out of per-sample shifted
+//! planes and never writes that matrix.
 //!
 //! Runs as a `harness = false` integration test: the default libtest
 //! harness keeps service threads that allocate at unpredictable
@@ -212,7 +212,7 @@ fn warm_train_step_performs_zero_heap_allocations() {
         "warm FedProx train step allocated {n} times over 5 steps (expected 0)"
     );
 
-    // Conv body — patch lowering, forward and backward, through
+    // Conv body — shifted planes, forward and backward, through
     // scratch workspaces (the `large-population` scenario's workload
     // shape).
     let conv_data = ft_data::DatasetConfig::openimage_like()

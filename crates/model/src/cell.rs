@@ -246,12 +246,16 @@ impl Cell {
     }
 
     /// Floats in the largest buffer one sample may occupy on its way
-    /// through this cell: the `C·k·k·H·W` patch columns of a conv cell
-    /// (a bound: the GEMM lowers them as it packs, no buffer holds
-    /// them), the MLP activations of an attention cell, the wider side
-    /// of a dense cell. Every such buffer scales linearly with the
-    /// batch, so it sizes how many samples an evaluation chunk may
-    /// hold.
+    /// through this cell — the MLP activations of an attention cell,
+    /// the wider side of a dense cell — which sizes how many samples an
+    /// evaluation chunk may hold. A conv cell counts `C·k·k·H·W`, its
+    /// patch columns, though no buffer holds them: its products read
+    /// the patch matrix in place out of one sample's shifted planes,
+    /// and the buffers that grow with the batch are its input and
+    /// output rows, at most `max(C, out_c)·H·W`. The patch-column count
+    /// is a deliberate cap: chunks sized by the real rows (9× larger for
+    /// 3×3) raised `fedtrans-conv`'s peak RSS from about 34 MB to 40–47
+    /// MB (docs/ARCHITECTURE.md, "Memory model").
     pub fn sample_working_floats(&self) -> usize {
         match self {
             Cell::Dense { linear, .. } => linear.in_features().max(linear.out_features()),

@@ -277,13 +277,14 @@ impl CellModel {
     }
 
     /// Bytes of the largest buffer one sample may occupy anywhere in
-    /// an [`CellModel::infer`] pass (its input row, a conv cell's patch
-    /// columns, an attention cell's MLP activations, …). Every such
-    /// buffer grows linearly with the batch, so a batch of `r` samples
-    /// never checks out a single buffer larger than `r` times this. A
-    /// conv cell's patch columns are a bound, not a buffer: the GEMM
-    /// lowers them as it packs, and the largest conv buffer it checks
-    /// out is smaller.
+    /// an [`CellModel::infer`] pass (its input row, an attention cell's
+    /// MLP activations, …, and for a conv cell its patch columns, a cap
+    /// rather than a buffer: see [`Cell::sample_working_floats`]). Every
+    /// buffer that grows with the batch grows linearly, so a batch of
+    /// `r` samples never checks out one larger than `r` times this. The
+    /// one conv buffer that does not grow, a sample's shifted planes
+    /// (`C·k·(H + k − 1)·W` floats), is smaller than one sample's patch
+    /// columns.
     pub fn sample_working_set_bytes(&self) -> usize {
         let head = self.head.linear();
         let floats = self

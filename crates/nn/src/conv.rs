@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use ft_tensor::{he_normal, Patches, Tensor};
+use ft_tensor::{he_normal, ConvGeometry, Tensor};
 
 use crate::error::expect_shape;
 use crate::{NnError, Result};
@@ -15,12 +15,13 @@ use crate::{NnError, Result};
 /// Spatial geometry `(height, width)` is fixed at construction; all
 /// FedTrans conv cells preserve spatial dims.
 ///
-/// The whole batch is one `[C·k·k, batch·H·W]` patch matrix, so the
-/// forward pass and `dW` each issue a single large GEMM instead of one
-/// small GEMM per sample — the shape the tiled kernel in `ft_tensor` is
-/// fastest at. Neither writes that matrix: [`Patches`] lowers its
-/// elements inside the GEMM, and the layer caches only its (9× smaller,
-/// for 3×3) input. `dX` is one product and one scatter per sample.
+/// Every product reads its operands in place ([`ConvGeometry`]): a
+/// sample's patch matrix is a set of contiguous runs of `k`
+/// column-shifted copies of each input plane, built per sample, so no
+/// `[C·k·k, batch·H·W]` matrix is ever written. The layer caches only
+/// its input. The forward stores straight into `[batch, out_c·H·W]`
+/// with the bias added as it stores; `dW` is one product over the whole
+/// batch; `dX` sums its taps in the GEMM epilogue.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Conv2d {
     in_channels: usize,
@@ -233,40 +234,9 @@ impl Conv2d {
         self.in_channels * self.height * self.width
     }
 
-    /// Scatters one sample's `[C·k·k, H·W]` patch gradient back onto
-    /// its `[C·H·W]` image gradient.
-    ///
-    /// `(ic, ki, kj)` stay the outer loops and a tap touches each image
-    /// element at most once, so every `dx` element still accumulates
-    /// its taps in ascending `(ki, kj)` order.
-    fn col2im_from(&self, d: &[f32], out: &mut [f32]) {
-        let (h, w, k, c) = (self.height, self.width, self.kernel, self.in_channels);
-        for ic in 0..c {
-            let plane = &mut out[ic * h * w..(ic + 1) * h * w];
-            for ki in 0..k {
-                let (rows, ii0) = tap_range(ki, k, h);
-                for kj in 0..k {
-                    let (cols, jj0) = tap_range(kj, k, w);
-                    if cols.is_empty() {
-                        continue;
-                    }
-                    let base = (ic * k * k + ki * k + kj) * h * w;
-                    for (r, oi) in rows.clone().enumerate() {
-                        let src = base + oi * w + cols.start;
-                        let dst = (ii0 + r) * w + jj0;
-                        let grad = &d[src..src + cols.len()];
-                        for (o, &g) in plane[dst..dst + cols.len()].iter_mut().zip(grad) {
-                            *o += g;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Forward pass over `[batch, C·H·W]`: a single `[out_c, C·k·k] @
-    /// [C·k·k, batch·H·W]` GEMM against the batch's patch matrix, which
-    /// the GEMM lowers as it packs. The input is cached for `dW`.
+    /// Forward pass over `[batch, C·H·W]`: per sample, the
+    /// `[out_c, C·k·k] @ [C·k·k, H·W]` product against its patch matrix,
+    /// read in place, plus the bias. The input is cached for `dW`.
     ///
     /// # Errors
     ///
@@ -285,27 +255,22 @@ impl Conv2d {
     ///
     /// As [`Conv2d::forward`].
     pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
-        let batch = x.rows()?;
-        let patches = self.patches(x)?;
-        let hw = self.height * self.width;
-        let ld = batch * hw;
-        let y = self.weight.matmul_patches(&patches)?; // [out_c, batch*hw]
-        let b = self.bias.data();
-        let mut out = ft_tensor::scratch::take(batch * self.out_channels * hw);
-        for s in 0..batch {
-            for oc in 0..self.out_channels {
-                let row = &y.data()[oc * ld + s * hw..oc * ld + (s + 1) * hw];
-                let dst = &mut out[(s * self.out_channels + oc) * hw..][..hw];
-                for (o, &v) in dst.iter_mut().zip(row) {
-                    *o = v + b[oc];
-                }
-            }
-        }
-        Ok(Tensor::from_vec(out, &[batch, self.out_channels * hw])?)
+        self.check_input(x)?;
+        Ok(self.geometry().forward(&self.weight, &self.bias, x)?)
     }
 
-    /// The `[C·k·k, batch·H·W]` patch matrix of `x`, as a GEMM operand.
-    fn patches<'a>(&self, x: &'a Tensor) -> Result<Patches<'a>> {
+    /// The products' view of the layer.
+    fn geometry(&self) -> ConvGeometry {
+        ConvGeometry {
+            in_channels: self.in_channels,
+            out_channels: self.out_channels,
+            height: self.height,
+            width: self.width,
+            kernel: self.kernel,
+        }
+    }
+
+    fn check_input(&self, x: &Tensor) -> Result<()> {
         if x.cols()? != self.expected_input_len() {
             return Err(NnError::BadInput {
                 layer: "Conv2d",
@@ -319,23 +284,17 @@ impl Conv2d {
                 ),
             });
         }
-        Ok(Patches::new(
-            x,
-            self.in_channels,
-            self.height,
-            self.width,
-            self.kernel,
-        )?)
+        Ok(())
     }
 
     /// Backward pass; accumulates gradients and returns `dX`.
     ///
-    /// The patch gradient `Wᵀ · dY` is computed and scattered back onto
-    /// the image one sample at a time: each sample's `dY` is already a
-    /// contiguous `[out_c, H·W]` matrix, and its `[C·k·k, H·W]` patch
-    /// gradient stays cache-resident between the GEMM that writes it and
-    /// the col2im that reads it. Every element is the same
-    /// ascending-channel sum as in a whole-batch product.
+    /// `dX` is, per sample and tap, the product of the tap's weight
+    /// column with `dY` read reverse-shifted in place, added in the
+    /// GEMM epilogue where the tap reads inside the image: each element
+    /// is the same ascending-tap sum of ascending-channel sums a
+    /// scatter of the `Wᵀ · dY` patch gradient would make, with no
+    /// patch gradient written.
     ///
     /// # Errors
     ///
@@ -344,25 +303,12 @@ impl Conv2d {
     /// match the cached batch geometry.
     pub fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
         self.accumulate_grads(dy)?;
-        let batch = dy.rows()?;
-        let hw = self.height * self.width;
-        let per_sample = self.expected_input_len();
-        let dy_len = self.out_channels * hw;
-        // col2im accumulates, so this buffer must start zeroed.
-        let mut dx = ft_tensor::scratch::take_zeroed(batch * per_sample);
-        for (s, image) in dx.chunks_mut(per_sample.max(1)).enumerate() {
-            let mut dys = ft_tensor::scratch::take(dy_len);
-            dys.copy_from_slice(&dy.data()[s * dy_len..(s + 1) * dy_len]);
-            let dys = Tensor::from_vec(dys, &[self.out_channels, hw])?;
-            let dcols = self.weight.t_matmul(&dys)?; // [c*k*k, hw]
-            self.col2im_from(dcols.data(), image);
-        }
-        Ok(Tensor::from_vec(dx, &[batch, per_sample])?)
+        Ok(self.geometry().input_grad(&self.weight, dy)?)
     }
 
     /// [`Conv2d::backward`] without `dX`: accumulates `dW` and `db`
-    /// only, skipping the patch-gradient GEMM and col2im — the backward
-    /// of a network's first layer, whose input gradient nothing reads.
+    /// only, skipping the input-gradient products — the backward of a
+    /// network's first layer, whose input gradient nothing reads.
     ///
     /// # Errors
     ///
@@ -374,9 +320,9 @@ impl Conv2d {
     /// Accumulates `dW` and `db` from `dy`.
     ///
     /// `dW` is computed transposed, `dWᵀ = patches · dYᵀ`: the patch
-    /// matrix is the A operand, lowered a k-block at a time, and only
-    /// `dY` is packed. Each element is the same ascending-pixel sum of
-    /// the same products as `dY · patchesᵀ`, so the result is too.
+    /// matrix is the A operand, read in place one sample at a time, and
+    /// only `dY` is packed. Each element is the same ascending-pixel sum
+    /// of the same products as `dY · patchesᵀ`, so the result is too.
     fn accumulate_grads(&mut self, dy: &Tensor) -> Result<()> {
         let x = self
             .cache_input
@@ -384,7 +330,6 @@ impl Conv2d {
             .ok_or(NnError::MissingForwardCache { layer: "Conv2d" })?;
         let batch = dy.rows()?;
         let hw = self.height * self.width;
-        let ld = batch * hw;
         if x.rows()? != batch || dy.cols()? != self.out_channels * hw {
             return Err(NnError::BadInput {
                 layer: "Conv2d",
@@ -396,17 +341,7 @@ impl Conv2d {
                 ),
             });
         }
-        // Regather dy from [batch, out_c*hw] to [out_c, batch*hw].
-        // Scratch-pooled; every slot is written by the copy loops.
-        let mut dyb = ft_tensor::scratch::take(self.out_channels * ld);
-        for s in 0..batch {
-            for oc in 0..self.out_channels {
-                let src = &dy.data()[s * self.out_channels * hw + oc * hw..][..hw];
-                dyb[oc * ld + s * hw..oc * ld + (s + 1) * hw].copy_from_slice(src);
-            }
-        }
-        let dyb = Tensor::from_vec(dyb, &[self.out_channels, ld])?;
-        let dwt = self.patches(&x)?.matmul_t(&dyb)?; // [c*k*k, out_c]
+        let dwt = self.geometry().weight_grad_t(&x, dy)?; // [c*k*k, out_c]
         let fan_in = self.weight.cols()?;
         let gw = self.grad_weight.data_mut();
         for (r, row) in dwt
@@ -418,8 +353,12 @@ impl Conv2d {
                 gw[oc * fan_in + r] += v;
             }
         }
+        // Each channel's sum runs over ascending (sample, pixel).
+        let oc_len = self.out_channels * hw;
         for oc in 0..self.out_channels {
-            let sum: f32 = dyb.data()[oc * ld..(oc + 1) * ld].iter().sum();
+            let sum: f32 = (0..batch)
+                .flat_map(|s| &dy.data()[s * oc_len + oc * hw..][..hw])
+                .sum();
             self.grad_bias.data_mut()[oc] += sum;
         }
         Ok(())
@@ -441,133 +380,10 @@ impl Conv2d {
     }
 }
 
-/// For kernel tap `t` of a same-padded size-`k` kernel over an axis of
-/// `len` pixels: the output positions `o` whose input position
-/// `o + t - k/2` lies inside the image, and the input position the
-/// first of them reads (the rest follow one by one). The range is empty
-/// when the tap only ever sees padding (`len` shorter than the kernel's
-/// reach).
-fn tap_range(t: usize, k: usize, len: usize) -> (std::ops::Range<usize>, usize) {
-    let pad = k / 2;
-    let lo = pad.saturating_sub(t).min(len);
-    let hi = (len + pad).saturating_sub(t).min(len).max(lo);
-    (lo..hi, t.saturating_sub(pad))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use rand::SeedableRng;
-
-    impl Conv2d {
-        /// A per-element lowering, the oracle for [`Patches`]: every
-        /// patch element tests its own border.
-        fn im2col_oracle(&self, sample: &[f32], out: &mut [f32], off: usize, ld: usize) {
-            let (h, w, k, c) = (self.height, self.width, self.kernel, self.in_channels);
-            let pad = k / 2;
-            for ic in 0..c {
-                let plane = &sample[ic * h * w..(ic + 1) * h * w];
-                for ki in 0..k {
-                    for kj in 0..k {
-                        let row = ic * k * k + ki * k + kj;
-                        let base = row * ld + off;
-                        for oi in 0..h {
-                            let ii = oi as isize + ki as isize - pad as isize;
-                            if ii < 0 || ii >= h as isize {
-                                continue;
-                            }
-                            for oj in 0..w {
-                                let jj = oj as isize + kj as isize - pad as isize;
-                                if jj < 0 || jj >= w as isize {
-                                    continue;
-                                }
-                                out[base + oi * w + oj] = plane[ii as usize * w + jj as usize];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        /// Per-element scatter oracle for [`Conv2d::col2im_from`].
-        fn col2im_oracle(&self, d: &[f32], out: &mut [f32]) {
-            let (h, w, k, c) = (self.height, self.width, self.kernel, self.in_channels);
-            let pad = k / 2;
-            for ic in 0..c {
-                for ki in 0..k {
-                    for kj in 0..k {
-                        let row = ic * k * k + ki * k + kj;
-                        let base = row * h * w;
-                        for oi in 0..h {
-                            let ii = oi as isize + ki as isize - pad as isize;
-                            if ii < 0 || ii >= h as isize {
-                                continue;
-                            }
-                            for oj in 0..w {
-                                let jj = oj as isize + kj as isize - pad as isize;
-                                if jj < 0 || jj >= w as isize {
-                                    continue;
-                                }
-                                out[ic * h * w + ii as usize * w + jj as usize] +=
-                                    d[base + oi * w + oj];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    proptest! {
-        /// Slice-wise lowering ([`Patches`], read back through an
-        /// identity product, which reproduces each element exactly) and
-        /// scatter against the per-element oracles, bit for bit, for
-        /// every sample of the batch — including images shorter or
-        /// narrower than the kernel, where whole taps fall in the
-        /// padding.
-        #[test]
-        fn slice_im2col_and_col2im_match_the_per_element_oracles(
-            kernel_idx in 0usize..3,
-            h in 1usize..=9,
-            w in 1usize..=9,
-            channels in 1usize..=4,
-            batch in 1usize..=3,
-            seed in 0u64..1 << 20,
-        ) {
-            let kernel = [1, 3, 5][kernel_idx];
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let conv = Conv2d::new(&mut rng, channels, 2, kernel, h, w);
-            let (hw, per_sample) = (h * w, channels * h * w);
-            let ld = batch * hw;
-            let patch_rows = channels * kernel * kernel;
-            let x = ft_tensor::uniform(&mut rng, &[batch, per_sample], -2.0, 2.0);
-            // One [patch_rows, hw] patch gradient per sample.
-            let d = ft_tensor::uniform(&mut rng, &[batch, patch_rows * hw], -2.0, 2.0);
-
-            let patches = conv.patches(&x).unwrap();
-            let cols = Tensor::eye(patch_rows).matmul_patches(&patches).unwrap();
-            let mut cols_oracle = vec![0.0f32; patch_rows * ld];
-            // Accumulate onto a non-zero image so a dropped or doubled
-            // tap cannot hide behind a zero.
-            let mut dx = x.data().to_vec();
-            let mut dx_oracle = dx.clone();
-            for s in 0..batch {
-                let sample = &x.data()[s * per_sample..(s + 1) * per_sample];
-                conv.im2col_oracle(sample, &mut cols_oracle, s * hw, ld);
-                let image = s * per_sample..(s + 1) * per_sample;
-                let grad = &d.data()[s * patch_rows * hw..(s + 1) * patch_rows * hw];
-                conv.col2im_from(grad, &mut dx[image.clone()]);
-                conv.col2im_oracle(grad, &mut dx_oracle[image]);
-            }
-            prop_assert_eq!(bits(cols.data()), bits(&cols_oracle));
-            prop_assert_eq!(bits(&dx), bits(&dx_oracle));
-        }
-    }
 
     #[test]
     fn identity_conv_preserves_input() {

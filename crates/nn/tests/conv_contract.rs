@@ -1,27 +1,34 @@
 //! The convolution's 0-ULP contract, on every kernel tier.
 //!
-//! `Conv2d` lowers its patch matrix inside the GEMM, computes `dW`
-//! transposed (`dWᵀ = patches · dYᵀ`) and scatters `dX` per sample.
-//! None of that may change a single bit. Against a naive per-element
-//! reference, `forward`, `infer`, `backward` (`dW`, `db`, `dX`) and
-//! `backward_params` must agree exactly, where every sum runs in
-//! ascending order in one `f32` accumulator that starts at `+0.0`, as a
-//! multiply followed by an add:
+//! `Conv2d` reads its patch matrix in place out of kj-shifted planes,
+//! computes `dW` transposed (`dWᵀ = patches · dYᵀ`) and sums `dX`'s taps
+//! in the GEMM epilogue. None of that may change a single bit. Against
+//! a naive per-element reference, `forward`, `infer`, `backward` (`dW`,
+//! `db`, `dX`) and `backward_params` must agree exactly, where every sum
+//! runs in ascending order in one `f32` accumulator that starts at
+//! `+0.0`, as a multiply followed by an add:
 //!
 //! * output `(s, o, p)`: `Σ_r W[o, r] · patch(r, s, p)` over ascending
 //!   patch rows `r = (c, ki, kj)`, then `+ b[o]`;
-//! * `dW[o, r]`: `Σ dY[s, o, p] · patch(r, s, p)` over ascending pixels
+//! * `dW[o, r]`: `Σ patch(r, s, p) · dY[s, o, p]` over ascending pixels
 //!   `(s, p)` of the whole batch; `db[o]` likewise over `dY[s, o, p]`;
 //! * `dX[s, c, i, j]`: over the taps `(ki, kj)` in ascending order, the
 //!   patch gradient `Σ_o W[o, r] · dY[s, o, p]` (ascending `o`) of the
-//!   pixel `p` that tap reads `(i, j)` from.
+//!   pixel `p` that tap reads `(i, j)` from. A tap that would read
+//!   outside the image adds nothing, so a non-finite weight poisons only
+//!   the pixels its tap reaches.
 //!
 //! Geometry covers kernels 1, 3 and 5, images of 1×1, 5×7, 16×16 and
-//! 17×3 (a window of `NR` columns straddles samples on all but 16×16),
-//! batches of 1, 3 and 10, and 1 to 33 channels. Every case runs on each
-//! tier `simd::available()` lists. From the main thread a large product
-//! may fan out across the tensor pool; with `FT_TENSOR_THREADS=1` every
-//! product runs inline, so CI runs this file both ways.
+//! 17×3 (a window of `NR` columns crosses image rows on all but 1×1),
+//! batches of 1, 3 and 10, and 1 to 33 channels. A second set of cases
+//! puts `NaN` and `±∞` into the weight and `NaN` into `x` and `dY`, and
+//! must match with every NaN where the reference has it (a NaN's sign
+//! and payload are unspecified in Rust, so any NaN matches any NaN).
+//! Every case runs
+//! on each tier `simd::available()` lists. From the main thread a large
+//! product may fan out across the tensor pool; with
+//! `FT_TENSOR_THREADS=1` every product runs inline, so CI runs this file
+//! both ways, in debug and in release.
 
 use ft_nn::Conv2d;
 use ft_tensor::{simd, Tensor};
@@ -92,7 +99,7 @@ fn reference(g: Geometry, w: &[f32], b: &[f32], x: &[f32], dy: &[f32]) -> Output
             let mut acc = 0.0f32;
             for s in 0..g.batch {
                 for p in 0..hw {
-                    acc += dy_at(s, o, p) * g.patch(x, r, s, p);
+                    acc += g.patch(x, r, s, p) * dy_at(s, o, p);
                 }
             }
             dw[o * rows + r] = 0.0 + acc;
@@ -137,8 +144,25 @@ fn reference(g: Geometry, w: &[f32], b: &[f32], x: &[f32], dy: &[f32]) -> Output
     Outputs { y, dw, db, dx }
 }
 
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
+/// Asserts `got` and `want` are the same bits, naming the first
+/// element that differs and how many do. A NaN matches any NaN: Rust
+/// leaves the sign and payload of a NaN result unspecified (the
+/// compiler may commute an add, and two different NaNs meeting keep
+/// either one's), so only where the NaNs fall is part of the contract.
+fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    let differ = |(_, (g, w)): &(usize, (&f32, &f32))| {
+        g.to_bits() != w.to_bits() && !(g.is_nan() && w.is_nan())
+    };
+    let mut diffs = got.iter().zip(want).enumerate().filter(differ);
+    if let Some((i, (g, w))) = diffs.next() {
+        panic!(
+            "{what}: element {i} is {g} ({:#010x}), want {w} ({:#010x}); {} elements differ",
+            g.to_bits(),
+            w.to_bits(),
+            1 + diffs.count()
+        );
+    }
 }
 
 /// Runs the layer's four entry points on the active tier and checks
@@ -147,31 +171,48 @@ fn check(g: Geometry, conv: &Conv2d, x: &Tensor, dy: &Tensor, want: &Outputs, ti
     let case = format!("{g:?} on {tier}");
     let mut layer = conv.clone();
     let inferred = layer.infer(x).unwrap();
-    assert_eq!(bits(inferred.data()), bits(&want.y), "infer, {case}");
+    assert_bits(inferred.data(), &want.y, &format!("infer, {case}"));
     let y = layer.forward(x).unwrap();
-    assert_eq!(bits(y.data()), bits(&want.y), "forward, {case}");
+    assert_bits(y.data(), &want.y, &format!("forward, {case}"));
     let dx = layer.backward(dy).unwrap();
-    assert_eq!(
-        bits(layer.grad_weight().data()),
-        bits(&want.dw),
-        "dW, {case}"
-    );
-    assert_eq!(bits(layer.grad_bias().data()), bits(&want.db), "db, {case}");
-    assert_eq!(bits(dx.data()), bits(&want.dx), "dX, {case}");
+    assert_bits(layer.grad_weight().data(), &want.dw, &format!("dW, {case}"));
+    assert_bits(layer.grad_bias().data(), &want.db, &format!("db, {case}"));
+    assert_bits(dx.data(), &want.dx, &format!("dX, {case}"));
 
     let mut first = conv.clone();
     first.forward(x).unwrap();
     first.backward_params(dy).unwrap();
-    assert_eq!(
-        bits(first.grad_weight().data()),
-        bits(&want.dw),
-        "backward_params dW, {case}"
+    let params = format!("backward_params, {case}");
+    assert_bits(
+        first.grad_weight().data(),
+        &want.dw,
+        &format!("dW, {params}"),
     );
-    assert_eq!(
-        bits(first.grad_bias().data()),
-        bits(&want.db),
-        "backward_params db, {case}"
-    );
+    assert_bits(first.grad_bias().data(), &want.db, &format!("db, {params}"));
+}
+
+/// Random operands for `g`, seeded by `seed`: weight, bias, input and
+/// output gradient.
+fn operands(g: Geometry, seed: u64) -> [Tensor; 4] {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    [
+        ft_tensor::uniform(&mut rng, &[g.cout, g.patch_rows()], -1.0, 1.0),
+        ft_tensor::uniform(&mut rng, &[g.cout], -1.0, 1.0),
+        ft_tensor::uniform(&mut rng, &[g.batch, g.cin * g.hw()], -2.0, 2.0),
+        ft_tensor::uniform(&mut rng, &[g.batch, g.cout * g.hw()], -1.0, 1.0),
+    ]
+}
+
+/// Checks the layer built from `operands` against the reference on
+/// every tier.
+fn check_every_tier(g: Geometry, [weight, bias, x, dy]: [Tensor; 4]) {
+    let want = reference(g, weight.data(), bias.data(), x.data(), dy.data());
+    let conv = Conv2d::from_params(weight, bias, g.cin, g.kernel, g.height, g.width);
+    for tier in simd::available() {
+        simd::force(Some(tier));
+        check(g, &conv, &x, &dy, &want, tier.name());
+    }
+    simd::force(None);
 }
 
 #[test]
@@ -206,17 +247,47 @@ fn conv_matches_the_naive_reference_bit_for_bit_on_every_tier() {
         }
     }
     for (i, g) in cases.into_iter().enumerate() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(i as u64);
-        let weight = ft_tensor::uniform(&mut rng, &[g.cout, g.patch_rows()], -1.0, 1.0);
-        let bias = ft_tensor::uniform(&mut rng, &[g.cout], -1.0, 1.0);
-        let x = ft_tensor::uniform(&mut rng, &[g.batch, g.cin * g.hw()], -2.0, 2.0);
-        let dy = ft_tensor::uniform(&mut rng, &[g.batch, g.cout * g.hw()], -1.0, 1.0);
-        let want = reference(g, weight.data(), bias.data(), x.data(), dy.data());
-        let conv = Conv2d::from_params(weight, bias, g.cin, g.kernel, g.height, g.width);
-        for tier in simd::available() {
-            simd::force(Some(tier));
-            check(g, &conv, &x, &dy, &want, tier.name());
-        }
-        simd::force(None);
+        check_every_tier(g, operands(g, i as u64));
+    }
+}
+
+#[test]
+fn non_finite_weights_and_inputs_land_where_the_reference_puts_them() {
+    // A NaN, a +inf and a -inf weight, each on a tap that reads the
+    // zero border somewhere (0 × inf is NaN, so a tap summed where it
+    // reads outside the image would poison a border pixel the
+    // reference leaves finite), then a NaN in x and a NaN in dY. With
+    // three or more output channels the non-finite weights sit in
+    // different ones, so the forward, `dW` and `dX` each carry finite,
+    // inf and NaN elements side by side.
+    let cases = [
+        (3, 4, 3, (5, 7), 2),
+        (16, 16, 3, (16, 16), 3),
+        (4, 3, 5, (17, 3), 2),
+        (2, 5, 1, (5, 7), 3),
+        (5, 2, 3, (1, 1), 2),
+    ];
+    for (i, (cin, cout, kernel, (height, width), batch)) in cases.into_iter().enumerate() {
+        let g = Geometry {
+            cin,
+            cout,
+            kernel,
+            height,
+            width,
+            batch,
+        };
+        let (rows, taps) = (g.patch_rows(), kernel * kernel);
+        let [mut weight, bias, mut x, mut dy] = operands(g, 100 + i as u64);
+        let w = weight.data_mut();
+        // Tap (0, 0) of channel 0, the last tap of the last channel, the
+        // centre-left tap of channel 0.
+        w[0] = f32::NAN;
+        w[(1 % cout) * rows + rows - 1] = f32::INFINITY;
+        w[(2 % cout) * rows + (taps / 2).saturating_sub(1)] = f32::NEG_INFINITY;
+        let pixels = g.hw();
+        x.data_mut()[pixels / 2] = f32::NAN;
+        let last = dy.data().len() - 1;
+        dy.data_mut()[last - pixels / 3] = f32::NAN;
+        check_every_tier(g, [weight, bias, x, dy]);
     }
 }

@@ -25,6 +25,7 @@
 #![deny(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::missing_panics_doc))]
 
+mod conv;
 mod error;
 pub mod fused;
 mod init;
@@ -38,9 +39,9 @@ pub mod simd;
 mod tensor;
 pub mod tune;
 
+pub use conv::ConvGeometry;
 pub use error::TensorError;
 pub use init::{he_normal, uniform, xavier_uniform};
-pub use matmul::Patches;
 pub use shape::{Shape, MAX_RANK};
 pub use tensor::Tensor;
 

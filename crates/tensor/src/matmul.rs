@@ -13,10 +13,10 @@
 //! runs as a single panel: the kernel packs B at most once wherever it
 //! runs.
 //!
-//! A convolution's patch matrix is an operand too ([`Patches`]): the
-//! conv geometry plus its NCHW input. No `[C·k·k, B·H·W]` matrix is
-//! ever written; as B its elements are lowered straight into the pack
-//! slab, and as A one `rows × KC` block at a time into scratch.
+//! A convolution's patch matrix is an operand too ([`Table`]): each
+//! patch row is a contiguous run of a kj-shifted plane
+//! ([`crate::conv`]), found through a per-row offset table and read in
+//! place, as A or as B. No patch element is ever copied into a pack.
 //!
 //! # Determinism
 //!
@@ -50,7 +50,7 @@ pub(crate) const MR: usize = 4;
 pub(crate) const NR: usize = 32;
 /// At or above this many multiply-adds, panels are fanned out across
 /// the worker pool; under it, thread dispatch costs more than it buys.
-const PAR_WORK: usize = 1 << 20;
+pub(crate) const PAR_WORK: usize = 1 << 20;
 /// Shortest run of rows (or columns) one fanned-out task may own.
 ///
 /// A row-split task packs all of B for itself — about one cycle per
@@ -62,20 +62,20 @@ const PAR_WORK: usize = 1 << 20;
 /// micro-tiles that spent longer re-packing B than multiplying.
 /// A multiple of both `MR` and `NR`, so task boundaries fall on
 /// register-tile boundaries.
-const MIN_SPLIT: usize = 32;
+pub(crate) const MIN_SPLIT: usize = 32;
 /// Largest k-block of a row-major B, in elements of its storage
 /// (`kc` stored rows of `ld`), that the register tile reads in place
 /// instead of packing. Set where packed and in-place B cross on the
 /// benchmark host (one thread, each side alone; `docs/ARCHITECTURE.md`
 /// "Packing"). Every `fedtrans-dense` k-block is at most 18 Ki elements,
 /// and in place its products ran 1.0–2.0× faster than packed.
-/// Every `fedtrans-conv` patch-matrix k-block is at least 40 Ki, with
-/// rows 10 KiB apart. Read in place, the strip one column window
-/// touches falls into a few L1 sets, and each of many row tiles
-/// re-fetches it; those products ran up to 1.3× slower than packed.
-/// The crossing for a 144-row product lies between 16 and 32 Ki
-/// (re-measured on the 4 × 32 tile: packing wins from about 16 Ki for
-/// 144 rows, in place up to at least 36 Ki for 16).
+/// A k-block of rows 10 KiB apart (2 560 columns, a batch of ten 16×16
+/// images as a patch matrix) falls into a few L1 sets per column
+/// window, and each of many row tiles re-fetches it; such products ran
+/// up to 1.3× slower in place than packed. The crossing for a 144-row product
+/// lies between 16 and 32 Ki (re-measured on the 4 × 32 tile: packing
+/// wins from about 16 Ki for 144 rows, in place up to at least 36 Ki
+/// for 16).
 const DIRECT_B_MAX: usize = 24 * 1024;
 
 impl Tensor {
@@ -154,236 +154,22 @@ impl Tensor {
         let out = gemm(simd::active(), a, b, m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
-
-    /// Computes `self @ patches` — a convolution's forward product,
-    /// `W[out_c × C·k·k]` times the `[C·k·k × B·H·W]` patch matrix —
-    /// lowering patch elements straight into the B pack.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::MatmulDimMismatch`] when `self` does not
-    /// have one column per patch row.
-    pub fn matmul_patches(&self, patches: &Patches) -> Result<Tensor> {
-        let (m, k) = (self.rows()?, self.cols()?);
-        let (k2, n) = (patches.rows(), patches.cols());
-        if k != k2 {
-            return Err(TensorError::MatmulDimMismatch {
-                left: vec![m, k],
-                right: vec![k2, n],
-            });
-        }
-        let a = Operand::row_major(self.data(), k);
-        let out = gemm(simd::active(), a, Operand::Patches(patches), m, k, n);
-        Tensor::from_vec(out, &[m, n])
-    }
 }
 
-/// The patch matrix of a same-padded, stride-1 2-D convolution, as a
-/// GEMM operand: the conv geometry plus its `[B, C·H·W]` NCHW input.
-/// Logically it is `[C·k·k, B·H·W]`. Row `ic·k·k + ki·k + kj`, column
-/// `s·H·W + oi·W + oj` holds input `[s, ic, oi + ki − k/2, oj + kj − k/2]`,
-/// or `+0.0` where that falls outside the image.
-///
-/// Nothing materializes the matrix. [`Patches::new`] copies the input
-/// once into zero-bordered planes (`(H + k − 1) × (W + k − 1)` each,
-/// about 1.3× the input for 3×3 over 16×16); a patch row's run across
-/// one image row is then a single copy out of them, with no border
-/// test. As B ([`Tensor::matmul_patches`]) the runs are lowered into
-/// the packed `kc × NR` slab; as A ([`Patches::matmul_t`]) one
-/// `rows × kc` block per k-block is lowered into scratch, and the tile
-/// reads it in place. Lowering only copies input values and the
-/// border's `+0.0`, so the products are bit-identical to those over a
-/// materialized patch matrix.
-pub struct Patches<'a> {
-    input: &'a [f32],
-    /// The input's `B·C` planes, each bordered by `k/2` zeros above and
-    /// left and `k − 1 − k/2` below and right.
-    planes: ScratchVec,
-    channels: usize,
-    height: usize,
-    width: usize,
-    kernel: usize,
-}
-
-impl<'a> Patches<'a> {
-    /// The patch matrix of `input` (`[B, C·H·W]`) for a `kernel × kernel`
-    /// same-padded convolution over `channels` planes of
-    /// `height × width`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when `input` is not a
-    /// matrix with `channels·height·width` columns.
-    pub fn new(
-        input: &'a Tensor,
-        channels: usize,
-        height: usize,
-        width: usize,
-        kernel: usize,
-    ) -> Result<Self> {
-        let (batch, per_sample) = (input.rows()?, channels * height * width);
-        if input.cols()? != per_sample {
-            return Err(TensorError::ShapeMismatch {
-                left: input.shape().dims().to_vec(),
-                right: vec![batch, per_sample],
-            });
-        }
-        let (hp, wp, pad) = (
-            height + kernel.max(1) - 1,
-            width + kernel.max(1) - 1,
-            kernel / 2,
-        );
-        let mut planes = ScratchVec::take_zeroed(batch * channels * hp * wp);
-        if height * width > 0 {
-            let plane_rows = input.data().chunks_exact(height * width);
-            for (plane, padded) in plane_rows.zip(planes.chunks_exact_mut(hp * wp)) {
-                let padded_rows = padded.chunks_exact_mut(wp).skip(pad);
-                for (row, out) in plane.chunks_exact(width).zip(padded_rows) {
-                    short_copy(&mut out[pad..pad + width], row);
-                }
-            }
-        }
-        Ok(Patches {
-            input: input.data(),
-            planes,
-            channels,
-            height,
-            width,
-            kernel,
-        })
-    }
-
-    /// Logical rows, `C·k·k`.
-    pub(crate) fn rows(&self) -> usize {
-        self.channels * self.kernel * self.kernel
-    }
-
-    /// Logical columns, `B·H·W`.
-    pub(crate) fn cols(&self) -> usize {
-        let (per_sample, hw) = (
-            self.channels * self.height * self.width,
-            self.height * self.width,
-        );
-        self.input.len().checked_div(per_sample).unwrap_or(0) * hw
-    }
-
-    /// Computes `patches @ other^T` — a convolution's weight gradient,
-    /// transposed (`dWᵀ = patches · dYᵀ` for `dY` stored
-    /// `[out_c × B·H·W]`). The patch matrix is the A operand, lowered one
-    /// k-block at a time; only `other` is packed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::MatmulDimMismatch`] when `other` does not
-    /// have one column per patch column.
-    pub fn matmul_t(&self, other: &Tensor) -> Result<Tensor> {
-        let (m, k) = (self.rows(), self.cols());
-        let (n, k2) = (other.rows()?, other.cols()?);
-        if k != k2 {
-            return Err(TensorError::MatmulDimMismatch {
-                left: vec![m, k],
-                right: vec![n, k2],
-            });
-        }
-        let b = Operand::col_major(other.data(), k);
-        let out = gemm(simd::active(), Operand::Patches(self), b, m, k, n);
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// Writes the block `rows × cols` of the patch matrix into `dst`,
-    /// logical row `r` at `dst[(r − rows.start) · ld..]`, `cols.len()`
-    /// elements per row; nothing else of `dst` is touched.
-    ///
-    /// A row's columns fall into runs of one image row each, and each
-    /// run is one copy out of the zero-bordered planes. Row and column
-    /// coordinates are stepped, not divided out, once the block's first
-    /// element is located.
-    fn lower(&self, rows: Range<usize>, cols: Range<usize>, dst: &mut [f32], ld: usize) {
-        if cols.is_empty() || rows.is_empty() {
-            return;
-        }
-        let (h, w, k) = (self.height, self.width, self.kernel);
-        let (hw, wp) = (h * w, w + k - 1);
-        let plane = (h + k - 1) * wp;
-        let sample = self.channels * plane;
-        let first = (cols.start / hw, cols.start % hw / w, cols.start % w);
-        let (mut ic, tap) = (rows.start / (k * k), rows.start % (k * k));
-        let (mut ki, mut kj) = (tap / k, tap % k);
-        for (r, out) in dst.chunks_mut(ld).take(rows.len()).enumerate() {
-            if r > 0 {
-                kj += 1;
-                if kj == k {
-                    kj = 0;
-                    ki += 1;
-                    if ki == k {
-                        ki = 0;
-                        ic += 1;
-                    }
-                }
-            }
-            // Output pixel (oi, oj) of sample s reads padded (oi + ki, oj + kj).
-            let tap_origin = ic * plane + ki * wp + kj;
-            let out = &mut out[..cols.len()];
-            let (mut s, mut oi, mut oj) = first;
-            let mut d = 0;
-            while d < out.len() {
-                let len = (w - oj).min(out.len() - d);
-                let src = s * sample + tap_origin + oi * wp + oj;
-                short_copy(&mut out[d..d + len], &self.planes[src..src + len]);
-                d += len;
-                oj = 0;
-                oi += 1;
-                if oi == h {
-                    oi = 0;
-                    s += 1;
-                }
-            }
-        }
-    }
-}
-
-/// Lanes per move in [`short_copy`].
-const RUN_LANES: usize = 8;
-
-/// `dst.copy_from_slice(src)` for the short runs the lowering copies
-/// (an image row or less, thousands per product): fixed
-/// `RUN_LANES`-wide moves, the last one overlapping its predecessor,
-/// which compile inline instead of calling the library `memcpy` once
-/// per run. The overlap rewrites lanes with the values they already
-/// hold.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-#[inline(always)]
-fn short_copy(dst: &mut [f32], src: &[f32]) {
-    let n = dst.len();
-    if n < RUN_LANES {
-        return dst.copy_from_slice(src);
-    }
-    assert_eq!(src.len(), n, "short_copy length mismatch");
-    let mut i = 0;
-    while i + RUN_LANES < n {
-        dst[i..i + RUN_LANES].copy_from_slice(&src[i..i + RUN_LANES]);
-        i += RUN_LANES;
-    }
-    dst[n - RUN_LANES..].copy_from_slice(&src[n - RUN_LANES..]);
-}
-
-/// A GEMM operand: a matrix as its caller stores it, or a conv input
-/// standing for its patch matrix.
+/// A GEMM operand: a matrix as its caller stores it, or a patch matrix
+/// read in place out of shifted planes.
 #[derive(Clone, Copy)]
-enum Operand<'a> {
+pub(crate) enum Operand<'a> {
     Stored(Stored<'a>),
-    Patches(&'a Patches<'a>),
+    Planes(Table<'a>),
 }
 
 impl<'a> Operand<'a> {
-    fn row_major(data: &'a [f32], ld: usize) -> Self {
+    pub(crate) fn row_major(data: &'a [f32], ld: usize) -> Self {
         Operand::Stored(Stored::row_major(data, ld))
     }
 
-    fn col_major(data: &'a [f32], ld: usize) -> Self {
+    pub(crate) fn col_major(data: &'a [f32], ld: usize) -> Self {
         Operand::Stored(Stored {
             data,
             ld,
@@ -391,13 +177,14 @@ impl<'a> Operand<'a> {
         })
     }
 
-    /// The buffer the operand's elements come from (what the test-only
-    /// pack probe is keyed on).
-    #[cfg(test)]
-    fn source(&self) -> &'a [f32] {
+    /// Logical rows `i..i + rh` of A from column `pc` on, as the
+    /// register tile reads them: row `r`'s element at k-step `p` is
+    /// `rows[r][p * step]`. Rows past `rh` (an edge tile) repeat the
+    /// last real row; the tile computes them and the store drops them.
+    fn a_rows(&self, i: usize, rh: usize, pc: usize) -> ([&'a [f32]; MR], usize) {
         match self {
-            Operand::Stored(s) => s.data,
-            Operand::Patches(p) => p.input,
+            Operand::Stored(s) => s.a_rows(i, rh, pc),
+            Operand::Planes(t) => (std::array::from_fn(|r| t.row(i + r.min(rh - 1), pc)), 1),
         }
     }
 }
@@ -409,7 +196,7 @@ impl<'a> Operand<'a> {
 /// and [`pack_b`] reads B in either, so no caller materializes a
 /// transpose.
 #[derive(Clone, Copy)]
-struct Stored<'a> {
+pub(crate) struct Stored<'a> {
     data: &'a [f32],
     ld: usize,
     col_major: bool,
@@ -424,10 +211,7 @@ impl<'a> Stored<'a> {
         }
     }
 
-    /// Logical rows `i..i + rh` of A from column `pc` on, as the
-    /// register tile reads them: row `r`'s element at k-step `p` is
-    /// `rows[r][p * step]`. Rows past `rh` (an edge tile) repeat the
-    /// last real row; the tile computes them and the store drops them.
+    /// [`Operand::a_rows`] for a stored A.
     fn a_rows(&self, i: usize, rh: usize, pc: usize) -> ([&'a [f32]; MR], usize) {
         let (start, step) = if self.col_major {
             (pc * self.ld + i, self.ld)
@@ -440,12 +224,124 @@ impl<'a> Stored<'a> {
     }
 }
 
+/// How the register tile finds B's `NR` lanes at each k-step of one
+/// tile. Generic, so each form compiles its own tile and a stored B
+/// keeps its plain strided addressing.
+pub(crate) trait BRows: Copy {
+    /// Whether the `NR` lanes of every k-step `p < kc` lie inside B's
+    /// storage: the tiers' extent contract, checked once per tile.
+    fn covers(&self, kc: usize) -> bool;
+
+    /// B's storage from k-step `p`'s first lane on (the portable tier
+    /// reads it through bounds-checked slices).
+    fn lanes(&self, p: usize) -> &[f32];
+
+    /// A pointer to k-step `p`'s first lane.
+    ///
+    /// # Safety
+    ///
+    /// [`BRows::covers`] must hold for some `kc > p`.
+    unsafe fn row(&self, p: usize) -> *const f32;
+}
+
+/// B rows `step` apart: a packed slab (`step = NR`) or a row-major B in
+/// place (`step` = its row length).
+#[derive(Clone, Copy)]
+pub(crate) struct Strided<'a> {
+    data: &'a [f32],
+    step: usize,
+}
+
+impl BRows for Strided<'_> {
+    fn covers(&self, kc: usize) -> bool {
+        // `step < NR` would overlap two k-steps' lanes.
+        self.step >= NR && kc > 0 && self.data.len() >= (kc - 1) * self.step + NR
+    }
+
+    #[inline(always)]
+    fn lanes(&self, p: usize) -> &[f32] {
+        &self.data[p * self.step..]
+    }
+
+    #[inline(always)]
+    unsafe fn row(&self, p: usize) -> *const f32 {
+        debug_assert!(
+            p * self.step + NR <= self.data.len(),
+            "B read past its slice"
+        );
+        // SAFETY: `covers(kc)` with `p < kc` puts `p·step + NR` inside
+        // the slice (the caller's contract).
+        unsafe { self.data.as_ptr().add(p * self.step) }
+    }
+}
+
+/// A matrix whose row `r` is the contiguous run `data[offs[r]..]`: the
+/// patch matrix of one sample, each row a run of a kj-shifted plane
+/// ([`crate::conv`]). As B the tile reads step `p` through the table;
+/// as A each tile row is its own run, one element per k-step.
+#[derive(Clone, Copy)]
+pub(crate) struct Table<'a> {
+    data: &'a [f32],
+    offs: &'a [usize],
+    /// An upper bound on every entry of `offs` (the largest entry of
+    /// the table this one was narrowed from).
+    max: usize,
+}
+
+impl<'a> Table<'a> {
+    pub(crate) fn new(data: &'a [f32], offs: &'a [usize]) -> Self {
+        let max = offs.iter().copied().max().unwrap_or(0);
+        debug_assert!(
+            offs.is_empty() || max + NR <= data.len(),
+            "an offset-table entry leaves its planes"
+        );
+        Table { data, offs, max }
+    }
+
+    /// Rows `rows` of the matrix, from column `col` on.
+    pub(crate) fn block(&self, rows: Range<usize>, col: usize) -> Self {
+        Table {
+            data: &self.data[col..],
+            offs: &self.offs[rows],
+            max: self.max,
+        }
+    }
+
+    /// Row `r` from column `pc` on.
+    fn row(&self, r: usize, pc: usize) -> &'a [f32] {
+        &self.data[self.offs[r] + pc..]
+    }
+}
+
+impl BRows for Table<'_> {
+    fn covers(&self, kc: usize) -> bool {
+        kc > 0 && self.offs.len() >= kc && self.max + NR <= self.data.len()
+    }
+
+    #[inline(always)]
+    fn lanes(&self, p: usize) -> &[f32] {
+        &self.data[self.offs[p]..]
+    }
+
+    #[inline(always)]
+    unsafe fn row(&self, p: usize) -> *const f32 {
+        debug_assert!(
+            p < self.offs.len() && self.offs[p] + NR <= self.data.len(),
+            "B read leaves its planes"
+        );
+        // SAFETY: `covers(kc)` with `p < kc` puts `p` inside the table
+        // and `offs[p] + NR ≤ max + NR` inside the planes (the caller's
+        // contract).
+        unsafe { self.data.as_ptr().add(*self.offs.get_unchecked(p)) }
+    }
+}
+
 /// The part of the output one panel owns: `rows × cols` elements of a
 /// row-major buffer whose rows are `ld` apart, with the window's
 /// top-left element being element `(i0, j0)` of the whole product.
 /// Fanned-out tasks each write through their own window of the one
 /// output buffer — row panels and column windows alike, in place.
-struct Window<'a> {
+pub(crate) struct Window<'a> {
     /// Element `(0, 0)` of the window.
     ptr: *mut f32,
     ld: usize,
@@ -468,7 +364,7 @@ impl<'a> Window<'a> {
     ///
     /// Panics if `out` is not `m · n` long (every later bounds argument
     /// rests on it).
-    fn whole(out: &'a mut [f32], m: usize, n: usize) -> Self {
+    pub(crate) fn whole(out: &'a mut [f32], m: usize, n: usize) -> Self {
         assert_eq!(out.len(), m * n, "output buffer must be m x n");
         Window {
             ptr: out.as_mut_ptr(),
@@ -492,7 +388,7 @@ impl<'a> Window<'a> {
     /// # Panics
     ///
     /// Panics if the ranges leave the window.
-    unsafe fn sub(&self, rows: Range<usize>, cols: Range<usize>) -> Window<'_> {
+    pub(crate) unsafe fn sub(&self, rows: Range<usize>, cols: Range<usize>) -> Window<'_> {
         assert!(
             rows.start <= rows.end && rows.end <= self.rows,
             "rows leave the window"
@@ -515,13 +411,27 @@ impl<'a> Window<'a> {
         }
     }
 
+    /// [`Window::sub`] as the whole output of a product of its own: its
+    /// top-left element is element `(0, 0)` of that product (one
+    /// sample's block of a batched conv output).
+    ///
+    /// # Safety
+    ///
+    /// As [`Window::sub`].
+    pub(crate) unsafe fn own(&self, rows: Range<usize>, cols: Range<usize>) -> Window<'_> {
+        // SAFETY: the caller's contract is `sub`'s.
+        let mut w = unsafe { self.sub(rows, cols) };
+        (w.i0, w.j0) = (0, 0);
+        w
+    }
+
     /// Columns `j..j + w` of row `i`.
     ///
     /// # Panics
     ///
     /// Panics if the segment leaves the window.
     #[inline]
-    fn segment(&mut self, i: usize, j: usize, w: usize) -> &mut [f32] {
+    pub(crate) fn segment(&mut self, i: usize, j: usize, w: usize) -> &mut [f32] {
         assert!(
             i < self.rows && j + w <= self.cols,
             "segment leaves the window"
@@ -556,6 +466,16 @@ impl<'a> Window<'a> {
             unsafe { &mut *self.ptr.add((i + r) * self.ld + j).cast::<[f32; NR]>() }
         })
     }
+
+    /// Rows of the window.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns of the window.
+    pub(crate) fn cols(&self) -> usize {
+        self.cols
+    }
 }
 
 /// `A[m×k] @ B[k×n]` into a scratch-pooled row-major buffer (the
@@ -575,7 +495,8 @@ fn gemm(kern: simd::Kernel, a: Operand, b: Operand, m: usize, k: usize, n: usize
     }
     // Under `PAR_WORK` the pool is never touched (or lazily spawned).
     if m * n * k < PAR_WORK || !fan_out(kern, a, b, &mut out, m, k, n) {
-        gemm_panel(kern, a, b, Window::whole(&mut out, m, n), k);
+        let whole = Window::whole(&mut out, m, n);
+        gemm_panel(kern, a, b, whole, k, Epilogue::STORE, &mut None);
     }
     out
 }
@@ -589,14 +510,11 @@ fn gemm(kern: simd::Kernel, a: Operand, b: Operand, m: usize, k: usize, n: usize
 /// packed: a column split packs each column of B once in total (every
 /// task packs just its own columns), while in a row split every task
 /// packs all of B for its own rows. Splitting the longer side keeps
-/// that re-pack to shapes where B is the smaller operand. The 16-row
-/// conv GEMMs therefore split columns (B streams past once); squarish
-/// and tall shapes split rows. Tasks own at least [`MIN_SPLIT`]
-/// rows/columns and there are at most two per thread, so the atomic
-/// task queue can still even out
-/// finish times. Every task writes its [`Window`] of `out` in place;
-/// per-element arithmetic is identical on every path, so results stay
-/// bit-equal to the single panel.
+/// that re-pack to shapes where B is the smaller operand: squarish and
+/// tall shapes split rows, short and wide ones columns. Every task
+/// writes its [`Window`] of `out` in place; per-element arithmetic is
+/// identical on every path, so results stay bit-equal to the single
+/// panel.
 fn fan_out(
     kern: simd::Kernel,
     a: Operand,
@@ -607,24 +525,12 @@ fn fan_out(
     n: usize,
 ) -> bool {
     let by_cols = n > m;
-    let (extent, tile) = if by_cols { (n, NR) } else { (m, MR) };
-    let tasks = (pool::max_parallelism() * 2).min(extent / MIN_SPLIT);
-    // Task `t` owns `bound(t)..bound(t + 1)`: tile-aligned cuts of an
-    // even split. `tasks ≤ extent / MIN_SPLIT` and `MIN_SPLIT` is a
-    // multiple of `tile`, so no run is shorter than `MIN_SPLIT`.
-    let bound = |t: usize| {
-        if t == tasks {
-            extent
-        } else {
-            t * extent / tasks / tile * tile
-        }
-    };
     let whole = Window::whole(out, m, n);
-    pool::try_parallel_for(tasks, &|t| {
-        let run = bound(t)..bound(t + 1);
-        // SAFETY: `bound` is monotone, so the runs of distinct tasks —
-        // and with them their row panels or column windows — are
-        // disjoint; nothing writes through `whole` itself.
+    let (extent, tile) = if by_cols { (n, NR) } else { (m, MR) };
+    par_runs(extent, tile, MIN_SPLIT, &|run| {
+        // SAFETY: the runs of distinct tasks — and with them their row
+        // panels or column windows — are disjoint; nothing writes
+        // through `whole` itself.
         let window = unsafe {
             if by_cols {
                 whole.sub(0..m, run)
@@ -632,24 +538,68 @@ fn fan_out(
                 whole.sub(run, 0..n)
             }
         };
-        gemm_panel(kern, a, b, window, k);
+        gemm_panel(kern, a, b, window, k, Epilogue::STORE, &mut None);
     })
 }
 
+/// Fans `body` out over disjoint runs covering `0..extent`, or returns
+/// `false` having run nothing when the pool would run them inline (see
+/// [`pool::try_parallel_for`]). Runs are `align`-aligned cuts of an even
+/// split, at most two per thread, and none is shorter than `min_run`
+/// (a multiple of `align`), so the atomic task queue can still even
+/// out finish times.
+pub(crate) fn par_runs(
+    extent: usize,
+    align: usize,
+    min_run: usize,
+    body: &(dyn Fn(Range<usize>) + Sync),
+) -> bool {
+    let tasks = (pool::max_parallelism() * 2).min(extent / min_run);
+    let bound = |t: usize| {
+        if t == tasks {
+            extent
+        } else {
+            t * extent / tasks / align * align
+        }
+    };
+    pool::try_parallel_for(tasks, &|t| body(bound(t)..bound(t + 1)))
+}
+
+/// What a panel does with its sums besides storing them.
+#[derive(Clone, Copy)]
+pub(crate) struct Epilogue<'a> {
+    /// The first k-block adds to what the output holds instead of
+    /// storing over it: the product continues an earlier one's sums
+    /// (the next sample of a conv `dWᵀ`).
+    pub(crate) accumulate: bool,
+    /// After the last k-block, window row `r` gets `+ bias[r]`: one
+    /// add onto each finished sum, as the tile stores.
+    pub(crate) bias: Option<&'a [f32]>,
+}
+
+impl Epilogue<'_> {
+    /// Store the sums, nothing else.
+    pub(crate) const STORE: Self = Epilogue {
+        accumulate: false,
+        bias: None,
+    };
+}
+
 /// Tiled core: computes `A[rows, :] @ B[:, cols]` for the rows and
-/// columns of the product that `out` covers, overwriting them.
+/// columns of the product that `out` covers, overwriting them (or, per
+/// `ep`, adding to them and finishing with a bias).
 ///
 /// Blocking is `pc` (k, [`tune::KC`]) → `ic` (rows, [`tune::MC`]) →
 /// `j0` (columns, `NR`) → `r0` (rows, `MR`): per k-block, each `mc`-row
 /// slice of A stays L2-resident while every column window streams past
-/// it. The register tile reads a stored A in place in either layout
-/// ([`Stored::a_rows`]); a patch-matrix A is first lowered, the panel's
-/// rows times the k-block, into scratch that the tile then reads in
-/// place. The tile reads B in place too when B is stored row-major,
-/// its k-block spans at most [`DIRECT_B_MAX`] elements and the window
-/// is a full `NR` columns; otherwise ([`matmul_t`](Tensor::matmul_t)'s
-/// B, a large or patch-matrix B, the last narrow window) the window is
-/// packed into a contiguous, zero-padded `kc × NR` slab first. Neither
+/// it. The register tile reads A in place, stored in either layout or
+/// as a patch matrix ([`Operand::a_rows`]). It reads B in place too
+/// when B is a patch matrix (through its offset table), or stored
+/// row-major with a k-block of at most [`DIRECT_B_MAX`] elements and a
+/// full `NR`-column window; otherwise ([`matmul_t`](Tensor::matmul_t)'s
+/// B, a large B, the last narrow window) the window is packed into a
+/// contiguous, zero-padded `kc × NR` slab first, checked out into
+/// `bpack` once and kept there for the caller's next panel. Neither
 /// choice combines values, so neither can change a result. Block sizes
 /// come from [`tune::active`] and cannot change results either: every
 /// output element accumulates k-blocks in ascending `pc` order
@@ -659,7 +609,15 @@ fn fan_out(
 /// tile; their padded lanes and repeated rows are computed and then
 /// discarded by the partial store, which cannot change the kept values
 /// (each output element only ever accumulates its own row/column lane).
-fn gemm_panel(kern: simd::Kernel, a: Operand, b: Operand, mut out: Window, k: usize) {
+pub(crate) fn gemm_panel(
+    kern: simd::Kernel,
+    a: Operand,
+    b: Operand,
+    mut out: Window,
+    k: usize,
+    ep: Epilogue,
+    bpack: &mut Option<ScratchVec>,
+) {
     let (i0, m) = (out.i0, out.rows);
     let (jc, n) = (out.j0, out.cols);
     let cfg = tune::active();
@@ -667,25 +625,16 @@ fn gemm_panel(kern: simd::Kernel, a: Operand, b: Operand, mut out: Window, k: us
     let mc = cfg.mc.min(m.next_multiple_of(MR));
     let b_in_place =
         matches!(b, Operand::Stored(s) if !s.col_major && kc_max * s.ld <= DIRECT_B_MAX);
-    // The B slab and the lowered A block come from the executing
-    // thread's scratch pool, and only once something needs them: a
-    // product that reads both operands in place checks out neither.
-    // Unzeroed scratch is safe: [`pack_b`] and [`Patches::lower`] write
-    // every element the tile reads.
-    let mut bpack: Option<ScratchVec> = None;
-    let mut ablock: Option<ScratchVec> = None;
     let mut pc = 0;
     while pc < k {
         let kc = (k - pc).min(kc_max);
-        // A as the tile reads it, and the coordinates of the panel's
-        // first row and this k-block in it.
-        let (a_src, ai, apc) = match a {
-            Operand::Stored(s) => (s, i0, pc),
-            Operand::Patches(p) => {
-                let block = ablock.get_or_insert_with(|| ScratchVec::take(m * kc_max));
-                p.lower(i0..i0 + m, pc..pc + kc, block, kc);
-                (Stored::row_major(&block[..m * kc], kc), 0, 0)
-            }
+        let block = Block {
+            a,
+            i0,
+            pc,
+            kc,
+            first: pc == 0 && !ep.accumulate,
+            bias: ep.bias.filter(|_| pc + kc == k),
         };
         let mut ic = 0;
         while ic < m {
@@ -693,29 +642,29 @@ fn gemm_panel(kern: simd::Kernel, a: Operand, b: Operand, mut out: Window, k: us
             let mut j0 = 0;
             while j0 < n {
                 let jw = (n - j0).min(NR);
-                let (bsrc, b_step) = match b {
+                let tiles = ic..ic + mh;
+                match b {
+                    Operand::Planes(t) => {
+                        let rows = t.block(pc..pc + kc, jc + j0);
+                        block.row_tiles(kern, rows, &mut out, tiles, j0, jw);
+                    }
                     Operand::Stored(s) if b_in_place && jw == NR => {
-                        (&s.data[pc * s.ld + jc + j0..], s.ld)
+                        let data = &s.data[pc * s.ld + jc + j0..];
+                        let rows = Strided { data, step: s.ld };
+                        block.row_tiles(kern, rows, &mut out, tiles, j0, jw);
                     }
-                    _ => {
+                    Operand::Stored(s) => {
+                        if bpack.as_ref().is_some_and(|slab| slab.len() < kc_max * NR) {
+                            *bpack = None;
+                        }
                         let slab = bpack.get_or_insert_with(|| ScratchVec::take(kc_max * NR));
-                        pack_b(b, slab, pc, kc, jc + j0, jw);
-                        (&slab[..], NR)
+                        pack_b(s, slab, pc, kc, jc + j0, jw);
+                        let rows = Strided {
+                            data: slab,
+                            step: NR,
+                        };
+                        block.row_tiles(kern, rows, &mut out, tiles, j0, jw);
                     }
-                };
-                let mut r0 = ic;
-                while r0 < ic + mh {
-                    let rh = (ic + mh - r0).min(MR);
-                    let (arows, a_step) = a_src.a_rows(ai + r0, rh, apc);
-                    let tile = Tile {
-                        a: arows,
-                        a_step,
-                        b: bsrc,
-                        b_step,
-                        kc,
-                    };
-                    micro_tile(kern, tile, &mut out, r0, rh, j0, jw, pc == 0);
-                    r0 += rh;
                 }
                 j0 += jw;
             }
@@ -725,47 +674,101 @@ fn gemm_panel(kern: simd::Kernel, a: Operand, b: Operand, mut out: Window, k: us
     }
 }
 
+/// One k-block of a panel: where its A rows come from and how its sums
+/// meet the output.
+#[derive(Clone, Copy)]
+struct Block<'a> {
+    a: Operand<'a>,
+    /// The panel's first row in the whole product (A's row index).
+    i0: usize,
+    pc: usize,
+    kc: usize,
+    /// Store over the output instead of adding to it.
+    first: bool,
+    /// Window row `r` gets `+ bias[r]` after this block (the last).
+    bias: Option<&'a [f32]>,
+}
+
+impl Block<'_> {
+    /// Runs the register tile over window rows `rows` of column window
+    /// `j0..j0 + jw`, reading this block's B through `b`.
+    fn row_tiles<B: BRows>(
+        &self,
+        kern: simd::Kernel,
+        b: B,
+        out: &mut Window,
+        rows: Range<usize>,
+        j0: usize,
+        jw: usize,
+    ) {
+        let mut r0 = rows.start;
+        while r0 < rows.end {
+            let rh = (rows.end - r0).min(MR);
+            let (a, a_step) = self.a.a_rows(self.i0 + r0, rh, self.pc);
+            let tile = Tile {
+                a,
+                a_step,
+                b,
+                kc: self.kc,
+            };
+            micro_tile(kern, tile, out, r0, rh, j0, jw, self.first, self.bias);
+            r0 += rh;
+        }
+    }
+}
+
 /// Packs columns `j..j + jw` of B's k-block `pc..pc + kc` into the
 /// first `kc × NR` elements of `slab`, `NR` per k-step, zero-padding
-/// lanes past `jw`. A patch-matrix B is lowered straight into the slab.
-fn pack_b(b: Operand, slab: &mut [f32], pc: usize, kc: usize, j: usize, jw: usize) {
+/// lanes past `jw`.
+fn pack_b(b: Stored, slab: &mut [f32], pc: usize, kc: usize, j: usize, jw: usize) {
     if jw < NR {
         slab[..kc * NR].fill(0.0);
     }
-    match b {
-        Operand::Patches(p) => p.lower(pc..pc + kc, j..j + jw, slab, NR),
-        Operand::Stored(b) if b.col_major => {
-            // Stored `[n × k]`: one logical column is a contiguous
-            // stored row.
-            for c in 0..jw {
-                let base = (j + c) * b.ld + pc;
-                for (p, &v) in b.data[base..base + kc].iter().enumerate() {
-                    slab[p * NR + c] = v;
-                }
+    if b.col_major {
+        // Stored `[n × k]`: one logical column is a contiguous stored
+        // row.
+        for c in 0..jw {
+            let base = (j + c) * b.ld + pc;
+            for (p, &v) in b.data[base..base + kc].iter().enumerate() {
+                slab[p * NR + c] = v;
             }
         }
-        Operand::Stored(b) => {
-            for p in 0..kc {
-                let base = (pc + p) * b.ld + j;
-                slab[p * NR..p * NR + jw].copy_from_slice(&b.data[base..base + jw]);
-            }
+    } else {
+        for p in 0..kc {
+            let base = (pc + p) * b.ld + j;
+            slab[p * NR..p * NR + jw].copy_from_slice(&b.data[base..base + jw]);
         }
     }
     #[cfg(test)]
-    pack_probe::record(b.source(), kc * jw);
+    {
+        pack_probe::record(b.data, kc * jw);
+        work::count(|w| w.packed += kc * jw);
+    }
 }
 
 /// One register tile's operands over one k-block of `kc` steps: A row
 /// `r` at step `p` is `a[r][p * a_step]`, and B's `NR` lanes at step
-/// `p` start at `b[p * b_step]` — packed (`b_step = NR`) or in place
-/// (`b_step` = B's row length).
+/// `p` are found through `b` — packed, stored in place, or a patch row
+/// in place.
 #[derive(Clone, Copy)]
-struct Tile<'a> {
-    a: [&'a [f32]; MR],
-    a_step: usize,
-    b: &'a [f32],
-    b_step: usize,
-    kc: usize,
+pub(crate) struct Tile<'a, B> {
+    pub(crate) a: [&'a [f32]; MR],
+    pub(crate) a_step: usize,
+    pub(crate) b: B,
+    pub(crate) kc: usize,
+}
+
+/// How a register tile meets the output with its sums.
+#[derive(Clone, Copy)]
+pub(crate) enum Sum {
+    /// `c = +0.0 + Σ`: the first k-block.
+    Store,
+    /// `c = c + Σ`: the accumulator continues from an earlier k-block.
+    Continue,
+    /// `c = c + (+0.0 + Σ)` on the lanes whose bit is set, `c` on the
+    /// others: one tap of a conv `dX`, added only where it reads inside
+    /// the image.
+    AddMasked(u32),
 }
 
 /// `MR × NR` register tile: accumulators live in registers across the
@@ -775,7 +778,8 @@ struct Tile<'a> {
 /// the sums stored back — the same accumulator, round-tripped through
 /// an exact `f32`. A full tile is loaded from and stored to the output
 /// in place; an edge tile goes through a local `MR × NR` buffer whose
-/// padding lanes are dropped.
+/// padding lanes are dropped. With a `bias`, each stored row `r` gets
+/// `+ bias[r0 + r]` after its sum is complete.
 ///
 /// # Panics
 ///
@@ -783,18 +787,34 @@ struct Tile<'a> {
 /// `rh × jw` sub-tile leaves `out` — both bugs in the blocking loops,
 /// checked before any raw-pointer read.
 #[inline]
-fn micro_tile(
+fn micro_tile<B: BRows>(
     kern: simd::Kernel,
-    t: Tile,
+    t: Tile<B>,
     out: &mut Window,
     r0: usize,
     rh: usize,
     j0: usize,
     jw: usize,
     first: bool,
+    bias: Option<&[f32]>,
 ) {
+    let add_bias = |r: usize, row: &mut [f32]| {
+        if let Some(bias) = bias {
+            let b = bias[r0 + r];
+            for v in row {
+                *v += b;
+            }
+        }
+    };
     if rh == MR && jw == NR {
-        tile_kernel(kern, t, &mut out.tile(r0, j0), !first, NR);
+        let mut tile = out.tile(r0, j0);
+        let sum = if first { Sum::Store } else { Sum::Continue };
+        tile_kernel::<B, false>(kern, t, &mut tile, sum, NR);
+        if bias.is_some() {
+            for (r, row) in tile.into_iter().enumerate() {
+                add_bias(r, row);
+            }
+        }
         return;
     }
     let mut acc = [[0.0f32; NR]; MR];
@@ -803,16 +823,18 @@ fn micro_tile(
             accr[..jw].copy_from_slice(out.segment(r0 + r, j0, jw));
         }
     }
-    tile_kernel(kern, t, &mut acc.each_mut(), true, jw);
-    for (r, accr) in acc.iter().take(rh).enumerate() {
+    tile_kernel::<B, false>(kern, t, &mut acc.each_mut(), Sum::Continue, jw);
+    for (r, accr) in acc.iter_mut().take(rh).enumerate() {
+        add_bias(r, &mut accr[..jw]);
         out.segment(r0 + r, j0, jw).copy_from_slice(&accr[..jw]);
     }
 }
 
-/// `c[r][j] = (load ? c[r][j] : +0.0) + Σ_p a[r][p·a_step] ·
-/// b[p·b_step + j]`, ascending `p`, one accumulator per element, for
-/// the columns `j < jw` (an edge tile's lanes past `jw` may be left
-/// stale or hold sums of padding; the caller drops them).
+/// `Σ_p a[r][p·a_step] · B[p][j]`, ascending `p`, one accumulator per
+/// element, met with `c[r][j]` as `sum` says, for the columns `j < jw`
+/// (an edge tile's lanes past `jw` may be left stale or hold sums of
+/// padding; the caller drops them, and a masked add sets no bit
+/// there).
 ///
 /// Dispatches on `kern`: the SIMD tiers execute the same mul-then-add
 /// per lane (bit-identical, see [`crate::simd`]) and everything else
@@ -820,58 +842,51 @@ fn micro_tile(
 ///
 /// # Panics
 ///
-/// Panics if the k-block is empty, `b_step < NR` (B's lanes of two
-/// k-steps would overlap), or an operand slice ends before the k-block
-/// does — each a bug in the blocking loops, checked before any tier
-/// reads anything.
+/// Panics if the k-block is empty or an operand ends before the k-block
+/// does ([`BRows::covers`]) — each a bug in the blocking loops, checked
+/// before any tier reads anything.
 #[inline]
-fn tile_kernel(kern: simd::Kernel, t: Tile, c: &mut [&mut [f32; NR]; MR], load: bool, jw: usize) {
+pub(crate) fn tile_kernel<B: BRows, const MASKED: bool>(
+    kern: simd::Kernel,
+    t: Tile<B>,
+    c: &mut [&mut [f32; NR]; MR],
+    sum: Sum,
+    jw: usize,
+) {
     let kc = t.kc;
-    assert!(kc > 0 && t.b_step >= NR, "malformed tile");
-    let last = kc - 1;
     assert!(
-        t.a.iter().all(|row| row.len() > last * t.a_step) && t.b.len() >= last * t.b_step + NR,
+        t.b.covers(kc) && t.a.iter().all(|row| row.len() > (kc - 1) * t.a_step),
         "tile operands shorter than the k-block"
+    );
+    debug_assert_eq!(
+        MASKED,
+        matches!(sum, Sum::AddMasked(_)),
+        "a masked add needs the masked tile"
     );
     match kern {
         #[cfg(target_arch = "x86_64")]
         simd::Kernel::Avx2 => {
+            let a = t.a.map(<[f32]>::as_ptr);
             // SAFETY: `simd::active` only returns tiers the CPU
-            // supports, and the asserts above are the kernel's extent
-            // contract: every `a[r][p·a_step]` and `b[p·b_step + j]`,
-            // `p < kc`, `j < NR`, lies inside its slice.
+            // supports, and the assert above is the kernel's extent
+            // contract: every `a[r][p·a_step]` and B lane `j < NR` of
+            // step `p < kc` lies inside its slice.
             unsafe {
-                simd::x86::gemm_tile_avx2(
-                    t.a.map(<[f32]>::as_ptr),
-                    t.a_step,
-                    t.b.as_ptr(),
-                    t.b_step,
-                    c,
-                    kc,
-                    load,
-                    jw,
-                );
+                simd::x86::gemm_tile_avx2::<B, MASKED>(a, t.a_step, t.b, c, kc, sum, jw);
             }
         }
         #[cfg(target_arch = "x86_64")]
         simd::Kernel::Avx512 => {
-            let tile = if jw <= NR / 2 {
-                simd::x86::gemm_tile_avx512::<1>
-            } else {
-                simd::x86::gemm_tile_avx512::<{ NR / 16 }>
-            };
+            let a = t.a.map(<[f32]>::as_ptr);
             // SAFETY: as for the AVX2 arm — a supported tier, and the
-            // asserts above are the kernel's extent contract.
+            // assert above is the kernel's extent contract.
             unsafe {
-                tile(
-                    t.a.map(<[f32]>::as_ptr),
-                    t.a_step,
-                    t.b.as_ptr(),
-                    t.b_step,
-                    c,
-                    kc,
-                    load,
-                );
+                use simd::x86::gemm_tile_avx512 as tile;
+                if jw <= NR / 2 {
+                    tile::<1, B, MASKED>(a, t.a_step, t.b, c, kc, sum);
+                } else {
+                    tile::<{ NR / 16 }, B, MASKED>(a, t.a_step, t.b, c, kc, sum);
+                }
             }
         }
         _ => {
@@ -880,13 +895,13 @@ fn tile_kernel(kern: simd::Kernel, t: Tile, c: &mut [&mut [f32; NR]; MR], load: 
             const W: usize = 8;
             for cb in (0..jw.min(NR)).step_by(W) {
                 let mut acc = [[0.0f32; W]; MR];
-                if load {
+                if let Sum::Continue = sum {
                     for (accr, cr) in acc.iter_mut().zip(c.iter()) {
                         accr.copy_from_slice(&cr[cb..cb + W]);
                     }
                 }
                 for p in 0..kc {
-                    let brow = &t.b[p * t.b_step + cb..p * t.b_step + cb + W];
+                    let brow = &t.b.lanes(p)[cb..cb + W];
                     for (accr, arow) in acc.iter_mut().zip(&t.a) {
                         let av = arow[p * t.a_step];
                         for (x, &bv) in accr.iter_mut().zip(brow) {
@@ -895,7 +910,17 @@ fn tile_kernel(kern: simd::Kernel, t: Tile, c: &mut [&mut [f32; NR]; MR], load: 
                     }
                 }
                 for (cr, accr) in c.iter_mut().zip(acc) {
-                    cr[cb..cb + W].copy_from_slice(&accr);
+                    let lanes = &mut cr[cb..cb + W];
+                    match sum {
+                        Sum::AddMasked(mask) if MASKED => {
+                            for (j, (o, x)) in lanes.iter_mut().zip(accr).enumerate() {
+                                if mask >> (cb + j) & 1 == 1 {
+                                    *o += x;
+                                }
+                            }
+                        }
+                        _ => lanes.copy_from_slice(&accr),
+                    }
                 }
             }
         }
@@ -903,17 +928,19 @@ fn tile_kernel(kern: simd::Kernel, t: Tile, c: &mut [&mut [f32; NR]; MR], load: 
 }
 
 /// Test-only pack-volume counter: how many source elements [`pack_b`]
-/// read from the watched B buffer. Keyed on that buffer's address so
-/// GEMMs issued by tests running concurrently on other threads are not
-/// counted, and global rather than thread-local so a fanned-out
-/// product's tasks are. A is never packed.
+/// read from the watched buffer. Keyed on that buffer's extent (a conv
+/// `dWᵀ` packs each sample's slice of `dY`) so GEMMs issued by tests
+/// running concurrently on other threads are not counted, and global
+/// rather than thread-local so a fanned-out product's tasks are. A is
+/// never packed.
 #[cfg(test)]
 mod pack_probe {
+    use std::ops::Range;
     use std::sync::{Mutex, MutexGuard, PoisonError};
 
     struct Watch {
-        b_addr: usize,
-        b_elems: usize,
+        extent: Range<usize>,
+        elems: usize,
     }
 
     static WATCH: Mutex<Option<Watch>> = Mutex::new(None);
@@ -924,10 +951,10 @@ mod pack_probe {
         WATCH.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    pub(super) fn record(b: &[f32], b_elems: usize) {
+    pub(super) fn record(b: &[f32], elems: usize) {
         if let Some(w) = watch().as_mut() {
-            if w.b_addr == b.as_ptr() as usize {
-                w.b_elems += b_elems;
+            if w.extent.contains(&(b.as_ptr() as usize)) {
+                w.elems += elems;
             }
         }
     }
@@ -935,19 +962,92 @@ mod pack_probe {
     /// Runs `f` and returns the element count packed from `b`.
     pub(super) fn measure(b: &[f32], f: impl FnOnce()) -> usize {
         let _session = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
+        let start = b.as_ptr() as usize;
         *watch() = Some(Watch {
-            b_addr: b.as_ptr() as usize,
-            b_elems: 0,
+            extent: start..start + std::mem::size_of_val(b).max(1),
+            elems: 0,
         });
         f();
         let w = watch().take().expect("watch installed above");
-        w.b_elems
+        w.elems
+    }
+}
+
+/// Test-only work counters of the calling thread, each bumped once per
+/// call, never per element: elements packed into B slabs, kj-shifted
+/// plane elements written ([`crate::conv`]) and scratch elements
+/// checked out. A patch matrix lowered into a pack would show in
+/// `packed`; a lowered A block or a `dcols` buffer in `scratch`.
+#[cfg(test)]
+pub(crate) mod work {
+    use std::cell::Cell;
+    use std::sync::{Mutex, PoisonError};
+
+    use crate::pool;
+
+    /// What the kernels did.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub(crate) struct Work {
+        pub(crate) packed: usize,
+        pub(crate) planes: usize,
+        pub(crate) scratch: usize,
+    }
+
+    thread_local! {
+        static COUNTS: Cell<Work> = const {
+            Cell::new(Work {
+                packed: 0,
+                planes: 0,
+                scratch: 0,
+            })
+        };
+    }
+
+    pub(crate) fn count(f: impl FnOnce(&mut Work)) {
+        COUNTS.with(|c| {
+            let mut w = c.get();
+            f(&mut w);
+            c.set(w);
+        });
+    }
+
+    /// Runs `f` from inside a pool task (as every client lane and
+    /// evaluation task does), whichever thread ends up executing it, so
+    /// every product `f` issues runs inline on that thread.
+    pub(crate) fn nested(f: &(dyn Fn() + Sync)) {
+        // Index 0 runs either on a worker or on this thread while it
+        // owns the pool: both make a dispatch from inside `f` inline.
+        while !pool::try_parallel_for(2, &|i| {
+            if i == 0 {
+                f();
+            }
+        }) {
+            if pool::max_parallelism() == 1 {
+                // No workers: every dispatch is inline anyway.
+                return f();
+            }
+            // Another test owns the pool right now.
+            std::thread::yield_now();
+        }
+    }
+
+    /// Runs `f` [`nested`] and returns what it did.
+    pub(crate) fn measure(f: &(dyn Fn() + Sync)) -> Work {
+        let done = Mutex::new(Work::default());
+        nested(&|| {
+            let before = COUNTS.with(Cell::take);
+            f();
+            *done.lock().unwrap_or_else(PoisonError::into_inner) =
+                COUNTS.with(|c| c.replace(before));
+        });
+        done.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ConvGeometry;
 
     fn t(v: &[f32], dims: &[usize]) -> Tensor {
         Tensor::from_vec(v.to_vec(), dims).unwrap()
@@ -1032,13 +1132,21 @@ mod tests {
         );
         let mut full = vec![0.0f32; m * n];
         let kern = simd::active();
-        gemm_panel(kern, a, b, Window::whole(&mut full, m, n), k);
+        gemm_panel(
+            kern,
+            a,
+            b,
+            Window::whole(&mut full, m, n),
+            k,
+            Epilogue::STORE,
+            &mut None,
+        );
         let mut windowed = vec![0.0f32; m * n];
         let whole = Window::whole(&mut windowed, m, n);
         for jc in (0..n).step_by(NR + 3) {
             // SAFETY: one sub-window alive at a time.
             let window = unsafe { whole.sub(0..m, jc..(jc + NR + 3).min(n)) };
-            gemm_panel(kern, a, b, window, k);
+            gemm_panel(kern, a, b, window, k, Epilogue::STORE, &mut None);
         }
         assert_eq!(full, windowed);
     }
@@ -1059,6 +1167,8 @@ mod tests {
             Operand::row_major(b.data(), n),
             Window::whole(&mut full, m, n),
             k,
+            Epilogue::STORE,
+            &mut None,
         );
         let (a, b) = (
             Operand::col_major(at.data(), m),
@@ -1068,7 +1178,8 @@ mod tests {
         let whole = Window::whole(&mut stacked, m, n);
         for rows in [0..8, 8..12, 12..m] {
             // SAFETY: one sub-window alive at a time.
-            gemm_panel(kern, a, b, unsafe { whole.sub(rows, 0..n) }, k);
+            let window = unsafe { whole.sub(rows, 0..n) };
+            gemm_panel(kern, a, b, window, k, Epilogue::STORE, &mut None);
         }
         assert_eq!(full, stacked);
     }
@@ -1085,21 +1196,12 @@ mod tests {
         }
     }
 
-    /// A 3×3 conv layer over a batch of 10 16×16 images, as
-    /// `fedtrans-conv` trains it: `(channels, height, width, kernel)`
-    /// of its input.
-    type ConvGeometry = (usize, usize, usize, usize);
-
     /// The public products.
     #[derive(Clone, Copy, Debug)]
     enum Method {
         MatMul,
         TMatMul,
         MatMulT,
-        /// `a @ patches(b)`: a conv forward, `b` the NCHW input.
-        MatMulPatches(ConvGeometry),
-        /// `patches(a) @ bᵀ`: a conv `dWᵀ`, `a` the NCHW input.
-        PatchesMatMulT(ConvGeometry),
     }
 
     /// How a test issues a product: through `gemm` on one tier, with
@@ -1118,10 +1220,6 @@ mod tests {
         routes
     }
 
-    fn patches(x: &Tensor, (c, h, w, k): ConvGeometry) -> Patches<'_> {
-        Patches::new(x, c, h, w, k).unwrap()
-    }
-
     impl Method {
         /// `a.method(b)`, issued `via`; the product is dropped.
         fn run(self, via: Via, a: &Tensor, b: &Tensor) {
@@ -1132,19 +1230,12 @@ mod tests {
                         Method::MatMul => a.matmul(b),
                         Method::TMatMul => a.t_matmul(b),
                         Method::MatMulT => a.matmul_t(b),
-                        Method::MatMulPatches(g) => a.matmul_patches(&patches(b, g)),
-                        Method::PatchesMatMulT(g) => patches(a, g).matmul_t(b),
                     };
                     return drop(product.unwrap());
                 }
             };
             let (ar, ac) = (a.rows().unwrap(), a.cols().unwrap());
             let (br, bc) = (b.rows().unwrap(), b.cols().unwrap());
-            let lowered = match self {
-                Method::MatMulPatches(g) => Some(patches(b, g)),
-                Method::PatchesMatMulT(g) => Some(patches(a, g)),
-                _ => None,
-            };
             let (a, b, m, k, n) = match self {
                 Method::MatMul => (
                     Operand::row_major(a.data(), ac),
@@ -1167,244 +1258,74 @@ mod tests {
                     ac,
                     br,
                 ),
-                Method::MatMulPatches(_) => {
-                    let p = lowered.as_ref().expect("built above");
-                    (
-                        Operand::row_major(a.data(), ac),
-                        Operand::Patches(p),
-                        ar,
-                        ac,
-                        p.cols(),
-                    )
-                }
-                Method::PatchesMatMulT(_) => {
-                    let p = lowered.as_ref().expect("built above");
-                    (
-                        Operand::Patches(p),
-                        Operand::col_major(b.data(), bc),
-                        p.rows(),
-                        bc,
-                        br,
-                    )
-                }
             };
             drop(gemm(kern, a, b, m, k, n));
         }
     }
 
-    /// One product of a `fedtrans-conv` layer, `a.method(b)` with the
-    /// operands as the layer stores them, and the element count one
-    /// pack of B reads (lowers, for a patch-matrix B).
-    struct ConvProduct {
-        method: Method,
-        a: Tensor,
-        b: Tensor,
-        once: usize,
-    }
-
-    /// The three products of one conv layer of `fedtrans-conv`
-    /// (16 → 16 channels, 3×3, batch 10 of 16×16): forward
-    /// `matmul_patches`, which lowers the `[144 × 2560]` patch matrix
-    /// into its pack; `dWᵀ` `Patches::matmul_t`, which packs `dY`; and
-    /// one sample's `dcols` `t_matmul`, whose `[16 × 256]` B is read in
-    /// place.
-    fn conv_products() -> [ConvProduct; 3] {
-        let (oc, c, hw, batch) = (16, 16, 256, 10);
-        let geometry = (c, 16, 16, 3);
-        let (w, _) = operands(oc, c * 9, 1); // weight [16×144]
-        let (x, _) = operands(batch, c * hw, 1); // NCHW input
-        let (dy, _) = operands(oc, batch * hw, 1); // [16×2560]
-        let (dys, _) = operands(oc, hw, 1); // one sample's [16×256]
-        [
-            ConvProduct {
-                method: Method::MatMulPatches(geometry),
-                a: w.clone(),
-                b: x.clone(),
-                once: c * 9 * batch * hw,
-            },
-            ConvProduct {
-                method: Method::PatchesMatMulT(geometry),
-                a: x,
-                b: dy,
-                once: oc * batch * hw,
-            },
-            ConvProduct {
-                method: Method::TMatMul,
-                a: w,
-                b: dys,
-                once: 0,
-            },
-        ]
-    }
-
-    /// Runs `f` from inside a pool task (as every client lane and
-    /// evaluation task does), whichever thread ends up executing it.
-    fn nested(f: &(dyn Fn() + Sync)) {
-        // Index 0 runs either on a worker or on this thread while it
-        // owns the pool: both make a dispatch from inside `f` inline.
-        while !pool::try_parallel_for(2, &|i| {
-            if i == 0 {
-                f();
-            }
-        }) {
-            if pool::max_parallelism() == 1 {
-                // No workers: every dispatch is inline anyway.
-                return f();
-            }
-            // Another test owns the pool right now.
-            std::thread::yield_now();
-        }
+    /// The three products of one 3×3 conv layer of `fedtrans-conv`
+    /// over a batch of 10 16×16 images, `cin → cout` channels: its
+    /// geometry, weight, input and output gradient.
+    fn conv_layer(cin: usize, cout: usize) -> (ConvGeometry, Tensor, Tensor, Tensor) {
+        let g = ConvGeometry {
+            in_channels: cin,
+            out_channels: cout,
+            height: 16,
+            width: 16,
+            kernel: 3,
+        };
+        let (w, _) = operands(cout, cin * 9, 1);
+        let (x, _) = operands(10, cin * 256, 1);
+        let (dy, _) = operands(10, cout * 256, 1);
+        (g, w, x, dy)
     }
 
     #[test]
     fn a_nested_conv_gemm_packs_b_exactly_once() {
-        // Once per product, not once per 4-row panel, and with no
-        // `transposed()` copy first, on every tier and through the
-        // public methods — or not at all, where B is read in place. A
-        // is never packed.
-        for via in every_route() {
-            for p in conv_products() {
-                let run = || nested(&|| p.method.run(via, &p.a, &p.b));
-                let packed = pack_probe::measure(p.b.data(), run);
-                assert_eq!(packed, p.once, "{:?} via {via:?}", p.method);
-            }
-        }
+        // Issued from inside a pool task, as a client lane issues them:
+        // the forward reads its patch matrix in place and packs
+        // nothing, `dX` reads `dY`'s planes in place and packs nothing,
+        // and `dWᵀ` packs each sample's `dY` once — 16 × 2 560 elements.
+        // Packing decisions do not depend on the tier.
+        let (g, w, x, dy) = conv_layer(16, 16);
+        let b = Tensor::zeros(&[16]);
+        let forward = work::measure(&|| drop(g.forward(&w, &b, &x).unwrap()));
+        let dwt = work::measure(&|| drop(g.weight_grad_t(&x, &dy).unwrap()));
+        let dx = work::measure(&|| drop(g.input_grad(&w, &dy).unwrap()));
+        assert_eq!((forward.packed, dwt.packed, dx.packed), (0, 16 * 2560, 0));
     }
 
     #[test]
     fn a_fanned_out_conv_gemm_packs_b_once_in_total() {
-        // From the main thread the product may fan out (when the pool
-        // has workers and nobody else owns it). The forward and `dcols`
-        // are wider than tall, so they split by columns and each task
-        // packs only its own columns of B. `dWᵀ` is taller than wide
-        // and splits by rows: each task packs all of `dY`, at most one
-        // task per `MIN_SPLIT` rows.
-        for via in every_route() {
-            for p in conv_products() {
-                let run = || p.method.run(via, &p.a, &p.b);
-                let packed = pack_probe::measure(p.b.data(), run);
-                let shape = format!("{:?} via {via:?}", p.method);
-                if let Method::PatchesMatMulT(_) = p.method {
-                    let tasks = packed / p.once;
-                    assert_eq!(packed % p.once, 0, "{shape}");
-                    assert!((1..=144 / MIN_SPLIT).contains(&tasks), "{shape}: {tasks}");
-                } else {
-                    assert_eq!(packed, p.once, "{shape}");
-                }
-            }
-        }
-    }
-
-    /// Patch-matrix block `rows × cols` of `x` for `geometry`, one
-    /// element at a time (each tests its own border): the lowering's
-    /// oracle.
-    fn patch_oracle(x: &Tensor, (c, h, w, k): ConvGeometry, r: usize, col: usize) -> f32 {
-        let (ic, ki, kj) = (r / (k * k), r % (k * k) / k, r % k);
-        let (s, oi, oj) = (col / (h * w), col % (h * w) / w, col % w);
-        let ii = (oi + ki) as isize - (k / 2) as isize;
-        let jj = (oj + kj) as isize - (k / 2) as isize;
-        if ii < 0 || jj < 0 || ii >= h as isize || jj >= w as isize {
-            return 0.0;
-        }
-        x.data()[s * c * h * w + ic * h * w + ii as usize * w + jj as usize]
+        // From the main thread a product may fan out (when the pool has
+        // workers and nobody else owns it). The forward and `dX` split
+        // samples and pack nothing. `dWᵀ` splits its 144 rows: each task
+        // packs all of `dY`, at most one task per `MIN_SPLIT` rows.
+        let (g, w, x, dy) = conv_layer(16, 16);
+        let b = Tensor::zeros(&[16]);
+        let forward = pack_probe::measure(x.data(), || drop(g.forward(&w, &b, &x).unwrap()));
+        assert_eq!(forward, 0);
+        let dx = pack_probe::measure(dy.data(), || drop(g.input_grad(&w, &dy).unwrap()));
+        assert_eq!(dx, 0);
+        let once = 16 * 2560;
+        let dwt = pack_probe::measure(dy.data(), || drop(g.weight_grad_t(&x, &dy).unwrap()));
+        assert_eq!(dwt % once, 0);
+        assert!((1..=144 / MIN_SPLIT).contains(&(dwt / once)), "{dwt}");
     }
 
     #[test]
     fn the_32_channel_layer_packs_dy_and_never_a_patch_matrix() {
         // The widest `fedtrans-conv` layer, 32 → 32 channels, 3×3,
-        // batch 10 of 16×16, issued nested as a client lane issues it,
-        // on every tier and through the public methods.
-        let (oc, c, hw, batch) = (32, 32, 256, 10);
-        let geometry = (c, 16, 16, 3);
-        let (rows, cols) = (c * 9, batch * hw);
-        let (w, _) = operands(oc, rows, 1);
-        let (x, _) = operands(batch, c * hw, 1);
-        let (dy, _) = operands(oc, cols, 1);
-        // The matrix an im2col lowering would have written.
-        let materialized = Tensor::from_vec(
-            (0..rows * cols)
-                .map(|e| patch_oracle(&x, geometry, e / cols, e % cols))
-                .collect(),
-            &[rows, cols],
-        )
-        .unwrap();
-        for via in every_route() {
-            let packed = |method: Method, a: &Tensor, b: &Tensor, key: &Tensor| {
-                pack_probe::measure(key.data(), || nested(&|| method.run(via, a, b)))
-            };
-            // dWᵀ = patches · dYᵀ packs dY once: 32 × 2 560 elements.
-            let dwt = Method::PatchesMatMulT(geometry);
-            assert_eq!(packed(dwt, &x, &dy, &dy), 81_920, "{via:?}");
-            // dW = dY · patchesᵀ, the orientation it replaced, sends the
-            // whole patch matrix through the transposing pack.
-            let dw = Method::MatMulT;
-            assert_eq!(
-                packed(dw, &dy, &materialized, &materialized),
-                737_280,
-                "{via:?}"
-            );
-            // The forward lowers each patch element into its pack once,
-            // straight from the input.
-            let forward = Method::MatMulPatches(geometry);
-            assert_eq!(packed(forward, &w, &x, &x), rows * cols, "{via:?}");
-        }
-    }
-
-    #[test]
-    fn the_lowering_writes_only_its_own_block() {
-        // `Patches::lower` as the B pack calls it (a slab of at most
-        // `NR` columns, rows `NR` apart) and as the A block does (rows a
-        // k-block long), into canary-padded buffers at offsets 1–7:
-        // each element of the block must match the per-element oracle
-        // bit for bit, and every other element must still be a canary.
-        // Images of 1×1, 5×7, 16×16 and 17×3 put sample boundaries and
-        // whole padding taps inside blocks.
-        let mut calls = 0usize;
-        for k in [1, 3, 5] {
-            for (h, w) in [(1, 1), (5, 7), (16, 16), (17, 3)] {
-                for (c, batch) in [(1, 1), (3, 3), (2, 10)] {
-                    let mut rng = rand::rngs::StdRng::seed_from_u64((k * 100 + h * w + c) as u64);
-                    let x = crate::uniform(&mut rng, &[batch, c * h * w], -1.0, 1.0);
-                    let geometry = (c, h, w, k);
-                    let p = patches(&x, geometry);
-                    let (rows, cols) = (p.rows(), p.cols());
-                    let blocks = [
-                        (0..rows, 0..cols.min(NR), NR),
-                        (rows / 2..rows, cols / 3..(cols / 3 + NR).min(cols), NR),
-                        (0..rows, 0..cols, cols + 3),
-                        (rows - 1..rows, cols - 1..cols, 5),
-                        (rows / 3..rows, cols / 2..cols, cols + 1),
-                    ];
-                    for (block_rows, block_cols, ld) in blocks {
-                        calls += 1;
-                        let off = 1 + calls % 7;
-                        let len = block_rows.len() * ld;
-                        let mut buf = vec![CANARY; off + len + TAIL];
-                        p.lower(
-                            block_rows.clone(),
-                            block_cols.clone(),
-                            &mut buf[off..off + len],
-                            ld,
-                        );
-                        for (e, got) in buf.iter().enumerate() {
-                            let inside = e
-                                .checked_sub(off)
-                                .filter(|&e| e < len && e % ld < block_cols.len());
-                            let want = inside.map_or(CANARY, |e| {
-                                let r = block_rows.start + e / ld;
-                                patch_oracle(&x, geometry, r, block_cols.start + e % ld)
-                            });
-                            assert_eq!(
-                                got.to_bits(),
-                                want.to_bits(),
-                                "{c}x{h}x{w} k{k} batch {batch}, rows {block_rows:?}, \
-                                 cols {block_cols:?}, ld {ld}: element {e} (offset {off})"
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        // batch 10 of 16×16, issued nested as a client lane issues it.
+        // dWᵀ = patches · dYᵀ packs dY once: 32 × 2 560 elements. The
+        // forward packs nothing; lowering its patch matrix into the pack
+        // would copy 288 × 2 560.
+        let (g, w, x, dy) = conv_layer(32, 32);
+        let dwt = work::measure(&|| drop(g.weight_grad_t(&x, &dy).unwrap()));
+        assert_eq!(dwt.packed, 81_920);
+        let b = Tensor::zeros(&[32]);
+        let forward = work::measure(&|| drop(g.forward(&w, &b, &x).unwrap()));
+        assert_eq!(forward.packed, 0);
     }
 
     #[test]
@@ -1542,7 +1463,7 @@ mod tests {
                             let whole = Window::whole(&mut out[off..off + m * n], m, n);
                             // SAFETY: the only sub-window alive.
                             let window = unsafe { whole.sub(rows.clone(), cols.clone()) };
-                            gemm_panel(kern, a, b, window, k);
+                            gemm_panel(kern, a, b, window, k, Epilogue::STORE, &mut None);
                             for (e, got) in out.iter().enumerate() {
                                 let inside = e.checked_sub(off).filter(|&e| {
                                     e < m * n && rows.contains(&(e / n)) && cols.contains(&(e % n))

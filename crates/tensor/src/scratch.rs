@@ -2,7 +2,7 @@
 //! layer behind the zero-allocation steady-state train step.
 //!
 //! Every transient `f32` buffer in the workspace (tensor data, GEMM
-//! pack panels, patch-lowering planes, attention projection workspaces,
+//! pack panels, conv shifted planes, attention projection workspaces,
 //! loss/eval temporaries) is checked out of a thread-local pool with
 //! [`take`] / [`take_zeroed`] and returned on drop — either through
 //! the [`ScratchVec`] guard or through `Tensor`'s `Drop` impl, which
@@ -95,6 +95,8 @@ pub fn take(len: usize) -> Vec<f32> {
     if len == 0 {
         return Vec::new();
     }
+    #[cfg(test)]
+    crate::matmul::work::count(|w| w.scratch += len);
     let reused = POOL.with(|p| {
         let mut p = p.borrow_mut();
         let class = class_of(len);

@@ -219,11 +219,12 @@ fn on_avx2(f: impl FnOnce()) {
 pub(crate) mod x86 {
     use std::arch::x86_64::*;
 
-    use crate::matmul::{MR, NR};
+    use crate::matmul::{BRows, Sum, MR, NR};
 
-    /// AVX2 GEMM register tile: `c[r][j] = (load ? c[r][j] : +0.0) +
-    /// Σ_p a[r][p·a_step] · b[p·b_step + j]`, ascending `p`, one `mul` +
-    /// one `add` per term — the portable tile's arithmetic exactly,
+    /// AVX2 GEMM register tile: the sums `Σ_p a[r][p·a_step] ·
+    /// b.row(p)[j]`, ascending `p` in one accumulator, one `mul` + one
+    /// `add` per term, met with `c` as `sum` says — the portable tile's
+    /// arithmetic exactly,
     /// eight `j` lanes per instruction. Sixteen `__m256` accumulators
     /// would fill the whole register file, so the `MR × NR` tile runs as
     /// 4 × 16 blocks of eight independent accumulators each (two
@@ -231,31 +232,34 @@ pub(crate) mod x86 {
     /// past column `jw` are skipped (an edge tile's dead lanes); the
     /// caller drops the last block's lanes past `jw`. `a[r]` points at
     /// row `r` of A in place (`a_step` = 1 row-major, the stored row
-    /// length column-major); `b` at a packed slab (`b_step` = `NR`) or at
-    /// B in place (`b_step` = its row length); `c` holds the tile's
-    /// output rows, in the product or in a local edge buffer.
+    /// length column-major); `b` finds B's lanes at each k-step (a
+    /// packed slab, B in place, or a patch row through its offset
+    /// table); `c` holds the tile's output rows, in the product or in a
+    /// local edge buffer. A masked add blends `c + sum` into the lanes
+    /// whose bit is set and stores `c` back unchanged elsewhere; it is
+    /// compiled only into the `MASKED` instantiation, so a stored
+    /// product's tile carries no masked-store code.
     ///
     /// # Safety
     ///
-    /// The caller must have verified AVX2 support, and for every
-    /// `p < kc`, `r < MR`, `j < NR` the elements `a[r] + p·a_step` and
-    /// `b + p·b_step + j` must be readable.
+    /// The caller must have verified AVX2 support and `b.covers(kc)`,
+    /// and for every `p < kc`, `r < MR` the element `a[r] + p·a_step`
+    /// must be readable.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_tile_avx2(
+    pub unsafe fn gemm_tile_avx2<B: BRows, const MASKED: bool>(
         a: [*const f32; MR],
         a_step: usize,
-        b: *const f32,
-        b_step: usize,
+        b: B,
         c: &mut [&mut [f32; NR]; MR],
         kc: usize,
-        load: bool,
+        sum: Sum,
         jw: usize,
     ) {
         const { assert!(MR.is_multiple_of(4) && NR.is_multiple_of(16)) };
         for rb in (0..MR).step_by(4) {
             for cb in (0..jw.min(NR)).step_by(16) {
                 let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-                if load {
+                if let Sum::Continue = sum {
                     for (r, accr) in acc.iter_mut().enumerate() {
                         let row = c[rb + r].as_ptr();
                         // SAFETY: cb + 16 ≤ NR, so both vectors lie
@@ -267,10 +271,11 @@ pub(crate) mod x86 {
                     }
                 }
                 for p in 0..kc {
-                    // SAFETY: p < kc and cb + 16 ≤ NR, so b + p·b_step +
-                    // cb..cb + 16 is readable (the caller's contract).
+                    // SAFETY: p < kc and cb + 16 ≤ NR, so lanes
+                    // cb..cb + 16 of step p are readable (the caller's
+                    // contract).
                     let (b0, b1) = unsafe {
-                        let row = b.add(p * b_step + cb);
+                        let row = b.row(p).add(cb);
                         (_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8)))
                     };
                     for (r, accr) in acc.iter_mut().enumerate() {
@@ -281,17 +286,47 @@ pub(crate) mod x86 {
                         accr[1] = _mm256_add_ps(accr[1], _mm256_mul_ps(av, b1));
                     }
                 }
+                let keep = match sum {
+                    Sum::AddMasked(mask) if MASKED => {
+                        Some([lane_mask(mask >> cb), lane_mask(mask >> (cb + 8))])
+                    }
+                    _ => None,
+                };
                 for (r, accr) in acc.iter().enumerate() {
                     let row = c[rb + r].as_mut_ptr();
-                    // SAFETY: cb + 16 ≤ NR, so both vectors lie inside
-                    // the NR-element c row.
-                    unsafe {
-                        _mm256_storeu_ps(row.add(cb), accr[0]);
-                        _mm256_storeu_ps(row.add(cb + 8), accr[1]);
+                    for (h, &x) in accr.iter().enumerate() {
+                        // SAFETY: cb + 16 ≤ NR, so both vectors lie
+                        // inside the NR-element c row.
+                        unsafe {
+                            let at = row.add(cb + 8 * h);
+                            let x = match keep {
+                                Some(masks) => {
+                                    let old = _mm256_loadu_ps(at);
+                                    _mm256_blendv_ps(old, _mm256_add_ps(old, x), masks[h])
+                                }
+                                None => x,
+                            };
+                            _mm256_storeu_ps(at, x);
+                        }
                     }
                 }
             }
         }
+    }
+
+    /// The lanes set in the low eight bits of `bits`, as an all-ones /
+    /// all-zeros `__m256` blend mask.
+    ///
+    /// # Safety
+    ///
+    /// None beyond the target feature: the function is safe, and the
+    /// compiler lets only AVX2-enabled code (the AVX2 tile) call it.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn lane_mask(bits: u32) -> __m256 {
+        let sel = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+        let hit = _mm256_and_si256(_mm256_set1_epi32((bits & 0xff) as i32), sel);
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(hit, sel))
     }
 
     /// Width of one `__m512` in `f32` lanes.
@@ -306,26 +341,26 @@ pub(crate) mod x86 {
     /// instead of computing and dropping 16 dead lanes. Lanes past
     /// `V · 16` are neither read nor written. Per lane a 512-bit
     /// `mulps`/`addps` rounds exactly as the 256-bit and scalar forms
-    /// do, so the tier is 0 ULP from the other two.
+    /// do (a masked add included), so the tier is 0 ULP from the other
+    /// two.
     ///
     /// # Safety
     ///
-    /// The caller must have verified AVX-512F support, and for every
-    /// `p < kc`, `r < MR`, `j < NR` the elements `a[r] + p·a_step` and
-    /// `b + p·b_step + j` must be readable.
+    /// The caller must have verified AVX-512F support and
+    /// `b.covers(kc)`, and for every `p < kc`, `r < MR` the element
+    /// `a[r] + p·a_step` must be readable.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemm_tile_avx512<const V: usize>(
+    pub unsafe fn gemm_tile_avx512<const V: usize, B: BRows, const MASKED: bool>(
         a: [*const f32; MR],
         a_step: usize,
-        b: *const f32,
-        b_step: usize,
+        b: B,
         c: &mut [&mut [f32; NR]; MR],
         kc: usize,
-        load: bool,
+        sum: Sum,
     ) {
         const { assert!(V >= 1 && V * LANES512 <= NR) };
         let mut acc = [[_mm512_setzero_ps(); V]; MR];
-        if load {
+        if let Sum::Continue = sum {
             for (accr, cr) in acc.iter_mut().zip(c.iter()) {
                 for (v, x) in accr.iter_mut().enumerate() {
                     // SAFETY: (v + 1)·16 ≤ V·16 ≤ NR: inside the c row.
@@ -334,12 +369,13 @@ pub(crate) mod x86 {
             }
         }
         for p in 0..kc {
+            // SAFETY: p < kc (the caller's contract).
+            let row = unsafe { b.row(p) };
             let mut bv = [_mm512_setzero_ps(); V];
             for (v, x) in bv.iter_mut().enumerate() {
-                // SAFETY: p < kc and (v + 1)·16 ≤ V·16 ≤ NR, so these 16
-                // lanes of b + p·b_step are readable (the caller's
-                // contract).
-                *x = unsafe { _mm512_loadu_ps(b.add(p * b_step + v * LANES512)) };
+                // SAFETY: (v + 1)·16 ≤ V·16 ≤ NR, so these 16 lanes of
+                // step p are readable (the caller's contract).
+                *x = unsafe { _mm512_loadu_ps(row.add(v * LANES512)) };
             }
             for (accr, &ar) in acc.iter_mut().zip(&a) {
                 // SAFETY: p < kc, so ar + p·a_step is readable (the
@@ -350,10 +386,25 @@ pub(crate) mod x86 {
                 }
             }
         }
+        let keep = match sum {
+            Sum::AddMasked(mask) if MASKED => Some(mask),
+            _ => None,
+        };
         for (accr, cr) in acc.iter().zip(c.iter_mut()) {
             for (v, &x) in accr.iter().enumerate() {
                 // SAFETY: (v + 1)·16 ≤ V·16 ≤ NR: inside the c row.
-                unsafe { _mm512_storeu_ps(cr.as_mut_ptr().add(v * LANES512), x) };
+                unsafe {
+                    let at = cr.as_mut_ptr().add(v * LANES512);
+                    let x = match keep {
+                        Some(mask) => {
+                            let old = _mm512_loadu_ps(at);
+                            let lanes = (mask >> (v * LANES512) & 0xffff) as u16;
+                            _mm512_mask_add_ps(old, lanes, old, x)
+                        }
+                        None => x,
+                    };
+                    _mm512_storeu_ps(at, x);
+                }
             }
         }
     }

@@ -86,10 +86,12 @@ pub fn products_of(m: usize, k: usize, n: usize, seed: u64) -> Vec<Case> {
         .collect()
 }
 
-/// The shapes of the `fedtrans-conv` workload (16×16 RGB, batch 10, so
-/// 2560 patch columns): both layers' forward products, the widened
-/// model's, `dcols` and `dW` of the 16-channel layer — and 8/9/16/17
-/// rows by a wide `n`, the shapes a per-row-tile split would shred.
+/// The `fedtrans-conv` products as stored-operand GEMMs (16×16 RGB,
+/// batch 10, so 2560 patch columns): both layers' forward products, the
+/// widened model's, the per-sample patch gradient and `dW` of the
+/// 16-channel layer — wide-`n` shapes that cross every split and edge
+/// path — and 8/9/16/17 rows by a wide `n`, the shapes a per-row-tile
+/// split would shred.
 pub fn conv_workload_products() -> Vec<Case> {
     let shapes: [(&str, (usize, usize, usize)); 9] = [
         ("matmul", (16, 27, 2560)),

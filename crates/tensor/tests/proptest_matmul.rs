@@ -99,9 +99,11 @@ proptest! {
     }
 }
 
-/// The GEMMs `fedtrans-conv` actually issues (and the widened model's),
-/// plus 8/9/16/17-row products wide enough to fan out — the rows the
-/// old split rule chopped into single micro-tiles. Bit-for-bit against
+/// The `fedtrans-conv` products as stored-operand GEMMs (the shapes its
+/// layers issued while the patch matrix was an operand of its own; the
+/// products over shifted planes are pinned by `ft_nn`'s
+/// `conv_contract.rs`), plus 8/9/16/17-row products wide enough to fan
+/// out — the rows the old split rule chopped into single micro-tiles. Bit-for-bit against
 /// the naive reference from the main thread, from inside a pool task
 /// and while another submitter owns the pool.
 #[test]

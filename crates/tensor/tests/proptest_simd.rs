@@ -141,7 +141,8 @@ fn gemm_tiers_agree_on_dispatch_edge_shapes() {
     }
 }
 
-/// The `fedtrans-conv` shapes on every tier, from every call context:
+/// The `fedtrans-conv` shapes as stored-operand GEMMs, on every tier,
+/// from every call context:
 /// each tier, `FT_TENSOR_SIMD=0` included, must reach the same goldens
 /// through the single-panel, nested and fanned-out paths alike.
 #[test]
