@@ -205,12 +205,14 @@ impl Cell {
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
         match self {
             Cell::Dense { linear, relu, .. } => {
-                let y = linear.forward(x)?;
-                Ok(relu.forward(&y))
+                let y = linear.forward_relu(x)?;
+                relu.record(&y);
+                Ok(y)
             }
             Cell::Conv { conv, relu, .. } => {
-                let y = conv.forward(x)?;
-                Ok(relu.forward(&y))
+                let y = conv.forward_relu(x)?;
+                relu.record(&y);
+                Ok(y)
             }
             Cell::Attention { block, .. } => Ok(block.forward(x)?),
         }
@@ -224,8 +226,8 @@ impl Cell {
     /// Propagates layer errors (geometry mismatches).
     pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
         match self {
-            Cell::Dense { linear, relu, .. } => Ok(relu.infer(&linear.infer(x)?)),
-            Cell::Conv { conv, relu, .. } => Ok(relu.infer(&conv.infer(x)?)),
+            Cell::Dense { linear, .. } => Ok(linear.infer_relu(x)?),
+            Cell::Conv { conv, .. } => Ok(conv.infer_relu(x)?),
             Cell::Attention { block, .. } => Ok(block.infer(x)?),
         }
     }
@@ -305,6 +307,18 @@ impl Cell {
     pub fn zero_grad(&mut self) {
         match self {
             Cell::Dense { linear, .. } => linear.zero_grad(),
+            Cell::Conv { conv, .. } => conv.zero_grad(),
+            Cell::Attention { block, .. } => block.zero_grad(),
+        }
+    }
+
+    /// [`Cell::zero_grad`] for a caller that reads no gradient before
+    /// the next backward: a dense cell's backward then stores its
+    /// gradients over the old ones ([`Linear::discard_grads`]) and
+    /// nothing is filled; the other kinds, which add, are zeroed.
+    pub fn discard_grads(&mut self) {
+        match self {
+            Cell::Dense { linear, .. } => linear.discard_grads(),
             Cell::Conv { conv, .. } => conv.zero_grad(),
             Cell::Attention { block, .. } => block.zero_grad(),
         }

@@ -159,6 +159,12 @@ impl Head {
         self.linear_mut().zero_grad();
     }
 
+    /// Marks the gradients as dead: the next backward stores over them
+    /// ([`Linear::discard_grads`]).
+    pub fn discard_grads(&mut self) {
+        self.linear_mut().discard_grads();
+    }
+
     /// Visits `(mutable parameter, gradient)` pairs in layer order.
     pub fn for_each_param_and_grad(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
         self.linear_mut().for_each_param_and_grad(f);

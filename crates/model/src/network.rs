@@ -360,6 +360,19 @@ impl CellModel {
         self.head.zero_grad();
     }
 
+    /// [`CellModel::zero_grad`] for a train step, which reads no
+    /// gradient before its backward: the dense layers (cells and head)
+    /// store their next gradients over the old ones instead of being
+    /// filled with zeros first ([`Cell::discard_grads`]). The gradients
+    /// the backward leaves are the bits `zero_grad` would have led to;
+    /// until it runs, the dense ones read as stale.
+    pub fn discard_grads(&mut self) {
+        for cell in &mut self.cells {
+            cell.discard_grads();
+        }
+        self.head.discard_grads();
+    }
+
     /// Immutable references to every parameter tensor, body-first.
     pub fn param_tensors(&self) -> Vec<&Tensor> {
         let mut out: Vec<&Tensor> = Vec::new();
@@ -609,6 +622,69 @@ mod tests {
                 assert_eq!(grads(&fast), grads(&full), "{}", fast.arch_string());
             }
         }
+    }
+
+    #[test]
+    fn a_warm_dense_train_step_is_its_gemms() {
+        // One warm `loss_and_grad` of the largest `fedtrans-dense` model,
+        // 96 → 96 → 192 → 96 → 16 at batch 10, issued from inside a pool
+        // task as a client lane issues it. Per dense layer the step is
+        // its three products: the bias and ReLU land in the forward's
+        // store, `dW` and `db` in the gradients' (no temporaries, no
+        // axpy), so all else it writes is the input copies its layers
+        // cache (960 + 960 + 1 920 + 960), the ReLU masks recorded from
+        // the outputs (960 + 1 920 + 960) and the masked `dZ`s (the
+        // same): 12 480 elements. A bias or ReLU pass, or a `dW`
+        // temporary with its axpy, would add to `passes` and `scratch`.
+        // The pack transposes only `Wᵀ` for the three `dX` products
+        // (1 536 + 18 432 + 18 432); the rest it packs are the 16-wide
+        // head's windows (forward, `dW`, `db`).
+        // Scratch: outputs 4 000, input copies 4 800, `dZ`s 3 840, `dX`s
+        // 3 840, loss 320, and the B slabs 3 072 (head forward), 320 +
+        // 320 + 512 (head backward), 3 072 and 6 144 (`dX` of the wide
+        // layers).
+        use ft_tensor::work::{measure, Work};
+        let mut rng = rng();
+        let model = CellModel::dense(&mut rng, 96, &[96, 192, 96], 16);
+        let x = ft_tensor::uniform(&mut rng, &[10, 96], -1.0, 1.0);
+        let labels: Vec<usize> = (0..10).map(|i| i % 16).collect();
+        let model = std::sync::Mutex::new(model);
+        let step = |zero: bool| {
+            let mut m = model.lock().unwrap();
+            if zero {
+                m.zero_grad();
+            } else {
+                m.discard_grads();
+            }
+            m.loss_and_grad(&x, &labels).unwrap();
+        };
+        step(false);
+        let trainer = measure(&|| step(false));
+        let transposed = 1_536 + 18_432 + 18_432;
+        assert_eq!(
+            trainer,
+            Work {
+                packed: 1_536 + 2 * 160 + transposed,
+                transposed,
+                planes: 0,
+                scratch: 4_000 + 4_800 + 3_840 + 3_840 + 320 + 3_072 + 1_152 + 9_216,
+                passes: 4_800 + 3_840 + 3_840,
+            }
+        );
+        // `zero_grad` fills every gradient (47 616 + 400 elements) that
+        // `discard_grads` lets the backward store over.
+        let zeroed = measure(&|| step(true));
+        assert_eq!(zeroed.passes, trainer.passes + 48_016);
+        assert_eq!(
+            Work {
+                passes: 0,
+                ..zeroed
+            },
+            Work {
+                passes: 0,
+                ..trainer
+            }
+        );
     }
 
     #[test]

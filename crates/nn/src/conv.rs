@@ -244,8 +244,26 @@ impl Conv2d {
     /// `in_channels·height·width`.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
         let out = self.infer(x)?;
-        self.cache_input = Some(x.clone());
+        self.cache(x);
         Ok(out)
+    }
+
+    /// [`Conv2d::forward`] followed by a ReLU applied in the same store
+    /// as the bias: a conv cell's forward, with no pass over the output
+    /// afterwards.
+    ///
+    /// # Errors
+    ///
+    /// As [`Conv2d::forward`].
+    pub fn forward_relu(&mut self, x: &Tensor) -> Result<Tensor> {
+        let out = self.infer_relu(x)?;
+        self.cache(x);
+        Ok(out)
+    }
+
+    fn cache(&mut self, x: &Tensor) {
+        ft_tensor::work::count(|w| w.passes += x.len());
+        self.cache_input = Some(x.clone());
     }
 
     /// Inference forward: the arithmetic of [`Conv2d::forward`] with
@@ -257,6 +275,16 @@ impl Conv2d {
     pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
         self.check_input(x)?;
         Ok(self.geometry().forward(&self.weight, &self.bias, x)?)
+    }
+
+    /// Inference forward of [`Conv2d::forward_relu`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Conv2d::forward`].
+    pub fn infer_relu(&self, x: &Tensor) -> Result<Tensor> {
+        self.check_input(x)?;
+        Ok(self.geometry().forward_relu(&self.weight, &self.bias, x)?)
     }
 
     /// The products' view of the layer.

@@ -30,6 +30,10 @@ pub struct Linear {
     grad_bias: Tensor,
     #[serde(skip)]
     cache_input: Option<Tensor>,
+    /// Set by [`Linear::discard_grads`]: the next backward stores its
+    /// gradients over the held ones instead of adding to them.
+    #[serde(skip)]
+    grads_discarded: bool,
 }
 
 impl Linear {
@@ -49,6 +53,7 @@ impl Linear {
             grad_weight: gw,
             grad_bias: gb,
             cache_input: None,
+            grads_discarded: false,
         }
     }
 
@@ -112,13 +117,25 @@ impl Linear {
         self.weight = weight;
         self.bias = bias;
         self.cache_input = None;
+        self.grads_discarded = false;
     }
 
     /// Clears accumulated gradients in place (no reallocation — part
     /// of the zero-allocation steady-state train step).
     pub fn zero_grad(&mut self) {
+        ft_tensor::work::count(|w| w.passes += self.grad_weight.len() + self.grad_bias.len());
         self.grad_weight.data_mut().fill(0.0);
         self.grad_bias.data_mut().fill(0.0);
+        self.grads_discarded = false;
+    }
+
+    /// [`Linear::zero_grad`] without the fill, for a caller that reads
+    /// no gradient before the next backward: that backward stores `dW`
+    /// and `db` over whatever the gradients hold, and they read as
+    /// stale until it runs. A sum that starts at `+0.0` is never
+    /// `−0.0`, so the stored gradients are the bits `0 + dW` would be.
+    pub fn discard_grads(&mut self) {
+        self.grads_discarded = true;
     }
 
     /// Checks what a deserialized layer was never checked for: a
@@ -148,7 +165,8 @@ impl Linear {
         expect_shape("Linear", "grad_bias", &self.grad_bias, &[fan_out])
     }
 
-    /// Forward pass over a `[batch, in]` matrix.
+    /// Forward pass over a `[batch, in]` matrix: `x W + b`, the bias
+    /// added in the product's store. The input is cached for `dW`.
     ///
     /// # Errors
     ///
@@ -156,8 +174,26 @@ impl Linear {
     /// `in_features`.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
         let y = self.infer(x)?;
-        self.cache_input = Some(x.clone());
+        self.cache(x);
         Ok(y)
+    }
+
+    /// [`Linear::forward`] followed by a ReLU in the same store,
+    /// `relu(x W + b)`: a dense cell's forward, with no pass over the
+    /// output afterwards.
+    ///
+    /// # Errors
+    ///
+    /// As [`Linear::forward`].
+    pub fn forward_relu(&mut self, x: &Tensor) -> Result<Tensor> {
+        let y = self.infer_relu(x)?;
+        self.cache(x);
+        Ok(y)
+    }
+
+    fn cache(&mut self, x: &Tensor) {
+        ft_tensor::work::count(|w| w.passes += x.len());
+        self.cache_input = Some(x.clone());
     }
 
     /// Inference forward: the arithmetic of [`Linear::forward`] with
@@ -167,6 +203,21 @@ impl Linear {
     ///
     /// As [`Linear::forward`].
     pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
+        self.check_input(x)?;
+        Ok(x.matmul_bias(&self.weight, &self.bias)?)
+    }
+
+    /// Inference forward of [`Linear::forward_relu`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Linear::forward`].
+    pub fn infer_relu(&self, x: &Tensor) -> Result<Tensor> {
+        self.check_input(x)?;
+        Ok(x.matmul_bias_relu(&self.weight, &self.bias)?)
+    }
+
+    fn check_input(&self, x: &Tensor) -> Result<()> {
         if x.cols().map_err(NnError::from)? != self.in_features() {
             return Err(NnError::BadInput {
                 layer: "Linear",
@@ -177,10 +228,10 @@ impl Linear {
                 ),
             });
         }
-        Ok(x.matmul(&self.weight)?.add_row_broadcast(&self.bias)?)
+        Ok(())
     }
 
-    /// Backward pass; accumulates `dW`, `db` and returns `dX`.
+    /// Backward pass; accumulates `dW`, `db` and returns `dX = dY Wᵀ`.
     ///
     /// # Errors
     ///
@@ -195,6 +246,12 @@ impl Linear {
     /// only — the backward of a network's first layer, whose input
     /// gradient nothing reads.
     ///
+    /// Both land in the gradients in the tile's store: `g + Xᵀ dY` and
+    /// `g + 1ᵀ dY`, each sum added once, exactly what adding a
+    /// separately computed `dW` and `db` would give, with neither
+    /// computed separately (after [`Linear::discard_grads`], stored
+    /// over `g` instead).
+    ///
     /// # Errors
     ///
     /// As [`Linear::backward`].
@@ -203,10 +260,9 @@ impl Linear {
             .cache_input
             .take()
             .ok_or(NnError::MissingForwardCache { layer: "Linear" })?;
-        let dw = x.t_matmul(dy)?;
-        self.grad_weight.axpy(1.0, &dw)?;
-        let db = dy.sum_rows()?;
-        self.grad_bias.axpy(1.0, &db)?;
+        let add = !std::mem::take(&mut self.grads_discarded);
+        x.t_matmul_into(dy, &mut self.grad_weight, add)?;
+        dy.sum_rows_into(&mut self.grad_bias, add)?;
         Ok(())
     }
 

@@ -9,7 +9,9 @@
 //! `+0.0`, as a multiply followed by an add:
 //!
 //! * output `(s, o, p)`: `Σ_r W[o, r] · patch(r, s, p)` over ascending
-//!   patch rows `r = (c, ki, kj)`, then `+ b[o]`;
+//!   patch rows `r = (c, ki, kj)`, then `+ b[o]`; a conv cell's output
+//!   (`forward_relu`, `infer_relu`) is then `v > 0 ? v : +0.0`, applied
+//!   in the same store;
 //! * `dW[o, r]`: `Σ patch(r, s, p) · dY[s, o, p]` over ascending pixels
 //!   `(s, p)` of the whole batch; `db[o]` likewise over `dY[s, o, p]`;
 //! * `dX[s, c, i, j]`: over the taps `(ki, kj)` in ascending order, the
@@ -172,6 +174,15 @@ fn check(g: Geometry, conv: &Conv2d, x: &Tensor, dy: &Tensor, want: &Outputs, ti
     let mut layer = conv.clone();
     let inferred = layer.infer(x).unwrap();
     assert_bits(inferred.data(), &want.y, &format!("infer, {case}"));
+    let relu: Vec<f32> = want
+        .y
+        .iter()
+        .map(|&v| if v > 0.0 { v } else { 0.0 })
+        .collect();
+    let activated = layer.infer_relu(x).unwrap();
+    assert_bits(activated.data(), &relu, &format!("infer_relu, {case}"));
+    let activated = layer.forward_relu(x).unwrap();
+    assert_bits(activated.data(), &relu, &format!("forward_relu, {case}"));
     let y = layer.forward(x).unwrap();
     assert_bits(y.data(), &want.y, &format!("forward, {case}"));
     let dx = layer.backward(dy).unwrap();

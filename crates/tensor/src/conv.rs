@@ -33,8 +33,8 @@
 use std::ops::Range;
 
 use crate::matmul::{
-    gemm_panel, par_runs, tile_kernel, Epilogue, Operand, Sum, Table, Tile, Window, MIN_SPLIT, MR,
-    NR, PAR_WORK,
+    gemm_panel, par_runs, tile_kernel, Bias, Epilogue, Meet, Operand, Sum, Table, Tile, Window,
+    MIN_SPLIT, MR, NR, PAR_WORK,
 };
 use crate::scratch::{self, ScratchVec};
 use crate::{simd, Result, Tensor, TensorError};
@@ -92,6 +92,27 @@ impl ConvGeometry {
     /// [`TensorError::ShapeMismatch`] when `x` is not `[B, C·H·W]`, the
     /// weight not `[out_c, C·k·k]` or the bias not `[out_c]`.
     pub fn forward(&self, weight: &Tensor, bias: &Tensor, x: &Tensor) -> Result<Tensor> {
+        self.forward_with(weight, bias, x, false)
+    }
+
+    /// [`ConvGeometry::forward`] followed by a ReLU, `v > 0 ? v : +0.0`,
+    /// applied to each finished sum in the same store as the bias: a
+    /// conv cell's output, with no pass over it afterwards.
+    ///
+    /// # Errors
+    ///
+    /// As [`ConvGeometry::forward`].
+    pub fn forward_relu(&self, weight: &Tensor, bias: &Tensor, x: &Tensor) -> Result<Tensor> {
+        self.forward_with(weight, bias, x, true)
+    }
+
+    fn forward_with(
+        &self,
+        weight: &Tensor,
+        bias: &Tensor,
+        x: &Tensor,
+        relu: bool,
+    ) -> Result<Tensor> {
         let batch = self.samples(x, self.in_channels)?;
         self.check_weight(weight)?;
         let (oc, hw, rows) = (self.out_channels, self.hw(), self.patch_rows());
@@ -105,7 +126,8 @@ impl ConvGeometry {
         if rows == 0 {
             // No taps: every sum is the empty one.
             for (row, &b) in out.chunks_mut(hw.max(1)).zip(bias.data().iter().cycle()) {
-                row.fill(0.0 + b);
+                let v = 0.0 + b;
+                row.fill(if !relu || v > 0.0 { v } else { 0.0 });
             }
         } else if !out.is_empty() {
             let whole = Window::whole(&mut out, batch * oc, hw);
@@ -121,8 +143,9 @@ impl ConvGeometry {
                         // and concurrent tasks own disjoint samples.
                         let block = unsafe { whole.own(s * oc..(s + 1) * oc, 0..hw) };
                         let ep = Epilogue {
-                            accumulate: false,
-                            bias: Some(b),
+                            meet: Meet::Store,
+                            bias: Some(Bias::Rows(b)),
+                            relu,
                         };
                         let patches = Operand::Planes(Table::new(&planes, offs));
                         let weight = Operand::row_major(w, rows);
@@ -179,8 +202,8 @@ impl ConvGeometry {
                         // time, and concurrent tasks own disjoint runs.
                         let window = unsafe { whole.sub(run.clone(), 0..n) };
                         let ep = Epilogue {
-                            accumulate: s > 0,
-                            bias: None,
+                            meet: if s > 0 { Meet::Continue } else { Meet::Store },
+                            ..Epilogue::STORE
                         };
                         gemm_panel(kern, patches, dys, window, hw, ep, &mut bpack);
                     }
@@ -341,8 +364,7 @@ impl ConvGeometry {
                 row[cols.end..].fill(0.0);
             }
         }
-        #[cfg(test)]
-        crate::matmul::work::count(|c| c.planes += channels.len() * k * len);
+        crate::work::count(|c| c.planes += channels.len() * k * len);
     }
 
     /// Appends the offset of patch row `(ic, ki, kj)`, `ic < channels`,
@@ -444,7 +466,7 @@ mod tests {
     use rand::SeedableRng;
 
     use super::*;
-    use crate::matmul::work;
+    use crate::work;
 
     /// A NaN whose payload no plane element holds: a slack element that
     /// no longer holds it was written by `build_planes`.
@@ -567,8 +589,10 @@ mod tests {
             step,
             work::Work {
                 packed: 10 * 16 * 256,
+                transposed: 10 * 16 * 256,
                 planes: 3 * 10 * planes,
                 scratch: outputs + 3 * (planes + NR) + slab,
+                passes: 0,
             }
         );
     }

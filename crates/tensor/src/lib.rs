@@ -38,6 +38,7 @@ mod shape;
 pub mod simd;
 mod tensor;
 pub mod tune;
+pub mod work;
 
 pub use conv::ConvGeometry;
 pub use error::TensorError;

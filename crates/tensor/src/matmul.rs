@@ -38,7 +38,7 @@ use std::marker::PhantomData;
 use std::ops::Range;
 
 use crate::scratch::{self, ScratchVec};
-use crate::{pool, simd, tune, Result, Tensor, TensorError};
+use crate::{pool, simd, tune, work, Result, Tensor, TensorError};
 
 /// Rows per register tile.
 pub(crate) const MR: usize = 4;
@@ -154,6 +154,129 @@ impl Tensor {
         let out = gemm(simd::active(), a, b, m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
+
+    /// A dense layer's forward, `self @ weight + bias` for a `[m × k]`
+    /// input, a `[k × n]` weight and a length-`n` bias: each finished
+    /// sum gets its column's bias as the tile stores it, so no pass
+    /// over the output follows the product.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::MatmulDimMismatch`] when inner dimensions disagree,
+    /// [`TensorError::ShapeMismatch`] when the bias is not `[n]`.
+    pub fn matmul_bias(&self, weight: &Tensor, bias: &Tensor) -> Result<Tensor> {
+        self.matmul_finished(weight, bias, false)
+    }
+
+    /// [`Tensor::matmul_bias`] followed by a ReLU in the same store:
+    /// `v > 0 ? v : +0.0` on each biased sum (a NaN becomes `+0.0`).
+    ///
+    /// # Errors
+    ///
+    /// As [`Tensor::matmul_bias`].
+    pub fn matmul_bias_relu(&self, weight: &Tensor, bias: &Tensor) -> Result<Tensor> {
+        self.matmul_finished(weight, bias, true)
+    }
+
+    fn matmul_finished(&self, weight: &Tensor, bias: &Tensor, relu: bool) -> Result<Tensor> {
+        let (m, k) = (self.rows()?, self.cols()?);
+        let (k2, n) = (weight.rows()?, weight.cols()?);
+        if k != k2 {
+            return Err(TensorError::MatmulDimMismatch {
+                left: vec![m, k],
+                right: vec![k2, n],
+            });
+        }
+        if bias.shape().dims() != [n] {
+            return Err(TensorError::ShapeMismatch {
+                left: bias.shape().dims().to_vec(),
+                right: vec![n],
+            });
+        }
+        let (a, b) = (
+            Operand::row_major(self.data(), k),
+            Operand::row_major(weight.data(), n),
+        );
+        let ep = Epilogue {
+            meet: Meet::Store,
+            bias: Some(Bias::Cols(bias.data())),
+            relu,
+        };
+        let mut out = scratch::take(m * n);
+        gemm_into(simd::active(), a, b, &mut out, m, k, n, ep);
+        Tensor::from_vec(out, &[m, n])
+    }
+
+    /// `selfᵀ @ other` for `[k × m]` and `[k × n]` operands, written into
+    /// the `[m × n]` `out` in the tile's store: with `add`, each
+    /// finished sum is added once — bit for bit
+    /// `out.axpy(1.0, &self.t_matmul(other)?)` with no product buffer;
+    /// without, it overwrites `out`. A dense layer's weight gradient
+    /// lands this way.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::MatmulDimMismatch`] when the row counts disagree,
+    /// [`TensorError::ShapeMismatch`] when `out` is not `[m × n]`.
+    pub fn t_matmul_into(&self, other: &Tensor, out: &mut Tensor, add: bool) -> Result<()> {
+        let (k, m) = (self.rows()?, self.cols()?);
+        let (k2, n) = (other.rows()?, other.cols()?);
+        if k != k2 {
+            return Err(TensorError::MatmulDimMismatch {
+                left: vec![m, k],
+                right: vec![k2, n],
+            });
+        }
+        let a = Operand::col_major(self.data(), m);
+        product_into(a, other, out, &[m, n], k, add)
+    }
+
+    /// The column sums of `self` (a `[k × n]` matrix; each sum over
+    /// ascending rows from `+0.0`), written into the length-`n` `out` in
+    /// the tile's store as the product `1ᵀ @ self`: added once with
+    /// `add`, overwriting without. These are the sums a row-by-row loop
+    /// makes, with no buffer between. A dense layer's bias gradient
+    /// lands this way.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::RankMismatch`] for a non-matrix,
+    /// [`TensorError::ShapeMismatch`] when `out` is not `[n]`.
+    pub fn sum_rows_into(&self, out: &mut Tensor, add: bool) -> Result<()> {
+        let (k, n) = (self.rows()?, self.cols()?);
+        // A one-element column-major A with stride 0: a row of ones as
+        // long as any k-block.
+        let ones = Operand::col_major(&[1.0], 0);
+        product_into(ones, self, out, &[n], k, add)
+    }
+}
+
+/// `A @ B` for an `[m × k]` A and a row-major `[k × n]` B, added to
+/// `out` ([`Meet::Add`]) or stored over it; `out` must be shaped
+/// `dims`, which hold `m · n` elements and end in `n`.
+fn product_into(
+    a: Operand,
+    b: &Tensor,
+    out: &mut Tensor,
+    dims: &[usize],
+    k: usize,
+    add: bool,
+) -> Result<()> {
+    if out.shape().dims() != dims {
+        return Err(TensorError::ShapeMismatch {
+            left: out.shape().dims().to_vec(),
+            right: dims.to_vec(),
+        });
+    }
+    let n = dims[dims.len() - 1];
+    let m = out.len() / n.max(1);
+    let ep = Epilogue {
+        meet: if add { Meet::Add } else { Meet::Store },
+        ..Epilogue::STORE
+    };
+    let b = Operand::row_major(b.data(), n);
+    gemm_into(simd::active(), a, b, out.data_mut(), m, k, n, ep);
+    Ok(())
 }
 
 /// A GEMM operand: a matrix as its caller stores it, or a patch matrix
@@ -482,23 +605,50 @@ impl<'a> Window<'a> {
 /// caller hands it to a `Tensor`, which recycles it on drop). The
 /// buffer is checked out unzeroed: the first k-block of every register
 /// tile *stores* its sums rather than adding them to the output, so
-/// every element is written before it is read. Only an empty inner
-/// dimension leaves nothing to store, and gets zeros. Every tile runs
-/// on tier `kern`.
+/// every element is written before it is read. Every tile runs on tier
+/// `kern`.
 fn gemm(kern: simd::Kernel, a: Operand, b: Operand, m: usize, k: usize, n: usize) -> Vec<f32> {
-    if k == 0 {
-        return scratch::take_zeroed(m * n);
-    }
     let mut out = scratch::take(m * n);
+    gemm_into(kern, a, b, &mut out, m, k, n, Epilogue::STORE);
+    out
+}
+
+/// `A[m×k] @ B[k×n]` met with the row-major `m × n` buffer `out` and
+/// finished as `ep` says, fanned out across the pool when the product
+/// is large enough. An empty inner dimension makes every sum `+0.0`.
+fn gemm_into(
+    kern: simd::Kernel,
+    a: Operand,
+    b: Operand,
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    ep: Epilogue,
+) {
     if m == 0 || n == 0 {
-        return out;
+        return;
+    }
+    if k == 0 {
+        let finish = Finish {
+            bias: ep.bias,
+            relu: ep.relu,
+        };
+        for (r, row) in out.chunks_exact_mut(n).enumerate() {
+            match ep.meet {
+                Meet::Store => row.fill(0.0),
+                Meet::Add => row.iter_mut().for_each(|v| *v += 0.0),
+                Meet::Continue => {}
+            }
+            finish.row(r, 0, row);
+        }
+        return;
     }
     // Under `PAR_WORK` the pool is never touched (or lazily spawned).
-    if m * n * k < PAR_WORK || !fan_out(kern, a, b, &mut out, m, k, n) {
-        let whole = Window::whole(&mut out, m, n);
-        gemm_panel(kern, a, b, whole, k, Epilogue::STORE, &mut None);
+    if m * n * k < PAR_WORK || !fan_out(kern, a, b, out, m, k, n, ep) {
+        let whole = Window::whole(out, m, n);
+        gemm_panel(kern, a, b, whole, k, ep, &mut None);
     }
-    out
 }
 
 /// Splits the product across the worker pool, or returns `false` with
@@ -523,6 +673,7 @@ fn fan_out(
     m: usize,
     k: usize,
     n: usize,
+    ep: Epilogue,
 ) -> bool {
     let by_cols = n > m;
     let whole = Window::whole(out, m, n);
@@ -538,7 +689,7 @@ fn fan_out(
                 whole.sub(run, 0..n)
             }
         };
-        gemm_panel(kern, a, b, window, k, Epilogue::STORE, &mut None);
+        gemm_panel(kern, a, b, window, k, ep, &mut None);
     })
 }
 
@@ -565,29 +716,52 @@ pub(crate) fn par_runs(
     pool::try_parallel_for(tasks, &|t| body(bound(t)..bound(t + 1)))
 }
 
+/// How a panel's first k-block meets what the output holds. Later
+/// k-blocks of the panel always continue the sums.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Meet {
+    /// `c = +0.0 + Σ`: overwrite whatever the output held.
+    Store,
+    /// `c = c + Σ`, term by term: the product continues an earlier
+    /// one's sums (the next sample of a conv `dWᵀ`).
+    Continue,
+    /// `c = c + (+0.0 + Σ)`: the finished product added to the output
+    /// once, exactly as `c.axpy(1.0, &product)` would (a gradient that
+    /// accumulates across backward passes).
+    Add,
+}
+
+/// A bias added onto each finished sum as the tile stores it.
+#[derive(Clone, Copy)]
+pub(crate) enum Bias<'a> {
+    /// Window row `r` gets `+ b[r]` (a conv output channel).
+    Rows(&'a [f32]),
+    /// Product column `j` gets `+ b[j]` (a dense layer's output).
+    Cols(&'a [f32]),
+}
+
 /// What a panel does with its sums besides storing them.
 #[derive(Clone, Copy)]
 pub(crate) struct Epilogue<'a> {
-    /// The first k-block adds to what the output holds instead of
-    /// storing over it: the product continues an earlier one's sums
-    /// (the next sample of a conv `dWᵀ`).
-    pub(crate) accumulate: bool,
-    /// After the last k-block, window row `r` gets `+ bias[r]`: one
-    /// add onto each finished sum, as the tile stores.
-    pub(crate) bias: Option<&'a [f32]>,
+    pub(crate) meet: Meet,
+    /// After the last k-block, one add onto each finished sum.
+    pub(crate) bias: Option<Bias<'a>>,
+    /// After the bias, `v > 0 ? v : +0.0` (a NaN becomes `+0.0`).
+    pub(crate) relu: bool,
 }
 
 impl Epilogue<'_> {
     /// Store the sums, nothing else.
     pub(crate) const STORE: Self = Epilogue {
-        accumulate: false,
+        meet: Meet::Store,
         bias: None,
+        relu: false,
     };
 }
 
 /// Tiled core: computes `A[rows, :] @ B[:, cols]` for the rows and
 /// columns of the product that `out` covers, overwriting them (or, per
-/// `ep`, adding to them and finishing with a bias).
+/// `ep`, adding to them, and finishing each sum with a bias and a ReLU).
 ///
 /// Blocking is `pc` (k, [`tune::KC`]) → `ic` (rows, [`tune::MC`]) →
 /// `j0` (columns, `NR`) → `r0` (rows, `MR`): per k-block, each `mc`-row
@@ -609,6 +783,10 @@ impl Epilogue<'_> {
 /// tile; their padded lanes and repeated rows are computed and then
 /// discarded by the partial store, which cannot change the kept values
 /// (each output element only ever accumulates its own row/column lane).
+///
+/// [`Meet::Add`] needs each sum whole before it meets the output, so a
+/// product deeper than one k-block computes into a scratch window first
+/// and adds that (the one case that checks out an output-sized buffer).
 pub(crate) fn gemm_panel(
     kern: simd::Kernel,
     a: Operand,
@@ -623,6 +801,29 @@ pub(crate) fn gemm_panel(
     let cfg = tune::active();
     let kc_max = cfg.kc.min(k);
     let mc = cfg.mc.min(m.next_multiple_of(MR));
+    debug_assert!(
+        ep.meet != Meet::Add || (ep.bias.is_none() && !ep.relu),
+        "an added product takes no bias or ReLU"
+    );
+    if ep.meet == Meet::Add && k > kc_max {
+        let mut sums = ScratchVec::take(m * n);
+        let mut whole = Window::whole(&mut sums, m, n);
+        (whole.i0, whole.j0) = (i0, jc);
+        gemm_panel(kern, a, b, whole, k, Epilogue::STORE, bpack);
+        for (r, row) in sums.chunks_exact(n.max(1)).enumerate().take(m) {
+            for (o, &v) in out.segment(r, 0, n).iter_mut().zip(row) {
+                *o += v;
+            }
+        }
+        return;
+    }
+    let finish = Finish {
+        bias: ep.bias.map(|bias| match bias {
+            Bias::Rows(b) => Bias::Rows(b),
+            Bias::Cols(b) => Bias::Cols(&b[jc..jc + n]),
+        }),
+        relu: ep.relu,
+    };
     let b_in_place =
         matches!(b, Operand::Stored(s) if !s.col_major && kc_max * s.ld <= DIRECT_B_MAX);
     let mut pc = 0;
@@ -633,8 +834,8 @@ pub(crate) fn gemm_panel(
             i0,
             pc,
             kc,
-            first: pc == 0 && !ep.accumulate,
-            bias: ep.bias.filter(|_| pc + kc == k),
+            meet: if pc == 0 { ep.meet } else { Meet::Continue },
+            finish: (pc + kc == k).then_some(finish),
         };
         let mut ic = 0;
         while ic < m {
@@ -658,7 +859,7 @@ pub(crate) fn gemm_panel(
                             *bpack = None;
                         }
                         let slab = bpack.get_or_insert_with(|| ScratchVec::take(kc_max * NR));
-                        pack_b(s, slab, pc, kc, jc + j0, jw);
+                        pack_b(kern, s, slab, pc, kc, jc + j0, jw);
                         let rows = Strided {
                             data: slab,
                             step: NR,
@@ -674,6 +875,41 @@ pub(crate) fn gemm_panel(
     }
 }
 
+/// What the last k-block does to each finished sum as the tile stores
+/// it: `+ bias`, then the ReLU.
+#[derive(Clone, Copy)]
+struct Finish<'a> {
+    /// Indexed by window row, or by window column.
+    bias: Option<Bias<'a>>,
+    relu: bool,
+}
+
+impl Finish<'_> {
+    /// Finishes window row `r`'s lanes from window column `j0` on.
+    #[inline(always)]
+    fn row(&self, r: usize, j0: usize, row: &mut [f32]) {
+        match self.bias {
+            Some(Bias::Rows(b)) => {
+                let b = b[r];
+                for v in row.iter_mut() {
+                    *v += b;
+                }
+            }
+            Some(Bias::Cols(b)) => {
+                for (v, &b) in row.iter_mut().zip(&b[j0..]) {
+                    *v += b;
+                }
+            }
+            None => {}
+        }
+        if self.relu {
+            for v in row {
+                *v = if *v > 0.0 { *v } else { 0.0 };
+            }
+        }
+    }
+}
+
 /// One k-block of a panel: where its A rows come from and how its sums
 /// meet the output.
 #[derive(Clone, Copy)]
@@ -683,10 +919,9 @@ struct Block<'a> {
     i0: usize,
     pc: usize,
     kc: usize,
-    /// Store over the output instead of adding to it.
-    first: bool,
-    /// Window row `r` gets `+ bias[r]` after this block (the last).
-    bias: Option<&'a [f32]>,
+    meet: Meet,
+    /// Set on the last k-block: what each finished sum gets.
+    finish: Option<Finish<'a>>,
 }
 
 impl Block<'_> {
@@ -711,7 +946,7 @@ impl Block<'_> {
                 b,
                 kc: self.kc,
             };
-            micro_tile(kern, tile, out, r0, rh, j0, jw, self.first, self.bias);
+            micro_tile(kern, tile, out, r0, rh, j0, jw, self.meet, self.finish);
             r0 += rh;
         }
     }
@@ -719,20 +954,24 @@ impl Block<'_> {
 
 /// Packs columns `j..j + jw` of B's k-block `pc..pc + kc` into the
 /// first `kc × NR` elements of `slab`, `NR` per k-step, zero-padding
-/// lanes past `jw`.
-fn pack_b(b: Stored, slab: &mut [f32], pc: usize, kc: usize, j: usize, jw: usize) {
+/// lanes past `jw`. A column-major B ([`matmul_t`](Tensor::matmul_t)'s
+/// `Wᵀ`, a conv `dYᵀ`) is transposed on the way in
+/// ([`pack_transposed`]); a row-major one is copied row by row.
+fn pack_b(
+    kern: simd::Kernel,
+    b: Stored,
+    slab: &mut [f32],
+    pc: usize,
+    kc: usize,
+    j: usize,
+    jw: usize,
+) {
+    let slab = &mut slab[..kc * NR];
     if jw < NR {
-        slab[..kc * NR].fill(0.0);
+        slab.fill(0.0);
     }
     if b.col_major {
-        // Stored `[n × k]`: one logical column is a contiguous stored
-        // row.
-        for c in 0..jw {
-            let base = (j + c) * b.ld + pc;
-            for (p, &v) in b.data[base..base + kc].iter().enumerate() {
-                slab[p * NR + c] = v;
-            }
-        }
+        pack_transposed(kern, b, slab, pc, kc, j, jw);
     } else {
         for p in 0..kc {
             let base = (pc + p) * b.ld + j;
@@ -740,9 +979,73 @@ fn pack_b(b: Stored, slab: &mut [f32], pc: usize, kc: usize, j: usize, jw: usize
         }
     }
     #[cfg(test)]
-    {
-        pack_probe::record(b.data, kc * jw);
-        work::count(|w| w.packed += kc * jw);
+    pack_probe::record(b.data, kc * jw);
+    work::count(|w| {
+        w.packed += kc * jw;
+        if b.col_major {
+            w.transposed += kc * jw;
+        }
+    });
+}
+
+/// Lanes and k-steps of one in-register transpose block.
+const TB: usize = 8;
+
+/// [`pack_b`] for a column-major B: stored row `j + c` is logical
+/// column `c` of the window. Every whole 8 × 8 block — eight 8-element
+/// runs of stored rows in, eight 8-lane runs of slab rows out — is one
+/// register transpose on the SIMD tiers ([`simd::x86::transpose_8x8`]);
+/// the k-steps and lanes past the last whole block, and the portable
+/// tier, go one element at a time. Either way each element is copied,
+/// never combined.
+///
+/// # Panics
+///
+/// Panics if a block leaves B or the slab — a bug in the blocking
+/// loops, checked before the transpose reads anything.
+fn pack_transposed(
+    kern: simd::Kernel,
+    b: Stored,
+    slab: &mut [f32],
+    pc: usize,
+    kc: usize,
+    j: usize,
+    jw: usize,
+) {
+    let (kc8, jw8) = (kc / TB * TB, jw / TB * TB);
+    let column = |c: usize| &b.data[(j + c) * b.ld + pc..][..kc];
+    for c0 in (0..jw8).step_by(TB) {
+        for p0 in (0..kc8).step_by(TB) {
+            let src = &b.data[(j + c0) * b.ld + pc + p0..];
+            let dst = &mut slab[p0 * NR + c0..];
+            match kern {
+                #[cfg(target_arch = "x86_64")]
+                simd::Kernel::Avx2 | simd::Kernel::Avx512 => {
+                    assert!(
+                        src.len() >= (TB - 1) * b.ld + TB && dst.len() >= (TB - 1) * NR + TB,
+                        "transpose block leaves its operands"
+                    );
+                    // SAFETY: both tiers need AVX2, which `kern` (a tier
+                    // `supported` reports) has; the assert above puts
+                    // runs `c·ld..c·ld + 8` of `src` and `p·NR..p·NR + 8`
+                    // of `dst`, `c, p < 8`, inside their slices.
+                    unsafe { simd::x86::transpose_8x8(src.as_ptr(), b.ld, dst.as_mut_ptr()) }
+                }
+                _ => {
+                    for c in 0..TB {
+                        for p in 0..TB {
+                            dst[p * NR + c] = src[c * b.ld + p];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for c in 0..jw {
+        let from = if c < jw8 { kc8 } else { 0 };
+        for (p, &v) in column(c).iter().enumerate().skip(from) {
+            slab[p * NR + c] = v;
+        }
     }
 }
 
@@ -772,14 +1075,15 @@ pub(crate) enum Sum {
 }
 
 /// `MR × NR` register tile: accumulators live in registers across the
-/// k-block and only the `rh × jw` live sub-tile is stored. On the
-/// `first` k-block they start at `+0.0` and *store* over whatever the
-/// output held; on later blocks they are loaded from the output and
-/// the sums stored back — the same accumulator, round-tripped through
-/// an exact `f32`. A full tile is loaded from and stored to the output
-/// in place; an edge tile goes through a local `MR × NR` buffer whose
-/// padding lanes are dropped. With a `bias`, each stored row `r` gets
-/// `+ bias[r0 + r]` after its sum is complete.
+/// k-block and only the `rh × jw` live sub-tile is stored. Per `meet`
+/// they start at `+0.0` and *store* over whatever the output held, are
+/// loaded from the output and continue (the same accumulator,
+/// round-tripped through an exact `f32`), or start at `+0.0` and are
+/// added to the output once complete. A full tile is loaded from and
+/// stored to the output in place; an edge tile goes through a local
+/// `MR × NR` buffer whose padding lanes are dropped. With a `finish`,
+/// each stored row gets its bias and ReLU after its sums are complete,
+/// while the tile is still in L1.
 ///
 /// # Panics
 ///
@@ -795,37 +1099,41 @@ fn micro_tile<B: BRows>(
     rh: usize,
     j0: usize,
     jw: usize,
-    first: bool,
-    bias: Option<&[f32]>,
+    meet: Meet,
+    finish: Option<Finish>,
 ) {
-    let add_bias = |r: usize, row: &mut [f32]| {
-        if let Some(bias) = bias {
-            let b = bias[r0 + r];
-            for v in row {
-                *v += b;
-            }
-        }
+    let run = |c: &mut [&mut [f32; NR]; MR], sum: Sum| match meet {
+        Meet::Add => tile_kernel::<B, true>(kern, t, c, Sum::AddMasked(u32::MAX), jw),
+        Meet::Store | Meet::Continue => tile_kernel::<B, false>(kern, t, c, sum, jw),
     };
     if rh == MR && jw == NR {
         let mut tile = out.tile(r0, j0);
-        let sum = if first { Sum::Store } else { Sum::Continue };
-        tile_kernel::<B, false>(kern, t, &mut tile, sum, NR);
-        if bias.is_some() {
+        run(
+            &mut tile,
+            if meet == Meet::Store {
+                Sum::Store
+            } else {
+                Sum::Continue
+            },
+        );
+        if let Some(f) = finish {
             for (r, row) in tile.into_iter().enumerate() {
-                add_bias(r, row);
+                f.row(r0 + r, j0, row);
             }
         }
         return;
     }
     let mut acc = [[0.0f32; NR]; MR];
-    if !first {
+    if meet != Meet::Store {
         for (r, accr) in acc.iter_mut().take(rh).enumerate() {
             accr[..jw].copy_from_slice(out.segment(r0 + r, j0, jw));
         }
     }
-    tile_kernel::<B, false>(kern, t, &mut acc.each_mut(), Sum::Continue, jw);
+    run(&mut acc.each_mut(), Sum::Continue);
     for (r, accr) in acc.iter_mut().take(rh).enumerate() {
-        add_bias(r, &mut accr[..jw]);
+        if let Some(f) = finish {
+            f.row(r0 + r, j0, &mut accr[..jw]);
+        }
         out.segment(r0 + r, j0, jw).copy_from_slice(&accr[..jw]);
     }
 }
@@ -970,77 +1278,6 @@ mod pack_probe {
         f();
         let w = watch().take().expect("watch installed above");
         w.elems
-    }
-}
-
-/// Test-only work counters of the calling thread, each bumped once per
-/// call, never per element: elements packed into B slabs, kj-shifted
-/// plane elements written ([`crate::conv`]) and scratch elements
-/// checked out. A patch matrix lowered into a pack would show in
-/// `packed`; a lowered A block or a `dcols` buffer in `scratch`.
-#[cfg(test)]
-pub(crate) mod work {
-    use std::cell::Cell;
-    use std::sync::{Mutex, PoisonError};
-
-    use crate::pool;
-
-    /// What the kernels did.
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-    pub(crate) struct Work {
-        pub(crate) packed: usize,
-        pub(crate) planes: usize,
-        pub(crate) scratch: usize,
-    }
-
-    thread_local! {
-        static COUNTS: Cell<Work> = const {
-            Cell::new(Work {
-                packed: 0,
-                planes: 0,
-                scratch: 0,
-            })
-        };
-    }
-
-    pub(crate) fn count(f: impl FnOnce(&mut Work)) {
-        COUNTS.with(|c| {
-            let mut w = c.get();
-            f(&mut w);
-            c.set(w);
-        });
-    }
-
-    /// Runs `f` from inside a pool task (as every client lane and
-    /// evaluation task does), whichever thread ends up executing it, so
-    /// every product `f` issues runs inline on that thread.
-    pub(crate) fn nested(f: &(dyn Fn() + Sync)) {
-        // Index 0 runs either on a worker or on this thread while it
-        // owns the pool: both make a dispatch from inside `f` inline.
-        while !pool::try_parallel_for(2, &|i| {
-            if i == 0 {
-                f();
-            }
-        }) {
-            if pool::max_parallelism() == 1 {
-                // No workers: every dispatch is inline anyway.
-                return f();
-            }
-            // Another test owns the pool right now.
-            std::thread::yield_now();
-        }
-    }
-
-    /// Runs `f` [`nested`] and returns what it did.
-    pub(crate) fn measure(f: &(dyn Fn() + Sync)) -> Work {
-        let done = Mutex::new(Work::default());
-        nested(&|| {
-            let before = COUNTS.with(Cell::take);
-            f();
-            *done.lock().unwrap_or_else(PoisonError::into_inner) =
-                COUNTS.with(|c| c.replace(before));
-        });
-        done.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -1391,19 +1628,89 @@ mod tests {
         buf
     }
 
+    /// One canary case: the `m × k × n` product of seeded operands,
+    /// A and B stored as `(column-major, row length)` forms at base
+    /// offsets `a_off` and `b_off`, into each window of a canary-filled
+    /// output at offset `out_off`, on every tier. Every element outside
+    /// the window must still be a canary, and each inside must match the
+    /// reference bit for bit.
+    fn canary_case(
+        (m, n, k): (usize, usize, usize),
+        (a_col, a_ld): (bool, usize),
+        (b_col, b_ld): (bool, usize),
+        (a_off, b_off, out_off): (usize, usize, usize),
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64((m * 1000 + n * 10 + k) as u64);
+        let av: Vec<f32> = crate::uniform(&mut rng, &[m * k], -1.0, 1.0)
+            .data()
+            .to_vec();
+        let bv: Vec<f32> = crate::uniform(&mut rng, &[k * n], -1.0, 1.0)
+            .data()
+            .to_vec();
+        let (a_at, b_at) = (
+            |i: usize, p: usize| av[i * k + p],
+            |p: usize, j: usize| bv[p * n + j],
+        );
+        let want: Vec<f32> = (0..m * n)
+            .map(|e| (0..k).fold(0.0f32, |acc, p| acc + a_at(e / n, p) * b_at(p, e % n)))
+            .collect();
+        let windows = [
+            (0..m, 0..n),
+            (m - 1..m, 0..n),
+            (0..m, n - 1..n),
+            (m / 2..m, n / 2..n),
+        ];
+        let abuf = padded(&store(m, k, a_col, a_ld, &a_at), a_off);
+        let bbuf = padded(&store(k, n, b_col, b_ld, &b_at), b_off);
+        let a_len = abuf.len() - a_off - TAIL;
+        let b_len = bbuf.len() - b_off - TAIL;
+        let a = Operand::Stored(Stored {
+            data: &abuf[a_off..a_off + a_len],
+            ld: a_ld,
+            col_major: a_col,
+        });
+        let b = Operand::Stored(Stored {
+            data: &bbuf[b_off..b_off + b_len],
+            ld: b_ld,
+            col_major: b_col,
+        });
+        for kern in simd::available() {
+            for (rows, cols) in windows.clone() {
+                let off = out_off;
+                let mut out = padded(&vec![CANARY; m * n], off);
+                let whole = Window::whole(&mut out[off..off + m * n], m, n);
+                // SAFETY: the only sub-window alive.
+                let window = unsafe { whole.sub(rows.clone(), cols.clone()) };
+                gemm_panel(kern, a, b, window, k, Epilogue::STORE, &mut None);
+                for (e, got) in out.iter().enumerate() {
+                    let inside = e.checked_sub(off).filter(|&e| {
+                        e < m * n && rows.contains(&(e / n)) && cols.contains(&(e % n))
+                    });
+                    let expect = inside.map_or(CANARY, |e| want[e]);
+                    assert_eq!(
+                        got.to_bits(),
+                        expect.to_bits(),
+                        "{m}x{k}x{n} element {e} (offset {off}), A col_major {a_col} ld {a_ld} \
+                         (offset {a_off}), B col_major {b_col} ld {b_ld} (offset {b_off}), \
+                         window {rows:?} x {cols:?}, {kern:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn the_tile_stays_inside_canary_padded_operands_and_windows() {
         // Every raw-pointer path of the kernel — the SIMD tiles' reads of
-        // A and B in place, `Window::tile`/`segment` writes, `Window::sub`
+        // A and B in place, the pack's register transposes of a
+        // column-major B, `Window::tile`/`segment` writes, `Window::sub`
         // offsets — on every tier at 0 ULP against the reference.
         // Operands sit at base offsets 1–7 of canary-padded buffers and
         // carry canary padding between their stored rows; outputs are
         // windows of a canary-filled product (whole, last row, last
         // column, a corner with MR/NR remainders). Every `m` mod `MR`
         // appears, and `n` straddles the AVX2 half-tile (16) and the
-        // full-tile (`NR`) edges. After every call each element outside the window
-        // must still be a canary, and each inside must match the
-        // reference bit for bit.
+        // full-tile (`NR`) edges.
         let mut calls = 0usize;
         let shapes = [1, 2, 3, 4, 5, 9].into_iter().flat_map(|m| {
             [1, 15, 16, 17, NR - 1, NR, NR + 1, 2 * NR + 1]
@@ -1411,71 +1718,33 @@ mod tests {
                 .flat_map(move |n| [1, 7, 9, 200].map(|k| (m, n, k)))
         });
         for (m, n, k) in shapes {
-            let mut rng = rand::rngs::StdRng::seed_from_u64((m * 1000 + n * 10 + k) as u64);
-            let av: Vec<f32> = crate::uniform(&mut rng, &[m * k], -1.0, 1.0)
-                .data()
-                .to_vec();
-            let bv: Vec<f32> = crate::uniform(&mut rng, &[k * n], -1.0, 1.0)
-                .data()
-                .to_vec();
-            let (a_at, b_at) = (
-                |i: usize, p: usize| av[i * k + p],
-                |p: usize, j: usize| bv[p * n + j],
-            );
-            let want: Vec<f32> = (0..m * n)
-                .map(|e| (0..k).fold(0.0f32, |acc, p| acc + a_at(e / n, p) * b_at(p, e % n)))
-                .collect();
             // (layout, stored row length): A row-major tight and padded,
             // A column-major padded; B row-major in place, B row-major
             // too wide to read in place, B column-major padded.
             let packed_ld = (DIRECT_B_MAX / k.min(tune::KC) + 1).max(n);
             let a_forms = [(false, k), (false, k + 3), (true, m + 3)];
             let b_forms = [(false, n + 3), (false, packed_ld), (true, k + 3)];
-            let windows = [
-                (0..m, 0..n),
-                (m - 1..m, 0..n),
-                (0..m, n - 1..n),
-                (m / 2..m, n / 2..n),
-            ];
-            for (a_col, a_ld) in a_forms {
-                for (b_col, b_ld) in b_forms {
-                    let a_off = 1 + calls % 7;
-                    let b_off = 1 + (calls / 7) % 7;
-                    let abuf = padded(&store(m, k, a_col, a_ld, &a_at), a_off);
-                    let bbuf = padded(&store(k, n, b_col, b_ld, &b_at), b_off);
-                    let a_len = abuf.len() - a_off - TAIL;
-                    let b_len = bbuf.len() - b_off - TAIL;
-                    let a = Operand::Stored(Stored {
-                        data: &abuf[a_off..a_off + a_len],
-                        ld: a_ld,
-                        col_major: a_col,
-                    });
-                    let b = Operand::Stored(Stored {
-                        data: &bbuf[b_off..b_off + b_len],
-                        ld: b_ld,
-                        col_major: b_col,
-                    });
-                    for kern in simd::available() {
-                        for (rows, cols) in windows.clone() {
-                            calls += 1;
-                            let off = 1 + calls % 7;
-                            let mut out = padded(&vec![CANARY; m * n], off);
-                            let whole = Window::whole(&mut out[off..off + m * n], m, n);
-                            // SAFETY: the only sub-window alive.
-                            let window = unsafe { whole.sub(rows.clone(), cols.clone()) };
-                            gemm_panel(kern, a, b, window, k, Epilogue::STORE, &mut None);
-                            for (e, got) in out.iter().enumerate() {
-                                let inside = e.checked_sub(off).filter(|&e| {
-                                    e < m * n && rows.contains(&(e / n)) && cols.contains(&(e % n))
-                                });
-                                let expect = inside.map_or(CANARY, |e| want[e]);
-                                assert_eq!(
-                                    got.to_bits(),
-                                    expect.to_bits(),
-                                    "{m}x{k}x{n} element {e} (offset {off}), A col_major {a_col} ld {a_ld}, \
-                                     B col_major {b_col} ld {b_ld}, window {rows:?} x {cols:?}, {kern:?}"
-                                );
-                            }
+            for a_form in a_forms {
+                for b_form in b_forms {
+                    calls += 1;
+                    let offs = (1 + calls % 7, 1 + (calls / 7) % 7, 1 + (calls / 3) % 7);
+                    canary_case((m, n, k), a_form, b_form, offs);
+                }
+            }
+        }
+        // The transposing pack at every block remainder: k-blocks of
+        // 1, 7, 8, 9, 17 and 200 steps (a whole 8-step block, none, and
+        // both with a tail) times windows of 1 to 32 lanes, B at each
+        // base offset 1–7, stored with canary padding between rows and
+        // tight (where reading past a row's k-block reads the next
+        // row's values instead).
+        for m in [1, 5] {
+            for n in [1, 7, 8, 9, 16, 31, 32] {
+                for k in [1, 7, 8, 9, 17, 200] {
+                    for b_off in 1..=7 {
+                        for b_ld in [k + 3, k] {
+                            let offs = (1 + (b_off + m) % 7, b_off, 1 + (b_off + n) % 7);
+                            canary_case((m, n, k), (false, k), (true, b_ld), offs);
                         }
                     }
                 }
@@ -1532,6 +1801,40 @@ mod tests {
                 assert_eq!(product(), want, "{m}x{k}x{n}");
             }
         }
+    }
+
+    #[test]
+    fn products_into_a_gradient_add_once_or_store_at_any_depth() {
+        // `t_matmul_into` and `sum_rows_into` against the temporaries
+        // they replace, bit for bit: one k-block (k = 10, the dense
+        // batch) and several (k = 400 > KC, which goes through a
+        // scratch window so each sum still meets the gradient once).
+        for (m, k, n) in [(96, 10, 48), (5, 400, 40), (33, 193, 17)] {
+            let (x, dy) = (operands(k, m, 1).0, operands(k, n, 1).0);
+            let g0 = operands(m, n, 1).0;
+            let mut want = g0.clone();
+            want.axpy(1.0, &x.t_matmul(&dy).unwrap()).unwrap();
+            let mut got = g0.clone();
+            x.t_matmul_into(&dy, &mut got, true).unwrap();
+            assert_eq!(got, want, "dW added, {m}x{k}x{n}");
+            x.t_matmul_into(&dy, &mut got, false).unwrap();
+            assert_eq!(got, x.t_matmul(&dy).unwrap(), "dW stored, {m}x{k}x{n}");
+
+            let sums: Vec<f32> = (0..n)
+                .map(|j| (0..k).fold(0.0f32, |acc, r| acc + dy.at(r, j)))
+                .collect();
+            let b0 = operands(1, n, 1).0.reshaped(&[n]).unwrap();
+            let mut got = b0.clone();
+            dy.sum_rows_into(&mut got, true).unwrap();
+            let added: Vec<f32> = b0.data().iter().zip(&sums).map(|(g, s)| g + s).collect();
+            assert_eq!(got.data(), &added[..], "db added, {k}x{n}");
+            dy.sum_rows_into(&mut got, false).unwrap();
+            assert_eq!(got.data(), &sums[..], "db stored, {k}x{n}");
+        }
+        let mut wrong = Tensor::zeros(&[3, 3]);
+        assert!(Tensor::zeros(&[2, 3])
+            .t_matmul_into(&Tensor::zeros(&[2, 2]), &mut wrong, true)
+            .is_err());
     }
 
     #[test]

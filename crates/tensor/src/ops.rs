@@ -135,48 +135,6 @@ impl Tensor {
         Tensor::from_parts(*self.shape(), data)
     }
 
-    /// Adds a length-`cols` bias vector to every row of a matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `bias.len() != cols`.
-    pub fn add_row_broadcast(&self, bias: &Tensor) -> Result<Tensor> {
-        let rows = self.rows()?;
-        let cols = self.cols()?;
-        if bias.len() != cols {
-            return Err(TensorError::ShapeMismatch {
-                left: vec![rows, cols],
-                right: bias.shape().dims().to_vec(),
-            });
-        }
-        let mut out = self.clone();
-        let b = bias.data();
-        for row in out.data_mut().chunks_exact_mut(cols.max(1)) {
-            for (o, &bv) in row.iter_mut().zip(b) {
-                *o += bv;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Sums each column of a matrix, producing a length-`cols` vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrices.
-    pub fn sum_rows(&self) -> Result<Tensor> {
-        let rows = self.rows()?;
-        let cols = self.cols()?;
-        let mut out = scratch::take_zeroed(cols);
-        for r in 0..rows {
-            let row = &self.data()[r * cols..(r + 1) * cols];
-            for (o, &v) in out.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
-        Tensor::from_vec(out, &[cols])
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data().iter().sum()
@@ -312,17 +270,25 @@ mod tests {
 
     #[test]
     fn row_broadcast_adds_bias() {
+        // The bias reaches every row of a product in its store.
         let a = t(&[0.0, 0.0, 0.0, 0.0], &[2, 2]);
         let bias = t(&[1.0, 2.0], &[2]);
-        let out = a.add_row_broadcast(&bias).unwrap();
+        let out = a.matmul_bias(&Tensor::eye(2), &bias).unwrap();
         assert_eq!(out.data(), &[1.0, 2.0, 1.0, 2.0]);
+        assert!(a.matmul_bias(&Tensor::eye(2), &t(&[1.0], &[1])).is_err());
     }
 
     #[test]
     fn sum_rows_reduces_columns() {
         let a = t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let s = a.sum_rows().unwrap();
+        let mut s = t(&[0.0, 0.0], &[2]);
+        a.sum_rows_into(&mut s, true).unwrap();
         assert_eq!(s.data(), &[4.0, 6.0]);
+        a.sum_rows_into(&mut s, true).unwrap();
+        assert_eq!(s.data(), &[8.0, 12.0], "a second call adds");
+        a.sum_rows_into(&mut s, false).unwrap();
+        assert_eq!(s.data(), &[4.0, 6.0], "a store overwrites");
+        assert!(a.sum_rows_into(&mut t(&[0.0], &[1]), true).is_err());
     }
 
     #[test]

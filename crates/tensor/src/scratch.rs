@@ -95,8 +95,7 @@ pub fn take(len: usize) -> Vec<f32> {
     if len == 0 {
         return Vec::new();
     }
-    #[cfg(test)]
-    crate::matmul::work::count(|w| w.scratch += len);
+    crate::work::count(|w| w.scratch += len);
     let reused = POOL.with(|p| {
         let mut p = p.borrow_mut();
         let class = class_of(len);

@@ -314,6 +314,55 @@ pub(crate) mod x86 {
         }
     }
 
+    /// Transposes one 8 × 8 block: the eight floats at `src + c·ld`
+    /// (`c < 8`) become lane `c` of the eight runs at `dst + p·NR`
+    /// (`p < 8`). Each register is loaded as two 4-float halves, rows
+    /// `c` and `c + 4`, so the two 4 × 4 transposes that follow (32-bit
+    /// interleaves, then 64-bit pair selects) run in both halves at
+    /// once and leave whole columns: 16 shuffles, no cross-half
+    /// permute. Every element is moved once; nothing is combined.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support, and the runs
+    /// `src + c·ld .. + 8` must be readable and `dst + p·NR .. + 8`
+    /// writable for every `c, p < 8`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn transpose_8x8(src: *const f32, ld: usize, dst: *mut f32) {
+        for half in 0..2 {
+            // x[c] = elements 4·half.. of rows c (low) and c + 4 (high).
+            let mut x = [_mm256_setzero_ps(); 4];
+            for (c, xc) in x.iter_mut().enumerate() {
+                // SAFETY: rows `c` and `c + 4` (< 8) are readable from
+                // element `4·half` for four floats (the caller's
+                // contract).
+                *xc = unsafe {
+                    let lo = _mm_loadu_ps(src.add(c * ld + 4 * half));
+                    let hi = _mm_loadu_ps(src.add((c + 4) * ld + 4 * half));
+                    _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi)
+                };
+            }
+            // Rows c, c + 1 interleaved: elements 0, 1 and 2, 3 of each half.
+            let t = [
+                _mm256_unpacklo_ps(x[0], x[1]),
+                _mm256_unpackhi_ps(x[0], x[1]),
+                _mm256_unpacklo_ps(x[2], x[3]),
+                _mm256_unpackhi_ps(x[2], x[3]),
+            ];
+            let cols = [
+                _mm256_shuffle_ps::<0x44>(t[0], t[2]),
+                _mm256_shuffle_ps::<0xee>(t[0], t[2]),
+                _mm256_shuffle_ps::<0x44>(t[1], t[3]),
+                _mm256_shuffle_ps::<0xee>(t[1], t[3]),
+            ];
+            for (e, &col) in cols.iter().enumerate() {
+                // SAFETY: run `4·half + e` (< 8) of `dst` is writable
+                // (the caller's contract).
+                unsafe { _mm256_storeu_ps(dst.add((4 * half + e) * NR), col) };
+            }
+        }
+    }
+
     /// The lanes set in the low eight bits of `bits`, as an all-ones /
     /// all-zeros `__m256` blend mask.
     ///

@@ -88,11 +88,13 @@ proptest! {
 
     #[test]
     fn sum_rows_matches_manual(a in matrix(8)) {
-        let s = a.sum_rows().unwrap();
         let cols = a.cols().unwrap();
+        let mut s = Tensor::zeros(&[cols]);
+        a.sum_rows_into(&mut s, true).unwrap();
         for c in 0..cols {
-            let manual: f32 = (0..a.rows().unwrap()).map(|r| a.at(r, c)).sum();
-            prop_assert!((s.data()[c] - manual).abs() < 1e-3);
+            // Ascending rows from +0.0, added once onto the zero.
+            let manual = (0..a.rows().unwrap()).fold(0.0f32, |acc, r| acc + a.at(r, c));
+            prop_assert_eq!(s.data()[c].to_bits(), (0.0 + manual).to_bits());
         }
     }
 

@@ -1,0 +1,200 @@
+//! The prose docs name only what the tree has.
+//!
+//! Every backticked repo path in README.md, docs/ARCHITECTURE.md,
+//! docs/LINTS.md and every `SKILL.md` in the tree (the build-and-verify
+//! notes) must resolve:
+//!
+//! * a path whose first component is a top-level entry of the repo
+//!   (`crates/tensor/src/matmul.rs`, `benchmark/`) must exist, as a file
+//!   or a directory; one under a directory the build writes and
+//!   `.gitignore` lists (`bench_results/`) resolves to that entry;
+//! * a partial path with a file extension (`coordinator/mod.rs`) must
+//!   end some path in the tree;
+//! * a bare file name (`conv_contract.rs`, `lint.toml`) must be the
+//!   name of some file in the tree.
+//!
+//! A trailing `:line` or `:first-last` is dropped first. Fenced code
+//! blocks, tokens with spaces, placeholders (`BENCH_<pr>.json`,
+//! `trace_*.json`), Rust paths (`a::b`) and absolute paths are not
+//! repo paths. On a line, anything after a `deleted:` marker is
+//! history and exempt: that is how a Verdict cites code that is gone.
+
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::Path;
+
+/// The docs this test reads by path, relative to the repo root; every
+/// file named [`NOTES`] is read too.
+const DOCS: [&str; 3] = ["README.md", "docs/ARCHITECTURE.md", "docs/LINTS.md"];
+
+/// The file name of the build-and-verify notes.
+const NOTES: &str = "SKILL.md";
+
+/// File extensions that make a token a path even without a slash.
+const EXTENSIONS: [&str; 9] = [
+    ".rs", ".md", ".json", ".toml", ".yml", ".yaml", ".lock", ".sh", ".txt",
+];
+
+/// Every file and directory under the repo root, as `/`-separated
+/// relative paths, skipping build output and version control.
+fn tree(root: &Path) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    let mut stack = vec![root.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        for entry in fs::read_dir(&dir).expect("a readable directory") {
+            let path = entry.expect("a readable entry").path();
+            let name = entry_name(&path);
+            if ["target", ".git", "bench_results", ".bench_build"].contains(&name.as_str()) {
+                continue;
+            }
+            let rel = path.strip_prefix(root).expect("under the root");
+            let rel = rel.to_string_lossy().replace('\\', "/");
+            if path.is_dir() {
+                stack.push(path.clone());
+            }
+            out.insert(rel);
+        }
+    }
+    out
+}
+
+fn entry_name(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default()
+}
+
+/// The backticked tokens of `line` that name repo paths, with any
+/// `:line` suffix dropped.
+fn paths(line: &str) -> Vec<String> {
+    let live = match line.to_ascii_lowercase().find("deleted:") {
+        Some(at) => &line[..at],
+        None => line,
+    };
+    let mut out = Vec::new();
+    for (i, token) in live.split('`').enumerate() {
+        // Odd pieces sit between a pair of backticks.
+        if i % 2 == 0 || token.is_empty() {
+            continue;
+        }
+        let token = match token.rsplit_once(':') {
+            Some((head, tail))
+                if !tail.is_empty() && tail.chars().all(|c| c.is_ascii_digit() || c == '-') =>
+            {
+                head
+            }
+            _ => token,
+        };
+        let plain = token
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || "_-./".contains(c));
+        if !plain || token.starts_with('/') || token.starts_with('-') {
+            continue;
+        }
+        if token.contains('/') || EXTENSIONS.iter().any(|e| token.ends_with(e)) {
+            out.push(token.to_owned());
+        }
+    }
+    out
+}
+
+/// Why `path` does not resolve in `tree`, or `None` when it does.
+fn unresolved(path: &str, tree: &BTreeSet<String>, ignored: &[String]) -> Option<&'static str> {
+    let path = path.trim_end_matches('/');
+    let first = path.split('/').next().unwrap_or(path);
+    let top_level = tree.contains(first) || ignored.iter().any(|g| g == first);
+    if top_level {
+        let ok = tree.contains(path) || ignored.iter().any(|g| g == first);
+        return (!ok).then_some("no such file or directory");
+    }
+    if path.contains('/') {
+        if !EXTENSIONS.iter().any(|e| path.ends_with(e)) {
+            // `add/sub/mul_assign`, `tiled/64`: not a path.
+            return None;
+        }
+        let suffix = format!("/{path}");
+        let ok = tree.iter().any(|p| p.ends_with(&suffix));
+        return (!ok).then_some("no path in the tree ends with it");
+    }
+    let suffix = format!("/{path}");
+    let ok = tree.iter().any(|p| p == path || p.ends_with(&suffix));
+    (!ok).then_some("no file in the tree has this name")
+}
+
+#[test]
+fn every_backticked_repo_path_in_the_docs_resolves() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let tree = tree(root);
+    // Top-level directories the build writes, as `.gitignore` lists them.
+    let gitignore = fs::read_to_string(root.join(".gitignore")).expect(".gitignore");
+    let ignored: Vec<String> = gitignore
+        .lines()
+        .map(|l| l.trim().trim_start_matches('/').trim_end_matches('/'))
+        .filter(|l| !l.is_empty() && !l.starts_with('#') && !l.contains(['*', '/']))
+        .map(str::to_owned)
+        .collect();
+    let notes = tree
+        .iter()
+        .filter(|p| p.rsplit('/').next() == Some(NOTES))
+        .map(String::as_str);
+    let docs: Vec<&str> = DOCS.into_iter().chain(notes).collect();
+    assert!(docs.len() > DOCS.len(), "no {NOTES} found");
+    let mut stale = Vec::new();
+    let mut checked = 0;
+    for doc in docs {
+        let text = fs::read_to_string(root.join(doc)).expect("the doc exists");
+        let mut fenced = false;
+        for (n, line) in text.lines().enumerate() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            if fenced {
+                continue;
+            }
+            for path in paths(line) {
+                checked += 1;
+                if let Some(why) = unresolved(&path, &tree, &ignored) {
+                    stale.push(format!("{doc}:{}: `{path}`: {why}", n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        checked > 100,
+        "only {checked} paths found: the scan is broken"
+    );
+    assert!(
+        stale.is_empty(),
+        "{} doc paths do not resolve (fix them, or mark history with `deleted:`):\n{}",
+        stale.len(),
+        stale.join("\n")
+    );
+}
+
+#[test]
+fn the_scan_finds_paths_and_honours_the_deleted_marker() {
+    assert_eq!(
+        paths("see `crates/nn/src/linear.rs:180` and `lint.toml`, not `a::b` or `x y`"),
+        ["crates/nn/src/linear.rs", "lint.toml"]
+    );
+    assert_eq!(
+        paths("`BENCH_<pr>.json` `trace_*.json` `/tmp/x.rs`"),
+        Vec::<String>::new()
+    );
+    assert_eq!(
+        paths("`benchmark/` is live; deleted: `crates/lint`"),
+        ["benchmark/"]
+    );
+    let tree: BTreeSet<String> = ["crates", "crates/a", "crates/a/mod.rs"]
+        .map(str::to_owned)
+        .into();
+    let none: &[String] = &[];
+    assert_eq!(unresolved("crates/a/mod.rs", &tree, none), None);
+    assert_eq!(unresolved("a/mod.rs", &tree, none), None);
+    assert_eq!(unresolved("mod.rs", &tree, none), None);
+    assert_eq!(unresolved("tiled/64", &tree, none), None);
+    assert!(unresolved("crates/b", &tree, none).is_some());
+    assert!(unresolved("lint.toml", &tree, none).is_some());
+    assert!(unresolved("b/mod.rs", &tree, none).is_some());
+}
