@@ -20,7 +20,7 @@
 //! transformed by FedTrans" as their input global model.
 //!
 //! Every baseline trains its participants through the shared parallel
-//! client engine (`ft_fedsim::exec`, gated by `FT_CLIENT_THREADS`):
+//! client engine (`ft_fedsim::exec`, as wide as `ft_tensor::Settings`):
 //! FedAvg/HeteroFL/FLuID fan out one task per participant, SplitMix
 //! one task per `(participant, base)` pair. Each update streams into
 //! an [`ft_fedsim::sink::UpdateSink`] the moment it lands — the one

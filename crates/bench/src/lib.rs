@@ -55,6 +55,7 @@ impl Scale {
     /// A message naming `FEDTRANS_SCALE`, its value and the accepted
     /// forms when the variable is set to anything else.
     pub fn from_env() -> Result<Scale, String> {
+        #[expect(clippy::disallowed_methods, reason = "read once, at the entry point")]
         let Some(value) = std::env::var_os("FEDTRANS_SCALE") else {
             return Ok(Scale::Ci);
         };

@@ -32,6 +32,10 @@ const PINNED: [(&str, &str, usize); 15] = [
 
 /// `ft-exp <args>` with every inherited `FT_*` and `FEDTRANS_*` variable
 /// removed, then `vars` set, writing artifacts under `artifacts`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "lists the inherited variables to scrub from the child"
+)]
 fn ft_exp(vars: &[(&str, &str)], args: &str, artifacts: &Path) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_ft-exp"));
     for (name, _) in std::env::vars_os() {

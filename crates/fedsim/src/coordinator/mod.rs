@@ -106,16 +106,15 @@ impl std::fmt::Display for Phase {
     }
 }
 
-/// Options governing how the coordinator runs a round: executor thread
-/// budget and the protocol's timing knobs (simulated seconds).
+/// The protocol's timing knobs (simulated seconds). The executor's
+/// fan-out width is not among them: it is the caller's
+/// [`ft_tensor::Settings`].
 ///
 /// Timing knobs shape *when* protocol events fire on the virtual
 /// clock; they never change what a healthy device computes, so any
 /// setting that keeps healthy devices inside their deadlines yields
 /// the same report (the effective heartbeat deadline is clamped to at
-/// least one heartbeat interval for exactly this reason). The thread
-/// budget bounds *how* the round executes on the host and never
-/// changes the report.
+/// least one heartbeat interval for exactly this reason).
 ///
 /// Construct via the builder so new knobs never grow positional
 /// literals:
@@ -123,15 +122,11 @@ impl std::fmt::Display for Phase {
 /// ```
 /// use ft_fedsim::coordinator::RoundOptions;
 ///
-/// let opts = RoundOptions::new().threads(4).rendezvous_deadline_s(10.0);
-/// assert_eq!(opts.threads, Some(4));
+/// let opts = RoundOptions::new().rendezvous_deadline_s(10.0);
 /// assert_eq!(opts.rendezvous_deadline_s, 10.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundOptions {
-    /// Fan-out width for the training executor; `None` defers to
-    /// `FT_CLIENT_THREADS` (see [`crate::exec::client_threads`]).
-    pub threads: Option<usize>,
     /// How long the coordinator waits for rendezvous answers before
     /// dropping unresponsive invitees.
     pub rendezvous_deadline_s: f64,
@@ -145,7 +140,6 @@ pub struct RoundOptions {
 impl Default for RoundOptions {
     fn default() -> Self {
         RoundOptions {
-            threads: None,
             rendezvous_deadline_s: 5.0,
             heartbeat_interval_s: 30.0,
             heartbeat_deadline_s: 120.0,
@@ -157,13 +151,6 @@ impl RoundOptions {
     /// The builder's starting point — identical to `Default`.
     pub fn new() -> Self {
         RoundOptions::default()
-    }
-
-    /// Sets the executor fan-out width.
-    #[must_use]
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
-        self
     }
 
     /// Sets the rendezvous deadline in simulated seconds.
@@ -811,10 +798,7 @@ impl Coordinator {
             round,
             tasks: &specs,
         })?;
-        let threads = self
-            .opts
-            .threads
-            .unwrap_or_else(crate::exec::client_threads);
+        let threads = crate::exec::client_threads();
         // Two slots per lane: one result training, one finished and
         // waiting its turn, so a lane that runs ahead of the head does
         // not stall on it (ARCHITECTURE.md, "Verdicts").

@@ -9,11 +9,12 @@
 //!
 //! # Thread budget
 //!
-//! The fan-out width is capped by the `FT_CLIENT_THREADS` environment
-//! variable (default: the pool's full parallelism). Each in-flight
-//! client pins a model clone plus optimizer state in memory, so the
-//! budget bounds peak memory; `FT_CLIENT_THREADS=1` selects a plain
-//! serial loop that never touches the pool, which both restores the
+//! The fan-out width is the `client_threads` of the current
+//! [`ft_tensor::Settings`] (process default: `FT_CLIENT_THREADS`, else
+//! the pool's full parallelism). Each in-flight client pins a model
+//! clone plus optimizer state in memory, so the budget bounds peak
+//! memory; a width of 1 selects a plain serial loop that never touches
+//! the pool, which both restores the
 //! pre-engine execution shape and leaves every worker free for
 //! *intra*-client GEMM fan-out (the right trade when rounds select
 //! few clients but train large models).
@@ -44,7 +45,7 @@
 //!   happened to finish first — so error paths are as reproducible as
 //!   success paths.
 //!
-//! Reports produced under any `FT_CLIENT_THREADS` value are therefore
+//! Reports produced at any client width are therefore
 //! byte-identical, which the harness determinism tests pin.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,15 +53,10 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::{Result, SimError};
 
-/// The round-level fan-out width: `FT_CLIENT_THREADS`, defaulting to
-/// the shared pool's full parallelism. Values are clamped to at least
-/// 1; `1` means "serial, do not touch the pool".
+/// The round-level fan-out width of the current [`ft_tensor::Settings`];
+/// `1` (or `0`) means "serial, do not touch the pool".
 pub fn client_threads() -> usize {
-    std::env::var("FT_CLIENT_THREADS")
-        .ok()
-        .as_deref()
-        .and_then(ft_tensor::pool::parse_threads)
-        .unwrap_or_else(ft_tensor::pool::max_parallelism)
+    ft_tensor::Settings::current().client_threads
 }
 
 /// Maps `f` over `0..n` with at most `threads` concurrent tasks,

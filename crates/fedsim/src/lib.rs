@@ -13,8 +13,8 @@
 //!   fan-out over participants;
 //! * [`exec`] — the deterministic parallel client execution engine:
 //!   budgeted fan-out of per-client work over the shared tensor worker
-//!   pool, gated by `FT_CLIENT_THREADS`, with byte-identical results
-//!   at any thread count;
+//!   pool, as wide as `ft_tensor::Settings` says, with byte-identical
+//!   results at any thread count;
 //! * [`select`] — per-round participant selection;
 //! * [`eval`] — the per-client accuracy sweep: forward-only, chunked to
 //!   a fixed byte budget, fanned out over the shared tensor worker pool;

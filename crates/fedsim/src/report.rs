@@ -78,6 +78,7 @@ pub fn parse_artifact_dir(value: &str) -> Option<PathBuf> {
 /// The directory JSON artifacts are written to: `FT_ARTIFACT_DIR` if
 /// set, otherwise `<workspace root>/bench_results`.
 pub fn artifact_dir() -> PathBuf {
+    #[expect(clippy::disallowed_methods, reason = "outside every report")]
     let env = std::env::var("FT_ARTIFACT_DIR").ok();
     env.as_deref()
         .and_then(parse_artifact_dir)
@@ -194,6 +195,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "reads, never sets, the override")]
     fn artifact_dir_honours_override() {
         // Can't mutate the process env safely under parallel tests;
         // just check the default is anchored, not CWD-relative.

@@ -101,6 +101,10 @@ fn allocations_during_warm_steps(
     allocations() - before
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pool size is a process setting, pinned before first use"
+)]
 fn main() {
     // Pin the worker pool to one thread *before* anything touches it:
     // with workers, their thread-local scratch pools would need their

@@ -11,14 +11,13 @@
 //!   the training forward's logits;
 //! * `infer` leaves every layer without a forward cache, so a following
 //!   `backward` still fails with `MissingForwardCache`.
-//!
-//! One test function: `simd::force` is process-wide.
 
 use ft_data::ClientData;
 use ft_fedsim::eval;
 use ft_model::{CellModel, ModelError};
 use ft_nn::NnError;
-use ft_tensor::{simd, Tensor};
+use ft_tensor::simd::{self, Kernel};
+use ft_tensor::{pool, Settings, Tensor};
 use rand::SeedableRng;
 
 #[path = "common/test_shard.rs"]
@@ -94,6 +93,20 @@ fn check(model: &CellModel, name: &str, rng: &mut rand::rngs::StdRng) {
     assert_no_forward_cache(&mut m, 3, name);
 }
 
+/// Runs `f` on `tier`, first checking that the tier reached this
+/// thread and a pool task.
+fn on_tier<R>(tier: Kernel, f: impl FnOnce() -> R) -> R {
+    let settings = Settings {
+        kernel: tier,
+        ..Settings::current()
+    };
+    settings.scope(|| {
+        assert_eq!(simd::active(), tier);
+        pool::parallel_for(2, &|_| assert_eq!(simd::active(), tier));
+        f()
+    })
+}
+
 #[test]
 fn infer_is_the_training_forward_without_caches_at_every_chunk_boundary() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(26);
@@ -109,10 +122,10 @@ fn infer_is_the_training_forward_without_caches_at_every_chunk_boundary() {
         ("vit", CellModel::vit(&mut rng, 16, 32, 2, 512, 5)),
     ];
     for kernel in simd::available() {
-        simd::force(Some(kernel));
-        for (name, model) in &models {
-            check(model, &format!("{name}/{}", kernel.name()), &mut rng);
-        }
+        on_tier(kernel, || {
+            for (name, model) in &models {
+                check(model, &format!("{name}/{}", kernel.name()), &mut rng);
+            }
+        });
     }
-    simd::force(None);
 }

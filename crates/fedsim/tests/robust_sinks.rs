@@ -23,7 +23,8 @@ use proptest::prelude::*;
 use ft_fedsim::sink::{
     ClientUpdate, FedAvgSink, RobustAggregation, RobustSink, RoundManifest, TaskSpec, UpdateSink,
 };
-use ft_tensor::{simd, Tensor};
+use ft_tensor::simd::{self, Kernel};
+use ft_tensor::{pool, Settings, Tensor};
 
 /// Per-task weights + sample counts.
 type Cohort = Vec<(Vec<Tensor>, u64)>;
@@ -466,6 +467,20 @@ fn oracle_cohort() -> impl Strategy<Value = Cohort> {
     })
 }
 
+/// Runs `f` on `tier`, first checking that the tier reached this
+/// thread and a pool task.
+fn on_tier<R>(tier: Kernel, f: impl FnOnce() -> R) -> R {
+    let settings = Settings {
+        kernel: tier,
+        ..Settings::current()
+    };
+    settings.scope(|| {
+        assert_eq!(simd::active(), tier);
+        pool::parallel_for(2, &|_| assert_eq!(simd::active(), tier));
+        f()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -478,11 +493,11 @@ proptest! {
     ) {
         let trim = f64::from(trim_pct) / 100.0;
         for tier in simd::available() {
-            simd::force(Some(tier));
-            assert_matches_oracle(RobustAggregation::TrimmedMean { trim }, &updates);
-            assert_matches_oracle(RobustAggregation::CoordinateMedian, &updates);
+            on_tier(tier, || {
+                assert_matches_oracle(RobustAggregation::TrimmedMean { trim }, &updates);
+                assert_matches_oracle(RobustAggregation::CoordinateMedian, &updates);
+            });
         }
-        simd::force(None);
     }
 }
 
@@ -561,11 +576,11 @@ fn fleet() -> Cohort {
 fn a_benchmark_sized_cohort_with_ties_at_both_cuts_matches_the_oracle() {
     let updates = fleet();
     for tier in simd::available() {
-        simd::force(Some(tier));
-        assert_matches_oracle(RobustAggregation::TrimmedMean { trim: 0.3 }, &updates);
-        assert_matches_oracle(RobustAggregation::CoordinateMedian, &updates);
+        on_tier(tier, || {
+            assert_matches_oracle(RobustAggregation::TrimmedMean { trim: 0.3 }, &updates);
+            assert_matches_oracle(RobustAggregation::CoordinateMedian, &updates);
+        });
     }
-    simd::force(None);
 }
 
 /// Ten clients, one coordinate, 10 samples each; `trim = 0.2` drops

@@ -24,7 +24,7 @@
 //! training replies (costs, round times, FedAvg, activeness
 //! recording) iterates in fixed task-/model-index order, never
 //! completion or delivery order, so reports are byte-identical at any
-//! `FT_CLIENT_THREADS` setting and under any within-tick message
+//! client width and under any within-tick message
 //! permutation.
 
 use rand::Rng;

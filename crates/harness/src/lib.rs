@@ -13,9 +13,9 @@
 //! pinned by a committed quick-mode golden digest.
 //!
 //! Determinism extends across execution widths: local training fans
-//! out over the parallel client engine (`ft_fedsim::exec`, gated by
-//! `FT_CLIENT_THREADS`), whose per-client RNG streams are derived
-//! statelessly from `(round seed, client)`, so the same scenario
+//! out over the parallel client engine (`ft_fedsim::exec`, as wide as
+//! the caller's `ft_tensor::Settings`), whose per-client RNG streams
+//! are derived statelessly from `(round seed, client)`, so the same scenario
 //! produces the same digest at any thread count and kernel tier —
 //! before and after a kill/resume (`tests/determinism_matrix.rs` in the
 //! workspace root pins every golden in every such cell).

@@ -7,7 +7,7 @@
 //! wrong scenario or mode fails loudly instead of silently diverging.
 //!
 //! Resume is thread-count independent: a run may be killed under one
-//! `FT_CLIENT_THREADS` setting and resumed under another and still
+//! client width and resumed under another and still
 //! reproduce the uninterrupted report byte-for-byte, because
 //! per-client training RNG streams are derived statelessly from state
 //! the checkpoint already carries (base seed + round counter; see
@@ -52,15 +52,15 @@ pub struct RunOptions {
 
 /// One `FT_*` variable: name, whether a value parses under the function
 /// its reader uses, and the accepted forms.
-type EnvRule = (&'static str, fn(&str) -> bool, &'static str);
+pub type EnvRule = (&'static str, fn(&str) -> bool, &'static str);
 
 /// Every `FT_*` variable this workspace reads.
 /// README.md#environment-variables lists exactly these names.
-const ENV_VARS: [EnvRule; 4] = [
+pub const ENV_VARS: [EnvRule; 4] = [
     (
         "FT_TENSOR_THREADS",
         |v| ft_tensor::pool::parse_threads(v).is_some(),
-        "a thread count such as `4`",
+        THREAD_COUNT,
     ),
     (
         "FT_TENSOR_SIMD",
@@ -70,7 +70,7 @@ const ENV_VARS: [EnvRule; 4] = [
     (
         "FT_CLIENT_THREADS",
         |v| ft_tensor::pool::parse_threads(v).is_some(),
-        "a thread count such as `4`",
+        THREAD_COUNT,
     ),
     (
         "FT_ARTIFACT_DIR",
@@ -78,6 +78,9 @@ const ENV_VARS: [EnvRule; 4] = [
         "a non-empty directory path",
     ),
 ];
+
+/// The accepted forms of a thread count (`ft_tensor::pool::MAX_THREADS`).
+const THREAD_COUNT: &str = "a thread count of at most 256, such as `4`";
 
 /// Startup validation of the process environment, for the program's
 /// entry points (`ft-run` and `ft-exp` call it before any work): every
@@ -90,6 +93,7 @@ const ENV_VARS: [EnvRule; 4] = [
 ///
 /// A message naming the first offending variable, its value, and the
 /// accepted forms (or the known names).
+#[expect(clippy::disallowed_methods, reason = "validates the env once")]
 pub fn check_env() -> Result<(), String> {
     for (name, value) in std::env::vars_os() {
         let (name, value) = (name.to_string_lossy(), value.to_string_lossy());

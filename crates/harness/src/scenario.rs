@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use fedtrans::{seed_model, FedTransConfig, FedTransRuntime};
 use ft_baselines::{BaselineConfig, FedAvg, Fluid, HeteroFl, ServerOpt, SplitMix};
-use ft_data::{DatasetConfig, DriftConfig, SparseFederatedData};
+use ft_data::{DatasetConfig, DriftConfig, InputSpec, ShardSource, SparseFederatedData};
 use ft_fedsim::coordinator::RoundOptions;
 use ft_fedsim::device::{DeviceTier, DeviceTrace, DeviceTraceConfig};
 use ft_fedsim::driver::Method;
@@ -90,8 +90,7 @@ impl Default for TimingSpec {
 }
 
 impl TimingSpec {
-    /// The coordinator round options this timing implies (executor
-    /// thread budget deferred to `FT_CLIENT_THREADS`).
+    /// The coordinator round options this timing implies.
     pub fn round_options(&self) -> RoundOptions {
         RoundOptions::new()
             .rendezvous_deadline_s(self.rendezvous_deadline_s)
@@ -493,19 +492,18 @@ impl Scenario {
     pub fn build(&self) -> ft_fedsim::Result<Box<dyn Algorithm>> {
         self.validate()
             .map_err(|detail| SimError::BadConfig { detail })?;
-        if self.sparse {
-            // On-demand shards: construction cost is O(classes × dim),
-            // independent of the population size.
+        if let (true, AlgorithmSpec::FedAvg { yogi_lr, prox_mu }) = (self.sparse, &self.algorithm) {
+            // On-demand shards (`validate` admits the FedAvg arm only):
+            // construction cost is O(classes × dim), independent of the
+            // population size.
             let data = SparseFederatedData::new(self.dataset.clone());
-            let devices = self
-                .devices
-                .generate(ft_data::ShardSource::num_clients(&data));
-            self.build_sparse(data, devices)
-        } else {
-            let data = self.dataset.generate();
-            let devices = self.devices.generate(data.num_clients());
-            self.build_algorithm(data, devices)
+            let devices = self.devices.generate(ShardSource::num_clients(&data));
+            let shape = (data.input(), data.num_classes());
+            return Ok(self.fedavg(data, shape, devices, *yogi_lr, *prox_mu));
         }
+        let data = self.dataset.generate();
+        let devices = self.devices.generate(data.num_clients());
+        self.build_algorithm(data, devices)
     }
 
     /// Installs this scenario's run context on a method's runner and
@@ -519,32 +517,27 @@ impl Scenario {
         }))
     }
 
-    /// Builds the FedAvg arm over an on-demand shard source (the only
-    /// arm the sparse path supports; `validate` enforces this).
-    fn build_sparse(
+    /// The FedAvg arm (FedAvg, FedProx, FedYogi) over any shard source
+    /// whose input and class count are `shape`.
+    fn fedavg<D: ShardSource + 'static>(
         &self,
-        data: SparseFederatedData,
+        data: D,
+        (input, classes): (InputSpec, usize),
         devices: DeviceTrace,
-    ) -> ft_fedsim::Result<Box<dyn Algorithm>> {
-        let AlgorithmSpec::FedAvg { yogi_lr, prox_mu } = self.algorithm else {
-            return Err(SimError::BadConfig {
-                detail: "sparse populations are only supported for the FedAvg arm".to_owned(),
-            });
-        };
+        yogi_lr: Option<f32>,
+        prox_mu: Option<f32>,
+    ) -> Box<dyn Algorithm> {
         let mut cfg = self.baseline_config();
         cfg.local.prox_mu = prox_mu;
+        // A one-size-fits-all model must fit the least capable device,
+        // or weak clients cannot be served at all.
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed.wrapping_add(0x5EED));
-        let model = seed_model(
-            &mut rng,
-            data.input(),
-            data.num_classes(),
-            devices.min_capacity(),
-        );
+        let model = seed_model(&mut rng, input, classes, devices.min_capacity());
         let server = match yogi_lr {
             Some(lr) => ServerOpt::Yogi { lr },
             None => ServerOpt::Average,
         };
-        Ok(self.wire(FedAvg::new(cfg, data, devices, model, server)))
+        self.wire(FedAvg::new(cfg, data, devices, model, server))
     }
 
     fn build_algorithm(
@@ -566,22 +559,8 @@ impl Scenario {
                 Ok(self.wire(rt.with_eval_every(self.eval_every)))
             }
             AlgorithmSpec::FedAvg { yogi_lr, prox_mu } => {
-                let mut cfg = self.baseline_config();
-                cfg.local.prox_mu = prox_mu;
-                // A one-size-fits-all model must fit the least capable
-                // device, or weak clients cannot be served at all.
-                let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed.wrapping_add(0x5EED));
-                let model = seed_model(
-                    &mut rng,
-                    data.input(),
-                    data.num_classes(),
-                    devices.min_capacity(),
-                );
-                let server = match yogi_lr {
-                    Some(lr) => ServerOpt::Yogi { lr },
-                    None => ServerOpt::Average,
-                };
-                Ok(self.wire(FedAvg::new(cfg, data, devices, model, server)))
+                let shape = (data.input(), data.num_classes());
+                Ok(self.fedavg(data, shape, devices, yogi_lr, prox_mu))
             }
             AlgorithmSpec::HeteroFl => {
                 let global = self.global_model(&data, &devices);

@@ -33,7 +33,8 @@
 //! both ways, in debug and in release.
 
 use ft_nn::Conv2d;
-use ft_tensor::{simd, Tensor};
+use ft_tensor::simd::{self, Kernel};
+use ft_tensor::{pool, Settings, Tensor};
 use rand::SeedableRng;
 
 /// One layer's geometry.
@@ -214,16 +215,28 @@ fn operands(g: Geometry, seed: u64) -> [Tensor; 4] {
     ]
 }
 
+/// Runs `f` on `tier`, first checking that the tier reached this
+/// thread and a pool task.
+fn on_tier<R>(tier: Kernel, f: impl FnOnce() -> R) -> R {
+    let settings = Settings {
+        kernel: tier,
+        ..Settings::current()
+    };
+    settings.scope(|| {
+        assert_eq!(simd::active(), tier);
+        pool::parallel_for(2, &|_| assert_eq!(simd::active(), tier));
+        f()
+    })
+}
+
 /// Checks the layer built from `operands` against the reference on
 /// every tier.
 fn check_every_tier(g: Geometry, [weight, bias, x, dy]: [Tensor; 4]) {
     let want = reference(g, weight.data(), bias.data(), x.data(), dy.data());
     let conv = Conv2d::from_params(weight, bias, g.cin, g.kernel, g.height, g.width);
     for tier in simd::available() {
-        simd::force(Some(tier));
-        check(g, &conv, &x, &dy, &want, tier.name());
+        on_tier(tier, || check(g, &conv, &x, &dy, &want, tier.name()));
     }
-    simd::force(None);
 }
 
 #[test]

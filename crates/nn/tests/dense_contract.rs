@@ -32,7 +32,8 @@
 //! `FT_TENSOR_THREADS=1` and in release.
 
 use ft_nn::{Linear, Relu};
-use ft_tensor::{simd, Tensor};
+use ft_tensor::simd::{self, Kernel};
+use ft_tensor::{pool, Settings, Tensor};
 use rand::SeedableRng;
 
 const WIDTHS: [usize; 10] = [1, 15, 16, 17, 31, 32, 33, 48, 96, 192];
@@ -244,12 +245,24 @@ fn operands(s: Shape, seed: u64) -> Operands {
     }
 }
 
+/// Runs `f` on `tier`, first checking that the tier reached this
+/// thread and a pool task.
+fn on_tier<R>(tier: Kernel, f: impl FnOnce() -> R) -> R {
+    let settings = Settings {
+        kernel: tier,
+        ..Settings::current()
+    };
+    settings.scope(|| {
+        assert_eq!(simd::active(), tier);
+        pool::parallel_for(2, &|_| assert_eq!(simd::active(), tier));
+        f()
+    })
+}
+
 fn check_every_tier(s: Shape, op: &Operands) {
     for tier in simd::available() {
-        simd::force(Some(tier));
-        check(s, op, tier.name());
+        on_tier(tier, || check(s, op, tier.name()));
     }
-    simd::force(None);
 }
 
 #[test]

@@ -34,6 +34,7 @@ mod ops;
 pub mod order_stats;
 pub mod pool;
 pub mod scratch;
+mod settings;
 mod shape;
 pub mod simd;
 mod tensor;
@@ -43,6 +44,7 @@ pub mod work;
 pub use conv::ConvGeometry;
 pub use error::TensorError;
 pub use init::{he_normal, uniform, xavier_uniform};
+pub use settings::Settings;
 pub use shape::{Shape, MAX_RANK};
 pub use tensor::Tensor;
 

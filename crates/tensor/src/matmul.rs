@@ -775,7 +775,8 @@ impl Epilogue<'_> {
 /// contiguous, zero-padded `kc × NR` slab first, checked out into
 /// `bpack` once and kept there for the caller's next panel. Neither
 /// choice combines values, so neither can change a result. Block sizes
-/// come from [`tune::active`] and cannot change results either: every
+/// ([`tune::MC`] / [`tune::KC`]; [`blocked_panel`] takes others) cannot
+/// change results either: every
 /// output element accumulates k-blocks in ascending `pc` order
 /// regardless of how `ic`/`j0` interleave, the first block starts its
 /// accumulator at `+0.0`, and a later block boundary just round-trips
@@ -791,6 +792,21 @@ pub(crate) fn gemm_panel(
     kern: simd::Kernel,
     a: Operand,
     b: Operand,
+    out: Window,
+    k: usize,
+    ep: Epilogue,
+    bpack: &mut Option<ScratchVec>,
+) {
+    blocked_panel(kern, (tune::MC, tune::KC), a, b, out, k, ep, bpack);
+}
+
+/// [`gemm_panel`] with `(mc, kc)` blocks: `mc` a multiple of `MR`, `kc`
+/// of 8.
+fn blocked_panel(
+    kern: simd::Kernel,
+    (mc, kc): (usize, usize),
+    a: Operand,
+    b: Operand,
     mut out: Window,
     k: usize,
     ep: Epilogue,
@@ -798,9 +814,8 @@ pub(crate) fn gemm_panel(
 ) {
     let (i0, m) = (out.i0, out.rows);
     let (jc, n) = (out.j0, out.cols);
-    let cfg = tune::active();
-    let kc_max = cfg.kc.min(k);
-    let mc = cfg.mc.min(m.next_multiple_of(MR));
+    let kc_max = kc.min(k);
+    let mc = mc.min(m.next_multiple_of(MR));
     debug_assert!(
         ep.meet != Meet::Add || (ep.bias.is_none() && !ep.relu),
         "an added product takes no bias or ReLU"
@@ -809,7 +824,7 @@ pub(crate) fn gemm_panel(
         let mut sums = ScratchVec::take(m * n);
         let mut whole = Window::whole(&mut sums, m, n);
         (whole.i0, whole.j0) = (i0, jc);
-        gemm_panel(kern, a, b, whole, k, Epilogue::STORE, bpack);
+        blocked_panel(kern, (mc, kc), a, b, whole, k, Epilogue::STORE, bpack);
         for (r, row) in sums.chunks_exact(n.max(1)).enumerate().take(m) {
             for (o, &v) in out.segment(r, 0, n).iter_mut().zip(row) {
                 *o += v;
@@ -1430,6 +1445,31 @@ mod tests {
         for (m, k, n) in [(96, 70, 130), (128, 128, 128), (4, 600, 600)] {
             let (a, b) = operands(m, k, n);
             assert_eq!(a.matmul(&b).unwrap(), reference(&a, &b), "{m}x{k}x{n}");
+        }
+    }
+
+    /// Any `(mc, kc)` blocking gives the constants' bits on every tier:
+    /// blocking changes scheduling, never the per-element accumulation
+    /// order — the digest-neutrality of [`tune::MC`] / [`tune::KC`].
+    #[test]
+    fn block_size_sweep_is_bit_neutral() {
+        let (m, k, n) = (45, 300, 37);
+        let (a, b) = operands(m, k, n);
+        let (a, b) = (
+            Operand::row_major(a.data(), k),
+            Operand::row_major(b.data(), n),
+        );
+        let run = |kern, blocks| {
+            let mut out = vec![0.0f32; m * n];
+            let whole = Window::whole(&mut out, m, n);
+            blocked_panel(kern, blocks, a, b, whole, k, Epilogue::STORE, &mut None);
+            out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        let want = run(simd::Kernel::Portable, (tune::MC, tune::KC));
+        for blocks in [(32, 32), (64, 64), (128, 512), (4096, 480), (36, 136)] {
+            for kern in simd::available() {
+                assert_eq!(run(kern, blocks), want, "{kern:?} (mc, kc) = {blocks:?}");
+            }
         }
     }
 

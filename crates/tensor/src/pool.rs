@@ -6,7 +6,7 @@
 //! entirely). Work is expressed as an indexed task set — a closure
 //! invoked once per index — and [`parallel_for`] blocks until every
 //! index has run, so closures may freely borrow from the caller's
-//! stack.
+//! stack. Every task runs under its dispatcher's [`Settings`].
 //!
 //! Design constraints, in priority order:
 //!
@@ -39,6 +39,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
+use crate::Settings;
+
 /// A captured task panic, re-raised on the submitting thread.
 type PanicPayload = Box<dyn std::any::Any + Send>;
 
@@ -52,6 +54,8 @@ thread_local! {
 /// which keeps the borrow alive for as long as any worker can touch it.
 struct Job {
     task: *const (dyn Fn(usize) + Sync + 'static),
+    /// The dispatcher's settings, which every task runs under.
+    settings: Settings,
     next: AtomicUsize,
     total: usize,
     finished: AtomicUsize,
@@ -189,30 +193,23 @@ impl Pool {
             // threads; late workers go back to sleep instead of
             // claiming tasks past the budget.
             if job.try_enroll() {
-                self.run_tasks(&job);
+                job.settings.scope(|| self.run_tasks(&job));
             }
         }
     }
 }
 
-/// Parses a thread-count setting (`FT_TENSOR_THREADS`, and
-/// `FT_CLIENT_THREADS` in `ft_fedsim::exec`): a non-negative integer,
-/// clamped to at least 1. `None` is not a recognised form (the readers
-/// then use their defaults; `ft-run` refuses to start).
-pub fn parse_threads(value: &str) -> Option<usize> {
-    value.trim().parse::<usize>().ok().map(|n| n.max(1))
-}
+/// The largest thread count [`parse_threads`] accepts: a pool spawns
+/// one OS thread per count.
+pub const MAX_THREADS: usize = 256;
 
-fn desired_threads() -> usize {
-    std::env::var("FT_TENSOR_THREADS")
-        .ok()
-        .as_deref()
-        .and_then(parse_threads)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+/// Parses a thread count (`FT_TENSOR_THREADS`, `FT_CLIENT_THREADS`): an
+/// integer up to [`MAX_THREADS`], clamped to at least 1. `None` is not a
+/// recognised form (the readers then use their defaults; `ft-run`
+/// refuses to start).
+pub fn parse_threads(value: &str) -> Option<usize> {
+    let n = value.trim().parse::<usize>().ok()?;
+    (n <= MAX_THREADS).then(|| n.max(1))
 }
 
 /// The process-wide pool, spawned on first use.
@@ -223,7 +220,7 @@ fn desired_threads() -> usize {
 fn pool() -> &'static Pool {
     static POOL: OnceLock<&'static Pool> = OnceLock::new();
     POOL.get_or_init(|| {
-        let workers = desired_threads().saturating_sub(1);
+        let workers = max_parallelism() - 1;
         let pool: &'static Pool = Box::leak(Box::new(Pool {
             state: Mutex::new(PoolState {
                 job: None,
@@ -249,9 +246,17 @@ fn pool() -> &'static Pool {
 }
 
 /// Total parallelism the pool offers: worker threads plus the
-/// submitting thread itself.
+/// submitting thread itself, read once per process (reading it does not
+/// spawn the pool).
 pub fn max_parallelism() -> usize {
-    pool().workers + 1
+    static SIZE: OnceLock<usize> = OnceLock::new();
+    *SIZE.get_or_init(|| {
+        #[expect(clippy::disallowed_methods, reason = "a process setting, read once")]
+        let env = std::env::var("FT_TENSOR_THREADS").ok();
+        env.as_deref().and_then(parse_threads).unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
+    })
 }
 
 /// Runs `task(0..tasks)` across the worker pool, blocking until every
@@ -428,6 +433,7 @@ fn dispatch(tasks: usize, max_threads: usize, task: &(dyn Fn(usize) + Sync)) -> 
         }
         let job = Arc::new(Job {
             task,
+            settings: Settings::current(),
             next: AtomicUsize::new(0),
             total: tasks,
             finished: AtomicUsize::new(0),

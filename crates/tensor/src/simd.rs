@@ -3,9 +3,10 @@
 //!
 //! # Dispatch
 //!
-//! The kernel tier is decided once per process by [`active`]:
+//! The kernel tier is a per-run setting ([`crate::Settings`]); [`active`]
+//! reads it. Its process default:
 //!
-//! 1. `FT_TENSOR_SIMD=0` (or `off`, `portable`) forces the portable
+//! 1. `FT_TENSOR_SIMD=0` (or `off`, `portable`) selects the portable
 //!    fallback (the plain Rust loops, exactly the pre-SIMD code path).
 //! 2. Otherwise (unset, or `1`/`on`/`auto`) the best tier the CPU has:
 //!    [`Kernel::Avx512`] where `is_x86_feature_detected!` reports
@@ -15,7 +16,8 @@
 //! The AVX-512 tier differs from the AVX2 tier in the GEMM register
 //! tile only: the fused element-wise kernels are bandwidth-bound and
 //! run their AVX2 build under it. Tests reach each tier through
-//! [`force`]; there is no environment value that picks one.
+//! [`crate::Settings::scope`]; there is no environment value that picks
+//! one.
 //!
 //! The element-wise kernels have no intrinsic copies. Each loop is
 //! written once, in [`crate::fused`] or [`crate::order_stats`] (whose
@@ -44,9 +46,6 @@
 //! the workspace's `tests/determinism_matrix.rs` (every golden digest
 //! under every tier).
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
-
 /// A micro-kernel implementation tier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
@@ -73,8 +72,8 @@ impl Kernel {
 
 /// Parses an `FT_TENSOR_SIMD` value: `Some(false)` forces the portable
 /// fallback, `Some(true)` asks for CPU auto-detection, `None` is not a
-/// recognised form ([`active`] then auto-detects; `ft-run` refuses to
-/// start).
+/// recognised form (the process default then auto-detects; `ft-run`
+/// refuses to start).
 pub fn parse_env(value: &str) -> Option<bool> {
     match value.trim() {
         "0" | "off" | "portable" => Some(false),
@@ -83,10 +82,9 @@ pub fn parse_env(value: &str) -> Option<bool> {
     }
 }
 
-/// Pure decision function behind [`active`], separated so the env/CPU
-/// matrix is unit-testable without touching process state: `best` is
-/// the best tier the CPU has.
-fn decide(env: Option<&str>, best: Kernel) -> Kernel {
+/// The tier an `FT_TENSOR_SIMD` value selects when `best` is the best
+/// tier the CPU has: the process default of [`crate::Settings`].
+pub(crate) fn decide(env: Option<&str>, best: Kernel) -> Kernel {
     if env.and_then(parse_env).unwrap_or(true) {
         best
     } else {
@@ -123,51 +121,9 @@ pub fn available() -> Vec<Kernel> {
         .collect()
 }
 
-/// The env- and CPU-derived kernel choice, computed once per process.
-fn detected() -> Kernel {
-    static DETECTED: OnceLock<Kernel> = OnceLock::new();
-    *DETECTED.get_or_init(|| {
-        let env = std::env::var("FT_TENSOR_SIMD").ok();
-        let best = available().last().copied().unwrap_or(Kernel::Portable);
-        decide(env.as_deref(), best)
-    })
-}
-
-/// Test/bench override: 0 = none, otherwise `Kernel as u8 + 1`.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides the kernel tier for subsequent calls (`None` restores
-/// the `FT_TENSOR_SIMD`/CPU auto-detection). A bench/test hook:
-/// production code never calls it, and callers must not flip it while
-/// kernels are running on other threads.
-///
-/// # Panics
-///
-/// Panics when `k` is a tier this host's CPU cannot execute
-/// ([`supported`] is false) — forcing it would be undefined behavior.
-pub fn force(k: Option<Kernel>) {
-    let v = match k {
-        None => 0,
-        Some(k) => {
-            assert!(
-                supported(k),
-                "cannot force {:?}: not supported by this host's CPU",
-                k
-            );
-            k as u8 + 1
-        }
-    };
-    FORCED.store(v, Ordering::SeqCst);
-}
-
 /// The kernel tier every dispatch site uses for this call.
 pub fn active() -> Kernel {
-    match FORCED.load(Ordering::SeqCst) {
-        1 => Kernel::Portable,
-        2 => Kernel::Avx2,
-        3 => Kernel::Avx512,
-        _ => detected(),
-    }
+    crate::Settings::current().kernel
 }
 
 /// Runs `f` on the active tier: compiled for AVX2 on the AVX2 and
@@ -503,15 +459,6 @@ mod tests {
         if supported(Kernel::Avx512) {
             assert!(supported(Kernel::Avx2));
         }
-    }
-
-    #[test]
-    fn force_overrides_and_restores() {
-        force(Some(Kernel::Portable));
-        assert_eq!(active(), Kernel::Portable);
-        force(None);
-        // Back to the env/CPU decision, whatever it is on this host.
-        let _ = active();
     }
 
     #[test]

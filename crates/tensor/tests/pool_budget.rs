@@ -11,9 +11,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex, MutexGuard, Once};
 
 use ft_tensor::pool::{
-    for_each_chunk_mut, max_parallelism, parallel_for, parallel_for_budgeted, try_parallel_for,
-    PAR_ELEMS,
+    for_each_chunk_mut, max_parallelism, parallel_for, parallel_for_budgeted, parse_threads,
+    try_parallel_for, MAX_THREADS, PAR_ELEMS,
 };
+use ft_tensor::simd::{self, Kernel};
+use ft_tensor::Settings;
 
 /// Forces a 7-worker pool (8 threads of parallelism) regardless of the
 /// host's core count. Must run before any other pool use in this
@@ -21,6 +23,10 @@ use ft_tensor::pool::{
 /// because a pool has one owner at a time: a test that found it owned
 /// by a sibling would silently take the inline path instead of the one
 /// it means to exercise.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pool size is a process setting, pinned before first use"
+)]
 fn pinned_pool() -> MutexGuard<'static, ()> {
     static PIN: Once = Once::new();
     static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
@@ -233,4 +239,128 @@ fn chunk_fan_out_splits_on_a_free_pool_and_runs_one_range_when_declined() {
         4,
         "a nested fan-out is one range per caller"
     );
+}
+
+#[test]
+fn thread_counts_parse_up_to_the_cap() {
+    assert_eq!(parse_threads(" 4 "), Some(4));
+    assert_eq!(parse_threads("0"), Some(1));
+    assert_eq!(parse_threads(&MAX_THREADS.to_string()), Some(MAX_THREADS));
+    assert_eq!(parse_threads(&(MAX_THREADS + 1).to_string()), None);
+    for bad in ["100000", "18446744073709551615", "-1", "two", ""] {
+        assert_eq!(parse_threads(bad), None, "{bad:?}");
+    }
+}
+
+#[test]
+fn a_scope_nests_and_restores() {
+    let outer = Settings::current();
+    let portable = Settings {
+        kernel: Kernel::Portable,
+        client_threads: 3,
+    };
+    portable.scope(|| {
+        assert_eq!(Settings::current(), portable);
+        assert_eq!(simd::active(), Kernel::Portable);
+        let wider = Settings {
+            client_threads: 7,
+            ..portable
+        };
+        wider.scope(|| assert_eq!(Settings::current(), wider));
+        assert_eq!(Settings::current(), portable);
+        let unwound = std::panic::catch_unwind(|| wider.scope(|| panic!("inside")));
+        assert!(unwound.is_err());
+        assert_eq!(Settings::current(), portable);
+    });
+    assert_eq!(Settings::current(), outer);
+    assert!(outer.client_threads >= 1);
+}
+
+/// What a task saw: the settings, the kernel dispatch reads, and the
+/// thread it ran on.
+type Seen = (Settings, Kernel, std::thread::ThreadId);
+
+fn seen() -> Seen {
+    (
+        Settings::current(),
+        simd::active(),
+        std::thread::current().id(),
+    )
+}
+
+/// Two threads at once under different scopes: one owns the pool, so
+/// its job runs on every worker, while the other dispatches the same
+/// nested shape inline. Each sees its own tier and client width in its
+/// own code, in every task of its job and in every nested task. A
+/// process-global switch would hand one of them the other's.
+#[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the second thread has to submit from outside the pool"
+)]
+fn concurrent_scopes_each_reach_their_own_pool_tasks() {
+    let _pool = pinned_pool();
+    let tiers = simd::available();
+    let one = Settings {
+        kernel: tiers[0],
+        client_threads: 3,
+    };
+    let two = Settings {
+        kernel: tiers[tiers.len() - 1],
+        client_threads: 5,
+    };
+    let threads = max_parallelism();
+    for (owner, inline) in [(one, two), (two, one)] {
+        let (owned, nested) = (Mutex::new(Vec::new()), Mutex::new(Vec::new()));
+        let release = AtomicBool::new(false);
+        let (started, running) = mpsc::channel::<()>();
+        let started = Mutex::new(started);
+        let mut here = Vec::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                owner.scope(|| {
+                    parallel_for(threads, &|_| {
+                        owned.lock().unwrap().push(seen());
+                        parallel_for(2, &|_| nested.lock().unwrap().push(seen()));
+                        started.lock().unwrap().send(()).unwrap();
+                        // Hold every thread until the other side is done.
+                        while !release.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                    });
+                });
+            });
+            for _ in 0..threads {
+                running.recv().unwrap();
+            }
+            // The pool is owned, so this job runs here, nesting inline.
+            let here_all = Mutex::new(Vec::new());
+            inline.scope(|| {
+                here_all.lock().unwrap().push(seen());
+                parallel_for(4, &|_| {
+                    here_all.lock().unwrap().push(seen());
+                    parallel_for(2, &|_| here_all.lock().unwrap().push(seen()));
+                });
+            });
+            release.store(true, Ordering::Release);
+            here = here_all.into_inner().unwrap();
+        });
+        let me = std::thread::current().id();
+        assert_eq!(here.len(), 1 + 4 + 8);
+        for (settings, kernel, thread) in here {
+            assert_eq!((settings, kernel, thread), (inline, inline.kernel, me));
+        }
+        let owned = owned.into_inner().unwrap();
+        let nested = nested.into_inner().unwrap();
+        assert_eq!((owned.len(), nested.len()), (threads, 2 * threads));
+        let mut ran_on = Vec::new();
+        for (settings, kernel, thread) in owned.into_iter().chain(nested) {
+            assert_eq!((settings, kernel), (owner, owner.kernel));
+            if !ran_on.contains(&thread) {
+                ran_on.push(thread);
+            }
+        }
+        // Every worker and the submitting thread ran a task.
+        assert_eq!(ran_on.len(), threads);
+    }
 }

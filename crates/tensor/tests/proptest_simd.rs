@@ -10,33 +10,27 @@
 //! (`m % MR ≠ 0`, `n % NR ≠ 0` on both sides of one 16-lane vector,
 //! `k` below and above one k-block), the real workload shapes, every
 //! fused element-wise kernel (including NaN/signed-zero edges through
-//! Yogi's `signum`), and a sweep of `(mc, kc)` block sizes.
-//!
-//! All tests serialize on one mutex: `simd::force` / `tune::force`
-//! are process-global hooks.
+//! Yogi's `signum`). Each run is a `Settings` scope of its own, so
+//! the tests run side by side.
 
 use ft_tensor::simd::{self, Kernel};
-use ft_tensor::{fused, pool, tune, Tensor};
+use ft_tensor::{fused, pool, Settings, Tensor};
 use proptest::prelude::*;
-use std::sync::Mutex;
 
 mod common;
 
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    // A poisoned lock only means another test failed; the hooks are
-    // still safe to use.
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` with the kernel tier forced to `k`, restoring
-/// auto-detection after.
-fn under<T>(k: Kernel, f: impl FnOnce() -> T) -> T {
-    simd::force(Some(k));
-    let out = f();
-    simd::force(None);
-    out
+/// Runs `f` on `tier`, first checking that the tier reached this
+/// thread and a pool task.
+fn on_tier<R>(tier: Kernel, f: impl FnOnce() -> R) -> R {
+    let settings = Settings {
+        kernel: tier,
+        ..Settings::current()
+    };
+    settings.scope(|| {
+        assert_eq!(simd::active(), tier);
+        pool::parallel_for(2, &|_| assert_eq!(simd::active(), tier));
+        f()
+    })
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -45,9 +39,9 @@ fn bits(v: &[f32]) -> Vec<u32> {
 
 /// Asserts every available tier reproduces the portable run exactly.
 fn assert_all_tiers_bit_equal(f: impl Fn() -> Vec<f32>, what: &str) {
-    let reference = under(Kernel::Portable, &f);
+    let reference = on_tier(Kernel::Portable, &f);
     for k in simd::available() {
-        let got = under(k, &f);
+        let got = on_tier(k, &f);
         assert_eq!(
             bits(&got),
             bits(&reference),
@@ -91,7 +85,6 @@ proptest! {
         k in 1usize..=260,
         n in 1usize..=70,
     ) {
-        let _guard = lock();
         check_gemm_shape(m, k, n);
     }
 
@@ -101,16 +94,15 @@ proptest! {
         k in 1usize..=150,
         n in 1usize..=21,
     ) {
-        let _guard = lock();
         let a = seeded_tensor(&[m, k], 5);
         let b = seeded_tensor(&[k, n], 6);
         let at = a.transpose().unwrap();
         let bt = b.transpose().unwrap();
         let run_t = || at.t_matmul(&b).unwrap().data().to_vec();
         let run_bt = || a.matmul_t(&bt).unwrap().data().to_vec();
-        let (rt, rbt) = under(Kernel::Portable, || (run_t(), run_bt()));
+        let (rt, rbt) = on_tier(Kernel::Portable, || (run_t(), run_bt()));
         for tier in simd::available() {
-            let (gt, gbt) = under(tier, || (run_t(), run_bt()));
+            let (gt, gbt) = on_tier(tier, || (run_t(), run_bt()));
             prop_assert_eq!(bits(&gt), bits(&rt));
             prop_assert_eq!(bits(&gbt), bits(&rbt));
         }
@@ -122,7 +114,6 @@ proptest! {
 /// maximal remainder tiles and k both under and over a k-block.
 #[test]
 fn gemm_tiers_agree_on_dispatch_edge_shapes() {
-    let _guard = lock();
     for (m, k, n) in [
         (1, 1, 1),
         (3, 7, 5),       // one edge tile
@@ -134,7 +125,7 @@ fn gemm_tiers_agree_on_dispatch_edge_shapes() {
         (128, 128, 128), // row-split parallel threshold
         (4, 600, 600),   // column-split short-and-wide
         (160, 96, 144),  // multi-panel row split
-        (5, 513, 9),     // k % KC_MAX ≠ 0 at the block-size ceiling
+        (5, 513, 9),     // three k-blocks, the last one short
         (7, 300, 33),    // a 1-wide edge past a full tile, two k-blocks
     ] {
         check_gemm_shape(m, k, n);
@@ -147,9 +138,8 @@ fn gemm_tiers_agree_on_dispatch_edge_shapes() {
 /// through the single-panel, nested and fanned-out paths alike.
 #[test]
 fn conv_workload_shapes_match_reference_on_every_tier() {
-    let _guard = lock();
     for tier in simd::available() {
-        under(tier, || {
+        on_tier(tier, || {
             for case in common::conv_workload_products() {
                 assert_eq!(case.check(), Ok(()), "on {tier:?}");
             }
@@ -162,9 +152,8 @@ fn conv_workload_shapes_match_reference_on_every_tier() {
 /// reference's bits.
 #[test]
 fn dense_workload_shapes_match_reference_on_every_tier() {
-    let _guard = lock();
     for tier in simd::available() {
-        under(tier, || {
+        on_tier(tier, || {
             for case in common::dense_workload_products() {
                 assert_eq!(case.check(), Ok(()), "on {tier:?}");
             }
@@ -178,7 +167,6 @@ fn dense_workload_shapes_match_reference_on_every_tier() {
 /// at `+0.0`), and NaN lands exactly where the reference puts it.
 #[test]
 fn signed_zero_and_non_finite_operands_match_reference_on_every_tier() {
-    let _guard = lock();
     let specials = [
         0.0f32,
         -0.0,
@@ -205,7 +193,7 @@ fn signed_zero_and_non_finite_operands_match_reference_on_every_tier() {
                 .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
         };
         for tier in simd::available() {
-            let [c, ct, cbt] = under(tier, || {
+            let [c, ct, cbt] = on_tier(tier, || {
                 [a.matmul(&b), at.t_matmul(&b), a.matmul_t(&bt)].map(|c| c.unwrap())
             });
             for (name, c) in [("matmul", c), ("t_matmul", ct), ("matmul_t", cbt)] {
@@ -213,29 +201,6 @@ fn signed_zero_and_non_finite_operands_match_reference_on_every_tier() {
             }
         }
     }
-}
-
-/// Any `(mc, kc)` choice must produce bit-identical results under
-/// every kernel tier: blocking changes scheduling, never the
-/// per-element accumulation order. This is the digest-neutrality
-/// argument for the block-size constants, verified.
-#[test]
-fn tile_size_sweep_is_bit_neutral() {
-    let _guard = lock();
-    let (m, k, n) = (45, 300, 37);
-    let a = seeded_tensor(&[m, k], 11);
-    let b = seeded_tensor(&[k, n], 12);
-    let run = || a.matmul(&b).unwrap().data().to_vec();
-    tune::force(None);
-    let reference = under(Kernel::Portable, run);
-    for (mc, kc) in [(32, 32), (64, 64), (128, 512), (4096, 480), (36, 136)] {
-        tune::force(Some((mc, kc)));
-        for tier in simd::available() {
-            let got = under(tier, run);
-            assert_eq!(bits(&got), bits(&reference), "{tier:?} mc={mc} kc={kc}");
-        }
-    }
-    tune::force(None);
 }
 
 // ------------------------------------------------------- fused kernels
@@ -247,7 +212,6 @@ proptest! {
         seed in 0u64..1000,
         alpha in -10.0f32..10.0,
     ) {
-        let _guard = lock();
         let b = seeded_vec(a.len(), seed);
         for (name, f) in [
             ("add_assign", &(|| { let mut x = a.clone(); fused::add_assign(&mut x, &b); x }) as &dyn Fn() -> Vec<f32>),
@@ -269,7 +233,6 @@ proptest! {
         wd in 0.0f32..0.1,
         mu in 0.0f32..2.0,
     ) {
-        let _guard = lock();
         let p = seeded_vec(n, seed);
         let v = seeded_vec(n, seed + 1);
         let g = seeded_vec(n, seed + 2);
@@ -301,7 +264,6 @@ proptest! {
         n in 1usize..=600,
         seed in 0u64..1000,
     ) {
-        let _guard = lock();
         let p = seeded_vec(n, seed);
         let m = seeded_vec(n, seed + 1);
         let v: Vec<f32> = seeded_vec(n, seed + 2).iter().map(|x| x.abs()).collect();
@@ -326,7 +288,6 @@ proptest! {
 /// update.
 #[test]
 fn yogi_signum_edges_are_bit_identical() {
-    let _guard = lock();
     // v − g² hits +0, −0, NaN, +∞-adjacent, and plain values.
     let p = vec![1.0f32; 8];
     let m = vec![0.5f32; 8];
@@ -350,7 +311,6 @@ fn yogi_signum_edges_are_bit_identical() {
 /// be invisible.
 #[test]
 fn lane_tails_and_parallel_threshold_are_invisible() {
-    let _guard = lock();
     let mut sizes: Vec<usize> = (0..=17).collect();
     sizes.extend([pool::PAR_ELEMS - 1, pool::PAR_ELEMS, pool::PAR_ELEMS + 13]);
     for n in sizes {
@@ -386,7 +346,6 @@ type Fused4 = fn(&mut [f32], &mut [f32], &mut [f32], &mut [f32]);
 /// bits.
 #[test]
 fn fused_kernels_stay_inside_canary_padded_slices() {
-    let _guard = lock();
     let kernels: [(&str, Fused4); 8] = [
         ("add_assign", |a, b, _, _| fused::add_assign(a, b)),
         ("sub_assign", |a, b, _, _| fused::sub_assign(a, b)),
@@ -424,7 +383,7 @@ fn fused_kernels_stay_inside_canary_padded_slices() {
                     buf[off..off + len].copy_from_slice(&v);
                     buf
                 });
-                under(tier, || {
+                on_tier(tier, || {
                     let [w, x, y, z] = &mut bufs;
                     let s = off..off + len;
                     kernel(

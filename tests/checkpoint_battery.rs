@@ -26,16 +26,20 @@ use ft_baselines::{BaselineConfig, FedAvg, Fluid, HeteroFl, ServerOpt, SplitMix}
 use ft_data::{DatasetConfig, FederatedDataset};
 use ft_fedsim::device::{DeviceTrace, DeviceTraceConfig};
 use ft_fedsim::trainer::LocalTrainConfig;
-use ft_fedsim::{Algorithm, RoundOptions, RunContext, SimError};
+use ft_fedsim::{Algorithm, RunContext, SimError};
 use ft_harness::{registry, run_scenario, RunOptions};
 use ft_model::CellModel;
-use ft_tensor::Tensor;
+use ft_tensor::{Settings, Tensor};
 use rand::SeedableRng;
 use serde_json::Value;
 
 /// FedTrans checkpoints carry the process-wide model/cell id counters,
 /// which every model built anywhere in this process advances; a test
 /// that compares checkpoint bytes must not overlap with another test.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pool size is a process setting, pinned before first use"
+)]
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     static PIN: Once = Once::new();
@@ -156,11 +160,13 @@ const CASES: [Case; 7] = [
     },
 ];
 
-fn threads(n: usize) -> RunContext {
-    RunContext {
-        options: RoundOptions::new().threads(n),
-        ..Default::default()
+/// Runs `f` with `n` client threads.
+fn threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    Settings {
+        client_threads: n,
+        ..Settings::current()
     }
+    .scope(f)
 }
 
 /// Compact JSON text of any serializable value.
@@ -230,7 +236,10 @@ fn kill_resume_at_every_round_boundary_reproduces_the_uninterrupted_report() {
     let _guard = serial();
     for case in &CASES {
         let name = case.name;
-        let reference = (case.build)(threads(1)).run_to(case.rounds).unwrap();
+        let reference = threads(1, || {
+            (case.build)(RunContext::default()).run_to(case.rounds)
+        })
+        .unwrap();
         if name == "fedtrans" {
             assert!(
                 reference
@@ -244,7 +253,7 @@ fn kill_resume_at_every_round_boundary_reproduces_the_uninterrupted_report() {
 
         // One interrupted run leaves a checkpoint, as JSON text, at
         // every boundary including the fresh and the finished driver.
-        let mut first = (case.build)(threads(1));
+        let mut first = (case.build)(RunContext::default());
         assert_eq!(first.name(), name);
         let mut texts = vec![json!(&first.checkpoint())];
         for _ in 0..case.rounds {
@@ -255,12 +264,13 @@ fn kill_resume_at_every_round_boundary_reproduces_the_uninterrupted_report() {
 
         for (boundary, text) in texts.iter().enumerate() {
             for width in [1, 4] {
-                let mut resumed = (case.build)(threads(width));
+                let mut resumed = (case.build)(RunContext::default());
                 let state = serde_json::parse_value(text).unwrap();
                 resumed.restore(&state).unwrap();
                 assert_eq!(resumed.round() as usize, boundary);
+                let report = threads(width, || resumed.run_to(case.rounds)).unwrap();
                 assert!(
-                    json!(&resumed.run_to(case.rounds).unwrap()) == reference,
+                    json!(&report) == reference,
                     "{name}: resume at round {boundary} on {width} client threads diverged"
                 );
             }
@@ -273,15 +283,17 @@ fn a_rejected_checkpoint_leaves_the_driver_untouched() {
     let _guard = serial();
     for case in &CASES {
         let name = case.name;
-        let reference = json!(&(case.build)(threads(1)).run_to(case.rounds).unwrap());
+        let reference = json!(&(case.build)(RunContext::default())
+            .run_to(case.rounds)
+            .unwrap());
 
         // The donor is further along than the victim, so any field a
         // failed restore let through would show in the victim's bytes.
-        let mut donor = (case.build)(threads(1));
+        let mut donor = (case.build)(RunContext::default());
         donor.run_to(4).unwrap();
         let donor = donor.checkpoint();
 
-        let mut victim = (case.build)(threads(1));
+        let mut victim = (case.build)(RunContext::default());
         victim.run_to(2).unwrap();
         let before = json!(&victim.checkpoint());
 
@@ -326,13 +338,13 @@ fn every_method_rejects_every_other_methods_checkpoint() {
     let checkpoints: Vec<Value> = CASES
         .iter()
         .map(|case| {
-            let mut driver = (case.build)(threads(1));
+            let mut driver = (case.build)(RunContext::default());
             driver.step().unwrap();
             driver.checkpoint()
         })
         .collect();
     for (case, own) in CASES.iter().zip(&checkpoints) {
-        let mut driver = (case.build)(threads(1));
+        let mut driver = (case.build)(RunContext::default());
         let fresh = json!(&driver.checkpoint());
         for (other, foreign) in CASES.iter().zip(&checkpoints) {
             if other.name == case.name {
@@ -414,7 +426,7 @@ fn non_finite_and_edge_weights_survive_a_resume_bit_for_bit() {
         f32::from_bits(1),
         -f32::MIN_POSITIVE / 2.0,
     ];
-    let mut driver = (fedtrans.build)(threads(1));
+    let mut driver = (fedtrans.build)(RunContext::default());
     driver.step().unwrap();
     let mut state = driver.checkpoint();
     let block = first_tensor(entry(entry(&mut state, "method"), "models")).expect("a weight");
@@ -423,7 +435,7 @@ fn non_finite_and_edge_weights_survive_a_resume_bit_for_bit() {
     weight.data_mut()[..edges.len()].copy_from_slice(&edges);
     *block = serde_json::to_value(&weight);
 
-    let mut resumed = (fedtrans.build)(threads(1));
+    let mut resumed = (fedtrans.build)(RunContext::default());
     resumed
         .restore(&serde_json::parse_value(&json!(&state)).unwrap())
         .unwrap();
@@ -442,7 +454,7 @@ fn non_finite_and_edge_weights_survive_a_resume_bit_for_bit() {
 fn a_corrupt_tensor_block_is_refused_naming_models() {
     let _guard = serial();
     let fedtrans = &CASES[0];
-    let mut driver = (fedtrans.build)(threads(1));
+    let mut driver = (fedtrans.build)(RunContext::default());
     driver.step().unwrap();
     let before = json!(&driver.checkpoint());
     let mut state = serde_json::parse_value(&before).unwrap();

@@ -1,6 +1,6 @@
 //! Cross-thread-count determinism of the parallel client engine.
 //!
-//! The engine's contract (`ft_fedsim::exec`) is that `FT_CLIENT_THREADS`
+//! The engine's contract (`ft_fedsim::exec`) is that the client width
 //! changes wall-clock only, never a single report byte. These tests run
 //! real canned scenarios — one skew-heavy, one fault-heavy, and the
 //! byzantine pair behind a streaming sink and behind the buffering
@@ -24,12 +24,10 @@ const SCENARIOS: [&str; 4] = [
     "byzantine-trimmed-mean",
 ];
 
-/// A matrix on a pool pinned before first use; the lock it takes
-/// serializes the pinning too.
+/// A matrix on a pool pinned before first use.
 fn pinned() -> Matrix {
-    let matrix = Matrix::new();
     pin_pool();
-    matrix
+    Matrix::new()
 }
 
 #[test]

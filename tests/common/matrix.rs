@@ -5,28 +5,35 @@
 //! `client_parallelism.rs`, `kernel_tiers.rs` and `scenario_harness.rs`
 //! each replay the slice that pins one part of the contract.
 //!
-//! `FT_CLIENT_THREADS` and `simd::force` are process-global, so a
-//! [`Matrix`] holds a process-wide lock while it lives: two tests of one
-//! binary never flip them under each other.
+//! A cell runs inside its own `ft_tensor::Settings` scope, so cells of
+//! two tests run side by side, each on its own tier and width.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Once;
 
 use ft_harness::{registry, run_scenario, RunOptions, RunOutcome, Scenario};
-use ft_tensor::simd::{self, Kernel};
+use ft_tensor::simd::Kernel;
+use ft_tensor::{pool, Settings};
 
 /// Pins the tensor pool to 4 threads unless `FT_TENSOR_THREADS` is
 /// already set. On a small host the client fan-out would otherwise fall
 /// back to the serial path and a width comparison would be vacuous. The
 /// pool is sized once per process, so this must run before anything in
-/// the process touches it.
+/// the process reads its size.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pool size is a process setting, pinned before first use"
+)]
 pub fn pin_pool() {
-    if std::env::var_os("FT_TENSOR_THREADS").is_none() {
-        std::env::set_var("FT_TENSOR_THREADS", "4");
-        assert_eq!(ft_tensor::pool::max_parallelism(), 4);
-    }
+    static PIN: Once = Once::new();
+    PIN.call_once(|| {
+        if std::env::var_os("FT_TENSOR_THREADS").is_none() {
+            std::env::set_var("FT_TENSOR_THREADS", "4");
+            assert_eq!(pool::max_parallelism(), 4);
+        }
+    });
 }
 
 /// A sweep of cells. A failing cell does not stop it: [`Matrix::finish`]
@@ -36,18 +43,14 @@ pub struct Matrix {
     goldens: BTreeMap<String, String>,
     failures: Vec<String>,
     cells: usize,
-    _serial: MutexGuard<'static, ()>,
 }
 
 impl Matrix {
     pub fn new() -> Self {
-        static SERIAL: Mutex<()> = Mutex::new(());
-        let serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         Self {
             goldens: registry::load_goldens().expect("goldens.json is committed"),
             failures: Vec::new(),
             cells: 0,
-            _serial: serial,
         }
     }
 
@@ -55,7 +58,7 @@ impl Matrix {
     /// the auto-detected one).
     pub fn run(&mut self, name: &str, tier: Option<Kernel>, threads: usize) {
         let setting = format!(
-            "on {}, FT_CLIENT_THREADS={threads}",
+            "on {}, {threads} client threads",
             tier.map_or("auto tier", Kernel::name)
         );
         self.cell(name, setting, |scenario, golden| {
@@ -73,8 +76,8 @@ impl Matrix {
     /// `resume_tier`.
     pub fn kill_and_resume(&mut self, name: &str, kill: usize, resume_tier: Option<Kernel>) {
         let setting = format!(
-            "killed at round {kill} (FT_CLIENT_THREADS=4, auto tier), resumed \
-             (FT_CLIENT_THREADS=1, {})",
+            "killed at round {kill} (4 client threads, auto tier), resumed \
+             (1 client thread, {})",
             resume_tier.map_or("auto tier", Kernel::name)
         );
         self.cell(name, setting, |scenario, golden| {
@@ -124,11 +127,13 @@ fn run_cell(
     threads: usize,
     opts: &RunOptions,
 ) -> Result<RunOutcome, String> {
-    simd::force(tier);
-    std::env::set_var("FT_CLIENT_THREADS", threads.to_string());
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_scenario(scenario, opts)));
-    std::env::remove_var("FT_CLIENT_THREADS");
-    simd::force(None);
+    let settings = Settings {
+        kernel: tier.unwrap_or(Settings::current().kernel),
+        client_threads: threads,
+    };
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        settings.scope(|| run_scenario(scenario, opts))
+    }));
     match outcome {
         Ok(Ok(outcome)) => Ok(outcome),
         Ok(Err(e)) => Err(format!("error: {e}")),

@@ -5,18 +5,18 @@
 //! Every canned scenario is replayed in quick mode against
 //! `goldens.json` in each cell of
 //!
-//! - every tier `simd::available()` lists (forced through `simd::force`)
-//!   × `FT_CLIENT_THREADS` ∈ {1, 4} ({1, 2, 4} for `large-population-1m`,
-//!   whose pipelined fold has a lane per client thread);
+//! - every tier `simd::available()` lists × client width ∈ {1, 4}
+//!   ({1, 2, 4} for `large-population-1m`, whose pipelined fold has a
+//!   lane per client thread);
 //! - one kill at round `quick_rounds / 2` under 4 client threads and the
 //!   auto-detected tier, resumed under 1 client thread and the portable
 //!   tier.
 //!
-//! `exec::client_threads()` reads `FT_CLIENT_THREADS` on every call, so
-//! flipping it between runs is enough. The tensor pool is sized once per
-//! process: this test pins it to 4 threads unless `FT_TENSOR_THREADS` is
-//! already set. `FT_TENSOR_THREADS=1` runs the same matrix with every
-//! pool fan-out inline.
+//! Each cell runs in its own `ft_tensor::Settings` scope (tier and
+//! client width). The tensor pool is sized once per process: this test
+//! pins it to 4 threads unless `FT_TENSOR_THREADS` is already set.
+//! `FT_TENSOR_THREADS=1` runs the same matrix with every pool fan-out
+//! inline.
 //!
 //! A failing cell does not stop the sweep: the test fails once, naming
 //! every (scenario, setting) that drifted, errored or panicked. The

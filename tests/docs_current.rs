@@ -16,8 +16,14 @@
 //! A trailing `:line` or `:first-last` is dropped first. Fenced code
 //! blocks, tokens with spaces, placeholders (`BENCH_<pr>.json`,
 //! `trace_*.json`), Rust paths (`a::b`) and absolute paths are not
-//! repo paths. On a line, anything after a `deleted:` marker is
-//! history and exempt: that is how a Verdict cites code that is gone.
+//! repo paths.
+//!
+//! Every `FT_*` variable the same docs name, in prose or in a code
+//! block, must be one `ft_harness::runner::ENV_VARS` lists, and
+//! README's environment table must list exactly those.
+//!
+//! On a line, anything after a `deleted:` marker is history and exempt:
+//! that is how a Verdict cites code or a variable that is gone.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -64,13 +70,34 @@ fn entry_name(path: &Path) -> String {
         .unwrap_or_default()
 }
 
+/// `line` up to its `deleted:` marker, if it has one.
+fn live(line: &str) -> &str {
+    match line.to_ascii_lowercase().find("deleted:") {
+        Some(at) => &line[..at],
+        None => line,
+    }
+}
+
+/// The `FT_*` variable names on `line` (not `FT_*` itself), up to its
+/// `deleted:` marker.
+fn env_names(line: &str) -> Vec<&str> {
+    let live = live(line);
+    let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    live.match_indices("FT_")
+        .filter(|&(at, _)| !live[..at].ends_with(word))
+        .map(|(at, _)| {
+            let rest = &live[at..];
+            let end = rest.find(|c: char| !word(c)).unwrap_or(rest.len());
+            &rest[..end]
+        })
+        .filter(|name| name.len() > "FT_".len())
+        .collect()
+}
+
 /// The backticked tokens of `line` that name repo paths, with any
 /// `:line` suffix dropped.
 fn paths(line: &str) -> Vec<String> {
-    let live = match line.to_ascii_lowercase().find("deleted:") {
-        Some(at) => &line[..at],
-        None => line,
-    };
+    let live = live(line);
     let mut out = Vec::new();
     for (i, token) in live.split('`').enumerate() {
         // Odd pieces sit between a pair of backticks.
@@ -121,6 +148,73 @@ fn unresolved(path: &str, tree: &BTreeSet<String>, ignored: &[String]) -> Option
     (!ok).then_some("no file in the tree has this name")
 }
 
+/// The docs to check, relative to `root`: [`DOCS`] and every [`NOTES`].
+fn docs(root: &Path, tree: &BTreeSet<String>) -> Vec<String> {
+    let notes = tree.iter().filter(|p| p.rsplit('/').next() == Some(NOTES));
+    let docs: Vec<String> = DOCS
+        .map(str::to_owned)
+        .into_iter()
+        .chain(notes.cloned())
+        .collect();
+    assert!(docs.len() > DOCS.len(), "no {NOTES} found under {root:?}");
+    docs
+}
+
+/// The names `ft_harness::runner::ENV_VARS` lists.
+fn known_env() -> BTreeSet<&'static str> {
+    ft_harness::runner::ENV_VARS
+        .iter()
+        .map(|(name, ..)| *name)
+        .collect()
+}
+
+#[test]
+fn every_ft_variable_in_the_docs_is_one_the_program_reads() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let known = known_env();
+    let mut stale = Vec::new();
+    let mut checked = 0;
+    for doc in docs(root, &tree(root)) {
+        let text = fs::read_to_string(root.join(&doc)).expect("the doc exists");
+        for (n, line) in text.lines().enumerate() {
+            for name in env_names(line) {
+                checked += 1;
+                if !known.contains(name) {
+                    stale.push(format!("{doc}:{}: {name}", n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        checked > 20,
+        "only {checked} names found: the scan is broken"
+    );
+    assert!(
+        stale.is_empty(),
+        "{} doc lines name a variable `runner::ENV_VARS` does not list \
+         (fix them, or mark history with `deleted:`):\n{}",
+        stale.len(),
+        stale.join("\n")
+    );
+}
+
+#[test]
+fn the_readme_environment_table_lists_exactly_the_variables_read() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let readme = fs::read_to_string(root.join("README.md")).expect("README.md");
+    let section = readme
+        .split("\n## ")
+        .find(|s| s.starts_with("Environment variables"))
+        .expect("README has an `## Environment variables` section");
+    let listed: BTreeSet<&str> = section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `"))
+        .filter_map(|l| l.split('`').next())
+        .filter(|name| name.starts_with("FT_"))
+        .collect();
+    assert_eq!(listed, known_env());
+}
+
 #[test]
 fn every_backticked_repo_path_in_the_docs_resolves() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -133,16 +227,10 @@ fn every_backticked_repo_path_in_the_docs_resolves() {
         .filter(|l| !l.is_empty() && !l.starts_with('#') && !l.contains(['*', '/']))
         .map(str::to_owned)
         .collect();
-    let notes = tree
-        .iter()
-        .filter(|p| p.rsplit('/').next() == Some(NOTES))
-        .map(String::as_str);
-    let docs: Vec<&str> = DOCS.into_iter().chain(notes).collect();
-    assert!(docs.len() > DOCS.len(), "no {NOTES} found");
     let mut stale = Vec::new();
     let mut checked = 0;
-    for doc in docs {
-        let text = fs::read_to_string(root.join(doc)).expect("the doc exists");
+    for doc in docs(root, &tree) {
+        let text = fs::read_to_string(root.join(&doc)).expect("the doc exists");
         let mut fenced = false;
         for (n, line) in text.lines().enumerate() {
             if line.trim_start().starts_with("```") {
@@ -197,4 +285,8 @@ fn the_scan_finds_paths_and_honours_the_deleted_marker() {
     assert!(unresolved("crates/b", &tree, none).is_some());
     assert!(unresolved("lint.toml", &tree, none).is_some());
     assert!(unresolved("b/mod.rs", &tree, none).is_some());
+    assert_eq!(
+        env_names("`FT_TENSOR_SIMD=0`, FT_CLIENT_THREADS; not `FT_*`, XFT_A; deleted: FT_GONE"),
+        ["FT_TENSOR_SIMD", "FT_CLIENT_THREADS"]
+    );
 }

@@ -1,8 +1,8 @@
 //! Golden digests under every kernel tier, in one process.
 //!
-//! This file forces each tier `ft_tensor::simd::available()` lists
-//! through `simd::force` (a process-global switch that reaches the pool
-//! workers too) and replays a conv and a dense canned scenario against
+//! This file runs each tier `ft_tensor::simd::available()` lists in an
+//! `ft_tensor::Settings` scope (which reaches the pool workers too) and
+//! replays a conv and a dense canned scenario against
 //! `goldens.json`, so an AVX2 register tile is exercised end to end even
 //! on an AVX-512 host. `determinism_matrix.rs` runs every canned
 //! scenario on every tier.

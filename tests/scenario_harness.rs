@@ -283,6 +283,10 @@ fn a_nan_or_non_positive_fedtrans_beta_is_a_typed_error() {
 
 /// `ft-run` with every inherited `FT_*` variable scrubbed, then `vars`
 /// set.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "lists the inherited variables to scrub from the child"
+)]
 fn ft_run(vars: &[(&str, &str)], args: &[&str]) -> std::process::Output {
     let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_ft-run"));
     for (name, _) in std::env::vars_os() {
@@ -294,6 +298,22 @@ fn ft_run(vars: &[(&str, &str)], args: &[&str]) -> std::process::Output {
         .args(args)
         .output()
         .expect("ft-run starts")
+}
+
+/// `check_env` refuses a thread count past the pool's cap, naming the
+/// variable and the cap (checked on the rule table: no process or pool
+/// ever starts with such a value).
+#[test]
+fn a_thread_count_past_the_cap_is_refused_naming_the_cap() {
+    let cap = ft_tensor::pool::MAX_THREADS;
+    for name in ["FT_TENSOR_THREADS", "FT_CLIENT_THREADS"] {
+        let (_, parses, forms) = ft_harness::runner::ENV_VARS
+            .into_iter()
+            .find(|(known, ..)| *known == name)
+            .expect("a variable the program reads");
+        assert!(parses(&cap.to_string()) && !parses(&(cap + 1).to_string()));
+        assert!(forms.contains(&cap.to_string()), "{name}: {forms}");
+    }
 }
 
 #[test]
