@@ -1,9 +1,9 @@
 //! Lock-step virtual clock for the in-memory transport.
 //!
 //! The coordinator runtime is discrete-event: nothing happens *between*
-//! message deliveries, so the clock only ever jumps forward to the next
-//! scheduled delivery (or deadline) instead of ticking through idle
-//! time. Ticks are the transport's scheduling unit; wall-clock-shaped
+//! message deliveries, so the clock (a tick count) only ever jumps
+//! forward to the next scheduled delivery (or deadline) instead of
+//! ticking through idle time. Ticks are the transport's scheduling unit; wall-clock-shaped
 //! quantities (heartbeat intervals, deadlines, simulated round times)
 //! are expressed in seconds and converted with [`ticks_for_seconds`].
 //!
@@ -26,53 +26,9 @@ pub fn ticks_for_seconds(seconds: f64) -> u64 {
     (seconds * TICKS_PER_SECOND).ceil() as u64 + 1
 }
 
-/// A monotone lock-step clock shared by the coordinator and every
-/// simulated participant. Advancing is explicit; the round loop drives
-/// it from one delivery (or deadline) to the next.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VirtualClock {
-    tick: u64,
-}
-
-impl VirtualClock {
-    /// A clock at tick zero.
-    pub fn new() -> Self {
-        VirtualClock { tick: 0 }
-    }
-
-    /// The current tick.
-    pub fn now(&self) -> u64 {
-        self.tick
-    }
-
-    /// Advances to `tick` if it is in the future; a past tick is a
-    /// no-op (the clock never runs backwards).
-    pub fn advance_to(&mut self, tick: u64) {
-        self.tick = self.tick.max(tick);
-    }
-
-    /// Resets to tick zero (round boundary).
-    pub fn reset(&mut self) {
-        self.tick = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clock_is_monotone_until_reset() {
-        let mut c = VirtualClock::new();
-        assert_eq!(c.now(), 0);
-        c.advance_to(7);
-        c.advance_to(3);
-        assert_eq!(c.now(), 7, "advancing to the past must be a no-op");
-        c.advance_to(7);
-        assert_eq!(c.now(), 7);
-        c.reset();
-        assert_eq!(c.now(), 0);
-    }
 
     #[test]
     fn seconds_round_up_and_never_collapse_to_zero() {

@@ -92,47 +92,3 @@ pub enum CoordinatorMessage {
         round: u32,
     },
 }
-
-impl ClientMessage {
-    /// The round this message refers to.
-    pub fn round(&self) -> u32 {
-        match self {
-            ClientMessage::RendezvousRequest { round }
-            | ClientMessage::Heartbeat { round }
-            | ClientMessage::EndTrainingRound { round, .. } => *round,
-        }
-    }
-}
-
-impl CoordinatorMessage {
-    /// The round this message refers to.
-    pub fn round(&self) -> u32 {
-        match self {
-            CoordinatorMessage::Invite { round }
-            | CoordinatorMessage::Rendezvous { round, .. }
-            | CoordinatorMessage::StartTrainingRound { round, .. }
-            | CoordinatorMessage::EndRound { round } => *round,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn round_accessor_covers_every_variant() {
-        assert_eq!(ClientMessage::RendezvousRequest { round: 3 }.round(), 3);
-        assert_eq!(ClientMessage::Heartbeat { round: 4 }.round(), 4);
-        assert_eq!(CoordinatorMessage::Invite { round: 5 }.round(), 5);
-        assert_eq!(
-            CoordinatorMessage::Rendezvous {
-                round: 6,
-                reply: RendezvousReply::Later
-            }
-            .round(),
-            6
-        );
-        assert_eq!(CoordinatorMessage::EndRound { round: 7 }.round(), 7);
-    }
-}

@@ -1,10 +1,11 @@
 //! The message-driven coordinator runtime.
 //!
-//! This module replaces the function-call round loop with the shape of
-//! a production federated-learning *service*: an explicit state machine
-//! (`STANDBY → ROUND(selecting → training → aggregating) → FINISHED`)
-//! that talks to participants exclusively through typed messages over a
-//! pluggable [`Transport`], under a lock-step [`clock::VirtualClock`].
+//! The shape of a production federated-learning *service*: an explicit
+//! state machine (`STANDBY → ROUND(selecting → aggregating)`) that talks
+//! to participants only through typed messages over a pluggable
+//! [`Transport`], on a lock-step virtual clock (a tick count). One pump
+//! carries every message: up to the round's protocol state, which reacts
+//! to each in one handler, and down to the simulated [`Cohort`].
 //!
 //! One round, as messages:
 //!
@@ -16,15 +17,12 @@
 //!    a later round. Devices that have not rendezvoused by the deadline
 //!    are dropped from the round — which is exactly how client dropout
 //!    *emerges* here: an offline device simply never answers.
-//! 2. **Training** — [`Coordinator::train`] dispatches
-//!    [`CoordinatorMessage::StartTrainingRound`] with the model-table
-//!    index and derived seed for each task, prices every task's
-//!    timeline from the round manifest, and collects
-//!    [`ClientMessage::EndTrainingRound`] announcements whose arrival
-//!    tick is the device's simulated round time — so stragglers are
-//!    simply *late*. Periodic [`ClientMessage::Heartbeat`]s keep slow
-//!    devices alive; a device silent past the heartbeat deadline is
-//!    reaped.
+//! 2. **Training** — [`Coordinator::train`] prices every task from the
+//!    round manifest, dispatches [`CoordinatorMessage::StartTrainingRound`]
+//!    and collects [`ClientMessage::EndTrainingRound`] announcements
+//!    whose arrival tick is the device's simulated round time — so
+//!    stragglers are simply *late*. [`ClientMessage::Heartbeat`]s keep
+//!    slow devices alive; one silent past the heartbeat deadline is reaped.
 //! 3. **Aggregating** — delivered updates are *folded as they land*
 //!    into the round's [`crate::sink::UpdateSink`] (in task order,
 //!    while later clients are still training, at most twice the lane
@@ -41,14 +39,14 @@
 //! than arrival order. [`transport::InMemoryTransport`] deliberately
 //! scrambles within-tick order with a seeded hash, and the
 //! delivery-permutation proptest pins that any order yields the same
-//! round outcome. Fault emergence reuses the exact stateless hashes of
-//! [`crate::faults::FaultConfig`], so runs produce byte-identical
-//! reports to the pre-coordinator round loops — at any thread count,
-//! across kill/resume, and under any delivery permutation.
+//! round outcome. Faults emerge from the stateless hashes of
+//! [`crate::faults::FaultConfig`], so reports are byte-identical at any
+//! thread count, across kill/resume, and under any delivery permutation.
 
 pub mod clock;
 pub mod message;
 pub mod participant;
+mod protocol;
 pub mod transport;
 
 use serde::{Deserialize, Serialize, Value};
@@ -63,9 +61,10 @@ use crate::sink::{ClientUpdate, RoundManifest, TaskSpec, UpdateSink};
 use crate::trainer::{LocalTrainConfig, TrainTask};
 use crate::{Result, SimError};
 
-use clock::{ticks_for_seconds, VirtualClock};
+use clock::ticks_for_seconds;
 pub use message::{ClientMessage, CoordinatorMessage, RendezvousReply};
 pub use participant::{Behavior, Cohort};
+use protocol::{Priced, Protocol};
 pub use transport::{DeliveryOrder, InMemoryTransport, Transport};
 
 /// Salt decorrelating the transport's delivery-order seed from the run
@@ -75,10 +74,9 @@ const ORDER_SEED_SALT: u64 = 0xDE11_0E2D_E2A1_5EED;
 /// Stage of an in-progress round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundStage {
-    /// Inviting and admitting participants (rendezvous).
+    /// Inviting and admitting participants (rendezvous); `train` runs
+    /// from here.
     Selecting,
-    /// Tasks dispatched; collecting results and heartbeats.
-    Training,
     /// All results in; the algorithm is folding them into global state.
     Aggregating,
 }
@@ -90,8 +88,6 @@ pub enum Phase {
     Standby,
     /// Inside a round, at the given stage.
     Round(RoundStage),
-    /// Shut down; no further rounds may begin.
-    Finished,
 }
 
 impl std::fmt::Display for Phase {
@@ -99,9 +95,7 @@ impl std::fmt::Display for Phase {
         match self {
             Phase::Standby => write!(f, "standby"),
             Phase::Round(RoundStage::Selecting) => write!(f, "round/selecting"),
-            Phase::Round(RoundStage::Training) => write!(f, "round/training"),
             Phase::Round(RoundStage::Aggregating) => write!(f, "round/aggregating"),
-            Phase::Finished => write!(f, "finished"),
         }
     }
 }
@@ -226,7 +220,6 @@ pub struct CoordinatorStats {
 /// yet installed (see [`Coordinator::decode_checkpoint`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoordinatorCheckpoint {
-    phase: Phase,
     round: u32,
     stats: CoordinatorStats,
 }
@@ -257,19 +250,16 @@ pub struct TrainReply {
     pub elapsed_s: f64,
 }
 
-/// The coordinator: owns the state machine, the virtual clock, the
-/// transport, and the simulated cohort.
+/// The coordinator: owns the virtual clock, the transport, the
+/// simulated cohort and the round's protocol state.
 pub struct Coordinator {
-    clock: VirtualClock,
+    now: u64,
     transport: Box<dyn Transport>,
     cohort: Cohort,
     opts: RoundOptions,
     adversity: AdversityConfig,
     seed: u64,
-    phase: Phase,
-    round: u32,
-    admitted: Vec<usize>,
-    stats: CoordinatorStats,
+    protocol: Protocol,
 }
 
 impl Coordinator {
@@ -293,41 +283,32 @@ impl Coordinator {
         transport: Box<dyn Transport>,
     ) -> Self {
         Coordinator {
-            clock: VirtualClock::new(),
+            now: 0,
             transport,
             cohort: Cohort::new(seed, faults, devices),
             opts: RoundOptions::default(),
             adversity: AdversityConfig::default(),
             seed,
-            phase: Phase::Standby,
-            round: 0,
-            admitted: Vec::new(),
-            stats: CoordinatorStats::default(),
+            protocol: Protocol::default(),
         }
     }
 
     /// The current lifecycle phase.
     pub fn phase(&self) -> Phase {
-        self.phase
+        self.protocol.phase()
     }
 
     /// The round the coordinator will run (or is running) next.
     pub fn round(&self) -> u32 {
-        self.round
+        self.protocol.round()
     }
 
     /// Accumulated protocol telemetry.
     pub fn stats(&self) -> &CoordinatorStats {
-        &self.stats
+        self.protocol.stats()
     }
 
-    /// The active round options.
-    pub fn options(&self) -> &RoundOptions {
-        &self.opts
-    }
-
-    /// Replaces the round options (scenario timing knobs, thread
-    /// overrides).
+    /// Replaces the round options (scenario timing knobs).
     pub fn set_options(&mut self, opts: RoundOptions) {
         self.opts = opts;
     }
@@ -349,14 +330,34 @@ impl Coordinator {
         &mut self.cohort
     }
 
-    fn expect(&self, want: Phase, action: &str) -> Result<()> {
-        if self.phase == want {
-            Ok(())
-        } else {
-            Err(SimError::protocol(format!(
-                "{action} requires phase {want}, coordinator is in {}",
-                self.phase
-            )))
+    /// Runs the wire: every event at or before tick `until`, and past
+    /// it while the protocol awaits a deadline. A step advances to the
+    /// next delivery or deadline, hands the devices' messages to the
+    /// cohort and the coordinator's to the protocol (sending its
+    /// replies a tick later), then lets the protocol act on its deadlines.
+    fn pump(&mut self, until: u64) {
+        loop {
+            let deadline = self.protocol.next_deadline();
+            let next = self
+                .transport
+                .next_delivery()
+                .into_iter()
+                .chain(deadline)
+                .min();
+            let Some(next) = next.filter(|&t| t <= until || deadline.is_some()) else {
+                break;
+            };
+            self.now = self.now.max(next);
+            let now = self.now;
+            for (client, msg) in self.transport.recv_down(now) {
+                self.cohort.handle(client, &msg, now, &mut *self.transport);
+            }
+            for (client, msg) in self.transport.recv_up(now) {
+                if let Some(reply) = self.protocol.on_message(now, client, msg) {
+                    self.transport.send_down(client, now + 1, reply);
+                }
+            }
+            self.protocol.on_tick(now);
         }
     }
 
@@ -373,121 +374,48 @@ impl Coordinator {
     /// [`SimError::Protocol`] when not in standby or when `round` is
     /// not the coordinator's next round.
     pub fn begin_round(&mut self, round: u32, invited: &[usize]) -> Result<Vec<usize>> {
-        self.expect(Phase::Standby, "begin_round")?;
-        if round != self.round {
+        self.protocol.expect(Phase::Standby, "begin_round")?;
+        if round != self.protocol.round() {
             return Err(SimError::protocol(format!(
                 "begin_round({round}) out of sequence: coordinator is at round {}",
-                self.round
+                self.protocol.round()
             )));
         }
-        self.clock.reset();
+        self.now = 0;
         self.transport.clear();
-        self.phase = Phase::Round(RoundStage::Selecting);
-        self.admitted.clear();
-
+        let deadline = 1 + ticks_for_seconds(self.opts.rendezvous_deadline_s);
+        self.protocol.begin(invited, deadline);
         self.cohort.on_round_start(round, 0, &mut *self.transport);
         for &client in invited {
             self.transport
                 .send_down(client, 1, CoordinatorMessage::Invite { round });
-            self.stats.invitations += 1;
-            self.stats.messages_down += 1;
         }
-
-        let deadline = 1 + ticks_for_seconds(self.opts.rendezvous_deadline_s);
-        #[expect(
-            clippy::disallowed_types,
-            reason = "point lookups only, never iterated"
-        )]
-        let position: std::collections::HashMap<usize, usize> =
-            invited.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        let mut admitted_flag = vec![false; invited.len()];
-
-        while let Some(t) = self.transport.next_delivery() {
-            if t > deadline {
-                break;
-            }
-            self.clock.advance_to(t);
-            let now = self.clock.now();
-            for (client, msg) in self.transport.recv_down(now) {
-                self.cohort.handle(client, &msg, now, &mut *self.transport);
-            }
-            for (client, msg) in self.transport.recv_up(now) {
-                self.stats.messages_up += 1;
-                match msg {
-                    ClientMessage::RendezvousRequest { round: r } => {
-                        let slot = (r == round)
-                            .then(|| position.get(&client))
-                            .flatten()
-                            .copied()
-                            .filter(|&i| !admitted_flag[i]);
-                        let reply = match slot {
-                            Some(i) => {
-                                admitted_flag[i] = true;
-                                self.stats.accepted += 1;
-                                RendezvousReply::Accept
-                            }
-                            None => {
-                                self.stats.later_replies += 1;
-                                RendezvousReply::Later
-                            }
-                        };
-                        self.transport.send_down(
-                            client,
-                            now + 1,
-                            CoordinatorMessage::Rendezvous { round: r, reply },
-                        );
-                        self.stats.messages_down += 1;
-                    }
-                    // No task is open before `train` dispatches one:
-                    // an honest wire (cleared at the round boundary)
-                    // carries no result now, so one is dropped.
-                    ClientMessage::EndTrainingRound { .. } => self.stats.rejected_results += 1,
-                    // Liveness only matters once training starts.
-                    ClientMessage::Heartbeat { .. } => {}
-                }
-            }
-        }
-        self.clock.advance_to(deadline);
-
-        let admitted: Vec<usize> = invited
-            .iter()
-            .zip(&admitted_flag)
-            .filter(|(_, &ok)| ok)
-            .map(|(&c, _)| c)
-            .collect();
-        self.stats.rendezvous_dropouts += (invited.len() - admitted.len()) as u64;
-        self.admitted = admitted.clone();
-        Ok(admitted)
+        self.pump(deadline);
+        Ok(self.protocol.admitted())
     }
 
     /// Runs the training phase as a **streaming fold**, in two stages.
     ///
-    /// First the protocol timeline: one slim
-    /// [`CoordinatorMessage::StartTrainingRound`] per task (a model
-    /// *index* into `models`, never a weight payload), then the
-    /// virtual-clock message loop collects
-    /// [`ClientMessage::EndTrainingRound`] announcements as they
-    /// arrive, keeping stragglers alive through their heartbeats and
-    /// reaping devices silent past the heartbeat deadline. Every
-    /// announcement is priced from the round's *manifest* — per-task
-    /// sample counts are a pure function of config and shard size (see
-    /// [`crate::trainer::expected_samples`]) — so the delivered set and
-    /// all telemetry are decided before any weights exist.
+    /// First the protocol timeline: every task is priced from the
+    /// round's *manifest* (sample counts are a pure function of config
+    /// and shard size, [`crate::trainer::expected_samples`]) and
+    /// dispatched as one slim [`CoordinatorMessage::StartTrainingRound`]
+    /// (a model *index* into `models`, never a weight payload); the wire
+    /// runs until every task has landed or been reaped, so the delivered
+    /// set and all telemetry are decided before any weights exist.
     ///
     /// Then the fold, as one pipelined pool job
-    /// ([`crate::exec::try_stream_map`]): worker lanes train delivered
-    /// tasks while at most twice the lane count of them are unabsorbed,
-    /// and whichever lane completes the next task in line absorbs it
-    /// into `sink` — **in task order** (never completion order),
-    /// overlapping the training of later tasks — and drops it.
-    /// Peak memory is O(in-flight), not O(cohort), and the fold is
-    /// bit-identical to materializing every update first — at any
-    /// thread count and any within-tick delivery permutation.
+    /// ([`crate::exec::try_stream_map`]): lanes train delivered tasks
+    /// while at most twice the lane count are unabsorbed, and whichever
+    /// lane completes the next task in line absorbs it into `sink` —
+    /// **in task order**, overlapping later tasks' training — and drops
+    /// it. Peak memory is O(in-flight), not O(cohort), and the fold is
+    /// bit-identical at any thread count and delivery permutation.
     ///
     /// Replies come back **in task order**; a reaped device's task is
     /// simply absent. The sink sees `begin_round → absorb × delivered
     /// → finish` exactly once, even for an empty round. Transitions
-    /// `selecting → training → aggregating`.
+    /// `selecting → aggregating`.
     ///
     /// # Errors
     ///
@@ -504,12 +432,9 @@ impl Coordinator {
         cfg: &LocalTrainConfig,
         sink: &mut dyn UpdateSink,
     ) -> Result<Vec<TrainReply>> {
-        self.expect(Phase::Round(RoundStage::Selecting), "train")?;
-        #[expect(
-            clippy::disallowed_types,
-            reason = "point lookups only, never iterated"
-        )]
-        let cohort_set: std::collections::HashSet<usize> = self.admitted.iter().copied().collect();
+        self.protocol
+            .expect(Phase::Round(RoundStage::Selecting), "train")?;
+        let round = self.protocol.round();
         for t in &tasks {
             if t.client >= shards.num_clients() {
                 return Err(SimError::NoSuchClient {
@@ -517,10 +442,10 @@ impl Coordinator {
                     clients: shards.num_clients(),
                 });
             }
-            if !cohort_set.contains(&t.client) {
+            if !self.protocol.is_admitted(t.client) {
                 return Err(SimError::protocol(format!(
-                    "train task for client {} which was not admitted to round {}",
-                    t.client, self.round
+                    "train task for client {} which was not admitted to round {round}",
+                    t.client
                 )));
             }
             if t.model >= models.len() {
@@ -534,264 +459,55 @@ impl Coordinator {
                 });
             }
         }
-        self.phase = Phase::Round(RoundStage::Training);
-        let round = self.round;
-        let n = tasks.len();
-        if n == 0 {
-            sink.begin_round(&RoundManifest { round, tasks: &[] })?;
-            sink.finish()?;
-            self.phase = Phase::Round(RoundStage::Aggregating);
-            return Ok(Vec::new());
-        }
-
-        // Dispatch: slim messages only — the model table stays host-side.
-        let dispatch_at = self.clock.now() + 1;
-        // (client, model index, seed, macs, params) per task.
-        let mut task_meta: Vec<(usize, usize, u64, u64, usize)> = Vec::with_capacity(n);
-        for (i, t) in tasks.into_iter().enumerate() {
-            let m = &models[t.model];
-            task_meta.push((
-                t.client,
-                t.model,
-                t.seed,
-                m.macs_per_sample(),
-                m.param_count(),
-            ));
-            self.transport.send_down(
-                t.client,
-                dispatch_at,
-                CoordinatorMessage::StartTrainingRound {
+        // Price every task from the manifest alone: the full
+        // virtual-clock timeline exists before any training.
+        let priced: Vec<Priced> = tasks
+            .iter()
+            .map(|t| {
+                let m = &models[t.model];
+                let samples = crate::trainer::expected_samples(cfg, shards.train_len(t.client));
+                let elapsed_s = self.cohort.round_time(
                     round,
-                    task: i,
-                    model: t.model,
-                    seed: t.seed,
-                },
-            );
-            self.stats.messages_down += 1;
-        }
-
-        // Devices receive their dispatches; vanish-scripted devices die
-        // here (payload lost), everything else will train.
-        self.clock.advance_to(dispatch_at);
-        let mut executed = vec![false; n];
-        for (client, msg) in self.transport.recv_down(dispatch_at) {
-            match msg {
-                CoordinatorMessage::StartTrainingRound { task, .. } => {
-                    if self.cohort.behavior(round, client) != Behavior::Vanish {
-                        executed[task] = true;
-                    }
+                    t.client,
+                    m.macs_per_sample(),
+                    m.param_count(),
+                    samples,
+                );
+                Priced {
+                    client: t.client,
+                    samples,
+                    elapsed_s,
                 }
-                other => self
-                    .cohort
-                    .handle(client, &other, dispatch_at, &mut *self.transport),
-            }
-        }
-
-        // Per-device state lives in flat arrays indexed by *slot*: the
-        // rank of the device among this round's distinct task clients.
-        // Slots ascend with the client index, so every scan below walks
-        // devices in ascending client order.
-        let mut clients: Vec<usize> = task_meta.iter().map(|meta| meta.0).collect();
-        clients.sort_unstable();
-        clients.dedup();
-        let task_slot: Vec<usize> = task_meta
-            .iter()
-            .map(|meta| clients.partition_point(|&c| c < meta.0))
-            .collect();
-
-        // Price every executing task from the manifest alone: the
-        // sample count is a pure function of config and shard size, so
-        // the full virtual-clock timeline exists before any training.
-        let start = self.clock.now();
-        let hb_ticks = ticks_for_seconds(self.opts.heartbeat_interval_s);
-        let deadline_ticks = self.opts.heartbeat_deadline_ticks();
-        let mut task_samples = vec![0u64; n];
-        // (elapsed_s, end tick)
-        let mut task_timing = vec![(0.0f64, 0u64); n];
-        // A device's span is its slowest executing task; `None` for a
-        // device none of whose tasks execute.
-        let mut span_s: Vec<Option<f64>> = vec![None; clients.len()];
-        for i in 0..n {
-            if !executed[i] {
-                continue;
-            }
-            let (client, _, _, macs, params) = task_meta[i];
-            let samples = crate::trainer::expected_samples(cfg, shards.train_len(client));
-            task_samples[i] = samples;
-            let elapsed_s = self.cohort.round_time(round, client, macs, params, samples);
-            task_timing[i] = (elapsed_s, start + ticks_for_seconds(elapsed_s));
-            let span = span_s[task_slot[i]].get_or_insert(0.0);
-            if elapsed_s > *span {
-                *span = elapsed_s;
-            }
-        }
-        // Mid-round departures: a departing device's cutoff tick is a
-        // stateless hash of its round span; events scheduled at or
-        // past the cutoff are never sent, so fast tasks still land
-        // while slow ones go silent and the heartbeat deadline reaps
-        // them. The default (no departure model) cutoff is ∞, which
-        // keeps the schedule below bit-identical to the pre-churn one.
-        let cutoff: Vec<u64> = clients
-            .iter()
-            .zip(&span_s)
-            .map(|(&client, span)| {
-                span.and_then(|span_s| self.cohort.departure_s(round, client, span_s))
-                    .map_or(u64::MAX, |dep_s| start + ticks_for_seconds(dep_s))
             })
             .collect();
-        for i in 0..n {
-            if !executed[i] {
-                continue;
-            }
-            let client = task_meta[i].0;
-            let (elapsed_s, end) = task_timing[i];
-            let cut = cutoff[task_slot[i]];
-            // Liveness beats every interval until the result lands. For
-            // degenerate spans (a tiny interval against a huge round
-            // time) the stride widens so no device ever schedules more
-            // than ~10k beats — wide strides stay under the deadline
-            // because the effective deadline is clamped to ≥ 1 stride
-            // only for configured intervals; absurd spans are a
-            // documented non-goal.
-            let stride = hb_ticks.max(end.saturating_sub(start) / 10_000);
-            let mut beat = start + stride;
-            while beat < end && beat < cut {
-                self.transport
-                    .send_up(client, beat, ClientMessage::Heartbeat { round });
-                beat += stride;
-            }
-            if end < cut {
-                self.transport.send_up(
-                    client,
-                    end,
-                    ClientMessage::EndTrainingRound {
-                        round,
-                        task: i,
-                        samples: task_samples[i],
-                        elapsed_s,
-                    },
-                );
-            }
-        }
-
-        // Collect: jump the clock from event to event; reap devices
-        // whose signals go silent past the deadline. A device is live
-        // while it has open tasks — dispatched, no result yet, not
-        // reaped — so a reaped device (open tasks zeroed) drops out of
-        // both scans by itself.
-        let mut last_signal = vec![start; clients.len()];
-        let mut open_tasks = vec![0usize; clients.len()];
-        for &slot in &task_slot {
-            open_tasks[slot] += 1;
-        }
-        let mut replies: Vec<Option<TrainReply>> = (0..n).map(|_| None).collect();
-        let mut unresolved: usize = n;
-        while unresolved > 0 {
-            let next_deadline = (0..clients.len())
-                .filter(|&slot| open_tasks[slot] > 0)
-                .map(|slot| last_signal[slot] + deadline_ticks)
-                .min();
-            let target = match (self.transport.next_delivery(), next_deadline) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
+        // Dispatch: slim messages only — the model table stays host-side.
+        let start = self.now + 1;
+        for (i, t) in tasks.iter().enumerate() {
+            let msg = CoordinatorMessage::StartTrainingRound {
+                round,
+                task: i,
+                model: t.model,
+                seed: t.seed,
             };
-            self.clock.advance_to(target);
-            let now = self.clock.now();
-            for (client, msg) in self.transport.recv_up(now) {
-                self.stats.messages_up += 1;
-                match msg {
-                    // A heartbeat for this round refreshes its
-                    // sender's liveness; one from a client with no task
-                    // this round changes nothing. One for another round
-                    // is dropped and counted.
-                    ClientMessage::Heartbeat { round: r } if r != round => {
-                        self.stats.rejected_heartbeats += 1;
-                    }
-                    ClientMessage::Heartbeat { .. } => {
-                        if let Ok(slot) = clients.binary_search(&client) {
-                            last_signal[slot] = now;
-                        }
-                        self.stats.heartbeats += 1;
-                    }
-                    ClientMessage::EndTrainingRound {
-                        round: r,
-                        task,
-                        samples,
-                        elapsed_s,
-                    } => {
-                        // The wire is untrusted: a result lands only
-                        // for this round, for one of its tasks, from
-                        // that task's client, while the task is open —
-                        // taken by its device, not landed, not reaped —
-                        // and claiming the sample count the task was
-                        // priced at. Anything else is dropped and
-                        // counted, so it can neither panic here nor
-                        // replace a reply.
-                        let open = r == round
-                            && task < n
-                            && task_meta[task].0 == client
-                            && executed[task]
-                            && replies[task].is_none()
-                            && open_tasks[task_slot[task]] > 0
-                            && samples == task_samples[task];
-                        if !open {
-                            self.stats.rejected_results += 1;
-                            continue;
-                        }
-                        let slot = task_slot[task];
-                        last_signal[slot] = now;
-                        unresolved -= 1;
-                        open_tasks[slot] -= 1;
-                        // The priced count, the one the sink and the
-                        // virtual clock see, is the one billed.
-                        replies[task] = Some(TrainReply {
-                            task,
-                            client,
-                            samples: task_samples[task],
-                            avg_loss: 0.0,
-                            avg_acc: 0.0,
-                            elapsed_s,
-                        });
-                        self.stats.results += 1;
-                    }
-                    ClientMessage::RendezvousRequest { round: r } => {
-                        // Mid-round admission request: no slot now.
-                        self.stats.later_replies += 1;
-                        self.transport.send_down(
-                            client,
-                            now + 1,
-                            CoordinatorMessage::Rendezvous {
-                                round: r,
-                                reply: RendezvousReply::Later,
-                            },
-                        );
-                        self.stats.messages_down += 1;
-                    }
-                }
-            }
-            for (client, msg) in self.transport.recv_down(now) {
-                self.cohort.handle(client, &msg, now, &mut *self.transport);
-            }
-            for slot in 0..clients.len() {
-                if open_tasks[slot] > 0 && now >= last_signal[slot] + deadline_ticks {
-                    self.stats.heartbeat_dropouts += 1;
-                    unresolved -= open_tasks[slot];
-                    open_tasks[slot] = 0;
-                }
-            }
+            self.transport.send_down(t.client, start, msg);
         }
+        let beat = ticks_for_seconds(self.opts.heartbeat_interval_s);
+        let taken =
+            self.cohort
+                .schedule_training(round, start, &priced, beat, &mut *self.transport);
+        let silence = self.opts.heartbeat_deadline_ticks();
+        self.protocol.dispatch(start, &priced, &taken, silence);
+        self.pump(start);
+        let mut replies = self.protocol.replies();
 
         // The fold: pipeline delivered tasks through the sink in task
         // order, at most `window` updates alive at once.
-        let delivered: Vec<usize> = (0..n).filter(|&i| replies[i].is_some()).collect();
-        let specs: Vec<TaskSpec> = delivered
+        let specs: Vec<TaskSpec> = replies
             .iter()
-            .map(|&i| TaskSpec {
-                task: i,
-                client: task_meta[i].0,
-                samples: task_samples[i],
+            .map(|r| TaskSpec {
+                task: r.task,
+                client: r.client,
+                samples: r.samples,
             })
             .collect();
         sink.begin_round(&RoundManifest {
@@ -807,17 +523,18 @@ impl Coordinator {
         let attack = self.adversity.attack;
         let drift = self.adversity.drift;
         crate::exec::try_stream_map(
-            delivered.len(),
+            specs.len(),
             threads,
             window,
             |slot| {
-                let (client, model_idx, seed, ..) = task_meta[delivered[slot]];
-                let mut model = models[model_idx].clone();
+                let spec = &specs[slot];
+                let task = &tasks[spec.task];
+                let mut model = models[task.model].clone();
                 // Concept drift first (the whole fleet sees the same
                 // schedule), then the byzantine label flip on marked
                 // clients — both pure shard views, inert by default.
-                let mut shard = drift.apply(round, shards.shard_half(client, Half::Train));
-                if attack.flip_labels && attack.is_byzantine(run_seed, round, client) {
+                let mut shard = drift.apply(round, shards.shard_half(spec.client, Half::Train));
+                if attack.flip_labels && attack.is_byzantine(run_seed, round, spec.client) {
                     let classes = shard.label_dist().len();
                     if classes > 1 {
                         shard = std::borrow::Cow::Owned(
@@ -825,23 +542,21 @@ impl Coordinator {
                         );
                     }
                 }
-                crate::trainer::train_local(&mut model, client, &shard, cfg, seed)
+                crate::trainer::train_local(&mut model, spec.client, &shard, cfg, task.seed)
             },
             |slot, mut outcome| {
-                let i = delivered[slot];
+                let reply = &mut replies[slot];
                 // Tripwire: the manifest priced this task before it
                 // ran; the executed outcome must agree or the timeline
                 // the cohort saw was a lie.
-                if outcome.samples_processed != task_samples[i] {
+                if outcome.samples_processed != reply.samples {
                     return Err(SimError::protocol(format!(
-                        "task {i} processed {} samples but was priced at {}",
-                        outcome.samples_processed, task_samples[i]
+                        "task {} processed {} samples but was priced at {}",
+                        reply.task, outcome.samples_processed, reply.samples
                     )));
                 }
-                if let Some(reply) = replies[i].as_mut() {
-                    reply.avg_loss = outcome.avg_loss;
-                    reply.avg_acc = outcome.avg_acc;
-                }
+                reply.avg_loss = outcome.avg_loss;
+                reply.avg_acc = outcome.avg_acc;
                 // Byzantine corruption happens at the sink boundary,
                 // after training, so robust sinks see exactly what the
                 // attacker uploads.
@@ -855,7 +570,7 @@ impl Coordinator {
                     )?;
                 }
                 sink.absorb(ClientUpdate {
-                    task: i,
+                    task: reply.task,
                     client: outcome.client,
                     samples: outcome.samples_processed,
                     weights: outcome.weights,
@@ -865,9 +580,8 @@ impl Coordinator {
             },
         )?;
         sink.finish()?;
-
-        self.phase = Phase::Round(RoundStage::Aggregating);
-        Ok(replies.into_iter().flatten().collect())
+        self.protocol.aggregate();
+        Ok(replies)
     }
 
     /// Closes the round: notifies the cohort, clears the wire, and
@@ -879,38 +593,16 @@ impl Coordinator {
     ///
     /// [`SimError::Protocol`] when not in the aggregating stage.
     pub fn finish_round(&mut self) -> Result<()> {
-        self.expect(Phase::Round(RoundStage::Aggregating), "finish_round")?;
-        let round = self.round;
-        let notify_at = self.clock.now() + 1;
-        for &client in &self.admitted {
+        self.protocol
+            .expect(Phase::Round(RoundStage::Aggregating), "finish_round")?;
+        let round = self.protocol.round();
+        let notify_at = self.now + 1;
+        for client in self.protocol.notify_end() {
             self.transport
                 .send_down(client, notify_at, CoordinatorMessage::EndRound { round });
-            self.stats.messages_down += 1;
         }
-        self.clock.advance_to(notify_at);
-        for (client, msg) in self.transport.recv_down(notify_at) {
-            self.cohort
-                .handle(client, &msg, notify_at, &mut *self.transport);
-        }
-        self.transport.clear();
-        self.admitted.clear();
-        self.clock.reset();
-        self.round += 1;
-        self.phase = Phase::Standby;
-        Ok(())
-    }
-
-    /// Permanently shuts the coordinator down.
-    ///
-    /// Transitions `STANDBY → FINISHED`.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Protocol`] when a round is in progress (or the
-    /// coordinator is already finished).
-    pub fn shutdown(&mut self) -> Result<()> {
-        self.expect(Phase::Standby, "shutdown")?;
-        self.phase = Phase::Finished;
+        self.pump(notify_at);
+        self.install(Protocol::install(round + 1, *self.protocol.stats()));
         Ok(())
     }
 
@@ -921,9 +613,9 @@ impl Coordinator {
     /// coordinator state.
     pub fn checkpoint_value(&self) -> Value {
         serde_json::json!({
-            "phase": format!("{}", self.phase),
-            "round": self.round,
-            "stats": self.stats,
+            "phase": format!("{}", self.phase()),
+            "round": self.round(),
+            "stats": self.stats(),
         })
     }
 
@@ -937,17 +629,12 @@ impl Coordinator {
     /// mid-round (which the runtime never produces).
     pub fn decode_checkpoint(state: &Value) -> Result<CoordinatorCheckpoint> {
         let phase: String = crate::driver::field(state, "phase")?;
-        let phase = match phase.as_str() {
-            "standby" => Phase::Standby,
-            "finished" => Phase::Finished,
-            other => {
-                return Err(SimError::snapshot(format!(
-                    "field `phase`: coordinator checkpoint taken mid-round (phase `{other}`)"
-                )))
-            }
-        };
+        if phase != "standby" {
+            return Err(SimError::snapshot(format!(
+                "field `phase`: coordinator checkpoint taken mid-round (phase `{phase}`)"
+            )));
+        }
         Ok(CoordinatorCheckpoint {
-            phase,
             round: crate::driver::field(state, "round")?,
             stats: crate::driver::field(state, "stats")?,
         })
@@ -956,11 +643,13 @@ impl Coordinator {
     /// Installs a decoded checkpoint: between-round state is restored
     /// and any wire or clock residue cleared.
     pub fn install_checkpoint(&mut self, checkpoint: CoordinatorCheckpoint) {
-        self.phase = checkpoint.phase;
-        self.round = checkpoint.round;
-        self.stats = checkpoint.stats;
-        self.admitted.clear();
+        self.install(Protocol::install(checkpoint.round, checkpoint.stats));
+    }
+
+    /// Standby under `protocol`, with an empty wire at tick zero.
+    fn install(&mut self, protocol: Protocol) {
+        self.protocol = protocol;
         self.transport.clear();
-        self.clock.reset();
+        self.now = 0;
     }
 }

@@ -25,7 +25,9 @@ use crate::device::DeviceTrace;
 use crate::faults::FaultConfig;
 use crate::roundtime::client_round_time;
 
+use super::clock::ticks_for_seconds;
 use super::message::{ClientMessage, CoordinatorMessage};
+use super::protocol::Priced;
 use super::transport::Transport;
 
 /// How a device conducts itself in one round (test override).
@@ -172,10 +174,64 @@ impl Cohort {
         }
     }
 
+    /// The devices' conduct in training, dispatched at tick `start`:
+    /// which device takes its task, and when its heartbeats and result
+    /// go up. `tasks` are the round's tasks, priced; returns whether each
+    /// was taken.
+    ///
+    /// A [`Behavior::Vanish`] device takes nothing. A departing device
+    /// goes dark at its cutoff, a stateless hash of its span (its
+    /// slowest task): nothing at or past it is sent, so fast tasks still
+    /// land while slow ones go silent and get reaped. A task beats every
+    /// `beat_ticks` until its result goes up at its priced round time.
+    pub(crate) fn schedule_training(
+        &self,
+        round: u32,
+        start: u64,
+        tasks: &[Priced],
+        beat_ticks: u64,
+        transport: &mut dyn Transport,
+    ) -> Vec<bool> {
+        let taken: Vec<bool> = tasks
+            .iter()
+            .map(|t| self.behavior(round, t.client) != Behavior::Vanish)
+            .collect();
+        let running = || tasks.iter().enumerate().filter(|&(i, _)| taken[i]);
+        let mut span_s: BTreeMap<usize, f64> = BTreeMap::new();
+        for (_, t) in running() {
+            let span = span_s.entry(t.client).or_insert(0.0);
+            if t.elapsed_s > *span {
+                *span = t.elapsed_s;
+            }
+        }
+        for (task, t) in running() {
+            let end = start + ticks_for_seconds(t.elapsed_s);
+            let departs = self.departure_s(round, t.client, span_s[&t.client]);
+            let cut = departs.map_or(u64::MAX, |s| start + ticks_for_seconds(s));
+            // A degenerate span (a tiny interval against a huge round
+            // time) widens the stride to keep a task under ~10k beats.
+            let stride = beat_ticks.max(end.saturating_sub(start) / 10_000);
+            let mut beat = start + stride;
+            while beat < end && beat < cut {
+                transport.send_up(t.client, beat, ClientMessage::Heartbeat { round });
+                beat += stride;
+            }
+            if end < cut {
+                let result = ClientMessage::EndTrainingRound {
+                    round,
+                    task,
+                    samples: t.samples,
+                    elapsed_s: t.elapsed_s,
+                };
+                transport.send_up(t.client, end, result);
+            }
+        }
+        taken
+    }
+
     /// Reacts to a coordinator message delivered to `client`,
-    /// scheduling any reply on the transport. `StartTrainingRound` is
-    /// *not* handled here — the coordinator's training phase executes
-    /// task batches itself (see [`crate::coordinator::Coordinator::train`]).
+    /// scheduling any reply on the transport. A device's conduct after
+    /// `StartTrainingRound` was scheduled when its task was priced.
     pub fn handle(
         &self,
         client: usize,
@@ -193,8 +249,8 @@ impl Cohort {
                     );
                 }
             }
-            // Admission decisions and round-end notices need no device
-            // reply; training dispatch is executed by the coordinator.
+            // Admission decisions, dispatches and round-end notices
+            // need no device reply now.
             CoordinatorMessage::Rendezvous { .. }
             | CoordinatorMessage::StartTrainingRound { .. }
             | CoordinatorMessage::EndRound { .. } => {}

@@ -80,14 +80,17 @@ pub fn parse_artifact_dir(value: &str) -> Option<PathBuf> {
 pub fn artifact_dir() -> PathBuf {
     #[expect(clippy::disallowed_methods, reason = "outside every report")]
     let env = std::env::var("FT_ARTIFACT_DIR").ok();
-    env.as_deref()
-        .and_then(parse_artifact_dir)
-        .unwrap_or_else(|| {
-            // crates/fedsim/../.. is the workspace root at compile time; the
-            // sources do not move between compile and run in this repo's
-            // workflows (CI runs from a checkout, local runs from the tree).
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results")
-        })
+    resolve_artifact_dir(env.as_deref())
+}
+
+/// [`artifact_dir`] for the variable's value (`None`: unset).
+fn resolve_artifact_dir(value: Option<&str>) -> PathBuf {
+    value.and_then(parse_artifact_dir).unwrap_or_else(|| {
+        // crates/fedsim/../.. is the workspace root at compile time; the
+        // sources do not move between compile and run in this repo's
+        // workflows (CI runs from a checkout, local runs from the tree).
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results")
+    })
 }
 
 /// Writes a pretty-printed JSON artifact as `<artifact_dir>/<name>.json`
@@ -195,12 +198,17 @@ mod tests {
     }
 
     #[test]
-    #[expect(clippy::disallowed_methods, reason = "reads, never sets, the override")]
     fn artifact_dir_honours_override() {
-        // Can't mutate the process env safely under parallel tests;
-        // just check the default is anchored, not CWD-relative.
-        let dir = artifact_dir();
-        assert!(dir.is_absolute() || std::env::var("FT_ARTIFACT_DIR").is_ok());
-        assert!(dir.ends_with("bench_results") || std::env::var("FT_ARTIFACT_DIR").is_ok());
+        // Unset or empty: the workspace root's `bench_results`, anchored
+        // at compile time, not at the working directory.
+        for unset in [None, Some("")] {
+            let dir = resolve_artifact_dir(unset);
+            assert!(dir.is_absolute(), "{dir:?}");
+            assert!(dir.ends_with("bench_results"), "{dir:?}");
+            assert!(dir.with_file_name("Cargo.toml").exists(), "{dir:?}");
+        }
+        for set in ["/tmp/ft-artifacts", "relative/dir"] {
+            assert_eq!(resolve_artifact_dir(Some(set)), PathBuf::from(set));
+        }
     }
 }

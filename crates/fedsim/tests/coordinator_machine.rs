@@ -70,7 +70,6 @@ enum At {
     Standby,
     Selecting,
     Aggregating,
-    Finished,
 }
 
 /// Every protocol action a caller can attempt.
@@ -79,7 +78,6 @@ enum Do {
     Begin,
     Train,
     Finish,
-    Shutdown,
 }
 
 struct Fixture {
@@ -124,9 +122,6 @@ impl Fixture {
                     )
                     .unwrap();
             }
-            At::Finished => {
-                self.coord.shutdown().unwrap();
-            }
         }
     }
 
@@ -150,7 +145,6 @@ impl Fixture {
                     .map(|_| ())
             }
             Do::Finish => self.coord.finish_round(),
-            Do::Shutdown => self.coord.shutdown(),
         }
     }
 }
@@ -164,19 +158,12 @@ fn every_transition_in_the_table_behaves_as_specified() {
         (At::Standby, Do::Begin, true),
         (At::Standby, Do::Train, false),
         (At::Standby, Do::Finish, false),
-        (At::Standby, Do::Shutdown, true),
         (At::Selecting, Do::Begin, false),
         (At::Selecting, Do::Train, true),
         (At::Selecting, Do::Finish, false),
-        (At::Selecting, Do::Shutdown, false),
         (At::Aggregating, Do::Begin, false),
         (At::Aggregating, Do::Train, false),
         (At::Aggregating, Do::Finish, true),
-        (At::Aggregating, Do::Shutdown, false),
-        (At::Finished, Do::Begin, false),
-        (At::Finished, Do::Train, false),
-        (At::Finished, Do::Finish, false),
-        (At::Finished, Do::Shutdown, false),
     ];
     for &(at, action, legal) in table {
         let mut fx = Fixture::new();
@@ -592,7 +579,20 @@ fn hostile_round(forged: Vec<(usize, ClientMessage)>, at: Inject) -> (Charged, C
         slowest_bits: slowest.to_bits(),
         polls: std::mem::take(&mut polls.lock().unwrap()),
     };
-    (charged, *c.stats())
+    let stats = *c.stats();
+    // Every message up is answered, landed, or dropped and counted: one
+    // counter each, in every stage of the round.
+    assert_eq!(
+        stats.messages_up,
+        stats.accepted
+            + stats.later_replies
+            + stats.results
+            + stats.rejected_results
+            + stats.heartbeats
+            + stats.rejected_heartbeats,
+        "{stats:?}"
+    );
+    (charged, stats)
 }
 
 /// A training result as a device would announce it.
@@ -680,6 +680,25 @@ fn a_heartbeat_for_another_round_keeps_no_device_alive() {
         ..clean_stats
     };
     assert_eq!(stats, expected, "dropped and counted, not heartbeats");
+}
+
+#[test]
+fn a_selection_stage_heartbeat_meets_the_training_rules() {
+    let (clean, clean_stats) = hostile_round(Vec::new(), Inject::Selection);
+    // A beat before any task exists: one for this round is counted and
+    // refreshes nothing; one for another round is rejected.
+    for (round, heartbeats, rejected_heartbeats) in [(0, 1, 0), (7, 0, 1)] {
+        let forged = vec![(0, ClientMessage::Heartbeat { round })];
+        let (got, stats) = hostile_round(forged, Inject::Selection);
+        assert_eq!(got, clean, "round {round}: the honest round must not move");
+        let expected = CoordinatorStats {
+            heartbeats: clean_stats.heartbeats + heartbeats,
+            rejected_heartbeats,
+            messages_up: clean_stats.messages_up + 1,
+            ..clean_stats
+        };
+        assert_eq!(stats, expected, "round {round}: counted once");
+    }
 }
 
 proptest! {

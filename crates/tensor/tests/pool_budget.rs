@@ -254,6 +254,8 @@ fn thread_counts_parse_up_to_the_cap() {
 
 #[test]
 fn a_scope_nests_and_restores() {
+    // The process default reads the pool size: pin it first.
+    let _pool = pinned_pool();
     let outer = Settings::current();
     let portable = Settings {
         kernel: Kernel::Portable,

@@ -24,6 +24,11 @@ pub use ft_fedsim;
 pub use ft_fedsim::{ClientUpdate, FedAvgSink, RoundManifest, TaskSpec, UpdateSink};
 pub use ft_harness;
 
+/// README's Rust blocks, compiled by `cargo test` as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct Readme;
+
 #[cfg(test)]
 mod smoke {
     #[test]

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests for the scenario harness: golden-digest
 //! agreement, checkpoint/resume byte-identity for FedTrans, a baseline,
-//! fault injection and an attack, the JSON config path, validation of
+//! fault injection and an attack, the protocol telemetry of the
+//! fault-bearing scenarios, the JSON config path, validation of
 //! hostile scenario values, and `ft-run`'s startup check of the `FT_*`
 //! environment, its report write and its kill/resume flags. Every golden
 //! under every kernel tier, thread count and kill/resume is
@@ -12,6 +13,7 @@ use std::path::PathBuf;
 #[path = "common/matrix.rs"]
 mod matrix;
 
+use ft_fedsim::coordinator::CoordinatorStats;
 use ft_fedsim::SimError;
 use ft_harness::{registry, run_scenario, AlgorithmSpec, RunOptions, Scenario};
 
@@ -66,6 +68,44 @@ fn byzantine_scenario_resumes_byte_identically() {
     // client); the sink drains inside each round), so a kill/resume
     // under active attack must replay the defended fold bit for bit.
     assert_resume_byte_identical("byzantine-trimmed-mean", 4);
+}
+
+#[test]
+fn the_fault_bearing_scenarios_keep_their_protocol_telemetry() {
+    // The coordinator's counters in the final checkpoint of each quick
+    // run: every dropout, reap, heartbeat and message a round exchanged.
+    // The report digests cannot see them, so a protocol change that
+    // keeps every golden can still move these.
+    let pins: [(&str, [u64; 11]); 4] = [
+        ("iid-small", [48, 48, 0, 0, 0, 0, 48, 0, 0, 96, 192]),
+        ("high-dropout", [64, 45, 0, 19, 0, 0, 45, 0, 0, 90, 199]),
+        ("straggler-heavy", [48, 48, 0, 0, 0, 1, 48, 0, 0, 97, 192]),
+        ("diurnal-churn", [48, 31, 0, 17, 4, 0, 27, 0, 0, 58, 141]),
+    ];
+    for (name, pinned) in pins {
+        let scenario = registry::find(name).unwrap();
+        let mut run = scenario.build().unwrap();
+        while (run.round() as usize) < scenario.quick_rounds {
+            run.step().unwrap();
+        }
+        let checkpoint = run.checkpoint();
+        let stats = checkpoint.get("coordinator").and_then(|c| c.get("stats"));
+        let s: CoordinatorStats = serde_json::from_value(stats.unwrap()).unwrap();
+        let got = [
+            s.invitations,
+            s.accepted,
+            s.later_replies,
+            s.rendezvous_dropouts,
+            s.heartbeat_dropouts,
+            s.heartbeats,
+            s.results,
+            s.rejected_results,
+            s.rejected_heartbeats,
+            s.messages_up,
+            s.messages_down,
+        ];
+        assert_eq!(got, pinned, "{name}: {s:?}");
+    }
 }
 
 #[test]
