@@ -836,8 +836,8 @@ impl UpdateSink for Aggregator {
 }
 
 /// Coordinates per tile of [`order_statistics`]: one lane of the rank
-/// search per coordinate. A 200-client cohort's tile is 51 KB of keys
-/// and survivor mask, L2-resident on every host the pool runs on, while
+/// search per coordinate. A 200-client cohort's tile is 25.6 KB of
+/// keys, L1- or L2-resident on every host the pool runs on, while
 /// each update is still read in 128-byte runs.
 const TILE_COORDS: usize = order_stats::LANES;
 

@@ -669,6 +669,7 @@ mod tests {
                 planes: 0,
                 scratch: 4_000 + 4_800 + 3_840 + 3_840 + 320 + 3_072 + 1_152 + 9_216,
                 passes: 4_800 + 3_840 + 3_840,
+                key_rows: 0,
             }
         );
         // `zero_grad` fills every gradient (47 616 + 400 elements) that

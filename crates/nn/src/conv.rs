@@ -381,14 +381,7 @@ impl Conv2d {
                 gw[oc * fan_in + r] += v;
             }
         }
-        // Each channel's sum runs over ascending (sample, pixel).
-        let oc_len = self.out_channels * hw;
-        for oc in 0..self.out_channels {
-            let sum: f32 = (0..batch)
-                .flat_map(|s| &dy.data()[s * oc_len + oc * hw..][..hw])
-                .sum();
-            self.grad_bias.data_mut()[oc] += sum;
-        }
+        add_bias_grad(self.grad_bias.data_mut(), dy.data(), hw);
         Ok(())
     }
 
@@ -405,6 +398,48 @@ impl Conv2d {
             * self.in_channels
             * self.kernel
             * self.kernel) as u64
+    }
+}
+
+/// Channels whose bias-gradient sums [`add_bias_grad`] runs at once.
+const BIAS_CHAINS: usize = 8;
+
+/// `db[oc] += Σ dy[s][oc][px]` for `dy` laid out `[batch, channels, hw]`.
+/// Each channel's sum runs over ascending (sample, pixel) from `f32`'s
+/// `Sum` start value, as `iter().sum()` does; the sums of
+/// [`BIAS_CHAINS`] channels run interleaved, so an add does not wait on
+/// the one before it.
+fn add_bias_grad(db: &mut [f32], dy: &[f32], hw: usize) {
+    let channels = db.len();
+    let (blocks, rest) = db.as_chunks_mut::<BIAS_CHAINS>();
+    let tail = blocks.len() * BIAS_CHAINS;
+    for (b, db) in blocks.iter_mut().enumerate() {
+        add_channel_sums(db, dy, channels, b * BIAS_CHAINS, hw);
+    }
+    for (c, db) in rest.iter_mut().enumerate() {
+        add_channel_sums(std::array::from_mut(db), dy, channels, tail + c, hw);
+    }
+}
+
+/// `db[c] += Σ dy[s][first + c][px]`, the `N` sums side by side.
+fn add_channel_sums<const N: usize>(
+    db: &mut [f32; N],
+    dy: &[f32],
+    channels: usize,
+    first: usize,
+    hw: usize,
+) {
+    let mut acc = [std::iter::empty::<f32>().sum::<f32>(); N];
+    for sample in dy.chunks_exact(channels * hw) {
+        let planes: [&[f32]; N] = std::array::from_fn(|c| &sample[(first + c) * hw..][..hw]);
+        for px in 0..hw {
+            for (a, plane) in acc.iter_mut().zip(&planes) {
+                *a += plane[px];
+            }
+        }
+    }
+    for (d, a) in db.iter_mut().zip(acc) {
+        *d += a;
     }
 }
 

@@ -593,6 +593,7 @@ mod tests {
                 planes: 3 * 10 * planes,
                 scratch: outputs + 3 * (planes + NR) + slab,
                 passes: 0,
+                key_rows: 0,
             }
         );
     }

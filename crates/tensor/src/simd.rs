@@ -14,18 +14,21 @@
 //!    only, [`Kernel::Portable`] everywhere else.
 //!
 //! The AVX-512 tier differs from the AVX2 tier in the GEMM register
-//! tile only: the fused element-wise kernels are bandwidth-bound and
-//! run their AVX2 build under it. Tests reach each tier through
-//! [`crate::Settings::scope`]; there is no environment value that picks
-//! one.
+//! tile and in the robust sinks' rank search, which is compare-bound
+//! and runs its AVX-512 build there; the fused element-wise kernels are
+//! bandwidth-bound and run their AVX2 build under it. Tests reach each
+//! tier through [`crate::Settings::scope`]; there is no environment
+//! value that picks one.
 //!
 //! The element-wise kernels have no intrinsic copies. Each loop is
 //! written once, in [`crate::fused`] or [`crate::order_stats`] (whose
-//! lanes are 32 adjacent coordinates), and `elementwise` runs it either
-//! as is (the portable tier) or inside a function compiled with
+//! lanes are adjacent coordinates), and `elementwise` runs it either as
+//! is (the portable tier) or inside a function compiled with
 //! `target_feature(enable = "avx2")`, where the compiler vectorises the
-//! same source eight lanes wide. Rust never fuses a `mul` and an `add`
-//! into one FMA, so both builds perform the same operations.
+//! same source eight lanes wide; `widest` does the same with `avx512f`
+//! on the AVX-512 tier, sixteen lanes wide. Rust never fuses a `mul`
+//! and an `add` into one FMA, so every build performs the same
+//! operations.
 //!
 //! There is no FMA tier: contracting `mul`+`add` into one rounding
 //! would move every digest.
@@ -54,8 +57,9 @@ pub enum Kernel {
     /// The AVX2 GEMM register tile and AVX2 builds of the element-wise
     /// loops, bit-identical to [`Kernel::Portable`].
     Avx2,
-    /// The AVX-512 GEMM register tile (the element-wise loops run their
-    /// AVX2 build), bit-identical to [`Kernel::Portable`].
+    /// The AVX-512 GEMM register tile and rank search (the fused
+    /// element-wise loops run their AVX2 build), bit-identical to
+    /// [`Kernel::Portable`].
     Avx512,
 }
 
@@ -152,6 +156,24 @@ pub(crate) fn elementwise(f: impl FnOnce()) {
     }
 }
 
+/// [`elementwise`] for a compare-bound loop: compiled for AVX-512 on the
+/// AVX-512 tier (32 vector registers, 16 `i32` lanes each), as
+/// [`elementwise`] does otherwise. The same contract and the same
+/// `#[inline(always)]` discipline hold. The rank search of
+/// [`crate::order_stats`] is its one caller; the bandwidth-bound fused
+/// kernels keep their AVX2 build on every tier.
+pub(crate) fn widest(f: impl FnOnce()) {
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => {
+            // SAFETY: `active` only returns tiers `supported` reports,
+            // and this one needs AVX-512F.
+            unsafe { on_avx512(f) }
+        }
+        _ => elementwise(f),
+    }
+}
+
 /// The AVX2 trampoline behind [`elementwise`]: an AVX2-enabled function
 /// that calls `f`, so the compiler may vectorise an inlined `f` with
 /// `ymm` registers.
@@ -162,6 +184,17 @@ pub(crate) fn elementwise(f: impl FnOnce()) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn on_avx2(f: impl FnOnce()) {
+    f();
+}
+
+/// The AVX-512 trampoline behind [`widest`].
+///
+/// # Safety
+///
+/// The caller must have verified AVX-512F support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn on_avx512(f: impl FnOnce()) {
     f();
 }
 

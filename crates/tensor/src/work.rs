@@ -6,7 +6,7 @@
 //! ([`crate::ConvGeometry`]), scratch elements checked out, and elements
 //! written by element-wise passes outside a GEMM (a bias add, a ReLU or
 //! its mask, a gradient temporary folded in, an input copied into a
-//! cache). A patch matrix lowered into a pack would show in `packed`; a
+//! cache), and key rows read by the robust sinks' rank search. A patch matrix lowered into a pack would show in `packed`; a
 //! lowered A block, a `dcols` buffer or a `dW` temporary in `scratch`; a
 //! bias or ReLU pass beside a dense GEMM in `passes`.
 //!
@@ -28,6 +28,8 @@ pub struct Work {
     pub scratch: usize,
     /// Elements written by element-wise passes outside a GEMM.
     pub passes: usize,
+    /// Key rows read by the rank-search sweeps of [`crate::order_stats`].
+    pub key_rows: usize,
 }
 
 #[cfg(any(test, feature = "work-counters"))]
@@ -42,6 +44,7 @@ thread_local! {
             planes: 0,
             scratch: 0,
             passes: 0,
+            key_rows: 0,
         })
     };
 }
