@@ -512,7 +512,6 @@ fn centralized_upper_bound(
                 .collect::<Result<Vec<_>, _>>()?;
             let labels: Vec<usize> = chunk.iter().map(|&i| y[i]).collect();
             let bx = Tensor::from_rows(&rows)?;
-            m.zero_grad();
             m.loss_and_grad(&bx, &labels)?;
             let grads: Vec<Tensor> = m.grad_tensors().into_iter().cloned().collect();
             let refs: Vec<&Tensor> = grads.iter().collect();

@@ -127,8 +127,6 @@ impl<'a> LocalStepper<'a> {
             &mut self.x,
             &mut self.labels,
         );
-        // Nothing reads the gradients before the backward writes them.
-        model.discard_grads();
         let (loss, acc) = model.loss_and_grad(&self.x, &self.labels)?;
         let mut cur = self.sgd.begin_step();
         match &self.prox {

@@ -303,22 +303,10 @@ impl Cell {
         }
     }
 
-    /// Clears accumulated gradients.
+    /// Fills the gradients with zeros.
     pub fn zero_grad(&mut self) {
         match self {
             Cell::Dense { linear, .. } => linear.zero_grad(),
-            Cell::Conv { conv, .. } => conv.zero_grad(),
-            Cell::Attention { block, .. } => block.zero_grad(),
-        }
-    }
-
-    /// [`Cell::zero_grad`] for a caller that reads no gradient before
-    /// the next backward: a dense cell's backward then stores its
-    /// gradients over the old ones ([`Linear::discard_grads`]) and
-    /// nothing is filled; the other kinds, which add, are zeroed.
-    pub fn discard_grads(&mut self) {
-        match self {
-            Cell::Dense { linear, .. } => linear.discard_grads(),
             Cell::Conv { conv, .. } => conv.zero_grad(),
             Cell::Attention { block, .. } => block.zero_grad(),
         }
@@ -393,29 +381,6 @@ impl Cell {
             .sum::<f32>()
             .sqrt()
     }
-
-    /// Euclidean norm of all accumulated gradients.
-    pub fn grad_norm(&self) -> f32 {
-        self.grad_tensors()
-            .iter()
-            .map(|t| {
-                let n = t.norm();
-                n * n
-            })
-            .sum::<f32>()
-            .sqrt()
-    }
-
-    /// The cell activeness `‖∇w‖ / ‖w‖` from §4.1, the paper's signal
-    /// for which cells bottleneck convergence.
-    pub fn activeness(&self) -> f32 {
-        let w = self.weight_norm();
-        if w <= f32::EPSILON {
-            0.0
-        } else {
-            self.grad_norm() / w
-        }
-    }
 }
 
 #[cfg(test)]
@@ -447,26 +412,6 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let cell = Cell::conv(&mut rng, 2, 4, 3, 5, 5);
         assert_eq!(cell.param_count(), 4 * 2 * 9 + 4);
-    }
-
-    #[test]
-    fn activeness_is_zero_before_backward() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let cell = Cell::dense(&mut rng, 4, 4);
-        assert_eq!(cell.activeness(), 0.0);
-    }
-
-    #[test]
-    fn activeness_positive_after_backward() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        // 16 units so the gradient cannot plausibly die through an
-        // all-negative ReLU layer for any seed (p = 2^-16).
-        let mut cell = Cell::dense(&mut rng, 4, 16);
-        let y = cell.forward(&Tensor::ones(&[1, 4])).unwrap();
-        cell.backward(&Tensor::ones(y.shape().dims())).unwrap();
-        assert!(cell.activeness() > 0.0);
-        cell.zero_grad();
-        assert_eq!(cell.activeness(), 0.0);
     }
 
     #[test]

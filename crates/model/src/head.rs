@@ -154,15 +154,9 @@ impl Head {
         }
     }
 
-    /// Clears accumulated gradients.
+    /// Fills the gradients with zeros.
     pub fn zero_grad(&mut self) {
         self.linear_mut().zero_grad();
-    }
-
-    /// Marks the gradients as dead: the next backward stores over them
-    /// ([`Linear::discard_grads`]).
-    pub fn discard_grads(&mut self) {
-        self.linear_mut().discard_grads();
     }
 
     /// Visits `(mutable parameter, gradient)` pairs in layer order.

@@ -297,8 +297,9 @@ impl CellModel {
         floats * std::mem::size_of::<f32>()
     }
 
-    /// Backward pass from a logits gradient; accumulates all parameter
-    /// gradients and returns the input gradient.
+    /// Backward pass from a logits gradient; stores every parameter
+    /// gradient over the one the layer held and returns the input
+    /// gradient.
     ///
     /// # Errors
     ///
@@ -312,7 +313,7 @@ impl CellModel {
     }
 
     /// [`CellModel::backward`] without the input gradient: the first
-    /// cell accumulates its parameter gradients and computes no `dX`,
+    /// cell stores its parameter gradients and computes no `dX`,
     /// since nothing reads the gradient of the data.
     fn backward_params(&mut self, dlogits: &Tensor) -> Result<()> {
         let mut g = self.head.backward(dlogits)?;
@@ -326,7 +327,7 @@ impl CellModel {
     }
 
     /// Runs one forward/backward pass with softmax cross-entropy,
-    /// accumulating gradients. Returns `(loss, accuracy)`.
+    /// storing the gradients. Returns `(loss, accuracy)`.
     ///
     /// # Errors
     ///
@@ -352,25 +353,13 @@ impl CellModel {
         Ok((loss, acc))
     }
 
-    /// Clears all accumulated gradients.
+    /// Fills every gradient the model holds with zeros. A train step
+    /// needs no such call: its backward stores every gradient.
     pub fn zero_grad(&mut self) {
         for cell in &mut self.cells {
             cell.zero_grad();
         }
         self.head.zero_grad();
-    }
-
-    /// [`CellModel::zero_grad`] for a train step, which reads no
-    /// gradient before its backward: the dense layers (cells and head)
-    /// store their next gradients over the old ones instead of being
-    /// filled with zeros first ([`Cell::discard_grads`]). The gradients
-    /// the backward leaves are the bits `zero_grad` would have led to;
-    /// until it runs, the dense ones read as stale.
-    pub fn discard_grads(&mut self) {
-        for cell in &mut self.cells {
-            cell.discard_grads();
-        }
-        self.head.discard_grads();
     }
 
     /// Immutable references to every parameter tensor, body-first.
@@ -653,8 +642,6 @@ mod tests {
             let mut m = model.lock().unwrap();
             if zero {
                 m.zero_grad();
-            } else {
-                m.discard_grads();
             }
             m.loss_and_grad(&x, &labels).unwrap();
         };
@@ -673,7 +660,7 @@ mod tests {
             }
         );
         // `zero_grad` fills every gradient (47 616 + 400 elements) that
-        // `discard_grads` lets the backward store over.
+        // the backward stores over anyway.
         let zeroed = measure(&|| step(true));
         assert_eq!(zeroed.passes, trainer.passes + 48_016);
         assert_eq!(

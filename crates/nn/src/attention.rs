@@ -3,7 +3,7 @@ use serde::{Deserialize, Serialize};
 use ft_tensor::{scratch, xavier_uniform, Tensor};
 
 use crate::error::expect_shape;
-use crate::{softmax, NnError, Result};
+use crate::{grad_for, softmax, NnError, Result};
 
 /// A single-head self-attention block with a residual MLP.
 ///
@@ -34,7 +34,8 @@ pub struct AttentionBlock {
     wo: Tensor,
     w1: Tensor,
     w2: Tensor,
-    grads: Vec<Tensor>,
+    #[serde(skip)]
+    grads: Box<[Tensor; 6]>,
     #[serde(skip)]
     cache: Option<Box<BatchCache>>,
     /// The cache box last consumed by `backward`, kept so the next
@@ -92,14 +93,6 @@ impl AttentionBlock {
     /// Assembles a block from explicit weights `[Wq, Wk, Wv, Wo, W1, W2]`.
     pub fn from_weights(tokens: usize, d_model: usize, d_ff: usize, w: [Tensor; 6]) -> Self {
         let [wq, wk, wv, wo, w1, w2] = w;
-        let grads = vec![
-            Tensor::zeros(wq.shape().dims()),
-            Tensor::zeros(wk.shape().dims()),
-            Tensor::zeros(wv.shape().dims()),
-            Tensor::zeros(wo.shape().dims()),
-            Tensor::zeros(w1.shape().dims()),
-            Tensor::zeros(w2.shape().dims()),
-        ];
         AttentionBlock {
             tokens,
             d_model,
@@ -110,7 +103,7 @@ impl AttentionBlock {
             wo,
             w1,
             w2,
-            grads,
+            grads: Default::default(),
             cache: None,
             spare: None,
         }
@@ -148,9 +141,10 @@ impl AttentionBlock {
         ]
     }
 
-    /// Gradients in the same order as [`AttentionBlock::weights`].
+    /// The gradients the last backward stored, in the order of
+    /// [`AttentionBlock::weights`] (each empty before the first).
     pub fn grads(&self) -> &[Tensor] {
-        &self.grads
+        &self.grads[..]
     }
 
     /// Visits `(mutable parameter, gradient)` pairs in weight order —
@@ -175,25 +169,21 @@ impl AttentionBlock {
         assert_eq!(w1.shape().dims()[1], w2.shape().dims()[0]);
         assert_eq!(w2.shape().dims()[1], self.d_model);
         self.d_ff = w1.shape().dims()[1];
-        self.grads[4] = Tensor::zeros(w1.shape().dims());
-        self.grads[5] = Tensor::zeros(w2.shape().dims());
         self.w1 = w1;
         self.w2 = w2;
         self.cache = None;
     }
 
-    /// Clears accumulated gradients in place (no reallocation — part
-    /// of the zero-allocation steady-state train step).
+    /// Fills the gradients with zeros in place (no reallocation).
     pub fn zero_grad(&mut self) {
-        for g in &mut self.grads {
+        for g in self.grads.iter_mut() {
             g.data_mut().fill(0.0);
         }
     }
 
     /// Checks what a deserialized block was never checked for: `Wq`,
-    /// `Wk`, `Wv`, `Wo` `[d_model, d_model]`, `W1` `[d_model, d_ff]`,
-    /// `W2` `[d_ff, d_model]`, and one gradient per weight, shaped like
-    /// it.
+    /// `Wk`, `Wv`, `Wo` `[d_model, d_model]`, `W1` `[d_model, d_ff]` and
+    /// `W2` `[d_ff, d_model]`.
     ///
     /// # Errors
     ///
@@ -208,19 +198,8 @@ impl AttentionBlock {
             ("w1", &self.w1, [d, f]),
             ("w2", &self.w2, [f, d]),
         ];
-        if self.grads.len() != weights.len() {
-            return Err(NnError::BadInput {
-                layer: "AttentionBlock",
-                detail: format!(
-                    "{} gradients for {} weights",
-                    self.grads.len(),
-                    weights.len()
-                ),
-            });
-        }
-        for ((name, weight, dims), grad) in weights.into_iter().zip(&self.grads) {
+        for (name, weight, dims) in weights {
             expect_shape("AttentionBlock", name, weight, &dims)?;
-            expect_shape("AttentionBlock", "a gradient", grad, &dims)?;
         }
         Ok(())
     }
@@ -317,7 +296,7 @@ impl AttentionBlock {
         Ok(out)
     }
 
-    /// Backward pass; accumulates gradients for all six weights and
+    /// Backward pass; stores the gradients of all six weights and
     /// returns `dX`.
     ///
     /// # Errors
@@ -325,7 +304,7 @@ impl AttentionBlock {
     /// Returns [`NnError::MissingForwardCache`] if called before
     /// [`AttentionBlock::forward`].
     pub fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
-        let [dh, dq, dk, dv] = self.accumulate_grads(dy)?;
+        let [dh, dq, dk, dv] = self.store_grads(dy)?;
         let batch = dy.rows()?;
         let mut dx = dh;
         dx.axpy(1.0, &dq.matmul_t(&self.wq)?)?;
@@ -334,8 +313,8 @@ impl AttentionBlock {
         Ok(dx.reshaped(&[batch, self.sample_dim()])?)
     }
 
-    /// [`AttentionBlock::backward`] without `dX`: accumulates every
-    /// weight gradient and skips the three input-projection products —
+    /// [`AttentionBlock::backward`] without `dX`: stores every weight
+    /// gradient and skips the three input-projection products —
     /// the backward of a network's first layer, whose input gradient
     /// nothing reads.
     ///
@@ -343,13 +322,14 @@ impl AttentionBlock {
     ///
     /// As [`AttentionBlock::backward`].
     pub fn backward_params(&mut self, dy: &Tensor) -> Result<()> {
-        self.accumulate_grads(dy).map(drop)
+        self.store_grads(dy).map(drop)
     }
 
-    /// Accumulates every weight gradient from `dy` and returns what
-    /// `dX` is built from, all `[batch·T, d]`: the residual stream's
-    /// gradient `dH` and the projections' `dQ`, `dK`, `dV`.
-    fn accumulate_grads(&mut self, dy: &Tensor) -> Result<[Tensor; 4]> {
+    /// Stores every weight gradient from `dy` (each a `t_matmul_into`
+    /// over the gradient) and returns what `dX` is built from, all
+    /// `[batch·T, d]`: the residual stream's gradient `dH` and the
+    /// projections' `dQ`, `dK`, `dV`.
+    fn store_grads(&mut self, dy: &Tensor) -> Result<[Tensor; 4]> {
         let cache = self.cache.take().ok_or(NnError::MissingForwardCache {
             layer: "AttentionBlock",
         })?;
@@ -372,12 +352,13 @@ impl AttentionBlock {
             *o = if z > 0.0 { g } else { 0.0 };
         }
         let dz = Tensor::from_vec(dz_data, dm.shape().dims())?;
-        self.grads[5].axpy(1.0, &cache.m.t_matmul(&dyb)?)?;
-        self.grads[4].axpy(1.0, &cache.h.t_matmul(&dz)?)?;
+        let g = &mut self.grads;
+        cache.m.t_matmul_into(&dyb, grad_for(&mut g[5], &self.w2))?;
+        cache.h.t_matmul_into(&dz, grad_for(&mut g[4], &self.w1))?;
         let dh = dyb.add(&dz.matmul_t(&self.w1)?)?;
         // Attention branch: H = X + (A V) Wo.
         let dc = dh.matmul_t(&self.wo)?;
-        self.grads[3].axpy(1.0, &cache.c.t_matmul(&dh)?)?;
+        cache.c.t_matmul_into(&dh, grad_for(&mut g[3], &self.wo))?;
         // Softmax backward is per-sample (A is block-diagonal); the
         // resulting dQ/dK/dV stack back into whole-batch matrices
         // (scratch checkouts, each sample slice written exactly once).
@@ -408,9 +389,9 @@ impl AttentionBlock {
         let dq = Tensor::from_vec(dqb, &[batch * t, d])?;
         let dk = Tensor::from_vec(dkb, &[batch * t, d])?;
         let dv = Tensor::from_vec(dvb, &[batch * t, d])?;
-        self.grads[0].axpy(1.0, &cache.x.t_matmul(&dq)?)?;
-        self.grads[1].axpy(1.0, &cache.x.t_matmul(&dk)?)?;
-        self.grads[2].axpy(1.0, &cache.x.t_matmul(&dv)?)?;
+        cache.x.t_matmul_into(&dq, grad_for(&mut g[0], &self.wq))?;
+        cache.x.t_matmul_into(&dk, grad_for(&mut g[1], &self.wk))?;
+        cache.x.t_matmul_into(&dv, grad_for(&mut g[2], &self.wv))?;
         // Keep the consumed cache for the next forward to refill.
         self.spare = Some(cache);
         Ok([dh, dq, dk, dv])
@@ -447,12 +428,9 @@ mod tests {
         let mut bad = block.clone();
         bad.w2 = Tensor::zeros(&[8, 16]);
         assert_eq!(detail(bad), "w2 has shape [8, 16], expected [16, 8]");
-        let mut bad = block.clone();
-        bad.grads.pop();
-        assert_eq!(detail(bad), "5 gradients for 6 weights");
         let mut bad = block;
-        bad.grads[4] = Tensor::zeros(&[1]);
-        assert_eq!(detail(bad), "a gradient has shape [1], expected [8, 16]");
+        bad.d_ff = 4;
+        assert_eq!(detail(bad), "w1 has shape [8, 16], expected [8, 4]");
     }
 
     #[test]

@@ -3,7 +3,7 @@ use serde::{Deserialize, Serialize};
 use ft_tensor::{he_normal, ConvGeometry, Tensor};
 
 use crate::error::expect_shape;
-use crate::{NnError, Result};
+use crate::{grad_for, NnError, Result};
 
 /// A same-padded, stride-1 2-D convolution over `[batch, C·H·W]` inputs.
 ///
@@ -31,7 +31,9 @@ pub struct Conv2d {
     width: usize,
     weight: Tensor,
     bias: Tensor,
+    #[serde(skip)]
     grad_weight: Tensor,
+    #[serde(skip)]
     grad_bias: Tensor,
     #[serde(skip)]
     cache_input: Option<Tensor>,
@@ -92,8 +94,6 @@ impl Conv2d {
             out_channels,
             "bias must have one entry per output channel"
         );
-        let gw = Tensor::zeros(weight.shape().dims());
-        let gb = Tensor::zeros(bias.shape().dims());
         Conv2d {
             in_channels,
             out_channels,
@@ -102,8 +102,8 @@ impl Conv2d {
             width,
             weight,
             bias,
-            grad_weight: gw,
-            grad_bias: gb,
+            grad_weight: Tensor::default(),
+            grad_bias: Tensor::default(),
             cache_input: None,
         }
     }
@@ -162,12 +162,14 @@ impl Conv2d {
         &self.bias
     }
 
-    /// Accumulated weight gradient.
+    /// The weight gradient the last backward stored (empty before the
+    /// first).
     pub fn grad_weight(&self) -> &Tensor {
         &self.grad_weight
     }
 
-    /// Accumulated bias gradient.
+    /// The bias gradient the last backward stored (empty before the
+    /// first).
     pub fn grad_bias(&self) -> &Tensor {
         &self.grad_bias
     }
@@ -185,15 +187,13 @@ impl Conv2d {
         f(&mut self.bias, &self.grad_bias);
     }
 
-    /// Replaces parameters and geometry, resetting gradients.
+    /// Replaces parameters and geometry.
     pub fn set_params(&mut self, weight: Tensor, bias: Tensor, in_channels: usize) {
         let out_channels = weight.shape().dims()[0];
         debug_assert_eq!(
             weight.shape().dims()[1],
             in_channels * self.kernel * self.kernel
         );
-        self.grad_weight = Tensor::zeros(weight.shape().dims());
-        self.grad_bias = Tensor::zeros(bias.shape().dims());
         self.weight = weight;
         self.bias = bias;
         self.in_channels = in_channels;
@@ -201,16 +201,15 @@ impl Conv2d {
         self.cache_input = None;
     }
 
-    /// Clears accumulated gradients in place (no reallocation — part
-    /// of the zero-allocation steady-state train step).
+    /// Fills the gradients with zeros in place (no reallocation).
     pub fn zero_grad(&mut self) {
         self.grad_weight.data_mut().fill(0.0);
         self.grad_bias.data_mut().fill(0.0);
     }
 
     /// Checks what a deserialized layer was never checked for: an odd
-    /// kernel, weight `[out_channels, in_channels·k·k]`, bias
-    /// `[out_channels]`, and gradients shaped like their parameters.
+    /// kernel, weight `[out_channels, in_channels·k·k]` and bias
+    /// `[out_channels]`.
     ///
     /// # Errors
     ///
@@ -225,9 +224,7 @@ impl Conv2d {
         }
         let weight = [self.out_channels, self.in_channels * k * k];
         expect_shape("Conv2d", "weight", &self.weight, &weight)?;
-        expect_shape("Conv2d", "bias", &self.bias, &[self.out_channels])?;
-        expect_shape("Conv2d", "grad_weight", &self.grad_weight, &weight)?;
-        expect_shape("Conv2d", "grad_bias", &self.grad_bias, &[self.out_channels])
+        expect_shape("Conv2d", "bias", &self.bias, &[self.out_channels])
     }
 
     fn expected_input_len(&self) -> usize {
@@ -315,7 +312,7 @@ impl Conv2d {
         Ok(())
     }
 
-    /// Backward pass; accumulates gradients and returns `dX`.
+    /// Backward pass; stores the gradients and returns `dX`.
     ///
     /// `dX` is, per sample and tap, the product of the tap's weight
     /// column with `dY` read reverse-shifted in place, added in the
@@ -330,28 +327,30 @@ impl Conv2d {
     /// [`Conv2d::forward`], or [`NnError::BadInput`] when `dy` does not
     /// match the cached batch geometry.
     pub fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
-        self.accumulate_grads(dy)?;
+        self.store_grads(dy)?;
         Ok(self.geometry().input_grad(&self.weight, dy)?)
     }
 
-    /// [`Conv2d::backward`] without `dX`: accumulates `dW` and `db`
-    /// only, skipping the input-gradient products — the backward of a
+    /// [`Conv2d::backward`] without `dX`: stores `dW` and `db` only,
+    /// skipping the input-gradient products — the backward of a
     /// network's first layer, whose input gradient nothing reads.
     ///
     /// # Errors
     ///
     /// As [`Conv2d::backward`].
     pub fn backward_params(&mut self, dy: &Tensor) -> Result<()> {
-        self.accumulate_grads(dy)
+        self.store_grads(dy)
     }
 
-    /// Accumulates `dW` and `db` from `dy`.
+    /// Stores `dW` and `db` from `dy` over the gradients, the bits
+    /// adding them onto zeroed gradients would give.
     ///
     /// `dW` is computed transposed, `dWᵀ = patches · dYᵀ`: the patch
     /// matrix is the A operand, read in place one sample at a time, and
     /// only `dY` is packed. Each element is the same ascending-pixel sum
-    /// of the same products as `dY · patchesᵀ`, so the result is too.
-    fn accumulate_grads(&mut self, dy: &Tensor) -> Result<()> {
+    /// of the same products as `dY · patchesᵀ`, so the result is too;
+    /// it starts at `+0.0`, so it is never `−0.0` and is stored as is.
+    fn store_grads(&mut self, dy: &Tensor) -> Result<()> {
         let x = self
             .cache_input
             .take()
@@ -371,17 +370,18 @@ impl Conv2d {
         }
         let dwt = self.geometry().weight_grad_t(&x, dy)?; // [c*k*k, out_c]
         let fan_in = self.weight.cols()?;
-        let gw = self.grad_weight.data_mut();
+        let gw = grad_for(&mut self.grad_weight, &self.weight).data_mut();
         for (r, row) in dwt
             .data()
             .chunks_exact(self.out_channels.max(1))
             .enumerate()
         {
             for (oc, &v) in row.iter().enumerate() {
-                gw[oc * fan_in + r] += v;
+                gw[oc * fan_in + r] = v;
             }
         }
-        add_bias_grad(self.grad_bias.data_mut(), dy.data(), hw);
+        let db = grad_for(&mut self.grad_bias, &self.bias).data_mut();
+        store_bias_grad(db, dy.data(), hw);
         Ok(())
     }
 
@@ -401,28 +401,30 @@ impl Conv2d {
     }
 }
 
-/// Channels whose bias-gradient sums [`add_bias_grad`] runs at once.
+/// Channels whose bias-gradient sums [`store_bias_grad`] runs at once.
 const BIAS_CHAINS: usize = 8;
 
-/// `db[oc] += Σ dy[s][oc][px]` for `dy` laid out `[batch, channels, hw]`.
-/// Each channel's sum runs over ascending (sample, pixel) from `f32`'s
-/// `Sum` start value, as `iter().sum()` does; the sums of
-/// [`BIAS_CHAINS`] channels run interleaved, so an add does not wait on
-/// the one before it.
-fn add_bias_grad(db: &mut [f32], dy: &[f32], hw: usize) {
+/// `db[oc] = +0.0 + Σ dy[s][oc][px]` for `dy` laid out
+/// `[batch, channels, hw]`. Each channel's sum runs over ascending
+/// (sample, pixel) from `f32`'s `Sum` start value `−0.0`, as
+/// `iter().sum()` does, so a channel of `−0.0`s sums to `−0.0`: the
+/// `+0.0 +` makes it the `+0.0` a zeroed gradient would hold. The sums
+/// of [`BIAS_CHAINS`] channels run interleaved, so an add does not wait
+/// on the one before it.
+fn store_bias_grad(db: &mut [f32], dy: &[f32], hw: usize) {
     let channels = db.len();
     let (blocks, rest) = db.as_chunks_mut::<BIAS_CHAINS>();
     let tail = blocks.len() * BIAS_CHAINS;
     for (b, db) in blocks.iter_mut().enumerate() {
-        add_channel_sums(db, dy, channels, b * BIAS_CHAINS, hw);
+        store_channel_sums(db, dy, channels, b * BIAS_CHAINS, hw);
     }
     for (c, db) in rest.iter_mut().enumerate() {
-        add_channel_sums(std::array::from_mut(db), dy, channels, tail + c, hw);
+        store_channel_sums(std::array::from_mut(db), dy, channels, tail + c, hw);
     }
 }
 
-/// `db[c] += Σ dy[s][first + c][px]`, the `N` sums side by side.
-fn add_channel_sums<const N: usize>(
+/// `db[c] = +0.0 + Σ dy[s][first + c][px]`, the `N` sums side by side.
+fn store_channel_sums<const N: usize>(
     db: &mut [f32; N],
     dy: &[f32],
     channels: usize,
@@ -439,7 +441,7 @@ fn add_channel_sums<const N: usize>(
         }
     }
     for (d, a) in db.iter_mut().zip(acc) {
-        *d += a;
+        *d = 0.0 + a;
     }
 }
 

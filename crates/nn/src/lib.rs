@@ -51,8 +51,20 @@ pub use loss::{accuracy, correct_count, softmax, softmax_cross_entropy};
 pub use optim::{Sgd, SgdStep, Yogi};
 pub use pool::GlobalAvgPool;
 
+use ft_tensor::Tensor;
+
 /// Convenience alias for results produced by NN operations.
 pub type Result<T> = std::result::Result<T, NnError>;
+
+/// The gradient `grad` of `param`, for a backward to store over: kept
+/// when it has `param`'s shape, else replaced by one that has (a new or
+/// restored layer holds none, and model surgery leaves a stale shape).
+fn grad_for<'a>(grad: &'a mut Tensor, param: &Tensor) -> &'a mut Tensor {
+    if grad.shape() != param.shape() {
+        *grad = Tensor::zeros(param.shape().dims());
+    }
+    grad
+}
 
 #[cfg(test)]
 mod smoke {

@@ -3,7 +3,7 @@ use serde::{Deserialize, Serialize};
 use ft_tensor::{he_normal, Tensor};
 
 use crate::error::expect_shape;
-use crate::{NnError, Result};
+use crate::{grad_for, NnError, Result};
 
 /// A fully connected layer `y = x W + b`.
 ///
@@ -26,14 +26,12 @@ use crate::{NnError, Result};
 pub struct Linear {
     weight: Tensor,
     bias: Tensor,
+    #[serde(skip)]
     grad_weight: Tensor,
+    #[serde(skip)]
     grad_bias: Tensor,
     #[serde(skip)]
     cache_input: Option<Tensor>,
-    /// Set by [`Linear::discard_grads`]: the next backward stores its
-    /// gradients over the held ones instead of adding to them.
-    #[serde(skip)]
-    grads_discarded: bool,
 }
 
 impl Linear {
@@ -45,15 +43,12 @@ impl Linear {
 
     /// Creates a layer from explicit parameters (used by model surgery).
     pub fn from_params(weight: Tensor, bias: Tensor) -> Self {
-        let gw = Tensor::zeros(weight.shape().dims());
-        let gb = Tensor::zeros(bias.shape().dims());
         Linear {
             weight,
             bias,
-            grad_weight: gw,
-            grad_bias: gb,
+            grad_weight: Tensor::default(),
+            grad_bias: Tensor::default(),
             cache_input: None,
-            grads_discarded: false,
         }
     }
 
@@ -87,12 +82,14 @@ impl Linear {
         &self.bias
     }
 
-    /// Accumulated weight gradient.
+    /// The weight gradient the last backward stored (empty before the
+    /// first).
     pub fn grad_weight(&self) -> &Tensor {
         &self.grad_weight
     }
 
-    /// Accumulated bias gradient.
+    /// The bias gradient the last backward stored (empty before the
+    /// first).
     pub fn grad_bias(&self) -> &Tensor {
         &self.grad_bias
     }
@@ -110,43 +107,28 @@ impl Linear {
         f(&mut self.bias, &self.grad_bias);
     }
 
-    /// Replaces both parameter tensors, resetting gradients.
+    /// Replaces both parameter tensors.
     pub fn set_params(&mut self, weight: Tensor, bias: Tensor) {
-        self.grad_weight = Tensor::zeros(weight.shape().dims());
-        self.grad_bias = Tensor::zeros(bias.shape().dims());
         self.weight = weight;
         self.bias = bias;
         self.cache_input = None;
-        self.grads_discarded = false;
     }
 
-    /// Clears accumulated gradients in place (no reallocation — part
-    /// of the zero-allocation steady-state train step).
+    /// Fills the gradients with zeros in place (no reallocation).
     pub fn zero_grad(&mut self) {
         ft_tensor::work::count(|w| w.passes += self.grad_weight.len() + self.grad_bias.len());
         self.grad_weight.data_mut().fill(0.0);
         self.grad_bias.data_mut().fill(0.0);
-        self.grads_discarded = false;
-    }
-
-    /// [`Linear::zero_grad`] without the fill, for a caller that reads
-    /// no gradient before the next backward: that backward stores `dW`
-    /// and `db` over whatever the gradients hold, and they read as
-    /// stale until it runs. A sum that starts at `+0.0` is never
-    /// `−0.0`, so the stored gradients are the bits `0 + dW` would be.
-    pub fn discard_grads(&mut self) {
-        self.grads_discarded = true;
     }
 
     /// Checks what a deserialized layer was never checked for: a
-    /// matrix weight `[in, out]`, bias `[out]`, and gradients shaped
-    /// like their parameters.
+    /// matrix weight `[in, out]` and bias `[out]`.
     ///
     /// # Errors
     ///
     /// [`NnError::BadInput`] naming the first mismatch.
     pub fn validate(&self) -> Result<()> {
-        let &[fan_in, fan_out] = self.weight.shape().dims() else {
+        let &[_, fan_out] = self.weight.shape().dims() else {
             return Err(NnError::BadInput {
                 layer: "Linear",
                 detail: format!(
@@ -155,14 +137,7 @@ impl Linear {
                 ),
             });
         };
-        expect_shape("Linear", "bias", &self.bias, &[fan_out])?;
-        expect_shape(
-            "Linear",
-            "grad_weight",
-            &self.grad_weight,
-            &[fan_in, fan_out],
-        )?;
-        expect_shape("Linear", "grad_bias", &self.grad_bias, &[fan_out])
+        expect_shape("Linear", "bias", &self.bias, &[fan_out])
     }
 
     /// Forward pass over a `[batch, in]` matrix: `x W + b`, the bias
@@ -231,7 +206,7 @@ impl Linear {
         Ok(())
     }
 
-    /// Backward pass; accumulates `dW`, `db` and returns `dX = dY Wᵀ`.
+    /// Backward pass; stores `dW`, `db` and returns `dX = dY Wᵀ`.
     ///
     /// # Errors
     ///
@@ -242,15 +217,14 @@ impl Linear {
         Ok(dy.matmul_t(&self.weight)?)
     }
 
-    /// [`Linear::backward`] without `dX`: accumulates `dW` and `db`
-    /// only — the backward of a network's first layer, whose input
-    /// gradient nothing reads.
+    /// [`Linear::backward`] without `dX`: stores `dW` and `db` only —
+    /// the backward of a network's first layer, whose input gradient
+    /// nothing reads.
     ///
-    /// Both land in the gradients in the tile's store: `g + Xᵀ dY` and
-    /// `g + 1ᵀ dY`, each sum added once, exactly what adding a
-    /// separately computed `dW` and `db` would give, with neither
-    /// computed separately (after [`Linear::discard_grads`], stored
-    /// over `g` instead).
+    /// Both are stored over the gradients in the tile's store, `Xᵀ dY`
+    /// and `1ᵀ dY`, with neither computed separately. Each sum starts at
+    /// `+0.0` and so is never `−0.0`: the bits adding it onto a zeroed
+    /// gradient would give.
     ///
     /// # Errors
     ///
@@ -260,9 +234,8 @@ impl Linear {
             .cache_input
             .take()
             .ok_or(NnError::MissingForwardCache { layer: "Linear" })?;
-        let add = !std::mem::take(&mut self.grads_discarded);
-        x.t_matmul_into(dy, &mut self.grad_weight, add)?;
-        dy.sum_rows_into(&mut self.grad_bias, add)?;
+        x.t_matmul_into(dy, grad_for(&mut self.grad_weight, &self.weight))?;
+        dy.sum_rows_into(grad_for(&mut self.grad_bias, &self.bias))?;
         Ok(())
     }
 
@@ -361,19 +334,18 @@ mod tests {
     }
 
     #[test]
-    fn grads_accumulate_until_zeroed() {
+    fn a_backward_stores_over_the_gradients_it_holds() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let mut l = Linear::new(&mut rng, 2, 2);
+        assert!(l.grad_weight().is_empty(), "a new layer holds no gradient");
         let x = Tensor::ones(&[1, 2]);
-        for _ in 0..2 {
+        let mut step = || {
             let y = l.forward(&x).unwrap();
             l.backward(&Tensor::ones(y.shape().dims())).unwrap();
-        }
-        let twice = l.grad_bias().clone();
-        l.zero_grad();
-        let y = l.forward(&x).unwrap();
-        l.backward(&Tensor::ones(y.shape().dims())).unwrap();
-        let once = l.grad_bias().clone();
-        assert_eq!(twice, once.scale(2.0));
+            (l.grad_weight().clone(), l.grad_bias().clone())
+        };
+        let once = step();
+        assert_eq!(once.1.data(), &[1.0, 1.0]);
+        assert_eq!(step(), once, "a second backward stores, not adds");
     }
 }

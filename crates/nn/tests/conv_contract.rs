@@ -14,6 +14,8 @@
 //!   in the same store;
 //! * `dW[o, r]`: `Σ patch(r, s, p) · dY[s, o, p]` over ascending pixels
 //!   `(s, p)` of the whole batch; `db[o]` likewise over `dY[s, o, p]`;
+//!   both stored over whatever the gradients held, so a backward after
+//!   one whose `dY` held NaNs stores the clean step's bits;
 //! * `dX[s, c, i, j]`: over the taps `(ki, kj)` in ascending order, the
 //!   patch gradient `Σ_o W[o, r] · dY[s, o, p]` (ascending `o`) of the
 //!   pixel `p` that tap reads `(i, j)` from. A tap that would read
@@ -24,7 +26,7 @@
 //! 17×3 (a window of `NR` columns crosses image rows on all but 1×1),
 //! batches of 1, 3 and 10, and 1 to 33 channels. A second set of cases
 //! puts `NaN` and `±∞` into the weight and `NaN` into `x` and `dY`, and
-//! must match with every NaN where the reference has it (a NaN's sign
+//! one channel of `dY` all `−0.0` (whose `db` is `+0.0`), and must match with every NaN where the reference has it (a NaN's sign
 //! and payload are unspecified in Rust, so any NaN matches any NaN).
 //! Every case runs
 //! on each tier `simd::available()` lists. From the main thread a large
@@ -191,6 +193,15 @@ fn check(g: Geometry, conv: &Conv2d, x: &Tensor, dy: &Tensor, want: &Outputs, ti
     assert_bits(layer.grad_bias().data(), &want.db, &format!("db, {case}"));
     assert_bits(dx.data(), &want.dx, &format!("dX, {case}"));
 
+    let poison = Tensor::full(dy.shape().dims(), f32::NAN);
+    layer.forward(x).unwrap();
+    layer.backward(&poison).unwrap();
+    layer.forward(x).unwrap();
+    layer.backward(dy).unwrap();
+    let over = format!("over NaN gradients, {case}");
+    assert_bits(layer.grad_weight().data(), &want.dw, &format!("dW, {over}"));
+    assert_bits(layer.grad_bias().data(), &want.db, &format!("db, {over}"));
+
     let mut first = conv.clone();
     first.forward(x).unwrap();
     first.backward_params(dy).unwrap();
@@ -280,7 +291,8 @@ fn non_finite_weights_and_inputs_land_where_the_reference_puts_them() {
     // A NaN, a +inf and a -inf weight, each on a tap that reads the
     // zero border somewhere (0 × inf is NaN, so a tap summed where it
     // reads outside the image would poison a border pixel the
-    // reference leaves finite), then a NaN in x and a NaN in dY. With
+    // reference leaves finite), then a NaN in x and a NaN in dY, and
+    // channel 0 of dY all -0.0 (its `db` sum is +0.0, not -0.0). With
     // three or more output channels the non-finite weights sit in
     // different ones, so the forward, `dW` and `dX` each carry finite,
     // inf and NaN elements side by side.
@@ -312,6 +324,9 @@ fn non_finite_weights_and_inputs_land_where_the_reference_puts_them() {
         x.data_mut()[pixels / 2] = f32::NAN;
         let last = dy.data().len() - 1;
         dy.data_mut()[last - pixels / 3] = f32::NAN;
+        for sample in dy.data_mut().chunks_exact_mut(cout * pixels) {
+            sample[..pixels].fill(-0.0);
+        }
         check_every_tier(g, [weight, bias, x, dy]);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A dense train step is three GEMMs and nothing beside them: the
 //! forward adds the bias (and, in a cell, applies the ReLU) to each
-//! finished sum in the tile's store, `dW` and `db` are added into the
+//! finished sum in the tile's store, `dW` and `db` are stored over the
 //! gradients in the store, and `dX = dY Wᵀ` packs `Wᵀ` by register
 //! transposes. None of that may change a single bit. Against a naive
 //! per-element reference, `Linear` and the dense cell (`Linear` with
@@ -14,10 +14,9 @@
 //! * output `(s, o)`: `Σ_i x[s, i] · W[i, o]`, then `+ b[o]`, then in a
 //!   cell `v > 0 ? v : +0.0`;
 //! * the cell's `dZ = dY` where the output is `> 0`, `+0.0` elsewhere;
-//! * `dW[i, o] = g + Σ_s x[s, i] · dZ[s, o]` and `db[o] = g + Σ_s dZ[s, o]`
-//!   onto whatever the gradient `g` held, so a second backward without
-//!   `zero_grad` gives `g + dW`, and one after `discard_grads` the sums
-//!   alone, as if `g` were `+0.0`;
+//! * `dW[i, o] = Σ_s x[s, i] · dZ[s, o]` and `db[o] = Σ_s dZ[s, o]`,
+//!   whatever the gradients held: a backward after one whose `dY` held
+//!   NaNs stores the clean step's bits;
 //! * `dX[s, i] = Σ_o dZ[s, o] · W[i, o]`.
 //!
 //! Shapes cross batches of 1, 3, 10 and 13 with every pair of widths
@@ -63,9 +62,8 @@ struct Outputs {
     dx: Vec<f32>,
 }
 
-/// The naive per-element reference; `relu` makes it the cell's. The
-/// gradients are added onto `gw` and `gb`.
-fn reference(s: Shape, op: &Operands, relu: bool, gw: &[f32], gb: &[f32]) -> Outputs {
+/// The naive per-element reference; `relu` makes it the cell's.
+fn reference(s: Shape, op: &Operands, relu: bool) -> Outputs {
     let (m, fi, fo) = (s.batch, s.fan_in, s.fan_out);
     let (w, b, x, dy) = (op.w.data(), op.b.data(), op.x.data(), op.dy.data());
     let mut y = vec![0.0f32; m * fo];
@@ -89,11 +87,11 @@ fn reference(s: Shape, op: &Operands, relu: bool, gw: &[f32], gb: &[f32]) -> Out
             for r in 0..m {
                 acc += x[r * fi + i] * dz[r * fo + o];
             }
-            dw[i * fo + o] = gw[i * fo + o] + acc;
+            dw[i * fo + o] = acc;
         }
     }
     let db = (0..fo)
-        .map(|o| gb[o] + (0..m).fold(0.0f32, |acc, r| acc + dz[r * fo + o]))
+        .map(|o| (0..m).fold(0.0f32, |acc, r| acc + dz[r * fo + o]))
         .collect();
     let mut dx = vec![0.0f32; m * fi];
     for r in 0..m {
@@ -180,14 +178,15 @@ impl Dense {
 /// Runs every entry point of `Linear` and of the cell on the active
 /// tier and checks each against the reference.
 fn check(s: Shape, op: &Operands, tier: &str) {
-    let (fi, fo) = (s.fan_in, s.fan_out);
-    let zeros = (vec![0.0f32; fi * fo], vec![0.0f32; fo]);
+    // A `dY` of NaNs, so a backward that adds onto what the one
+    // before it left keeps them.
+    let poison = Tensor::full(op.dy.shape().dims(), f32::NAN);
     // Another input, same shape: a cell whose mask outlives its
     // forward would route `dY` through this one's.
     let other = op.x.scale(-1.0);
     for relu in [false, true] {
         let case = format!("{s:?}, relu {relu}, on {tier}");
-        let want = reference(s, op, relu, &zeros.0, &zeros.1);
+        let want = reference(s, op, relu);
         let fresh = Dense {
             linear: Linear::from_params(op.w.clone(), op.b.clone()),
             relu: relu.then(Relu::new),
@@ -208,22 +207,15 @@ fn check(s: Shape, op: &Operands, tier: &str) {
         assert_bits(gb, &want.db, &format!("db, {case}"));
         assert_bits(dx.data(), &want.dx, &format!("dX, {case}"));
 
-        // A second step without `zero_grad`: `g + dW`.
-        let again = reference(s, op, relu, &want.dw, &want.db);
+        // A step over the gradients a NaN `dY` left stores the clean
+        // step's bits.
+        layer.forward(&op.x);
+        layer.backward(&poison);
         layer.forward(&op.x);
         layer.backward(&op.dy);
         let (gw, gb) = layer.grads();
-        assert_bits(gw, &again.dw, &format!("dW accumulated, {case}"));
-        assert_bits(gb, &again.db, &format!("db accumulated, {case}"));
-
-        // After `discard_grads` the next step stores over `g`: the
-        // bits a `zero_grad` first would have given.
-        layer.linear.discard_grads();
-        layer.forward(&op.x);
-        layer.backward(&op.dy);
-        let (gw, gb) = layer.grads();
-        assert_bits(gw, &want.dw, &format!("dW over discarded, {case}"));
-        assert_bits(gb, &want.db, &format!("db over discarded, {case}"));
+        assert_bits(gw, &want.dw, &format!("dW over NaN gradients, {case}"));
+        assert_bits(gb, &want.db, &format!("db over NaN gradients, {case}"));
 
         let mut first = fresh.clone();
         first.forward(&op.x);

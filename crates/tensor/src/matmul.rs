@@ -207,18 +207,16 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// `selfᵀ @ other` for `[k × m]` and `[k × n]` operands, written into
-    /// the `[m × n]` `out` in the tile's store: with `add`, each
-    /// finished sum is added once — bit for bit
-    /// `out.axpy(1.0, &self.t_matmul(other)?)` with no product buffer;
-    /// without, it overwrites `out`. A dense layer's weight gradient
-    /// lands this way.
+    /// `selfᵀ @ other` for `[k × m]` and `[k × n]` operands, stored over
+    /// the `[m × n]` `out` in the tile's store: bit for bit
+    /// `self.t_matmul(other)?` with no product buffer. A layer's weight
+    /// gradient lands this way.
     ///
     /// # Errors
     ///
     /// [`TensorError::MatmulDimMismatch`] when the row counts disagree,
     /// [`TensorError::ShapeMismatch`] when `out` is not `[m × n]`.
-    pub fn t_matmul_into(&self, other: &Tensor, out: &mut Tensor, add: bool) -> Result<()> {
+    pub fn t_matmul_into(&self, other: &Tensor, out: &mut Tensor) -> Result<()> {
         let (k, m) = (self.rows()?, self.cols()?);
         let (k2, n) = (other.rows()?, other.cols()?);
         if k != k2 {
@@ -228,40 +226,32 @@ impl Tensor {
             });
         }
         let a = Operand::col_major(self.data(), m);
-        product_into(a, other, out, &[m, n], k, add)
+        product_into(a, other, out, &[m, n], k)
     }
 
     /// The column sums of `self` (a `[k × n]` matrix; each sum over
-    /// ascending rows from `+0.0`), written into the length-`n` `out` in
-    /// the tile's store as the product `1ᵀ @ self`: added once with
-    /// `add`, overwriting without. These are the sums a row-by-row loop
-    /// makes, with no buffer between. A dense layer's bias gradient
-    /// lands this way.
+    /// ascending rows from `+0.0`), stored over the length-`n` `out` in
+    /// the tile's store as the product `1ᵀ @ self`: the sums a
+    /// row-by-row loop makes, with no buffer between. A dense layer's
+    /// bias gradient lands this way.
     ///
     /// # Errors
     ///
     /// [`TensorError::RankMismatch`] for a non-matrix,
     /// [`TensorError::ShapeMismatch`] when `out` is not `[n]`.
-    pub fn sum_rows_into(&self, out: &mut Tensor, add: bool) -> Result<()> {
+    pub fn sum_rows_into(&self, out: &mut Tensor) -> Result<()> {
         let (k, n) = (self.rows()?, self.cols()?);
         // A one-element column-major A with stride 0: a row of ones as
         // long as any k-block.
         let ones = Operand::col_major(&[1.0], 0);
-        product_into(ones, self, out, &[n], k, add)
+        product_into(ones, self, out, &[n], k)
     }
 }
 
-/// `A @ B` for an `[m × k]` A and a row-major `[k × n]` B, added to
-/// `out` ([`Meet::Add`]) or stored over it; `out` must be shaped
-/// `dims`, which hold `m · n` elements and end in `n`.
-fn product_into(
-    a: Operand,
-    b: &Tensor,
-    out: &mut Tensor,
-    dims: &[usize],
-    k: usize,
-    add: bool,
-) -> Result<()> {
+/// `A @ B` for an `[m × k]` A and a row-major `[k × n]` B, stored over
+/// `out`; `out` must be shaped `dims`, which hold `m · n` elements and
+/// end in `n`.
+fn product_into(a: Operand, b: &Tensor, out: &mut Tensor, dims: &[usize], k: usize) -> Result<()> {
     if out.shape().dims() != dims {
         return Err(TensorError::ShapeMismatch {
             left: out.shape().dims().to_vec(),
@@ -270,12 +260,8 @@ fn product_into(
     }
     let n = dims[dims.len() - 1];
     let m = out.len() / n.max(1);
-    let ep = Epilogue {
-        meet: if add { Meet::Add } else { Meet::Store },
-        ..Epilogue::STORE
-    };
-    let b = Operand::row_major(b.data(), n);
-    gemm_into(simd::active(), a, b, out.data_mut(), m, k, n, ep);
+    let (b, out) = (Operand::row_major(b.data(), n), out.data_mut());
+    gemm_into(simd::active(), a, b, out, m, k, n, Epilogue::STORE);
     Ok(())
 }
 
@@ -637,7 +623,6 @@ fn gemm_into(
         for (r, row) in out.chunks_exact_mut(n).enumerate() {
             match ep.meet {
                 Meet::Store => row.fill(0.0),
-                Meet::Add => row.iter_mut().for_each(|v| *v += 0.0),
                 Meet::Continue => {}
             }
             finish.row(r, 0, row);
@@ -725,10 +710,6 @@ pub(crate) enum Meet {
     /// `c = c + Σ`, term by term: the product continues an earlier
     /// one's sums (the next sample of a conv `dWᵀ`).
     Continue,
-    /// `c = c + (+0.0 + Σ)`: the finished product added to the output
-    /// once, exactly as `c.axpy(1.0, &product)` would (a gradient that
-    /// accumulates across backward passes).
-    Add,
 }
 
 /// A bias added onto each finished sum as the tile stores it.
@@ -761,7 +742,8 @@ impl Epilogue<'_> {
 
 /// Tiled core: computes `A[rows, :] @ B[:, cols]` for the rows and
 /// columns of the product that `out` covers, overwriting them (or, per
-/// `ep`, adding to them, and finishing each sum with a bias and a ReLU).
+/// `ep`, continuing their sums, and finishing each sum with a bias and
+/// a ReLU).
 ///
 /// Blocking is `pc` (k, [`tune::KC`]) → `ic` (rows, [`tune::MC`]) →
 /// `j0` (columns, `NR`) → `r0` (rows, `MR`): per k-block, each `mc`-row
@@ -784,10 +766,6 @@ impl Epilogue<'_> {
 /// tile; their padded lanes and repeated rows are computed and then
 /// discarded by the partial store, which cannot change the kept values
 /// (each output element only ever accumulates its own row/column lane).
-///
-/// [`Meet::Add`] needs each sum whole before it meets the output, so a
-/// product deeper than one k-block computes into a scratch window first
-/// and adds that (the one case that checks out an output-sized buffer).
 pub(crate) fn gemm_panel(
     kern: simd::Kernel,
     a: Operand,
@@ -816,22 +794,6 @@ fn blocked_panel(
     let (jc, n) = (out.j0, out.cols);
     let kc_max = kc.min(k);
     let mc = mc.min(m.next_multiple_of(MR));
-    debug_assert!(
-        ep.meet != Meet::Add || (ep.bias.is_none() && !ep.relu),
-        "an added product takes no bias or ReLU"
-    );
-    if ep.meet == Meet::Add && k > kc_max {
-        let mut sums = ScratchVec::take(m * n);
-        let mut whole = Window::whole(&mut sums, m, n);
-        (whole.i0, whole.j0) = (i0, jc);
-        blocked_panel(kern, (mc, kc), a, b, whole, k, Epilogue::STORE, bpack);
-        for (r, row) in sums.chunks_exact(n.max(1)).enumerate().take(m) {
-            for (o, &v) in out.segment(r, 0, n).iter_mut().zip(row) {
-                *o += v;
-            }
-        }
-        return;
-    }
     let finish = Finish {
         bias: ep.bias.map(|bias| match bias {
             Bias::Rows(b) => Bias::Rows(b),
@@ -1091,10 +1053,9 @@ pub(crate) enum Sum {
 
 /// `MR × NR` register tile: accumulators live in registers across the
 /// k-block and only the `rh × jw` live sub-tile is stored. Per `meet`
-/// they start at `+0.0` and *store* over whatever the output held, are
-/// loaded from the output and continue (the same accumulator,
-/// round-tripped through an exact `f32`), or start at `+0.0` and are
-/// added to the output once complete. A full tile is loaded from and
+/// they start at `+0.0` and *store* over whatever the output held, or
+/// are loaded from the output and continue (the same accumulator,
+/// round-tripped through an exact `f32`). A full tile is loaded from and
 /// stored to the output in place; an edge tile goes through a local
 /// `MR × NR` buffer whose padding lanes are dropped. With a `finish`,
 /// each stored row gets its bias and ReLU after its sums are complete,
@@ -1117,20 +1078,13 @@ fn micro_tile<B: BRows>(
     meet: Meet,
     finish: Option<Finish>,
 ) {
-    let run = |c: &mut [&mut [f32; NR]; MR], sum: Sum| match meet {
-        Meet::Add => tile_kernel::<B, true>(kern, t, c, Sum::AddMasked(u32::MAX), jw),
-        Meet::Store | Meet::Continue => tile_kernel::<B, false>(kern, t, c, sum, jw),
-    };
     if rh == MR && jw == NR {
         let mut tile = out.tile(r0, j0);
-        run(
-            &mut tile,
-            if meet == Meet::Store {
-                Sum::Store
-            } else {
-                Sum::Continue
-            },
-        );
+        let sum = match meet {
+            Meet::Store => Sum::Store,
+            Meet::Continue => Sum::Continue,
+        };
+        tile_kernel::<B, false>(kern, t, &mut tile, sum, jw);
         if let Some(f) = finish {
             for (r, row) in tile.into_iter().enumerate() {
                 f.row(r0 + r, j0, row);
@@ -1139,12 +1093,12 @@ fn micro_tile<B: BRows>(
         return;
     }
     let mut acc = [[0.0f32; NR]; MR];
-    if meet != Meet::Store {
+    if meet == Meet::Continue {
         for (r, accr) in acc.iter_mut().take(rh).enumerate() {
             accr[..jw].copy_from_slice(out.segment(r0 + r, j0, jw));
         }
     }
-    run(&mut acc.each_mut(), Sum::Continue);
+    tile_kernel::<B, false>(kern, t, &mut acc.each_mut(), Sum::Continue, jw);
     for (r, accr) in acc.iter_mut().take(rh).enumerate() {
         if let Some(f) = finish {
             f.row(r0 + r, j0, &mut accr[..jw]);
@@ -1844,36 +1798,26 @@ mod tests {
     }
 
     #[test]
-    fn products_into_a_gradient_add_once_or_store_at_any_depth() {
+    fn products_into_a_gradient_store_at_any_depth() {
         // `t_matmul_into` and `sum_rows_into` against the temporaries
-        // they replace, bit for bit: one k-block (k = 10, the dense
-        // batch) and several (k = 400 > KC, which goes through a
-        // scratch window so each sum still meets the gradient once).
+        // they replace, bit for bit, over a NaN-filled gradient: one
+        // k-block (k = 10, the dense batch) and several (k = 400 > KC).
         for (m, k, n) in [(96, 10, 48), (5, 400, 40), (33, 193, 17)] {
             let (x, dy) = (operands(k, m, 1).0, operands(k, n, 1).0);
-            let g0 = operands(m, n, 1).0;
-            let mut want = g0.clone();
-            want.axpy(1.0, &x.t_matmul(&dy).unwrap()).unwrap();
-            let mut got = g0.clone();
-            x.t_matmul_into(&dy, &mut got, true).unwrap();
-            assert_eq!(got, want, "dW added, {m}x{k}x{n}");
-            x.t_matmul_into(&dy, &mut got, false).unwrap();
-            assert_eq!(got, x.t_matmul(&dy).unwrap(), "dW stored, {m}x{k}x{n}");
+            let mut got = Tensor::full(&[m, n], f32::NAN);
+            x.t_matmul_into(&dy, &mut got).unwrap();
+            assert_eq!(got, x.t_matmul(&dy).unwrap(), "dW, {m}x{k}x{n}");
 
             let sums: Vec<f32> = (0..n)
                 .map(|j| (0..k).fold(0.0f32, |acc, r| acc + dy.at(r, j)))
                 .collect();
-            let b0 = operands(1, n, 1).0.reshaped(&[n]).unwrap();
-            let mut got = b0.clone();
-            dy.sum_rows_into(&mut got, true).unwrap();
-            let added: Vec<f32> = b0.data().iter().zip(&sums).map(|(g, s)| g + s).collect();
-            assert_eq!(got.data(), &added[..], "db added, {k}x{n}");
-            dy.sum_rows_into(&mut got, false).unwrap();
-            assert_eq!(got.data(), &sums[..], "db stored, {k}x{n}");
+            let mut got = Tensor::full(&[n], f32::NAN);
+            dy.sum_rows_into(&mut got).unwrap();
+            assert_eq!(got.data(), &sums[..], "db, {k}x{n}");
         }
         let mut wrong = Tensor::zeros(&[3, 3]);
         assert!(Tensor::zeros(&[2, 3])
-            .t_matmul_into(&Tensor::zeros(&[2, 2]), &mut wrong, true)
+            .t_matmul_into(&Tensor::zeros(&[2, 2]), &mut wrong)
             .is_err());
     }
 

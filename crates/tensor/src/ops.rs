@@ -282,13 +282,11 @@ mod tests {
     fn sum_rows_reduces_columns() {
         let a = t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let mut s = t(&[0.0, 0.0], &[2]);
-        a.sum_rows_into(&mut s, true).unwrap();
+        a.sum_rows_into(&mut s).unwrap();
         assert_eq!(s.data(), &[4.0, 6.0]);
-        a.sum_rows_into(&mut s, true).unwrap();
-        assert_eq!(s.data(), &[8.0, 12.0], "a second call adds");
-        a.sum_rows_into(&mut s, false).unwrap();
-        assert_eq!(s.data(), &[4.0, 6.0], "a store overwrites");
-        assert!(a.sum_rows_into(&mut t(&[0.0], &[1]), true).is_err());
+        a.sum_rows_into(&mut s).unwrap();
+        assert_eq!(s.data(), &[4.0, 6.0], "a second call stores over the first");
+        assert!(a.sum_rows_into(&mut t(&[0.0], &[1])).is_err());
     }
 
     #[test]
