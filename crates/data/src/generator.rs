@@ -16,10 +16,13 @@
 //! consumed in a fixed order: the prototypes; then, client by client,
 //! its plan (`plan_client`), difficulty jitter and concept shift; then,
 //! sample by sample, its label, manifold position, confuser blend and
-//! `dim` noise normals. Nearly all of the cost is the Box–Muller
-//! `ln`/`sqrt`/`cos` behind those normals, so [`generate`] runs the
-//! stream in two phases that together draw exactly the words a single
-//! serial pass draws:
+//! `dim` noise normals. Every run of normals (a prototype, a manifold
+//! direction, a concept shift, a sample's noise) is one
+//! [`ft_tensor::normals::fill`], which draws the shim's two words per
+//! normal in order and computes several lanes at a time on the SIMD
+//! tiers; the normals are still most of the cost, so [`generate`] runs
+//! the stream in two phases that together draw exactly the words a
+//! single serial pass draws:
 //!
 //! 1. **Walk** (serial, `Sampler::walk`). Makes every draw except the
 //!    normals, in stream order, and records the stream position before
@@ -41,29 +44,29 @@
 //!
 //! The RNG contract lives in this file: the walk, the test half's step
 //! over the train samples and `Sampler::sample` share
-//! `Sampler::sample_draws`, and what a sample draws after that is its
-//! `dim` normals. Debug builds assert that building sample *i*
-//! leaves the stream at sample *i + 1*'s recorded position, and that a
-//! sparse derivation stops at the walk's mark for its half, so the
-//! phases cannot drift apart silently. Every float comes out of the
-//! same scalar operations in the same order whichever thread builds
-//! it, so the data is bit-identical at every pool size, and a call from
-//! inside a pool task (which builds inline) returns the same bytes.
+//! `Sampler::sample_draws`, and what a sample draws after that is one
+//! fill of its `dim` noise normals. Debug builds assert that building
+//! sample *i* leaves the stream at sample *i + 1*'s recorded position,
+//! and that a sparse derivation stops at the walk's mark for its half,
+//! so the phases cannot drift apart silently. A fill returns the bits
+//! of the scalar libm formula on every kernel tier: its polynomial
+//! `ln`/`cos` lanes are kept only where a guard proves they round to
+//! the same `f32`, and the rest are recomputed through libm (see
+//! [`ft_tensor::normals`]). Every other float comes out of the same
+//! scalar operations in the same order whichever thread builds it, so
+//! the data is bit-identical at every pool size and tier, and a call
+//! from inside a pool task (which builds inline) returns the same
+//! bytes.
 
 use std::sync::OnceLock;
 
+use ft_tensor::normals::{self, WORDS_PER_NORMAL};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use rand_distr::{Distribution, LogNormal, Normal};
+use rand_distr::{Distribution, LogNormal};
 
 use crate::partition::{sample_class, sample_dirichlet};
 use crate::{ClientData, DatasetConfig, FederatedDataset, Half, InputSpec};
-
-/// RNG words one normal draw consumes: the `rand_distr` shim's
-/// Box–Muller takes two uniforms of one `next_u64` each. The walk skips
-/// normals by this count, so it is part of the generator's RNG
-/// contract.
-const WORDS_PER_NORMAL: usize = 2;
 
 /// Generates prototypes for image inputs as smooth low-frequency
 /// patterns so conv models have spatial structure to exploit.
@@ -95,14 +98,12 @@ fn image_prototype(
     proto
 }
 
-/// Generates a flat Gaussian prototype.
-///
-/// # Panics
-///
-/// Panics if `sep` is not finite and non-negative.
-fn flat_prototype(rng: &mut impl Rng, dim: usize, sep: f32) -> Vec<f32> {
-    let normal = Normal::new(0.0f32, sep).expect("sep is finite");
-    (0..dim).map(|_| normal.sample(rng)).collect()
+/// `dim` normals of mean 0 and deviation `sd`: a flat prototype, a
+/// manifold direction, or a client's concept shift.
+fn gaussian(rng: &mut impl Rng, dim: usize, sd: f32) -> Vec<f32> {
+    let mut out = vec![0.0; dim];
+    normals::fill(rng, 0.0, sd, &mut out);
+    out
 }
 
 /// Advances `rng` past `count` normal draws without computing them.
@@ -136,13 +137,13 @@ pub(crate) fn sample_prototypes(config: &DatasetConfig, rng: &mut StdRng) -> Pro
                 height,
                 width,
             } => image_prototype(rng, channels, height, width, config.class_sep),
-            _ => flat_prototype(rng, dim, config.class_sep),
+            _ => gaussian(rng, dim, config.class_sep),
         })
         .collect();
     let directions: Vec<(Vec<f32>, Vec<f32>)> = (0..config.num_classes)
         .map(|_| {
-            let d1 = flat_prototype(rng, dim, 1.0);
-            let d2 = flat_prototype(rng, dim, 1.0);
+            let d1 = gaussian(rng, dim, 1.0);
+            let d2 = gaussian(rng, dim, 1.0);
             (d1, d2)
         })
         .collect();
@@ -248,29 +249,19 @@ impl Client {
     }
 }
 
-/// One dataset's sampling context: the config, its prototypes, and the
-/// two normal distributions every client draws from.
+/// One dataset's sampling context: the config and its prototypes.
 pub(crate) struct Sampler<'a> {
     config: &'a DatasetConfig,
     protos: &'a Prototypes,
-    noise: Normal<f32>,
-    shift: Normal<f32>,
     dim: usize,
 }
 
 impl<'a> Sampler<'a> {
     /// The sampler for `config` over its prototypes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.noise_std` or `config.shift_std` is negative or
-    /// not finite ([`DatasetConfig::validate`] rejects both).
     pub(crate) fn new(config: &'a DatasetConfig, protos: &'a Prototypes) -> Self {
         Sampler {
             config,
             protos,
-            noise: Normal::new(0.0f32, config.noise_std).expect("noise_std finite"),
-            shift: Normal::new(0.0f32, config.shift_std).expect("shift_std finite"),
             dim: config.input.flat_dim(),
         }
     }
@@ -290,7 +281,7 @@ impl<'a> Sampler<'a> {
     /// Draws a client's whole head: plan, difficulty and concept shift.
     fn client(&self, client_idx: usize, rng: &mut StdRng) -> Client {
         let (plan, difficulty) = self.head(client_idx, rng);
-        let shift = (0..self.dim).map(|_| self.shift.sample(rng)).collect();
+        let shift = gaussian(rng, self.dim, self.config.shift_std);
         Client {
             plan,
             difficulty,
@@ -323,22 +314,23 @@ impl<'a> Sampler<'a> {
     fn sample(&self, client: &Client, rng: &mut StdRng) -> (Vec<f32>, usize) {
         let SampleDraws { label, t, blend } =
             self.sample_draws(&client.plan.label_dist, client.difficulty, rng);
-        let mut x = self.protos.prototypes[label].clone();
+        // The noise goes into the sample first; each feature then adds
+        // its prototype term, blend and shift to it.
+        let mut x = gaussian(rng, self.dim, self.config.noise_std);
+        let proto = &self.protos.prototypes[label];
         let (d1, d2) = &self.protos.directions[label];
+        let confuser = blend.map(|(c, w)| (&self.protos.prototypes[c], w));
         // Curvature scales with client difficulty: easy clients have
         // near-linear class regions (small models suffice), hard
         // clients need capacity — the per-client spread of Fig. 1b.
         let bend = self.config.manifold_curvature * (0.25 + client.difficulty) * (2.0 * t).sin();
         for (i, xi) in x.iter_mut().enumerate() {
-            *xi += t * d1[i] + bend * d2[i];
-        }
-        if let Some((confuser, w)) = blend {
-            for (xi, pi) in x.iter_mut().zip(&self.protos.prototypes[confuser]) {
-                *xi = *xi * (1.0 - w) + pi * w;
+            let mut v = proto[i];
+            v += t * d1[i] + bend * d2[i];
+            if let Some((pc, w)) = confuser {
+                v = v * (1.0 - w) + pc[i] * w;
             }
-        }
-        for (xi, shift) in x.iter_mut().zip(&client.shift) {
-            *xi += shift + self.noise.sample(rng);
+            *xi = v + (client.shift[i] + *xi);
         }
         (x, label)
     }

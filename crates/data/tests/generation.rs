@@ -13,7 +13,8 @@ use std::sync::OnceLock;
 use ft_data::{
     ClientData, DatasetConfig, FederatedDataset, Half, InputSpec, ShardSource, SparseFederatedData,
 };
-use ft_tensor::Tensor;
+use ft_tensor::simd::{self, Kernel};
+use ft_tensor::{work, Settings, Tensor};
 use proptest::prelude::*;
 
 /// Every bit of a shard, in a fixed order: train rows and labels, test
@@ -101,6 +102,17 @@ fn flat_with_blends() -> DatasetConfig {
     config
 }
 
+/// The dataset block of `benchmark/workloads/fedavg-1m-stream.json`.
+fn fedavg_1m_stream() -> SparseFederatedData {
+    let config = DatasetConfig::femnist_like()
+        .with_num_clients(1_000_000)
+        .with_mean_samples(20)
+        .with_seed(44);
+    assert_eq!(config.input, InputSpec::Flat { dim: 48 });
+    assert_eq!((config.noise_std, config.shift_std), (0.8, 0.35));
+    SparseFederatedData::new(config)
+}
+
 fn sparse_1000() -> SparseFederatedData {
     SparseFederatedData::new(
         DatasetConfig::femnist_like()
@@ -126,14 +138,23 @@ fn sparse_halves_words() -> Vec<u64> {
 }
 
 /// Builds `words` at top level (fanned out) and inside a pool task
-/// (inline) and checks both against `pinned`.
+/// (inline), on every kernel tier (whose normals take different paths),
+/// and checks each against `pinned`.
 fn assert_pinned(name: &str, words: impl Fn() -> Vec<u64> + Sync, pinned: &str) {
-    assert_eq!(fnv(&words()), pinned, "{name}: top-level build");
-    assert_eq!(
-        fnv(&in_pool_task(words)),
-        pinned,
-        "{name}: build inside a pool task"
-    );
+    for kernel in simd::available() {
+        let settings = Settings {
+            kernel,
+            ..Settings::current()
+        };
+        settings.scope(|| {
+            assert_eq!(fnv(&words()), pinned, "{name}, {kernel:?}: top-level build");
+            assert_eq!(
+                fnv(&in_pool_task(&words)),
+                pinned,
+                "{name}, {kernel:?}: build inside a pool task"
+            );
+        });
+    }
 }
 
 // The digests were taken from the single-threaded generator; a change
@@ -165,6 +186,37 @@ fn sparse_shard_matches_its_pinned_digest() {
         sparse_halves_words,
         "e51a915abd113864",
     );
+}
+
+/// A train half draws the client's concept shift and then each train
+/// sample's noise: `48·(n_train + 1)` normals on every tier. The
+/// portable tier computes every one through libm; the SIMD tiers only
+/// the lanes their guard refuses, the same lanes on both.
+#[test]
+fn a_train_half_draws_its_normals_in_bulk() {
+    let data = fedavg_1m_stream();
+    let client = 417;
+    let n_train = data.train_len(client);
+    // The prototypes are drawn once per dataset, on first use.
+    drop(data.shard_half(client, Half::Train));
+    for kernel in simd::available() {
+        let settings = Settings {
+            kernel,
+            ..Settings::current()
+        };
+        let counts =
+            settings.scope(|| work::measure(&|| drop(data.shard_half(client, Half::Train))));
+        let normals = 48 * (n_train + 1);
+        let exact = match kernel {
+            Kernel::Portable => normals,
+            Kernel::Avx2 | Kernel::Avx512 => 1,
+        };
+        assert_eq!(
+            (counts.normals, counts.exact_normals),
+            (normals, exact),
+            "{kernel:?}, n_train {n_train}"
+        );
+    }
 }
 
 proptest! {

@@ -657,6 +657,8 @@ mod tests {
                 scratch: 4_000 + 4_800 + 3_840 + 3_840 + 320 + 3_072 + 1_152 + 9_216,
                 passes: 4_800 + 3_840 + 3_840,
                 key_rows: 0,
+                normals: 0,
+                exact_normals: 0,
             }
         );
         // `zero_grad` fills every gradient (47 616 + 400 elements) that

@@ -594,6 +594,8 @@ mod tests {
                 scratch: outputs + 3 * (planes + NR) + slab,
                 passes: 0,
                 key_rows: 0,
+                normals: 0,
+                exact_normals: 0,
             }
         );
     }

@@ -30,6 +30,7 @@ mod error;
 pub mod fused;
 mod init;
 mod matmul;
+pub mod normals;
 mod ops;
 pub mod order_stats;
 pub mod pool;

@@ -10,23 +10,25 @@
 //!    fallback (the plain Rust loops, exactly the pre-SIMD code path).
 //! 2. Otherwise (unset, or `1`/`on`/`auto`) the best tier the CPU has:
 //!    [`Kernel::Avx512`] where `is_x86_feature_detected!` reports
-//!    `avx512f` (and `avx2`), [`Kernel::Avx2`] where it reports `avx2`
-//!    only, [`Kernel::Portable`] everywhere else.
+//!    `avx512f` and `avx512dq` (and `avx2`), [`Kernel::Avx2`] where it
+//!    reports `avx2` only, [`Kernel::Portable`] everywhere else.
 //!
 //! The AVX-512 tier differs from the AVX2 tier in the GEMM register
-//! tile and in the robust sinks' rank search, which is compare-bound
-//! and runs its AVX-512 build there; the fused element-wise kernels are
-//! bandwidth-bound and run their AVX2 build under it. Tests reach each
+//! tile, in the robust sinks' rank search (compare-bound) and in the
+//! bulk normal fill (arithmetic-bound), which run their AVX-512 builds
+//! there; the fused element-wise kernels are bandwidth-bound and run
+//! their AVX2 build under it. Tests reach each
 //! tier through [`crate::Settings::scope`]; there is no environment
 //! value that picks one.
 //!
 //! The element-wise kernels have no intrinsic copies. Each loop is
-//! written once, in [`crate::fused`] or [`crate::order_stats`] (whose
-//! lanes are adjacent coordinates), and `elementwise` runs it either as
-//! is (the portable tier) or inside a function compiled with
-//! `target_feature(enable = "avx2")`, where the compiler vectorises the
-//! same source eight lanes wide; `widest` does the same with `avx512f`
-//! on the AVX-512 tier, sixteen lanes wide. Rust never fuses a `mul`
+//! written once, in [`crate::fused`], [`crate::order_stats`] (whose
+//! lanes are adjacent coordinates) or [`crate::normals`], and
+//! `elementwise` runs it either as is (the portable tier) or inside a
+//! function compiled with `target_feature(enable = "avx2")`, where the
+//! compiler vectorises the same source eight lanes wide; `widest` does
+//! the same with `avx512f` and `avx512dq` on the AVX-512 tier, sixteen
+//! lanes wide. Rust never fuses a `mul`
 //! and an `add` into one FMA, so every build performs the same
 //! operations.
 //!
@@ -47,7 +49,10 @@
 //! at any vector width, so the results are 0 ULP from the portable
 //! fallback — pinned by `crates/tensor/tests/proptest_simd.rs` and by
 //! the workspace's `tests/determinism_matrix.rs` (every golden digest
-//! under every tier).
+//! under every tier). The one kernel whose SIMD lanes compute something
+//! else is the normal fill: its polynomial `ln`/`cos` lanes are kept
+//! only where a guard proves they round to the portable tier's `f32`
+//! ([`crate::normals`]; pinned by `crates/tensor/tests/normals_exact.rs`).
 
 /// A micro-kernel implementation tier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,6 +112,7 @@ pub fn supported(k: Kernel) -> bool {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx512 => {
             std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512dq")
                 && std::arch::is_x86_feature_detected!("avx2")
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -156,18 +162,19 @@ pub(crate) fn elementwise(f: impl FnOnce()) {
     }
 }
 
-/// [`elementwise`] for a compare-bound loop: compiled for AVX-512 on the
-/// AVX-512 tier (32 vector registers, 16 `i32` lanes each), as
-/// [`elementwise`] does otherwise. The same contract and the same
+/// [`elementwise`] for a compute-bound loop: compiled for AVX-512 on the
+/// AVX-512 tier (32 vector registers, 16 `i32` or 8 `f64` lanes each),
+/// as [`elementwise`] does otherwise. The same contract and the same
 /// `#[inline(always)]` discipline hold. The rank search of
-/// [`crate::order_stats`] is its one caller; the bandwidth-bound fused
-/// kernels keep their AVX2 build on every tier.
+/// [`crate::order_stats`] and the normal fill of [`crate::normals`] are
+/// its callers; the bandwidth-bound fused kernels keep their AVX2 build
+/// on every tier.
 pub(crate) fn widest(f: impl FnOnce()) {
     match active() {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx512 => {
             // SAFETY: `active` only returns tiers `supported` reports,
-            // and this one needs AVX-512F.
+            // and this one needs AVX-512F and AVX-512DQ.
             unsafe { on_avx512(f) }
         }
         _ => elementwise(f),
@@ -187,13 +194,14 @@ fn on_avx2(f: impl FnOnce()) {
     f();
 }
 
-/// The AVX-512 trampoline behind [`widest`].
+/// The AVX-512 trampoline behind [`widest`]. `avx512dq` adds the
+/// 64-bit integer ↔ `f64` conversions the normal fill's lanes use.
 ///
 /// # Safety
 ///
-/// The caller must have verified AVX-512F support.
+/// The caller must have verified AVX-512F and AVX-512DQ support.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
+#[target_feature(enable = "avx512f,avx512dq")]
 fn on_avx512(f: impl FnOnce()) {
     f();
 }

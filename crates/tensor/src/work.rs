@@ -6,7 +6,8 @@
 //! ([`crate::ConvGeometry`]), scratch elements checked out, and elements
 //! written by element-wise passes outside a GEMM (a bias add, a ReLU or
 //! its mask, a gradient temporary folded in, an input copied into a
-//! cache), and key rows read by the robust sinks' rank search. A patch matrix lowered into a pack would show in `packed`; a
+//! cache), key rows read by the robust sinks' rank search, and normals
+//! drawn (and, of those, computed through libm). A patch matrix lowered into a pack would show in `packed`; a
 //! lowered A block, a `dcols` buffer or a `dW` temporary in `scratch`; a
 //! bias or ReLU pass beside a dense GEMM in `passes`.
 //!
@@ -30,6 +31,11 @@ pub struct Work {
     pub passes: usize,
     /// Key rows read by the rank-search sweeps of [`crate::order_stats`].
     pub key_rows: usize,
+    /// Normals drawn by [`crate::normals::fill`].
+    pub normals: usize,
+    /// Of `normals`, those computed through libm's `ln` and `cos`: every
+    /// one on the portable tier, the guard's fallback lanes elsewhere.
+    pub exact_normals: usize,
 }
 
 #[cfg(any(test, feature = "work-counters"))]
@@ -45,6 +51,8 @@ thread_local! {
             scratch: 0,
             passes: 0,
             key_rows: 0,
+            normals: 0,
+            exact_normals: 0,
         })
     };
 }
