@@ -56,6 +56,14 @@ impl InputSpec {
     }
 }
 
+/// The most floats [`DatasetConfig::validate`] lets one generated block
+/// hold: the class prototypes with their manifold directions, or one
+/// client's largest shard. 2^28 floats (1 GiB) is about 970× the
+/// largest shard any preset, canned scenario or benchmark workload
+/// generates (`fedtrans-conv`: 6 · 60 · 768); a shape past it is refused
+/// before any allocation.
+pub const MAX_BLOCK_FLOATS: usize = 1 << 28;
+
 /// Configuration for a synthetic federated dataset.
 ///
 /// Construct via a workload preset and customize with the `with_*`
@@ -229,7 +237,7 @@ impl DatasetConfig {
                 return Err(format!("{name} must be at least 1"));
             }
         }
-        match self.input.checked_flat_dim() {
+        let dim = match self.input.checked_flat_dim() {
             None => {
                 return Err(format!(
                     "input dimensions overflow usize when multiplied: {:?}",
@@ -237,8 +245,8 @@ impl DatasetConfig {
                 ))
             }
             Some(0) => return Err(format!("input has a zero dimension: {:?}", self.input)),
-            Some(_) => {}
-        }
+            Some(dim) => dim,
+        };
         if !(self.dirichlet_alpha.is_finite() && self.dirichlet_alpha > 0.0) {
             return Err(format!(
                 "dirichlet_alpha must be finite and > 0, got {}",
@@ -257,6 +265,25 @@ impl DatasetConfig {
                 "mean_samples is too large: 6 * mean_samples overflows usize, got {}",
                 self.mean_samples
             ));
+        }
+        for (block, floats) in [
+            (
+                "the class prototypes (3 * num_classes * input dimension)",
+                dim.checked_mul(3)
+                    .and_then(|n| n.checked_mul(self.num_classes)),
+            ),
+            (
+                "one client's largest shard (6 * mean_samples * input dimension)",
+                (6 * self.mean_samples).checked_mul(dim),
+            ),
+        ] {
+            if floats.is_none_or(|n| n > MAX_BLOCK_FLOATS) {
+                return Err(format!(
+                    "{block} would exceed MAX_BLOCK_FLOATS ({MAX_BLOCK_FLOATS} floats): \
+                     num_classes {}, mean_samples {}, input {:?}",
+                    self.num_classes, self.mean_samples, self.input
+                ));
+            }
         }
         for (name, scale) in [
             ("sample_spread", self.sample_spread),
@@ -304,6 +331,31 @@ impl Default for DatasetConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Shapes whose first allocation is terabytes are refused by
+    /// validation, naming the field, instead of aborting the process.
+    #[test]
+    fn oom_sized_shapes_are_refused_naming_the_field() {
+        let many_samples = DatasetConfig::femnist_like().with_mean_samples(1_000_000_000_000);
+        let err = many_samples.validate().unwrap_err();
+        assert!(
+            err.contains("mean_samples") && err.contains("MAX_BLOCK_FLOATS"),
+            "{err}"
+        );
+        let mut wide = DatasetConfig::femnist_like();
+        wide.input = InputSpec::Flat {
+            dim: 1_000_000_000_000,
+        };
+        let err = wide.validate().unwrap_err();
+        assert!(
+            err.contains("input") && err.contains("MAX_BLOCK_FLOATS"),
+            "{err}"
+        );
+        // At the bound itself the shard is still accepted.
+        let mut edge = DatasetConfig::femnist_like().with_mean_samples(MAX_BLOCK_FLOATS / 6);
+        edge.input = InputSpec::Flat { dim: 1 };
+        assert_eq!(edge.validate(), Ok(()));
+    }
 
     #[test]
     fn presets_have_distinct_scales() {

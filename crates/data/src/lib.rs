@@ -43,7 +43,7 @@ mod generator;
 pub mod partition;
 mod shard;
 
-pub use config::{DatasetConfig, InputSpec};
+pub use config::{DatasetConfig, InputSpec, MAX_BLOCK_FLOATS};
 pub use dataset::{ClientData, FederatedDataset};
 pub use drift::DriftConfig;
 pub use shard::{Half, ShardSource, SparseFederatedData};

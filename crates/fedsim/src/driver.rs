@@ -25,10 +25,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use ft_data::ShardSource;
 use ft_model::CellModel;
+use ft_tensor::series;
 
 use crate::attack::AdversityConfig;
 use crate::coordinator::{Coordinator, RoundOptions, TrainReply};
@@ -131,8 +132,10 @@ pub struct SpineConfig {
 
 /// Run bookkeeping shared by all methods: costs, round history,
 /// accuracy curve, and per-client round times. Serialized as a unit
-/// into every checkpoint.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// into every checkpoint, the round times (one a participant, so the
+/// one part that grows with the fleet) as an [`ft_tensor::series`]
+/// block.
+#[derive(Debug, Clone, Default)]
 pub struct Accumulator {
     /// Cost meter (MACs / bytes / rounds).
     pub cost: CostMeter,
@@ -142,6 +145,45 @@ pub struct Accumulator {
     pub curve: Vec<(f64, f32)>,
     /// Per-participant round completion times.
     pub client_times: Vec<f32>,
+}
+
+impl Serialize for Accumulator {
+    fn to_value(&self) -> Value {
+        serde_json::json!({
+            "cost": self.cost,
+            "history": self.history,
+            "curve": self.curve,
+            "client_times": series::to_value(&[self.client_times.len()], &self.client_times),
+        })
+    }
+}
+
+impl Deserialize for Accumulator {
+    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
+        fn decode<T>(
+            value: &Value,
+            key: &str,
+            de: impl FnOnce(&Value) -> std::result::Result<T, DeError>,
+        ) -> std::result::Result<T, DeError> {
+            let v = value
+                .get(key)
+                .ok_or_else(|| DeError::new(format!("Accumulator: missing field `{key}`")))?;
+            de(v).map_err(|e| DeError::new(format!("field `{key}`: {e}")))
+        }
+        let client_times = decode(value, "client_times", |v| {
+            let (shape, data) = series::from_value(v)?;
+            if shape.rank() != 1 {
+                return Err(DeError::new(format!("expected one row, got shape {shape}")));
+            }
+            Ok(data)
+        })?;
+        Ok(Accumulator {
+            cost: decode(value, "cost", CostMeter::from_value)?,
+            history: decode(value, "history", Vec::from_value)?,
+            curve: decode(value, "curve", Vec::from_value)?,
+            client_times,
+        })
+    }
 }
 
 impl Accumulator {

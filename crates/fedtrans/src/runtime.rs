@@ -363,7 +363,7 @@ impl Method for FedTransRuntime {
         serde_json::json!({
             "models": self.models,
             "model_birth": self.model_birth,
-            "utilities": self.manager.utilities(),
+            "utilities": self.manager.checkpoint_value(),
             "transformer_losses": losses,
             "transformer_widened": widened,
             "transformer_rounds_since": rounds_since,
@@ -392,7 +392,14 @@ impl Method for FedTransRuntime {
             validate_model("models", m)?;
         }
         let model_birth = field(block, "model_birth")?;
-        let utilities = field(block, "utilities")?;
+        let utilities = block
+            .get("utilities")
+            .ok_or_else(|| SimError::snapshot("missing checkpoint field `utilities`"))
+            .and_then(|table| {
+                self.manager
+                    .decode_table(table, models.len())
+                    .map_err(|e| SimError::snapshot(format!("field `utilities`: {e}")))
+            })?;
         let losses = field(block, "transformer_losses")?;
         let widened = field(block, "transformer_widened")?;
         let rounds_since = field(block, "transformer_rounds_since")?;

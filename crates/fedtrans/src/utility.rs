@@ -11,8 +11,10 @@
 //! models the client has never touched.
 
 use rand::Rng;
+use serde::{DeError, Value};
 
 use ft_fedsim::metrics;
+use ft_tensor::series;
 
 /// Per-client utility state over the growing model suite.
 #[derive(Debug, Clone)]
@@ -58,13 +60,37 @@ impl ClientManager {
         self.utilities[client][model]
     }
 
-    /// The full utility table (checkpoint view): one row per client,
-    /// one column per model.
-    pub fn utilities(&self) -> &[Vec<f32>] {
-        &self.utilities
+    /// The utility table as one `[clients × models]` [`series`] block
+    /// (checkpoint view).
+    pub fn checkpoint_value(&self) -> Value {
+        series::to_value(
+            &[self.num_clients(), self.num_models()],
+            &self.utilities.concat(),
+        )
     }
 
-    /// Replaces the utility table (checkpoint restore).
+    /// Decodes a table [`ClientManager::checkpoint_value`] wrote for
+    /// this manager's clients over `models` models, without installing
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// A [`DeError`] when `block` is not a series of shape
+    /// `[num_clients × models]`: a smaller table would index past its
+    /// end on the next assignment.
+    pub fn decode_table(&self, block: &Value, models: usize) -> Result<Vec<Vec<f32>>, DeError> {
+        let (shape, flat) = series::from_value(block)?;
+        let want = [self.num_clients(), models];
+        if shape.dims() != want || models == 0 {
+            return Err(DeError::new(format!(
+                "a table of shape {shape}, expected {want:?} (clients × models)"
+            )));
+        }
+        Ok(flat.chunks_exact(models).map(<[f32]>::to_vec).collect())
+    }
+
+    /// Replaces the utility table with one
+    /// [`ClientManager::decode_table`] returned (checkpoint restore).
     pub fn restore_utilities(&mut self, utilities: Vec<Vec<f32>>) {
         self.utilities = utilities;
     }

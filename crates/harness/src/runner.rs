@@ -22,7 +22,10 @@ use ft_fedsim::{Algorithm, SimError};
 
 use crate::Scenario;
 
-/// Checkpoint file format version. Version 5 writes every tensor's
+/// Checkpoint file format version. Version 6 writes the series that
+/// grow with the fleet (the ledger's per-participant round times,
+/// FedTrans's utility table) as `ft_tensor::series` blocks, where
+/// version 5 wrote decimal arrays. Version 5 writes every tensor's
 /// data as base64 of its little-endian `f32` bytes, where version 4
 /// wrote a decimal array. Version 4 introduced the shared round
 /// runner's envelope: `state` is `kind`/`round`/`rng`/`ledger`/
@@ -31,7 +34,7 @@ use crate::Scenario;
 /// layout. Version 2 added the coordinator protocol state; version 1
 /// had neither. Older checkpoints are rejected with an explicit error
 /// instead of resuming into a layout this build does not read.
-const CHECKPOINT_VERSION: u64 = 5;
+const CHECKPOINT_VERSION: u64 = 6;
 
 /// How a scenario run is executed.
 #[derive(Debug, Clone, Default)]
@@ -416,9 +419,10 @@ mod tests {
         let scenario = registry::find("iid-small").unwrap();
         let path = tmp_path("old-version");
         // Syntactically valid envelopes from older builds: version 3
-        // had per-method layouts, version 4 decimal tensors. Only the
-        // version gate should ever look at them.
-        for old in [3, 4] {
+        // had per-method layouts, version 4 decimal tensors, version 5
+        // decimal client times and utilities. Only the version gate
+        // should ever look at them.
+        for old in [3, 4, 5] {
             let _ = std::fs::remove_file(&path);
             std::fs::write(
                 &path,
@@ -441,7 +445,7 @@ mod tests {
             assert!(
                 msg.contains("version")
                     && msg.contains(&format!("{old}.0"))
-                    && msg.contains("writes version 5"),
+                    && msg.contains("writes version 6"),
                 "rejection must name the version gate, got: {msg}"
             );
         }

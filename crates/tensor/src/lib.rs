@@ -35,6 +35,7 @@ mod ops;
 pub mod order_stats;
 pub mod pool;
 pub mod scratch;
+pub mod series;
 mod settings;
 mod shape;
 pub mod simd;

@@ -45,7 +45,15 @@ use crate::Settings;
 type PanicPayload = Box<dyn std::any::Any + Send>;
 
 thread_local! {
-    static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// Whether this thread is running tasks of a job: always on a
+    /// worker, and on a submitter while it takes its share.
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is running a pool task, so that any
+/// dispatch it makes runs inline.
+pub(crate) fn in_task() -> bool {
+    IN_TASK.with(Cell::get)
 }
 
 /// One dispatched task set: a borrowed closure plus claim/finish
@@ -137,6 +145,7 @@ impl Pool {
     /// thread panicked *outside* the catch_unwind below — task panics
     /// are parked on the job instead.
     fn run_tasks(&self, job: &Job) {
+        let outer = IN_TASK.with(|f| f.replace(true));
         loop {
             let i = job.next.fetch_add(1, Ordering::Relaxed);
             if i >= job.total {
@@ -165,6 +174,7 @@ impl Pool {
                 self.done_cv.notify_all();
             }
         }
+        IN_TASK.with(|f| f.set(outer));
     }
 
     /// Parks until a new job epoch appears, then joins it.
@@ -174,7 +184,6 @@ impl Pool {
     /// Panics if the pool mutex is poisoned (task panics never poison
     /// it; see [`Pool::run_tasks`]).
     fn worker_loop(&self) {
-        IN_POOL_WORKER.with(|f| f.set(true));
         let mut seen_epoch = 0u64;
         loop {
             let job = {
@@ -408,7 +417,7 @@ pub fn for_each_chunk_mut<const M: usize, const R: usize>(
 /// the pool mutex is poisoned (task panics never poison it; see
 /// [`Pool::run_tasks`]).
 fn dispatch(tasks: usize, max_threads: usize, task: &(dyn Fn(usize) + Sync)) -> bool {
-    if tasks <= 1 || max_threads <= 1 || IN_POOL_WORKER.with(Cell::get) {
+    if tasks <= 1 || max_threads <= 1 || in_task() {
         return false;
     }
     let pool = pool();

@@ -89,8 +89,9 @@ mod counting {
                 f();
             }
         }) {
-            if pool::max_parallelism() == 1 {
-                // No workers: every dispatch is inline anyway.
+            if pool::in_task() || pool::max_parallelism() == 1 {
+                // Already inside a task, or no workers: every dispatch
+                // is inline anyway.
                 return f();
             }
             // Another test owns the pool right now.
@@ -108,5 +109,41 @@ mod counting {
                 COUNTS.with(|c| c.replace(before));
         });
         done.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use super::*;
+    use crate::pool;
+
+    /// `measure` called from inside a pool task runs `f` there instead of
+    /// waiting for a pool it is itself keeping busy. The call runs on its
+    /// own thread, so a regression fails here instead of hanging.
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a watchdog needs a thread the hang cannot hold"
+    )]
+    fn measure_returns_from_inside_a_pool_task() {
+        let (done, finished) = mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            pool::parallel_for(2, &|i| {
+                if i == 0 {
+                    let work = measure(&|| count(|w| w.passes += 3));
+                    assert_eq!(work.passes, 3);
+                }
+            });
+            let _ = done.send(());
+        });
+        // A hung caller cannot be joined; one that returned or panicked can.
+        let waited = finished.recv_timeout(Duration::from_secs(60));
+        if let Err(mpsc::RecvTimeoutError::Timeout) = waited {
+            panic!("work::measure from inside a pool task did not return in 60 s");
+        }
+        caller.join().expect("the measuring task panicked");
     }
 }

@@ -10,7 +10,7 @@
 //! * a rejected checkpoint (mid-round coordinator phase, truncated
 //!   method block) leaves the driver exactly as it was;
 //! * every method rejects every other method's checkpoint and a
-//!   version-3 or version-4 file, naming the mismatch;
+//!   version-3, version-4 or version-5 file, naming the mismatch;
 //! * tensors cross the text bit for bit (a `+inf` weight stays `+inf`)
 //!   and are written as base64, never as decimal arrays;
 //! * no gradient is written, and a file that still carries the zero
@@ -422,8 +422,9 @@ fn every_canned_scenario_rejects_a_version_3_file() {
             scenario.name,
             std::process::id()
         ));
-        // Version 3 had per-method layouts; version 4 decimal tensors.
-        for version in [3, 4] {
+        // Version 3 had per-method layouts; version 4 decimal tensors;
+        // version 5 decimal client times and utilities.
+        for version in [3, 4, 5] {
             let stale = serde_json::json!({
                 "version": version,
                 "scenario": scenario.name,
@@ -448,7 +449,7 @@ fn every_canned_scenario_rejects_a_version_3_file() {
             assert!(
                 message.contains("version")
                     && message.contains(&format!("{version}.0"))
-                    && message.contains("writes version 5"),
+                    && message.contains("writes version 6"),
                 "{}: {message}",
                 scenario.name
             );
@@ -676,4 +677,171 @@ fn a_layer_that_does_not_fit_its_geometry_is_refused_naming_models() {
     // The untouched checkpoint still restores, and the models run.
     driver.restore(&state).unwrap();
     driver.step().unwrap();
+}
+
+/// A round-2 FedTrans checkpoint whose utility table is replaced by
+/// one that does not cover every client and model is refused naming
+/// `method` and `utilities`; a `[[0.0]]` table used to restore and then
+/// panic on the next step, indexing past its one row.
+#[test]
+fn a_utility_table_of_the_wrong_shape_is_refused_naming_utilities() {
+    let _guard = serial();
+    let fedtrans = &CASES[0];
+    let mut driver = (fedtrans.build)(RunContext::default());
+    driver.run_to(2).unwrap();
+    let before = json!(&driver.checkpoint());
+    let state = serde_json::parse_value(&before).unwrap();
+    let shape: Vec<usize> = serde_json::from_value(
+        state
+            .get("method")
+            .and_then(|m| m.get("utilities"))
+            .and_then(|u| u.get("shape"))
+            .expect("a utility block"),
+    )
+    .unwrap();
+    let [clients, models] = shape[..] else {
+        panic!("a [clients × models] table, got {shape:?}");
+    };
+    assert_eq!(clients, 12);
+    let tensor = |dims: &[usize]| serde_json::to_value(&Tensor::zeros(dims));
+    let tables: [(Value, String); 4] = [
+        (
+            Value::Array(vec![Value::Array(vec![Value::Number(0.0)])]),
+            "missing field `shape`".to_owned(),
+        ),
+        (
+            tensor(&[1, 1]),
+            format!("shape [1, 1], expected [12, {models}]"),
+        ),
+        (
+            tensor(&[clients, models + 1]),
+            format!("expected [12, {models}]"),
+        ),
+        (tensor(&[clients * models]), "expected [12, ".to_owned()),
+    ];
+    for (table, expect) in tables {
+        let mut state = serde_json::parse_value(&before).unwrap();
+        *entry(entry(&mut state, "method"), "utilities") = table;
+        let detail = snapshot_error(driver.restore(&state));
+        assert!(
+            detail.contains("field `method`: field `utilities`") && detail.contains(&expect),
+            "{detail}"
+        );
+        assert!(json!(&driver.checkpoint()) == before);
+    }
+    driver.restore(&state).unwrap();
+    driver.step().unwrap();
+}
+
+/// The two series that grow with the fleet — the ledger's
+/// per-participant round times and FedTrans's utility table — are
+/// `ft_tensor::series` blocks. Each hostile variant (truncated text, a
+/// shape the text does not fill, a byte outside the alphabet,
+/// non-canonical padding, the decimal array version 5 wrote) is a typed
+/// snapshot error naming the series, and the driver is left as it was.
+#[test]
+fn a_corrupt_fleet_series_is_refused_naming_it() {
+    let _guard = serial();
+    let fedtrans = &CASES[0];
+    let mut driver = (fedtrans.build)(RunContext::default());
+    driver.run_to(2).unwrap();
+    let before = json!(&driver.checkpoint());
+    let state = serde_json::parse_value(&before).unwrap();
+    for (outer, key) in [("ledger", "client_times"), ("method", "utilities")] {
+        let block = state.get(outer).and_then(|o| o.get(key)).unwrap();
+        let text = block.get("data").and_then(Value::as_str).unwrap();
+        let mut dims: Vec<usize> = serde_json::from_value(block.get("shape").unwrap()).unwrap();
+        assert!(
+            dims.iter().product::<usize>() >= 12,
+            "{outer}.{key}: {dims:?}"
+        );
+        let decoded = serde_json::from_value::<Tensor>(block).unwrap();
+        *dims.last_mut().unwrap() += 1;
+        let series = |shape: &[usize], data: &str| {
+            let mut block = block.clone();
+            *entry(&mut block, "shape") = serde_json::to_value(shape);
+            *entry(&mut block, "data") = Value::String(data.to_owned());
+            block
+        };
+        let corruptions: [(Value, &str); 5] = [
+            (
+                series(decoded.shape().dims(), &text[..text.len() - 1]),
+                "not a multiple of 4",
+            ),
+            (series(&dims, text), "bytes, shape"),
+            (
+                series(decoded.shape().dims(), &format!("@{}", &text[1..])),
+                "0x40 at offset 0",
+            ),
+            (series(&[1], "AAAAAB=="), "bad padding"),
+            (
+                Value::Array(
+                    decoded
+                        .data()
+                        .iter()
+                        .map(|&x| Value::Number(f64::from(x)))
+                        .collect(),
+                ),
+                "missing field `shape`",
+            ),
+        ];
+        for (corrupt, expect) in corruptions {
+            let mut state = serde_json::parse_value(&before).unwrap();
+            *entry(entry(&mut state, outer), key) = corrupt;
+            let detail = snapshot_error(driver.restore(&state));
+            assert!(
+                detail.contains(&format!("field `{outer}`"))
+                    && detail.contains(&format!("field `{key}`"))
+                    && detail.contains(expect),
+                "{outer}.{key}: {detail}"
+            );
+            assert!(json!(&driver.checkpoint()) == before);
+        }
+    }
+}
+
+/// JSON numbers anywhere under `value`.
+fn number_tokens(value: &Value) -> usize {
+    match value {
+        Value::Number(_) => 1,
+        Value::Array(items) => items.iter().map(number_tokens).sum(),
+        Value::Object(entries) => entries.iter().map(|(_, v)| number_tokens(v)).sum(),
+        _ => 0,
+    }
+}
+
+/// The checkpoint of `fedavg-1m-stream` scaled to `per_round` clients a
+/// round for three rounds: its JSON text and number-token count.
+fn million_client_checkpoint(per_round: usize) -> (String, usize) {
+    let mut scenario: ft_harness::Scenario =
+        serde_json::from_str(include_str!("../benchmark/workloads/fedavg-1m-stream.json")).unwrap();
+    scenario.clients_per_round = per_round;
+    scenario.rounds = 3;
+    scenario.quick_rounds = 3;
+    let mut driver = scenario.build().unwrap();
+    driver.run_to(3).unwrap();
+    let state = driver.checkpoint();
+    (json!(&state), number_tokens(&state))
+}
+
+/// The checkpoint's size is a count, pinned exactly: on the sparse
+/// million-client FedAvg workload at 64 clients × 3 rounds, version 5
+/// wrote one number per participant (192 of them) for the ledger's
+/// round times. Now doubling the cohort adds no number token, and
+/// adds the round times' base64 (4 bytes a participant, 4/3 characters
+/// a byte) plus a few digits of counters and losses.
+#[test]
+fn a_million_client_checkpoint_has_no_number_per_participant() {
+    let _guard = serial();
+    let (text, tokens) = million_client_checkpoint(64);
+    assert_eq!(
+        (text.len(), tokens),
+        (14_215, 51),
+        "the pinned size and count"
+    );
+    let (doubled, doubled_tokens) = million_client_checkpoint(128);
+    assert_eq!(doubled_tokens, tokens);
+    let base64 = 4 * 4 * 64 * 3 / 3;
+    let grown = doubled.len() - text.len();
+    assert!((base64..base64 + 16).contains(&grown), "{grown} bytes");
 }

@@ -323,6 +323,56 @@ fn a_nan_or_non_positive_fedtrans_beta_is_a_typed_error() {
 
 /// `ft-run` with every inherited `FT_*` variable scrubbed, then `vars`
 /// set.
+#[test]
+fn a_terabyte_sized_dataset_shape_is_a_typed_error() {
+    // Each passed the overflow checks and aborted the process on its
+    // first allocation: a 22 TB shard, a 4 TB prototype.
+    assert_bad_dataset("mean_samples", |d| d.mean_samples = 1_000_000_000_000);
+    assert_bad_dataset("input", |d| {
+        d.input = ft_data::InputSpec::Flat {
+            dim: 1_000_000_000_000,
+        }
+    });
+}
+
+/// A document nested past `serde_json::MAX_DEPTH` is a parse error at
+/// the byte where the 129th level opens, on both paths that read a file:
+/// `ft-run --config` (which used to die of a stack overflow) and a
+/// checkpoint resume.
+#[test]
+fn deep_nesting_is_a_parse_error_naming_the_byte() {
+    let deep = "[".repeat(200_000);
+    let path = tmp_checkpoint("deep");
+    std::fs::write(&path, &deep).unwrap();
+
+    let out = ft_run(&[], &["--config", path.to_str().unwrap(), "--quick"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("deeper than 128 levels at byte 128"),
+        "{stderr}"
+    );
+    let err = serde_json::from_str::<Scenario>(&deep).unwrap_err();
+    assert!(err.to_string().contains("at byte 128"), "{err}");
+
+    let scenario = registry::find("iid-small").unwrap();
+    let err = run_scenario(
+        &scenario,
+        &RunOptions {
+            quick: true,
+            checkpoint_path: Some(path.clone()),
+            ..Default::default()
+        },
+    )
+    .expect_err("a deep checkpoint must not resume")
+    .to_string();
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        err.contains("parsing") && err.contains("deeper than 128 levels at byte 128"),
+        "{err}"
+    );
+}
+
 #[expect(
     clippy::disallowed_methods,
     reason = "lists the inherited variables to scrub from the child"
