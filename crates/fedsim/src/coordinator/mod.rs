@@ -44,6 +44,8 @@
 //! thread count, across kill/resume, and under any delivery permutation.
 
 pub mod clock;
+#[cfg(test)]
+mod explore;
 pub mod message;
 pub mod participant;
 mod protocol;

@@ -168,7 +168,7 @@ impl Deserialize for Accumulator {
             let v = value
                 .get(key)
                 .ok_or_else(|| DeError::new(format!("Accumulator: missing field `{key}`")))?;
-            de(v).map_err(|e| DeError::new(format!("field `{key}`: {e}")))
+            de(v).map_err(|e| e.within(key))
         }
         let client_times = decode(value, "client_times", |v| {
             let (shape, data) = series::from_value(v)?;
@@ -500,14 +500,19 @@ impl<M: Method> Algorithm for Runner<M> {
     }
 
     fn checkpoint(&self) -> Value {
-        serde_json::json!({
-            "kind": self.method.name(),
-            "round": self.round,
-            "rng": rng_to_value(&self.rng),
-            "ledger": self.ledger,
-            "coordinator": self.coordinator.checkpoint_value(),
-            "method": self.method.checkpoint(),
-        })
+        // The blocks built here move into the envelope; `json!` would
+        // copy each one.
+        Value::Object(vec![
+            ("kind".to_owned(), self.method.name().to_value()),
+            ("round".to_owned(), self.round.to_value()),
+            ("rng".to_owned(), rng_to_value(&self.rng)),
+            ("ledger".to_owned(), self.ledger.to_value()),
+            (
+                "coordinator".to_owned(),
+                self.coordinator.checkpoint_value(),
+            ),
+            ("method".to_owned(), self.method.checkpoint()),
+        ])
     }
 
     fn restore(&mut self, state: &Value) -> Result<()> {
@@ -560,7 +565,7 @@ fn within(key: &str, e: SimError) -> SimError {
 /// Returns [`crate::SimError::Snapshot`] when the field is missing or
 /// has the wrong shape.
 pub fn field<T: Deserialize>(state: &Value, key: &str) -> Result<T> {
-    T::from_value(raw(state, key)?).map_err(|e| SimError::snapshot(format!("field `{key}`: {e}")))
+    T::from_value(raw(state, key)?).map_err(|e| SimError::snapshot(e.within(key).message()))
 }
 
 /// Checks a checkpointed model's layer geometry

@@ -29,6 +29,7 @@
 
 use rand::Rng;
 use rand::SeedableRng;
+use serde::Serialize as _;
 
 use ft_data::{FederatedDataset, InputSpec};
 use ft_fedsim::costs::storage_mb;
@@ -360,18 +361,26 @@ impl Method for FedTransRuntime {
     fn checkpoint(&self) -> serde::Value {
         let (losses, widened, rounds_since) = self.transformer.export_state();
         let (next_model, next_cell) = ft_model::id_counters();
-        serde_json::json!({
-            "models": self.models,
-            "model_birth": self.model_birth,
-            "utilities": self.manager.checkpoint_value(),
-            "transformer_losses": losses,
-            "transformer_widened": widened,
-            "transformer_rounds_since": rounds_since,
-            "activeness": self.activeness.export_history(),
-            "sims": self.sims,
-            "next_model_id": next_model,
-            "next_cell_id": next_cell,
-        })
+        // Every block moves into its slot; `json!` would copy the
+        // utility table once more.
+        serde::Value::Object(vec![
+            ("models".to_owned(), self.models.to_value()),
+            ("model_birth".to_owned(), self.model_birth.to_value()),
+            ("utilities".to_owned(), self.manager.checkpoint_value()),
+            ("transformer_losses".to_owned(), losses.to_value()),
+            ("transformer_widened".to_owned(), widened.to_value()),
+            (
+                "transformer_rounds_since".to_owned(),
+                rounds_since.to_value(),
+            ),
+            (
+                "activeness".to_owned(),
+                self.activeness.export_history().to_value(),
+            ),
+            ("sims".to_owned(), self.sims.to_value()),
+            ("next_model_id".to_owned(), next_model.to_value()),
+            ("next_cell_id".to_owned(), next_cell.to_value()),
+        ])
     }
 
     fn restore(&mut self, block: &serde::Value) -> ft_fedsim::Result<()> {
@@ -398,7 +407,7 @@ impl Method for FedTransRuntime {
             .and_then(|table| {
                 self.manager
                     .decode_table(table, models.len())
-                    .map_err(|e| SimError::snapshot(format!("field `utilities`: {e}")))
+                    .map_err(|e| SimError::snapshot(e.within("utilities").message()))
             })?;
         let losses = field(block, "transformer_losses")?;
         let widened = field(block, "transformer_widened")?;

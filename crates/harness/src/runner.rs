@@ -15,7 +15,7 @@
 
 use std::path::{Path, PathBuf};
 
-use serde::Value;
+use serde::{Serialize, Value};
 
 use ft_fedsim::report::{report_digest, RunReport};
 use ft_fedsim::{Algorithm, SimError};
@@ -251,14 +251,15 @@ fn write_checkpoint(
     target: usize,
     driver: &dyn Algorithm,
 ) -> ft_fedsim::Result<()> {
-    let envelope = serde_json::json!({
-        "version": CHECKPOINT_VERSION,
-        "scenario": scenario.name,
-        "quick": quick,
-        "target_rounds": target,
-        "round": driver.round(),
-        "state": driver.checkpoint(),
-    });
+    // The state moves into the envelope; `json!` would copy it.
+    let envelope = Value::Object(vec![
+        ("version".to_owned(), CHECKPOINT_VERSION.to_value()),
+        ("scenario".to_owned(), scenario.name.to_value()),
+        ("quick".to_owned(), quick.to_value()),
+        ("target_rounds".to_owned(), target.to_value()),
+        ("round".to_owned(), driver.round().to_value()),
+        ("state".to_owned(), driver.checkpoint()),
+    ]);
     let json = serde_json::to_string(&envelope)
         .map_err(|e| SimError::snapshot(format!("serializing checkpoint: {e}")))?;
     if let Some(parent) = path.parent() {

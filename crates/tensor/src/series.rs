@@ -34,66 +34,63 @@ const B64_INV: [u8; 256] = {
     table
 };
 
-/// Appends the base64 of `bytes` (a whole number of 3-byte groups).
-fn encode_groups(out: &mut String, bytes: &[u8]) {
-    for g in bytes.chunks_exact(3) {
-        let n = u32::from(g[0]) << 16 | u32::from(g[1]) << 8 | u32::from(g[2]);
-        for shift in [18, 12, 6, 0] {
-            out.push(char::from(B64[(n >> shift) as usize & 63]));
+/// The 16 characters of three floats' 12 little-endian bytes.
+fn encode_block(block: &[f32; 3]) -> [u8; 16] {
+    // The bytes in text order, as three big-endian words.
+    let [hi, mid, lo] = block.map(|x| x.to_bits().swap_bytes());
+    let groups = [hi >> 8, (hi << 16 | mid >> 16), (mid << 8 | lo >> 24), lo];
+    let mut chars = [0; 16];
+    for (dst, g) in chars.as_chunks_mut::<4>().0.iter_mut().zip(groups) {
+        *dst = [18, 12, 6, 0].map(|shift| B64[(g >> shift) as usize & 63]);
+    }
+    chars
+}
+
+/// The three floats of 16 characters, and the OR of the characters'
+/// table entries (at least 64 if any is outside [`B64`]).
+fn decode_block(chars: &[u8; 16]) -> ([f32; 3], u8) {
+    let mut seen = 0;
+    let mut groups = [0u32; 4];
+    for (n, group) in groups.iter_mut().zip(chars.as_chunks::<4>().0) {
+        for &ch in group {
+            let v = B64_INV[usize::from(ch)];
+            seen |= v;
+            *n = *n << 6 | u32::from(v);
         }
     }
+    let [a, b, c, d] = groups;
+    let words = [a << 8 | b >> 16, b << 16 | c >> 8, c << 24 | d];
+    (words.map(|w| f32::from_bits(w.swap_bytes())), seen)
 }
 
-/// Decodes `chars` (a whole number of 4-character groups) into `out`,
-/// three bytes a group; `false` if any character is outside [`B64`].
-fn decode_groups(chars: &[u8], out: &mut [u8]) -> bool {
-    let mut seen = 0;
-    for (g, dst) in chars.chunks_exact(4).zip(out.chunks_exact_mut(3)) {
-        let [a, b, c, d] = [g[0], g[1], g[2], g[3]].map(|ch| B64_INV[usize::from(ch)]);
-        seen |= a | b | c | d;
-        let n = u32::from(a) << 18 | u32::from(b) << 12 | u32::from(c) << 6 | u32::from(d);
-        dst.copy_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8]);
-    }
-    seen < 64
-}
-
-/// Little-endian bytes of up to three floats, zero-filled.
-fn le_bytes(xs: &[f32]) -> [u8; 12] {
-    let mut bytes = [0; 12];
-    for (dst, x) in bytes.chunks_exact_mut(4).zip(xs) {
-        dst.copy_from_slice(&x.to_le_bytes());
-    }
-    bytes
-}
-
-/// Fills `out` from little-endian bytes, four a float.
-fn from_le_bytes(bytes: &[u8], out: &mut [f32]) {
-    for (x, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-        *x = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-    }
-}
-
-/// Base64 of `data`'s little-endian bytes: 16 characters per 3 floats.
+/// Base64 of `data`'s little-endian bytes, written into a buffer of
+/// its exact length, 16 characters per block of 3 floats.
+///
+/// # Panics
+///
+/// Never: every byte written is an ASCII character.
 fn encode(data: &[f32]) -> String {
-    let mut out = String::with_capacity(4 * (4 * data.len()).div_ceil(3));
-    let blocks = data.chunks_exact(3);
-    let tail = blocks.remainder();
-    for block in blocks {
-        encode_groups(&mut out, &le_bytes(block));
+    let mut out = vec![0; 4 * (4 * data.len()).div_ceil(3)];
+    let (blocks, tail) = data.as_chunks::<3>();
+    let (head, rest) = out.split_at_mut(16 * blocks.len());
+    for (chars, block) in head.as_chunks_mut::<16>().0.iter_mut().zip(blocks) {
+        *chars = encode_block(block);
     }
-    // 0, 4 or 8 tail bytes: encode them zero-filled to a whole group,
-    // then pad over the characters that carry only fill.
-    let n = 4 * tail.len();
-    encode_groups(&mut out, &le_bytes(tail)[..n.div_ceil(3) * 3]);
-    let pad = (3 - n % 3) % 3;
-    out.truncate(out.len() - pad);
-    out.extend(std::iter::repeat_n('=', pad));
-    out
+    // 0, 1 or 2 floats left: encode them zero-filled to a whole block,
+    // keep the groups that hold their bytes, and pad over the
+    // characters that carry only fill.
+    let mut last = [0.0; 3];
+    last[..tail.len()].copy_from_slice(tail);
+    let len = rest.len();
+    rest.copy_from_slice(&encode_block(&last)[..len]);
+    let pad = (3 - 4 * tail.len() % 3) % 3;
+    rest[len - pad..].fill(b'=');
+    String::from_utf8(out).expect("base64 is ASCII")
 }
 
-/// An error about a tensor's `data` field.
+/// An error about a series block's `data` field.
 fn data_error(detail: impl std::fmt::Display) -> DeError {
-    DeError::new(format!("Tensor field `data`: {detail}"))
+    DeError::new(detail.to_string()).within("data")
 }
 
 /// The error for `text`, which holds a character outside [`B64`]
@@ -113,31 +110,30 @@ fn alphabet_error(text: &[u8], pad: usize) -> DeError {
 }
 
 /// Decodes `text` (validated: `pad` trailing `=`, length
-/// `4·⌈4·len/3⌉`) straight into `data`.
+/// `4·⌈4·len/3⌉`) straight into `data`, 16 characters a block of 3
+/// floats.
 fn decode_into(text: &[u8], pad: usize, data: &mut [f32]) -> std::result::Result<(), DeError> {
-    let (blocks, tail) = data.split_at_mut(data.len() / 3 * 3);
-    let (head, rest) = text.split_at(blocks.len() / 3 * 16);
-    let mut bytes = [0; 12];
-    for (chars, block) in head.chunks_exact(16).zip(blocks.chunks_exact_mut(3)) {
-        if !decode_groups(chars, &mut bytes) {
-            return Err(alphabet_error(text, pad));
-        }
-        from_le_bytes(&bytes, block);
+    let (blocks, tail) = data.as_chunks_mut::<3>();
+    let (head, rest) = text.split_at(16 * blocks.len());
+    let mut seen = 0;
+    for (chars, block) in head.as_chunks::<16>().0.iter().zip(blocks) {
+        let (floats, six) = decode_block(chars);
+        *block = floats;
+        seen |= six;
     }
-    // The last group decodes with its `=` read as `A` (zero); the fill
-    // bytes that produces must be zero too, or the text is not the
-    // canonical encoding of any tensor.
-    let mut chars = [b'A'; 12];
+    // The last block decodes with its `=` and the characters past the
+    // text read as `A` (zero); the fill that produces must be zero too,
+    // or the text is not the canonical encoding of any series.
+    let mut chars = [b'A'; 16];
     chars[..rest.len() - pad].copy_from_slice(&rest[..rest.len() - pad]);
-    let mut bytes = [0; 9];
-    if !decode_groups(&chars[..rest.len()], &mut bytes) {
+    let (last, six) = decode_block(&chars);
+    if (seen | six) >= 64 {
         return Err(alphabet_error(text, pad));
     }
-    let n = 4 * tail.len();
-    if bytes[n..].iter().any(|&b| b != 0) {
+    if last[tail.len()..].iter().any(|x| x.to_bits() != 0) {
         return Err(data_error("bad padding: non-zero bits after the last byte"));
     }
-    from_le_bytes(&bytes, tail);
+    tail.copy_from_slice(&last[..tail.len()]);
     Ok(())
 }
 
@@ -171,10 +167,9 @@ pub fn from_value(value: &Value) -> Result<(Shape, Vec<f32>), DeError> {
     let field = |key: &str| {
         value
             .get(key)
-            .ok_or_else(|| DeError::new(format!("Tensor: missing field `{key}`")))
+            .ok_or_else(|| DeError::new(format!("missing field `{key}`")))
     };
-    let shape = Shape::from_value(field("shape")?)
-        .map_err(|e| DeError::new(format!("Tensor field `shape`: {e}")))?;
+    let shape = Shape::from_value(field("shape")?).map_err(|e| e.within("shape"))?;
     let text = field("data")?
         .as_str()
         .ok_or_else(|| data_error("expected a base64 string"))?
@@ -184,9 +179,7 @@ pub fn from_value(value: &Value) -> Result<(Shape, Vec<f32>), DeError> {
         .iter()
         .try_fold(4usize, |n, &d| n.checked_mul(d))
         .ok_or_else(|| {
-            DeError::new(format!(
-                "Tensor field `shape`: {shape} overflows the address space"
-            ))
+            DeError::new(format!("{shape} overflows the address space")).within("shape")
         })?;
     if !text.len().is_multiple_of(4) {
         return Err(data_error(format!(

@@ -373,6 +373,63 @@ fn deep_nesting_is_a_parse_error_naming_the_byte() {
     );
 }
 
+/// A key given twice in one object is a parse error naming the key and
+/// the byte of its second occurrence, on every path that reads a file:
+/// the shim used to keep the first `rounds` and run on.
+#[test]
+fn a_duplicate_key_is_a_parse_error_naming_it() {
+    let scenario = registry::find("iid-small").unwrap();
+    let text = serde_json::to_string(&scenario).unwrap();
+    let doubled = format!("{},\"rounds\":900000}}", &text[..text.len() - 1]);
+    let want = format!("duplicate key `rounds` at byte {}", text.len());
+    let path = tmp_checkpoint("duplicate");
+    std::fs::write(&path, &doubled).unwrap();
+    let out = ft_run(&[], &["--config", path.to_str().unwrap(), "--quick"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&want), "{stderr}");
+    let err = serde_json::from_str::<Scenario>(&doubled).unwrap_err();
+    assert!(err.to_string().contains(&want), "{err}");
+
+    // A checkpoint whose envelope names its `round` twice.
+    let opts = |stop_after| RunOptions {
+        quick: true,
+        checkpoint_path: Some(path.clone()),
+        stop_after,
+        ..Default::default()
+    };
+    std::fs::remove_file(&path).unwrap();
+    run_scenario(&scenario, &opts(Some(1))).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, format!("{},\"round\":0}}", &text[..text.len() - 1])).unwrap();
+    let err = run_scenario(&scenario, &opts(None))
+        .expect_err("a checkpoint with a repeated key must not resume")
+        .to_string();
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        err.contains(&format!("duplicate key `round` at byte {}", text.len())),
+        "{err}"
+    );
+}
+
+/// An object of 10⁵ distinct keys parses, and a repeat of its first key
+/// at the end is found, in linear time (a scan of the keys before each
+/// one would compare 5·10⁹ pairs).
+#[test]
+fn an_object_with_many_keys_is_checked_in_linear_time() {
+    let mut text: String = (0..100_000).map(|i| format!("\"k{i}\":{i},")).collect();
+    text.insert(0, '{');
+    let object = format!("{}}}", &text[..text.len() - 1]);
+    let parsed = serde_json::parse_value(&object).unwrap();
+    assert_eq!(parsed.as_object().map(<[_]>::len), Some(100_000));
+    let err = serde_json::parse_value(&format!("{text}\"k0\":0}}")).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains(&format!("duplicate key `k0` at byte {}", text.len())),
+        "{err}"
+    );
+}
+
 #[expect(
     clippy::disallowed_methods,
     reason = "lists the inherited variables to scrub from the child"
