@@ -9,29 +9,43 @@ use ft_tensor::Tensor;
 use crate::{DatasetConfig, InputSpec};
 
 /// One client's local shard: training and held-out evaluation samples.
+///
+/// Each half's features are one row-major `[samples × dim]` block, so
+/// a shard is a handful of allocations whatever its sample count, and a
+/// batch or an evaluation chunk copies contiguous rows out of it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClientData {
-    train_x: Vec<Vec<f32>>,
+    dim: usize,
+    train_x: Vec<f32>,
     train_y: Vec<usize>,
-    test_x: Vec<Vec<f32>>,
+    test_x: Vec<f32>,
     test_y: Vec<usize>,
     label_dist: Vec<f32>,
     difficulty: f32,
 }
 
 impl ClientData {
-    /// Assembles a shard (used by the generator).
+    /// Assembles a shard of `dim` features a sample: `train_x` holds
+    /// `train_y.len()` rows of `dim` floats, row-major, and `test_x`
+    /// `test_y.len()` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a feature block's length is not its label count times
+    /// `dim`.
     pub fn new(
-        train_x: Vec<Vec<f32>>,
+        dim: usize,
+        train_x: Vec<f32>,
         train_y: Vec<usize>,
-        test_x: Vec<Vec<f32>>,
+        test_x: Vec<f32>,
         test_y: Vec<usize>,
         label_dist: Vec<f32>,
         difficulty: f32,
     ) -> Self {
-        debug_assert_eq!(train_x.len(), train_y.len());
-        debug_assert_eq!(test_x.len(), test_y.len());
+        assert_eq!(train_x.len(), train_y.len() * dim, "train block shape");
+        assert_eq!(test_x.len(), test_y.len() * dim, "test block shape");
         ClientData {
+            dim,
             train_x,
             train_y,
             test_x,
@@ -43,12 +57,12 @@ impl ClientData {
 
     /// Number of training samples.
     pub fn train_len(&self) -> usize {
-        self.train_x.len()
+        self.train_y.len()
     }
 
     /// Number of evaluation samples.
     pub fn test_len(&self) -> usize {
-        self.test_x.len()
+        self.test_y.len()
     }
 
     /// The client's label distribution (drawn from the Dirichlet prior).
@@ -89,16 +103,17 @@ impl ClientData {
         x: &mut Tensor,
         labels: &mut Vec<usize>,
     ) {
-        assert!(!self.train_x.is_empty(), "client has no training data");
+        assert!(!self.train_y.is_empty(), "client has no training data");
+        let dim = self.dim;
         ft_tensor::scratch::with_index_buf(|indices| {
-            indices.extend(0..self.train_x.len());
+            indices.extend(0..self.train_y.len());
             indices.shuffle(rng);
-            indices.truncate(batch_size.max(1).min(self.train_x.len()));
-            let dim = self.train_x[0].len();
+            indices.truncate(batch_size.max(1).min(self.train_y.len()));
             let mut data = ft_tensor::scratch::take(indices.len() * dim);
             labels.clear();
             for (slot, &i) in indices.iter().enumerate() {
-                data[slot * dim..(slot + 1) * dim].copy_from_slice(&self.train_x[i]);
+                data[slot * dim..(slot + 1) * dim]
+                    .copy_from_slice(&self.train_x[i * dim..(i + 1) * dim]);
                 labels.push(self.train_y[i]);
             }
             *x = Tensor::from_vec(data, &[indices.len(), dim]).expect("dims consistent");
@@ -133,26 +148,15 @@ impl ClientData {
         self
     }
 
+    /// The full training set as one batch (for centralized baselines).
     #[expect(
         clippy::missing_panics_doc,
-        reason = "`dim` floats are appended per index, so the shape always fits"
+        reason = "`new` checked that the block holds `dim` floats a label"
     )]
-    fn gather_train(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
-        let dim = self.train_x[0].len();
-        let mut data = Vec::with_capacity(indices.len() * dim);
-        let mut labels = Vec::with_capacity(indices.len());
-        for &i in indices {
-            data.extend_from_slice(&self.train_x[i]);
-            labels.push(self.train_y[i]);
-        }
-        let x = Tensor::from_vec(data, &[indices.len(), dim]).expect("dims consistent");
-        (x, labels)
-    }
-
-    /// The full training set as one batch (for centralized baselines).
     pub fn train_all(&self) -> (Tensor, Vec<usize>) {
-        let indices: Vec<usize> = (0..self.train_x.len()).collect();
-        self.gather_train(&indices)
+        let x = Tensor::from_vec(self.train_x.clone(), &[self.train_len(), self.dim])
+            .expect("dims consistent");
+        (x, self.train_y.clone())
     }
 
     /// Held-out samples `rows` gathered into one scratch-backed
@@ -164,14 +168,12 @@ impl ClientData {
     ///
     /// Panics if `rows` reaches past [`ClientData::test_len`].
     pub fn test_batch(&self, rows: Range<usize>) -> (Tensor, &[usize]) {
-        let samples = &self.test_x[rows.clone()];
-        let dim = samples.first().map_or(0, Vec::len);
-        let mut data = ft_tensor::scratch::take(samples.len() * dim);
-        for (dst, x) in data.chunks_exact_mut(dim.max(1)).zip(samples) {
-            dst.copy_from_slice(x);
-        }
-        let x = Tensor::from_vec(data, &[samples.len(), dim]).expect("every row has `dim` floats");
-        (x, &self.test_y[rows])
+        let labels = &self.test_y[rows.clone()];
+        let block = &self.test_x[rows.start * self.dim..rows.end * self.dim];
+        let mut data = ft_tensor::scratch::take(block.len());
+        data.copy_from_slice(block);
+        let x = Tensor::from_vec(data, &[labels.len(), self.dim]).expect("rows of `dim` floats");
+        (x, labels)
     }
 }
 
@@ -243,9 +245,8 @@ impl FederatedDataset {
         let mut data = Vec::new();
         let mut labels = Vec::new();
         for c in &self.clients {
-            let (x, y) = c.train_all();
-            data.extend_from_slice(x.data());
-            labels.extend(y);
+            data.extend_from_slice(&c.train_x);
+            labels.extend_from_slice(&c.train_y);
         }
         let n = labels.len();
         (

@@ -40,7 +40,11 @@
 //! (`Sampler::shard`), and only the half its reader takes
 //! ([`crate::Half`]): the train half stops the stream after the last
 //! train sample; the test half steps over the train samples with the
-//! walk's per-sample step and then builds the test samples.
+//! walk's per-sample step and then builds the test samples. A train
+//! half that a round priced first resumes the stream after the plan
+//! pricing drew ([`crate::ShardPlan`]), so the plan is drawn once. Each
+//! half is one row-major `[n × dim]` block that `Sampler::sample`
+//! writes its rows into.
 //!
 //! The RNG contract lives in this file: the walk, the test half's step
 //! over the train samples and `Sampler::sample` share
@@ -155,7 +159,8 @@ pub(crate) fn sample_prototypes(config: &DatasetConfig, rng: &mut StdRng) -> Pro
 
 /// What a client's RNG stream decides before any sample is drawn: its
 /// label distribution and how many samples it holds.
-pub(crate) struct ShardPlan {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Plan {
     /// The client's Dirichlet label distribution.
     pub label_dist: Vec<f32>,
     /// Training samples in the shard.
@@ -166,18 +171,19 @@ pub(crate) struct ShardPlan {
 
 /// Draws the head of a client's RNG stream: the Dirichlet label
 /// distribution, then the log-normal sample count, split into train
-/// and test. Every client's head starts with this call and
-/// [`crate::SparseFederatedData`] prices a shard's length with it alone,
-/// so the length a round is priced at and the length the generated
-/// shard has come from the same draws, in the same order, through the
-/// same clamps.
+/// and test. Every client's head starts with this call.
+/// [`crate::SparseFederatedData`] prices a shard with it alone and
+/// hands the plan, with the stream after it, to the derivation of the
+/// train half, so the length a round is priced at and the length the
+/// generated shard has are one draw.
 ///
 /// # Panics
 ///
 /// Panics when `config.sample_spread` is not finite, or when
 /// `config.mean_samples` is below 2 (the count clamp needs
 /// `8 <= 6 * mean_samples`).
-pub(crate) fn plan_client(config: &DatasetConfig, rng: &mut StdRng) -> ShardPlan {
+pub(crate) fn plan_client(config: &DatasetConfig, rng: &mut StdRng) -> Plan {
+    ft_tensor::work::count(|w| w.plans += 1);
     let count_dist = LogNormal::new(
         (config.mean_samples.max(2) as f32).ln() as f64,
         config.sample_spread as f64,
@@ -187,7 +193,7 @@ pub(crate) fn plan_client(config: &DatasetConfig, rng: &mut StdRng) -> ShardPlan
     let n_total = (count_dist.sample(rng).round() as usize).clamp(8, config.mean_samples * 6);
     let n_test = ((n_total as f32 * config.test_fraction).round() as usize).max(2);
     let n_train = (n_total - n_test.min(n_total)).max(4);
-    ShardPlan {
+    Plan {
         label_dist,
         n_train,
         n_test,
@@ -205,7 +211,7 @@ struct SampleDraws {
 
 /// A client's fixed context: what every one of its samples shares.
 struct Client {
-    plan: ShardPlan,
+    plan: Plan,
     /// Confuser-blend probability; also scales the manifold curvature.
     difficulty: f32,
     /// The client's concept-shift offset, one value per feature.
@@ -213,32 +219,39 @@ struct Client {
 }
 
 impl Client {
-    /// Assembles the shard from `sample(k)`, sample `k` of the client's
-    /// `n_train + n_test` in stream order (train first). With `half`
-    /// set, only that half's samples are asked for and the other half
-    /// is empty.
+    /// Assembles the shard from `sample(k, row)`, which writes sample
+    /// `k` of the client's `n_train + n_test` (in stream order, train
+    /// first) into `row` and returns its label. Each half is one
+    /// `[samples × dim]` block. With `half` set, only that half's
+    /// samples are asked for and the other half is empty.
     fn assemble(
         &self,
         half: Option<Half>,
-        mut sample: impl FnMut(usize) -> (Vec<f32>, usize),
+        mut sample: impl FnMut(usize, &mut [f32]) -> usize,
     ) -> ClientData {
-        let ShardPlan {
+        let Plan {
             ref label_dist,
             n_train,
             n_test,
         } = self.plan;
+        let dim = self.shift.len();
         let wants = |h: Half| half.is_none_or(|only| only == h);
-        let (train_x, train_y) = if wants(Half::Train) {
-            (0..n_train).map(&mut sample).unzip()
-        } else {
-            Default::default()
+        let mut block = |h: Half, samples: std::ops::Range<usize>| {
+            if !wants(h) {
+                return Default::default();
+            }
+            let mut x = vec![0.0f32; samples.len() * dim];
+            let y = x
+                .chunks_exact_mut(dim)
+                .zip(samples)
+                .map(|(row, k)| sample(k, row))
+                .collect();
+            (x, y)
         };
-        let (test_x, test_y) = if wants(Half::Test) {
-            (n_train..n_train + n_test).map(&mut sample).unzip()
-        } else {
-            Default::default()
-        };
+        let (train_x, train_y) = block(Half::Train, 0..n_train);
+        let (test_x, test_y) = block(Half::Test, n_train..n_train + n_test);
         ClientData::new(
+            dim,
             train_x,
             train_y,
             test_x,
@@ -266,21 +279,19 @@ impl<'a> Sampler<'a> {
         }
     }
 
-    /// Draws the head of a client's stream up to its concept shift: the
-    /// plan, then the difficulty.
-    fn head(&self, client_idx: usize, rng: &mut StdRng) -> (ShardPlan, f32) {
-        let plan = plan_client(self.config, rng);
+    /// Draws a client's difficulty, which follows its plan in the
+    /// stream.
+    fn difficulty(&self, client_idx: usize, rng: &mut StdRng) -> f32 {
         // Difficulty spread: deterministic ramp + jitter keeps the
         // population covering the full range at any client count.
         let ramp = client_idx as f32 / self.config.num_clients.max(1) as f32;
-        let difficulty =
-            (ramp * self.config.max_difficulty + rng.gen_range(-0.05..0.05)).clamp(0.0, 1.0);
-        (plan, difficulty)
+        (ramp * self.config.max_difficulty + rng.gen_range(-0.05..0.05)).clamp(0.0, 1.0)
     }
 
-    /// Draws a client's whole head: plan, difficulty and concept shift.
-    fn client(&self, client_idx: usize, rng: &mut StdRng) -> Client {
-        let (plan, difficulty) = self.head(client_idx, rng);
+    /// Draws the rest of a client's head after its `plan`: the
+    /// difficulty, then the concept shift.
+    fn client(&self, client_idx: usize, plan: Plan, rng: &mut StdRng) -> Client {
+        let difficulty = self.difficulty(client_idx, rng);
         let shift = gaussian(rng, self.dim, self.config.shift_std);
         Client {
             plan,
@@ -310,13 +321,14 @@ impl<'a> Sampler<'a> {
     }
 
     /// The one sample function: draws one sample of `client` from `rng`,
-    /// its [`SampleDraws`] and then `dim` noise normals.
-    fn sample(&self, client: &Client, rng: &mut StdRng) -> (Vec<f32>, usize) {
+    /// its [`SampleDraws`] and then `dim` noise normals, writes its
+    /// features into `x` and returns its label.
+    fn sample(&self, client: &Client, rng: &mut StdRng, x: &mut [f32]) -> usize {
         let SampleDraws { label, t, blend } =
             self.sample_draws(&client.plan.label_dist, client.difficulty, rng);
         // The noise goes into the sample first; each feature then adds
         // its prototype term, blend and shift to it.
-        let mut x = gaussian(rng, self.dim, self.config.noise_std);
+        normals::fill(rng, 0.0, self.config.noise_std, x);
         let proto = &self.protos.prototypes[label];
         let (d1, d2) = &self.protos.directions[label];
         let confuser = blend.map(|(c, w)| (&self.protos.prototypes[c], w));
@@ -332,44 +344,54 @@ impl<'a> Sampler<'a> {
             }
             *xi = v + (client.shift[i] + *xi);
         }
-        (x, label)
+        label
     }
 
     /// Steps `rng` over one sample without computing its normals: the
     /// walk's per-sample step.
-    fn skip_sample(&self, plan: &ShardPlan, difficulty: f32, rng: &mut StdRng) {
+    fn skip_sample(&self, plan: &Plan, difficulty: f32, rng: &mut StdRng) {
         self.sample_draws(&plan.label_dist, difficulty, rng);
         skip_normals(rng, self.dim);
     }
 
-    /// Generates one client's shard inline, drawing from `rng` in
-    /// stream order — the sparse path, and the reference the two phases
-    /// reproduce. `half` builds only that half: `Train` stops the stream
-    /// after the last train sample, `Test` steps over the train samples
-    /// as the walk does and builds the test samples. `None` builds both.
+    /// Generates one client's shard inline, drawing from its stream in
+    /// order — the sparse path, and the reference the two phases
+    /// reproduce. `start` is the stream at the client's head. `planned`
+    /// is the plan already drawn from it with the stream right after
+    /// it, when pricing drew them; the derivation resumes there instead
+    /// of drawing the plan again. `half` builds only that half: `Train`
+    /// stops the stream after the last train sample, `Test` steps over
+    /// the train samples as the walk does and builds the test samples.
+    /// `None` builds both.
     ///
-    /// Debug builds walk a copy of the stream first and assert that the
+    /// Debug builds walk a copy of `start` first and assert that the
     /// derivation stops at the walk's mark: before the first test sample
     /// for `Train`, after the last sample otherwise.
     ///
     /// # Panics
     ///
     /// In debug builds, when the derivation leaves the walk: a draw was
-    /// added to the sample path without the walk learning about it.
+    /// added to the sample path without the walk learning about it, or
+    /// `planned` is not where `start`'s plan leaves the stream.
     pub(crate) fn shard(
         &self,
         client_idx: usize,
-        rng: &mut StdRng,
+        start: &StdRng,
+        planned: Option<(Plan, StdRng)>,
         half: Option<Half>,
     ) -> ClientData {
-        let walked = cfg!(debug_assertions).then(|| self.walk(client_idx, &mut rng.clone()));
-        let client = self.client(client_idx, rng);
+        let walked = cfg!(debug_assertions).then(|| self.walk(client_idx, &mut start.clone()));
+        let (plan, mut rng) = planned.unwrap_or_else(|| {
+            let mut rng = start.clone();
+            (plan_client(self.config, &mut rng), rng)
+        });
+        let client = self.client(client_idx, plan, &mut rng);
         if half == Some(Half::Test) {
             for _ in 0..client.plan.n_train {
-                self.skip_sample(&client.plan, client.difficulty, rng);
+                self.skip_sample(&client.plan, client.difficulty, &mut rng);
             }
         }
-        let shard = client.assemble(half, |_| self.sample(&client, rng));
+        let shard = client.assemble(half, |_, row| self.sample(&client, &mut rng, row));
         if let Some(marks) = walked {
             let stop = match half {
                 Some(Half::Train) => client.plan.n_train + 1,
@@ -391,7 +413,8 @@ impl<'a> Sampler<'a> {
     /// least 8 samples, so under 48 bytes a sample).
     fn walk(&self, client_idx: usize, rng: &mut StdRng) -> Vec<[u64; 4]> {
         let start = rng.state();
-        let (plan, difficulty) = self.head(client_idx, rng);
+        let plan = plan_client(self.config, rng);
+        let difficulty = self.difficulty(client_idx, rng);
         skip_normals(rng, self.dim); // the concept shift
         let samples = plan.n_train + plan.n_test;
         let mut marks = Vec::with_capacity(samples + 2);
@@ -408,21 +431,22 @@ impl<'a> Sampler<'a> {
     /// and sample `k` from `marks[k + 1]`.
     fn build(&self, client_idx: usize, marks: &[[u64; 4]]) -> ClientData {
         let mut rng = StdRng::from_state(marks[0]);
-        let client = self.client(client_idx, &mut rng);
+        let plan = plan_client(self.config, &mut rng);
+        let client = self.client(client_idx, plan, &mut rng);
         debug_assert_eq!(
             rng.state(),
             marks[1],
             "client {client_idx}: head left the walk"
         );
-        client.assemble(None, |k| {
+        client.assemble(None, |k, row| {
             let mut rng = StdRng::from_state(marks[k + 1]);
-            let sample = self.sample(&client, &mut rng);
+            let label = self.sample(&client, &mut rng, row);
             debug_assert_eq!(
                 rng.state(),
                 marks[k + 2],
                 "client {client_idx}, sample {k}: the build left the walk"
             );
-            sample
+            label
         })
     }
 }

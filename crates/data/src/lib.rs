@@ -46,7 +46,7 @@ mod shard;
 pub use config::{DatasetConfig, InputSpec, MAX_BLOCK_FLOATS};
 pub use dataset::{ClientData, FederatedDataset};
 pub use drift::DriftConfig;
-pub use shard::{Half, ShardSource, SparseFederatedData};
+pub use shard::{Half, ShardPlan, ShardSource, SparseFederatedData};
 
 #[cfg(test)]
 mod smoke {

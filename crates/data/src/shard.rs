@@ -15,13 +15,20 @@
 //! borrows the whole shard either way; a sparse one derives only the
 //! half asked for, so the training fan-out builds no test samples and
 //! the eval sweep builds no train samples.
+//!
+//! A round prices each task before any training runs
+//! ([`ShardSource::plan`]) and then trains on the same client
+//! ([`ShardSource::train_half`]). The [`ShardPlan`] carries what pricing
+//! learned, so a sparse source draws a client's plan once: pricing
+//! draws it, and the derivation resumes the client's stream after it.
 
 use std::borrow::Cow;
 
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::generator::{plan_client, sample_prototypes, Prototypes, Sampler};
+use crate::generator::{plan_client, sample_prototypes, Plan, Prototypes, Sampler};
 use crate::{ClientData, DatasetConfig, FederatedDataset, InputSpec};
 
 /// One half of a client's shard.
@@ -31,6 +38,48 @@ pub enum Half {
     Train,
     /// The held-out samples, which evaluation reads.
     Test,
+}
+
+/// What pricing a client's task reads of its shard: the training sample
+/// count, and for a source that derives shards on demand, the client's
+/// label distribution and sample counts with its RNG stream right after
+/// them, where [`ShardSource::train_half`] resumes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardPlan {
+    client: usize,
+    head: Head,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Head {
+    /// A stored shard's training sample count.
+    Stored(usize),
+    /// A derived shard's plan and the stream state after it.
+    Derived(Plan, [u64; 4]),
+}
+
+impl ShardPlan {
+    /// The plan of a shard that is already stored: its training sample
+    /// count is all there is to carry.
+    pub fn stored(client: usize, train_len: usize) -> Self {
+        ShardPlan {
+            client,
+            head: Head::Stored(train_len),
+        }
+    }
+
+    /// The client the plan prices.
+    pub fn client(&self) -> usize {
+        self.client
+    }
+
+    /// Number of training samples in the client's shard.
+    pub fn train_len(&self) -> usize {
+        match &self.head {
+            Head::Stored(n) => *n,
+            Head::Derived(plan, _) => plan.n_train,
+        }
+    }
 }
 
 /// A source of per-client training shards.
@@ -58,16 +107,29 @@ pub trait ShardSource: Sync {
         self.shard(client)
     }
 
-    /// Number of training samples in `client`'s shard. The coordinator
-    /// calls this once per task, serially, to price a round's compute
-    /// before any training runs.
+    /// Prices `client`'s shard: its training sample count, plus what a
+    /// source that derives shards needs to resume the derivation in
+    /// [`ShardSource::train_half`]. The coordinator calls this once per
+    /// task, on the worker pool, before any training runs.
     ///
-    /// There is deliberately no default. `self.shard(client).train_len()`
-    /// is free for a source that borrows and a trap for one that
-    /// derives shards on demand: it builds every selected client's
-    /// whole shard just to read its length, and training then builds it
-    /// again. An implementation must cost less than the shard.
-    fn train_len(&self, client: usize) -> usize;
+    /// There is deliberately no default. Reading
+    /// `self.shard(client).train_len()` is free for a source that
+    /// borrows and a trap for one that derives shards on demand: it
+    /// builds every selected client's whole shard just to read its
+    /// length, and training then builds it again. An implementation must
+    /// cost less than the shard.
+    fn plan(&self, client: usize) -> ShardPlan;
+
+    /// The train half of the shard `plan` prices, which
+    /// [`ShardSource::plan`] returned: the same bits as
+    /// `shard_half(plan.client(), Half::Train)`.
+    ///
+    /// The default borrows [`ShardSource::shard_half`]. A source that
+    /// derives shards overrides it to resume from the plan instead of
+    /// drawing it again.
+    fn train_half(&self, plan: &ShardPlan) -> Cow<'_, ClientData> {
+        self.shard_half(plan.client(), Half::Train)
+    }
 }
 
 impl ShardSource for [ClientData] {
@@ -79,8 +141,8 @@ impl ShardSource for [ClientData] {
         Cow::Borrowed(&self[client])
     }
 
-    fn train_len(&self, client: usize) -> usize {
-        self[client].train_len()
+    fn plan(&self, client: usize) -> ShardPlan {
+        ShardPlan::stored(client, self[client].train_len())
     }
 }
 
@@ -93,8 +155,8 @@ impl ShardSource for FederatedDataset {
         Cow::Borrowed(self.client(client))
     }
 
-    fn train_len(&self, client: usize) -> usize {
-        self.client(client).train_len()
+    fn plan(&self, client: usize) -> ShardPlan {
+        ShardPlan::stored(client, self.client(client).train_len())
     }
 }
 
@@ -121,6 +183,9 @@ fn shard_seed(seed: u64, client: usize) -> u64 {
 /// [`ShardSource::shard_half`] derives one half: the train half stops
 /// the client's stream after its last train sample, and the test half
 /// steps over the train samples without computing their noise normals.
+/// [`ShardSource::plan`] draws only the head of the stream that decides
+/// the sample counts, and [`ShardSource::train_half`] resumes the
+/// stream where that plan left it.
 ///
 /// A shard is built inline, on the calling thread, by the same sample
 /// function the dense generator's parallel build replays its walk
@@ -191,18 +256,29 @@ impl SparseFederatedData {
     /// # Panics
     ///
     /// Panics if `client` is outside the population.
-    fn client_rng(&self, client: usize) -> rand::rngs::StdRng {
+    fn client_rng(&self, client: usize) -> StdRng {
         assert!(
             client < self.config.num_clients,
             "client index {client} out of range for population of {}",
             self.config.num_clients
         );
-        rand::rngs::StdRng::seed_from_u64(shard_seed(self.config.seed, client))
+        StdRng::seed_from_u64(shard_seed(self.config.seed, client))
     }
 
-    /// Derives `client`'s shard, or only its `half`.
-    fn derive(&self, client: usize, half: Option<Half>) -> ClientData {
-        Sampler::new(&self.config, self.protos()).shard(client, &mut self.client_rng(client), half)
+    /// Derives `client`'s shard, or only its `half`, resuming after
+    /// `planned` when pricing drew the plan.
+    fn derive(
+        &self,
+        client: usize,
+        planned: Option<(Plan, StdRng)>,
+        half: Option<Half>,
+    ) -> ClientData {
+        Sampler::new(&self.config, self.protos()).shard(
+            client,
+            &self.client_rng(client),
+            planned,
+            half,
+        )
     }
 }
 
@@ -212,19 +288,32 @@ impl ShardSource for SparseFederatedData {
     }
 
     fn shard(&self, client: usize) -> Cow<'_, ClientData> {
-        Cow::Owned(self.derive(client, None))
+        Cow::Owned(self.derive(client, None, None))
     }
 
     fn shard_half(&self, client: usize, half: Half) -> Cow<'_, ClientData> {
-        Cow::Owned(self.derive(client, Some(half)))
+        Cow::Owned(self.derive(client, None, Some(half)))
     }
 
-    /// Replays only the head of the client's RNG stream — the draws
-    /// that decide its sample counts — through the same
-    /// `generator::plan_client` that `shard` starts with. No sample is
-    /// generated.
-    fn train_len(&self, client: usize) -> usize {
-        plan_client(&self.config, &mut self.client_rng(client)).n_train
+    /// Draws only the head of the client's RNG stream — the draws that
+    /// decide its sample counts — through the same
+    /// `generator::plan_client` that `shard` starts with, and keeps the
+    /// stream state after it. No sample is generated.
+    fn plan(&self, client: usize) -> ShardPlan {
+        let mut rng = self.client_rng(client);
+        let plan = plan_client(&self.config, &mut rng);
+        ShardPlan {
+            client,
+            head: Head::Derived(plan, rng.state()),
+        }
+    }
+
+    fn train_half(&self, plan: &ShardPlan) -> Cow<'_, ClientData> {
+        let planned = match &plan.head {
+            Head::Derived(head, stream) => Some((head.clone(), StdRng::from_state(*stream))),
+            Head::Stored(_) => None,
+        };
+        Cow::Owned(self.derive(plan.client, planned, Some(Half::Train)))
     }
 }
 
@@ -268,14 +357,26 @@ mod tests {
         assert_ne!(xa, xc);
     }
 
+    /// The train rows' bits and labels.
+    fn train_bits(shard: &ClientData) -> (Vec<u32>, Vec<usize>) {
+        let (x, y) = shard.train_all();
+        (x.data().iter().map(|v| v.to_bits()).collect(), y)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The length a round is priced at is the length the shard
-        /// trains on — for any volume skew, split, class count, seed
-        /// and client, with or without drift applied to either half.
+        /// trains on, and the train half derived from the carried plan
+        /// is the whole shard's train rows and labels bit for bit — for
+        /// flat and image inputs, any label skew, difficulty, volume
+        /// skew, split, class count, seed and client, with drift and
+        /// the byzantine label flip applied to both.
         #[test]
         fn sparse_train_len_matches_the_generated_shard(
+            kind in 0usize..2,
+            log_alpha in (0.1f32).ln()..(100.0f32).ln(),
+            max_difficulty in 0.0f32..1.0,
             mean_samples in 2usize..=120,
             sample_spread in 0.0f32..2.5,
             test_fraction in 0.0f32..1.0,
@@ -283,25 +384,47 @@ mod tests {
             seed in 0u64..u64::MAX,
             client in 0usize..1_000_000,
             round in 0u32..40,
+            flip in 0usize..2,
         ) {
             let mut config = DatasetConfig::femnist_like()
                 .with_num_clients(1_000_000)
                 .with_mean_samples(mean_samples)
+                .with_dirichlet_alpha(log_alpha.exp())
                 .with_seed(seed);
+            config.max_difficulty = max_difficulty;
             config.sample_spread = sample_spread;
             config.test_fraction = test_fraction;
             config.num_classes = num_classes;
-            config.input = InputSpec::Flat { dim: 3 };
+            config.input = if kind == 1 {
+                InputSpec::Image { channels: 2, height: 2, width: 3 }
+            } else {
+                InputSpec::Flat { dim: 3 }
+            };
             let data = SparseFederatedData::new(config);
-            let full = data.shard(client);
+            let plan = data.plan(client);
+            prop_assert_eq!(plan.client(), client);
+            let drift = DriftConfig { period: 3, rotation: 5 };
+            let view = |shard: Cow<'_, ClientData>| {
+                let shard = drift.apply(round, shard).into_owned();
+                if flip == 1 {
+                    shard.map_labels(num_classes, |y| num_classes - 1 - y)
+                } else {
+                    shard
+                }
+            };
+            let full = view(data.shard(client));
             let generated = full.train_len();
             prop_assert!(generated >= 4);
-            prop_assert_eq!(data.train_len(client), generated);
+            prop_assert_eq!(plan.train_len(), generated);
 
-            let drift = DriftConfig { period: 3, rotation: 5 };
-            let train = drift.apply(round, data.shard_half(client, Half::Train));
-            prop_assert_eq!(train.train_len(), generated);
-            let test = drift.apply(round, data.shard_half(client, Half::Test));
+            let carried = view(data.train_half(&plan));
+            prop_assert_eq!(train_bits(&carried), train_bits(&full));
+            prop_assert_eq!(carried.test_len(), 0);
+            prop_assert_eq!(carried.label_dist(), full.label_dist());
+            prop_assert_eq!(carried.difficulty().to_bits(), full.difficulty().to_bits());
+            let train = view(data.shard_half(client, Half::Train));
+            prop_assert_eq!(train_bits(&train), train_bits(&full));
+            let test = view(data.shard_half(client, Half::Test));
             prop_assert_eq!(test.train_len(), 0);
             prop_assert_eq!(test.test_len(), full.test_len());
         }
@@ -334,6 +457,10 @@ mod tests {
             assert!(matches!(dense.shard_half(2, half), Cow::Borrowed(_)));
             assert!(matches!(slice.shard_half(2, half), Cow::Borrowed(_)));
         }
+        let plan = dense.plan(2);
+        assert_eq!(plan, ShardPlan::stored(2, dense.client(2).train_len()));
+        assert!(matches!(dense.train_half(&plan), Cow::Borrowed(_)));
+        assert!(matches!(slice.train_half(&plan), Cow::Borrowed(_)));
         assert_eq!(via_slice.train_all(), dense.client(2).train_all());
         assert_eq!(ShardSource::num_clients(slice), 3);
     }

@@ -196,7 +196,7 @@ fn sparse_shard_matches_its_pinned_digest() {
 fn a_train_half_draws_its_normals_in_bulk() {
     let data = fedavg_1m_stream();
     let client = 417;
-    let n_train = data.train_len(client);
+    let n_train = data.plan(client).train_len();
     // The prototypes are drawn once per dataset, on first use.
     drop(data.shard_half(client, Half::Train));
     for kernel in simd::available() {

@@ -53,7 +53,7 @@ pub mod transport;
 
 use serde::{Deserialize, Serialize, Value};
 
-use ft_data::{Half, ShardSource};
+use ft_data::{ShardPlan, ShardSource};
 use ft_model::CellModel;
 
 use crate::attack::AdversityConfig;
@@ -168,6 +168,30 @@ impl RoundOptions {
     pub fn heartbeat_deadline_s(mut self, s: f64) -> Self {
         self.heartbeat_deadline_s = s;
         self
+    }
+
+    /// Refuses a knob the virtual clock cannot hold
+    /// ([`clock::MAX_SECONDS`]), naming it.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadConfig`] naming the first such knob.
+    pub fn check(&self) -> Result<()> {
+        for (name, seconds) in [
+            ("rendezvous_deadline_s", self.rendezvous_deadline_s),
+            ("heartbeat_interval_s", self.heartbeat_interval_s),
+            ("heartbeat_deadline_s", self.heartbeat_deadline_s),
+        ] {
+            if !clock::holds(seconds) {
+                return Err(SimError::BadConfig {
+                    detail: format!(
+                        "{name} ({seconds} s) is past the virtual clock's {} s",
+                        clock::MAX_SECONDS
+                    ),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// The effective heartbeat deadline in ticks: clamped to at least
@@ -374,9 +398,11 @@ impl Coordinator {
     /// # Errors
     ///
     /// [`SimError::Protocol`] when not in standby or when `round` is
-    /// not the coordinator's next round.
+    /// not the coordinator's next round; [`SimError::BadConfig`] when a
+    /// timing knob is past the virtual clock ([`RoundOptions::check`]).
     pub fn begin_round(&mut self, round: u32, invited: &[usize]) -> Result<Vec<usize>> {
         self.protocol.expect(Phase::Standby, "begin_round")?;
+        self.opts.check()?;
         if round != self.protocol.round() {
             return Err(SimError::protocol(format!(
                 "begin_round({round}) out of sequence: coordinator is at round {}",
@@ -424,7 +450,8 @@ impl Coordinator {
     /// [`SimError::Protocol`] when not in the selecting stage or when a
     /// task names a client outside the admitted cohort;
     /// [`SimError::NoSuchClient`] for an out-of-range client index;
-    /// [`SimError::BadConfig`] for an out-of-range model index;
+    /// [`SimError::BadConfig`] for an out-of-range model index or a task
+    /// priced past the virtual clock ([`clock::MAX_SECONDS`]);
     /// training and sink errors propagate.
     pub fn train<S: ShardSource + ?Sized>(
         &mut self,
@@ -461,27 +488,45 @@ impl Coordinator {
                 });
             }
         }
-        // Price every task from the manifest alone: the full
-        // virtual-clock timeline exists before any training.
-        let priced: Vec<Priced> = tasks
-            .iter()
-            .map(|t| {
+        // Price every task from the manifest alone, on the pool: the full
+        // virtual-clock timeline exists before any training, and each
+        // task's plan goes on to its lane.
+        let threads = crate::exec::client_threads();
+        let cohort = &self.cohort;
+        let (priced, plans): (Vec<Priced>, Vec<ShardPlan>) =
+            crate::exec::par_map_indexed(tasks.len(), threads, |i| {
+                let t = &tasks[i];
                 let m = &models[t.model];
-                let samples = crate::trainer::expected_samples(cfg, shards.train_len(t.client));
-                let elapsed_s = self.cohort.round_time(
+                let plan = shards.plan(t.client);
+                let samples = crate::trainer::expected_samples(cfg, plan.train_len());
+                let elapsed_s = cohort.round_time(
                     round,
                     t.client,
                     m.macs_per_sample(),
                     m.param_count(),
                     samples,
                 );
-                Priced {
+                let priced = Priced {
                     client: t.client,
                     samples,
                     elapsed_s,
-                }
+                };
+                (priced, plan)
             })
-            .collect();
+            .into_iter()
+            .unzip();
+        if let Some(t) = priced.iter().find(|t| !clock::holds(t.elapsed_s)) {
+            return Err(SimError::BadConfig {
+                detail: format!(
+                    "client {} is priced at {} simulated seconds for {} samples, past the \
+                     virtual clock's {} s: lower `local_steps` or `batch_size`",
+                    t.client,
+                    t.elapsed_s,
+                    t.samples,
+                    clock::MAX_SECONDS
+                ),
+            });
+        }
         // Dispatch: slim messages only — the model table stays host-side.
         let start = self.now + 1;
         for (i, t) in tasks.iter().enumerate() {
@@ -516,7 +561,6 @@ impl Coordinator {
             round,
             tasks: &specs,
         })?;
-        let threads = crate::exec::client_threads();
         // Two slots per lane: one result training, one finished and
         // waiting its turn, so a lane that runs ahead of the head does
         // not stall on it (ARCHITECTURE.md, "Verdicts").
@@ -531,11 +575,10 @@ impl Coordinator {
             |slot| {
                 let spec = &specs[slot];
                 let task = &tasks[spec.task];
-                let mut model = models[task.model].clone();
                 // Concept drift first (the whole fleet sees the same
                 // schedule), then the byzantine label flip on marked
                 // clients — both pure shard views, inert by default.
-                let mut shard = drift.apply(round, shards.shard_half(spec.client, Half::Train));
+                let mut shard = drift.apply(round, shards.train_half(&plans[spec.task]));
                 if attack.flip_labels && attack.is_byzantine(run_seed, round, spec.client) {
                     let classes = shard.label_dist().len();
                     if classes > 1 {
@@ -544,7 +587,13 @@ impl Coordinator {
                         );
                     }
                 }
-                crate::trainer::train_local(&mut model, spec.client, &shard, cfg, task.seed)
+                crate::trainer::train_local(
+                    &models[task.model],
+                    spec.client,
+                    &shard,
+                    cfg,
+                    task.seed,
+                )
             },
             |slot, mut outcome| {
                 let reply = &mut replies[slot];

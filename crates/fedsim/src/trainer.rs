@@ -15,10 +15,12 @@
 //! in task order, which is what keeps every floating-point reduction
 //! order-fixed regardless of which client finished first.
 
+use std::borrow::Cow;
+
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use ft_data::{ClientData, Half, ShardSource};
+use ft_data::{ClientData, ShardSource};
 use ft_model::CellModel;
 use ft_nn::{NnError, Sgd};
 use ft_tensor::Tensor;
@@ -85,7 +87,7 @@ pub struct LocalStepper<'a> {
     sgd: Sgd,
     /// FedProx: the proximal coefficient and the round-start weights
     /// it pulls toward.
-    prox: Option<(f32, Vec<Tensor>)>,
+    prox: Option<(f32, Vec<Cow<'a, Tensor>>)>,
     x: Tensor,
     labels: Vec<usize>,
 }
@@ -100,12 +102,44 @@ impl<'a> LocalStepper<'a> {
         cfg: &LocalTrainConfig,
         seed: u64,
     ) -> Self {
+        let anchor = |mu| (mu, model.snapshot().into_iter().map(Cow::Owned).collect());
+        Self::with_prox(shard, cfg, seed, cfg.prox_mu.map(anchor))
+    }
+
+    /// [`LocalStepper::new`] for a model copied from `global`, which
+    /// outlives the stepper: a FedProx anchor borrows its weights
+    /// instead of snapshotting them.
+    fn anchored(
+        global: &'a CellModel,
+        shard: &'a ClientData,
+        cfg: &LocalTrainConfig,
+        seed: u64,
+    ) -> Self {
+        let anchor = |mu| {
+            (
+                mu,
+                global
+                    .param_tensors()
+                    .into_iter()
+                    .map(Cow::Borrowed)
+                    .collect(),
+            )
+        };
+        Self::with_prox(shard, cfg, seed, cfg.prox_mu.map(anchor))
+    }
+
+    fn with_prox(
+        shard: &'a ClientData,
+        cfg: &LocalTrainConfig,
+        seed: u64,
+        prox: Option<(f32, Vec<Cow<'a, Tensor>>)>,
+    ) -> Self {
         LocalStepper {
             shard,
             cfg: *cfg,
             rng: rand::rngs::StdRng::seed_from_u64(seed),
             sgd: Sgd::new(cfg.lr).with_momentum(cfg.momentum),
-            prox: cfg.prox_mu.map(|mu| (mu, model.snapshot())),
+            prox,
             x: Tensor::default(),
             labels: Vec::new(),
         }
@@ -156,40 +190,43 @@ impl<'a> LocalStepper<'a> {
     }
 }
 
-/// Runs local training for one client on `model` (which enters holding
-/// the coordinator's weights and leaves holding the local weights).
+/// Runs local training for one client on a copy of `global` (the
+/// round's model-table entry, which the copy's training leaves as it
+/// is), the one copy the participant makes. The trained weights are
+/// moved out of the copy, and the delta is taken against `global` in
+/// one pass; a FedProx anchor borrows `global`'s weights.
 ///
 /// # Errors
 ///
 /// Propagates model/layer errors (geometry mismatches).
 #[expect(
     clippy::missing_panics_doc,
-    reason = "trained weights mirror the snapshot they came from"
+    reason = "trained weights mirror the model they were copied from"
 )]
 pub fn train_local(
-    model: &mut CellModel,
+    global: &CellModel,
     client_index: usize,
     shard: &ClientData,
     cfg: &LocalTrainConfig,
     seed: u64,
 ) -> Result<LocalOutcome> {
-    let global = model.snapshot();
-    let mut stepper = LocalStepper::new(model, shard, cfg, seed);
+    let mut model = global.clone();
+    let mut stepper = LocalStepper::anchored(global, shard, cfg, seed);
 
     let mut loss_sum = 0.0f32;
     let mut acc_sum = 0.0f32;
     let mut samples = 0u64;
     for _ in 0..cfg.local_steps {
-        let (loss, acc, batch) = stepper.step(model)?;
+        let (loss, acc, batch) = stepper.step(&mut model)?;
         loss_sum += loss;
         acc_sum += acc;
         samples += batch;
     }
 
-    let weights = model.snapshot();
+    let weights = model.into_weights();
     let delta: Vec<Tensor> = weights
         .iter()
-        .zip(&global)
+        .zip(global.param_tensors())
         .map(|(w, g)| w.sub(g).expect("same shapes by construction"))
         .collect();
     let steps = cfg.local_steps.max(1) as f32;
@@ -260,8 +297,8 @@ pub struct TrainTask {
 /// Executes a batch of [`TrainTask`]s concurrently over the shared
 /// worker pool, outside a round (the coordinator trains through
 /// [`train_local`] in its own fold). Each worker
-/// clones its task's entry of `models` and pulls the train half of the
-/// client's shard from the [`ShardSource`] on demand, so a sparse
+/// trains a copy of its task's entry of `models` and pulls the train
+/// half of the client's shard from the [`ShardSource`] on demand, so a sparse
 /// million-device population never materializes beyond the clients in
 /// flight, and never builds their test samples.
 ///
@@ -307,9 +344,8 @@ pub fn train_tasks<S: ShardSource + ?Sized>(
     }
     crate::exec::try_par_map(n, threads, |slot| {
         let t = tasks[slot];
-        let mut model = models[t.model].clone();
-        let shard = shards.shard_half(t.client, Half::Train);
-        train_local(&mut model, t.client, &shard, cfg, t.seed)
+        let shard = shards.train_half(&shards.plan(t.client));
+        train_local(&models[t.model], t.client, &shard, cfg, t.seed)
     })
 }
 
@@ -336,8 +372,9 @@ mod tests {
             lr: 0.1,
             ..Default::default()
         };
+        let out = train_local(&model, 0, data.client(0), &cfg, 1).unwrap();
         let mut m = model.clone();
-        let out = train_local(&mut m, 0, data.client(0), &cfg, 1).unwrap();
+        m.restore(&out.weights).unwrap();
         // Re-evaluate at final weights: loss should be below the initial.
         let (x, y) = data.client(0).train_all();
         let (initial_loss, _) = model.evaluate(&x, &y).unwrap();
@@ -353,21 +390,61 @@ mod tests {
     fn delta_is_local_minus_global() {
         let (data, model) = tiny();
         let global = model.snapshot();
-        let mut m = model.clone();
-        let out = train_local(&mut m, 1, data.client(1), &LocalTrainConfig::default(), 2).unwrap();
+        let out = train_local(&model, 1, data.client(1), &LocalTrainConfig::default(), 2).unwrap();
         for ((w, g), d) in out.weights.iter().zip(&global).zip(&out.delta) {
             let recon = g.add(d).unwrap();
             for (a, b) in recon.data().iter().zip(w.data()) {
                 assert!((a - b).abs() < 1e-5);
             }
         }
+        assert_eq!(
+            model.snapshot(),
+            global,
+            "the table entry is left as it was"
+        );
+    }
+
+    /// `train_local` copies the table entry once, moves the trained
+    /// weights out and borrows the entry for the delta and the FedProx
+    /// anchor: the same bits as stepping a clone whose anchor and
+    /// round-start weights are snapshots.
+    #[test]
+    fn train_local_matches_the_snapshot_reference() {
+        let (data, model) = tiny();
+        for prox_mu in [None, Some(0.3)] {
+            let cfg = LocalTrainConfig {
+                local_steps: 7,
+                momentum: 0.5,
+                prox_mu,
+                ..Default::default()
+            };
+            let shard = data.client(2);
+            let mut m = model.clone();
+            let global = m.snapshot();
+            let mut stepper = LocalStepper::new(&m, shard, &cfg, 9);
+            for _ in 0..cfg.local_steps {
+                stepper.step(&mut m).unwrap();
+            }
+            let weights = m.snapshot();
+            let delta: Vec<Tensor> = weights
+                .iter()
+                .zip(&global)
+                .map(|(w, g)| w.sub(g).unwrap())
+                .collect();
+            let out = train_local(&model, 2, shard, &cfg, 9).unwrap();
+            let bits = |ts: &[Tensor]| -> Vec<u32> {
+                ts.iter()
+                    .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&out.weights), bits(&weights), "{prox_mu:?}");
+            assert_eq!(bits(&out.delta), bits(&delta), "{prox_mu:?}");
+        }
     }
 
     #[test]
     fn prox_keeps_weights_closer_to_global() {
         let (data, model) = tiny();
-        let mut plain = model.clone();
-        let mut proxed = model.clone();
         let base = LocalTrainConfig {
             local_steps: 30,
             lr: 0.1,
@@ -377,8 +454,8 @@ mod tests {
             prox_mu: Some(1.0),
             ..base
         };
-        let o1 = train_local(&mut plain, 0, data.client(0), &base, 3).unwrap();
-        let o2 = train_local(&mut proxed, 0, data.client(0), &prox_cfg, 3).unwrap();
+        let o1 = train_local(&model, 0, data.client(0), &base, 3).unwrap();
+        let o2 = train_local(&model, 0, data.client(0), &prox_cfg, 3).unwrap();
         let drift = |delta: &[Tensor]| delta.iter().map(|t| t.norm()).sum::<f32>();
         assert!(drift(&o2.delta) < drift(&o1.delta));
     }
@@ -392,7 +469,7 @@ mod tests {
                 momentum,
                 ..Default::default()
             };
-            train_local(&mut model.clone(), 0, data.client(0), &cfg, 3).unwrap()
+            train_local(&model, 0, data.client(0), &cfg, 3).unwrap()
         };
         assert_ne!(train(0.9).weights, train(0.0).weights);
     }
@@ -419,8 +496,7 @@ mod tests {
         let par =
             train_tasks(&tasks_for(0..3, 77), &models, data.clients(), &cfg, threads).unwrap();
         for (i, outcome) in par.iter().enumerate() {
-            let mut m = model.clone();
-            let serial = train_local(&mut m, i, data.client(i), &cfg, client_seed(77, i)).unwrap();
+            let serial = train_local(&model, i, data.client(i), &cfg, client_seed(77, i)).unwrap();
             assert_eq!(outcome.client, serial.client);
             assert!((outcome.avg_loss - serial.avg_loss).abs() < 1e-6);
             for (a, b) in outcome.weights.iter().zip(&serial.weights) {

@@ -7,14 +7,15 @@ use rand::Rng;
 /// cycling through `classes`, and one training sample (which evaluation
 /// ignores).
 pub fn random_test_shard(rng: &mut impl Rng, n: usize, dim: usize, classes: usize) -> ClientData {
-    let mut row = || {
-        (0..dim)
+    let mut rows = |count: usize| {
+        (0..count * dim)
             .map(|_| rng.gen_range(-1.0f32..1.0))
             .collect::<Vec<_>>()
     };
-    let test_x: Vec<Vec<f32>> = (0..n).map(|_| row()).collect();
-    let train_x = vec![row()];
+    let test_x = rows(n);
+    let train_x = rows(1);
     ClientData::new(
+        dim,
         train_x,
         vec![0],
         test_x,

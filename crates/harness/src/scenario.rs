@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use fedtrans::{seed_model, FedTransConfig, FedTransRuntime};
 use ft_baselines::{BaselineConfig, FedAvg, Fluid, HeteroFl, ServerOpt, SplitMix};
 use ft_data::{DatasetConfig, DriftConfig, InputSpec, ShardSource, SparseFederatedData};
-use ft_fedsim::coordinator::RoundOptions;
+use ft_fedsim::coordinator::{clock, RoundOptions};
 use ft_fedsim::device::{DeviceTier, DeviceTrace, DeviceTraceConfig};
 use ft_fedsim::driver::Method;
 use ft_fedsim::trainer::LocalTrainConfig;
@@ -111,6 +111,12 @@ impl TimingSpec {
         ] {
             if !v.is_finite() || v <= 0.0 {
                 return Err(format!("{name} must be finite and > 0, got {v}"));
+            }
+            if !clock::holds(v) {
+                return Err(format!(
+                    "{name} must be at most the virtual clock's {} s, got {v}",
+                    clock::MAX_SECONDS
+                ));
             }
         }
         if self.heartbeat_deadline_s < self.heartbeat_interval_s {

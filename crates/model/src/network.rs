@@ -414,6 +414,16 @@ impl CellModel {
         self.param_tensors().into_iter().cloned().collect()
     }
 
+    /// Moves every parameter tensor out, in [`CellModel::snapshot`]'s
+    /// order, and drops the rest of the model: the snapshot of a model
+    /// that is done with, without a copy.
+    pub fn into_weights(mut self) -> Vec<Tensor> {
+        self.param_tensors_mut()
+            .into_iter()
+            .map(std::mem::take)
+            .collect()
+    }
+
     /// Restores parameters from a snapshot taken on an identically
     /// shaped model.
     ///
@@ -632,6 +642,8 @@ mod tests {
         // 3 840, loss 320, and the B slabs 3 072 (head forward), 320 +
         // 320 + 512 (head backward), 3 072 and 6 144 (`dX` of the wide
         // layers).
+        // Cloned: the input copies 4 800 and the loss gradient's copy of
+        // the probabilities 160.
         use ft_tensor::work::{measure, Work};
         let mut rng = rng();
         let model = CellModel::dense(&mut rng, 96, &[96, 192, 96], 16);
@@ -659,6 +671,8 @@ mod tests {
                 key_rows: 0,
                 normals: 0,
                 exact_normals: 0,
+                cloned: 4_800 + 160,
+                plans: 0,
             }
         );
         // `zero_grad` fills every gradient (47 616 + 400 elements) that

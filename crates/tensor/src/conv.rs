@@ -596,6 +596,8 @@ mod tests {
                 key_rows: 0,
                 normals: 0,
                 exact_normals: 0,
+                cloned: 0,
+                plans: 0,
             }
         );
     }

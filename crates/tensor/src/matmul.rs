@@ -979,7 +979,7 @@ const TB: usize = 8;
 /// # Panics
 ///
 /// Panics if a block leaves B or the slab — a bug in the blocking
-/// loops, checked before the transpose reads anything.
+/// loops, checked by the transpose before it reads anything.
 fn pack_transposed(
     kern: simd::Kernel,
     b: Stored,
@@ -998,15 +998,10 @@ fn pack_transposed(
             match kern {
                 #[cfg(target_arch = "x86_64")]
                 simd::Kernel::Avx2 | simd::Kernel::Avx512 => {
-                    assert!(
-                        src.len() >= (TB - 1) * b.ld + TB && dst.len() >= (TB - 1) * NR + TB,
-                        "transpose block leaves its operands"
-                    );
                     // SAFETY: both tiers need AVX2, which `kern` (a tier
-                    // `supported` reports) has; the assert above puts
-                    // runs `c·ld..c·ld + 8` of `src` and `p·NR..p·NR + 8`
-                    // of `dst`, `c, p < 8`, inside their slices.
-                    unsafe { simd::x86::transpose_8x8(src.as_ptr(), b.ld, dst.as_mut_ptr()) }
+                    // `supported` reports) has; the function checks its
+                    // runs against the slices.
+                    unsafe { simd::x86::transpose_8x8(src, b.ld, dst) }
                 }
                 _ => {
                     for c in 0..TB {

@@ -311,28 +311,39 @@ pub(crate) mod x86 {
         }
     }
 
-    /// Transposes one 8 × 8 block: the eight floats at `src + c·ld`
-    /// (`c < 8`) become lane `c` of the eight runs at `dst + p·NR`
+    /// Transposes one 8 × 8 block: the eight floats at `src[c·ld..]`
+    /// (`c < 8`) become lane `c` of the eight runs at `dst[p·NR..]`
     /// (`p < 8`). Each register is loaded as two 4-float halves, rows
     /// `c` and `c + 4`, so the two 4 × 4 transposes that follow (32-bit
     /// interleaves, then 64-bit pair selects) run in both halves at
     /// once and leave whole columns: 16 shuffles, no cross-half
     /// permute. Every element is moved once; nothing is combined.
     ///
+    /// # Panics
+    ///
+    /// Panics if the last run of either block leaves its slice: `src`
+    /// shorter than `7·ld + 8` or `dst` than `7·NR + 8`.
+    ///
     /// # Safety
     ///
-    /// The caller must have verified AVX2 support, and the runs
-    /// `src + c·ld .. + 8` must be readable and `dst + p·NR .. + 8`
-    /// writable for every `c, p < 8`.
+    /// The caller must have verified AVX2 support.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn transpose_8x8(src: *const f32, ld: usize, dst: *mut f32) {
+    pub unsafe fn transpose_8x8(src: &[f32], ld: usize, dst: &mut [f32]) {
+        assert!(
+            src.len() >= 7 * ld + 8 && dst.len() >= 7 * NR + 8,
+            "transpose block leaves its operands"
+        );
+        for run in 0..8 {
+            debug_assert!(run * ld + 8 <= src.len() && run * NR + 8 <= dst.len());
+        }
+        let (src, dst) = (src.as_ptr(), dst.as_mut_ptr());
         for half in 0..2 {
             // x[c] = elements 4·half.. of rows c (low) and c + 4 (high).
             let mut x = [_mm256_setzero_ps(); 4];
             for (c, xc) in x.iter_mut().enumerate() {
-                // SAFETY: rows `c` and `c + 4` (< 8) are readable from
-                // element `4·half` for four floats (the caller's
-                // contract).
+                // SAFETY: the assert above puts rows `c` and `c + 4`
+                // (< 8) inside `src` from element `4·half` for four
+                // floats: `(c + 4)·ld + 4·half + 4 <= 7·ld + 8`.
                 *xc = unsafe {
                     let lo = _mm_loadu_ps(src.add(c * ld + 4 * half));
                     let hi = _mm_loadu_ps(src.add((c + 4) * ld + 4 * half));
@@ -353,8 +364,8 @@ pub(crate) mod x86 {
                 _mm256_shuffle_ps::<0xee>(t[1], t[3]),
             ];
             for (e, &col) in cols.iter().enumerate() {
-                // SAFETY: run `4·half + e` (< 8) of `dst` is writable
-                // (the caller's contract).
+                // SAFETY: the assert above puts run `4·half + e` (< 8)
+                // inside `dst`: `7·NR + 8 <= dst.len()`.
                 unsafe { _mm256_storeu_ps(dst.add((4 * half + e) * NR), col) };
             }
         }

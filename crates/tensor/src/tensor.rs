@@ -277,6 +277,7 @@ impl Tensor {
 
 impl Clone for Tensor {
     fn clone(&self) -> Self {
+        crate::work::count(|w| w.cloned += self.data.len());
         let mut data = scratch::take(self.data.len());
         data.copy_from_slice(&self.data);
         Tensor {

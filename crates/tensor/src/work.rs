@@ -6,8 +6,9 @@
 //! ([`crate::ConvGeometry`]), scratch elements checked out, and elements
 //! written by element-wise passes outside a GEMM (a bias add, a ReLU or
 //! its mask, a gradient temporary folded in, an input copied into a
-//! cache), key rows read by the robust sinks' rank search, and normals
-//! drawn (and, of those, computed through libm). A patch matrix lowered into a pack would show in `packed`; a
+//! cache), key rows read by the robust sinks' rank search, normals
+//! drawn (and, of those, computed through libm), tensor elements
+//! cloned, and client plans drawn by `ft_data`. A patch matrix lowered into a pack would show in `packed`; a
 //! lowered A block, a `dcols` buffer or a `dW` temporary in `scratch`; a
 //! bias or ReLU pass beside a dense GEMM in `passes`.
 //!
@@ -36,10 +37,16 @@ pub struct Work {
     /// Of `normals`, those computed through libm's `ln` and `cos`: every
     /// one on the portable tier, the guard's fallback lanes elsewhere.
     pub exact_normals: usize,
+    /// Elements copied by `Tensor::clone` (a model clone, a weight
+    /// snapshot).
+    pub cloned: usize,
+    /// Client plans drawn: the head of a client's data stream (its
+    /// label distribution and sample counts) in `ft_data`.
+    pub plans: usize,
 }
 
 #[cfg(any(test, feature = "work-counters"))]
-pub use counting::{measure, nested};
+pub use counting::{measure, measure_here, nested};
 
 #[cfg(any(test, feature = "work-counters"))]
 thread_local! {
@@ -53,6 +60,8 @@ thread_local! {
             key_rows: 0,
             normals: 0,
             exact_normals: 0,
+            cloned: 0,
+            plans: 0,
         })
     };
 }
@@ -97,6 +106,16 @@ mod counting {
             // Another test owns the pool right now.
             std::thread::yield_now();
         }
+    }
+
+    /// Runs `f` on the calling thread and returns its result and what
+    /// it did there. Unlike [`measure`], `f` is not moved into a pool
+    /// task, so it need not be `Sync`; work it hands to pool workers is
+    /// not counted, so run it where nothing fans out.
+    pub fn measure_here<R>(f: impl FnOnce() -> R) -> (R, Work) {
+        let before = COUNTS.with(Cell::take);
+        let out = f();
+        (out, COUNTS.with(|c| c.replace(before)))
     }
 
     /// Runs `f` [`nested`] and returns what it did.

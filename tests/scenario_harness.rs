@@ -2,7 +2,8 @@
 //! agreement, checkpoint/resume byte-identity for FedTrans, a baseline,
 //! fault injection and an attack, the protocol telemetry of the
 //! fault-bearing scenarios, the JSON config path, validation of
-//! hostile scenario values, and `ft-run`'s startup check of the `FT_*`
+//! hostile scenario values (values the virtual clock cannot hold
+//! among them), and `ft-run`'s startup check of the `FT_*`
 //! environment, its report write and its kill/resume flags. Every golden
 //! under every kernel tier, thread count and kill/resume is
 //! `tests/determinism_matrix.rs`.
@@ -428,6 +429,54 @@ fn an_object_with_many_keys_is_checked_in_linear_time() {
             .contains(&format!("duplicate key `k0` at byte {}", text.len())),
         "{err}"
     );
+}
+
+/// `fedavg-1m-stream` at 64 clients for two rounds, written as a
+/// scenario file with `edit` applied to its text, and run through
+/// `ft-run --config`.
+fn run_edited_stream(tag: &str, edit: impl Fn(&str) -> String) -> std::process::Output {
+    let mut scenario: Scenario =
+        serde_json::from_str(include_str!("../benchmark/workloads/fedavg-1m-stream.json")).unwrap();
+    scenario.dataset.num_clients = 64;
+    scenario.quick_rounds = 2;
+    let text = edit(&serde_json::to_string(&scenario).unwrap());
+    let path = tmp_checkpoint(tag);
+    std::fs::write(&path, text).unwrap();
+    let out = ft_run(&[], &["--config", path.to_str().unwrap(), "--quick"]);
+    let _ = std::fs::remove_file(&path);
+    out
+}
+
+/// A rendezvous deadline past the virtual clock used to wrap its tick
+/// count in release builds (and panic in debug ones): every invitee
+/// missed a deadline of tick 0, and the run exited 0 having trained no
+/// one. It is refused, naming the field.
+#[test]
+fn a_rendezvous_deadline_past_the_clock_is_refused_naming_it() {
+    let out = run_edited_stream("deadline", |text| {
+        let mut scenario: Scenario = serde_json::from_str(text).unwrap();
+        scenario.timing.rendezvous_deadline_s = 1e308;
+        serde_json::to_string(&scenario).unwrap()
+    });
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("rendezvous_deadline_s"), "{stderr}");
+    assert!(stderr.contains("virtual clock"), "{stderr}");
+}
+
+/// A step count that prices a round past the virtual clock used to
+/// exit 0 with no participant in any round. It is refused, naming the
+/// field.
+#[test]
+fn a_round_priced_past_the_clock_is_refused_naming_the_step_count() {
+    let out = run_edited_stream("steps", |text| {
+        assert!(text.contains("\"local_steps\":2,"), "{text}");
+        text.replace("\"local_steps\":2,", "\"local_steps\":1e15,")
+    });
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("local_steps"), "{stderr}");
+    assert!(stderr.contains("virtual clock"), "{stderr}");
 }
 
 #[expect(
