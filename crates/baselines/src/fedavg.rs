@@ -106,7 +106,7 @@ impl<D: ShardSource> Method for FedAvg<D> {
         if let Some(avg) = sink.take_average() {
             match self.server {
                 ServerOpt::Average => {
-                    self.model.restore(&avg)?;
+                    self.model.restore(avg)?;
                 }
                 ServerOpt::Yogi { .. } => {
                     let current = self.model.snapshot();

@@ -199,7 +199,7 @@ impl Method for Fluid {
         });
 
         let agg = sink.take_aggregate();
-        self.global.restore(&agg)?;
+        self.global.restore(agg)?;
         let updated = self.global.snapshot();
         self.update_scores(&original, &updated);
 

@@ -130,7 +130,7 @@ impl Method for HeteroFl {
         });
 
         let agg = sink.take_aggregate();
-        self.global.restore(&agg)?;
+        self.global.restore(agg)?;
 
         Ok(RoundOutcome {
             participants: replies.len(),

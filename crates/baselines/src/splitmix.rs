@@ -148,7 +148,7 @@ impl Method for SplitMix {
         // weighted updates this round).
         for (b, avg) in sink.take_averages().into_iter().enumerate() {
             if let Some(avg) = avg {
-                self.bases[b].restore(&avg)?;
+                self.bases[b].restore(avg)?;
             }
         }
 

@@ -64,6 +64,20 @@ impl InputSpec {
 /// before any allocation.
 pub const MAX_BLOCK_FLOATS: usize = 1 << 28;
 
+/// The most clients [`DatasetConfig::validate`] lets a materialized
+/// population ([`DatasetConfig::generate`]) hold. Generation keeps a
+/// walk and a shard per client, so 2^16 clients of the largest preset
+/// are already gigabytes; it is about 218× the largest population any
+/// preset, canned scenario or `ft-exp` scale materializes (300).
+pub const MAX_CLIENTS: usize = 1 << 16;
+
+/// The most clients [`DatasetConfig::validate_sparse`] lets an
+/// on-demand population (`SparseFederatedData`) hold. Its shards cost
+/// nothing at rest, but a run's device trace keeps 2 B a device (an RNG
+/// mark every 16th), so 2^28 devices are 512 MiB; it is about 268×
+/// `fedavg-1m-stream`'s million.
+pub const MAX_SPARSE_CLIENTS: usize = 1 << 28;
+
 /// Configuration for a synthetic federated dataset.
 ///
 /// Construct via a workload preset and customize with the `with_*`
@@ -223,12 +237,32 @@ impl DatasetConfig {
 
     /// Checks every field the generator samples with, so that a bad
     /// dataset block is an error naming the field instead of a panic
-    /// inside [`DatasetConfig::generate`].
+    /// inside [`DatasetConfig::generate`]. The population is bounded by
+    /// [`MAX_CLIENTS`].
     ///
     /// # Errors
     ///
     /// Returns a message naming the first offending field.
     pub fn validate(&self) -> Result<(), String> {
+        self.validate_within(("MAX_CLIENTS", MAX_CLIENTS), "materialized")
+    }
+
+    /// [`DatasetConfig::validate`] for a population whose shards are
+    /// derived on demand: the same checks, with the population bounded
+    /// by [`MAX_SPARSE_CLIENTS`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first offending field.
+    pub fn validate_sparse(&self) -> Result<(), String> {
+        self.validate_within(("MAX_SPARSE_CLIENTS", MAX_SPARSE_CLIENTS), "sparse")
+    }
+
+    fn validate_within(
+        &self,
+        (bound, max_clients): (&str, usize),
+        kind: &str,
+    ) -> Result<(), String> {
         for (name, count) in [
             ("num_clients", self.num_clients),
             ("num_classes", self.num_classes),
@@ -236,6 +270,13 @@ impl DatasetConfig {
             if count == 0 {
                 return Err(format!("{name} must be at least 1"));
             }
+        }
+        if self.num_clients > max_clients {
+            return Err(format!(
+                "num_clients must be at most {bound} ({max_clients}) for a {kind} population, \
+                 got {}",
+                self.num_clients
+            ));
         }
         let dim = match self.input.checked_flat_dim() {
             None => {
@@ -355,6 +396,28 @@ mod tests {
         let mut edge = DatasetConfig::femnist_like().with_mean_samples(MAX_BLOCK_FLOATS / 6);
         edge.input = InputSpec::Flat { dim: 1 };
         assert_eq!(edge.validate(), Ok(()));
+    }
+
+    /// Each representation has its own population bound, accepted at
+    /// the bound and refused one past it, naming the field and bound.
+    #[test]
+    fn each_representation_bounds_num_clients() {
+        let at = |n| DatasetConfig::femnist_like().with_num_clients(n);
+        assert_eq!(at(MAX_CLIENTS).validate(), Ok(()));
+        let err = at(MAX_CLIENTS + 1).validate().unwrap_err();
+        assert!(
+            err.contains("num_clients") && err.contains("MAX_CLIENTS"),
+            "{err}"
+        );
+        assert_eq!(at(MAX_CLIENTS + 1).validate_sparse(), Ok(()));
+        assert_eq!(at(MAX_SPARSE_CLIENTS).validate_sparse(), Ok(()));
+        for n in [MAX_SPARSE_CLIENTS + 1, usize::MAX] {
+            let err = at(n).validate_sparse().unwrap_err();
+            assert!(
+                err.contains("num_clients") && err.contains("MAX_SPARSE_CLIENTS"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod generator;
 pub mod partition;
 mod shard;
 
-pub use config::{DatasetConfig, InputSpec, MAX_BLOCK_FLOATS};
+pub use config::{DatasetConfig, InputSpec, MAX_BLOCK_FLOATS, MAX_CLIENTS, MAX_SPARSE_CLIENTS};
 pub use dataset::{ClientData, FederatedDataset};
 pub use drift::DriftConfig;
 pub use shard::{Half, ShardPlan, ShardSource, SparseFederatedData};

@@ -208,9 +208,9 @@ impl SparseFederatedData {
     ///
     /// # Panics
     ///
-    /// Panics if `config` fails [`DatasetConfig::validate`].
+    /// Panics if `config` fails [`DatasetConfig::validate_sparse`].
     pub fn new(config: DatasetConfig) -> Self {
-        if let Err(detail) = config.validate() {
+        if let Err(detail) = config.validate_sparse() {
             panic!("invalid dataset config: {detail}");
         }
         let sparse = SparseFederatedData {

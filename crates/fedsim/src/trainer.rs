@@ -374,7 +374,7 @@ mod tests {
         };
         let out = train_local(&model, 0, data.client(0), &cfg, 1).unwrap();
         let mut m = model.clone();
-        m.restore(&out.weights).unwrap();
+        m.restore(out.weights).unwrap();
         // Re-evaluate at final weights: loss should be below the initial.
         let (x, y) = data.client(0).train_all();
         let (initial_loss, _) = model.evaluate(&x, &y).unwrap();

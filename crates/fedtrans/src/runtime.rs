@@ -264,7 +264,7 @@ impl Method for FedTransRuntime {
         let new_weights = self
             .aggregator
             .soft_aggregate(&self.models, &fedavg, &self.sims, &ages);
-        for (model, weights) in self.models.iter_mut().zip(&new_weights) {
+        for (model, weights) in self.models.iter_mut().zip(new_weights) {
             model.restore(weights)?;
         }
 

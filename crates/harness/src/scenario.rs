@@ -289,9 +289,12 @@ impl Scenario {
         if self.clients_per_round == 0 {
             return Err("clients_per_round must be at least 1".to_owned());
         }
-        self.dataset
-            .validate()
-            .map_err(|detail| format!("dataset: {detail}"))?;
+        let dataset = if self.sparse {
+            self.dataset.validate_sparse()
+        } else {
+            self.dataset.validate()
+        };
+        dataset.map_err(|detail| format!("dataset: {detail}"))?;
         validate_local(&self.local)?;
         match self.algorithm {
             AlgorithmSpec::SplitMix { bases: 0 } => {

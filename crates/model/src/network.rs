@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
@@ -425,13 +426,16 @@ impl CellModel {
     }
 
     /// Restores parameters from a snapshot taken on an identically
-    /// shaped model.
+    /// shaped model. An owned snapshot (`Vec<Tensor>`) is moved in; a
+    /// borrowed one is copied. A snapshot that does not fit changes
+    /// nothing.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::IncompatibleModels`] on count or shape
     /// mismatch.
-    pub fn restore(&mut self, snapshot: &[Tensor]) -> Result<()> {
+    pub fn restore<'a>(&mut self, snapshot: impl Into<Cow<'a, [Tensor]>>) -> Result<()> {
+        let snapshot = snapshot.into();
         let mut params = self.param_tensors_mut();
         if params.len() != snapshot.len() {
             return Err(ModelError::IncompatibleModels {
@@ -442,13 +446,17 @@ impl CellModel {
                 ),
             });
         }
-        for (p, s) in params.iter_mut().zip(snapshot) {
-            if p.shape() != s.shape() {
-                return Err(ModelError::IncompatibleModels {
-                    detail: format!("shape {:?} vs snapshot {:?}", p.shape(), s.shape()),
-                });
-            }
-            **p = s.clone();
+        if let Some((p, s)) = params
+            .iter()
+            .zip(snapshot.iter())
+            .find(|(p, s)| p.shape() != s.shape())
+        {
+            return Err(ModelError::IncompatibleModels {
+                detail: format!("shape {:?} vs snapshot {:?}", p.shape(), s.shape()),
+            });
+        }
+        for (p, s) in params.iter_mut().zip(snapshot.into_owned()) {
+            **p = s;
         }
         Ok(())
     }

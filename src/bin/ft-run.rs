@@ -145,26 +145,35 @@ fn load_scenario(args: &Args) -> Result<Scenario, String> {
     Err("pass --scenario <name>, --config <file>, --list, or --update-goldens".to_owned())
 }
 
+/// The width of a column of scenario names: the longest canned name.
+fn name_width(canned: &[Scenario]) -> usize {
+    canned.iter().map(|s| s.name.len()).max().unwrap_or(0)
+}
+
 fn list_scenarios() {
+    let canned = registry::canned();
+    let width = name_width(&canned).max("name".len());
     println!(
-        "{:<20} {:<10} {:>6} {:>6}  description",
+        "{:<width$} {:<10} {:>6} {:>6}  description",
         "name", "method", "rounds", "quick"
     );
-    for s in registry::canned() {
+    for s in canned {
         let method = match s.build() {
             Ok(d) => d.name(),
             Err(_) => "?",
         };
         println!(
-            "{:<20} {:<10} {:>6} {:>6}  {}",
+            "{:<width$} {:<10} {:>6} {:>6}  {}",
             s.name, method, s.rounds, s.quick_rounds, s.description
         );
     }
 }
 
 fn update_goldens() -> Result<(), String> {
+    let canned = registry::canned();
+    let width = name_width(&canned);
     let mut goldens = BTreeMap::new();
-    for scenario in registry::canned() {
+    for scenario in canned {
         let outcome = run_scenario(
             &scenario,
             &RunOptions {
@@ -174,7 +183,7 @@ fn update_goldens() -> Result<(), String> {
         )
         .map_err(|e| format!("{}: {e}", scenario.name))?;
         let digest = outcome.digest.expect("finished run has a digest");
-        println!("{:<20} {digest}", scenario.name);
+        println!("{:<width$} {digest}", scenario.name);
         goldens.insert(scenario.name.clone(), digest);
     }
     registry::save_goldens(&goldens).map_err(|e| e.to_string())?;

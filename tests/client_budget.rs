@@ -118,12 +118,11 @@ fn a_participant_draws_one_plan_and_copies_the_model_once() {
 
         let summary = format!("{participants} participants: {work:?}, {allocations} allocations");
         assert_eq!(work.plans, PLANS * participants, "{summary}");
-        // The round itself copies the weights once more: the server
-        // restores the sample-weighted average into its model.
-        let restore = model.param_count();
+        // The round itself copies no weights: the server moves the
+        // sample-weighted average into its model.
         assert_eq!(
             work.cloned,
-            one_copy.cloned * participants + restore + steps_cloned,
+            one_copy.cloned * participants + steps_cloned,
             "{summary}; one copy {}, {per_row} a row",
             one_copy.cloned
         );

@@ -30,8 +30,18 @@
 //! that defines or implements it. Paths into `std`, primitive types and
 //! the methods `clippy.toml` bans are not the tree's.
 //!
+//! Every command the docs write in code (a backticked span, or a line
+//! of a fenced block) must be one the binaries take: each `--flag`
+//! after `ft-run` is one `ft-run`'s `USAGE` lists, each
+//! `--scenario <name>` resolves through `registry::find`, and each
+//! `ft-exp <name>` (or `-p ft_bench -- <name>`) is a row of
+//! `ft_bench::experiments::EXPERIMENTS`.
+//!
 //! On a line, anything after a `deleted:` marker is history and exempt:
 //! that is how a Verdict cites code or a variable that is gone.
+//!
+//! The docs stay short: docs/ARCHITECTURE.md at most 900 lines,
+//! README.md at most 350, and each Verdict row at most 3 lines.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -572,4 +582,237 @@ fn the_rust_path_scan_expands_groups_and_resolves_by_housing() {
     ] {
         assert!(!ok(stale), "{stale}");
     }
+}
+
+/// The most lines each doc may have: the design as it is, not its
+/// history, which CHANGES.md and git keep.
+const MAX_LINES: [(&str, usize); 2] = [("docs/ARCHITECTURE.md", 900), ("README.md", 350)];
+
+/// The most lines one row of ARCHITECTURE's "Verdicts" may take: the
+/// decision, the number that decided it, and where that number lives.
+const MAX_VERDICT_LINES: usize = 3;
+
+#[test]
+fn the_docs_stay_within_their_line_budgets() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for (doc, max) in MAX_LINES {
+        let lines = fs::read_to_string(root.join(doc))
+            .expect("the doc")
+            .lines()
+            .count();
+        assert!(lines <= max, "{doc} has {lines} lines, more than {max}");
+    }
+}
+
+/// The rows of a "Verdicts" section, each as its lines, or the first
+/// line that is neither a row nor the section's opening paragraph.
+fn verdict_rows(section: &str) -> Result<Vec<Vec<&str>>, String> {
+    let mut rows: Vec<Vec<&str>> = Vec::new();
+    for line in section.lines() {
+        if line.starts_with("* ") {
+            rows.push(vec![line]);
+        } else if line.trim().is_empty() {
+            if let Some(row) = rows.last_mut() {
+                // A blank line ends the row; the next line starts one.
+                row.push("");
+            }
+        } else if line.starts_with(' ') && rows.last().is_some_and(|r| r.last() != Some(&"")) {
+            rows.last_mut().expect("a row").push(line);
+        } else if !rows.is_empty() {
+            return Err(format!("not part of a row: {line}"));
+        }
+    }
+    for row in &mut rows {
+        row.retain(|l| !l.is_empty());
+    }
+    Ok(rows)
+}
+
+#[test]
+fn every_verdict_is_a_short_row() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = fs::read_to_string(root.join("docs/ARCHITECTURE.md")).expect("ARCHITECTURE.md");
+    let section = text
+        .split("\n## ")
+        .find(|s| s.starts_with("Verdicts\n"))
+        .expect("ARCHITECTURE has a `## Verdicts` section");
+    let rows = verdict_rows(section).unwrap_or_else(|e| panic!("Verdicts: {e}"));
+    assert!(
+        rows.len() > 20,
+        "only {} rows: the scan is broken",
+        rows.len()
+    );
+    let long: Vec<String> = rows
+        .iter()
+        .filter(|row| row.len() > MAX_VERDICT_LINES)
+        .map(|row| format!("{} lines: {}", row.len(), row[0]))
+        .collect();
+    assert!(
+        long.is_empty(),
+        "{} Verdict rows are longer than {MAX_VERDICT_LINES} lines (history belongs in \
+         CHANGES.md):\n{}",
+        long.len(),
+        long.join("\n")
+    );
+}
+
+#[test]
+fn the_verdict_scan_splits_rows_and_refuses_loose_text() {
+    let rows = verdict_rows("Intro.\n\n* **A.** one\n  two\n* **B.** one\n\n* **C.**\n").unwrap();
+    assert_eq!(rows.iter().map(Vec::len).collect::<Vec<_>>(), [2, 1, 1]);
+    assert!(verdict_rows("* **A.** one\n\nA loose paragraph.\n").is_err());
+    assert!(verdict_rows("* **A.** one\n\n  an orphaned continuation\n").is_err());
+}
+
+/// The code `line` shows, up to its `deleted:` marker: the whole line
+/// inside a fenced block, else its backticked spans.
+fn code(line: &str, fenced: bool) -> Vec<&str> {
+    let live = live(line);
+    if fenced {
+        return vec![live];
+    }
+    live.split('`').skip(1).step_by(2).collect()
+}
+
+/// The word right after each `marker` in `code`, where one starts
+/// there (a placeholder such as `<name>` does not).
+fn words_after<'a>(code: &'a str, marker: &str) -> Vec<&'a str> {
+    code.match_indices(marker)
+        .filter_map(|(at, _)| {
+            let rest = &code[at + marker.len()..];
+            let end = rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-' || c == '_'))
+                .unwrap_or(rest.len());
+            let word = &rest[..end];
+            word.starts_with(|c: char| c.is_ascii_alphabetic())
+                .then_some(word)
+        })
+        .collect()
+}
+
+/// The `--flag`s in `text`: `--` at the start or after whitespace,
+/// then a lower-case word.
+fn flags(text: &str) -> Vec<&str> {
+    text.match_indices("--")
+        .filter(|&(at, _)| {
+            text[..at]
+                .chars()
+                .next_back()
+                .is_none_or(char::is_whitespace)
+        })
+        .filter_map(|(at, _)| {
+            let word = &text[at..];
+            let end = 2 + word[2..]
+                .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                .unwrap_or(word.len() - 2);
+            (end > 2).then_some(&word[..end])
+        })
+        .collect()
+}
+
+/// The flags `ft-run`'s `USAGE` lists.
+fn ft_run_flags() -> BTreeSet<&'static str> {
+    let source = include_str!("../src/bin/ft-run.rs");
+    let usage = source
+        .split("const USAGE: &str = \"")
+        .nth(1)
+        .and_then(|rest| rest.split("\";").next())
+        .expect("ft-run.rs defines `USAGE`");
+    flags(usage).into_iter().collect()
+}
+
+/// The names of `ft_bench::experiments::EXPERIMENTS`.
+fn experiments() -> BTreeSet<&'static str> {
+    let source = include_str!("../crates/bench/src/experiments.rs");
+    let table = source
+        .split("pub const EXPERIMENTS")
+        .nth(1)
+        .and_then(|rest| rest.split("];").next())
+        .expect("experiments.rs defines `EXPERIMENTS`");
+    table
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("(\""))
+        .filter_map(|l| l.split('"').next())
+        .collect()
+}
+
+#[test]
+fn every_command_in_the_docs_names_a_flag_scenario_and_experiment_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let usage = ft_run_flags();
+    let experiments = experiments();
+    assert!(
+        usage.contains("--scenario") && usage.len() > 10,
+        "{usage:?}"
+    );
+    assert_eq!(experiments.len(), 15, "{experiments:?}");
+    let (mut stale, mut checked) = (Vec::new(), [0; 3]);
+    for doc in docs(root, &tree(root)) {
+        let text = fs::read_to_string(root.join(&doc)).expect("the doc exists");
+        let mut fenced = false;
+        for (n, line) in text.lines().enumerate() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            let at = format!("{doc}:{}", n + 1);
+            for code in code(line, fenced) {
+                for (_, after) in code.match_indices("ft-run").map(|(i, _)| code.split_at(i)) {
+                    for flag in flags(after) {
+                        checked[0] += 1;
+                        if !usage.contains(flag) {
+                            stale.push(format!("{at}: `{flag}` is not in ft-run's USAGE"));
+                        }
+                    }
+                }
+                for name in words_after(code, "--scenario ") {
+                    checked[1] += 1;
+                    if ft_harness::registry::find(name).is_none() {
+                        stale.push(format!("{at}: no canned scenario `{name}`"));
+                    }
+                }
+                let names = words_after(code, "ft-exp ");
+                for name in names
+                    .into_iter()
+                    .chain(words_after(code, "-p ft_bench -- "))
+                {
+                    checked[2] += 1;
+                    if !experiments.contains(name) {
+                        stale.push(format!("{at}: no experiment `{name}` in EXPERIMENTS"));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        checked.iter().all(|&n| n >= 3),
+        "only {checked:?} flags, scenarios and experiments found: the scan is broken"
+    );
+    assert!(
+        stale.is_empty(),
+        "{} doc commands name what the binaries do not take:\n{}",
+        stale.len(),
+        stale.join("\n")
+    );
+}
+
+#[test]
+fn the_command_scan_reads_flags_names_and_code_only() {
+    assert_eq!(
+        flags("cargo run --bin ft-run -- --scenario x --quick a--b --Big"),
+        ["--bin", "--scenario", "--quick"]
+    );
+    assert_eq!(
+        code(
+            "`ft-run --list` and ft-exp fig1; `ft-exp table1` deleted: `ft-run --gone`",
+            false
+        ),
+        ["ft-run --list", "ft-exp table1"]
+    );
+    assert_eq!(
+        words_after("ft-exp <name> | ft-exp fig7 femnist", "ft-exp "),
+        ["fig7"]
+    );
+    assert!(ft_run_flags().contains("--stop-after-round"));
+    assert!(experiments().contains("assignment"));
 }

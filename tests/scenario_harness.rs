@@ -479,6 +479,54 @@ fn a_round_priced_past_the_clock_is_refused_naming_the_step_count() {
     assert!(stderr.contains("virtual clock"), "{stderr}");
 }
 
+/// `num_clients` past its representation's bound used to reach the
+/// allocator: for 10¹⁵ clients (a scenario file carries at most 2⁵³)
+/// the generator reserved petabytes of walks, and a sparse population
+/// petabytes of device marks. Each is refused by `ft-run --config`,
+/// naming the field.
+#[test]
+fn a_population_past_its_bound_is_refused_naming_the_field() {
+    let with_huge_population = |text: &str, clients: usize| {
+        let field = format!("\"num_clients\":{clients},");
+        assert!(text.contains(&field), "{text}");
+        text.replace(&field, "\"num_clients\":1000000000000000,")
+    };
+    let iid = serde_json::to_string(&registry::find("iid-small").unwrap()).unwrap();
+    let clients = registry::find("iid-small").unwrap().dataset.num_clients;
+    let path = tmp_checkpoint("materialized-population");
+    std::fs::write(&path, with_huge_population(&iid, clients)).unwrap();
+    let materialized = ft_run(&[], &["--config", path.to_str().unwrap(), "--quick"]);
+    let _ = std::fs::remove_file(&path);
+    let sparse = run_edited_stream("sparse-population", |text| with_huge_population(text, 64));
+    for (out, bound) in [
+        (materialized, "MAX_CLIENTS"),
+        (sparse, "MAX_SPARSE_CLIENTS"),
+    ] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("num_clients"), "{stderr}");
+        assert!(stderr.contains(&format!("{bound} (")), "{stderr}");
+    }
+}
+
+/// `ft-run --list` and `--update-goldens` size their name column from
+/// the longest canned name, so every row's second column lines up.
+#[test]
+fn ft_run_list_aligns_its_columns() {
+    let out = ft_run(&[], &["--list"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let columns: Vec<usize> = stdout
+        .lines()
+        .map(|line| {
+            let name = line.find(' ').expect("a name column");
+            name + line[name..].find(|c| c != ' ').expect("a second column")
+        })
+        .collect();
+    assert_eq!(columns.len(), registry::canned().len() + 1, "{stdout}");
+    assert!(columns.iter().all(|&c| c == columns[0]), "{stdout}");
+}
+
 #[expect(
     clippy::disallowed_methods,
     reason = "lists the inherited variables to scrub from the child"
