@@ -244,7 +244,7 @@ impl DatasetConfig {
     ///
     /// Returns a message naming the first offending field.
     pub fn validate(&self) -> Result<(), String> {
-        self.validate_within(("MAX_CLIENTS", MAX_CLIENTS), "materialized")
+        self.validate_within(MAX_CLIENTS, "MAX_CLIENTS", "materialized")
     }
 
     /// [`DatasetConfig::validate`] for a population whose shards are
@@ -255,14 +255,10 @@ impl DatasetConfig {
     ///
     /// Returns a message naming the first offending field.
     pub fn validate_sparse(&self) -> Result<(), String> {
-        self.validate_within(("MAX_SPARSE_CLIENTS", MAX_SPARSE_CLIENTS), "sparse")
+        self.validate_within(MAX_SPARSE_CLIENTS, "MAX_SPARSE_CLIENTS", "sparse")
     }
 
-    fn validate_within(
-        &self,
-        (bound, max_clients): (&str, usize),
-        kind: &str,
-    ) -> Result<(), String> {
+    fn validate_within(&self, max_clients: usize, bound: &str, kind: &str) -> Result<(), String> {
         for (name, count) in [
             ("num_clients", self.num_clients),
             ("num_classes", self.num_classes),

@@ -491,10 +491,10 @@ fn a_population_past_its_bound_is_refused_naming_the_field() {
         assert!(text.contains(&field), "{text}");
         text.replace(&field, "\"num_clients\":1000000000000000,")
     };
-    let iid = serde_json::to_string(&registry::find("iid-small").unwrap()).unwrap();
-    let clients = registry::find("iid-small").unwrap().dataset.num_clients;
+    let iid = registry::find("iid-small").unwrap();
+    let text = serde_json::to_string(&iid).unwrap();
     let path = tmp_checkpoint("materialized-population");
-    std::fs::write(&path, with_huge_population(&iid, clients)).unwrap();
+    std::fs::write(&path, with_huge_population(&text, iid.dataset.num_clients)).unwrap();
     let materialized = ft_run(&[], &["--config", path.to_str().unwrap(), "--quick"]);
     let _ = std::fs::remove_file(&path);
     let sparse = run_edited_stream("sparse-population", |text| with_huge_population(text, 64));
